@@ -1,0 +1,114 @@
+"""Golden outputs: the SHA-256 of every file the CLI writes.
+
+Each shipped config in ``configs/`` is run through ``wsnadapt run`` (or
+``wsnadapt sweep`` for sweep configs) with ``--jobs 1``, and every file in
+its output directory must hash to the recorded digest.  One extra
+100-node x 200-round detect scenario with a 30 dB channel and three
+corrupted nodes pins the channel and corruption paths, which no shipped
+config exercises.
+
+A digest here may change only in a change that says why in CHANGES.md and
+reports the largest absolute difference against the previous output.
+"""
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from wsnadapt.cli import main
+
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
+
+GOLDEN = {
+    "ada": {
+        "ada_iterations.csv": "f146716a08f3f46dc7a78c78bdbee3b9c87c7a7b772072e20a7e88f4cd1e305f",
+        "ada_nodes.csv": "798d610053fd0dbd340241621fc407bd0a20607765eb4d4f30df3c8d09ea9189",
+        "effective_config.json": "09515ec9f7306b096ea589fb5b727c95a6d65b03c5f9d25e7f616e1bc65a2ab8",
+    },
+    "detect": {
+        "detection.csv": "766e6f0b3dd10ec427b8b243ea8aaa7935bf8d59ec70dd0413cea5d3ea77d152",
+        "effective_config.json": "bb8e2895daa0c29f693921c83f42b37e9ba16fdb6f3d840db1682fc744f24ebf",
+        "message_trace.csv": "17aa0898ac7512ea49d366ee5fb36fbe607035fc1d4d4d779494ecdf12f2866e",
+        "stdp_transmission.csv": "e85ec3380d65706d3ecb5e35f71673ff4f51306f43bf4d95400edd6794bc2276",
+        "weights.csv": "725ba76e25d9e0463c3dc0a0c3a5f0efe62b8ade6cb53a3f4e0f2d0721af70dc",
+    },
+    "stdp": {
+        "effective_config.json": "02cbb4dc7c973dd9a8bc4ac87f261117f0709b890771cc3a8ac774b697dc226a",
+        "message_trace.csv": "e189e1b1819dad6f0f6da951976b95923c0f954d29a09577a913d66faa3ba988",
+        "stdp_transmission.csv": "2d72f7d231f57a43298957c11aa8d3ac06d3fe4d7bb4d3e4bfafd60d8ce68732",
+        "weights.csv": "cc44d50f6900871890cfa46be484351ceb88709d926a50931aa3ef631a35252f",
+    },
+    "sweep_beta": {
+        "effective_config.json": "87fef6d149560f9d053b3025057f544d2970073b3893f60959925c52694239af",
+        "stdp_transmission.csv": "5b666c5e7221e7b6c8b54c76b3c590c57f51b8efedbbb710764439e1f34fb054",
+        "sweep_totals.csv": "22f1b67c8788ae113305254e23936c74cae03bd7a64724ca9de0eef63766bbfa",
+    },
+    "sweep_block": {
+        "effective_config.json": "c2c1a7670062842e23c3c61ed5510453c68407efb986145b9057f4a30f0bf9bf",
+        "sweep_totals.csv": "26772d537da96887dc7b3d206be3b5122312c1a27bb74be6b3fc4f72c752943d",
+        "sweep_transmission.csv": "1c572c0ce8da858b6d853d5677375f8d9edcb08044055241454dfdee17e53e4c",
+    },
+    "detect_100": {
+        "detection.csv": "d5f66083d2868b619959858b289ff39ace9a134f45114355eb8d0e336f377047",
+        "effective_config.json": "32c0c9c1eaf4d0fb99406011d4e37be3466b526cb43ce277398714a0832b5740",
+        "message_trace.csv": "bf0cdca692ffaf06c25e33ed7f690752cf62a83a1fb08ef7be18fd814eee93f8",
+        "stdp_transmission.csv": "1d2a004fa510363d7bccb20743ee5bb82b900bdb50b34c5db2cadb57b0067153",
+        "weights.csv": "f23bc1db1bacb7e1de818b12d5851bcdb9fdef67158fbdb9c01994944fa61a1c",
+    },
+}
+
+
+def detect_100_config() -> dict:
+    """100 nodes on a jittered 10 x 10 grid (10 nodes per 16 m^2), sink at
+    the centre, 200 rounds, a 30 dB channel and three corrupted nodes."""
+    rng = random.Random(20240607)
+    side = (100 * 1.6) ** 0.5
+    cell = side / 10
+    positions = [
+        [
+            round((c % 10 + 0.5 + rng.uniform(-0.25, 0.25)) * cell, 6),
+            round((c // 10 + 0.5 + rng.uniform(-0.25, 0.25)) * cell, 6),
+        ]
+        for c in range(100)
+    ]
+    return {
+        "experiment": "detect",
+        "seed": 31,
+        "layout": {
+            "positions": positions,
+            "sink": [side / 2, side / 2],
+            "node_ids": list(range(1, 101)),
+        },
+        "num_blocks": 200,
+        "channel": 30.0,
+        "malicious": {"node_ids": [17, 52, 88], "scale": 6.0},
+    }
+
+
+def digests(out: Path) -> dict[str, str]:
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir())
+        if p.is_file()
+    }
+
+
+def run_config(path: Path, out: Path) -> dict[str, str]:
+    experiment = json.loads(path.read_text())["experiment"]
+    command = "sweep" if experiment == "sweep" else "run"
+    assert main([command, "--config", str(path), "--out", str(out), "--jobs", "1"]) == 0
+    return digests(out)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+def test_shipped_config_outputs_match_golden(name, tmp_path):
+    assert run_config(CONFIG_DIR / f"{name}.json", tmp_path / "out") == GOLDEN[name]
+
+
+def test_detect_100_nodes_channel_matches_golden(tmp_path):
+    path = tmp_path / "detect_100.json"
+    path.write_text(json.dumps(detect_100_config()))
+    assert run_config(path, tmp_path / "out") == GOLDEN["detect_100"]
