@@ -12,7 +12,7 @@ Library layout:
 """
 
 from . import ada, cli, errors, fieldgen, malicious, numerics, sim, stdp
-from .fieldgen import CovariancePair, FieldParams, NodeLayout, ObservationBlock
+from .fieldgen import CovariancePair, FieldParams, NodeLayout, Stream
 from .sim import RunReport, Scenario, default_scenario
 from .stdp import Thresholds
 
@@ -22,9 +22,9 @@ __all__ = [
     "CovariancePair",
     "FieldParams",
     "NodeLayout",
-    "ObservationBlock",
     "RunReport",
     "Scenario",
+    "Stream",
     "Thresholds",
     "ada",
     "cli",

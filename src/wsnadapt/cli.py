@@ -305,7 +305,7 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _write_outputs(parsed: ParsedConfig, out_dir: Path) -> None:
+def _write_outputs(parsed: ParsedConfig, out_dir: Path, jobs: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(
         out_dir / "effective_config.json",
@@ -325,21 +325,13 @@ def _write_outputs(parsed: ParsedConfig, out_dir: Path) -> None:
         report = run_detect(scenario, stream=stream)
     else:
         axis, values = parsed.sweep_axis
-        report = sweep(scenario, axis, values, jobs=parsed_jobs())
+        report = sweep(scenario, axis, values, jobs=jobs)
     for name, (header, rows) in report_files(report).items():
-        lines = [",".join(header)] + [",".join(row) for row in rows]
+        lines = [",".join(header), *map(",".join, rows)]
         _write_atomic(out_dir / name, "\n".join(lines) + "\n")
 
 
-_JOBS = 1
-
-
-def parsed_jobs() -> int:
-    return _JOBS
-
-
 def main(argv=None) -> int:
-    global _JOBS
     parser = argparse.ArgumentParser(
         prog="wsnadapt",
         description="Adaptive accuracy / dual-prediction sensor-field simulator",
@@ -380,10 +372,9 @@ def main(argv=None) -> int:
     if args.command == "validate":
         return 0
 
-    _JOBS = max(1, args.jobs)
     out_dir = Path(args.out if args.out is not None else parsed.output_dir)
     try:
-        _write_outputs(parsed, out_dir)
+        _write_outputs(parsed, out_dir, jobs=max(1, args.jobs))
     except (WsnAdaptError, OSError, ValueError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return 2

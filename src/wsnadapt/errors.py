@@ -37,6 +37,10 @@ class TargetUnreachable(WsnAdaptError):
     """Requested accuracy target exceeds what all nodes together achieve."""
 
 
+class Diverged(WsnAdaptError):
+    """A protocol round produced a non-finite value; names the round and node."""
+
+
 class ProtocolViolation(WsnAdaptError):
     """A message arrived in a node phase that cannot accept it."""
 

@@ -15,8 +15,8 @@ any other node.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -117,23 +117,6 @@ class FieldParams:
 
 
 @dataclass(frozen=True)
-class ObservationBlock:
-    """One node's window of n consecutive samples plus its desired scalar."""
-
-    node_id: int
-    block_index: int
-    samples: np.ndarray
-    desired: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-        if self.samples.ndim != 1 or self.samples.size < 1:
-            raise DimensionMismatch("samples must be a non-empty 1-D vector")
-        if not (np.all(np.isfinite(self.samples)) and np.isfinite(self.desired)):
-            raise ValueError("block entries must be finite")
-
-
-@dataclass(frozen=True)
 class CovariancePair:
     """Global second-order statistics: R_uu, R_du and the desired-signal power."""
 
@@ -164,27 +147,53 @@ class CovariancePair:
 
 @dataclass(frozen=True)
 class Stream:
-    """Per-node block sequences plus the configuration that produced them."""
+    """Per-node sample blocks as arrays, plus the configuration that produced them.
+
+    Row k of every array belongs to node ``node_ids[k]``: ``blocks[k]`` is
+    that node's ``(num_blocks, n)`` array of sample windows, ``desired[k]``
+    its ``(num_blocks,)`` desired scalars and ``sigma[k]`` its nominal
+    signal standard deviation.  Every entry is checked finite once, here.
+    """
 
     params: FieldParams
     n: int
     num_blocks: int
     seed: int
-    blocks: Mapping[int, tuple[ObservationBlock, ...]]
-    sigma_by_node: Mapping[int, float] = field(default_factory=dict)
+    node_ids: tuple[int, ...]
+    blocks: np.ndarray
+    desired: np.ndarray
+    sigma: np.ndarray
 
-    @property
-    def node_ids(self) -> tuple[int, ...]:
-        return tuple(self.blocks.keys())
+    def __post_init__(self):
+        m = len(self.node_ids)
+        if self.blocks.shape != (m, self.num_blocks, self.n):
+            raise DimensionMismatch(
+                f"blocks have shape {self.blocks.shape}, expected {(m, self.num_blocks, self.n)}"
+            )
+        if self.desired.shape != (m, self.num_blocks) or self.sigma.shape != (m,):
+            raise DimensionMismatch("desired and sigma must have one row per node")
+        if not (np.isfinite(self.blocks).all() and np.isfinite(self.desired).all()):
+            raise ValueError("stream entries must be finite")
 
-    def restrict(self, node_ids: Sequence[int]) -> "Stream":
-        missing = [i for i in node_ids if i not in self.blocks]
+    def rows_of(self, node_ids: Sequence[int]) -> np.ndarray:
+        """Row indices of the given nodes, in the given order."""
+        index = {i: k for k, i in enumerate(self.node_ids)}
+        missing = [i for i in node_ids if i not in index]
         if missing:
             raise UnknownNode(f"nodes {missing} not in stream")
+        return np.array([index[i] for i in node_ids], dtype=np.intp)
+
+    def restrict(self, node_ids: Sequence[int]) -> "Stream":
+        node_ids = tuple(node_ids)
+        if node_ids == self.node_ids:
+            return self
+        rows = self.rows_of(node_ids)
         return replace(
             self,
-            blocks={i: self.blocks[i] for i in node_ids},
-            sigma_by_node={i: self.sigma_by_node[i] for i in node_ids},
+            node_ids=node_ids,
+            blocks=self.blocks[rows],
+            desired=self.desired[rows],
+            sigma=self.sigma[rows],
         )
 
 
@@ -221,19 +230,13 @@ def _ar1_series(innovations: np.ndarray, phi: float) -> np.ndarray:
     return out
 
 
-def _blocks_from_series(
-    node_id: int, series: np.ndarray, n: int, w0: np.ndarray, noise: np.ndarray
-) -> tuple[ObservationBlock, ...]:
-    windows = series.reshape(-1, n)
-    return tuple(
-        ObservationBlock(
-            node_id=node_id,
-            block_index=b,
-            samples=windows[b],
-            desired=float(windows[b] @ w0 + noise[b]),
-        )
-        for b in range(windows.shape[0])
-    )
+def _desired(blocks: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Desired scalars u_b @ w0 + v_b for every window along the last axis.
+
+    ``np.vecdot`` sums each window in the same order as a 1-D ``u @ w0``,
+    so the scalars are bit-identical to a per-window dot product.
+    """
+    return np.vecdot(blocks, initial_weight(blocks.shape[-1])) + noise
 
 
 def generate_stream(
@@ -274,20 +277,23 @@ def generate_stream(
     innovations = low @ z.T  # m x total, marginal covariance exactly ruu
     series = _ar1_series(innovations, params.temporal_phi)
 
-    w0 = initial_weight(n)
     noise_std = float(np.sqrt(params.noise_var))
-    sig = params.sigma_vector(m)
-    blocks: dict[int, tuple[ObservationBlock, ...]] = {}
-    for row, node_id in enumerate(layout.node_ids):
-        v = substream(seed, ROLE_MEASURE, node_id).normal(0.0, noise_std, num_blocks)
-        blocks[node_id] = _blocks_from_series(node_id, series[row], n, w0, v)
+    noise = np.array(
+        [
+            substream(seed, ROLE_MEASURE, node_id).normal(0.0, noise_std, num_blocks)
+            for node_id in layout.node_ids
+        ]
+    )
+    blocks = series.reshape(m, num_blocks, n)
     return Stream(
         params=params,
         n=n,
         num_blocks=num_blocks,
         seed=seed,
+        node_ids=layout.node_ids,
         blocks=blocks,
-        sigma_by_node={i: float(s) for i, s in zip(layout.node_ids, sig)},
+        desired=_desired(blocks, noise),
+        sigma=params.sigma_vector(m),
     )
 
 
@@ -303,46 +309,52 @@ def inject_malicious(stream: Stream, node_ids: Iterable[int], scale: float, seed
     ids = sorted(set(int(i) for i in node_ids))
     if scale <= 1:
         raise ValueError(f"scale must exceed 1, got {scale}")
-    unknown = [i for i in ids if i not in stream.blocks]
-    if unknown:
-        raise UnknownNode(f"nodes {unknown} not in stream")
+    rows = stream.rows_of(ids)
 
     total = stream.n * stream.num_blocks
-    w0 = initial_weight(stream.n)
     noise_std = float(np.sqrt(stream.params.noise_var))
-    new_blocks = dict(stream.blocks)
-    for node_id in ids:
+    blocks = stream.blocks.copy()
+    desired = stream.desired.copy()
+    for row, node_id in zip(rows, ids):
         rng = substream(seed, ROLE_MALICIOUS, node_id)
-        sigma = scale * stream.sigma_by_node.get(node_id, 1.0)
-        series = sigma * _ar1_series(
+        series = (scale * stream.sigma[row]) * _ar1_series(
             rng.standard_normal(total), stream.params.temporal_phi
         )
+        blocks[row] = series.reshape(stream.num_blocks, stream.n)
         v = rng.normal(0.0, noise_std, stream.num_blocks)
-        new_blocks[node_id] = _blocks_from_series(node_id, series, stream.n, w0, v)
-    return replace(stream, blocks=new_blocks)
+        desired[row] = _desired(blocks[row], v)
+    return replace(stream, blocks=blocks, desired=desired)
 
 
 def awgn_channel(
-    block: ObservationBlock, snr_db: float | None, seed: int
-) -> ObservationBlock:
-    """Additive white Gaussian noise on a transmitted block.
+    samples: np.ndarray,
+    desired: np.ndarray,
+    node_ids: Sequence[int],
+    block_index: int,
+    snr_db: float | None,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Additive white Gaussian noise on the blocks transmitted in one round.
 
-    ``snr_db=None`` means the channel is off and the block is returned
-    unchanged.  Otherwise the per-sample noise variance is the block's
-    mean-square sample power scaled by 10**(-snr_db/10); the same variance
-    is applied to the desired scalar.
+    Row k of ``samples`` (``(k, n)``) and ``desired`` is block
+    ``block_index`` of node ``node_ids[k]``.  ``snr_db=None`` means the
+    channel is off and both arrays are returned unchanged.  Otherwise each
+    block's per-sample noise variance is its mean-square sample power
+    scaled by 10**(-snr_db/10); the same variance is applied to its
+    desired scalar.  Every block draws from its own (node, block)
+    substream.
     """
     if snr_db is None:
-        return block
-    rng = substream(seed, ROLE_CHANNEL, block.node_id, block.block_index)
-    power = float(np.mean(block.samples**2))
-    noise_std = float(np.sqrt(power * 10.0 ** (-snr_db / 10.0)))
-    noisy = block.samples + rng.normal(0.0, noise_std, block.samples.size)
-    return replace(
-        block,
-        samples=noisy,
-        desired=float(block.desired + rng.normal(0.0, noise_std)),
-    )
+        return samples, desired
+    noisy = np.empty_like(samples)
+    noisy_desired = np.empty_like(desired)
+    for k, node_id in enumerate(node_ids):
+        rng = substream(seed, ROLE_CHANNEL, node_id, block_index)
+        power = float(np.mean(samples[k] ** 2))
+        noise_std = float(np.sqrt(power * 10.0 ** (-snr_db / 10.0)))
+        noisy[k] = samples[k] + rng.normal(0.0, noise_std, samples.shape[1])
+        noisy_desired[k] = desired[k] + rng.normal(0.0, noise_std)
+    return noisy, noisy_desired
 
 
 def ingest_csv(path, n: int, params: FieldParams, seed: int) -> Stream:
@@ -379,21 +391,28 @@ def ingest_csv(path, n: int, params: FieldParams, seed: int) -> Stream:
     if num_blocks < 1:
         raise CsvFormatError(f"fewer than {n} samples for some node; no full block")
 
-    w0 = initial_weight(n)
+    node_ids = tuple(sorted(rows))
     noise_std = float(np.sqrt(params.noise_var))
-    blocks: dict[int, tuple[ObservationBlock, ...]] = {}
-    sigma_by_node: dict[int, float] = {}
-    for node_id in sorted(rows):
-        ordered = sorted(rows[node_id], key=lambda tv: tv[0])
-        series = np.array([v for _, v in ordered[: num_blocks * n]])
-        v = substream(seed, ROLE_MEASURE, node_id).normal(0.0, noise_std, num_blocks)
-        blocks[node_id] = _blocks_from_series(node_id, series, n, w0, v)
-        sigma_by_node[node_id] = float(np.std(series)) or 1.0
+    series = np.array(
+        [
+            [v for _, v in sorted(rows[i], key=lambda tv: tv[0])[: num_blocks * n]]
+            for i in node_ids
+        ]
+    )
+    noise = np.array(
+        [
+            substream(seed, ROLE_MEASURE, node_id).normal(0.0, noise_std, num_blocks)
+            for node_id in node_ids
+        ]
+    )
+    blocks = series.reshape(len(node_ids), num_blocks, n)
     return Stream(
         params=params,
         n=n,
         num_blocks=num_blocks,
         seed=seed,
+        node_ids=node_ids,
         blocks=blocks,
-        sigma_by_node=sigma_by_node,
+        desired=_desired(blocks, noise),
+        sigma=np.array([float(np.std(s)) or 1.0 for s in series]),
     )

@@ -149,22 +149,58 @@ def config_hash(config: dict) -> str:
     return hashlib.sha1(canonical.encode()).hexdigest()
 
 
+@dataclass(frozen=True, eq=False)
+class Table:
+    """One result series as equal-length columns.
+
+    A column is a numpy array (floats print with 9 significant digits,
+    integers as they are) or a list of strings.  ``absent`` maps a column
+    index to a boolean mask of the cells that hold no value: they print
+    empty and read back as None.  Iterating a table yields its rows.
+    """
+
+    columns: tuple
+    absent: dict[int, np.ndarray] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        cells = []
+        for c, column in enumerate(self.columns):
+            values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+            for k in np.flatnonzero(self.absent.get(c, ())):
+                values[k] = None
+            cells.append(values)
+        return zip(*cells)
+
+    def __getitem__(self, index: int) -> tuple:
+        return list(self)[index]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Table) and list(self) == list(other)
+
+
 @dataclass(frozen=True)
 class RunReport:
-    """Named result series plus a scenario echo and its hash."""
+    """Named result tables plus a scenario echo and its hash."""
 
     kind: str
-    series: dict[str, list[tuple]]
+    series: dict[str, Table]
     metadata: dict
 
     def __post_init__(self):
-        for name, rows in self.series.items():
-            if not rows:
+        for name, table in self.series.items():
+            if not len(table):
                 raise ValueError(f"series {name} is empty")
-            for row in rows:
-                for cell in row:
-                    if isinstance(cell, float) and not np.isfinite(cell):
-                        raise ValueError(f"non-finite value in series {name}: {row}")
+            for column in table.columns:
+                if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+                    bad = np.flatnonzero(~np.isfinite(column))
+                    if bad.size:
+                        row = bad[0]
+                        raise ValueError(
+                            f"non-finite value in series {name}, row {row}: {table[row]}"
+                        )
 
 
 def _base_metadata(kind: str, scenario: Scenario) -> dict:
@@ -179,14 +215,18 @@ def run_ada(scenario: Scenario) -> RunReport:
     selection = ada.select_nodes(
         scenario.layout, scenario.field, count=scenario.select_count
     )
+    sizes = [size for size, _ in selection.curve]
     series = {
-        "accuracy_vs_iteration": [
-            (k, acc) for k, acc in enumerate(trace.accuracy)
-        ],
-        "accuracy_vs_nodes": [
-            (size, acc, ";".join(str(i) for i in selection.order[:size]))
-            for size, acc in selection.curve
-        ],
+        "accuracy_vs_iteration": Table(
+            (np.arange(len(trace.accuracy)), np.array(trace.accuracy))
+        ),
+        "accuracy_vs_nodes": Table(
+            (
+                np.array(sizes),
+                np.array([acc for _, acc in selection.curve]),
+                [";".join(str(i) for i in selection.order[:size]) for size in sizes],
+            )
+        ),
     }
     metadata = _base_metadata("ADA", scenario)
     metadata.update(
@@ -205,14 +245,19 @@ def run_ada(scenario: Scenario) -> RunReport:
 class ProtocolRun:
     stream: Stream
     state: stdp.ProtocolState
-    rows: tuple[stdp.TraceRow, ...]
+    trace: stdp.Trace
     percentages: dict[int, float]
 
     @property
     def total_percentage(self) -> float:
-        sent = sum(self.state.record.transmitted.values())
-        total = sum(self.state.record.total.values())
-        return 100.0 * sent / total
+        sensed = self.state.round_index * len(self.state.node_ids)
+        return 100.0 * int(self.state.sent.sum()) / sensed
+
+    def weight_snapshots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every client-filter update as (round, node row, weight), grouped by
+        node in ascending id order and chronological within a node."""
+        rows, rounds = np.nonzero(self.trace.phase.T == stdp.CLIENT_ADAPTIVE)
+        return rounds, rows, self.trace.client_weight[rounds, rows]
 
 
 def active_node_ids(scenario: Scenario) -> tuple[int, ...]:
@@ -242,7 +287,8 @@ def simulate_protocol(scenario: Scenario, stream: Stream | None = None) -> Proto
                 scenario.malicious.scale,
                 scenario.seed,
             )
-    active = [i for i in active_node_ids(scenario) if i in stream.blocks]
+    present = set(stream.node_ids)
+    active = sorted(i for i in active_node_ids(scenario) if i in present)
     stream = stream.restrict(active)
 
     # A corrupted node's own measurements are degraded too: its client-side
@@ -253,65 +299,87 @@ def simulate_protocol(scenario: Scenario, stream: Stream | None = None) -> Proto
     noise_std = float(np.sqrt(scenario.field.noise_var))
     corrupted = set(scenario.malicious.node_ids) if scenario.malicious else set()
     scale = scenario.malicious.scale if scenario.malicious else 1.0
-    draws = {
-        i: substream(scenario.seed, ROLE_PROTOCOL, i).normal(
-            0.0, noise_std * (scale if i in corrupted else 1.0), stream.num_blocks
-        )
-        for i in active
-    }
+    draws = np.array(
+        [
+            substream(scenario.seed, ROLE_PROTOCOL, i).normal(
+                0.0, noise_std * (scale if i in corrupted else 1.0), stream.num_blocks
+            )
+            for i in active
+        ]
+    ).reshape(len(active), stream.num_blocks)
     channel = None
     if scenario.channel is not None:
         snr = scenario.channel
 
-        def channel(node_id, block, _snr=snr, _seed=scenario.seed):
-            return awgn_channel(block, _snr, _seed)
+        def channel(samples, desired, node_ids, block_index, _snr=snr, _seed=scenario.seed):
+            return awgn_channel(samples, desired, node_ids, block_index, _snr, _seed)
 
     state = stdp.new_protocol_state(active, scenario.n_block)
-    rows: list[stdp.TraceRow] = []
+    trace = stdp.Trace.empty(state.node_ids, stream.num_blocks, scenario.n_block)
     for r in range(stream.num_blocks):
-        result = stdp.step_round(
-            state,
-            {i: stream.blocks[i][r] for i in active},
-            scenario.thresholds,
-            mu=scenario.explicit_mu,
-            client_noise={i: float(draws[i][r]) for i in active},
-            channel=channel,
+        trace.record(
+            stdp.step_round(
+                state,
+                stream.blocks[:, r],
+                stream.desired[:, r],
+                scenario.thresholds,
+                mu=scenario.explicit_mu,
+                client_noise=draws[:, r],
+                channel=channel,
+            )
         )
-        rows.extend(result.rows)
     return ProtocolRun(
         stream=stream,
         state=state,
-        rows=tuple(rows),
+        trace=trace,
         percentages=stdp.transmission_percentage(state.record),
     )
 
 
-def _protocol_series(run: ProtocolRun, beta: float) -> dict[str, list[tuple]]:
+_PHASE_NAMES = np.array([p.value for p in stdp.PHASES], dtype=object)
+_KIND_NAMES = np.array(
+    [";".join(k.value for k in stdp.kinds_of(mask)) for mask in range(16)], dtype=object
+)
+
+
+def _protocol_series(run: ProtocolRun, beta: float) -> dict[str, Table]:
+    trace = run.trace
+    ids = np.array(run.state.node_ids)
+    rounds, m = trace.phase.shape
+    phase = trace.phase.ravel()
+    transmitted = trace.transmitted.ravel()
     series = {
-        "transmission": [
-            (beta, i, pct) for i, pct in sorted(run.percentages.items())
-        ],
-        "trace": [
+        "transmission": Table(
             (
-                row.round_index,
-                row.node_id,
-                row.phase.value,
-                ";".join(k.value for k in row.kinds),
-                row.error_glob,
-                row.error_new,
-                int(row.transmitted),
+                np.full(m, beta),
+                ids,
+                np.array([run.percentages[i] for i in run.state.node_ids]),
             )
-            for row in run.rows
-        ],
+        ),
+        "trace": Table(
+            (
+                np.repeat(np.arange(rounds), m),
+                np.tile(ids, rounds),
+                _PHASE_NAMES[phase].tolist(),
+                _KIND_NAMES[trace.kinds.ravel()].tolist(),
+                trace.error_glob.ravel(),
+                trace.error_new.ravel(),
+                transmitted.astype(np.int8),
+            ),
+            absent={4: ~transmitted, 5: phase < stdp.CLIENT_ADAPTIVE},
+        ),
     }
-    weight_rows = [
-        (r, i, tap, float(w[tap]))
-        for i, snaps in sorted(run.state.weight_history.items())
-        for r, w in snaps
-        for tap in range(w.size)
-    ]
-    if weight_rows:
-        series["weights"] = weight_rows
+    update_rounds, rows, weights = run.weight_snapshots()
+    if update_rounds.size:
+        n = weights.shape[1]
+        series["weights"] = Table(
+            (
+                np.repeat(update_rounds, n),
+                np.repeat(ids[rows], n),
+                np.tile(np.arange(n), update_rounds.size),
+                weights.ravel(),
+            )
+        )
     return series
 
 
@@ -335,16 +403,27 @@ def run_detect(scenario: Scenario, stream: Stream | None = None) -> RunReport:
     if scenario.malicious is None and stream is None:
         raise ValueError("detect experiment requires a malicious configuration")
     run = simulate_protocol(scenario, stream)
+    _, rows, weights = run.weight_snapshots()
+    updates = np.bincount(rows, minlength=len(run.state.node_ids))
     histories = malicious.histories_from_snapshots(
-        {i: [w for _, w in snaps] for i, snaps in run.state.weight_history.items()}
+        {
+            run.state.node_ids[k]: snaps
+            for k, snaps in enumerate(np.split(weights, np.cumsum(updates)[:-1]))
+            if updates[k]
+        }
     )
     variances = {i: malicious.weight_variance(h) for i, h in sorted(histories.items())}
     report = malicious.classify(variances)
     series = _protocol_series(run, scenario.thresholds.beta)
-    series["detection"] = [
-        (i, variances[i], report.threshold, report.labels[i].value)
-        for i in sorted(variances)
-    ]
+    detected = sorted(variances)
+    series["detection"] = Table(
+        (
+            np.array(detected),
+            np.array([variances[i] for i in detected]),
+            np.full(len(detected), report.threshold),
+            [report.labels[i].value for i in detected],
+        )
+    )
     metadata = _base_metadata("DETECT", scenario)
     metadata.update(
         {
@@ -402,12 +481,24 @@ def sweep(
     else:
         points = [_sweep_point(t) for t in tasks]
 
-    series: dict[str, list[tuple]] = {"transmission": [], "transmission_total": []}
+    tables = [report.series["transmission"] for _, report in points]
+    series = {
+        "transmission": Table(
+            (
+                np.concatenate([np.full(len(t), value) for (value, _), t in zip(points, tables)]),
+                np.concatenate([t.columns[1] for t in tables]),
+                np.concatenate([t.columns[2] for t in tables]),
+            )
+        ),
+        "transmission_total": Table(
+            (
+                np.array(values),
+                np.array([report.metadata["total_percentage"] for _, report in points]),
+            )
+        ),
+    }
     sub_meta = []
     for value, report in points:
-        for _, node_id, pct in report.series["transmission"]:
-            series["transmission"].append((value, node_id, pct))
-        series["transmission_total"].append((value, report.metadata["total_percentage"]))
         sub_meta.append(
             {
                 "value": value,
@@ -421,24 +512,44 @@ def sweep(
     return RunReport(kind="SWEEP", series=series, metadata=metadata)
 
 
-def _fmt(cell) -> str:
-    if isinstance(cell, float):
-        return f"{cell:.9g}"
-    if cell is None:
-        return ""
-    return str(cell)
+def _column_text(column, absent: np.ndarray | None) -> list[str]:
+    """One column as CSV cells: floats with 9 significant digits, integers
+    as they are, absent cells empty."""
+    if not isinstance(column, np.ndarray):
+        return list(column)
+    present = column if absent is None else column[~absent]
+    if present.dtype.kind == "f":
+        cells = list(map("{:.9g}".format, present.tolist()))
+    else:
+        low, high = (int(present.min()), int(present.max())) if present.size else (0, -1)
+        if high - low <= present.size:
+            # Round, node and tap columns repeat a few values: format each once.
+            table = np.array([str(v) for v in range(low, high + 1)], dtype=object)
+            cells = table[present - low].tolist()
+        else:
+            cells = list(map(str, present.tolist()))
+    if absent is None:
+        return cells
+    text = np.full(column.size, "", dtype=object)
+    text[~absent] = cells
+    return text.tolist()
 
 
 def report_files(report: RunReport) -> dict[str, tuple[tuple[str, ...], list[tuple[str, ...]]]]:
     """Map a report to its CSV files: name -> (header, formatted rows).
 
-    Floats are rendered with 9 significant digits; every run kind maps to
-    a fixed file set so repeated runs are byte-comparable.
+    Floats are rendered with 9 significant digits, one column at a time;
+    every run kind maps to a fixed file set so repeated runs are
+    byte-comparable.
     """
     out: dict[str, tuple[tuple[str, ...], list[tuple[str, ...]]]] = {}
 
-    def emit(name: str, header: tuple[str, ...], rows: list[tuple]):
-        out[name] = (header, [tuple(_fmt(c) for c in row) for row in rows])
+    def emit(name: str, header: tuple[str, ...], table: Table):
+        columns = [
+            _column_text(column, table.absent.get(c))
+            for c, column in enumerate(table.columns)
+        ]
+        out[name] = (header, list(zip(*columns)))
 
     if report.kind == "ADA":
         emit(

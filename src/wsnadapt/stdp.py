@@ -17,23 +17,40 @@ Per-node life cycle (one protocol round = one sensed block per node):
                       error climbs back above beta
 
 Weight messages travel with one round of latency; a round's data blocks
-reach the sink within the round.  Nodes are processed in ascending id
-order, so a full run is a deterministic function of (inputs, thresholds).
+reach the sink within the round.
+
+The array round.  Node k (ids ascending) is row k of the engine state:
+``phase[k]`` is its phase code (an index into ``PHASES``; which filter is
+active is a function of the phase alone), ``client_weight[k]`` its client
+filter Wc and ``received_global[k]`` the global weight Wr that seeded it.
+A round takes the ``(m, n)`` matrix U of sensed blocks and the desired
+vector d, and works on masks over the phase codes:
+
+1. client side, rows in a client phase: d' = U.Wr + noise; adapting rows
+   step Wc += mu U (d' - U.Wc); the error e' = d' - U.Wc is held against
+   beta (adapting rows fall silent at or below it, predicting rows
+   restart above it);
+2. wire: the transmitting rows, optionally through the channel;
+3. sink side: one global sweep w += mu sum_i u_i (d_i - u_i.w) over the
+   received rows, then their errors d - U w are held against alpha.
+
+Row dot products use ``np.vecdot``, which sums each row in the order of a
+1-D ``u @ w``, and the sweep adds its terms row by row in ascending id
+order, so the array round reproduces the per-node arithmetic bit for bit
+and a full run is a deterministic function of (inputs, thresholds).  The
+first non-finite error stops the run with ``Diverged``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ProtocolViolation, UnknownNode
+from .errors import DimensionMismatch, Diverged, ProtocolViolation, UnknownNode
 from .numerics import max_eigenvalue
-
-if TYPE_CHECKING:
-    from .fieldgen import ObservationBlock
 
 SINK_ID = 0
 
@@ -45,9 +62,9 @@ class Phase(str, Enum):
     CLIENT_PREDICTING = "CLIENT_PREDICTING"
 
 
-class FilterState(str, Enum):
-    ACTIVE = "ACTIVE"
-    IDLE = "IDLE"
+# Phase codes, as stored in the engine's phase arrays: PHASES[code] is the phase.
+PHASES = tuple(Phase)
+RAW_TRANSMIT, SINK_ADAPTIVE, CLIENT_ADAPTIVE, CLIENT_PREDICTING = range(len(PHASES))
 
 
 class MessageKind(str, Enum):
@@ -57,25 +74,31 @@ class MessageKind(str, Enum):
     NODE_WEIGHT = "NODE_WEIGHT"
 
 
-# Filter activity is a function of the phase alone.
-_FILTERS = {
-    Phase.RAW_TRANSMIT: (FilterState.IDLE, FilterState.IDLE),
-    Phase.SINK_ADAPTIVE: (FilterState.ACTIVE, FilterState.IDLE),
-    Phase.CLIENT_ADAPTIVE: (FilterState.IDLE, FilterState.ACTIVE),
-    Phase.CLIENT_PREDICTING: (FilterState.IDLE, FilterState.IDLE),
+# Bits of a node's per-round message-kind mask, in the order a round sends
+# them (a node's kinds are always listed in this order).
+KIND_BITS = {
+    MessageKind.QUERY: 1,
+    MessageKind.NODE_WEIGHT: 2,
+    MessageKind.DATA_BLOCK: 4,
+    MessageKind.GLOBAL_WEIGHT: 8,
 }
 
 
-@dataclass(frozen=True)
-class NodeMode:
-    sink_filter: FilterState
-    client_filter: FilterState
-    phase: Phase
+_KIND_OF_BIT = {bit: kind for kind, bit in KIND_BITS.items()}
+_WEIGHT_BITS = KIND_BITS[MessageKind.NODE_WEIGHT] | KIND_BITS[MessageKind.GLOBAL_WEIGHT]
 
-    @classmethod
-    def for_phase(cls, phase: Phase) -> "NodeMode":
-        sink, client = _FILTERS[phase]
-        return cls(sink_filter=sink, client_filter=client, phase=phase)
+
+def kinds_of(mask: int) -> tuple[MessageKind, ...]:
+    """The message kinds set in a kind mask, in sending order."""
+    return tuple(kind for kind, bit in KIND_BITS.items() if mask & bit)
+
+
+# _ACCEPTS[bit, code]: a node in phase ``code`` accepts a queued message of
+# kind ``bit``.  Data blocks are never queued.
+_ACCEPTS = np.zeros((max(KIND_BITS.values()) + 1, len(PHASES)), dtype=bool)
+_ACCEPTS[KIND_BITS[MessageKind.QUERY], RAW_TRANSMIT] = True
+_ACCEPTS[KIND_BITS[MessageKind.NODE_WEIGHT], CLIENT_PREDICTING] = True
+_ACCEPTS[KIND_BITS[MessageKind.GLOBAL_WEIGHT], [RAW_TRANSMIT, SINK_ADAPTIVE]] = True
 
 
 @dataclass(frozen=True)
@@ -99,6 +122,51 @@ class Message:
     payload: object = None
 
 
+@dataclass(frozen=True)
+class Mail:
+    """Messages queued between rounds, as columns with one entry per message.
+
+    ``kind`` holds ``KIND_BITS`` codes and ``node`` the client end of each
+    message: the sender of a NODE_WEIGHT, the receiver of anything else
+    (the sink is always the other end).  ``payload[j]`` is the weight that
+    entry j carries (zeros for a QUERY).  Iterating yields ``Message``s.
+    """
+
+    kind: np.ndarray
+    node: np.ndarray
+    payload: np.ndarray
+
+    @classmethod
+    def of(cls, messages: Sequence[Message], n: int) -> "Mail":
+        return cls(
+            kind=np.array([KIND_BITS[msg.kind] for msg in messages], dtype=np.uint8),
+            node=np.array(
+                [
+                    msg.sender if msg.kind is MessageKind.NODE_WEIGHT else msg.receiver
+                    for msg in messages
+                ],
+                dtype=np.int64,
+            ),
+            payload=np.array(
+                [np.zeros(n) if msg.payload is None else msg.payload for msg in messages],
+                dtype=float,
+            ).reshape(len(messages), n),
+        )
+
+    def __len__(self) -> int:
+        return self.kind.size
+
+    def __iter__(self):
+        for bit, node, payload in zip(self.kind.tolist(), self.node.tolist(), self.payload):
+            kind = _KIND_OF_BIT[bit]
+            if kind is MessageKind.NODE_WEIGHT:
+                yield Message(kind, node, SINK_ID, payload)
+            elif kind is MessageKind.QUERY:
+                yield Message(kind, SINK_ID, node)
+            else:
+                yield Message(kind, SINK_ID, node, payload)
+
+
 @dataclass
 class TransmissionRecord:
     """Per-node counts of transmitted, suppressed and total sensed blocks."""
@@ -106,11 +174,6 @@ class TransmissionRecord:
     transmitted: dict[int, int] = field(default_factory=dict)
     suppressed: dict[int, int] = field(default_factory=dict)
     total: dict[int, int] = field(default_factory=dict)
-
-    def count(self, node_id: int, sent: bool) -> None:
-        self.total[node_id] = self.total.get(node_id, 0) + 1
-        key = self.transmitted if sent else self.suppressed
-        key[node_id] = key.get(node_id, 0) + 1
 
 
 def transmission_percentage(record: TransmissionRecord) -> dict[int, float]:
@@ -124,31 +187,37 @@ def transmission_percentage(record: TransmissionRecord) -> dict[int, float]:
 
 
 @dataclass
-class NodeState:
-    mode: NodeMode
-    client_weight: np.ndarray | None = None
-    received_global: np.ndarray | None = None
-
-
-@dataclass
 class ProtocolState:
-    """Mutable engine state for one scenario run."""
+    """Mutable engine state for one scenario run; row k is node ``node_ids[k]``.
+
+    ``client_weight`` and ``received_global`` rows are meaningful only while
+    the node is in a client phase; a GLOBAL_WEIGHT delivery overwrites both.
+    """
 
     n: int
     node_ids: tuple[int, ...]
     global_weight: np.ndarray
-    nodes: dict[int, NodeState]
-    record: TransmissionRecord
-    pending: list[Message] = field(default_factory=list)
+    phase: np.ndarray
+    client_weight: np.ndarray
+    received_global: np.ndarray
+    sent: np.ndarray
+    pending: Mail
     round_index: int = 0
     mu: float | None = None
-    # per node: (round_index, weight) at every client-filter update
-    weight_history: dict[int, list[tuple[int, np.ndarray]]] = field(default_factory=dict)
-    tracked_weights: dict[int, np.ndarray] = field(default_factory=dict)
+
+    @property
+    def record(self) -> TransmissionRecord:
+        sent = dict(zip(self.node_ids, self.sent.tolist()))
+        return TransmissionRecord(
+            transmitted=sent,
+            suppressed={i: self.round_index - s for i, s in sent.items()},
+            total={i: self.round_index for i in self.node_ids},
+        )
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
+    """One node's view of one round, read off the round's columns."""
+
     round_index: int
     node_id: int
     phase: Phase
@@ -160,9 +229,81 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class RoundResult:
-    messages: tuple[Message, ...]
-    rows: tuple[TraceRow, ...]
-    record: TransmissionRecord
+    """One round as columns; entry k belongs to node ``node_ids[k]``.
+
+    ``phase`` holds the start-of-round phase codes and ``kinds`` the
+    ``KIND_BITS`` mask of each node's messages.  ``error_glob`` (the sink's
+    error) has a value where ``transmitted``, ``error_new`` (the client's)
+    where the node started in a client phase; every other cell is 0.0.
+    ``client_weight`` is each client filter after the round's update.
+    ``messages`` are the weight messages queued for the next round.
+    """
+
+    round_index: int
+    node_ids: tuple[int, ...]
+    phase: np.ndarray
+    kinds: np.ndarray
+    transmitted: np.ndarray
+    error_glob: np.ndarray
+    error_new: np.ndarray
+    client_weight: np.ndarray
+    messages: Mail
+
+    @property
+    def rows(self) -> tuple[TraceRow, ...]:
+        """The round node by node, built on request from the columns."""
+        client = self.phase >= CLIENT_ADAPTIVE
+        return tuple(
+            TraceRow(
+                self.round_index,
+                node_id,
+                PHASES[self.phase[k]],
+                kinds_of(int(self.kinds[k])),
+                float(self.error_glob[k]) if self.transmitted[k] else None,
+                float(self.error_new[k]) if client[k] else None,
+                bool(self.transmitted[k]),
+            )
+            for k, node_id in enumerate(self.node_ids)
+        )
+
+
+@dataclass(frozen=True)
+class Trace:
+    """A whole run as preallocated ``(rounds, m)`` columns of round results.
+
+    ``client_weight[r, k]`` is meaningful where ``phase[r, k]`` is
+    CLIENT_ADAPTIVE: it is node k's filter after its round-r update.
+    """
+
+    node_ids: tuple[int, ...]
+    phase: np.ndarray
+    kinds: np.ndarray
+    transmitted: np.ndarray
+    error_glob: np.ndarray
+    error_new: np.ndarray
+    client_weight: np.ndarray
+
+    @classmethod
+    def empty(cls, node_ids: Sequence[int], rounds: int, n: int) -> "Trace":
+        shape = (rounds, len(node_ids))
+        return cls(
+            node_ids=tuple(node_ids),
+            phase=np.zeros(shape, dtype=np.int8),
+            kinds=np.zeros(shape, dtype=np.uint8),
+            transmitted=np.zeros(shape, dtype=bool),
+            error_glob=np.zeros(shape),
+            error_new=np.zeros(shape),
+            client_weight=np.zeros(shape + (n,)),
+        )
+
+    def record(self, result: RoundResult) -> None:
+        r = result.round_index
+        self.phase[r] = result.phase
+        self.kinds[r] = result.kinds
+        self.transmitted[r] = result.transmitted
+        self.error_glob[r] = result.error_glob
+        self.error_new[r] = result.error_new
+        self.client_weight[r] = result.client_weight
 
 
 def initial_weight(n: int) -> np.ndarray:
@@ -175,36 +316,29 @@ def initial_weight(n: int) -> np.ndarray:
 def _check_pair(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    if u.shape != w.shape or u.ndim != 1:
+    if u.shape != w.shape or u.ndim not in (1, 2):
         raise DimensionMismatch(f"shapes {u.shape} and {w.shape} do not agree")
     return u, w
 
 
 def global_lms_update(
-    w_prev: np.ndarray, blocks: Iterable[tuple[np.ndarray, float]], mu: float
+    w_prev: np.ndarray, samples: np.ndarray, desired: np.ndarray, mu: float
 ) -> np.ndarray:
-    """One simultaneous sweep w + mu * sum_i u_i^T (d_i - u_i w)."""
-    w_prev = np.asarray(w_prev, dtype=float)
-    step = np.zeros_like(w_prev)
-    for u, d in blocks:
-        u, _ = _check_pair(u, w_prev)
-        step += u * (float(d) - float(u @ w_prev))
-    return w_prev + mu * step
+    """One simultaneous sweep w + mu * sum_i u_i^T (d_i - u_i w).
 
-
-def global_ia_update(
-    w_prev: np.ndarray, blocks: Iterable[tuple[np.ndarray, float]], mu: float
-) -> np.ndarray:
-    """Instantaneous-approximation form: w + mu * sum_i (u_i^T d_i - u_i^T u_i w).
-
-    Algebraically identical to global_lms_update; kept as a separate code
-    path so the equivalence is testable.
+    ``samples`` holds one block u_i per row and ``desired`` the matching
+    d_i; the terms are added in row order, starting from zero.
     """
     w_prev = np.asarray(w_prev, dtype=float)
-    step = np.zeros_like(w_prev)
-    for u, d in blocks:
-        u, _ = _check_pair(u, w_prev)
-        step += u * float(d) - np.outer(u, u) @ w_prev
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    desired = np.asarray(desired, dtype=float)
+    if samples.shape[1] != w_prev.size or desired.shape != (samples.shape[0],):
+        raise DimensionMismatch(
+            f"blocks {samples.shape} and desired {desired.shape} do not fit a "
+            f"{w_prev.size}-tap weight"
+        )
+    residual = desired - np.vecdot(samples, w_prev)
+    step = np.add.reduce(samples * residual[:, None], axis=0, initial=0.0)
     return w_prev + mu * step
 
 
@@ -228,214 +362,204 @@ def sink_errors(d: np.ndarray, y_sink: np.ndarray) -> np.ndarray:
     return d - y_sink
 
 
-def client_desired(u: np.ndarray, w_glob: np.ndarray, noise: float) -> float:
-    """Client-side desired scalar u @ w_glob + noise (noise drawn by caller)."""
+def client_desired(u: np.ndarray, w_glob: np.ndarray, noise) -> np.ndarray:
+    """Client-side desired scalar u @ w_glob + noise (noise drawn by caller).
+
+    ``u`` and ``w_glob`` are one vector each, or one per row.
+    """
     u, w_glob = _check_pair(u, w_glob)
-    return float(u @ w_glob) + float(noise)
+    return np.vecdot(u, w_glob) + noise
 
 
-def client_update(
-    w_prev: np.ndarray, u: np.ndarray, d_new: float, mu: float
-) -> np.ndarray:
-    """Single-datum LMS step w + mu * u^T (d_new - u w)."""
+def client_update(w_prev: np.ndarray, u: np.ndarray, d_new, mu: float) -> np.ndarray:
+    """Single-datum LMS step w + mu * u^T (d_new - u w), for one vector or
+    for every row of stacked vectors."""
     u, w_prev = _check_pair(u, w_prev)
-    return w_prev + mu * u * (float(d_new) - float(u @ w_prev))
+    residual = np.asarray(d_new, dtype=float) - np.vecdot(u, w_prev)
+    return w_prev + (mu * u) * residual[..., None]
 
 
 def new_protocol_state(
     node_ids: Sequence[int], n: int, mu: float | None = None
 ) -> ProtocolState:
     """Fresh engine state; queues the sink's initial query to every node."""
-    ids = tuple(int(i) for i in node_ids)
+    ids = tuple(sorted(int(i) for i in node_ids))
     if len(set(ids)) != len(ids) or SINK_ID in ids:
         raise ValueError("node ids must be unique and non-zero (0 is the sink)")
+    m = len(ids)
     return ProtocolState(
         n=n,
         node_ids=ids,
         global_weight=initial_weight(n),
-        nodes={i: NodeState(mode=NodeMode.for_phase(Phase.RAW_TRANSMIT)) for i in ids},
-        record=TransmissionRecord(),
-        pending=[Message(MessageKind.QUERY, SINK_ID, i) for i in ids],
+        phase=np.full(m, RAW_TRANSMIT, dtype=np.int8),
+        client_weight=np.zeros((m, n)),
+        received_global=np.zeros((m, n)),
+        sent=np.zeros(m, dtype=np.int64),
+        pending=Mail(
+            kind=np.full(m, KIND_BITS[MessageKind.QUERY], dtype=np.uint8),
+            node=np.array(ids, dtype=np.int64),
+            payload=np.zeros((m, n)),
+        ),
         mu=mu,
     )
 
 
-def _deliver(state: ProtocolState, message: Message) -> None:
-    """Apply a queued weight/query message, validating the receiver's phase."""
-    if message.kind is MessageKind.GLOBAL_WEIGHT:
-        node = state.nodes.get(message.receiver)
-        if node is None:
-            raise UnknownNode(f"message to unknown node {message.receiver}")
-        if node.mode.phase not in (Phase.RAW_TRANSMIT, Phase.SINK_ADAPTIVE):
-            raise ProtocolViolation(
-                f"GLOBAL_WEIGHT for node {message.receiver} in {node.mode.phase.value}"
-            )
-        weight = np.array(message.payload, dtype=float, copy=True)
-        node.mode = NodeMode.for_phase(Phase.CLIENT_ADAPTIVE)
-        node.client_weight = weight.copy()
-        node.received_global = weight
-    elif message.kind is MessageKind.NODE_WEIGHT:
-        node = state.nodes.get(message.sender)
-        if node is None:
-            raise UnknownNode(f"message from unknown node {message.sender}")
-        if node.mode.phase is not Phase.CLIENT_PREDICTING:
-            raise ProtocolViolation(
-                f"NODE_WEIGHT from node {message.sender} in {node.mode.phase.value}"
-            )
-        state.tracked_weights[message.sender] = np.array(message.payload, dtype=float)
-    elif message.kind is MessageKind.QUERY:
-        node = state.nodes.get(message.receiver)
-        if node is None:
-            raise UnknownNode(f"query to unknown node {message.receiver}")
-        if node.mode.phase is not Phase.RAW_TRANSMIT:
-            raise ProtocolViolation(
-                f"QUERY for node {message.receiver} in {node.mode.phase.value}"
-            )
-    else:
-        raise ProtocolViolation(f"{message.kind.value} cannot be queued between rounds")
+def _deliver(state: ProtocolState, ids: np.ndarray, mail: Mail) -> None:
+    """Apply the queued messages, each checked against the phase its node
+    ended the previous round in; the first bad entry raises.  ``ids`` are
+    the state's node ids as an array."""
+    rows = np.searchsorted(ids, mail.node)
+    known = rows < ids.size
+    known[known] = ids[rows[known]] == mail.node[known]
+    accepted = known.copy()
+    accepted[known] = _ACCEPTS[mail.kind[known], state.phase[rows[known]]]
+    if not accepted.all():
+        j = int(np.argmin(accepted))
+        kind, node = _KIND_OF_BIT[int(mail.kind[j])], int(mail.node[j])
+        role = "from" if kind is MessageKind.NODE_WEIGHT else "to"
+        if not _ACCEPTS[KIND_BITS[kind]].any():
+            raise ProtocolViolation(f"{kind.value} cannot be queued between rounds")
+        if not known[j]:
+            raise UnknownNode(f"{kind.value} {role} unknown node {node}")
+        raise ProtocolViolation(
+            f"{kind.value} {role} node {node} in {PHASES[state.phase[rows[j]]].value}"
+        )
+    handed = mail.kind == KIND_BITS[MessageKind.GLOBAL_WEIGHT]
+    rows = rows[handed]
+    state.phase[rows] = CLIENT_ADAPTIVE
+    state.client_weight[rows] = mail.payload[handed]
+    state.received_global[rows] = mail.payload[handed]
 
 
+def _check_finite(state: ProtocolState, errors: np.ndarray, side: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(errors))
+    if bad.size:
+        raise Diverged(
+            f"diverged in round {state.round_index}: non-finite {side} error "
+            f"for node {state.node_ids[bad[0]]}"
+        )
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def step_round(
     state: ProtocolState,
-    blocks: Mapping[int, "ObservationBlock"],
+    samples: np.ndarray,
+    desired: np.ndarray,
     thresholds: Thresholds,
     mu: float | None = None,
-    client_noise: Mapping[int, float] | None = None,
-    channel: Callable[[int, "ObservationBlock"], "ObservationBlock"] | None = None,
+    client_noise: np.ndarray | None = None,
+    channel: Callable[[np.ndarray, np.ndarray, np.ndarray, int], tuple] | None = None,
 ) -> RoundResult:
     """Advance the protocol by one synchronous round.
 
-    Every node senses exactly one block; which of them reach the sink, and
-    which weight messages are exchanged, follows the phase table in the
-    module docstring.  ``mu`` overrides the automatic step-size rule
-    (0.5 / (M * lambda_max) of the empirical block covariance, refreshed
-    whenever some node is in a raw round).  ``client_noise`` supplies the
-    round's client-side noise draw per node; ``channel`` optionally maps a
-    transmitted block to what the sink receives.
+    Row k of ``samples`` (m x n), ``desired`` and ``client_noise`` (m each)
+    is what node ``state.node_ids[k]`` senses and draws this round.  Which
+    blocks reach the sink, and which weight messages are exchanged, follows
+    the phase table in the module docstring.  ``mu`` overrides the
+    automatic step-size rule (0.5 / (M * lambda_max) of the empirical block
+    covariance, refreshed whenever some node is in a raw round).
+    ``channel(samples, desired, node_ids, round_index)`` optionally maps the
+    transmitted rows to what the sink receives.  Raises ``Diverged``,
+    naming the round and node, at the first non-finite error.
     """
-    order = sorted(state.node_ids)
-    missing = [i for i in order if i not in blocks]
-    if missing:
-        raise DimensionMismatch(f"no block for nodes {missing} this round")
-    noise = client_noise or {}
+    m = len(state.node_ids)
+    samples = np.asarray(samples, dtype=float)
+    desired = np.asarray(desired, dtype=float)
+    noise = np.zeros(m) if client_noise is None else np.asarray(client_noise, dtype=float)
+    if samples.shape != (m, state.n) or desired.shape != (m,) or noise.shape != (m,):
+        raise DimensionMismatch(
+            f"a round of {m} nodes needs ({m}, {state.n}) samples and {m} desired "
+            f"values and noise draws, got {samples.shape}, {desired.shape} and {noise.shape}"
+        )
 
-    for message in state.pending:
-        _deliver(state, message)
-    state.pending = []
+    ids = np.array(state.node_ids, dtype=np.int64)
+    _deliver(state, ids, state.pending)
 
-    start_phase = {i: state.nodes[i].mode.phase for i in order}
-    kinds: dict[int, list[MessageKind]] = {i: [] for i in order}
-    if state.round_index == 0:
-        for i in order:
-            kinds[i].append(MessageKind.QUERY)
-
-    messages: list[Message] = []
-    error_new: dict[int, float | None] = {i: None for i in order}
-    transmit: dict[int, bool] = {}
-    next_phase: dict[int, Phase] = {}
+    phase = state.phase.copy()
+    kinds = np.full(m, KIND_BITS[MessageKind.QUERY] if state.round_index == 0 else 0, np.uint8)
+    error_new = np.zeros(m)
+    error_glob = np.zeros(m)
+    transmit = phase <= SINK_ADAPTIVE
 
     # Client side: local filters and the beta decision.
-    for i in order:
-        node = state.nodes[i]
-        block = blocks[i]
-        u = np.asarray(block.samples, dtype=float)
-        if u.size != state.n:
-            raise DimensionMismatch(f"block of node {i} has {u.size} taps, expected {state.n}")
-        phase = start_phase[i]
-        if phase in (Phase.RAW_TRANSMIT, Phase.SINK_ADAPTIVE):
-            transmit[i] = True
-        elif phase is Phase.CLIENT_ADAPTIVE:
-            d_new = client_desired(u, node.received_global, noise.get(i, 0.0))
-            step = mu if mu is not None else (state.mu or 0.0)
-            node.client_weight = client_update(node.client_weight, u, d_new, step)
-            state.weight_history.setdefault(i, []).append(
-                (state.round_index, node.client_weight.copy())
+    adapting = phase == CLIENT_ADAPTIVE
+    predicting = phase == CLIENT_PREDICTING
+    client = adapting | predicting
+    if client.any():
+        u = samples[client]
+        d_new = client_desired(u, state.received_global[client], noise[client])
+        if adapting.any():
+            sub = adapting[client]
+            state.client_weight[adapting] = client_update(
+                state.client_weight[adapting],
+                u[sub],
+                d_new[sub],
+                mu if mu is not None else (state.mu or 0.0),
             )
-            err = d_new - float(u @ node.client_weight)
-            error_new[i] = err
-            if abs(err) > thresholds.beta:
-                transmit[i] = True
-            else:
-                transmit[i] = False
-                messages.append(
-                    Message(MessageKind.NODE_WEIGHT, i, SINK_ID, node.client_weight.copy())
-                )
-                kinds[i].append(MessageKind.NODE_WEIGHT)
-                next_phase[i] = Phase.CLIENT_PREDICTING
-        else:  # CLIENT_PREDICTING: monitor only, filter frozen
-            d_new = client_desired(u, node.received_global, noise.get(i, 0.0))
-            err = d_new - float(u @ node.client_weight)
-            error_new[i] = err
-            transmit[i] = False
-            if abs(err) > thresholds.beta:
-                next_phase[i] = Phase.RAW_TRANSMIT
+        error_new[client] = d_new - np.vecdot(u, state.client_weight[client])
+        _check_finite(state, error_new, "client")
+    loud = np.abs(error_new) > thresholds.beta
+    transmit |= adapting & loud
+    silenced = adapting & ~loud
+    restarted = predicting & loud
+    kinds[silenced] |= KIND_BITS[MessageKind.NODE_WEIGHT]
 
     # Wire: data blocks of transmitting nodes, optionally through the channel.
-    received: dict[int, "ObservationBlock"] = {}
-    for i in order:
-        if transmit[i]:
-            wire = channel(i, blocks[i]) if channel is not None else blocks[i]
-            received[i] = wire
-            messages.append(Message(MessageKind.DATA_BLOCK, i, SINK_ID, wire))
-            kinds[i].append(MessageKind.DATA_BLOCK)
+    sent = np.flatnonzero(transmit)
+    kinds[sent] |= KIND_BITS[MessageKind.DATA_BLOCK]
+    handed = to_sink_adaptive = sent[:0]
+    if sent.size:
+        u, d = samples[sent], desired[sent]
+        if channel is not None:
+            u, d = channel(u, d, ids[sent], state.round_index)
 
-    # Sink side: one global sweep over this round's arrivals, then the
-    # alpha decision for nodes whose sink filter is (or is becoming) active.
-    error_glob: dict[int, float | None] = {i: None for i in order}
-    if received:
+        # Sink side: one global sweep over this round's arrivals, then the
+        # alpha decision for nodes whose sink filter is (or is becoming) active.
         if mu is not None:
             step = mu
         else:
-            raw_round = any(start_phase[i] is Phase.RAW_TRANSMIT for i in order)
-            if state.mu is None or raw_round:
-                stack = np.array([received[i].samples for i in sorted(received)])
-                emp = (stack.T @ stack) / stack.shape[0]
-                lam = max_eigenvalue(emp)
-                state.mu = 0.5 / (len(order) * lam) if lam > 0 else 0.0
+            if state.mu is None or (phase == RAW_TRANSMIT).any():
+                lam = max_eigenvalue((u.T @ u) / u.shape[0])
+                state.mu = 0.5 / (m * lam) if lam > 0 else 0.0
             step = state.mu
-        pairs = [(received[i].samples, received[i].desired) for i in sorted(received)]
-        state.global_weight = global_lms_update(state.global_weight, pairs, step)
-        stack = np.array([received[i].samples for i in sorted(received)])
-        d_vec = np.array([received[i].desired for i in sorted(received)])
-        errs = sink_errors(d_vec, sink_predict(stack, state.global_weight))
-        for err, i in zip(errs, sorted(received)):
-            error_glob[i] = float(err)
-            if start_phase[i] in (Phase.RAW_TRANSMIT, Phase.SINK_ADAPTIVE):
-                if abs(err) <= thresholds.alpha:
-                    messages.append(
-                        Message(
-                            MessageKind.GLOBAL_WEIGHT,
-                            SINK_ID,
-                            i,
-                            state.global_weight.copy(),
-                        )
-                    )
-                    kinds[i].append(MessageKind.GLOBAL_WEIGHT)
-                elif start_phase[i] is Phase.RAW_TRANSMIT:
-                    next_phase[i] = Phase.SINK_ADAPTIVE
+        state.global_weight = global_lms_update(state.global_weight, u, d, step)
+        errs = sink_errors(d, sink_predict(u, state.global_weight))
+        error_glob[sent] = errs
+        _check_finite(state, error_glob, "sink")
+        sink_side = phase[sent] <= SINK_ADAPTIVE
+        near = np.abs(errs) <= thresholds.alpha
+        handed = sent[sink_side & near]
+        to_sink_adaptive = sent[~near & (phase[sent] == RAW_TRANSMIT)]
+        kinds[handed] |= KIND_BITS[MessageKind.GLOBAL_WEIGHT]
 
-    rows = []
-    for i in order:
-        state.record.count(i, transmit[i])
-        rows.append(
-            TraceRow(
-                round_index=state.round_index,
-                node_id=i,
-                phase=start_phase[i],
-                kinds=tuple(kinds[i]),
-                error_glob=error_glob[i],
-                error_new=error_new[i],
-                transmitted=transmit[i],
-            )
-        )
-
-    # End-of-round transitions; weight messages are queued for next round.
-    for i, phase in next_phase.items():
-        node = state.nodes[i]
-        node.mode = NodeMode.for_phase(phase)
-        if phase is Phase.RAW_TRANSMIT:  # full restart for this node
-            node.client_weight = None
-            node.received_global = None
-    state.pending = [m for m in messages if m.kind is not MessageKind.DATA_BLOCK]
+    # End-of-round transitions; weight messages are delivered next round.
+    state.phase[to_sink_adaptive] = SINK_ADAPTIVE
+    state.phase[silenced] = CLIENT_PREDICTING
+    state.phase[restarted] = RAW_TRANSMIT
+    state.sent += transmit
+    # Queue NODE_WEIGHT from the silenced nodes, then GLOBAL_WEIGHT to the
+    # handed-off ones; no node sends both in one round.
+    queued = np.concatenate([np.flatnonzero(silenced), handed])
+    kind = kinds[queued] & _WEIGHT_BITS
+    state.pending = Mail(
+        kind=kind,
+        node=ids[queued],
+        payload=np.where(
+            (kind == KIND_BITS[MessageKind.GLOBAL_WEIGHT])[:, None],
+            state.global_weight,
+            state.client_weight[queued],
+        ),
+    )
+    result = RoundResult(
+        round_index=state.round_index,
+        node_ids=state.node_ids,
+        phase=phase,
+        kinds=kinds,
+        transmitted=transmit,
+        error_glob=error_glob,
+        error_new=error_new,
+        client_weight=state.client_weight.copy(),
+        messages=state.pending,
+    )
     state.round_index += 1
-    return RoundResult(messages=tuple(messages), rows=tuple(rows), record=state.record)
+    return result

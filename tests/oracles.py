@@ -86,6 +86,20 @@ def best_accuracy_per_size(ruu, rdu, sigma_d_sq) -> dict[int, float]:
     return best
 
 
+def global_ia_update(w_prev, blocks, mu) -> np.ndarray:
+    """Instantaneous-approximation sweep w + mu * sum_i (u_i^T d_i - u_i^T u_i w).
+
+    Algebraically identical to the library's simultaneous LMS sweep, but
+    evaluated term by term over (u_i, d_i) pairs through outer products.
+    """
+    w_prev = np.asarray(w_prev, dtype=float)
+    step = np.zeros_like(w_prev)
+    for u, d in blocks:
+        u = np.asarray(u, dtype=float)
+        step += u * float(d) - np.outer(u, u) @ w_prev
+    return w_prev + mu * step
+
+
 def random_spd(rng: np.random.Generator, n: int, jitter: float = 1e-3) -> np.ndarray:
     m = rng.normal(size=(n, n))
     return m @ m.T + jitter * np.eye(n)

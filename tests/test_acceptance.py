@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from oracles import gauss_solve, random_layout
+from oracles import gauss_solve, global_ia_update, random_layout
 from wsnadapt import sim
 from wsnadapt.ada import (
     accuracy,
@@ -22,13 +22,12 @@ from wsnadapt.fieldgen import CovariancePair, FieldParams, NodeLayout, build_spa
 from wsnadapt.malicious import Label, classify, weight_variance, WeightHistory
 from wsnadapt.sim import MaliciousSpec, default_scenario, run_detect, run_stdp, sweep
 from wsnadapt.stdp import (
+    CLIENT_ADAPTIVE,
+    CLIENT_PREDICTING,
+    KIND_BITS,
     MessageKind,
-    Phase,
     Thresholds,
-    global_ia_update,
     global_lms_update,
-    new_protocol_state,
-    step_round,
 )
 
 from test_malicious import TABLE_LABELS, TABLE_VARIANCES, TABLE_WEIGHTS, scalar_history
@@ -135,7 +134,9 @@ def test_criterion_05_update_forms_equivalent():
         w_prev = rng.normal(size=n)
         blocks = [(rng.normal(size=n), float(rng.normal())) for _ in range(m)]
         mu = float(rng.uniform(0.01, 0.9))
-        a = global_lms_update(w_prev, blocks, mu)
+        u = np.array([u for u, _ in blocks])
+        d = np.array([d for _, d in blocks])
+        a = global_lms_update(w_prev, u, d, mu)
         b = global_ia_update(w_prev, blocks, mu)
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
     record_criterion(5, "simultaneous and instantaneous sweeps agree to 1e-12", True)
@@ -284,16 +285,14 @@ def test_criterion_11_protocol_safety_under_fuzzing():
             select_count=min(6, m),
         )
         run = sim.simulate_protocol(scenario)
-        by_round = {(row.round_index, row.node_id): row for row in run.rows}
-        for row in run.rows:
-            assert not (row.phase is Phase.CLIENT_PREDICTING and row.transmitted)
-            for kind in row.kinds:
-                if kind is MessageKind.GLOBAL_WEIGHT:
-                    assert row.error_glob is not None
-                    assert abs(row.error_glob) <= thresholds.alpha
-                if kind is MessageKind.NODE_WEIGHT:
-                    assert row.error_new is not None
-                    assert abs(row.error_new) <= thresholds.beta
+        trace = run.trace
+        assert not np.any((trace.phase == CLIENT_PREDICTING) & trace.transmitted)
+        global_weight = (trace.kinds & KIND_BITS[MessageKind.GLOBAL_WEIGHT]) != 0
+        assert np.all(trace.transmitted[global_weight])  # error_glob present
+        assert np.all(np.abs(trace.error_glob[global_weight]) <= thresholds.alpha)
+        node_weight = (trace.kinds & KIND_BITS[MessageKind.NODE_WEIGHT]) != 0
+        assert np.all(trace.phase[node_weight] >= CLIENT_ADAPTIVE)  # error_new present
+        assert np.all(np.abs(trace.error_new[node_weight]) <= thresholds.beta)
         record = run.state.record
         for i in layout.node_ids:
             sent = record.transmitted.get(i, 0)

@@ -184,3 +184,39 @@ def test_malicious_unknown_node_pointer(tmp_path):
     with pytest.raises(SchemaError) as err:
         parse_config(path)
     assert err.value.pointer == "/malicious/node_ids"
+
+
+@pytest.mark.parametrize("mu", [10, 50])
+def test_divergent_explicit_mu_fails_fast_with_one_line(tmp_path, mu):
+    import subprocess
+    import sys
+
+    import wsnadapt
+
+    path = write_config(
+        tmp_path, {"experiment": "stdp", "mu_mode": mu, "select_first": True, "select_count": 6}
+    )
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "from wsnadapt.cli import entrypoint; entrypoint()",
+            "run",
+            "--config",
+            str(path),
+            "--out",
+            str(tmp_path / "out"),
+            "--jobs",
+            "1",
+        ],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(wsnadapt.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("run error: diverged in round ")
+    assert "for node " in lines[0]
+    assert not (tmp_path / "out" / "message_trace.csv").exists()

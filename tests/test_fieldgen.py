@@ -22,6 +22,12 @@ from wsnadapt.numerics import cholesky_factor
 from wsnadapt.sim import default_layout
 
 
+def node_series(stream, node_id):
+    """One node's samples as a single chronological vector."""
+    (row,) = stream.rows_of([node_id])
+    return stream.blocks[row].ravel()
+
+
 def layout_two_nodes():
     return NodeLayout(positions=((0.0, 0.0), (2.0, 0.0)), sink=(0.0, 0.0), node_ids=(1, 2))
 
@@ -101,10 +107,8 @@ def test_generate_stream_deterministic():
     params = FieldParams()
     one = generate_stream(layout, params, 5, 10, seed=99)
     two = generate_stream(layout, params, 5, 10, seed=99)
-    for node_id in layout.node_ids:
-        for a, b in zip(one.blocks[node_id], two.blocks[node_id]):
-            assert np.array_equal(a.samples, b.samples)
-            assert a.desired == b.desired
+    assert np.array_equal(one.blocks, two.blocks)
+    assert np.array_equal(one.desired, two.desired)
 
 
 def test_generate_stream_perfect_correlation_limit():
@@ -115,7 +119,7 @@ def test_generate_stream_perfect_correlation_limit():
     with pytest.raises(NotPositiveDefinite):
         generate_stream(layout, params, 5, 1, seed=1)
     stream = generate_stream(layout, params, 5, 1, seed=1, jitter=True)
-    rows = np.array([stream.blocks[i][0].samples for i in layout.node_ids])
+    rows = stream.blocks[:, 0]
     assert np.max(np.abs(rows - rows[0])) < 1e-4
 
 
@@ -123,15 +127,15 @@ def test_generate_stream_empirical_cross_correlation():
     layout = layout_two_nodes()
     params = FieldParams(theta=2.0, temporal_phi=0.0)
     stream = generate_stream(layout, params, 5, 2000, seed=4)
-    x = np.concatenate([b.samples for b in stream.blocks[1]])
-    y = np.concatenate([b.samples for b in stream.blocks[2]])
+    x = node_series(stream, 1)
+    y = node_series(stream, 2)
     assert abs(pearson(x, y) - np.exp(-1.0)) < 0.05
 
 
 def test_generate_stream_lag1_autocorrelation_without_phi():
     layout = default_layout()
     stream = generate_stream(layout, FieldParams(temporal_phi=0.0), 5, 2000, seed=8)
-    x = np.concatenate([b.samples for b in stream.blocks[1]])
+    x = node_series(stream, 1)
     assert abs(pearson(x[:-1], x[1:])) < 0.05
 
 
@@ -142,7 +146,7 @@ def test_generate_stream_degenerate_needs_jitter():
     with pytest.raises(NotPositiveDefinite):
         generate_stream(layout, FieldParams(), 4, 2, seed=0)
     stream = generate_stream(layout, FieldParams(), 4, 2, seed=0, jitter=True)
-    assert len(stream.blocks[1]) == 2
+    assert len(stream.blocks[0]) == 2
 
 
 def test_inject_malicious_variance_ratio():
@@ -152,11 +156,12 @@ def test_inject_malicious_variance_ratio():
     stream = generate_stream(layout, FieldParams(), 5, 2000, seed=21)
     tainted = inject_malicious(stream, {5, 9}, scale=6.0, seed=21)
     for node_id in (5, 9):
-        dirty = np.concatenate([b.samples for b in tainted.blocks[node_id]])
+        dirty = node_series(tainted, node_id)
         assert 36.0 * 0.8 <= dirty.var() <= 36.0 * 1.2
     for node_id in (1, 2, 3, 4, 6, 7, 8, 10):
-        for a, b in zip(stream.blocks[node_id], tainted.blocks[node_id]):
-            assert np.array_equal(a.samples, b.samples) and a.desired == b.desired
+        (row,) = stream.rows_of([node_id])
+        assert np.array_equal(stream.blocks[row], tainted.blocks[row])
+        assert np.array_equal(stream.desired[row], tainted.desired[row])
 
 
 def test_inject_malicious_rejects_bad_args():
@@ -170,27 +175,27 @@ def test_inject_malicious_rejects_bad_args():
 def test_inject_malicious_empty_set_is_identity():
     stream = generate_stream(default_layout(), FieldParams(), 4, 3, seed=2)
     same = inject_malicious(stream, set(), scale=6.0, seed=2)
-    for node_id in stream.node_ids:
-        for a, b in zip(stream.blocks[node_id], same.blocks[node_id]):
-            assert np.array_equal(a.samples, b.samples) and a.desired == b.desired
+    assert np.array_equal(stream.blocks, same.blocks)
+    assert np.array_equal(stream.desired, same.desired)
 
 
 def test_awgn_off_and_vanishing():
     stream = generate_stream(default_layout(), FieldParams(), 5, 1, seed=3)
-    block = stream.blocks[1][0]
-    assert awgn_channel(block, None, seed=3) is block
-    quiet = awgn_channel(block, 300.0, seed=3)
-    assert np.max(np.abs(quiet.samples - block.samples)) < 1e-10
-    assert abs(quiet.desired - block.desired) < 1e-10
+    samples, desired = stream.blocks[:1, 0], stream.desired[:1, 0]
+    off = awgn_channel(samples, desired, [1], 0, None, seed=3)
+    assert off[0] is samples and off[1] is desired
+    quiet_samples, quiet_desired = awgn_channel(samples, desired, [1], 0, 300.0, seed=3)
+    assert np.max(np.abs(quiet_samples - samples)) < 1e-10
+    assert abs(quiet_desired[0] - desired[0]) < 1e-10
 
 
 def test_awgn_zero_db_power_ratio():
     stream = generate_stream(default_layout(), FieldParams(), 5, 2000, seed=6)
     signal = suma = 0.0
-    for block in stream.blocks[1]:
-        noisy = awgn_channel(block, 0.0, seed=6)
-        signal += float(block.samples @ block.samples)
-        diff = noisy.samples - block.samples
+    for b, u in enumerate(stream.blocks[0]):
+        noisy, _ = awgn_channel(u[None], stream.desired[0, b : b + 1], [1], b, 0.0, seed=6)
+        signal += float(u @ u)
+        diff = noisy[0] - u
         suma += float(diff @ diff)
     assert 0.9 <= suma / signal <= 1.1
 
@@ -206,10 +211,11 @@ def test_ingest_csv_blocks_in_timestamp_order(tmp_path):
     path.write_text(csv_text(rows))
     stream = ingest_csv(path, 3, FieldParams(noise_var=0.0), seed=0)
     assert stream.num_blocks == 2
-    assert np.array_equal(stream.blocks[1][0].samples, [0.0, 1.0, 2.0])
-    assert np.array_equal(stream.blocks[1][1].samples, [3.0, 4.0, 5.0])
+    assert stream.node_ids == (1, 2)
+    assert np.array_equal(stream.blocks[0][0], [0.0, 1.0, 2.0])
+    assert np.array_equal(stream.blocks[0][1], [3.0, 4.0, 5.0])
     w0 = 1.0 / np.sqrt(3.0)
-    assert stream.blocks[2][0].desired == pytest.approx((10 + 11 + 12) * w0)
+    assert stream.desired[1][0] == pytest.approx((10 + 11 + 12) * w0)
 
 
 def test_ingest_csv_malformed_rows(tmp_path):

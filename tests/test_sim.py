@@ -7,6 +7,7 @@ from wsnadapt.sim import (
     MaliciousSpec,
     RunReport,
     Scenario,
+    Table,
     config_hash,
     default_scenario,
     report_files,
@@ -147,7 +148,18 @@ def test_sweep_rejects_unknown_axis(default_scenario):
 
 def test_report_rejects_non_finite():
     with pytest.raises(ValueError):
-        RunReport(kind="ADA", series={"x": [(0, float("nan"))]}, metadata={})
+        RunReport(kind="ADA", series={"x": Table((np.array([0]), np.array([np.nan])))}, metadata={})
+
+
+def test_report_absent_cells_are_masked_not_nan():
+    errors = np.array([0.5, 0.0, 0.25])
+    absent = np.array([False, True, False])
+    table = Table((np.arange(3), errors), absent={1: absent})
+    report = RunReport(kind="STDP", series={"trace": table}, metadata={})
+    assert list(report.series["trace"]) == [(0, 0.5), (1, None), (2, 0.25)]
+    errors[2] = np.inf  # a real non-finite value still fails, naming series and row
+    with pytest.raises(ValueError, match="series trace, row 2"):
+        RunReport(kind="STDP", series={"trace": table}, metadata={})
 
 
 def test_config_hash_stable_and_sensitive(default_scenario):

@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
-from wsnadapt.errors import DimensionMismatch, ProtocolViolation
+from oracles import global_ia_update
+from wsnadapt.errors import DimensionMismatch, Diverged, ProtocolViolation, UnknownNode
 from wsnadapt.fieldgen import FieldParams, generate_stream, substream, ROLE_PROTOCOL
 from wsnadapt.sim import default_layout
 from wsnadapt.stdp import (
+    CLIENT_PREDICTING,
+    Mail,
     MessageKind,
     Message,
-    NodeMode,
     Phase,
     Thresholds,
     TransmissionRecord,
     client_desired,
     client_update,
-    global_ia_update,
     global_lms_update,
     initial_weight,
     new_protocol_state,
@@ -36,26 +37,31 @@ def drive(layout, stream, thresholds, mu=None, noise_seed=None, channel=None):
     """Run the engine over a whole stream, returning (state, rows, messages)."""
     ids = list(layout.node_ids)
     state = new_protocol_state(ids, stream.n)
-    noise = {i: np.zeros(stream.num_blocks) for i in ids}
+    noise = np.zeros((len(ids), stream.num_blocks))
     if noise_seed is not None:
         std = float(np.sqrt(stream.params.noise_var))
-        noise = {
-            i: substream(noise_seed, ROLE_PROTOCOL, i).normal(0, std, stream.num_blocks)
-            for i in ids
-        }
+        noise = np.array(
+            [substream(noise_seed, ROLE_PROTOCOL, i).normal(0, std, stream.num_blocks) for i in ids]
+        )
     rows, messages = [], []
     for r in range(stream.num_blocks):
         result = step_round(
             state,
-            {i: stream.blocks[i][r] for i in ids},
+            stream.blocks[:, r],
+            stream.desired[:, r],
             thresholds,
             mu=mu,
-            client_noise={i: float(noise[i][r]) for i in ids},
+            client_noise=noise[:, r],
             channel=channel,
         )
         rows.extend(result.rows)
         messages.append(result.messages)
     return state, rows, messages
+
+
+def stacked(blocks):
+    """(u, d) pairs as a block matrix and a desired vector."""
+    return np.array([u for u, _ in blocks]), np.array([d for _, d in blocks])
 
 
 def test_initial_weight_values_and_norm():
@@ -66,7 +72,7 @@ def test_initial_weight_values_and_norm():
 
 
 def test_global_lms_single_term():
-    w = global_lms_update([0.0, 0.0], [(np.array([1.0, 0.0]), 1.0)], mu=0.5)
+    w = global_lms_update([0.0, 0.0], [[1.0, 0.0]], [1.0], mu=0.5)
     assert np.array_equal(w, [0.5, 0.0])
 
 
@@ -77,7 +83,7 @@ def test_global_updates_fixed_point():
     for _ in range(6):
         u = rng.normal(size=4)
         blocks.append((u, float(u @ w)))  # zero innovation
-    assert np.allclose(global_lms_update(w, blocks, 0.3), w, atol=1e-14)
+    assert np.allclose(global_lms_update(w, *stacked(blocks), 0.3), w, atol=1e-14)
     assert np.allclose(global_ia_update(w, blocks, 0.3), w, atol=1e-12)
 
 
@@ -91,7 +97,7 @@ def test_global_lms_matches_term_by_term_oracle():
     for u, d in blocks:
         acc = acc + u * (d - float(u @ w_prev))
     expected = w_prev + mu * acc
-    got = global_lms_update(w_prev, blocks, mu)
+    got = global_lms_update(w_prev, *stacked(blocks), mu)
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -103,14 +109,14 @@ def test_global_update_forms_agree():
         w_prev = rng.normal(size=n)
         blocks = [(rng.normal(size=n), float(rng.normal())) for _ in range(m)]
         mu = float(rng.uniform(0.01, 0.8))
-        a = global_lms_update(w_prev, blocks, mu)
+        a = global_lms_update(w_prev, *stacked(blocks), mu)
         b = global_ia_update(w_prev, blocks, mu)
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
 
 
 def test_global_update_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        global_lms_update([0.0, 0.0], [(np.zeros(3), 1.0)], mu=0.1)
+        global_lms_update([0.0, 0.0], np.zeros((1, 3)), [1.0], mu=0.1)
 
 
 def test_sink_predict_and_errors():
@@ -159,16 +165,17 @@ def test_client_update_convergence_on_ar1_stream():
 
     layout, stream = make_stream(200, seed=9)
     m = len(layout.node_ids)
-    first = np.array([stream.blocks[i][0].samples for i in layout.node_ids])
+    first = stream.blocks[:, 0]
     mu = 0.5 / (m * max_eigenvalue(first.T @ first / m))
     w_glob = initial_weight(5)
     rng = np.random.default_rng(9)
     w = w_glob.copy()
     errors = []
-    for b in stream.blocks[2]:
-        d_new = client_desired(b.samples, w_glob, rng.normal(0, 0.1))
-        w = client_update(w, b.samples, d_new, mu)
-        errors.append(abs(d_new - float(b.samples @ w)))
+    (row,) = stream.rows_of([2])
+    for u in stream.blocks[row]:
+        d_new = client_desired(u, w_glob, rng.normal(0, 0.1))
+        w = client_update(w, u, d_new, mu)
+        errors.append(abs(d_new - float(u @ w)))
     assert min(errors[:200]) < 0.1
     assert np.mean(errors[-50:]) < 0.1
 
@@ -256,38 +263,39 @@ def test_protocol_violation_on_misdelivered_messages():
     layout, stream = make_stream(3, seed=8)
     ids = list(layout.node_ids)
     state = new_protocol_state(ids, stream.n)
-    state.nodes[ids[0]].mode = NodeMode.for_phase(Phase.CLIENT_PREDICTING)
-    state.nodes[ids[0]].client_weight = initial_weight(stream.n)
-    state.nodes[ids[0]].received_global = initial_weight(stream.n)
-    state.pending.append(
-        Message(MessageKind.GLOBAL_WEIGHT, SINK, ids[0], initial_weight(stream.n))
+    state.phase[0] = CLIENT_PREDICTING
+    state.client_weight[0] = initial_weight(stream.n)
+    state.received_global[0] = initial_weight(stream.n)
+    state.pending = Mail.of(
+        [*state.pending, Message(MessageKind.GLOBAL_WEIGHT, SINK, ids[0], initial_weight(stream.n))],
+        stream.n,
     )
     with pytest.raises(ProtocolViolation):
-        step_round(state, {i: stream.blocks[i][0] for i in ids}, Thresholds(0.5, 0.05))
+        step_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
 
     state = new_protocol_state(ids, stream.n)
-    state.pending.append(
-        Message(MessageKind.NODE_WEIGHT, ids[0], SINK, initial_weight(stream.n))
+    state.pending = Mail.of(
+        [*state.pending, Message(MessageKind.NODE_WEIGHT, ids[0], SINK, initial_weight(stream.n))],
+        stream.n,
     )
     with pytest.raises(ProtocolViolation):
-        step_round(state, {i: stream.blocks[i][0] for i in ids}, Thresholds(0.5, 0.05))
+        step_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
 
 
 def test_step_round_requires_block_per_node():
     layout, stream = make_stream(2, seed=10)
     state = new_protocol_state(list(layout.node_ids), stream.n)
-    partial = {i: stream.blocks[i][0] for i in list(layout.node_ids)[:-1]}
     with pytest.raises(DimensionMismatch):
-        step_round(state, partial, Thresholds(0.5, 0.05))
+        step_round(state, stream.blocks[:-1, 0], stream.desired[:-1, 0], Thresholds(0.5, 0.05))
 
 
 def test_channel_hook_applies_to_transmitted_blocks_only():
     layout, stream = make_stream(30, seed=11)
     seen = []
 
-    def channel(node_id, block):
-        seen.append((node_id, block.block_index))
-        return block
+    def channel(samples, desired, node_ids, block_index):
+        seen.extend((node_id, block_index) for node_id in node_ids)
+        return samples, desired
 
     state, rows, _ = drive(layout, stream, Thresholds(0.5, 0.05), noise_seed=11, channel=channel)
     sent = sum(state.record.transmitted.values())
@@ -316,3 +324,30 @@ def test_explicit_mu_bypasses_auto_rule():
     layout, stream = make_stream(10, seed=12)
     state, _, _ = drive(layout, stream, Thresholds(0.5, 0.05), mu=0.01, noise_seed=12)
     assert state.mu is None  # auto estimate never engaged
+
+
+def test_message_to_unknown_node_is_rejected():
+    layout, stream = make_stream(2, seed=8)
+    state = new_protocol_state(list(layout.node_ids), stream.n)
+    state.pending = Mail.of(
+        [*state.pending, Message(MessageKind.GLOBAL_WEIGHT, SINK, 99, initial_weight(stream.n))],
+        stream.n,
+    )
+    with pytest.raises(UnknownNode):
+        step_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
+
+
+def test_divergence_stops_at_first_non_finite_round():
+    layout, stream = make_stream(200, seed=12)
+    with pytest.raises(Diverged) as err:
+        drive(layout, stream, Thresholds(0.5, 0.05), mu=50.0, noise_seed=12)
+    message = str(err.value)
+    assert "round" in message and "node" in message
+    # the engine stops in the round that first produced a non-finite error
+    round_index = int(message.split("round ")[1].split(":")[0])
+    state, rows, _ = drive(
+        layout, make_stream(round_index, seed=12)[1], Thresholds(0.5, 0.05), mu=50.0, noise_seed=12
+    )
+    assert all(
+        np.isfinite(e) for row in rows for e in (row.error_glob, row.error_new) if e is not None
+    )
