@@ -239,6 +239,28 @@ def _desired(blocks: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return np.vecdot(blocks, initial_weight(blocks.shape[-1])) + noise
 
 
+def _measured_stream(
+    params: FieldParams, seed: int, node_ids: Sequence[int], blocks: np.ndarray, sigma: np.ndarray
+) -> Stream:
+    """Stream over ``(m, num_blocks, n)`` blocks whose desired scalars carry
+    each node's measurement noise, drawn from its own substream."""
+    m, num_blocks, n = blocks.shape
+    noise_std = float(np.sqrt(params.noise_var))
+    noise = np.array(
+        [substream(seed, ROLE_MEASURE, i).normal(0.0, noise_std, num_blocks) for i in node_ids]
+    )
+    return Stream(
+        params=params,
+        n=n,
+        num_blocks=num_blocks,
+        seed=seed,
+        node_ids=tuple(node_ids),
+        blocks=blocks,
+        desired=_desired(blocks, noise),
+        sigma=sigma,
+    )
+
+
 def generate_stream(
     layout: NodeLayout,
     params: FieldParams,
@@ -277,23 +299,8 @@ def generate_stream(
     innovations = low @ z.T  # m x total, marginal covariance exactly ruu
     series = _ar1_series(innovations, params.temporal_phi)
 
-    noise_std = float(np.sqrt(params.noise_var))
-    noise = np.array(
-        [
-            substream(seed, ROLE_MEASURE, node_id).normal(0.0, noise_std, num_blocks)
-            for node_id in layout.node_ids
-        ]
-    )
-    blocks = series.reshape(m, num_blocks, n)
-    return Stream(
-        params=params,
-        n=n,
-        num_blocks=num_blocks,
-        seed=seed,
-        node_ids=layout.node_ids,
-        blocks=blocks,
-        desired=_desired(blocks, noise),
-        sigma=params.sigma_vector(m),
+    return _measured_stream(
+        params, seed, layout.node_ids, series.reshape(m, num_blocks, n), params.sigma_vector(m)
     )
 
 
@@ -391,28 +398,17 @@ def ingest_csv(path, n: int, params: FieldParams, seed: int) -> Stream:
     if num_blocks < 1:
         raise CsvFormatError(f"fewer than {n} samples for some node; no full block")
 
-    node_ids = tuple(sorted(rows))
-    noise_std = float(np.sqrt(params.noise_var))
+    node_ids = sorted(rows)
     series = np.array(
         [
             [v for _, v in sorted(rows[i], key=lambda tv: tv[0])[: num_blocks * n]]
             for i in node_ids
         ]
     )
-    noise = np.array(
-        [
-            substream(seed, ROLE_MEASURE, node_id).normal(0.0, noise_std, num_blocks)
-            for node_id in node_ids
-        ]
-    )
-    blocks = series.reshape(len(node_ids), num_blocks, n)
-    return Stream(
-        params=params,
-        n=n,
-        num_blocks=num_blocks,
-        seed=seed,
-        node_ids=node_ids,
-        blocks=blocks,
-        desired=_desired(blocks, noise),
-        sigma=np.array([float(np.std(s)) or 1.0 for s in series]),
+    return _measured_stream(
+        params,
+        seed,
+        node_ids,
+        series.reshape(len(node_ids), num_blocks, n),
+        np.array([float(np.std(s)) or 1.0 for s in series]),
     )

@@ -315,7 +315,7 @@ def simulate_protocol(scenario: Scenario, stream: Stream | None = None) -> Proto
             return awgn_channel(samples, desired, node_ids, block_index, _snr, _seed)
 
     state = stdp.new_protocol_state(active, scenario.n_block)
-    trace = stdp.Trace.empty(state.node_ids, stream.num_blocks, scenario.n_block)
+    trace = stdp.Trace.empty(stream.num_blocks, len(active), scenario.n_block)
     for r in range(stream.num_blocks):
         trace.record(
             stdp.step_round(

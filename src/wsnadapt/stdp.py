@@ -136,23 +136,6 @@ class Mail:
     node: np.ndarray
     payload: np.ndarray
 
-    @classmethod
-    def of(cls, messages: Sequence[Message], n: int) -> "Mail":
-        return cls(
-            kind=np.array([KIND_BITS[msg.kind] for msg in messages], dtype=np.uint8),
-            node=np.array(
-                [
-                    msg.sender if msg.kind is MessageKind.NODE_WEIGHT else msg.receiver
-                    for msg in messages
-                ],
-                dtype=np.int64,
-            ),
-            payload=np.array(
-                [np.zeros(n) if msg.payload is None else msg.payload for msg in messages],
-                dtype=float,
-            ).reshape(len(messages), n),
-        )
-
     def __len__(self) -> int:
         return self.kind.size
 
@@ -275,7 +258,6 @@ class Trace:
     CLIENT_ADAPTIVE: it is node k's filter after its round-r update.
     """
 
-    node_ids: tuple[int, ...]
     phase: np.ndarray
     kinds: np.ndarray
     transmitted: np.ndarray
@@ -284,10 +266,9 @@ class Trace:
     client_weight: np.ndarray
 
     @classmethod
-    def empty(cls, node_ids: Sequence[int], rounds: int, n: int) -> "Trace":
-        shape = (rounds, len(node_ids))
+    def empty(cls, rounds: int, m: int, n: int) -> "Trace":
+        shape = (rounds, m)
         return cls(
-            node_ids=tuple(node_ids),
             phase=np.zeros(shape, dtype=np.int8),
             kinds=np.zeros(shape, dtype=np.uint8),
             transmitted=np.zeros(shape, dtype=bool),

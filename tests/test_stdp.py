@@ -7,6 +7,7 @@ from wsnadapt.fieldgen import FieldParams, generate_stream, substream, ROLE_PROT
 from wsnadapt.sim import default_layout
 from wsnadapt.stdp import (
     CLIENT_PREDICTING,
+    KIND_BITS,
     Mail,
     MessageKind,
     Message,
@@ -57,6 +58,16 @@ def drive(layout, stream, thresholds, mu=None, noise_seed=None, channel=None):
         rows.extend(result.rows)
         messages.append(result.messages)
     return state, rows, messages
+
+
+def queue(state, message):
+    """Append one message to the state's queue of undelivered mail."""
+    node = message.sender if message.kind is MessageKind.NODE_WEIGHT else message.receiver
+    state.pending = Mail(
+        kind=np.append(state.pending.kind, KIND_BITS[message.kind]).astype(np.uint8),
+        node=np.append(state.pending.node, node),
+        payload=np.vstack([state.pending.payload, message.payload]),
+    )
 
 
 def stacked(blocks):
@@ -266,18 +277,12 @@ def test_protocol_violation_on_misdelivered_messages():
     state.phase[0] = CLIENT_PREDICTING
     state.client_weight[0] = initial_weight(stream.n)
     state.received_global[0] = initial_weight(stream.n)
-    state.pending = Mail.of(
-        [*state.pending, Message(MessageKind.GLOBAL_WEIGHT, SINK, ids[0], initial_weight(stream.n))],
-        stream.n,
-    )
+    queue(state, Message(MessageKind.GLOBAL_WEIGHT, SINK, ids[0], initial_weight(stream.n)))
     with pytest.raises(ProtocolViolation):
         step_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
 
     state = new_protocol_state(ids, stream.n)
-    state.pending = Mail.of(
-        [*state.pending, Message(MessageKind.NODE_WEIGHT, ids[0], SINK, initial_weight(stream.n))],
-        stream.n,
-    )
+    queue(state, Message(MessageKind.NODE_WEIGHT, ids[0], SINK, initial_weight(stream.n)))
     with pytest.raises(ProtocolViolation):
         step_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
 
@@ -329,10 +334,7 @@ def test_explicit_mu_bypasses_auto_rule():
 def test_message_to_unknown_node_is_rejected():
     layout, stream = make_stream(2, seed=8)
     state = new_protocol_state(list(layout.node_ids), stream.n)
-    state.pending = Mail.of(
-        [*state.pending, Message(MessageKind.GLOBAL_WEIGHT, SINK, 99, initial_weight(stream.n))],
-        stream.n,
-    )
+    queue(state, Message(MessageKind.GLOBAL_WEIGHT, SINK, 99, initial_weight(stream.n)))
     with pytest.raises(UnknownNode):
         step_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
 
