@@ -338,7 +338,11 @@ def simulate_protocol(scenario: Scenario, stream: Stream | None = None) -> Proto
 
 _PHASE_NAMES = np.array([p.value for p in stdp.PHASES], dtype=object)
 _KIND_NAMES = np.array(
-    [";".join(k.value for k in stdp.kinds_of(mask)) for mask in range(16)], dtype=object
+    [
+        ";".join(k.value for k in stdp.kinds_of(mask))
+        for mask in range(sum(stdp.KIND_BITS.values()) + 1)
+    ],
+    dtype=object,
 )
 
 
@@ -404,13 +408,8 @@ def run_detect(scenario: Scenario, stream: Stream | None = None) -> RunReport:
         raise ValueError("detect experiment requires a malicious configuration")
     run = simulate_protocol(scenario, stream)
     _, rows, weights = run.weight_snapshots()
-    updates = np.bincount(rows, minlength=len(run.state.node_ids))
     histories = malicious.histories_from_snapshots(
-        {
-            run.state.node_ids[k]: snaps
-            for k, snaps in enumerate(np.split(weights, np.cumsum(updates)[:-1]))
-            if updates[k]
-        }
+        {run.state.node_ids[k]: weights[rows == k] for k in np.unique(rows)}
     )
     variances = {i: malicious.weight_variance(h) for i, h in sorted(histories.items())}
     report = malicious.classify(variances)
