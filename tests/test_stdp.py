@@ -167,6 +167,12 @@ def test_client_update_trivials():
     u = rng.normal(size=4)
     unchanged = client_update(w_prev, u, float(u @ w_prev), mu=0.4)
     assert np.allclose(unchanged, w_prev, atol=1e-15)
+    # stacked rows update exactly as one vector at a time
+    w_rows, u_rows, d_rows = rng.normal(size=(7, 4)), rng.normal(size=(7, 4)), rng.normal(size=7)
+    stacked_update = client_update(w_rows, u_rows, d_rows, mu=0.3)
+    for k in range(7):
+        assert np.array_equal(stacked_update[k], client_update(w_rows[k], u_rows[k], d_rows[k], 0.3))
+        assert client_desired(u_rows, w_rows, d_rows)[k] == client_desired(u_rows[k], w_rows[k], d_rows[k])
 
 
 def test_client_update_convergence_on_ar1_stream():
