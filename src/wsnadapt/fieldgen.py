@@ -149,7 +149,8 @@ class CovariancePair:
 class Stream:
     """Per-node sample blocks as arrays, plus the configuration that produced them.
 
-    Row k of every array belongs to node ``node_ids[k]``: ``blocks[k]`` is
+    Row k of every array belongs to node ``node_ids[k]``, and the ids are
+    ascending, the row order of ``stdp.ProtocolState``: ``blocks[k]`` is
     that node's ``(num_blocks, n)`` array of sample windows, ``desired[k]``
     its ``(num_blocks,)`` desired scalars and ``sigma[k]`` its nominal
     signal standard deviation.  Every entry is checked finite once, here.
@@ -166,6 +167,8 @@ class Stream:
 
     def __post_init__(self):
         m = len(self.node_ids)
+        if any(a >= b for a, b in zip(self.node_ids, self.node_ids[1:])):
+            raise ValueError("stream node ids must be strictly ascending")
         if self.blocks.shape != (m, self.num_blocks, self.n):
             raise DimensionMismatch(
                 f"blocks have shape {self.blocks.shape}, expected {(m, self.num_blocks, self.n)}"
@@ -184,7 +187,8 @@ class Stream:
         return np.array([index[i] for i in node_ids], dtype=np.intp)
 
     def restrict(self, node_ids: Sequence[int]) -> "Stream":
-        node_ids = tuple(node_ids)
+        """Sub-stream holding only the given nodes, ids ascending."""
+        node_ids = tuple(sorted(node_ids))
         if node_ids == self.node_ids:
             return self
         rows = self.rows_of(node_ids)
@@ -243,7 +247,12 @@ def _measured_stream(
     params: FieldParams, seed: int, node_ids: Sequence[int], blocks: np.ndarray, sigma: np.ndarray
 ) -> Stream:
     """Stream over ``(m, num_blocks, n)`` blocks whose desired scalars carry
-    each node's measurement noise, drawn from its own substream."""
+    each node's measurement noise, drawn from its own substream.  Row k of
+    ``blocks`` and ``sigma`` is node ``node_ids[k]``; the stream reorders
+    the rows by ascending id."""
+    order = np.argsort(node_ids, kind="stable")
+    node_ids = [int(node_ids[k]) for k in order]
+    blocks, sigma = blocks[order], sigma[order]
     m, num_blocks, n = blocks.shape
     noise_std = float(np.sqrt(params.noise_var))
     noise = np.array(

@@ -175,7 +175,13 @@ class Table:
         return zip(*cells)
 
     def __getitem__(self, index: int) -> tuple:
-        return list(self)[index]
+        """Row ``index``, read from each column directly."""
+        return tuple(
+            None if c in self.absent and self.absent[c][index]
+            else column[index].item() if isinstance(column, np.ndarray)
+            else column[index]
+            for c, column in enumerate(self.columns)
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Table) and list(self) == list(other)
@@ -243,10 +249,12 @@ def run_ada(scenario: Scenario) -> RunReport:
 
 @dataclass(frozen=True)
 class ProtocolRun:
+    """One protocol run; ``percentages[k]`` belongs to node ``state.node_ids[k]``."""
+
     stream: Stream
     state: stdp.ProtocolState
     trace: stdp.Trace
-    percentages: dict[int, float]
+    percentages: np.ndarray
 
     @property
     def total_percentage(self) -> float:
@@ -332,7 +340,7 @@ def simulate_protocol(scenario: Scenario, stream: Stream | None = None) -> Proto
         stream=stream,
         state=state,
         trace=trace,
-        percentages=stdp.transmission_percentage(state.record),
+        percentages=stdp.transmission_percentage(state),
     )
 
 
@@ -357,7 +365,7 @@ def _protocol_series(run: ProtocolRun, beta: float) -> dict[str, Table]:
             (
                 np.full(m, beta),
                 ids,
-                np.array([run.percentages[i] for i in run.state.node_ids]),
+                run.percentages,
             )
         ),
         "trace": Table(
@@ -520,13 +528,10 @@ def _column_text(column, absent: np.ndarray | None) -> list[str]:
     if present.dtype.kind == "f":
         cells = list(map("{:.9g}".format, present.tolist()))
     else:
-        low, high = (int(present.min()), int(present.max())) if present.size else (0, -1)
-        if high - low <= present.size:
-            # Round, node and tap columns repeat a few values: format each once.
-            table = np.array([str(v) for v in range(low, high + 1)], dtype=object)
-            cells = table[present - low].tolist()
-        else:
-            cells = list(map(str, present.tolist()))
+        # Format each distinct integer once and share the strings between
+        # its cells (round, node, tap and flag columns repeat few values).
+        values, index = np.unique(present, return_inverse=True)
+        cells = np.array(list(map(str, values.tolist())), dtype=object)[index].tolist()
     if absent is None:
         return cells
     text = np.full(column.size, "", dtype=object)

@@ -43,7 +43,7 @@ first non-finite error stops the run with ``Diverged``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
@@ -115,21 +115,13 @@ class Thresholds:
 
 
 @dataclass(frozen=True)
-class Message:
-    kind: MessageKind
-    sender: int
-    receiver: int
-    payload: object = None
-
-
-@dataclass(frozen=True)
 class Mail:
     """Messages queued between rounds, as columns with one entry per message.
 
     ``kind`` holds ``KIND_BITS`` codes and ``node`` the client end of each
     message: the sender of a NODE_WEIGHT, the receiver of anything else
     (the sink is always the other end).  ``payload[j]`` is the weight that
-    entry j carries (zeros for a QUERY).  Iterating yields ``Message``s.
+    entry j carries (zeros for a QUERY).
     """
 
     kind: np.ndarray
@@ -139,42 +131,15 @@ class Mail:
     def __len__(self) -> int:
         return self.kind.size
 
-    def __iter__(self):
-        for bit, node, payload in zip(self.kind.tolist(), self.node.tolist(), self.payload):
-            kind = _KIND_OF_BIT[bit]
-            if kind is MessageKind.NODE_WEIGHT:
-                yield Message(kind, node, SINK_ID, payload)
-            elif kind is MessageKind.QUERY:
-                yield Message(kind, SINK_ID, node)
-            else:
-                yield Message(kind, SINK_ID, node, payload)
-
-
-@dataclass
-class TransmissionRecord:
-    """Per-node counts of transmitted, suppressed and total sensed blocks."""
-
-    transmitted: dict[int, int] = field(default_factory=dict)
-    suppressed: dict[int, int] = field(default_factory=dict)
-    total: dict[int, int] = field(default_factory=dict)
-
-
-def transmission_percentage(record: TransmissionRecord) -> dict[int, float]:
-    """Percentage of sensed blocks each node actually transmitted."""
-    if not record.total or any(t == 0 for t in record.total.values()):
-        raise ValueError("record has nodes with no sensed blocks")
-    return {
-        i: 100.0 * record.transmitted.get(i, 0) / record.total[i]
-        for i in sorted(record.total)
-    }
-
 
 @dataclass
 class ProtocolState:
-    """Mutable engine state for one scenario run; row k is node ``node_ids[k]``.
+    """Mutable engine state for one scenario run; row k is node ``node_ids[k]``,
+    ids ascending.
 
     ``client_weight`` and ``received_global`` rows are meaningful only while
     the node is in a client phase; a GLOBAL_WEIGHT delivery overwrites both.
+    ``sent[k]`` counts the blocks node k transmitted in ``round_index`` rounds.
     """
 
     n: int
@@ -188,14 +153,12 @@ class ProtocolState:
     round_index: int = 0
     mu: float | None = None
 
-    @property
-    def record(self) -> TransmissionRecord:
-        sent = dict(zip(self.node_ids, self.sent.tolist()))
-        return TransmissionRecord(
-            transmitted=sent,
-            suppressed={i: self.round_index - s for i, s in sent.items()},
-            total={i: self.round_index for i in self.node_ids},
-        )
+
+def transmission_percentage(state: ProtocolState) -> np.ndarray:
+    """Percentage of sensed blocks each node (row) actually transmitted."""
+    if state.round_index == 0 or not state.node_ids:
+        raise ValueError("record has nodes with no sensed blocks")
+    return 100.0 * state.sent / state.round_index
 
 
 class TraceRow(NamedTuple):
@@ -434,7 +397,9 @@ def step_round(
     """Advance the protocol by one synchronous round.
 
     Row k of ``samples`` (m x n), ``desired`` and ``client_noise`` (m each)
-    is what node ``state.node_ids[k]`` senses and draws this round.  Which
+    is what node ``state.node_ids[k]`` senses and draws this round; a
+    ``Stream`` over the same nodes holds its rows in that (ascending id)
+    order, so ``stream.blocks[:, r]`` and ``stream.desired[:, r]`` fit.  Which
     blocks reach the sink, and which weight messages are exchanged, follows
     the phase table in the module docstring.  ``mu`` overrides the
     automatic step-size rule (0.5 / (M * lambda_max) of the empirical block

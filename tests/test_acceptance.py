@@ -293,11 +293,10 @@ def test_criterion_11_protocol_safety_under_fuzzing():
         node_weight = (trace.kinds & KIND_BITS[MessageKind.NODE_WEIGHT]) != 0
         assert np.all(trace.phase[node_weight] >= CLIENT_ADAPTIVE)  # error_new present
         assert np.all(np.abs(trace.error_new[node_weight]) <= thresholds.beta)
-        record = run.state.record
-        for i in layout.node_ids:
-            sent = record.transmitted.get(i, 0)
-            kept = record.suppressed.get(i, 0)
-            assert sent + kept == record.total[i] == num_rounds
+        sent = trace.transmitted.sum(axis=0)
+        kept = (~trace.transmitted).sum(axis=0)
+        assert np.array_equal(sent, run.state.sent)
+        assert np.all(sent + kept == num_rounds) and run.state.round_index == num_rounds
         rounds_done += num_rounds
     record_criterion(
         11, f"safety invariants held over {rounds_done} fuzzed rounds ({runs} runs)", True

@@ -3,17 +3,23 @@ import pytest
 
 from oracles import global_ia_update
 from wsnadapt.errors import DimensionMismatch, Diverged, ProtocolViolation, UnknownNode
-from wsnadapt.fieldgen import FieldParams, generate_stream, substream, ROLE_PROTOCOL
-from wsnadapt.sim import default_layout
+from wsnadapt.fieldgen import (
+    ROLE_MEASURE,
+    ROLE_PROTOCOL,
+    FieldParams,
+    NodeLayout,
+    generate_stream,
+    substream,
+)
+from wsnadapt.sim import default_layout, default_scenario, simulate_protocol
 from wsnadapt.stdp import (
     CLIENT_PREDICTING,
     KIND_BITS,
     Mail,
+    PHASES,
     MessageKind,
-    Message,
     Phase,
     Thresholds,
-    TransmissionRecord,
     client_desired,
     client_update,
     global_lms_update,
@@ -25,8 +31,6 @@ from wsnadapt.stdp import (
     transmission_percentage,
 )
 
-SINK = 0
-
 
 def make_stream(num_blocks, n=5, seed=0, layout=None, noise_var=0.01, phi=0.9):
     layout = layout or default_layout()
@@ -36,7 +40,7 @@ def make_stream(num_blocks, n=5, seed=0, layout=None, noise_var=0.01, phi=0.9):
 
 def drive(layout, stream, thresholds, mu=None, noise_seed=None, channel=None):
     """Run the engine over a whole stream, returning (state, rows, messages)."""
-    ids = list(layout.node_ids)
+    ids = list(stream.node_ids)
     state = new_protocol_state(ids, stream.n)
     noise = np.zeros((len(ids), stream.num_blocks))
     if noise_seed is not None:
@@ -60,14 +64,19 @@ def drive(layout, stream, thresholds, mu=None, noise_seed=None, channel=None):
     return state, rows, messages
 
 
-def queue(state, message):
-    """Append one message to the state's queue of undelivered mail."""
-    node = message.sender if message.kind is MessageKind.NODE_WEIGHT else message.receiver
+def queue(state, kind, node, payload):
+    """Append one message to the state's queue of undelivered mail; ``node``
+    is its client end (the sender of a NODE_WEIGHT, else the receiver)."""
     state.pending = Mail(
-        kind=np.append(state.pending.kind, KIND_BITS[message.kind]).astype(np.uint8),
+        kind=np.append(state.pending.kind, KIND_BITS[kind]).astype(np.uint8),
         node=np.append(state.pending.node, node),
-        payload=np.vstack([state.pending.payload, message.payload]),
+        payload=np.vstack([state.pending.payload, payload]),
     )
+
+
+def queued(mail, kind):
+    """Client ends of the queued messages of one kind."""
+    return mail.node[mail.kind == KIND_BITS[kind]].tolist()
 
 
 def stacked(blocks):
@@ -201,7 +210,7 @@ def test_step_round_huge_alpha_hands_off_everyone():
     layout, stream = make_stream(3, seed=1)
     state, rows, messages = drive(layout, stream, Thresholds(alpha=1e9, beta=0.05), noise_seed=1)
     first = messages[0]
-    handed = {m.receiver for m in first if m.kind is MessageKind.GLOBAL_WEIGHT}
+    handed = set(queued(first, MessageKind.GLOBAL_WEIGHT))
     assert handed == set(layout.node_ids)
     round1 = [r for r in rows if r.round_index == 1]
     assert all(r.phase is Phase.CLIENT_ADAPTIVE for r in round1)
@@ -210,16 +219,16 @@ def test_step_round_huge_alpha_hands_off_everyone():
 def test_step_round_beta_zero_never_stops():
     layout, stream = make_stream(40, seed=2)
     state, rows, _ = drive(layout, stream, Thresholds(alpha=0.5, beta=0.0), noise_seed=2)
-    pct = transmission_percentage(state.record)
-    assert all(p == 100.0 for p in pct.values())
+    pct = transmission_percentage(state)
+    assert all(p == 100.0 for p in pct)
     assert all(r.transmitted for r in rows)
 
 
 def test_step_round_huge_beta_floor():
     layout, stream = make_stream(50, seed=3)
     state, rows, _ = drive(layout, stream, Thresholds(alpha=1e9, beta=1e9), noise_seed=3)
-    pct = transmission_percentage(state.record)
-    assert all(p == pytest.approx(100.0 / 50) for p in pct.values())
+    pct = transmission_percentage(state)
+    assert all(p == pytest.approx(100.0 / 50) for p in pct)
 
 
 def test_mode_exclusivity_and_conservation():
@@ -227,10 +236,11 @@ def test_mode_exclusivity_and_conservation():
     state, rows, _ = drive(layout, stream, Thresholds(alpha=0.5, beta=0.05), noise_seed=4)
     for row in rows:
         assert not (row.phase is Phase.CLIENT_PREDICTING and row.transmitted)
-    for i in layout.node_ids:
-        sent = state.record.transmitted.get(i, 0)
-        kept = state.record.suppressed.get(i, 0)
-        assert sent + kept == state.record.total[i] == 120
+    for k, i in enumerate(state.node_ids):
+        sent = sum(r.transmitted for r in rows if r.node_id == i)
+        kept = sum(not r.transmitted for r in rows if r.node_id == i)
+        assert sent == state.sent[k]
+        assert sent + kept == state.round_index == 120
 
 
 def test_message_causality():
@@ -241,16 +251,15 @@ def test_message_causality():
     for row in rows:
         by_round[(row.round_index, row.node_id)] = row
     for r, batch in enumerate(messages):
-        for m in batch:
-            if m.kind is MessageKind.GLOBAL_WEIGHT:
-                row = by_round[(r, m.receiver)]
-                assert row.error_glob is not None
-                assert abs(row.error_glob) <= thresholds.alpha
-            if m.kind is MessageKind.NODE_WEIGHT:
-                row = by_round[(r, m.sender)]
-                assert row.error_new is not None
-                assert abs(row.error_new) <= thresholds.beta
-                assert not row.transmitted
+        for receiver in queued(batch, MessageKind.GLOBAL_WEIGHT):
+            row = by_round[(r, receiver)]
+            assert row.error_glob is not None
+            assert abs(row.error_glob) <= thresholds.alpha
+        for sender in queued(batch, MessageKind.NODE_WEIGHT):
+            row = by_round[(r, sender)]
+            assert row.error_new is not None
+            assert abs(row.error_new) <= thresholds.beta
+            assert not row.transmitted
 
 
 def test_trace_is_deterministic():
@@ -258,7 +267,7 @@ def test_trace_is_deterministic():
     a = drive(layout, stream, Thresholds(0.5, 0.05), noise_seed=6)
     b = drive(layout, stream, Thresholds(0.5, 0.05), noise_seed=6)
     assert a[1] == b[1]
-    assert a[0].record.transmitted == b[0].record.transmitted
+    assert np.array_equal(a[0].sent, b[0].sent)
     assert np.array_equal(a[0].global_weight, b[0].global_weight)
 
 
@@ -283,12 +292,12 @@ def test_protocol_violation_on_misdelivered_messages():
     state.phase[0] = CLIENT_PREDICTING
     state.client_weight[0] = initial_weight(stream.n)
     state.received_global[0] = initial_weight(stream.n)
-    queue(state, Message(MessageKind.GLOBAL_WEIGHT, SINK, ids[0], initial_weight(stream.n)))
+    queue(state, MessageKind.GLOBAL_WEIGHT, ids[0], initial_weight(stream.n))
     with pytest.raises(ProtocolViolation):
         step_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
 
     state = new_protocol_state(ids, stream.n)
-    queue(state, Message(MessageKind.NODE_WEIGHT, ids[0], SINK, initial_weight(stream.n)))
+    queue(state, MessageKind.NODE_WEIGHT, ids[0], initial_weight(stream.n))
     with pytest.raises(ProtocolViolation):
         step_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
 
@@ -309,18 +318,22 @@ def test_channel_hook_applies_to_transmitted_blocks_only():
         return samples, desired
 
     state, rows, _ = drive(layout, stream, Thresholds(0.5, 0.05), noise_seed=11, channel=channel)
-    sent = sum(state.record.transmitted.values())
+    sent = int(state.sent.sum())
     assert len(seen) == sent
 
 
 def test_transmission_percentage_trivials():
-    record = TransmissionRecord(
-        transmitted={1: 10, 2: 0}, suppressed={1: 0, 2: 10}, total={1: 10, 2: 10}
-    )
-    pct = transmission_percentage(record)
-    assert pct == {1: 100.0, 2: 0.0}
+    state = new_protocol_state([1, 2], n=3)
     with pytest.raises(ValueError):
-        transmission_percentage(TransmissionRecord())
+        transmission_percentage(state)
+    state.sent[:] = [10, 0]
+    state.round_index = 10
+    pct = transmission_percentage(state)
+    assert pct.tolist() == [100.0, 0.0]
+    nobody = new_protocol_state([], n=3)
+    nobody.round_index = 10
+    with pytest.raises(ValueError):
+        transmission_percentage(nobody)
 
 
 def test_thresholds_validation():
@@ -340,7 +353,7 @@ def test_explicit_mu_bypasses_auto_rule():
 def test_message_to_unknown_node_is_rejected():
     layout, stream = make_stream(2, seed=8)
     state = new_protocol_state(list(layout.node_ids), stream.n)
-    queue(state, Message(MessageKind.GLOBAL_WEIGHT, SINK, 99, initial_weight(stream.n)))
+    queue(state, MessageKind.GLOBAL_WEIGHT, 99, initial_weight(stream.n))
     with pytest.raises(UnknownNode):
         step_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
 
@@ -359,3 +372,27 @@ def test_divergence_stops_at_first_non_finite_round():
     assert all(
         np.isfinite(e) for row in rows for e in (row.error_glob, row.error_new) if e is not None
     )
+
+
+def test_stream_rows_follow_node_ids_for_an_unsorted_layout():
+    base = default_layout()
+    order = list(reversed(range(base.size)))
+    layout = NodeLayout(
+        positions=tuple(base.positions[k] for k in order),
+        sink=base.sink,
+        node_ids=tuple(base.node_ids[k] for k in order),
+    )
+    _, stream = make_stream(80, seed=13, layout=layout)
+    assert stream.node_ids == tuple(sorted(layout.node_ids))
+    # each row's desired values carry that node's own measurement noise
+    std = float(np.sqrt(stream.params.noise_var))
+    for k, i in enumerate(stream.node_ids):
+        noise = stream.desired[k] - np.vecdot(stream.blocks[k], initial_weight(stream.n))
+        expected = substream(13, ROLE_MEASURE, i).normal(0.0, std, stream.num_blocks)
+        assert np.allclose(noise, expected, atol=1e-12)
+    # stepping rounds straight off the stream matches the scenario run
+    state, rows, _ = drive(layout, stream, Thresholds(0.5, 0.05), noise_seed=13)
+    run = simulate_protocol(default_scenario(layout=layout, seed=13), stream)
+    assert np.array_equal(state.sent, run.state.sent)
+    assert np.array_equal(state.global_weight, run.state.global_weight)
+    assert [r.phase for r in rows] == [PHASES[code] for code in run.trace.phase.ravel()]
