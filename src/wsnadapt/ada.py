@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import StepSizeOutOfRange, TargetUnreachable
 from .fieldgen import CovariancePair, FieldParams, NodeLayout, build_spatial_covariance
-from .numerics import as_vector, max_eigenvalue, solve_spd
+from .numerics import as_vector, cholesky_factor, forward_substitute, max_eigenvalue, solve_spd
 
 __all__ = [
     "CovariancePair",
@@ -29,9 +29,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DescentTrace:
-    """Iteration history of one steepest-descent run."""
+    """One steepest-descent run: the error and accuracy of every iterate
+    (``iterations + 1`` entries, the start included) and the last iterate."""
 
-    weights: tuple[np.ndarray, ...]
+    final_weight: np.ndarray
     mmse: tuple[float, ...]
     accuracy: tuple[float, ...]
     mu: float
@@ -60,7 +61,12 @@ def step_size_bound(ruu) -> float:
 def mmse(cov: CovariancePair, w) -> float:
     """Mean-square estimation error of combining weight w."""
     w = as_vector(w)
-    return float(cov.sigma_d_sq - 2.0 * (cov.rdu @ w) + w @ (cov.ruu @ w))
+    return _error_given(cov, w, cov.ruu @ w)
+
+
+def _error_given(cov: CovariancePair, w: np.ndarray, ruu_w: np.ndarray) -> float:
+    """J(w) from w and the product Ruu @ w."""
+    return float(cov.sigma_d_sq - 2.0 * (cov.rdu @ w) + w @ ruu_w)
 
 
 def accuracy(cov: CovariancePair, w) -> float:
@@ -97,13 +103,15 @@ def steepest_descent(
     if w.size != cov.order:
         raise StepSizeOutOfRange(f"w0 has length {w.size}, expected {cov.order}")
 
-    weights = [w.copy()]
-    errs = [mmse(cov, w)]
+    # One Ruu @ w per iterate serves both J(w) and the residual of the next step.
+    errs = []
     rdu_norm = float(np.linalg.norm(cov.rdu))
     converged = False
     iterations = 0
     while True:
-        residual = cov.rdu - cov.ruu @ w
+        ruu_w = cov.ruu @ w
+        errs.append(_error_given(cov, w, ruu_w))
+        residual = cov.rdu - ruu_w
         if float(np.linalg.norm(residual)) <= tol * rdu_norm:
             converged = True
             break
@@ -111,11 +119,9 @@ def steepest_descent(
             break
         w = w + mu * residual
         iterations += 1
-        weights.append(w.copy())
-        errs.append(mmse(cov, w))
     acc = tuple(1.0 - j / cov.sigma_d_sq for j in errs)
     return DescentTrace(
-        weights=tuple(weights),
+        final_weight=w,
         mmse=tuple(errs),
         accuracy=acc,
         mu=mu,
@@ -133,6 +139,14 @@ def select_nodes(
     """Rank nodes by ascending sink distance (id breaks ties) and evaluate
     the optimal-weight accuracy of every prefix.
 
+    One factorization gives the whole curve.  With Ruu = L L^T in ranked
+    order, the leading k x k block of L is the factor of the first k
+    nodes' Ruu, so y = L^-1 rdu restricted to its first k entries solves
+    that prefix's triangular system, and the prefix's optimal accuracy is
+    rdu_k . Ruu_k^-1 rdu_k / sigma_d^2 = sum(y[:k]**2) / sigma_d^2: the
+    curve is ``cumsum(y**2) / sigma_d**2``.  A degenerate ranked
+    covariance raises NotPositiveDefinite from that one factorization.
+
     With ``target`` returns the smallest prefix reaching it (raising
     TargetUnreachable if even the full set misses); with ``count`` returns
     that prefix directly.  Exactly one of the two must be given.
@@ -144,12 +158,12 @@ def select_nodes(
     ranked = sorted(range(m), key=lambda k: (dist[k], layout.node_ids[k]))
     order = tuple(layout.node_ids[k] for k in ranked)
 
-    cov = build_spatial_covariance(layout, params)
-    curve = []
-    for size in range(1, m + 1):
-        sub = cov.restrict(ranked[:size])
-        curve.append((size, accuracy(sub, optimal_weight(sub))))
-    curve = tuple(curve)
+    cov = build_spatial_covariance(layout, params).restrict(ranked)
+    y = forward_substitute(cholesky_factor(cov.ruu), cov.rdu)
+    curve = tuple(
+        (size, float(acc))
+        for size, acc in enumerate(np.cumsum(y * y) / cov.sigma_d_sq, start=1)
+    )
 
     if count is not None:
         if not 1 <= count <= m:

@@ -18,7 +18,7 @@ from pathlib import Path
 import jsonschema
 
 from .errors import SchemaError, WsnAdaptError
-from .fieldgen import FieldParams, NodeLayout, ingest_csv
+from .fieldgen import FieldParams, NodeLayout, Stream, ingest_csv
 from .sim import (
     MaliciousSpec,
     Scenario,
@@ -305,18 +305,34 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _write_outputs(parsed: ParsedConfig, out_dir: Path, jobs: int) -> None:
+def _load_ingest(parsed: ParsedConfig) -> Stream | None:
+    """The configured ``ingest_csv`` stream, or None without one.
+
+    A file naming id 0 (the sink) or sharing no node with the layout raises
+    SchemaError at ``/ingest_csv`` naming the ids, before the run writes
+    anything.  Other ids outside the layout are dropped.
+    """
+    if parsed.ingest_path is None:
+        return None
+    scenario = parsed.scenario
+    stream = ingest_csv(parsed.ingest_path, scenario.n_block, scenario.field, scenario.seed)
+    ids = list(stream.node_ids)
+    if ids[0] == 0:
+        raise SchemaError("/ingest_csv", "node id 0 is the sink's id, not a sensor's")
+    if not set(ids) & set(scenario.layout.node_ids):
+        raise SchemaError("/ingest_csv", f"node ids {ids} all lie outside the layout")
+    return stream
+
+
+def _write_outputs(
+    parsed: ParsedConfig, stream: Stream | None, out_dir: Path, jobs: int
+) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(
         out_dir / "effective_config.json",
         json.dumps(parsed.effective(), indent=2, sort_keys=True) + "\n",
     )
     scenario = parsed.scenario
-    stream = None
-    if parsed.ingest_path is not None:
-        stream = ingest_csv(
-            parsed.ingest_path, scenario.n_block, scenario.field, scenario.seed
-        )
     if parsed.experiment == "ada":
         report = run_ada(scenario)
     elif parsed.experiment == "stdp":
@@ -374,7 +390,10 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out if args.out is not None else parsed.output_dir)
     try:
-        _write_outputs(parsed, out_dir, jobs=max(1, args.jobs))
+        _write_outputs(parsed, _load_ingest(parsed), out_dir, jobs=max(1, args.jobs))
+    except SchemaError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except (WsnAdaptError, OSError, ValueError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return 2

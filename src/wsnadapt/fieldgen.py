@@ -399,6 +399,8 @@ def ingest_csv(path, n: int, params: FieldParams, seed: int) -> Stream:
                 raise CsvFormatError(f"line {lineno}: {exc}") from None
             if not (np.isfinite(ts) and np.isfinite(value)):
                 raise CsvFormatError(f"line {lineno}: non-finite entry")
+            if node_id < 0:
+                raise CsvFormatError(f"line {lineno}: negative node id {node_id}")
             rows.setdefault(node_id, []).append((ts, value))
 
     if not rows:

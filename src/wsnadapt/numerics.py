@@ -2,11 +2,14 @@
 
 Matrices and vectors are plain float64 numpy arrays.  Every entry point
 validates its input (squareness, symmetry to 1e-12 relative tolerance,
-size >= 1), so callers can pass arbitrary array-likes.  Problem sizes here
-are tiny (node counts and block lengths of order ten), which is why the
-factorization is written out explicitly instead of delegating to LAPACK:
-the positive-definiteness test must follow one fixed pivot rule so that a
-degenerate covariance fails loudly and reproducibly.
+size >= 1), so callers can pass arbitrary array-likes.  Matrix orders are
+node counts (ten by default, hundreds in the benchmark) or block lengths.
+The factorization is written out explicitly instead of delegating to
+LAPACK: the positive-definiteness test must follow one fixed pivot rule so
+that a degenerate covariance fails loudly and reproducibly, and the stream
+generator's samples depend on the factor's exact bits.  Callers factor
+once and substitute against the factor (``forward_substitute``) rather
+than refactoring per right-hand side or per leading block.
 """
 
 from __future__ import annotations
@@ -60,6 +63,18 @@ def cholesky_factor(a) -> np.ndarray:
     return low
 
 
+def forward_substitute(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve low @ y = b for a lower-triangular ``low`` with positive diagonal.
+
+    Entry i depends only on the leading i+1 rows, so ``y[:k]`` is also the
+    solution for the leading k x k block of ``low`` and the first k of ``b``.
+    """
+    y = np.zeros(low.shape[0])
+    for i in range(low.shape[0]):
+        y[i] = (b[i] - low[i, :i] @ y[:i]) / low[i, i]
+    return y
+
+
 def solve_spd(a, b) -> np.ndarray:
     """Solve a @ x = b for SPD ``a`` by factor-then-substitute."""
     m = as_symmetric_matrix(a)
@@ -70,9 +85,7 @@ def solve_spd(a, b) -> np.ndarray:
         )
     low = cholesky_factor(m)
     n = m.shape[0]
-    y = np.zeros(n)
-    for i in range(n):
-        y[i] = (rhs[i] - low[i, :i] @ y[:i]) / low[i, i]
+    y = forward_substitute(low, rhs)
     x = np.zeros(n)
     for i in range(n - 1, -1, -1):
         x[i] = (y[i] - low[i + 1:, i] @ x[i + 1:]) / low[i, i]

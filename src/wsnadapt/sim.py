@@ -222,6 +222,7 @@ def run_ada(scenario: Scenario) -> RunReport:
         scenario.layout, scenario.field, count=scenario.select_count
     )
     sizes = [size for size, _ in selection.curve]
+    ids = [str(i) for i in selection.order]
     series = {
         "accuracy_vs_iteration": Table(
             (np.arange(len(trace.accuracy)), np.array(trace.accuracy))
@@ -230,7 +231,7 @@ def run_ada(scenario: Scenario) -> RunReport:
             (
                 np.array(sizes),
                 np.array([acc for _, acc in selection.curve]),
-                [";".join(str(i) for i in selection.order[:size]) for size in sizes],
+                [";".join(ids[:size]) for size in sizes],
             )
         ),
     }

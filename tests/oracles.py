@@ -86,6 +86,29 @@ def best_accuracy_per_size(ruu, rdu, sigma_d_sq) -> dict[int, float]:
     return best
 
 
+def prefix_accuracy_curve(positions, sink, node_ids, sigma_u, theta, sigma_d=1.0):
+    """Sink-distance ranking (id breaks ties) and the optimal accuracy of
+    every prefix, each prefix solved from scratch with numpy.linalg.solve.
+
+    Builds R_uu[i, j] = s_i s_j exp(-D_ij / theta) and R_du[i] =
+    sigma_d s_i exp(-D_i,sink / theta) straight from the geometry; the
+    accuracy of the first k ranked nodes is R_du_k . R_uu_k^-1 R_du_k / sigma_d^2.
+    """
+    p = np.asarray(positions, dtype=float)
+    m = p.shape[0]
+    sig = np.broadcast_to(np.asarray(sigma_u, dtype=float), (m,))
+    to_sink = np.linalg.norm(p - np.asarray(sink, dtype=float), axis=1)
+    ranked = sorted(range(m), key=lambda k: (to_sink[k], node_ids[k]))
+    p, sig, to_sink = p[ranked], sig[ranked], to_sink[ranked]
+    pair = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=2)
+    ruu = np.outer(sig, sig) * np.exp(-pair / theta)
+    rdu = sigma_d * sig * np.exp(-to_sink / theta)
+    curve = [
+        rdu[:k] @ np.linalg.solve(ruu[:k, :k], rdu[:k]) / sigma_d**2 for k in range(1, m + 1)
+    ]
+    return tuple(node_ids[k] for k in ranked), np.array(curve)
+
+
 def global_ia_update(w_prev, blocks, mu) -> np.ndarray:
     """Instantaneous-approximation sweep w + mu * sum_i (u_i^T d_i - u_i^T u_i w).
 

@@ -59,7 +59,7 @@ def test_criterion_01_descent_converges_to_normal_equation(covariance_suite):
         mu = step_size_bound(cov.ruu) / 2.0  # 1 / lambda_max
         trace = steepest_descent(cov, mu=mu, tol=1e-8)
         assert trace.converged
-        w = trace.weights[-1]
+        w = trace.final_weight
         rdu_norm = np.linalg.norm(cov.rdu)
         assert np.linalg.norm(cov.rdu - cov.ruu @ w) <= 1e-8 * rdu_norm
         w_star = optimal_weight(cov)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import best_accuracy_per_size, gauss_solve, jacobi_eigenvalues, random_layout
+from oracles import (
+    best_accuracy_per_size,
+    gauss_solve,
+    jacobi_eigenvalues,
+    prefix_accuracy_curve,
+    random_layout,
+)
 from wsnadapt.ada import (
     CovariancePair,
     accuracy,
@@ -11,8 +17,9 @@ from wsnadapt.ada import (
     steepest_descent,
     step_size_bound,
 )
-from wsnadapt.errors import StepSizeOutOfRange, TargetUnreachable
+from wsnadapt.errors import NotPositiveDefinite, StepSizeOutOfRange, TargetUnreachable
 from wsnadapt.fieldgen import FieldParams, NodeLayout, build_spatial_covariance
+from wsnadapt.numerics import cholesky_factor
 from wsnadapt.sim import default_layout
 
 
@@ -42,7 +49,7 @@ def test_descent_one_step_identity():
     cov = CovariancePair(ruu=np.array([[1.0]]), rdu=np.array([0.5]), sigma_d_sq=1.0)
     trace = steepest_descent(cov, w0=[0.0], mu=1.0)
     assert trace.converged and trace.iterations == 1
-    assert trace.weights[-1][0] == 0.5
+    assert trace.final_weight[0] == 0.5
 
 
 def test_descent_rejects_large_mu():
@@ -57,7 +64,7 @@ def test_descent_matches_direct_solve(default_cov):
     trace = steepest_descent(default_cov, tol=1e-12)
     w_star = optimal_weight(default_cov)
     assert trace.converged
-    assert np.max(np.abs(trace.weights[-1] - w_star)) < 1e-8
+    assert np.max(np.abs(trace.final_weight - w_star)) < 1e-8
     assert np.allclose(w_star, gauss_solve(default_cov.ruu, default_cov.rdu), atol=1e-10)
 
 
@@ -70,7 +77,7 @@ def test_descent_monotone_error_and_trace_consistency():
             trace = steepest_descent(cov, mu=mu, max_iter=4000)
             errors = np.array(trace.mmse)
             assert np.all(np.diff(errors) <= 1e-12)
-            assert len(trace.weights) == len(trace.mmse) == len(trace.accuracy)
+            assert trace.iterations + 1 == len(trace.mmse) == len(trace.accuracy)
             assert np.allclose(
                 trace.accuracy, 1.0 - errors / cov.sigma_d_sq, atol=1e-14
             )
@@ -79,8 +86,30 @@ def test_descent_monotone_error_and_trace_consistency():
 
 def test_descent_fixed_point_residual(default_cov):
     trace = steepest_descent(default_cov, tol=1e-8)
-    res = default_cov.rdu - default_cov.ruu @ trace.weights[-1]
+    res = default_cov.rdu - default_cov.ruu @ trace.final_weight
     assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(default_cov.rdu)
+
+
+def test_descent_errors_are_exact_mmse_of_every_iterate(default_cov):
+    trace = steepest_descent(default_cov, tol=1e-10)
+    assert trace.mmse[-1] == mmse(default_cov, trace.final_weight)
+    assert trace.accuracy[-1] == accuracy(default_cov, trace.final_weight)
+    w = np.zeros(default_cov.order)
+    for k, err in enumerate(trace.mmse):
+        assert err == mmse(default_cov, w), k
+        if k < trace.iterations:
+            w = w + trace.mu * (default_cov.rdu - default_cov.ruu @ w)
+    assert np.array_equal(w, trace.final_weight)
+
+
+def test_descent_final_weight_exact_under_iteration_cap():
+    rng = np.random.default_rng(19)
+    for _ in range(5):
+        cov = random_cov(rng, int(rng.integers(2, 9)))
+        for max_iter in (0, 1, 7):
+            trace = steepest_descent(cov, w0=rng.normal(size=cov.order), max_iter=max_iter, tol=1e-14)
+            assert trace.iterations == max_iter == len(trace.mmse) - 1
+            assert trace.mmse[-1] == mmse(cov, trace.final_weight)
 
 
 def test_descent_max_iter_flag():
@@ -170,3 +199,86 @@ def test_select_greedy_bounded_by_exhaustive(default_scenario, default_cov):
     best = best_accuracy_per_size(default_cov.ruu, default_cov.rdu, default_cov.sigma_d_sq)
     for size, acc in sel.curve:
         assert acc <= best[size] + 1e-12
+
+
+@pytest.mark.parametrize("per_node_sigma", [False, True])
+def test_select_curve_matches_per_prefix_oracle(per_node_sigma):
+    rng = np.random.default_rng(43 + per_node_sigma)
+    for m, side in ((1, 4.0), (6, 4.0), (25, 5.0), (80, 8.0), (400, 12.0)):
+        positions, sink = random_layout(rng, m, side=side)
+        ids = tuple(int(i) for i in rng.permutation(m) + 1)
+        if per_node_sigma:
+            sigma_u = tuple(float(s) for s in rng.uniform(0.5, 2.0, m))
+        else:
+            sigma_u = float(rng.uniform(0.5, 2.0))
+        params = FieldParams(
+            theta=float(rng.uniform(0.8, 3.0)), sigma_u=sigma_u, sigma_d=float(rng.uniform(0.5, 2.0))
+        )
+        layout = NodeLayout(positions=tuple(positions), sink=sink, node_ids=ids)
+        sel = select_nodes(layout, params, count=m)
+        order, expected = prefix_accuracy_curve(
+            positions, sink, ids, sigma_u, params.theta, params.sigma_d
+        )
+        assert sel.order == order
+        assert [size for size, _ in sel.curve] == list(range(1, m + 1))
+        got = np.array([acc for _, acc in sel.curve])
+        assert np.max(np.abs(got - expected)) <= 1e-12, m
+
+
+def per_prefix_failure(layout: NodeLayout, params: FieldParams) -> str | None:
+    """The NotPositiveDefinite message of the first ranked prefix whose own
+    Ruu fails to factor: the selection rule before the curve came from one
+    factorization.  None when every prefix factors."""
+    dist = layout.sink_distances()
+    ranked = sorted(range(layout.size), key=lambda k: (dist[k], layout.node_ids[k]))
+    cov = build_spatial_covariance(layout, params)
+    for size in range(1, layout.size + 1):
+        try:
+            cholesky_factor(cov.restrict(ranked[:size]).ruu)
+        except NotPositiveDefinite as exc:
+            return str(exc)
+    return None
+
+
+def test_select_colocated_nodes_fail_typed_with_per_prefix_pivot(default_scenario):
+    base = default_scenario.layout
+    for copy, onto in ((0, 1), (7, 2), (9, 4), (3, 5)):
+        positions = list(base.positions)
+        positions[copy] = positions[onto]
+        layout = NodeLayout(positions=tuple(positions), sink=base.sink, node_ids=base.node_ids)
+        for theta in (0.5, 2.0, 6.0):
+            params = FieldParams(theta=theta, sigma_u=1.7)
+            expected = per_prefix_failure(layout, params)
+            assert expected is not None
+            with pytest.raises(NotPositiveDefinite) as err:
+                select_nodes(layout, params, count=layout.size)
+            assert str(err.value) == expected
+
+
+@pytest.mark.parametrize(
+    "delta, old_column, new_column",
+    [(1e-13, 1, 1), (3e-12, 3, 1), (5e-11, 3, 1), (3e-10, 3, 3), (1e-8, 3, 3)],
+)
+def test_select_per_node_sigma_raises_exactly_when_per_prefix_rule_did(
+    delta, old_column, new_column
+):
+    # Nodes 1 and 2 sit delta apart (their second pivot is about delta),
+    # nodes 3 and 4 coincide, and node 5's sigma of 10 lifts the full-set
+    # pivot floor to 1e-10 from the 1e-12 of every shorter prefix.  Both
+    # rules raise; for a pivot between the two floors the one
+    # factorization names column 1 where the per-prefix rule named 3.
+    ids = (1, 2, 3, 4, 5)
+    params = FieldParams(sigma_u=(1.0, 1.0, 1.0, 1.0, 10.0))
+    positions = [(1.0, 0.0), (1.0, delta), (2.0, 0.0), (2.0, 0.0), (3.0, 0.0)]
+    layout = NodeLayout(positions=tuple(positions), sink=(0.0, 0.0), node_ids=ids)
+    assert f"at column {old_column} " in per_prefix_failure(layout, params)
+    with pytest.raises(NotPositiveDefinite, match=f"at column {new_column} "):
+        select_nodes(layout, params, count=1)
+    positions[3] = (2.0, 0.5)
+    apart = NodeLayout(positions=tuple(positions), sink=(0.0, 0.0), node_ids=ids)
+    assert (per_prefix_failure(apart, params) is None) == (delta > 1e-10)
+    if delta > 1e-10:
+        select_nodes(apart, params, count=5)
+    else:
+        with pytest.raises(NotPositiveDefinite, match="at column 1 "):
+            select_nodes(apart, params, count=5)

@@ -176,6 +176,48 @@ def test_ingest_csv_flows_into_stdp(tmp_path):
     assert len(trace) > 1
 
 
+def write_readings(path: Path, node_ids, samples: int = 20) -> Path:
+    lines = ["timestamp,node_id,value"]
+    lines += [f"{t},{node},{0.1 * ((t * node) % 7)}" for t in range(samples) for node in node_ids]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "experiment, csv_ids, named",
+    [
+        ("stdp", [42, 43], "node ids [42, 43] all lie outside the layout"),
+        ("detect", [11, 12, 13], "node ids [11, 12, 13] all lie outside the layout"),
+        ("stdp", [0, 1, 2, 3], "node id 0 is the sink's id, not a sensor's"),
+        ("detect", [0], "node id 0 is the sink's id, not a sensor's"),
+    ],
+)
+def test_unusable_ingest_is_a_config_error_naming_the_ids(
+    tmp_path, capsys, experiment, csv_ids, named
+):
+    csv_path = write_readings(tmp_path / "field.csv", csv_ids)
+    path = write_config(
+        tmp_path, {"experiment": experiment, "ingest_csv": str(csv_path), "num_blocks": 4}
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--jobs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: /ingest_csv: {named}\n"
+    assert not out.exists()
+
+
+def test_ingest_ids_partly_outside_the_layout_are_dropped(tmp_path):
+    csv_path = write_readings(tmp_path / "field.csv", [1, 2, 3, 99])
+    path = write_config(
+        tmp_path, {"experiment": "stdp", "ingest_csv": str(csv_path), "num_blocks": 4}
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--jobs", "1"]) == 0
+    rows = (out / "stdp_transmission.csv").read_text().splitlines()[1:]
+    assert sorted(int(row.split(",")[1]) for row in rows) == [1, 2, 3]
+
+
 def test_malicious_unknown_node_pointer(tmp_path):
     path = write_config(
         tmp_path,

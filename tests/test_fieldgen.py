@@ -234,6 +234,11 @@ def test_ingest_csv_malformed_rows(tmp_path):
     with pytest.raises(CsvFormatError, match="line 2"):
         ingest_csv(path, 2, FieldParams(), seed=0)
 
+    path = tmp_path / "negative_id.csv"
+    path.write_text(csv_text(["0,1,1.0", "0,-4,1.0"]))
+    with pytest.raises(CsvFormatError, match="line 3: negative node id -4"):
+        ingest_csv(path, 1, FieldParams(), seed=0)
+
 
 def test_ingest_csv_needs_full_block(tmp_path):
     path = tmp_path / "short.csv"
