@@ -5,7 +5,9 @@ Each shipped config in ``configs/`` is run through ``wsnadapt run`` (or
 its output directory must hash to the recorded digest.  One extra
 100-node x 200-round detect scenario with a 30 dB channel and three
 corrupted nodes pins the channel and corruption paths, which no shipped
-config exercises.
+config exercises.  A small 12-node x 60-round detect scenario with a
+10 dB channel, a seed of 2**32 + 5 and one node id of 2**32 + 7 pins the
+substream keys whose entropy words do not each fit in 32 bits.
 
 A digest here may change only in a change that says why in CHANGES.md and
 reports the largest absolute difference against the previous output.
@@ -58,6 +60,13 @@ GOLDEN = {
         "stdp_transmission.csv": "1d2a004fa510363d7bccb20743ee5bb82b900bdb50b34c5db2cadb57b0067153",
         "weights.csv": "f23bc1db1bacb7e1de818b12d5851bcdb9fdef67158fbdb9c01994944fa61a1c",
     },
+    "detect_multiword": {
+        "detection.csv": "34a14de9158b6476f6f14fb05a41b501739348540707f1600df0899c25393e45",
+        "effective_config.json": "61b71e73154be40556fe151787f954f21b3af1aa0f324753dded3ba7b026654f",
+        "message_trace.csv": "4e3b65061e9e0c7b313bb8513230e5e01a03c444952e1e385bd156d87acdd54a",
+        "stdp_transmission.csv": "a9e8a2791cebc22d2a0e22170f04693f329530a9a574e2662df61d4e87152860",
+        "weights.csv": "2aadb59c7ffce19555798c4f449961c6401106b77a1298e451e5a08ffa0a3526",
+    },
 }
 
 
@@ -88,6 +97,29 @@ def detect_100_config() -> dict:
     }
 
 
+def detect_multiword_config() -> dict:
+    """12 nodes on a jittered 4 x 3 grid, 60 rounds, a 10 dB channel and two
+    corrupted nodes.  The seed and the last node id are above 2**32, so
+    their substream entropy takes two 32-bit words each."""
+    rng = random.Random(4)
+    positions = [
+        [
+            round(0.5 + c % 4 + rng.uniform(-0.3, 0.3), 6),
+            round(0.5 + c // 4 + rng.uniform(-0.3, 0.3), 6),
+        ]
+        for c in range(12)
+    ]
+    big = 2**32 + 7
+    return {
+        "experiment": "detect",
+        "seed": 2**32 + 5,
+        "layout": {"positions": positions, "sink": [2.0, 1.5], "node_ids": [*range(1, 12), big]},
+        "num_blocks": 60,
+        "channel": 10.0,
+        "malicious": {"node_ids": [3, big], "scale": 6.0},
+    }
+
+
 def digests(out: Path) -> dict[str, str]:
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -112,3 +144,9 @@ def test_detect_100_nodes_channel_matches_golden(tmp_path):
     path = tmp_path / "detect_100.json"
     path.write_text(json.dumps(detect_100_config()))
     assert run_config(path, tmp_path / "out") == GOLDEN["detect_100"]
+
+
+def test_detect_multiword_entropy_matches_golden(tmp_path):
+    path = tmp_path / "detect_multiword.json"
+    path.write_text(json.dumps(detect_multiword_config()))
+    assert run_config(path, tmp_path / "out") == GOLDEN["detect_multiword"]
