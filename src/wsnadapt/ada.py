@@ -6,12 +6,11 @@ by sink distance with the per-size accuracy curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import StepSizeOutOfRange, TargetUnreachable
-from .fieldgen import CovariancePair, FieldParams, NodeLayout, build_spatial_covariance
+from .errors import DimensionMismatch, StepSizeOutOfRange, TargetUnreachable
+from .fieldgen import CovariancePair, NodeLayout
 from .numerics import as_vector, cholesky_factor, forward_substitute, max_eigenvalue, solve_spd
 
 __all__ = [
@@ -132,12 +131,16 @@ def steepest_descent(
 
 def select_nodes(
     layout: NodeLayout,
-    params: FieldParams,
+    cov: CovariancePair,
     target: float | None = None,
     count: int | None = None,
 ) -> NodeSelection:
     """Rank nodes by ascending sink distance (id breaks ties) and evaluate
     the optimal-weight accuracy of every prefix.
+
+    ``cov`` is the layout's spatial covariance in layout order (as
+    ``build_spatial_covariance`` returns it); it is restricted to the
+    ranked order here.
 
     One factorization gives the whole curve.  With Ruu = L L^T in ranked
     order, the leading k x k block of L is the factor of the first k
@@ -154,11 +157,13 @@ def select_nodes(
     if (target is None) == (count is None):
         raise ValueError("provide exactly one of target or count")
     m = layout.size
+    if cov.order != m:
+        raise DimensionMismatch(f"covariance of order {cov.order} for {m} nodes")
     dist = layout.sink_distances()
     ranked = sorted(range(m), key=lambda k: (dist[k], layout.node_ids[k]))
     order = tuple(layout.node_ids[k] for k in ranked)
 
-    cov = build_spatial_covariance(layout, params).restrict(ranked)
+    cov = cov.restrict(ranked)
     y = forward_substitute(cholesky_factor(cov.ruu), cov.rdu)
     curve = tuple(
         (size, float(acc))

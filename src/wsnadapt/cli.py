@@ -195,8 +195,8 @@ def _semantic_validate(doc: dict) -> None:
         raise SchemaError("/sweep", "sweep experiment requires the sweep section")
     if experiment != "sweep" and "sweep" in doc:
         raise SchemaError("/sweep", "only valid when experiment is 'sweep'")
-    if experiment == "ada" and "ingest_csv" in doc:
-        raise SchemaError("/ingest_csv", "not applicable to the ada experiment")
+    if experiment in ("ada", "sweep") and "ingest_csv" in doc:
+        raise SchemaError("/ingest_csv", f"not applicable to the {experiment} experiment")
 
     sweep_doc = doc.get("sweep")
     if sweep_doc is not None and sweep_doc["axis"] in ("n_block", "node_count"):
@@ -385,12 +385,13 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    if args.command == "validate":
-        return 0
-
-    out_dir = Path(args.out if args.out is not None else parsed.output_dir)
     try:
-        _write_outputs(parsed, _load_ingest(parsed), out_dir, jobs=max(1, args.jobs))
+        # validate reads the ingest file too, so it rejects exactly what run rejects.
+        stream = _load_ingest(parsed)
+        if args.command == "validate":
+            return 0
+        out_dir = Path(args.out if args.out is not None else parsed.output_dir)
+        _write_outputs(parsed, stream, out_dir, jobs=max(1, args.jobs))
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

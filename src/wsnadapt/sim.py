@@ -13,14 +13,14 @@ from typing import Sequence
 
 import numpy as np
 
-from . import ada, malicious, stdp
+from . import ada, fieldgen, malicious, stdp
 from .fieldgen import (
     ROLE_PROTOCOL,
     FieldParams,
     NodeLayout,
     Stream,
-    awgn_channel,
     build_spatial_covariance,
+    channel_keys,
     generate_stream,
     inject_malicious,
     substream,
@@ -218,9 +218,7 @@ def run_ada(scenario: Scenario) -> RunReport:
     """Descent accuracy trace plus the per-node-count accuracy curve."""
     cov = build_spatial_covariance(scenario.layout, scenario.field)
     trace = ada.steepest_descent(cov, mu=scenario.explicit_mu)
-    selection = ada.select_nodes(
-        scenario.layout, scenario.field, count=scenario.select_count
-    )
+    selection = ada.select_nodes(scenario.layout, cov, count=scenario.select_count)
     sizes = [size for size, _ in selection.curve]
     ids = [str(i) for i in selection.order]
     series = {
@@ -273,9 +271,8 @@ def active_node_ids(scenario: Scenario) -> tuple[int, ...]:
     """Participating nodes: everyone, or the selected nearest subset."""
     if not scenario.select_first:
         return scenario.layout.node_ids
-    chosen = ada.select_nodes(
-        scenario.layout, scenario.field, count=scenario.select_count
-    ).selected
+    cov = build_spatial_covariance(scenario.layout, scenario.field)
+    chosen = ada.select_nodes(scenario.layout, cov, count=scenario.select_count).selected
     return tuple(sorted(chosen))
 
 
@@ -318,10 +315,16 @@ def simulate_protocol(scenario: Scenario, stream: Stream | None = None) -> Proto
     ).reshape(len(active), stream.num_blocks)
     channel = None
     if scenario.channel is not None:
+        # Every (node, block) keeps its own channel substream: the run derives
+        # all their keys at once and re-keys one generator per sent block.
+        ids = np.array(active, dtype=np.int64)
+        keys = channel_keys(scenario.seed, active, stream.num_blocks)
+        rng = np.random.Generator(np.random.Philox(0))
         snr = scenario.channel
 
-        def channel(samples, desired, node_ids, block_index, _snr=snr, _seed=scenario.seed):
-            return awgn_channel(samples, desired, node_ids, block_index, _snr, _seed)
+        def channel(samples, desired, node_ids, block_index):
+            rows = np.searchsorted(ids, node_ids)
+            return fieldgen.awgn_channel(samples, desired, keys[rows, block_index], snr, rng)
 
     state = stdp.new_protocol_state(active, scenario.n_block)
     trace = stdp.Trace.empty(stream.num_blocks, len(active), scenario.n_block)

@@ -136,3 +136,23 @@ def random_layout(rng: np.random.Generator, m: int, side: float = 4.0, min_sep: 
         if all(np.hypot(cand[0] - p[0], cand[1] - p[1]) >= min_sep for p in points):
             points.append(cand)
     return points[:m], points[m]
+
+
+def awgn_channel_per_block(samples, desired, node_ids, block_index, snr_db, seed, role):
+    """The AWGN channel with one freshly seeded generator per transmitted block.
+
+    Block ``block_index`` of node ``node_ids[k]`` (row k) draws from
+    ``Philox(SeedSequence([seed, role, node, block_index]))``: n samples'
+    noise, then the desired scalar's, at a variance of the block's
+    mean-square power times 10**(-snr_db/10).
+    """
+    noisy = np.empty_like(samples)
+    noisy_desired = np.empty_like(desired)
+    for k, node_id in enumerate(node_ids):
+        key = np.random.SeedSequence([int(seed), int(role), int(node_id), int(block_index)])
+        rng = np.random.Generator(np.random.Philox(key))
+        power = float(np.mean(samples[k] ** 2))
+        noise_std = float(np.sqrt(power * 10.0 ** (-snr_db / 10.0)))
+        noisy[k] = samples[k] + rng.normal(0.0, noise_std, samples.shape[1])
+        noisy_desired[k] = desired[k] + rng.normal(0.0, noise_std)
+    return noisy, noisy_desired

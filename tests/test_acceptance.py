@@ -101,7 +101,7 @@ def test_criterion_03_single_node_accuracy_closed_form(covariance_suite):
 
 
 def test_criterion_04_six_of_ten_selection(default_scenario, default_cov):
-    selection = select_nodes(default_scenario.layout, default_scenario.field, count=10)
+    selection = select_nodes(default_scenario.layout, default_cov, count=10)
     oracle_curve = []
     order_index = {i: k for k, i in enumerate(default_scenario.layout.node_ids)}
     for size in range(1, 11):

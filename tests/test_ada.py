@@ -17,7 +17,12 @@ from wsnadapt.ada import (
     steepest_descent,
     step_size_bound,
 )
-from wsnadapt.errors import NotPositiveDefinite, StepSizeOutOfRange, TargetUnreachable
+from wsnadapt.errors import (
+    DimensionMismatch,
+    NotPositiveDefinite,
+    StepSizeOutOfRange,
+    TargetUnreachable,
+)
 from wsnadapt.fieldgen import FieldParams, NodeLayout, build_spatial_covariance
 from wsnadapt.numerics import cholesky_factor
 from wsnadapt.sim import default_layout
@@ -143,29 +148,29 @@ def test_accuracy_in_unit_interval_over_random_layouts():
         assert 0.0 <= acc <= 1.0
 
 
-def test_select_full_set_when_target_is_max(default_scenario):
-    sel = select_nodes(default_scenario.layout, default_scenario.field, count=10)
+def test_select_full_set_when_target_is_max(default_scenario, default_cov):
+    sel = select_nodes(default_scenario.layout, default_cov, count=10)
     full_acc = sel.curve[-1][1]
-    again = select_nodes(default_scenario.layout, default_scenario.field, target=full_acc)
+    again = select_nodes(default_scenario.layout, default_cov, target=full_acc)
     assert again.selected == again.order
     assert len(again.selected) == 10
 
 
 def test_select_single_node_at_sink():
     layout = NodeLayout(positions=((1.0, 1.0),), sink=(1.0, 1.0), node_ids=(7,))
-    sel = select_nodes(layout, FieldParams(), target=0.99)
+    sel = select_nodes(layout, build_spatial_covariance(layout, FieldParams()), target=0.99)
     assert sel.selected == (7,)
     assert sel.achieved == pytest.approx(1.0, abs=1e-12)
 
 
-def test_select_orders_by_sink_distance(default_scenario):
-    sel = select_nodes(default_scenario.layout, default_scenario.field, count=6)
+def test_select_orders_by_sink_distance(default_scenario, default_cov):
+    sel = select_nodes(default_scenario.layout, default_cov, count=6)
     assert sel.order == (2, 5, 4, 10, 7, 9, 3, 6, 1, 8)
     assert sorted(sel.selected) == [2, 4, 5, 7, 9, 10]
 
 
-def test_select_six_of_ten_accuracy(default_scenario):
-    sel = select_nodes(default_scenario.layout, default_scenario.field, count=10)
+def test_select_six_of_ten_accuracy(default_scenario, default_cov):
+    sel = select_nodes(default_scenario.layout, default_cov, count=10)
     acc6 = sel.curve[5][1]
     acc10 = sel.curve[9][1]
     assert acc6 >= 0.9 * acc10
@@ -177,25 +182,30 @@ def test_select_curve_non_decreasing_random_layouts():
         m = int(rng.integers(2, 11))
         positions, sink = random_layout(rng, m)
         layout = NodeLayout(positions=tuple(positions), sink=sink, node_ids=tuple(range(1, m + 1)))
-        sel = select_nodes(layout, FieldParams(), count=m)
+        sel = select_nodes(layout, build_spatial_covariance(layout, FieldParams()), count=m)
         accs = [a for _, a in sel.curve]
         assert all(accs[k + 1] >= accs[k] - 1e-12 for k in range(m - 1))
 
 
-def test_select_target_unreachable(default_scenario):
+def test_select_target_unreachable(default_scenario, default_cov):
     with pytest.raises(TargetUnreachable):
-        select_nodes(default_scenario.layout, default_scenario.field, target=1.0)
+        select_nodes(default_scenario.layout, default_cov, target=1.0)
 
 
-def test_select_requires_exactly_one_mode(default_scenario):
+def test_select_requires_exactly_one_mode(default_scenario, default_cov):
     with pytest.raises(ValueError):
-        select_nodes(default_scenario.layout, default_scenario.field)
+        select_nodes(default_scenario.layout, default_cov)
     with pytest.raises(ValueError):
-        select_nodes(default_scenario.layout, default_scenario.field, target=0.5, count=3)
+        select_nodes(default_scenario.layout, default_cov, target=0.5, count=3)
+
+
+def test_select_rejects_a_covariance_of_another_layout(default_scenario, default_cov):
+    with pytest.raises(DimensionMismatch):
+        select_nodes(default_scenario.layout, default_cov.restrict(range(9)), count=3)
 
 
 def test_select_greedy_bounded_by_exhaustive(default_scenario, default_cov):
-    sel = select_nodes(default_scenario.layout, default_scenario.field, count=10)
+    sel = select_nodes(default_scenario.layout, default_cov, count=10)
     best = best_accuracy_per_size(default_cov.ruu, default_cov.rdu, default_cov.sigma_d_sq)
     for size, acc in sel.curve:
         assert acc <= best[size] + 1e-12
@@ -215,7 +225,7 @@ def test_select_curve_matches_per_prefix_oracle(per_node_sigma):
             theta=float(rng.uniform(0.8, 3.0)), sigma_u=sigma_u, sigma_d=float(rng.uniform(0.5, 2.0))
         )
         layout = NodeLayout(positions=tuple(positions), sink=sink, node_ids=ids)
-        sel = select_nodes(layout, params, count=m)
+        sel = select_nodes(layout, build_spatial_covariance(layout, params), count=m)
         order, expected = prefix_accuracy_curve(
             positions, sink, ids, sigma_u, params.theta, params.sigma_d
         )
@@ -251,7 +261,7 @@ def test_select_colocated_nodes_fail_typed_with_per_prefix_pivot(default_scenari
             expected = per_prefix_failure(layout, params)
             assert expected is not None
             with pytest.raises(NotPositiveDefinite) as err:
-                select_nodes(layout, params, count=layout.size)
+                select_nodes(layout, build_spatial_covariance(layout, params), count=layout.size)
             assert str(err.value) == expected
 
 
@@ -273,12 +283,12 @@ def test_select_per_node_sigma_raises_exactly_when_per_prefix_rule_did(
     layout = NodeLayout(positions=tuple(positions), sink=(0.0, 0.0), node_ids=ids)
     assert f"at column {old_column} " in per_prefix_failure(layout, params)
     with pytest.raises(NotPositiveDefinite, match=f"at column {new_column} "):
-        select_nodes(layout, params, count=1)
+        select_nodes(layout, build_spatial_covariance(layout, params), count=1)
     positions[3] = (2.0, 0.5)
     apart = NodeLayout(positions=tuple(positions), sink=(0.0, 0.0), node_ids=ids)
     assert (per_prefix_failure(apart, params) is None) == (delta > 1e-10)
     if delta > 1e-10:
-        select_nodes(apart, params, count=5)
+        select_nodes(apart, build_spatial_covariance(apart, params), count=5)
     else:
         with pytest.raises(NotPositiveDefinite, match="at column 1 "):
-            select_nodes(apart, params, count=5)
+            select_nodes(apart, build_spatial_covariance(apart, params), count=5)

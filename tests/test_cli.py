@@ -207,6 +207,74 @@ def test_unusable_ingest_is_a_config_error_naming_the_ids(
     assert not out.exists()
 
 
+def test_sweep_config_with_ingest_is_a_config_error(tmp_path, capsys):
+    csv_path = write_readings(tmp_path / "field.csv", range(1, 11))
+    path = write_config(
+        tmp_path,
+        {
+            "experiment": "sweep",
+            "ingest_csv": str(csv_path),
+            "num_blocks": 4,
+            "sweep": {"axis": "beta", "values": [0.05, 0.1]},
+        },
+    )
+    with pytest.raises(SchemaError) as err:
+        parse_config(path)
+    assert err.value.pointer == "/ingest_csv"
+    out = tmp_path / "out"
+    for command in ("sweep", "validate"):
+        args = [command, "--config", str(path)]
+        if command == "sweep":
+            args += ["--out", str(out), "--jobs", "1"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: /ingest_csv: not applicable to the sweep experiment\n"
+        )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "csv_ids, lines, code, message",
+    [
+        ([42, 43], None, 1, "config error: /ingest_csv: node ids [42, 43] all lie outside the layout"),
+        ([0, 1], None, 1, "config error: /ingest_csv: node id 0 is the sink's id, not a sensor's"),
+        (None, ["0,1,0.5", "1,x,0.2"], 2, "run error: line 3: invalid literal for int() with base 10: 'x'"),
+        (None, ["0,-4,0.5"], 2, "run error: line 2: negative node id -4"),
+        ([1, 2, 3], None, 0, None),
+    ],
+)
+def test_validate_reads_the_ingest_file_like_run(tmp_path, capsys, csv_ids, lines, code, message):
+    csv_path = tmp_path / "field.csv"
+    if csv_ids is not None:
+        write_readings(csv_path, csv_ids)
+    else:
+        csv_path.write_text("\n".join(["timestamp,node_id,value", *lines]) + "\n")
+    path = write_config(
+        tmp_path, {"experiment": "stdp", "ingest_csv": str(csv_path), "num_blocks": 4}
+    )
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(path)]) == code
+    validated = capsys.readouterr()
+    assert main(["run", "--config", str(path), "--out", str(out), "--jobs", "1"]) == code
+    ran = capsys.readouterr()
+    assert validated.out == ran.out == ""
+    assert validated.err == ran.err == ("" if message is None else message + "\n")
+    assert out.exists() == (code == 0)
+
+
+def test_validate_missing_ingest_file_fails_like_run(tmp_path, capsys):
+    path = write_config(
+        tmp_path, {"experiment": "detect", "ingest_csv": str(tmp_path / "absent.csv")}
+    )
+    assert main(["validate", "--config", str(path)]) == 2
+    validated = capsys.readouterr().err
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert validated == capsys.readouterr().err
+    assert validated.startswith("run error: ") and "absent.csv" in validated
+
+
 def test_ingest_ids_partly_outside_the_layout_are_dropped(tmp_path):
     csv_path = write_readings(tmp_path / "field.csv", [1, 2, 3, 99])
     path = write_config(

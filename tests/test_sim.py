@@ -3,6 +3,7 @@ import pytest
 
 from oracles import gauss_solve
 from wsnadapt.fieldgen import FieldParams, NodeLayout, build_spatial_covariance
+from wsnadapt import fieldgen, sim
 from wsnadapt.sim import (
     MaliciousSpec,
     RunReport,
@@ -15,6 +16,7 @@ from wsnadapt.sim import (
     run_detect,
     run_stdp,
     scenario_for_point,
+    simulate_protocol,
     scenario_to_dict,
     sweep,
 )
@@ -49,6 +51,41 @@ def test_run_ada_curve_non_decreasing(default_scenario):
     report = run_ada(default_scenario)
     accs = [row[1] for row in report.series["accuracy_vs_nodes"]]
     assert all(accs[k + 1] >= accs[k] - 1e-12 for k in range(len(accs) - 1))
+
+
+def test_run_ada_builds_the_covariance_once(default_scenario, monkeypatch):
+    calls = []
+
+    def counted(layout, params):
+        calls.append(layout.size)
+        return build_spatial_covariance(layout, params)
+
+    monkeypatch.setattr(fieldgen, "build_spatial_covariance", counted)
+    monkeypatch.setattr(sim, "build_spatial_covariance", counted)
+    run_ada(default_scenario)
+    assert calls == [default_scenario.layout.size]
+
+
+def test_channel_run_derives_keys_without_a_seed_sequence_per_block(monkeypatch):
+    # Each node needs a few substreams of its own (measurement, protocol,
+    # corruption); the channel's (node, block) keys come from one table, so
+    # the SeedSequence count grows with the nodes, not with the sent blocks.
+    real = np.random.SeedSequence
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    scenario = default_scenario(
+        num_blocks=120, channel=20.0, malicious=MaliciousSpec(node_ids=(5, 9), scale=6.0)
+    )
+    run = simulate_protocol(scenario)
+    sent_blocks = int(run.state.sent.sum())
+    assert sent_blocks > 100
+    m = scenario.layout.size
+    assert len(built) <= 3 * m + 2, len(built)
 
 
 def test_run_stdp_beta_zero_and_huge(default_scenario):
