@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import gauss_solve
-from wsnadapt.fieldgen import FieldParams, NodeLayout, build_spatial_covariance
 from wsnadapt import fieldgen, sim
+from wsnadapt.fieldgen import FieldParams, NodeLayout, build_spatial_covariance
 from wsnadapt.sim import (
     MaliciousSpec,
     RunReport,
@@ -16,8 +16,8 @@ from wsnadapt.sim import (
     run_detect,
     run_stdp,
     scenario_for_point,
-    simulate_protocol,
     scenario_to_dict,
+    simulate_protocol,
     sweep,
 )
 from wsnadapt.stdp import Thresholds
