@@ -8,10 +8,11 @@ Library layout:
 - ``stdp``: the dual-prediction transmission-suppression protocol
 - ``malicious``: weight-variance anomaly tracing
 - ``sim``: experiment orchestration and CSV-ready reports
-- ``cli``: the ``wsnadapt`` command-line tool
+- ``cli``: the ``wsnadapt`` command-line tool; importing the package does
+  not import it, so ``python -m wsnadapt.cli`` runs it without a warning
 """
 
-from . import ada, cli, errors, fieldgen, malicious, numerics, sim, stdp
+from . import ada, errors, fieldgen, malicious, numerics, sim, stdp
 from .fieldgen import CovariancePair, FieldParams, NodeLayout, Stream
 from .sim import RunReport, Scenario, default_scenario
 from .stdp import Thresholds

@@ -22,6 +22,7 @@ from .fieldgen import FieldParams, NodeLayout, Stream, ingest_csv
 from .sim import (
     MaliciousSpec,
     Scenario,
+    active_node_ids,
     default_scenario,
     report_files,
     run_ada,
@@ -197,6 +198,11 @@ def _semantic_validate(doc: dict) -> None:
         raise SchemaError("/sweep", "only valid when experiment is 'sweep'")
     if experiment in ("ada", "sweep") and "ingest_csv" in doc:
         raise SchemaError("/ingest_csv", f"not applicable to the {experiment} experiment")
+    # The detector labels nodes against the median of at least two.
+    if experiment == "detect" and len(node_ids) < 2:
+        raise SchemaError("/layout/node_ids", "detect needs at least 2 nodes to classify")
+    if experiment == "detect" and doc.get("select_first") and doc.get("select_count", 2) < 2:
+        raise SchemaError("/select_count", "detect needs at least 2 selected nodes to classify")
 
     sweep_doc = doc.get("sweep")
     if sweep_doc is not None and sweep_doc["axis"] in ("n_block", "node_count"):
@@ -308,7 +314,8 @@ def _write_atomic(path: Path, text: str) -> None:
 def _load_ingest(parsed: ParsedConfig) -> Stream | None:
     """The configured ``ingest_csv`` stream, or None without one.
 
-    A file naming id 0 (the sink) or sharing no node with the layout raises
+    A file naming id 0 (the sink), sharing no node with the layout, or, for
+    detect, sharing fewer than 2 nodes with the run's active nodes raises
     SchemaError at ``/ingest_csv`` naming the ids, before the run writes
     anything.  Other ids outside the layout are dropped.
     """
@@ -321,17 +328,22 @@ def _load_ingest(parsed: ParsedConfig) -> Stream | None:
         raise SchemaError("/ingest_csv", "node id 0 is the sink's id, not a sensor's")
     if not set(ids) & set(scenario.layout.node_ids):
         raise SchemaError("/ingest_csv", f"node ids {ids} all lie outside the layout")
+    if parsed.experiment == "detect":
+        active = sorted(set(ids) & set(active_node_ids(scenario)))
+        if len(active) < 2:
+            raise SchemaError(
+                "/ingest_csv",
+                f"detect needs at least 2 nodes to classify; the run would use only "
+                f"{active} of node ids {ids}",
+            )
     return stream
 
 
 def _write_outputs(
     parsed: ParsedConfig, stream: Stream | None, out_dir: Path, jobs: int
 ) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(
-        out_dir / "effective_config.json",
-        json.dumps(parsed.effective(), indent=2, sort_keys=True) + "\n",
-    )
+    """Run the experiment, then write its CSVs and the effective config; a
+    run that fails writes nothing."""
     scenario = parsed.scenario
     if parsed.experiment == "ada":
         report = run_ada(scenario)
@@ -342,7 +354,13 @@ def _write_outputs(
     else:
         axis, values = parsed.sweep_axis
         report = sweep(scenario, axis, values, jobs=jobs)
-    for name, (header, rows) in report_files(report).items():
+    files = report_files(report)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_atomic(
+        out_dir / "effective_config.json",
+        json.dumps(parsed.effective(), indent=2, sort_keys=True) + "\n",
+    )
+    for name, (header, rows) in files.items():
         lines = [",".join(header), *map(",".join, rows)]
         _write_atomic(out_dir / name, "\n".join(lines) + "\n")
 

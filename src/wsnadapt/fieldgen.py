@@ -188,12 +188,6 @@ class NodeLayout:
     def size(self) -> int:
         return len(self.node_ids)
 
-    def position_of(self, node_id: int) -> tuple[float, float]:
-        try:
-            return self.positions[self.node_ids.index(node_id)]
-        except ValueError:
-            raise UnknownNode(f"node {node_id} not in layout") from None
-
     def sink_distances(self) -> np.ndarray:
         p = np.asarray(self.positions, dtype=float)
         return np.hypot(p[:, 0] - self.sink[0], p[:, 1] - self.sink[1])
@@ -203,11 +197,6 @@ class NodeLayout:
         dx = p[:, 0][:, None] - p[:, 0][None, :]
         dy = p[:, 1][:, None] - p[:, 1][None, :]
         return np.hypot(dx, dy)
-
-    def restrict(self, node_ids: Sequence[int]) -> "NodeLayout":
-        """Sub-layout containing only the given nodes, in the given order."""
-        pos = tuple(self.position_of(i) for i in node_ids)
-        return NodeLayout(positions=pos, sink=self.sink, node_ids=tuple(node_ids))
 
 
 @dataclass(frozen=True)
@@ -284,7 +273,6 @@ class Stream:
     params: FieldParams
     n: int
     num_blocks: int
-    seed: int
     node_ids: tuple[int, ...]
     blocks: np.ndarray
     desired: np.ndarray
@@ -324,15 +312,6 @@ class Stream:
             desired=self.desired[rows],
             sigma=self.sigma[rows],
         )
-
-
-def correlation_coefficient(distance: float, theta: float) -> float:
-    """Power-exponential correlation exp(-distance/theta); 1 at distance 0."""
-    if theta <= 0:
-        raise InvalidTheta(f"theta must be > 0, got {theta}")
-    if distance < 0:
-        raise ValueError("distance must be >= 0")
-    return float(np.exp(-distance / theta))
 
 
 def build_spatial_covariance(layout: NodeLayout, params: FieldParams) -> CovariancePair:
@@ -387,7 +366,6 @@ def _measured_stream(
         params=params,
         n=n,
         num_blocks=num_blocks,
-        seed=seed,
         node_ids=tuple(node_ids),
         blocks=blocks,
         desired=_desired(blocks, noise),

@@ -38,7 +38,6 @@ class WeightHistory:
 
 @dataclass(frozen=True)
 class DetectionReport:
-    variances: dict[int, float]
     labels: dict[int, Label]
     threshold: float
     kappa: float
@@ -69,9 +68,7 @@ def classify(variances: Mapping[int, float], kappa: float = 5.0) -> DetectionRep
         i: Label.MALICIOUS if v > threshold else Label.NORMAL
         for i, v in variances.items()
     }
-    return DetectionReport(
-        variances=dict(variances), labels=labels, threshold=threshold, kappa=kappa
-    )
+    return DetectionReport(labels=labels, threshold=threshold, kappa=kappa)
 
 
 def histories_from_snapshots(

@@ -1,6 +1,6 @@
 """Scenario orchestration: binds the field generator, the accuracy model,
 the dual-prediction protocol and the detector into reproducible experiment
-runs, and lays their results out as named CSV-ready series.
+runs, and lays their results out as the CSV files each run writes.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def config_hash(config: dict) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Table:
-    """One result series as equal-length columns.
+    """One CSV file: its header and equal-length columns.
 
     A column is a numpy array (floats print with 9 significant digits,
     integers as they are) or a list of strings.  ``absent`` maps a column
@@ -159,6 +159,7 @@ class Table:
     empty and read back as None.  Iterating a table yields its rows.
     """
 
+    header: tuple[str, ...]
     columns: tuple
     absent: dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -184,19 +185,21 @@ class Table:
         )
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Table) and list(self) == list(other)
+        return (
+            isinstance(other, Table) and self.header == other.header and list(self) == list(other)
+        )
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """Named result tables plus a scenario echo and its hash."""
+    """Result tables by the name of the CSV file each one is written to,
+    plus a scenario echo and its hash."""
 
-    kind: str
-    series: dict[str, Table]
+    files: dict[str, Table]
     metadata: dict
 
     def __post_init__(self):
-        for name, table in self.series.items():
+        for name, table in self.files.items():
             if not len(table):
                 raise ValueError(f"series {name} is empty")
             for column in table.columns:
@@ -221,11 +224,12 @@ def run_ada(scenario: Scenario) -> RunReport:
     selection = ada.select_nodes(scenario.layout, cov, count=scenario.select_count)
     sizes = [size for size, _ in selection.curve]
     ids = [str(i) for i in selection.order]
-    series = {
-        "accuracy_vs_iteration": Table(
-            (np.arange(len(trace.accuracy)), np.array(trace.accuracy))
+    files = {
+        "ada_iterations.csv": Table(
+            ("iter", "accuracy"), (np.arange(len(trace.accuracy)), np.array(trace.accuracy))
         ),
-        "accuracy_vs_nodes": Table(
+        "ada_nodes.csv": Table(
+            ("k", "accuracy", "node_ids"),
             (
                 np.array(sizes),
                 np.array([acc for _, acc in selection.curve]),
@@ -243,7 +247,7 @@ def run_ada(scenario: Scenario) -> RunReport:
             "selected": list(selection.selected),
         }
     )
-    return RunReport(kind="ADA", series=series, metadata=metadata)
+    return RunReport(files=files, metadata=metadata)
 
 
 @dataclass(frozen=True)
@@ -358,21 +362,23 @@ _KIND_NAMES = np.array(
 )
 
 
-def _protocol_series(run: ProtocolRun, beta: float) -> dict[str, Table]:
+def _protocol_files(run: ProtocolRun, beta: float) -> dict[str, Table]:
     trace = run.trace
     ids = np.array(run.state.node_ids)
     rounds, m = trace.phase.shape
     phase = trace.phase.ravel()
     transmitted = trace.transmitted.ravel()
-    series = {
-        "transmission": Table(
+    files = {
+        "stdp_transmission.csv": Table(
+            ("beta", "node_id", "pct"),
             (
                 np.full(m, beta),
                 ids,
                 run.percentages,
             )
         ),
-        "trace": Table(
+        "message_trace.csv": Table(
+            ("round", "node_id", "phase", "kind", "error_glob", "error_new", "transmitted"),
             (
                 np.repeat(np.arange(rounds), m),
                 np.tile(ids, rounds),
@@ -388,21 +394,22 @@ def _protocol_series(run: ProtocolRun, beta: float) -> dict[str, Table]:
     update_rounds, rows, weights = run.weight_snapshots()
     if update_rounds.size:
         n = weights.shape[1]
-        series["weights"] = Table(
+        files["weights.csv"] = Table(
+            ("round", "node_id", "tap_index", "value"),
             (
                 np.repeat(update_rounds, n),
                 np.repeat(ids[rows], n),
                 np.tile(np.arange(n), update_rounds.size),
                 weights.ravel(),
-            )
+            ),
         )
-    return series
+    return files
 
 
 def run_stdp(scenario: Scenario, stream: Stream | None = None) -> RunReport:
     """Protocol run reporting per-node transmission percentages and traces."""
     run = simulate_protocol(scenario, stream)
-    series = _protocol_series(run, scenario.thresholds.beta)
+    files = _protocol_files(run, scenario.thresholds.beta)
     metadata = _base_metadata("STDP", scenario)
     metadata.update(
         {
@@ -411,7 +418,7 @@ def run_stdp(scenario: Scenario, stream: Stream | None = None) -> RunReport:
             "mu": run.state.mu,
         }
     )
-    return RunReport(kind="STDP", series=series, metadata=metadata)
+    return RunReport(files=files, metadata=metadata)
 
 
 def run_detect(scenario: Scenario, stream: Stream | None = None) -> RunReport:
@@ -425,15 +432,16 @@ def run_detect(scenario: Scenario, stream: Stream | None = None) -> RunReport:
     )
     variances = {i: malicious.weight_variance(h) for i, h in sorted(histories.items())}
     report = malicious.classify(variances)
-    series = _protocol_series(run, scenario.thresholds.beta)
+    files = _protocol_files(run, scenario.thresholds.beta)
     detected = sorted(variances)
-    series["detection"] = Table(
+    files["detection.csv"] = Table(
+        ("node_id", "variance", "threshold", "label"),
         (
             np.array(detected),
             np.array([variances[i] for i in detected]),
             np.full(len(detected), report.threshold),
             [report.labels[i].value for i in detected],
-        )
+        ),
     )
     metadata = _base_metadata("DETECT", scenario)
     metadata.update(
@@ -446,7 +454,7 @@ def run_detect(scenario: Scenario, stream: Stream | None = None) -> RunReport:
             ),
         }
     )
-    return RunReport(kind="DETECT", series=series, metadata=metadata)
+    return RunReport(files=files, metadata=metadata)
 
 
 SWEEP_AXES = ("beta", "n_block", "node_count")
@@ -492,20 +500,23 @@ def sweep(
     else:
         points = [_sweep_point(t) for t in tasks]
 
-    tables = [report.series["transmission"] for _, report in points]
-    series = {
-        "transmission": Table(
+    tables = [report.files["stdp_transmission.csv"] for _, report in points]
+    name = "stdp_transmission.csv" if axis == "beta" else "sweep_transmission.csv"
+    files = {
+        name: Table(
+            (axis, "node_id", "pct"),
             (
                 np.concatenate([np.full(len(t), value) for (value, _), t in zip(points, tables)]),
                 np.concatenate([t.columns[1] for t in tables]),
                 np.concatenate([t.columns[2] for t in tables]),
-            )
+            ),
         ),
-        "transmission_total": Table(
+        "sweep_totals.csv": Table(
+            (axis, "total_pct"),
             (
                 np.array(values),
                 np.array([report.metadata["total_percentage"] for _, report in points]),
-            )
+            ),
         ),
     }
     sub_meta = []
@@ -520,7 +531,7 @@ def sweep(
         )
     metadata = _base_metadata("SWEEP", scenario)
     metadata.update({"axis": axis, "values": values, "points": sub_meta})
-    return RunReport(kind="SWEEP", series=series, metadata=metadata)
+    return RunReport(files=files, metadata=metadata)
 
 
 def _column_text(column, absent: np.ndarray | None) -> list[str]:
@@ -546,63 +557,13 @@ def _column_text(column, absent: np.ndarray | None) -> list[str]:
 def report_files(report: RunReport) -> dict[str, tuple[tuple[str, ...], list[tuple[str, ...]]]]:
     """Map a report to its CSV files: name -> (header, formatted rows).
 
-    Floats are rendered with 9 significant digits, one column at a time;
-    every run kind maps to a fixed file set so repeated runs are
-    byte-comparable.
+    Floats are rendered with 9 significant digits, one column at a time, so
+    repeated runs are byte-comparable.
     """
-    out: dict[str, tuple[tuple[str, ...], list[tuple[str, ...]]]] = {}
-
-    def emit(name: str, header: tuple[str, ...], table: Table):
+    out = {}
+    for name, table in report.files.items():
         columns = [
-            _column_text(column, table.absent.get(c))
-            for c, column in enumerate(table.columns)
+            _column_text(column, table.absent.get(c)) for c, column in enumerate(table.columns)
         ]
-        out[name] = (header, list(zip(*columns)))
-
-    if report.kind == "ADA":
-        emit(
-            "ada_iterations.csv",
-            ("iter", "accuracy"),
-            report.series["accuracy_vs_iteration"],
-        )
-        emit(
-            "ada_nodes.csv",
-            ("k", "accuracy", "node_ids"),
-            report.series["accuracy_vs_nodes"],
-        )
-        return out
-
-    if report.kind == "SWEEP":
-        axis = report.metadata["axis"]
-        name = "stdp_transmission.csv" if axis == "beta" else "sweep_transmission.csv"
-        emit(name, (axis, "node_id", "pct"), report.series["transmission"])
-        emit(
-            "sweep_totals.csv",
-            (axis, "total_pct"),
-            report.series["transmission_total"],
-        )
-        return out
-
-    emit(
-        "stdp_transmission.csv",
-        ("beta", "node_id", "pct"),
-        report.series["transmission"],
-    )
-    emit(
-        "message_trace.csv",
-        ("round", "node_id", "phase", "kind", "error_glob", "error_new", "transmitted"),
-        report.series["trace"],
-    )
-    if "weights" in report.series:
-        emit(
-            "weights.csv",
-            ("round", "node_id", "tap_index", "value"),
-            report.series["weights"],
-        )
-    if report.kind == "DETECT":
-        emit(
-            "detection.csv",
-            ("node_id", "variance", "threshold", "label"),
-            report.series["detection"],
-        )
+        out[name] = (table.header, list(zip(*columns)))
     return out

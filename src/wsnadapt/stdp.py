@@ -286,26 +286,6 @@ def global_lms_update(
     return w_prev + mu * step
 
 
-def sink_predict(blocks_u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row-wise predictions u_i @ w for a stacked M x N observation matrix."""
-    blocks_u = np.atleast_2d(np.asarray(blocks_u, dtype=float))
-    w = np.asarray(w, dtype=float)
-    if blocks_u.shape[1] != w.size:
-        raise DimensionMismatch(
-            f"blocks have {blocks_u.shape[1]} taps, weight has {w.size}"
-        )
-    return blocks_u @ w
-
-
-def sink_errors(d: np.ndarray, y_sink: np.ndarray) -> np.ndarray:
-    """Componentwise prediction errors d - y at the sink."""
-    d = np.asarray(d, dtype=float)
-    y_sink = np.asarray(y_sink, dtype=float)
-    if d.shape != y_sink.shape:
-        raise DimensionMismatch(f"shapes {d.shape} and {y_sink.shape} differ")
-    return d - y_sink
-
-
 def client_desired(u: np.ndarray, w_glob: np.ndarray, noise) -> np.ndarray:
     """Client-side desired scalar u @ w_glob + noise (noise drawn by caller).
 
@@ -323,9 +303,7 @@ def client_update(w_prev: np.ndarray, u: np.ndarray, d_new, mu: float) -> np.nda
     return w_prev + (mu * u) * residual[..., None]
 
 
-def new_protocol_state(
-    node_ids: Sequence[int], n: int, mu: float | None = None
-) -> ProtocolState:
+def new_protocol_state(node_ids: Sequence[int], n: int) -> ProtocolState:
     """Fresh engine state; queues the sink's initial query to every node."""
     ids = tuple(sorted(int(i) for i in node_ids))
     if len(set(ids)) != len(ids) or SINK_ID in ids:
@@ -344,7 +322,6 @@ def new_protocol_state(
             node=np.array(ids, dtype=np.int64),
             payload=np.zeros((m, n)),
         ),
-        mu=mu,
     )
 
 
@@ -469,7 +446,7 @@ def step_round(
                 state.mu = 0.5 / (m * lam) if lam > 0 else 0.0
             step = state.mu
         state.global_weight = global_lms_update(state.global_weight, u, d, step)
-        errs = sink_errors(d, sink_predict(u, state.global_weight))
+        errs = d - u @ state.global_weight
         error_glob[sent] = errs
         _check_finite(state, error_glob, "sink")
         sink_side = phase[sent] <= SINK_ADAPTIVE

@@ -147,13 +147,13 @@ def test_criterion_06_transmission_monotone_in_beta(default_scenario):
     betas = [0.05, 0.1, 0.2, 0.4]
     merged = sweep(default_scenario, "beta", betas)
     per_node: dict[int, dict[float, float]] = {}
-    for beta, node_id, pct in merged.series["transmission"]:
+    for beta, node_id, pct in merged.files["stdp_transmission.csv"]:
         per_node.setdefault(node_id, {})[beta] = pct
     for node_id, curve in per_node.items():
         values = [curve[b] for b in betas]
         assert all(values[k + 1] <= values[k] for k in range(len(betas) - 1)), node_id
     zero = run_stdp(replace(default_scenario, thresholds=Thresholds(0.5, 0.0)))
-    assert all(pct == 100.0 for _, _, pct in zero.series["transmission"])
+    assert all(pct == 100.0 for _, _, pct in zero.files["stdp_transmission.csv"])
     elapsed = time.monotonic() - started
     ok = elapsed < 10.0
     record_criterion(
@@ -165,7 +165,7 @@ def test_criterion_06_transmission_monotone_in_beta(default_scenario):
 def test_criterion_07_blocksize_comparison_shipped_default_config_only():
     # config-dependent claim: asserted for the shipped default scenario only
     merged = sweep(default_scenario(), "n_block", [4, 5])
-    totals = dict(merged.series["transmission_total"])
+    totals = dict(merged.files["sweep_totals.csv"])
     ok = totals[4] <= totals[5]
     record_criterion(
         7, f"default config: N=4 transmits {totals[4]:.2f}% <= N=5 {totals[5]:.2f}%", ok

@@ -139,12 +139,23 @@ def test_sweep_command_requires_sweep_config(tmp_path, capsys):
 
 
 def test_sweep_command_runs_sweep_config(tmp_path):
-    out = tmp_path / "sweep_out"
-    assert main(
-        ["sweep", "--config", str(CONFIG_DIR / "sweep_block.json"), "--out", str(out), "--jobs", "1"]
-    ) == 0
-    header = (out / "sweep_transmission.csv").read_text().splitlines()[0]
-    assert header == "n_block,node_id,pct"
+    node_count = {
+        "experiment": "sweep",
+        "num_blocks": 20,
+        "sweep": {"axis": "node_count", "values": [3, 6]},
+    }
+    for doc in (json.loads((CONFIG_DIR / "sweep_block.json").read_text()), node_count):
+        axis = doc["sweep"]["axis"]
+        path = write_config(tmp_path, doc, name=f"{axis}.json")
+        out = tmp_path / axis
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--jobs", "1"]) == 0
+        names = {p.name for p in out.iterdir()}
+        assert names == {"effective_config.json", "sweep_transmission.csv", "sweep_totals.csv"}
+        header = (out / "sweep_transmission.csv").read_text().splitlines()[0]
+        assert header == f"{axis},node_id,pct"
+        totals = (out / "sweep_totals.csv").read_text().splitlines()
+        assert totals[0] == f"{axis},total_pct"
+        assert [row.split(",")[0] for row in totals[1:]] == [str(v) for v in doc["sweep"]["values"]]
 
 
 def test_sweep_section_only_for_sweep_experiment(tmp_path):
@@ -329,4 +340,76 @@ def test_divergent_explicit_mu_fails_fast_with_one_line(tmp_path, mu):
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("run error: diverged in round ")
     assert "for node " in lines[0]
-    assert not (tmp_path / "out" / "message_trace.csv").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, code, message",
+    [
+        (
+            {"select_first": True, "select_count": 1},
+            1,
+            "config error: /select_count: detect needs at least 2 selected nodes to classify",
+        ),
+        (
+            {
+                "layout": {"positions": [[1.0, 1.0]], "sink": [2.0, 2.0], "node_ids": [1]},
+                "malicious": {"node_ids": [1], "scale": 6.0},
+            },
+            1,
+            "config error: /layout/node_ids: detect needs at least 2 nodes to classify",
+        ),
+        ({"num_blocks": 3}, 2, "run error: node 3 has 1 snapshots, need >= 2"),
+    ],
+    ids=["one_selected", "one_node_layout", "short_history"],
+)
+def test_detect_that_cannot_classify_fails_and_writes_nothing(tmp_path, capsys, doc, code, message):
+    malicious = {"node_ids": [5], "scale": 6.0}
+    path = write_config(tmp_path, {"experiment": "detect", "malicious": malicious, **doc})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--jobs", "1"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+    assert not out.exists()
+
+
+def test_detect_ingest_sharing_one_node_is_a_config_error(tmp_path, capsys):
+    csv_path = write_readings(tmp_path / "field.csv", [3, 42, 43])
+    path = write_config(
+        tmp_path,
+        {
+            "experiment": "detect",
+            "ingest_csv": str(csv_path),
+            "num_blocks": 4,
+            "malicious": {"node_ids": [3], "scale": 6.0},
+        },
+    )
+    out = tmp_path / "out"
+    for command in ("validate", "run"):
+        args = [command, "--config", str(path)]
+        if command == "run":
+            args += ["--out", str(out), "--jobs", "1"]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            "config error: /ingest_csv: detect needs at least 2 nodes to classify; "
+            "the run would use only [3] of node ids [3, 42, 43]\n"
+        )
+    assert not out.exists()
+
+
+def test_module_entry_point_is_silent_on_success():
+    import subprocess
+    import sys
+
+    import wsnadapt
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "wsnadapt.cli", "validate", "--config", str(CONFIG_DIR / "ada.json")],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(wsnadapt.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == ""
+    assert proc.stderr == ""

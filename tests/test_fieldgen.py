@@ -15,7 +15,6 @@ from wsnadapt.fieldgen import (
     awgn_channel,
     build_spatial_covariance,
     channel_keys,
-    correlation_coefficient,
     generate_stream,
     ingest_csv,
     inject_malicious,
@@ -35,26 +34,10 @@ def layout_two_nodes():
     return NodeLayout(positions=((0.0, 0.0), (2.0, 0.0)), sink=(0.0, 0.0), node_ids=(1, 2))
 
 
-def test_correlation_limits():
-    assert correlation_coefficient(0.0, 2.0) == 1.0
-    assert correlation_coefficient(2.0, 2.0) == pytest.approx(np.exp(-1.0), abs=1e-12)
-    assert correlation_coefficient(1000.0, 2.0) < 1e-200
-
-
-def test_correlation_invalid_theta():
-    with pytest.raises(InvalidTheta):
-        correlation_coefficient(1.0, 0.0)
-    with pytest.raises(InvalidTheta):
-        FieldParams(theta=-1.0)
-
-
-def test_correlation_monotone():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        d1, d2 = sorted(rng.uniform(0.0, 10.0, 2))
-        theta = rng.uniform(0.1, 5.0)
-        if d1 < d2:
-            assert correlation_coefficient(d1, theta) > correlation_coefficient(d2, theta)
+def test_field_params_reject_non_positive_theta():
+    for theta in (0.0, -1.0):
+        with pytest.raises(InvalidTheta):
+            FieldParams(theta=theta)
 
 
 def test_covariance_single_node_at_sink():

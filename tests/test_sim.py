@@ -31,8 +31,8 @@ def test_run_ada_single_node_at_sink():
     layout = NodeLayout(positions=((2.0, 2.0),), sink=(2.0, 2.0), node_ids=(1,))
     scenario = Scenario(layout=layout, select_count=1)
     report = run_ada(scenario)
-    assert report.series["accuracy_vs_iteration"][-1][1] == pytest.approx(1.0, abs=1e-8)
-    assert report.series["accuracy_vs_nodes"][-1][1] == pytest.approx(1.0, abs=1e-12)
+    assert report.files["ada_iterations.csv"][-1][1] == pytest.approx(1.0, abs=1e-8)
+    assert report.files["ada_nodes.csv"][-1][1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_ada_matches_direct_solve(default_scenario, default_cov):
@@ -43,13 +43,13 @@ def test_run_ada_matches_direct_solve(default_scenario, default_cov):
         - 2.0 * default_cov.rdu @ w_star
         + w_star @ default_cov.ruu @ w_star
     ) / default_cov.sigma_d_sq
-    assert report.series["accuracy_vs_iteration"][-1][1] == pytest.approx(best, abs=1e-8)
+    assert report.files["ada_iterations.csv"][-1][1] == pytest.approx(best, abs=1e-8)
     assert report.metadata["converged"]
 
 
 def test_run_ada_curve_non_decreasing(default_scenario):
     report = run_ada(default_scenario)
-    accs = [row[1] for row in report.series["accuracy_vs_nodes"]]
+    accs = [row[1] for row in report.files["ada_nodes.csv"]]
     assert all(accs[k + 1] >= accs[k] - 1e-12 for k in range(len(accs) - 1))
 
 
@@ -90,22 +90,22 @@ def test_channel_run_derives_keys_without_a_seed_sequence_per_block(monkeypatch)
 
 def test_run_stdp_beta_zero_and_huge(default_scenario):
     full = run_stdp(small_scenario(thresholds=Thresholds(0.5, 0.0)))
-    assert all(pct == 100.0 for _, _, pct in full.series["transmission"])
+    assert all(pct == 100.0 for _, _, pct in full.files["stdp_transmission.csv"])
     floor = run_stdp(small_scenario(thresholds=Thresholds(1e9, 1e9)))
-    assert all(pct == pytest.approx(100.0 / 40) for _, _, pct in floor.series["transmission"])
+    assert all(pct == pytest.approx(100.0 / 40) for _, _, pct in floor.files["stdp_transmission.csv"])
 
 
 def test_run_stdp_reports_are_reproducible():
     a = run_stdp(small_scenario())
     b = run_stdp(small_scenario())
-    assert a.series == b.series
+    assert a.files == b.files
     assert a.metadata == b.metadata
 
 
 def test_run_stdp_select_first_restricts_nodes():
     report = run_stdp(small_scenario(select_first=True, select_count=6))
     assert report.metadata["active_nodes"] == [2, 4, 5, 7, 9, 10]
-    nodes = {node_id for _, node_id, _ in report.series["transmission"]}
+    nodes = {node_id for _, node_id, _ in report.files["stdp_transmission.csv"]}
     assert nodes == {2, 4, 5, 7, 9, 10}
 
 
@@ -118,7 +118,7 @@ def test_run_detect_flags_the_corrupted_nodes():
     scenario = default_scenario(malicious=MaliciousSpec(node_ids=(5, 9), scale=6.0))
     report = run_detect(scenario)
     assert report.metadata["flagged"] == [5, 9]
-    labels = {node_id: label for node_id, _, _, label in report.series["detection"]}
+    labels = {node_id: label for node_id, _, _, label in report.files["detection.csv"]}
     assert labels[5] == "Malicious" and labels[9] == "Malicious"
     assert sum(lab == "Malicious" for lab in labels.values()) == 2
 
@@ -126,8 +126,8 @@ def test_run_detect_flags_the_corrupted_nodes():
 def test_run_detect_near_normal_scale_well_formed():
     scenario = small_scenario(malicious=MaliciousSpec(node_ids=(5, 9), scale=1.0001))
     report = run_detect(scenario)  # no label guarantee, only shape
-    assert len(report.series["detection"]) == 10
-    for _, variance, threshold, label in report.series["detection"]:
+    assert len(report.files["detection.csv"]) == 10
+    for _, variance, threshold, label in report.files["detection.csv"]:
         assert np.isfinite(variance) and np.isfinite(threshold)
         assert label in ("Normal", "Malicious")
 
@@ -136,7 +136,7 @@ def test_sweep_single_value_equals_single_run():
     scenario = small_scenario()
     merged = sweep(scenario, "beta", [0.1])
     single = run_stdp(scenario_for_point(scenario, "beta", 0.1))
-    assert merged.series["transmission"] == single.series["transmission"]
+    assert merged.files["stdp_transmission.csv"] == single.files["stdp_transmission.csv"]
     assert merged.metadata["points"][0]["config_sha1"] == single.metadata["config_sha1"]
 
 
@@ -144,28 +144,28 @@ def test_sweep_beta_monotone_and_point_reproducible(default_scenario):
     values = [0.05, 0.1, 0.2, 0.4]
     merged = sweep(default_scenario, "beta", values)
     per_node = {}
-    for beta, node_id, pct in merged.series["transmission"]:
+    for beta, node_id, pct in merged.files["stdp_transmission.csv"]:
         per_node.setdefault(node_id, {})[beta] = pct
     for node_id, curve in per_node.items():
         series = [curve[beta] for beta in values]
         assert all(series[k + 1] <= series[k] for k in range(len(values) - 1))
     # every point is reproducible by running its scenario directly
     direct = run_stdp(scenario_for_point(default_scenario, "beta", 0.2))
-    assert [r for r in merged.series["transmission"] if r[0] == 0.2] == [
-        (0.2, node_id, pct) for _, node_id, pct in direct.series["transmission"]
+    assert [r for r in merged.files["stdp_transmission.csv"] if r[0] == 0.2] == [
+        (0.2, node_id, pct) for _, node_id, pct in direct.files["stdp_transmission.csv"]
     ]
 
 
 def test_sweep_block_size_default_config():
     merged = sweep(default_scenario(), "n_block", [4, 5])
-    totals = dict(merged.series["transmission_total"])
+    totals = dict(merged.files["sweep_totals.csv"])
     assert totals[4] <= totals[5]
 
 
 def test_sweep_node_count_axis():
     merged = sweep(small_scenario(), "node_count", [3, 6])
-    nodes_at_3 = {n for v, n, _ in merged.series["transmission"] if v == 3}
-    nodes_at_6 = {n for v, n, _ in merged.series["transmission"] if v == 6}
+    nodes_at_3 = {n for v, n, _ in merged.files["sweep_transmission.csv"] if v == 3}
+    nodes_at_6 = {n for v, n, _ in merged.files["sweep_transmission.csv"] if v == 6}
     assert nodes_at_3 == {2, 4, 5}
     assert nodes_at_6 == {2, 4, 5, 7, 9, 10}
     assert len(merged.metadata["points"]) == 2
@@ -175,7 +175,7 @@ def test_sweep_parallel_matches_serial():
     scenario = small_scenario()
     serial = sweep(scenario, "beta", [0.05, 0.2], jobs=1)
     parallel = sweep(scenario, "beta", [0.05, 0.2], jobs=2)
-    assert serial.series == parallel.series
+    assert serial.files == parallel.files
 
 
 def test_sweep_rejects_unknown_axis(default_scenario):
@@ -185,18 +185,19 @@ def test_sweep_rejects_unknown_axis(default_scenario):
 
 def test_report_rejects_non_finite():
     with pytest.raises(ValueError):
-        RunReport(kind="ADA", series={"x": Table((np.array([0]), np.array([np.nan])))}, metadata={})
+        RunReport(files={"x": Table(("i", "x"), (np.array([0]), np.array([np.nan])))}, metadata={})
 
 
 def test_report_absent_cells_are_masked_not_nan():
     errors = np.array([0.5, 0.0, 0.25])
     absent = np.array([False, True, False])
-    table = Table((np.arange(3), errors), absent={1: absent})
-    report = RunReport(kind="STDP", series={"trace": table}, metadata={})
-    assert list(report.series["trace"]) == [(0, 0.5), (1, None), (2, 0.25)]
+    table = Table(("round", "error"), (np.arange(3), errors), absent={1: absent})
+    report = RunReport(files={"trace": table}, metadata={})
+    assert list(report.files["trace"]) == [(0, 0.5), (1, None), (2, 0.25)]
+    assert table != Table(("round", "value"), (np.arange(3), errors), absent={1: absent})
     errors[2] = np.inf  # a real non-finite value still fails, naming series and row
     with pytest.raises(ValueError, match="series trace, row 2"):
-        RunReport(kind="STDP", series={"trace": table}, metadata={})
+        RunReport(files={"trace": table}, metadata={})
 
 
 def test_config_hash_stable_and_sensitive(default_scenario):

@@ -25,8 +25,6 @@ from wsnadapt.stdp import (
     global_lms_update,
     initial_weight,
     new_protocol_state,
-    sink_errors,
-    sink_predict,
     step_round,
     transmission_percentage,
 )
@@ -137,22 +135,6 @@ def test_global_update_forms_agree():
 def test_global_update_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         global_lms_update([0.0, 0.0], np.zeros((1, 3)), [1.0], mu=0.1)
-
-
-def test_sink_predict_and_errors():
-    w = initial_weight(4)
-    blocks_u = np.ones((3, 4))
-    assert np.allclose(sink_predict(blocks_u, w), [2.0, 2.0, 2.0])
-    assert np.array_equal(sink_predict(blocks_u, np.zeros(4)), np.zeros(3))
-    rng = np.random.default_rng(8)
-    stack = rng.normal(size=(6, 5))
-    w = rng.normal(size=5)
-    expected = np.array([float(row @ w) for row in stack])
-    assert np.allclose(sink_predict(stack, w), expected, atol=1e-14)
-    assert np.array_equal(sink_errors(np.array([1.0, 2.0]), np.array([0.5, 2.5])), [0.5, -0.5])
-    assert np.array_equal(sink_errors(expected, expected), np.zeros(6))
-    with pytest.raises(DimensionMismatch):
-        sink_errors(np.zeros(2), np.zeros(3))
 
 
 def test_client_desired_and_statistics():
