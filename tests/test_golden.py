@@ -7,7 +7,11 @@ its output directory must hash to the recorded digest.  One extra
 corrupted nodes pins the channel and corruption paths, which no shipped
 config exercises.  A small 12-node x 60-round detect scenario with a
 10 dB channel, a seed of 2**32 + 5 and one node id of 2**32 + 7 pins the
-substream keys whose entropy words do not each fit in 32 bits.
+substream keys whose entropy words do not each fit in 32 bits.  Two
+sweeps pin the batched sweep engine: a 20-node ``node_count`` sweep whose
+points use different node sets, and a 16-node ``beta`` sweep with a 30 dB
+channel, two corrupted nodes, an explicit step size and node ids listed
+out of order.
 
 A digest here may change only in a change that says why in CHANGES.md and
 reports the largest absolute difference against the previous output.
@@ -67,6 +71,16 @@ GOLDEN = {
         "stdp_transmission.csv": "a9e8a2791cebc22d2a0e22170f04693f329530a9a574e2662df61d4e87152860",
         "weights.csv": "2aadb59c7ffce19555798c4f449961c6401106b77a1298e451e5a08ffa0a3526",
     },
+    "sweep_node_count": {
+        "effective_config.json": "998c64c5c7c9ba8dfef027dafc7e5d09b0370349e3d315591a2fd3599b413b44",
+        "sweep_totals.csv": "d856c2e8a2aecc2ae6790527865a40848a878149e208403794021250d8e8186f",
+        "sweep_transmission.csv": "fe349fe476af1b28c8594d24af9d57d5ab9d1eca20a3d4a50f51d23e36b42b86",
+    },
+    "sweep_beta_channel": {
+        "effective_config.json": "056169785e06ee8f08097083d7361146c9087a409a7afcf79816ec977d322287",
+        "stdp_transmission.csv": "df9beca06cf15cb1865c29ae6f6e4986b5e5f45c7e4f28d5554c27374ea18d74",
+        "sweep_totals.csv": "2c1076096177e3e8baccd6d4ded840ae8e1425d35e1fd5af79327f4d0102018f",
+    },
 }
 
 
@@ -120,6 +134,57 @@ def detect_multiword_config() -> dict:
     }
 
 
+def sweep_node_count_config() -> dict:
+    """20 nodes on a jittered 5 x 4 grid, 150 rounds, swept over node counts
+    12, 3, 20 and 7 (in that order), so every point has its own node set."""
+    rng = random.Random(1206)
+    side = (20 * 1.6) ** 0.5
+    cell = side / 5
+    positions = [
+        [
+            round((c % 5 + 0.5 + rng.uniform(-0.25, 0.25)) * cell, 6),
+            round((c // 5 + 0.5 + rng.uniform(-0.25, 0.25)) * cell, 6),
+        ]
+        for c in range(20)
+    ]
+    return {
+        "experiment": "sweep",
+        "seed": 23,
+        "layout": {
+            "positions": positions,
+            "sink": [side / 2, side / 2],
+            "node_ids": list(range(1, 21)),
+        },
+        "num_blocks": 150,
+        "sweep": {"axis": "node_count", "values": [12, 3, 20, 7]},
+    }
+
+
+def sweep_beta_channel_config() -> dict:
+    """16 nodes with shuffled ids below 400 on a jittered 4 x 4 grid, 150
+    rounds, a 30 dB channel, two corrupted nodes and mu_mode 0.004, swept
+    over betas 0.2, 0.05, 0.4 and 0.1."""
+    rng = random.Random(1207)
+    ids = rng.sample(range(2, 400), 16)
+    positions = [
+        [
+            round(0.5 + c % 4 + rng.uniform(-0.3, 0.3), 6),
+            round(0.5 + c // 4 + rng.uniform(-0.3, 0.3), 6),
+        ]
+        for c in range(16)
+    ]
+    return {
+        "experiment": "sweep",
+        "seed": 41,
+        "layout": {"positions": positions, "sink": [2.0, 2.0], "node_ids": ids},
+        "num_blocks": 150,
+        "channel": 30.0,
+        "mu_mode": 0.004,
+        "malicious": {"node_ids": [ids[3], ids[11]], "scale": 6.0},
+        "sweep": {"axis": "beta", "values": [0.2, 0.05, 0.4, 0.1]},
+    }
+
+
 def digests(out: Path) -> dict[str, str]:
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -150,3 +215,16 @@ def test_detect_multiword_entropy_matches_golden(tmp_path):
     path = tmp_path / "detect_multiword.json"
     path.write_text(json.dumps(detect_multiword_config()))
     assert run_config(path, tmp_path / "out") == GOLDEN["detect_multiword"]
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [
+        ("sweep_node_count", sweep_node_count_config),
+        ("sweep_beta_channel", sweep_beta_channel_config),
+    ],
+)
+def test_sweep_matches_golden(name, config, tmp_path):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config()))
+    assert run_config(path, tmp_path / "out") == GOLDEN[name]
