@@ -198,6 +198,10 @@ def _semantic_validate(doc: dict) -> None:
         raise SchemaError("/sweep", "only valid when experiment is 'sweep'")
     if experiment in ("ada", "sweep") and "ingest_csv" in doc:
         raise SchemaError("/ingest_csv", f"not applicable to the {experiment} experiment")
+    if experiment == "detect" and mal is None and "ingest_csv" not in doc:
+        raise SchemaError(
+            "/malicious", "detect needs a malicious configuration or an ingest_csv to run on"
+        )
     # The detector labels nodes against the median of at least two.
     if experiment == "detect" and len(node_ids) < 2:
         raise SchemaError("/layout/node_ids", "detect needs at least 2 nodes to classify")
@@ -339,9 +343,7 @@ def _load_ingest(parsed: ParsedConfig) -> Stream | None:
     return stream
 
 
-def _write_outputs(
-    parsed: ParsedConfig, stream: Stream | None, out_dir: Path, jobs: int
-) -> None:
+def _write_outputs(parsed: ParsedConfig, stream: Stream | None, out_dir: Path) -> None:
     """Run the experiment, then write its CSVs and the effective config; a
     run that fails writes nothing."""
     scenario = parsed.scenario
@@ -353,7 +355,7 @@ def _write_outputs(
         report = run_detect(scenario, stream=stream)
     else:
         axis, values = parsed.sweep_axis
-        report = sweep(scenario, axis, values, jobs=jobs)
+        report = sweep(scenario, axis, values)
     files = report_files(report)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(
@@ -384,8 +386,8 @@ def main(argv=None) -> int:
             p.add_argument(
                 "--jobs",
                 type=int,
-                default=os.cpu_count() or 1,
-                help="sweep-point parallelism (default: processor count)",
+                help="accepted for compatibility and has no effect: a sweep runs "
+                "its points in one process",
             )
     args = parser.parse_args(argv)
 
@@ -409,7 +411,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return 0
         out_dir = Path(args.out if args.out is not None else parsed.output_dir)
-        _write_outputs(parsed, stream, out_dir, jobs=max(1, args.jobs))
+        _write_outputs(parsed, stream, out_dir)
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

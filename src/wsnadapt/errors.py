@@ -38,7 +38,15 @@ class TargetUnreachable(WsnAdaptError):
 
 
 class Diverged(WsnAdaptError):
-    """A protocol round produced a non-finite value; names the round and node."""
+    """A protocol round produced a non-finite value; names the round and node.
+
+    ``point`` is the index of the engine point it happened in (0 for a
+    single run).
+    """
+
+    def __init__(self, message: str, point: int = 0):
+        self.point = point
+        super().__init__(message)
 
 
 class ProtocolViolation(WsnAdaptError):

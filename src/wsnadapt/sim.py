@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import ada, fieldgen, malicious, stdp
+from .errors import Diverged
 from .fieldgen import (
     ROLE_PROTOCOL,
     FieldParams,
@@ -252,21 +252,17 @@ def run_ada(scenario: Scenario) -> RunReport:
 
 @dataclass(frozen=True)
 class ProtocolRun:
-    """One protocol run; ``percentages[k]`` belongs to node ``state.node_ids[k]``."""
+    """One engine run; ``percentages[k]`` belongs to engine row k, node
+    ``state.node_ids[k]`` of point ``state.point[k]``."""
 
     stream: Stream
     state: stdp.ProtocolState
     trace: stdp.Trace
     percentages: np.ndarray
 
-    @property
-    def total_percentage(self) -> float:
-        sensed = self.state.round_index * len(self.state.node_ids)
-        return 100.0 * int(self.state.sent.sum()) / sensed
-
     def weight_snapshots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every client-filter update as (round, node row, weight), grouped by
-        node in ascending id order and chronological within a node."""
+        """Every client-filter update as (round, row, weight), grouped by
+        row and chronological within a row."""
         rows, rounds = np.nonzero(self.trace.phase.T == stdp.CLIENT_ADAPTIVE)
         return rounds, rows, self.trace.client_weight[rounds, rows]
 
@@ -280,8 +276,23 @@ def active_node_ids(scenario: Scenario) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def simulate_protocol(scenario: Scenario, stream: Stream | None = None) -> ProtocolRun:
-    """Generate (or take) a stream and run the full protocol over it."""
+def simulate_protocol(
+    scenario: Scenario, stream: Stream | None = None, points: Sequence[Scenario] | None = None
+) -> ProtocolRun:
+    """Generate (or take) a stream and run the full protocol over it.
+
+    ``points`` are scenarios run side by side as the points of one engine
+    (default: ``scenario`` alone).  The stream, the client noise, the
+    channel and the step-size mode come from ``scenario``; each point brings
+    its thresholds and its active nodes, so a point may differ from
+    ``scenario`` only in ``thresholds``, ``select_first`` and
+    ``select_count``.  Every point gets the bits of its own run.
+    """
+    points = [scenario] if points is None else list(points)
+    for point in points:
+        selection = {"select_first": scenario.select_first, "select_count": scenario.select_count}
+        if replace(point, thresholds=scenario.thresholds, **selection) != scenario:
+            raise ValueError("engine points may differ only in thresholds and node selection")
     if stream is None:
         stream = generate_stream(
             scenario.layout,
@@ -298,7 +309,8 @@ def simulate_protocol(scenario: Scenario, stream: Stream | None = None) -> Proto
                 scenario.seed,
             )
     present = set(stream.node_ids)
-    active = sorted(i for i in active_node_ids(scenario) if i in present)
+    groups = [sorted(i for i in active_node_ids(point) if i in present) for point in points]
+    active = sorted(set().union(*groups))
     stream = stream.restrict(active)
 
     # A corrupted node's own measurements are degraded too: its client-side
@@ -330,15 +342,25 @@ def simulate_protocol(scenario: Scenario, stream: Stream | None = None) -> Proto
             rows = np.searchsorted(ids, node_ids)
             return fieldgen.awgn_channel(samples, desired, keys[rows, block_index], snr, rng)
 
-    state = stdp.new_protocol_state(active, scenario.n_block)
-    trace = stdp.Trace.empty(stream.num_blocks, len(active), scenario.n_block)
+    # Engine row k reads stream row src[k]; one point reads the stream as it is.
+    src = slice(None) if len(groups) == 1 else np.concatenate([stream.rows_of(g) for g in groups])
+    blocks, desired, draws = stream.blocks[src], stream.desired[src], draws[src]
+    state = stdp.new_protocol_state(
+        [i for group in groups for i in group],
+        scenario.n_block,
+        sizes=[len(group) for group in groups],
+    )
+    thresholds = [point.thresholds for point in points]
+    if len(set(thresholds)) == 1:
+        thresholds = thresholds[0]
+    trace = stdp.Trace.empty(stream.num_blocks, len(state.node_ids), scenario.n_block)
     for r in range(stream.num_blocks):
         trace.record(
             stdp.step_round(
                 state,
-                stream.blocks[:, r],
-                stream.desired[:, r],
-                scenario.thresholds,
+                blocks[:, r],
+                desired[:, r],
+                thresholds,
                 mu=scenario.explicit_mu,
                 client_noise=draws[:, r],
                 channel=channel,
@@ -414,8 +436,8 @@ def run_stdp(scenario: Scenario, stream: Stream | None = None) -> RunReport:
     metadata.update(
         {
             "active_nodes": list(run.stream.node_ids),
-            "total_percentage": run.total_percentage,
-            "mu": run.state.mu,
+            "total_percentage": stdp.total_percentages(run.state)[0],
+            "mu": None if np.isnan(run.state.mu[0]) else float(run.state.mu[0]),
         }
     )
     return RunReport(files=files, metadata=metadata)
@@ -473,64 +495,60 @@ def scenario_for_point(scenario: Scenario, axis: str, value) -> Scenario:
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
-def _sweep_point(args) -> tuple:
-    scenario, axis, value = args
-    report = run_stdp(scenario_for_point(scenario, axis, value))
-    return value, report
-
-
-def sweep(
-    scenario: Scenario, axis: str, values: Sequence, jobs: int = 1
-) -> RunReport:
+def sweep(scenario: Scenario, axis: str, values: Sequence) -> RunReport:
     """One protocol run per axis value, merged into a single report.
 
     Every point reuses the scenario's base seed, so points differ only in
-    the swept parameter and each sub-run can be reproduced by running the
-    corresponding single scenario directly.
+    the swept parameter and each point can be reproduced by running the
+    corresponding single scenario directly.  ``beta`` and ``node_count``
+    points share one stream and run as the points of one engine; ``n_block``
+    points differ in their stream and run one after another.  A point that
+    diverges raises ``Diverged`` naming it, e.g. ``at beta=0.4``.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one axis value")
-    tasks = [(scenario, axis, value) for value in values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(_sweep_point, tasks))
-    else:
-        points = [_sweep_point(t) for t in tasks]
+    points = [scenario_for_point(scenario, axis, value) for value in values]
+    batches = [[point] for point in points] if axis == "n_block" else [points]
 
-    tables = [report.files["stdp_transmission.csv"] for _, report in points]
+    ids, pct, sizes, totals = [], [], [], []
+    for batch in batches:
+        try:
+            run = simulate_protocol(batch[0], points=batch)
+        except Diverged as exc:
+            point = len(totals) + exc.point
+            raise Diverged(f"{exc} at {axis}={values[point]}", point) from None
+        ids.append(np.array(run.state.node_ids))
+        pct.append(run.percentages)
+        sizes.extend(np.diff(run.state.bounds).tolist())
+        totals.extend(stdp.total_percentages(run.state))
+
     name = "stdp_transmission.csv" if axis == "beta" else "sweep_transmission.csv"
     files = {
         name: Table(
             (axis, "node_id", "pct"),
-            (
-                np.concatenate([np.full(len(t), value) for (value, _), t in zip(points, tables)]),
-                np.concatenate([t.columns[1] for t in tables]),
-                np.concatenate([t.columns[2] for t in tables]),
-            ),
+            (np.repeat(np.array(values), sizes), np.concatenate(ids), np.concatenate(pct)),
         ),
-        "sweep_totals.csv": Table(
-            (axis, "total_pct"),
-            (
-                np.array(values),
-                np.array([report.metadata["total_percentage"] for _, report in points]),
-            ),
-        ),
+        "sweep_totals.csv": Table((axis, "total_pct"), (np.array(values), np.array(totals))),
     }
-    sub_meta = []
-    for value, report in points:
-        sub_meta.append(
-            {
-                "value": value,
-                "config_sha1": report.metadata["config_sha1"],
-                "seed": report.metadata["scenario"]["seed"],
-                "total_percentage": report.metadata["total_percentage"],
-            }
-        )
     metadata = _base_metadata("SWEEP", scenario)
-    metadata.update({"axis": axis, "values": values, "points": sub_meta})
+    metadata.update(
+        {
+            "axis": axis,
+            "values": values,
+            "points": [
+                {
+                    "value": value,
+                    "config_sha1": config_hash(scenario_to_dict(point)),
+                    "seed": point.seed,
+                    "total_percentage": total,
+                }
+                for value, point, total in zip(values, points, totals)
+            ],
+        }
+    )
     return RunReport(files=files, metadata=metadata)
 
 

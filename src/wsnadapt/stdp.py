@@ -19,30 +19,42 @@ Per-node life cycle (one protocol round = one sensed block per node):
 Weight messages travel with one round of latency; a round's data blocks
 reach the sink within the round.
 
-The array round.  Node k (ids ascending) is row k of the engine state:
-``phase[k]`` is its phase code (an index into ``PHASES``; which filter is
-active is a function of the phase alone), ``client_weight[k]`` its client
-filter Wc and ``received_global[k]`` the global weight Wr that seeded it.
-A round takes the ``(m, n)`` matrix U of sensed blocks and the desired
-vector d, and works on masks over the phase codes:
+The array round.  The engine runs one or more *points*, independent
+protocol runs over the same rounds (a sweep's points, or one scenario),
+side by side.  Its rows are (point, node) pairs: point p's nodes are
+consecutive rows, ids ascending, and ``point[k]`` names row k's point.
+``phase[k]`` is the row's phase code (an index into ``PHASES``; which
+filter is active is a function of the phase alone), ``client_weight[k]``
+its client filter Wc and ``received_global[k]`` the global weight Wr that
+seeded it; each point has its own sink, with its own global weight and
+auto step size.  A round takes the ``(rows, n)`` matrix U of sensed
+blocks and the desired vector d, and works on masks over the phase codes:
 
 1. client side, rows in a client phase: d' = U.Wr + noise; adapting rows
    step Wc += mu U (d' - U.Wc); the error e' = d' - U.Wc is held against
    beta (adapting rows fall silent at or below it, predicting rows
    restart above it);
 2. wire: the transmitting rows, optionally through the channel;
-3. sink side: one global sweep w += mu sum_i u_i (d_i - u_i.w) over the
-   received rows, then their errors d - U w are held against alpha.
+3. sink side, per point: one global sweep w += mu sum_i u_i (d_i - u_i.w)
+   over the point's received rows, then their errors d - U w are held
+   against alpha.
 
 Row dot products use ``np.vecdot``, which sums each row in the order of a
 1-D ``u @ w``, and the sweep adds its terms row by row in ascending id
-order, so the array round reproduces the per-node arithmetic bit for bit
-and a full run is a deterministic function of (inputs, thresholds).  The
+order, so the array round reproduces the per-node arithmetic bit for bit.
+Row-wise operations give every point the bits it would get alone.  The
+sink side does not batch across points: the bits of a 2-D ``U @ w`` and of
+the sweep's column sums depend on how many rows they are given, so each
+point's sweep and errors run over exactly its own received rows, and only
+the step-size estimate (one power iteration over every refreshing point's
+block covariance) spans points.  A full run is a deterministic function of
+(inputs, thresholds), and each point of a batch equals its run alone.  The
 first non-finite error stops the run with ``Diverged``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
@@ -118,13 +130,15 @@ class Thresholds:
 class Mail:
     """Messages queued between rounds, as columns with one entry per message.
 
-    ``kind`` holds ``KIND_BITS`` codes and ``node`` the client end of each
-    message: the sender of a NODE_WEIGHT, the receiver of anything else
-    (the sink is always the other end).  ``payload[j]`` is the weight that
-    entry j carries (zeros for a QUERY).
+    ``kind`` holds ``KIND_BITS`` codes, ``point`` the point each message
+    belongs to and ``node`` its client end: the sender of a NODE_WEIGHT,
+    the receiver of anything else (the point's sink is always the other
+    end).  ``payload[j]`` is the weight that entry j carries (zeros for a
+    QUERY).
     """
 
     kind: np.ndarray
+    point: np.ndarray
     node: np.ndarray
     payload: np.ndarray
 
@@ -134,31 +148,47 @@ class Mail:
 
 @dataclass
 class ProtocolState:
-    """Mutable engine state for one scenario run; row k is node ``node_ids[k]``,
-    ids ascending.
+    """Mutable engine state; row k is node ``node_ids[k]`` of point
+    ``point[k]``, rows ordered by point and then by ascending id.
 
     ``client_weight`` and ``received_global`` rows are meaningful only while
-    the node is in a client phase; a GLOBAL_WEIGHT delivery overwrites both.
-    ``sent[k]`` counts the blocks node k transmitted in ``round_index`` rounds.
+    the row is in a client phase; a GLOBAL_WEIGHT delivery overwrites both.
+    ``sent[k]`` counts the blocks row k transmitted in ``round_index``
+    rounds.  Point p's rows are ``bounds[p]:bounds[p + 1]``;
+    ``global_weight[p]`` is its sink filter and ``mu[p]`` its automatic step
+    size (NaN until first estimated).  ``rows`` maps a (point, node id)
+    address to its row.
     """
 
     n: int
     node_ids: tuple[int, ...]
+    point: np.ndarray
+    bounds: np.ndarray
+    rows: dict[tuple[int, int], int]
     global_weight: np.ndarray
+    mu: np.ndarray
     phase: np.ndarray
     client_weight: np.ndarray
     received_global: np.ndarray
     sent: np.ndarray
     pending: Mail
     round_index: int = 0
-    mu: float | None = None
 
 
 def transmission_percentage(state: ProtocolState) -> np.ndarray:
-    """Percentage of sensed blocks each node (row) actually transmitted."""
+    """Percentage of sensed blocks each row actually transmitted."""
     if state.round_index == 0 or not state.node_ids:
         raise ValueError("record has nodes with no sensed blocks")
     return 100.0 * state.sent / state.round_index
+
+
+def total_percentages(state: ProtocolState) -> list[float]:
+    """Percentage of all its sensed blocks each point transmitted."""
+    bounds = state.bounds.tolist()
+    return [
+        100.0 * int(state.sent[a:b].sum()) / (state.round_index * (b - a))
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 class TraceRow(NamedTuple):
@@ -175,7 +205,8 @@ class TraceRow(NamedTuple):
 
 @dataclass(frozen=True)
 class RoundResult:
-    """One round as columns; entry k belongs to node ``node_ids[k]``.
+    """One round as columns; entry k belongs to engine row k, node
+    ``node_ids[k]``.
 
     ``phase`` holds the start-of-round phase codes and ``kinds`` the
     ``KIND_BITS`` mask of each node's messages.  ``error_glob`` (the sink's
@@ -218,7 +249,7 @@ class Trace:
     """A whole run as preallocated ``(rounds, m)`` columns of round results.
 
     ``client_weight[r, k]`` is meaningful where ``phase[r, k]`` is
-    CLIENT_ADAPTIVE: it is node k's filter after its round-r update.
+    CLIENT_ADAPTIVE: it is row k's filter after its round-r update.
     """
 
     phase: np.ndarray
@@ -295,43 +326,66 @@ def client_desired(u: np.ndarray, w_glob: np.ndarray, noise) -> np.ndarray:
     return np.vecdot(u, w_glob) + noise
 
 
-def client_update(w_prev: np.ndarray, u: np.ndarray, d_new, mu: float) -> np.ndarray:
+def client_update(w_prev: np.ndarray, u: np.ndarray, d_new, mu) -> np.ndarray:
     """Single-datum LMS step w + mu * u^T (d_new - u w), for one vector or
-    for every row of stacked vectors."""
+    for every row of stacked vectors; ``mu`` is one step size or one per
+    row."""
     u, w_prev = _check_pair(u, w_prev)
     residual = np.asarray(d_new, dtype=float) - np.vecdot(u, w_prev)
-    return w_prev + (mu * u) * residual[..., None]
+    return w_prev + (np.asarray(mu, dtype=float)[..., None] * u) * residual[..., None]
 
 
-def new_protocol_state(node_ids: Sequence[int], n: int) -> ProtocolState:
-    """Fresh engine state; queues the sink's initial query to every node."""
-    ids = tuple(sorted(int(i) for i in node_ids))
-    if len(set(ids)) != len(ids) or SINK_ID in ids:
-        raise ValueError("node ids must be unique and non-zero (0 is the sink)")
+def new_protocol_state(
+    node_ids: Sequence[int], n: int, sizes: Sequence[int] | None = None
+) -> ProtocolState:
+    """Fresh engine state; queues each point's initial query to its nodes.
+
+    ``sizes[p]`` consecutive entries of ``node_ids`` are point p's nodes
+    (default: one point holding them all); they become the point's rows in
+    ascending id order.
+    """
+    flat = [int(i) for i in node_ids]
+    sizes = [len(flat)] if sizes is None else [int(size) for size in sizes]
+    if not sizes or sum(sizes) != len(flat) or min(sizes) < 0:
+        raise ValueError(f"point sizes {sizes} do not split {len(flat)} node ids")
+    ids, start = [], 0
+    for size in sizes:
+        group = sorted(flat[start : start + size])
+        start += size
+        if len(set(group)) != size or SINK_ID in group:
+            raise ValueError("node ids must be unique and non-zero (0 is the sink)")
+        ids.extend(group)
+    point = np.repeat(np.arange(len(sizes)), sizes)
     m = len(ids)
     return ProtocolState(
         n=n,
-        node_ids=ids,
-        global_weight=initial_weight(n),
+        node_ids=tuple(ids),
+        point=point,
+        bounds=np.cumsum([0, *sizes]),
+        rows={(p, i): k for k, (p, i) in enumerate(zip(point.tolist(), ids))},
+        global_weight=np.tile(initial_weight(n), (len(sizes), 1)),
+        mu=np.full(len(sizes), np.nan),
         phase=np.full(m, RAW_TRANSMIT, dtype=np.int8),
         client_weight=np.zeros((m, n)),
         received_global=np.zeros((m, n)),
         sent=np.zeros(m, dtype=np.int64),
         pending=Mail(
             kind=np.full(m, KIND_BITS[MessageKind.QUERY], dtype=np.uint8),
+            point=point,
             node=np.array(ids, dtype=np.int64),
             payload=np.zeros((m, n)),
         ),
     )
 
 
-def _deliver(state: ProtocolState, ids: np.ndarray, mail: Mail) -> None:
-    """Apply the queued messages, each checked against the phase its node
-    ended the previous round in; the first bad entry raises.  ``ids`` are
-    the state's node ids as an array."""
-    rows = np.searchsorted(ids, mail.node)
-    known = rows < ids.size
-    known[known] = ids[rows[known]] == mail.node[known]
+def _deliver(state: ProtocolState, mail: Mail) -> None:
+    """Apply the queued messages, each checked against the phase its row
+    ended the previous round in; the first bad entry raises."""
+    rows = np.array(
+        [state.rows.get(a, -1) for a in zip(mail.point.tolist(), mail.node.tolist())],
+        dtype=np.intp,
+    )
+    known = rows >= 0
     accepted = known.copy()
     accepted[known] = _ACCEPTS[mail.kind[known], state.phase[rows[known]]]
     if not accepted.all():
@@ -352,13 +406,21 @@ def _deliver(state: ProtocolState, ids: np.ndarray, mail: Mail) -> None:
     state.received_global[rows] = mail.payload[handed]
 
 
-def _check_finite(state: ProtocolState, errors: np.ndarray, side: str) -> None:
-    bad = np.flatnonzero(~np.isfinite(errors))
-    if bad.size:
-        raise Diverged(
-            f"diverged in round {state.round_index}: non-finite {side} error "
-            f"for node {state.node_ids[bad[0]]}"
-        )
+def _diverged(state: ProtocolState, row: int, side: str) -> Diverged:
+    return Diverged(
+        f"diverged in round {state.round_index}: non-finite {side} error "
+        f"for node {state.node_ids[row]}",
+        point=int(state.point[row]),
+    )
+
+
+def _per_row(thresholds: Thresholds | Sequence[Thresholds], point: np.ndarray):
+    """(alpha, beta) for every row: scalars when one ``Thresholds`` holds for
+    every point, else gathered from the point's own entry."""
+    if isinstance(thresholds, Thresholds):
+        return float(thresholds.alpha), float(thresholds.beta)
+    alpha, beta = np.array([(t.alpha, t.beta) for t in thresholds]).T
+    return alpha[point], beta[point]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -366,26 +428,32 @@ def step_round(
     state: ProtocolState,
     samples: np.ndarray,
     desired: np.ndarray,
-    thresholds: Thresholds,
+    thresholds: Thresholds | Sequence[Thresholds],
     mu: float | None = None,
     client_noise: np.ndarray | None = None,
     channel: Callable[[np.ndarray, np.ndarray, np.ndarray, int], tuple] | None = None,
 ) -> RoundResult:
-    """Advance the protocol by one synchronous round.
+    """Advance every point by one synchronous round.
 
-    Row k of ``samples`` (m x n), ``desired`` and ``client_noise`` (m each)
-    is what node ``state.node_ids[k]`` senses and draws this round; a
-    ``Stream`` over the same nodes holds its rows in that (ascending id)
-    order, so ``stream.blocks[:, r]`` and ``stream.desired[:, r]`` fit.  Which
-    blocks reach the sink, and which weight messages are exchanged, follows
-    the phase table in the module docstring.  ``mu`` overrides the
-    automatic step-size rule (0.5 / (M * lambda_max) of the empirical block
-    covariance, refreshed whenever some node is in a raw round).
+    Row k of ``samples`` (rows x n), ``desired`` and ``client_noise`` (one
+    entry per row) is what node ``state.node_ids[k]`` senses and draws this
+    round; a ``Stream`` over the same nodes holds its rows in that
+    (ascending id) order, so for one point ``stream.blocks[:, r]`` and
+    ``stream.desired[:, r]`` fit.  ``thresholds`` is one ``Thresholds`` for
+    every point or one per point.  Which blocks reach the sink, and which
+    weight messages are exchanged, follows the phase table in the module
+    docstring.  ``mu`` overrides the automatic step-size rule (0.5 / (M *
+    lambda_max) of the point's empirical block covariance, refreshed
+    whenever one of its nodes is in a raw round).
     ``channel(samples, desired, node_ids, round_index)`` optionally maps the
-    transmitted rows to what the sink receives.  Raises ``Diverged``,
-    naming the round and node, at the first non-finite error.
+    transmitted rows to what the sinks receive.
+
+    Raises ``Diverged`` at the first round with a non-finite error, naming
+    the round, the node and (as ``point``) the lowest point that has one.
+    Within a point, client errors are checked before sink errors.
     """
     m = len(state.node_ids)
+    points = len(state.global_weight)
     samples = np.asarray(samples, dtype=float)
     desired = np.asarray(desired, dtype=float)
     noise = np.zeros(m) if client_noise is None else np.asarray(client_noise, dtype=float)
@@ -394,9 +462,12 @@ def step_round(
             f"a round of {m} nodes needs ({m}, {state.n}) samples and {m} desired "
             f"values and noise draws, got {samples.shape}, {desired.shape} and {noise.shape}"
         )
+    if not isinstance(thresholds, Thresholds) and len(thresholds) != points:
+        raise DimensionMismatch(f"{len(thresholds)} thresholds for {points} points")
+    alpha, beta = _per_row(thresholds, state.point)
 
     ids = np.array(state.node_ids, dtype=np.int64)
-    _deliver(state, ids, state.pending)
+    _deliver(state, state.pending)
 
     phase = state.phase.copy()
     kinds = np.full(m, KIND_BITS[MessageKind.QUERY] if state.round_index == 0 else 0, np.uint8)
@@ -417,11 +488,15 @@ def step_round(
                 state.client_weight[adapting],
                 u[sub],
                 d_new[sub],
-                mu if mu is not None else (state.mu or 0.0),
+                # fmax maps a never-estimated (NaN) step size to 0.0.
+                mu if mu is not None else np.fmax(state.mu, 0.0)[state.point[adapting]],
             )
         error_new[client] = d_new - np.vecdot(u, state.client_weight[client])
-        _check_finite(state, error_new, "client")
-    loud = np.abs(error_new) > thresholds.beta
+    # Points from ``stop`` on have a non-finite client error: the sink side
+    # runs only for the points before it, to find a lower point's sink error.
+    client_bad = np.flatnonzero(~np.isfinite(error_new))
+    stop = state.point[client_bad[0]] if client_bad.size else points
+    loud = np.abs(error_new) > beta
     transmit |= adapting & loud
     silenced = adapting & ~loud
     restarted = predicting & loud
@@ -431,45 +506,65 @@ def step_round(
     sent = np.flatnonzero(transmit)
     kinds[sent] |= KIND_BITS[MessageKind.DATA_BLOCK]
     handed = to_sink_adaptive = sent[:0]
-    if sent.size:
-        u, d = samples[sent], desired[sent]
+    if sent.size and stop > 0:
+        u_sent, d_sent = samples[sent], desired[sent]
         if channel is not None:
-            u, d = channel(u, d, ids[sent], state.round_index)
+            u_sent, d_sent = channel(u_sent, d_sent, ids[sent], state.round_index)
 
-        # Sink side: one global sweep over this round's arrivals, then the
-        # alpha decision for nodes whose sink filter is (or is becoming) active.
-        if mu is not None:
-            step = mu
-        else:
-            if state.mu is None or (phase == RAW_TRANSMIT).any():
-                lam = max_eigenvalue((u.T @ u) / u.shape[0])
-                state.mu = 0.5 / (m * lam) if lam > 0 else 0.0
-            step = state.mu
-        state.global_weight = global_lms_update(state.global_weight, u, d, step)
-        errs = d - u @ state.global_weight
-        error_glob[sent] = errs
-        _check_finite(state, error_glob, "sink")
-        sink_side = phase[sent] <= SINK_ADAPTIVE
-        near = np.abs(errs) <= thresholds.alpha
-        handed = sent[sink_side & near]
-        to_sink_adaptive = sent[~near & (phase[sent] == RAW_TRANSMIT)]
+        # Sink side: per point, one global sweep over this round's arrivals,
+        # then the alpha decision for rows whose sink filter is (or is
+        # becoming) active.  Point p's arrivals are rows cut[p]:cut[p + 1]
+        # of u_sent; raw rows always transmit, so they are among them.
+        cut = np.searchsorted(sent, state.bounds).tolist()
+        live = [p for p in range(stop) if cut[p] < cut[p + 1]]
+        sent_phase = phase[sent]
+        if mu is None:
+            raw = np.searchsorted(np.flatnonzero(sent_phase == RAW_TRANSMIT), cut).tolist()
+            steps = state.mu.tolist()
+            refresh = [p for p in live if raw[p] < raw[p + 1] or math.isnan(steps[p])]
+            if refresh:
+                blocks = [u_sent[cut[p] : cut[p + 1]] for p in refresh]
+                lams = max_eigenvalue(np.array([(u.T @ u) / u.shape[0] for u in blocks]))
+                bounds = state.bounds.tolist()
+                for p, lam in zip(refresh, lams.tolist()):
+                    nodes = bounds[p + 1] - bounds[p]
+                    state.mu[p] = 0.5 / (nodes * lam) if lam > 0 else 0.0
+        for p in live:
+            a, b = cut[p], cut[p + 1]
+            u, d = u_sent[a:b], d_sent[a:b]
+            weight = global_lms_update(
+                state.global_weight[p], u, d, mu if mu is not None else state.mu[p]
+            )
+            state.global_weight[p] = weight
+            error_glob[sent[a:b]] = d - u @ weight
+        errs = error_glob[sent]
+        sink_bad = np.flatnonzero(~np.isfinite(errs))
+        if sink_bad.size:
+            raise _diverged(state, sent[sink_bad[0]], "sink")
+        near = np.abs(errs) <= (alpha if isinstance(alpha, float) else alpha[sent])
+        handed = sent[(sent_phase <= SINK_ADAPTIVE) & near]
+        to_sink_adaptive = sent[~near & (sent_phase == RAW_TRANSMIT)]
         kinds[handed] |= KIND_BITS[MessageKind.GLOBAL_WEIGHT]
+    if client_bad.size:
+        raise _diverged(state, client_bad[0], "client")
 
     # End-of-round transitions; weight messages are delivered next round.
     state.phase[to_sink_adaptive] = SINK_ADAPTIVE
     state.phase[silenced] = CLIENT_PREDICTING
     state.phase[restarted] = RAW_TRANSMIT
     state.sent += transmit
-    # Queue NODE_WEIGHT from the silenced nodes, then GLOBAL_WEIGHT to the
-    # handed-off ones; no node sends both in one round.
+    # Queue NODE_WEIGHT from the silenced rows, then GLOBAL_WEIGHT to the
+    # handed-off ones; no row sends both in one round.
     queued = np.concatenate([np.flatnonzero(silenced), handed])
     kind = kinds[queued] & _WEIGHT_BITS
+    queued_point = state.point[queued]
     state.pending = Mail(
         kind=kind,
+        point=queued_point,
         node=ids[queued],
         payload=np.where(
             (kind == KIND_BITS[MessageKind.GLOBAL_WEIGHT])[:, None],
-            state.global_weight,
+            state.global_weight[queued_point],
             state.client_weight[queued],
         ),
     )

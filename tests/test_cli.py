@@ -413,3 +413,53 @@ def test_module_entry_point_is_silent_on_success():
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("doc", [{}, {"malicious": None}], ids=["absent", "null"])
+def test_detect_with_nothing_to_detect_is_a_config_error(tmp_path, capsys, doc):
+    path = write_config(tmp_path, {"experiment": "detect", **doc})
+    with pytest.raises(SchemaError) as err:
+        parse_config(path)
+    assert err.value.pointer == "/malicious"
+    out = tmp_path / "out"
+    for command in ("validate", "run"):
+        args = [command, "--config", str(path)]
+        if command == "run":
+            args += ["--out", str(out)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: /malicious: detect needs a malicious configuration or an "
+            "ingest_csv to run on\n"
+        )
+    assert not out.exists()
+
+
+def test_diverging_sweep_exits_2_with_one_line_and_writes_nothing(tmp_path, capsys):
+    path = write_config(
+        tmp_path,
+        {
+            "experiment": "sweep",
+            "mu_mode": 2.0,
+            "sweep": {"axis": "beta", "values": [0.4, 0.2, 0.05, 0.1]},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "run error: diverged in round 174: non-finite sink error for node 1 at beta=0.05\n"
+    )
+    assert not out.exists()
+
+
+def test_jobs_is_accepted_and_has_no_effect(tmp_path):
+    path = CONFIG_DIR / "sweep_beta.json"
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--jobs", jobs]) == 0
+        outputs.append(read_dir(out))
+    assert outputs[0] == outputs[1]

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import gauss_solve
 from wsnadapt import fieldgen, sim
+from wsnadapt.errors import Diverged
 from wsnadapt.fieldgen import FieldParams, NodeLayout, build_spatial_covariance
 from wsnadapt.sim import (
     MaliciousSpec,
@@ -171,11 +174,90 @@ def test_sweep_node_count_axis():
     assert len(merged.metadata["points"]) == 2
 
 
-def test_sweep_parallel_matches_serial():
-    scenario = small_scenario()
-    serial = sweep(scenario, "beta", [0.05, 0.2], jobs=1)
-    parallel = sweep(scenario, "beta", [0.05, 0.2], jobs=2)
-    assert serial.files == parallel.files
+@st.composite
+def sweep_cases(draw):
+    """A small scenario with node ids out of order, a ``beta`` or
+    ``node_count`` axis and 1 to 6 values, with or without channel,
+    corruption, an explicit step size and node selection."""
+    m = draw(st.integers(2, 12))
+    ids = draw(st.lists(st.integers(1, 60), min_size=m, max_size=m, unique=True))
+    # One node per cell of a 0.5 m grid, jittered: no two nodes co-located.
+    cells = draw(st.lists(st.integers(0, 63), min_size=m, max_size=m, unique=True))
+    jitter = st.floats(-0.15, 0.15)
+    positions = [
+        (0.5 * (c % 8) + 0.25 + draw(jitter), 0.5 * (c // 8) + 0.25 + draw(jitter)) for c in cells
+    ]
+    layout = NodeLayout(positions=tuple(positions), sink=(2.0, 2.0), node_ids=tuple(ids))
+    malicious = None
+    if draw(st.booleans()):
+        corrupted = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True))
+        malicious = MaliciousSpec(node_ids=tuple(corrupted), scale=draw(st.floats(1.5, 8.0)))
+    select_first = draw(st.booleans())
+    scenario = Scenario(
+        layout=layout,
+        n_block=draw(st.integers(1, 6)),
+        num_blocks=draw(st.integers(2, 40)),
+        thresholds=Thresholds(draw(st.floats(0.05, 2.0)), draw(st.floats(0.0, 0.5))),
+        mu_mode=draw(st.one_of(st.just("auto"), st.floats(0.001, 0.05))),
+        malicious=malicious,
+        channel=draw(st.one_of(st.none(), st.sampled_from([10.0, 30.0]))),
+        seed=draw(st.integers(0, 2**40)),
+        select_first=select_first,
+        select_count=draw(st.integers(1, m)) if select_first else 1,
+    )
+    axis = draw(st.sampled_from(["beta", "node_count"]))
+    value = st.floats(0.0, 0.6) if axis == "beta" else st.integers(1, m)
+    return scenario, axis, draw(st.lists(value, min_size=1, max_size=6))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sweep_cases())
+def test_every_sweep_point_equals_its_own_run(case):
+    scenario, axis, values = case
+    merged = sweep(scenario, axis, values)
+    name = "stdp_transmission.csv" if axis == "beta" else "sweep_transmission.csv"
+    value_col, node_col, pct_col = merged.files[name].columns
+    totals = merged.files["sweep_totals.csv"].columns[1]
+    start = 0
+    for k, value in enumerate(values):
+        single = run_stdp(scenario_for_point(scenario, axis, value))
+        _, nodes, pct = single.files["stdp_transmission.csv"].columns
+        rows = slice(start, start + len(nodes))
+        start += len(nodes)
+        assert np.all(value_col[rows] == value)
+        assert np.array_equal(node_col[rows], nodes)
+        assert pct_col[rows].tobytes() == pct.tobytes()
+        assert totals[k].tobytes() == np.float64(single.metadata["total_percentage"]).tobytes()
+        assert merged.metadata["points"][k]["config_sha1"] == single.metadata["config_sha1"]
+    assert start == len(node_col)
+
+
+def diverging_points(scenario, axis, values):
+    """(round, point, message) of every point whose own run diverges."""
+    found = []
+    for k, value in enumerate(values):
+        try:
+            run_stdp(scenario_for_point(scenario, axis, value))
+        except Diverged as exc:
+            round_index = int(str(exc).split("round ")[1].split(":")[0])
+            found.append((round_index, k, f"{exc} at {axis}={value}"))
+    return found
+
+
+@pytest.mark.parametrize(
+    "axis, values, mu", [("beta", [0.4, 0.2, 0.05, 0.1], 2.0), ("node_count", [2, 10, 6, 4], 50.0)]
+)
+def test_diverging_sweep_names_the_first_round_and_lowest_point(axis, values, mu):
+    scenario = default_scenario(mu_mode=mu)
+    found = diverging_points(scenario, axis, values)
+    # The first point to diverge at all is not the first in the value list,
+    # and two points share the first diverging round in the beta case.
+    first = min(found)
+    assert first[1] > 0 and len({r for r, _, _ in found}) > 1
+    with pytest.raises(Diverged) as err:
+        sweep(scenario, axis, values)
+    assert str(err.value) == first[2]
+    assert err.value.point == first[1]
 
 
 def test_sweep_rejects_unknown_axis(default_scenario):
@@ -228,3 +310,10 @@ def test_scenario_validation():
         default_scenario(malicious=MaliciousSpec(node_ids=(99,), scale=6.0))
     with pytest.raises(ValueError):
         default_scenario(select_count=11)
+
+
+def test_engine_points_may_differ_only_in_thresholds_and_selection():
+    scenario = small_scenario()
+    simulate_protocol(scenario, points=[small_scenario(select_first=True, select_count=3)])
+    with pytest.raises(ValueError, match="only in thresholds and node selection"):
+        simulate_protocol(scenario, points=[small_scenario(seed=5)])

@@ -63,10 +63,12 @@ def drive(layout, stream, thresholds, mu=None, noise_seed=None, channel=None):
 
 
 def queue(state, kind, node, payload):
-    """Append one message to the state's queue of undelivered mail; ``node``
-    is its client end (the sender of a NODE_WEIGHT, else the receiver)."""
+    """Append one message of the state's first point to its queue of
+    undelivered mail; ``node`` is its client end (the sender of a
+    NODE_WEIGHT, else the receiver)."""
     state.pending = Mail(
         kind=np.append(state.pending.kind, KIND_BITS[kind]).astype(np.uint8),
+        point=np.append(state.pending.point, 0),
         node=np.append(state.pending.node, node),
         payload=np.vstack([state.pending.payload, payload]),
     )
@@ -329,7 +331,7 @@ def test_thresholds_validation():
 def test_explicit_mu_bypasses_auto_rule():
     layout, stream = make_stream(10, seed=12)
     state, _, _ = drive(layout, stream, Thresholds(0.5, 0.05), mu=0.01, noise_seed=12)
-    assert state.mu is None  # auto estimate never engaged
+    assert np.isnan(state.mu).all()  # auto estimate never engaged
 
 
 def test_message_to_unknown_node_is_rejected():
