@@ -289,8 +289,8 @@ def simulate_protocol(
     ``select_count``.  Every point gets the bits of its own run.
     """
     points = [scenario] if points is None else list(points)
+    selection = {"select_first": scenario.select_first, "select_count": scenario.select_count}
     for point in points:
-        selection = {"select_first": scenario.select_first, "select_count": scenario.select_count}
         if replace(point, thresholds=scenario.thresholds, **selection) != scenario:
             raise ValueError("engine points may differ only in thresholds and node selection")
     if stream is None:
