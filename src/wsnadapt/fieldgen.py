@@ -329,13 +329,24 @@ def build_spatial_covariance(layout: NodeLayout, params: FieldParams) -> Covaria
 
 
 def _ar1_series(innovations: np.ndarray, phi: float) -> np.ndarray:
-    """Stationary AR(1) path along the last axis from unit-scale innovations."""
-    out = np.empty_like(innovations)
-    out[..., 0] = innovations[..., 0]
+    """Stationary AR(1) path along the last axis from unit-scale innovations.
+
+    Step t is ``phi * path[t - 1] + damp * innovation[t]``.  The recursion
+    runs time-major (on Python floats for a single series), so each step
+    is one contiguous row; the arithmetic, and so every bit, is the same.
+    """
     damp = np.sqrt(1.0 - phi * phi)
-    for t in range(1, innovations.shape[-1]):
-        out[..., t] = phi * out[..., t - 1] + damp * innovations[..., t]
-    return out
+    steps = np.moveaxis(innovations, -1, 0)
+    if steps.ndim == 1:
+        path = [float(steps[0])]
+        for x in steps[1:].tolist():
+            path.append(phi * path[-1] + damp * x)
+        return np.array(path)
+    out = damp * steps
+    out[0] = steps[0]
+    for prev, row in zip(out[:-1], out[1:]):
+        row += phi * prev
+    return np.moveaxis(out, 0, -1)
 
 
 def _desired(blocks: np.ndarray, noise: np.ndarray) -> np.ndarray:

@@ -253,18 +253,44 @@ def run_ada(scenario: Scenario) -> RunReport:
 @dataclass(frozen=True)
 class ProtocolRun:
     """One engine run; ``percentages[k]`` belongs to engine row k, node
-    ``state.node_ids[k]`` of point ``state.point[k]``."""
+    ``state.node_ids[k]`` of point ``state.point[k]``.  ``streams[p]`` is
+    the stream point p read, restricted to its active nodes."""
 
-    stream: Stream
+    streams: tuple[Stream, ...]
     state: stdp.ProtocolState
     trace: stdp.Trace
     percentages: np.ndarray
 
-    def weight_snapshots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every client-filter update as (round, row, weight), grouped by
-        row and chronological within a row."""
-        rows, rounds = np.nonzero(self.trace.phase.T == stdp.CLIENT_ADAPTIVE)
-        return rounds, rows, self.trace.client_weight[rounds, rows]
+    def rows(self, point: int) -> slice:
+        """The engine rows of one point."""
+        return slice(*self.state.bounds[point:point + 2].tolist())
+
+    def weight_snapshots(self, point: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every client-filter update of one point as (round, row, weight),
+        with rows counted from the point's first, grouped by row and
+        chronological within a row."""
+        rows = self.rows(point)
+        k, rounds = np.nonzero(self.trace.phase[:, rows].T == stdp.CLIENT_ADAPTIVE)
+        return rounds, k, self.trace.client_weight[rounds, k + rows.start]
+
+
+def _scenario_stream(scenario: Scenario) -> Stream:
+    """The stream a scenario senses: every layout node, corrupted ones injected."""
+    stream = generate_stream(
+        scenario.layout,
+        scenario.field,
+        scenario.n_block,
+        scenario.num_blocks,
+        scenario.seed,
+    )
+    if scenario.malicious is not None:
+        stream = inject_malicious(
+            stream,
+            scenario.malicious.node_ids,
+            scenario.malicious.scale,
+            scenario.seed,
+        )
+    return stream
 
 
 def active_node_ids(scenario: Scenario) -> tuple[int, ...]:
@@ -282,36 +308,31 @@ def simulate_protocol(
     """Generate (or take) a stream and run the full protocol over it.
 
     ``points`` are scenarios run side by side as the points of one engine
-    (default: ``scenario`` alone).  The stream, the client noise, the
-    channel and the step-size mode come from ``scenario``; each point brings
-    its thresholds and its active nodes, so a point may differ from
-    ``scenario`` only in ``thresholds``, ``select_first`` and
-    ``select_count``.  Every point gets the bits of its own run.
+    (default: ``scenario`` alone).  The client noise, the channel and the
+    step-size mode come from ``scenario``; each point brings its thresholds,
+    its active nodes and its stream (``stream``, if given, serves every
+    point), so a point may differ from ``scenario`` only in ``thresholds``,
+    ``select_first`` and ``select_count``.  Every point gets the bits of its
+    own run.
     """
     points = [scenario] if points is None else list(points)
     selection = {"select_first": scenario.select_first, "select_count": scenario.select_count}
     for point in points:
         if replace(point, thresholds=scenario.thresholds, **selection) != scenario:
             raise ValueError("engine points may differ only in thresholds and node selection")
-    if stream is None:
-        stream = generate_stream(
-            scenario.layout,
-            scenario.field,
-            scenario.n_block,
-            scenario.num_blocks,
-            scenario.seed,
-        )
-        if scenario.malicious is not None:
-            stream = inject_malicious(
-                stream,
-                scenario.malicious.node_ids,
-                scenario.malicious.scale,
-                scenario.seed,
-            )
-    present = set(stream.node_ids)
-    groups = [sorted(i for i in active_node_ids(point) if i in present) for point in points]
+    # Each point generates the stream of its own scenario, as its single run
+    # does.  Thresholds and node selection, the only ways points may differ,
+    # do not enter the stream, so these streams are equal.  perfbench's
+    # traced sweep test counts one covariance factorization per point; once
+    # it counts one per engine, one shared stream saves the other P - 1.
+    streams = []
+    for point in points:
+        own = _scenario_stream(point) if stream is None else stream
+        present = set(own.node_ids)
+        streams.append(own.restrict([i for i in active_node_ids(point) if i in present]))
+    groups = [s.node_ids for s in streams]
     active = sorted(set().union(*groups))
-    stream = stream.restrict(active)
+    num_blocks = streams[0].num_blocks
 
     # A corrupted node's own measurements are degraded too: its client-side
     # noise draws scale with the corruption factor.  Without this the
@@ -324,17 +345,17 @@ def simulate_protocol(
     draws = np.array(
         [
             substream(scenario.seed, ROLE_PROTOCOL, i).normal(
-                0.0, noise_std * (scale if i in corrupted else 1.0), stream.num_blocks
+                0.0, noise_std * (scale if i in corrupted else 1.0), num_blocks
             )
             for i in active
         ]
-    ).reshape(len(active), stream.num_blocks)
+    ).reshape(len(active), num_blocks)
     channel = None
     if scenario.channel is not None:
         # Every (node, block) keeps its own channel substream: the run derives
         # all their keys at once and re-keys one generator per sent block.
         ids = np.array(active, dtype=np.int64)
-        keys = channel_keys(scenario.seed, active, stream.num_blocks)
+        keys = channel_keys(scenario.seed, active, num_blocks)
         rng = np.random.Generator(np.random.Philox(0))
         snr = scenario.channel
 
@@ -342,9 +363,14 @@ def simulate_protocol(
             rows = np.searchsorted(ids, node_ids)
             return fieldgen.awgn_channel(samples, desired, keys[rows, block_index], snr, rng)
 
-    # Engine row k reads stream row src[k]; one point reads the stream as it is.
-    src = slice(None) if len(groups) == 1 else np.concatenate([stream.rows_of(g) for g in groups])
-    blocks, desired, draws = stream.blocks[src], stream.desired[src], draws[src]
+    # Point p's rows read streams[p]; draws are in ``active`` order, and one
+    # point reads everything as it is.
+    if len(streams) == 1:
+        blocks, desired = streams[0].blocks, streams[0].desired
+    else:
+        blocks = np.concatenate([s.blocks for s in streams])
+        desired = np.concatenate([s.desired for s in streams])
+        draws = draws[np.searchsorted(active, [i for group in groups for i in group])]
     state = stdp.new_protocol_state(
         [i for group in groups for i in group],
         scenario.n_block,
@@ -353,8 +379,8 @@ def simulate_protocol(
     thresholds = [point.thresholds for point in points]
     if len(set(thresholds)) == 1:
         thresholds = thresholds[0]
-    trace = stdp.Trace.empty(stream.num_blocks, len(state.node_ids), scenario.n_block)
-    for r in range(stream.num_blocks):
+    trace = stdp.Trace.empty(num_blocks, len(state.node_ids), scenario.n_block)
+    for r in range(num_blocks):
         trace.record(
             stdp.step_round(
                 state,
@@ -367,7 +393,7 @@ def simulate_protocol(
             )
         )
     return ProtocolRun(
-        stream=stream,
+        streams=tuple(streams),
         state=state,
         trace=trace,
         percentages=stdp.transmission_percentage(state),
@@ -384,19 +410,20 @@ _KIND_NAMES = np.array(
 )
 
 
-def _protocol_files(run: ProtocolRun, beta: float) -> dict[str, Table]:
+def _protocol_files(run: ProtocolRun, point: int, beta: float) -> dict[str, Table]:
+    rows = run.rows(point)
     trace = run.trace
-    ids = np.array(run.state.node_ids)
-    rounds, m = trace.phase.shape
-    phase = trace.phase.ravel()
-    transmitted = trace.transmitted.ravel()
+    ids = np.array(run.state.node_ids[rows])
+    rounds, m = trace.phase[:, rows].shape
+    phase = trace.phase[:, rows].ravel()
+    transmitted = trace.transmitted[:, rows].ravel()
     files = {
         "stdp_transmission.csv": Table(
             ("beta", "node_id", "pct"),
             (
                 np.full(m, beta),
                 ids,
-                run.percentages,
+                run.percentages[rows],
             )
         ),
         "message_trace.csv": Table(
@@ -405,22 +432,22 @@ def _protocol_files(run: ProtocolRun, beta: float) -> dict[str, Table]:
                 np.repeat(np.arange(rounds), m),
                 np.tile(ids, rounds),
                 _PHASE_NAMES[phase].tolist(),
-                _KIND_NAMES[trace.kinds.ravel()].tolist(),
-                trace.error_glob.ravel(),
-                trace.error_new.ravel(),
+                _KIND_NAMES[trace.kinds[:, rows].ravel()].tolist(),
+                trace.error_glob[:, rows].ravel(),
+                trace.error_new[:, rows].ravel(),
                 transmitted.astype(np.int8),
             ),
             absent={4: ~transmitted, 5: phase < stdp.CLIENT_ADAPTIVE},
         ),
     }
-    update_rounds, rows, weights = run.weight_snapshots()
+    update_rounds, updated, weights = run.weight_snapshots(point)
     if update_rounds.size:
         n = weights.shape[1]
         files["weights.csv"] = Table(
             ("round", "node_id", "tap_index", "value"),
             (
                 np.repeat(update_rounds, n),
-                np.repeat(ids[rows], n),
+                np.repeat(ids[updated], n),
                 np.tile(np.arange(n), update_rounds.size),
                 weights.ravel(),
             ),
@@ -428,16 +455,24 @@ def _protocol_files(run: ProtocolRun, beta: float) -> dict[str, Table]:
     return files
 
 
-def run_stdp(scenario: Scenario, stream: Stream | None = None) -> RunReport:
-    """Protocol run reporting per-node transmission percentages and traces."""
-    run = simulate_protocol(scenario, stream)
-    files = _protocol_files(run, scenario.thresholds.beta)
+def run_stdp(
+    scenario: Scenario, stream: Stream | None = None, run: ProtocolRun | None = None, point: int = 0
+) -> RunReport:
+    """Protocol run reporting per-node transmission percentages and traces.
+
+    ``run`` is an engine run that already holds ``scenario`` as its point
+    ``point`` (see ``sweep``); without one the scenario runs on its own.
+    """
+    if run is None:
+        run = simulate_protocol(scenario, stream)
+    files = _protocol_files(run, point, scenario.thresholds.beta)
+    mu = run.state.mu[point]
     metadata = _base_metadata("STDP", scenario)
     metadata.update(
         {
-            "active_nodes": list(run.stream.node_ids),
-            "total_percentage": stdp.total_percentages(run.state)[0],
-            "mu": None if np.isnan(run.state.mu[0]) else float(run.state.mu[0]),
+            "active_nodes": list(run.streams[point].node_ids),
+            "total_percentage": stdp.total_percentages(run.state)[point],
+            "mu": None if np.isnan(mu) else float(mu),
         }
     )
     return RunReport(files=files, metadata=metadata)
@@ -454,7 +489,7 @@ def run_detect(scenario: Scenario, stream: Stream | None = None) -> RunReport:
     )
     variances = {i: malicious.weight_variance(h) for i, h in sorted(histories.items())}
     report = malicious.classify(variances)
-    files = _protocol_files(run, scenario.thresholds.beta)
+    files = _protocol_files(run, 0, scenario.thresholds.beta)
     detected = sorted(variances)
     files["detection.csv"] = Table(
         ("node_id", "variance", "threshold", "label"),
@@ -468,7 +503,7 @@ def run_detect(scenario: Scenario, stream: Stream | None = None) -> RunReport:
     metadata = _base_metadata("DETECT", scenario)
     metadata.update(
         {
-            "active_nodes": list(run.stream.node_ids),
+            "active_nodes": list(run.streams[0].node_ids),
             "kappa": report.kappa,
             "threshold": report.threshold,
             "flagged": sorted(
@@ -501,9 +536,10 @@ def sweep(scenario: Scenario, axis: str, values: Sequence) -> RunReport:
     Every point reuses the scenario's base seed, so points differ only in
     the swept parameter and each point can be reproduced by running the
     corresponding single scenario directly.  ``beta`` and ``node_count``
-    points share one stream and run as the points of one engine; ``n_block``
-    points differ in their stream and run one after another.  A point that
-    diverges raises ``Diverged`` naming it, e.g. ``at beta=0.4``.
+    points run as the points of one engine; ``n_block`` points differ in
+    their block length and run one after another.  Each point's rows and
+    total are those of its own ``run_stdp`` report.  A point that diverges
+    raises ``Diverged`` naming it, e.g. ``at beta=0.4``.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -513,23 +549,30 @@ def sweep(scenario: Scenario, axis: str, values: Sequence) -> RunReport:
     points = [scenario_for_point(scenario, axis, value) for value in values]
     batches = [[point] for point in points] if axis == "n_block" else [points]
 
-    ids, pct, sizes, totals = [], [], [], []
+    ids, pct, totals = [], [], []
     for batch in batches:
         try:
             run = simulate_protocol(batch[0], points=batch)
         except Diverged as exc:
             point = len(totals) + exc.point
             raise Diverged(f"{exc} at {axis}={values[point]}", point) from None
-        ids.append(np.array(run.state.node_ids))
-        pct.append(run.percentages)
-        sizes.extend(np.diff(run.state.bounds).tolist())
-        totals.extend(stdp.total_percentages(run.state))
+        # Each point's rows are those of its own report.
+        for k, member in enumerate(batch):
+            report = run_stdp(member, run=run, point=k)
+            _, node_ids, percentages = report.files["stdp_transmission.csv"].columns
+            ids.append(node_ids)
+            pct.append(percentages)
+            totals.append(report.metadata["total_percentage"])
 
     name = "stdp_transmission.csv" if axis == "beta" else "sweep_transmission.csv"
     files = {
         name: Table(
             (axis, "node_id", "pct"),
-            (np.repeat(np.array(values), sizes), np.concatenate(ids), np.concatenate(pct)),
+            (
+                np.repeat(np.array(values), [len(i) for i in ids]),
+                np.concatenate(ids),
+                np.concatenate(pct),
+            ),
         ),
         "sweep_totals.csv": Table((axis, "total_pct"), (np.array(values), np.array(totals))),
     }
