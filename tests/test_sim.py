@@ -232,6 +232,18 @@ def test_every_sweep_point_equals_its_own_run(case):
     assert start == len(node_col)
 
 
+@pytest.mark.parametrize("axis, values", [("beta", [0.3, 0.0, 0.1]), ("node_count", [6, 2, 4])])
+def test_point_report_read_off_an_engine_run_equals_its_own_run(axis, values):
+    scenario = small_scenario(channel=30.0, malicious=MaliciousSpec(node_ids=(5, 9), scale=4.0))
+    points = [scenario_for_point(scenario, axis, value) for value in values]
+    run = simulate_protocol(points[0], points=points)
+    for k, point in enumerate(points):
+        shared, own = run_stdp(point, run=run, point=k), run_stdp(point)
+        assert shared.metadata == own.metadata
+        assert report_files(shared) == report_files(own)
+        assert "weights.csv" in report_files(own)
+
+
 def diverging_points(scenario, axis, values):
     """(round, point, message) of every point whose own run diverges."""
     found = []
