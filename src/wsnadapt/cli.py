@@ -9,17 +9,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import jsonschema
 
-from .errors import SchemaError, WsnAdaptError
+from .errors import InvalidParameter, SchemaError, WsnAdaptError
 from .fieldgen import FieldParams, NodeLayout, Stream, ingest_csv
 from .sim import (
+    SWEEP_AXES,
     MaliciousSpec,
     Scenario,
     active_node_ids,
@@ -28,6 +30,7 @@ from .sim import (
     run_ada,
     run_detect,
     run_stdp,
+    scenario_for_point,
     scenario_to_dict,
     sweep,
 )
@@ -35,13 +38,12 @@ from .stdp import Thresholds
 
 EXPERIMENTS = ("ada", "stdp", "detect", "sweep")
 
-_POSITION = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 2,
-    "maxItems": 2,
-}
+_NUMBER = {"type": "number"}
+_POSITION = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
 
+# Shape, types, enums and required keys only: each field's range is
+# checked by the value type it builds (NodeLayout, FieldParams, Thresholds,
+# Scenario), which names the field on failure.
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -51,58 +53,36 @@ CONFIG_SCHEMA = {
         "experiment": {"enum": list(EXPERIMENTS)},
         "output_dir": {"type": "string", "minLength": 1},
         "ingest_csv": {"type": "string", "minLength": 1},
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer"},
         "layout": {
             "type": "object",
             "additionalProperties": False,
             "required": ["positions", "sink", "node_ids"],
             "properties": {
-                "positions": {"type": "array", "items": _POSITION, "minItems": 1},
+                "positions": {"type": "array", "items": _POSITION},
                 "sink": _POSITION,
-                "node_ids": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                    "minItems": 1,
-                },
+                "node_ids": {"type": "array", "items": {"type": "integer"}},
             },
         },
         "field": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "theta": {"type": "number", "exclusiveMinimum": 0},
-                "sigma_u": {
-                    "anyOf": [
-                        {"type": "number", "exclusiveMinimum": 0},
-                        {
-                            "type": "array",
-                            "items": {"type": "number", "exclusiveMinimum": 0},
-                            "minItems": 1,
-                        },
-                    ]
-                },
-                "sigma_d": {"type": "number", "exclusiveMinimum": 0},
-                "noise_var": {"type": "number", "minimum": 0},
-                "temporal_phi": {
-                    "type": "number",
-                    "minimum": 0,
-                    "exclusiveMaximum": 1,
-                },
+                "theta": _NUMBER,
+                "sigma_u": {"anyOf": [_NUMBER, {"type": "array", "items": _NUMBER}]},
+                "sigma_d": _NUMBER,
+                "noise_var": _NUMBER,
+                "temporal_phi": _NUMBER,
             },
         },
-        "n_block": {"type": "integer", "minimum": 1},
-        "num_blocks": {"type": "integer", "minimum": 2},
+        "n_block": {"type": "integer"},
+        "num_blocks": {"type": "integer"},
         "thresholds": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "alpha": {"type": "number", "exclusiveMinimum": 0},
-                "beta": {"type": "number", "minimum": 0},
-            },
+            "properties": {"alpha": _NUMBER, "beta": _NUMBER},
         },
-        "mu_mode": {
-            "anyOf": [{"const": "auto"}, {"type": "number", "exclusiveMinimum": 0}]
-        },
+        "mu_mode": {"anyOf": [{"const": "auto"}, _NUMBER]},
         "malicious": {
             "anyOf": [
                 {"type": "null"},
@@ -111,26 +91,22 @@ CONFIG_SCHEMA = {
                     "additionalProperties": False,
                     "required": ["node_ids", "scale"],
                     "properties": {
-                        "node_ids": {
-                            "type": "array",
-                            "items": {"type": "integer"},
-                            "minItems": 1,
-                        },
-                        "scale": {"type": "number", "exclusiveMinimum": 1},
+                        "node_ids": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
+                        "scale": _NUMBER,
                     },
                 },
             ]
         },
-        "channel": {"anyOf": [{"type": "null"}, {"type": "number"}]},
+        "channel": {"anyOf": [{"type": "null"}, _NUMBER]},
         "select_first": {"type": "boolean"},
-        "select_count": {"type": "integer", "minimum": 1},
+        "select_count": {"type": "integer"},
         "sweep": {
             "type": "object",
             "additionalProperties": False,
             "required": ["axis", "values"],
             "properties": {
-                "axis": {"enum": ["beta", "n_block", "node_count"]},
-                "values": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+                "axis": {"enum": list(SWEEP_AXES)},
+                "values": {"type": "array", "items": _NUMBER, "minItems": 1},
             },
         },
     },
@@ -155,42 +131,25 @@ class ParsedConfig:
         return doc
 
 
-def _pointer(path) -> str:
-    return "/" + "/".join(str(p) for p in path)
+# JSON Schema counts 5.0 as an integer; a block length or a seed must be an int.
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: type(value) is int
+    ),
+)
 
 
 def _schema_validate(doc: dict) -> None:
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    validator = _Validator(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
-        raise SchemaError(_pointer(err.absolute_path), err.message)
+        raise SchemaError("/" + "/".join(map(str, err.absolute_path)), err.message)
 
 
-def _semantic_validate(doc: dict) -> None:
-    layout = doc.get("layout")
-    if layout is not None:
-        if len(layout["positions"]) != len(layout["node_ids"]):
-            raise SchemaError("/layout", "positions and node_ids lengths differ")
-        if len(set(layout["node_ids"])) != len(layout["node_ids"]):
-            raise SchemaError("/layout/node_ids", "node ids must be unique")
-        node_ids = layout["node_ids"]
-    else:
-        node_ids = list(default_scenario().layout.node_ids)
-
-    sigma = doc.get("field", {}).get("sigma_u")
-    if isinstance(sigma, list) and len(sigma) != len(node_ids):
-        raise SchemaError("/field/sigma_u", f"expected {len(node_ids)} entries")
-
-    mal = doc.get("malicious")
-    if mal is not None:
-        unknown = set(mal["node_ids"]) - set(node_ids)
-        if unknown:
-            raise SchemaError("/malicious/node_ids", f"unknown nodes {sorted(unknown)}")
-
-    if doc.get("select_count") is not None and doc["select_count"] > len(node_ids):
-        raise SchemaError("/select_count", f"exceeds node count {len(node_ids)}")
-
+def _semantic_validate(doc: dict, scenario: Scenario) -> None:
+    """Checks that relate several fields of a built scenario's config."""
     experiment = doc["experiment"]
     if experiment == "sweep" and "sweep" not in doc:
         raise SchemaError("/sweep", "sweep experiment requires the sweep section")
@@ -198,25 +157,21 @@ def _semantic_validate(doc: dict) -> None:
         raise SchemaError("/sweep", "only valid when experiment is 'sweep'")
     if experiment in ("ada", "sweep") and "ingest_csv" in doc:
         raise SchemaError("/ingest_csv", f"not applicable to the {experiment} experiment")
-    if experiment == "detect" and mal is None and "ingest_csv" not in doc:
+    if experiment == "detect" and scenario.malicious is None and "ingest_csv" not in doc:
         raise SchemaError(
             "/malicious", "detect needs a malicious configuration or an ingest_csv to run on"
         )
     # The detector labels nodes against the median of at least two.
-    if experiment == "detect" and len(node_ids) < 2:
+    if experiment == "detect" and scenario.layout.size < 2:
         raise SchemaError("/layout/node_ids", "detect needs at least 2 nodes to classify")
-    if experiment == "detect" and doc.get("select_first") and doc.get("select_count", 2) < 2:
+    if experiment == "detect" and scenario.select_first and scenario.select_count < 2:
         raise SchemaError("/select_count", "detect needs at least 2 selected nodes to classify")
 
     sweep_doc = doc.get("sweep")
     if sweep_doc is not None and sweep_doc["axis"] in ("n_block", "node_count"):
-        bad = [v for v in sweep_doc["values"] if v != int(v) or v < 1]
+        bad = [v for v in sweep_doc["values"] if v != int(v)]
         if bad:
-            raise SchemaError("/sweep/values", f"axis needs positive integers, got {bad}")
-        if sweep_doc["axis"] == "node_count":
-            high = [v for v in sweep_doc["values"] if v > len(node_ids)]
-            if high:
-                raise SchemaError("/sweep/values", f"node counts {high} exceed layout")
+            raise SchemaError("/sweep/values", f"axis needs integers, got {bad}")
 
 
 def _build_scenario(doc: dict) -> Scenario:
@@ -251,49 +206,65 @@ def _build_scenario(doc: dict) -> Scenario:
     select_count = doc.get("select_count")
     if select_count is None:
         select_count = min(base.select_count, len(layout.node_ids))
-    try:
-        return Scenario(
-            layout=layout,
-            field=fld,
-            n_block=doc.get("n_block", base.n_block),
-            num_blocks=doc.get("num_blocks", base.num_blocks),
-            thresholds=thresholds,
-            mu_mode=doc.get("mu_mode", base.mu_mode),
-            malicious=malicious,
-            channel=doc.get("channel", base.channel),
-            seed=doc.get("seed", base.seed),
-            select_first=doc.get("select_first", base.select_first),
-            select_count=select_count,
-        )
-    except (ValueError, WsnAdaptError) as exc:
-        raise SchemaError("/", str(exc)) from None
+    return Scenario(
+        layout=layout,
+        field=fld,
+        n_block=doc.get("n_block", base.n_block),
+        num_blocks=doc.get("num_blocks", base.num_blocks),
+        thresholds=thresholds,
+        mu_mode=doc.get("mu_mode", base.mu_mode),
+        malicious=malicious,
+        channel=doc.get("channel", base.channel),
+        seed=doc.get("seed", base.seed),
+        select_first=doc.get("select_first", base.select_first),
+        select_count=select_count,
+    )
 
 
-def parse_config(path) -> ParsedConfig:
-    """Load, schema-check and default-fill a config file.
+def _finite_number(text: str) -> float:
+    """A JSON number; NaN, Infinity and overflowing literals are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise SchemaError("/", f"not valid JSON: {text} is not a finite number")
+    return value
+
+
+def parse_config(path, seed: int | None = None) -> ParsedConfig:
+    """Load, check and default-fill a config file; ``seed`` overrides its seed.
 
     Raises SchemaError (with a JSON-pointer path) on any validation
-    problem and OSError/json errors on unreadable input.  No simulation
-    work happens here.
+    problem, a sweep value out of its axis's range included, and OSError on
+    unreadable input.  No simulation work happens here.
     """
     with open(path) as handle:
         try:
-            doc = json.load(handle)
+            doc = json.load(handle, parse_float=_finite_number, parse_constant=_finite_number)
         except json.JSONDecodeError as exc:
             raise SchemaError("/", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("/", "config must be a JSON object")
+    if seed is not None:
+        doc["seed"] = seed
     _schema_validate(doc)
-    _semantic_validate(doc)
-    scenario = _build_scenario(doc)
+    try:
+        scenario = _build_scenario(doc)
+    except InvalidParameter as exc:
+        raise SchemaError("/" + exc.field, exc.reason) from None
+    _semantic_validate(doc, scenario)
     sweep_doc = doc.get("sweep")
     sweep_axis = None
     if sweep_doc is not None:
+        axis = sweep_doc["axis"]
         values = [
-            int(v) if sweep_doc["axis"] in ("n_block", "node_count") else float(v)
+            int(v) if axis in ("n_block", "node_count") else float(v)
             for v in sweep_doc["values"]
         ]
-        sweep_axis = (sweep_doc["axis"], values)
+        for k, value in enumerate(values):
+            try:
+                scenario_for_point(scenario, axis, value)
+            except InvalidParameter as exc:
+                raise SchemaError(f"/sweep/values/{k}", f"{axis} {exc.reason}") from None
+        sweep_axis = (axis, values)
     return ParsedConfig(
         experiment=doc["experiment"],
         scenario=scenario,
@@ -392,11 +363,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        parsed = parse_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise SchemaError("/seed", "seed must be non-negative")
-            parsed = replace(parsed, scenario=replace(parsed.scenario, seed=args.seed))
+        parsed = parse_config(args.config, seed=args.seed)
         if args.command == "sweep" and parsed.experiment != "sweep":
             raise SchemaError(
                 "/experiment", f"sweep command needs a sweep config, got {parsed.experiment!r}"

@@ -21,7 +21,20 @@ class DimensionMismatch(WsnAdaptError):
     """Operands have incompatible shapes."""
 
 
-class InvalidTheta(WsnAdaptError):
+class InvalidParameter(WsnAdaptError, ValueError):
+    """A config value lies outside its range.
+
+    ``field`` is the value's path in the config file, e.g. ``field/theta``
+    or ``malicious/node_ids``; ``reason`` says what is wrong with it.
+    """
+
+    def __init__(self, field: str, reason: str):
+        self.field = field
+        self.reason = reason
+        super().__init__(f"{field}: {reason}")
+
+
+class InvalidTheta(InvalidParameter):
     """Range parameter of the correlation model must be positive."""
 
 

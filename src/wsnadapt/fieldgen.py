@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     CsvFormatError,
     DimensionMismatch,
+    InvalidParameter,
     InvalidTheta,
     UnknownNode,
 )
@@ -177,12 +178,20 @@ class NodeLayout:
     node_ids: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.positions) < 1:
-            raise ValueError("layout needs at least one node")
-        if len(self.positions) != len(self.node_ids):
-            raise DimensionMismatch("positions and node_ids lengths differ")
-        if len(set(self.node_ids)) != len(self.node_ids):
-            raise ValueError("node_ids must be unique")
+        ids = self.node_ids
+        if len(ids) != len(self.positions):
+            raise InvalidParameter(
+                "layout/node_ids", f"{len(ids)} ids for {len(self.positions)} positions"
+            )
+        if not ids:
+            raise InvalidParameter("layout/node_ids", "layout needs at least one node")
+        if not min(ids) >= 1:
+            raise InvalidParameter(
+                "layout/node_ids", f"ids must be >= 1 (0 is the sink's), got {min(ids)}"
+            )
+        if len(set(ids)) != len(ids):
+            repeated = sorted({i for i in ids if ids.count(i) > 1})
+            raise InvalidParameter("layout/node_ids", f"ids {repeated} occur more than once")
 
     @property
     def size(self) -> int:
@@ -210,15 +219,19 @@ class FieldParams:
     temporal_phi: float = 0.9
 
     def __post_init__(self):
-        if self.theta <= 0:
-            raise InvalidTheta(f"theta must be > 0, got {self.theta}")
-        sig = np.atleast_1d(np.asarray(self.sigma_u, dtype=float))
-        if np.any(sig <= 0) or self.sigma_d <= 0:
-            raise ValueError("signal standard deviations must be positive")
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be >= 0")
+        # Each test is written so that NaN fails it.
+        if not self.theta > 0:
+            raise InvalidTheta("field/theta", f"must be > 0, got {self.theta}")
+        if not np.all(np.asarray(self.sigma_u, dtype=float) > 0):
+            raise InvalidParameter("field/sigma_u", f"must be > 0, got {self.sigma_u}")
+        if not self.sigma_d > 0:
+            raise InvalidParameter("field/sigma_d", f"must be > 0, got {self.sigma_d}")
+        if not self.noise_var >= 0:
+            raise InvalidParameter("field/noise_var", f"must be >= 0, got {self.noise_var}")
         if not 0.0 <= self.temporal_phi < 1.0:
-            raise ValueError("temporal_phi must lie in [0, 1)")
+            raise InvalidParameter(
+                "field/temporal_phi", f"must lie in [0, 1), got {self.temporal_phi}"
+            )
 
     def sigma_vector(self, m: int) -> np.ndarray:
         """Per-node standard deviations, broadcasting a scalar to m nodes."""

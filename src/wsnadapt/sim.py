@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ada, fieldgen, malicious, stdp
-from .errors import Diverged
+from .errors import Diverged, InvalidParameter
 from .fieldgen import (
     ROLE_PROTOCOL,
     FieldParams,
@@ -70,25 +70,28 @@ class Scenario:
     select_count: int = 6
 
     def __post_init__(self):
-        if self.n_block < 1:
-            raise ValueError("n_block must be >= 1")
-        if self.num_blocks < 2:
-            raise ValueError("num_blocks must be >= 2")
-        if isinstance(self.mu_mode, str):
-            if self.mu_mode != "auto":
-                raise ValueError(f"mu_mode must be 'auto' or a positive number")
-        elif not self.mu_mode > 0:
-            raise ValueError("explicit mu must be positive")
+        if not self.n_block >= 1:
+            raise InvalidParameter("n_block", f"must be >= 1, got {self.n_block}")
+        if not self.num_blocks >= 2:
+            raise InvalidParameter("num_blocks", f"must be >= 2, got {self.num_blocks}")
+        if self.mu_mode != "auto" and (isinstance(self.mu_mode, str) or not self.mu_mode > 0):
+            raise InvalidParameter("mu_mode", f"must be 'auto' or > 0, got {self.mu_mode!r}")
+        m = self.layout.size
+        sigma = self.field.sigma_u
+        if isinstance(sigma, tuple) and len(sigma) != m:
+            raise InvalidParameter("field/sigma_u", f"expected {m} entries, got {len(sigma)}")
         if self.malicious is not None:
             unknown = set(self.malicious.node_ids) - set(self.layout.node_ids)
             if unknown:
-                raise ValueError(f"malicious nodes {sorted(unknown)} not in layout")
-            if self.malicious.scale <= 1:
-                raise ValueError("malicious scale must exceed 1")
-        if not 1 <= self.select_count <= self.layout.size:
-            raise ValueError("select_count must be within the node count")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+                raise InvalidParameter("malicious/node_ids", f"unknown nodes {sorted(unknown)}")
+            if not self.malicious.scale > 1:
+                raise InvalidParameter(
+                    "malicious/scale", f"must be > 1, got {self.malicious.scale}"
+                )
+        if not 1 <= self.select_count <= m:
+            raise InvalidParameter("select_count", f"must lie in [1, {m}], got {self.select_count}")
+        if not self.seed >= 0:
+            raise InvalidParameter("seed", f"must be >= 0, got {self.seed}")
 
     @property
     def explicit_mu(self) -> float | None:
@@ -541,8 +544,6 @@ def sweep(scenario: Scenario, axis: str, values: Sequence) -> RunReport:
     total are those of its own ``run_stdp`` report.  A point that diverges
     raises ``Diverged`` naming it, e.g. ``at beta=0.4``.
     """
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one axis value")

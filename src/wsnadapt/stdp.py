@@ -61,7 +61,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, Diverged, ProtocolViolation, UnknownNode
+from .errors import DimensionMismatch, Diverged, InvalidParameter, ProtocolViolation, UnknownNode
 from .numerics import max_eigenvalue
 
 SINK_ID = 0
@@ -121,9 +121,11 @@ class Thresholds:
     beta: float
 
     def __post_init__(self):
+        if not self.alpha > 0:
+            raise InvalidParameter("thresholds/alpha", f"must be > 0, got {self.alpha}")
         # beta == 0 is the degenerate always-transmit configuration.
-        if self.alpha <= 0 or self.beta < 0:
-            raise ValueError("alpha must be > 0 and beta >= 0")
+        if not self.beta >= 0:
+            raise InvalidParameter("thresholds/beta", f"must be >= 0, got {self.beta}")
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,22 @@
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
-from wsnadapt.cli import main, parse_config
+import wsnadapt
+from wsnadapt.cli import CONFIG_SCHEMA, main, parse_config
 from wsnadapt.errors import SchemaError
+from wsnadapt.sim import MaliciousSpec, default_scenario, scenario_to_dict
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
 
 def write_config(tmp_path, doc, name="config.json"):
+    """Write ``doc`` as JSON (NaN and infinities as their non-standard
+    constants), or as given when it is already text."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return path
 
 
@@ -463,3 +468,158 @@ def test_jobs_is_accepted_and_has_no_effect(tmp_path):
         assert main(["sweep", "--config", str(path), "--out", str(out), "--jobs", jobs]) == 0
         outputs.append(read_dir(out))
     assert outputs[0] == outputs[1]
+
+
+def two_node_layout(node_ids):
+    return {"positions": [[1.0, 1.0], [3.0, 3.0]], "sink": [2.0, 2.0], "node_ids": node_ids}
+
+
+@pytest.mark.parametrize(
+    "doc, flags, message",
+    [
+        (
+            {"experiment": "sweep", "sweep": {"axis": "beta", "values": [0.05, -1]}},
+            [],
+            "/sweep/values/1: beta must be >= 0, got -1.0",
+        ),
+        (
+            {"experiment": "stdp", "thresholds": {"alpha": float("nan")}},
+            [],
+            "/: not valid JSON: NaN is not a finite number",
+        ),
+        (
+            {"experiment": "stdp", "field": {"theta": float("nan")}},
+            [],
+            "/: not valid JSON: NaN is not a finite number",
+        ),
+        (
+            {"experiment": "stdp", "field": {"theta": float("inf")}},
+            [],
+            "/: not valid JSON: Infinity is not a finite number",
+        ),
+        (
+            '{"experiment": "stdp", "field": {"theta": 1e999}}',
+            [],
+            "/: not valid JSON: 1e999 is not a finite number",
+        ),
+        (
+            {"experiment": "stdp", "mu_mode": float("inf")},
+            [],
+            "/: not valid JSON: Infinity is not a finite number",
+        ),
+        (
+            {"experiment": "stdp", "channel": float("-inf")},
+            [],
+            "/: not valid JSON: -Infinity is not a finite number",
+        ),
+        (
+            {"experiment": "stdp", "channel": float("nan")},
+            [],
+            "/: not valid JSON: NaN is not a finite number",
+        ),
+        (
+            {"experiment": "sweep", "sweep": {"axis": "node_count", "values": [3, 11]}},
+            [],
+            "/sweep/values/1: node_count must lie in [1, 10], got 11",
+        ),
+        (
+            {"experiment": "sweep", "sweep": {"axis": "n_block", "values": [4, 0]}},
+            [],
+            "/sweep/values/1: n_block must be >= 1, got 0",
+        ),
+        (
+            {"experiment": "stdp", "field": {"sigma_u": [1.0, 2.0, 3.0]}},
+            [],
+            "/field/sigma_u: expected 10 entries, got 3",
+        ),
+        (
+            {"experiment": "stdp", "layout": two_node_layout([1, 2, 3])},
+            [],
+            "/layout/node_ids: 3 ids for 2 positions",
+        ),
+        (
+            {"experiment": "stdp", "layout": two_node_layout([4, 4])},
+            [],
+            "/layout/node_ids: ids [4] occur more than once",
+        ),
+        (
+            {"experiment": "stdp", "layout": two_node_layout([0, 1])},
+            [],
+            "/layout/node_ids: ids must be >= 1 (0 is the sink's), got 0",
+        ),
+        ({"experiment": "stdp"}, ["--seed", "-1"], "/seed: must be >= 0, got -1"),
+        ({"experiment": "stdp", "n_block": 5.0}, [], "/n_block: 5.0 is not of type 'integer'"),
+    ],
+    ids=[
+        "negative_beta_sweep_value",
+        "alpha_nan",
+        "theta_nan",
+        "theta_infinity",
+        "theta_overflow",
+        "mu_mode_infinity",
+        "channel_minus_infinity",
+        "channel_nan",
+        "node_count_above_layout",
+        "n_block_zero",
+        "sigma_u_wrong_length",
+        "positions_and_ids_differ",
+        "duplicate_ids",
+        "id_zero",
+        "negative_seed_flag",
+        "integral_float_n_block",
+    ],
+)
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, doc, flags, message):
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    lines = []
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(path), "--out", str(out), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines.append(captured.err)
+    assert lines == [f"config error: {message}\n"] * 2
+    assert not out.exists()
+
+
+def schema_keywords(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from schema_keywords(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from schema_keywords(value)
+
+
+def test_config_schema_holds_no_numeric_bound():
+    # A field's range is checked by its value type, and only there.
+    bounds = {"minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum", "multipleOf"}
+    assert not bounds & set(schema_keywords(CONFIG_SCHEMA))
+
+
+def key_paths(doc, prefix=""):
+    for key, value in doc.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + key + "/")
+
+
+def test_every_range_error_names_a_config_key():
+    """Each InvalidParameter raised in the package names, as a literal, a
+    key path of the config file, so its JSON pointer names a real key."""
+    # The default has no malicious section; give it one, so its keys count.
+    spec = MaliciousSpec(node_ids=(5,), scale=6.0)
+    paths = set(key_paths(scenario_to_dict(default_scenario(malicious=spec))))
+    fields = []
+    for source in Path(wsnadapt.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("InvalidParameter", "InvalidTheta")
+            ):
+                assert isinstance(node.args[0], ast.Constant), f"{source.name}:{node.lineno}"
+                fields.append(node.args[0].value)
+    assert len(fields) >= 15
+    assert set(fields) <= paths, sorted(set(fields) - paths)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import global_ia_update
 from wsnadapt.errors import DimensionMismatch, Diverged, ProtocolViolation, UnknownNode
@@ -13,7 +15,9 @@ from wsnadapt.fieldgen import (
 )
 from wsnadapt.sim import default_layout, default_scenario, simulate_protocol
 from wsnadapt.stdp import (
+    CLIENT_ADAPTIVE,
     CLIENT_PREDICTING,
+    SINK_ADAPTIVE,
     KIND_BITS,
     Mail,
     PHASES,
@@ -380,3 +384,78 @@ def test_stream_rows_follow_node_ids_for_an_unsorted_layout():
     assert np.array_equal(state.sent, run.state.sent)
     assert np.array_equal(state.global_weight, run.state.global_weight)
     assert [r.phase for r in rows] == [PHASES[code] for code in run.trace.phase.ravel()]
+
+
+@st.composite
+def engine_runs(draw):
+    """Point sizes, block length, rounds, per-point thresholds, the noise
+    level of the sensed data and a seed for it."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    thresholds = [
+        Thresholds(alpha=draw(st.floats(0.01, 2.0)), beta=draw(st.floats(0.0, 0.5)))
+        for _ in sizes
+    ]
+    return (
+        sizes,
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 40)),
+        thresholds,
+        draw(st.floats(0.0, 1.0)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def bit_set(kinds, kind):
+    return (kinds & KIND_BITS[kind]) != 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine_runs())
+def test_step_round_properties(case):
+    """Message delivery, the silence of predicting rows, the alpha/beta
+    conditions of the weight messages and the count of sent blocks, over
+    random multi-point runs of linear data with noise."""
+    sizes, n, rounds, thresholds, noise_level, seed = case
+    rng = np.random.default_rng(seed)
+    state = new_protocol_state([i for size in sizes for i in range(1, size + 1)], n, sizes)
+    m = len(state.node_ids)
+    samples = rng.normal(size=(rounds, m, n))
+    desired = samples @ rng.normal(size=n) + noise_level * rng.normal(size=(rounds, m))
+    client_noise = noise_level * rng.normal(size=(rounds, m))
+    alpha, beta = np.array([(t.alpha, t.beta) for t in thresholds]).T[:, state.point]
+    suppressed = np.zeros(m, dtype=np.int64)
+    mail = None
+    for r in range(rounds):
+        result = step_round(state, samples[r], desired[r], thresholds, client_noise=client_noise[r])
+        start, kinds = result.phase, result.kinds
+
+        # The previous round's weight messages are delivered in this one.
+        if mail is not None:
+            rows = np.array(
+                [state.rows[a] for a in zip(mail.point.tolist(), mail.node.tolist())], dtype=int
+            )
+            handed = mail.kind == KIND_BITS[MessageKind.GLOBAL_WEIGHT]
+            assert np.all(start[rows[handed]] == CLIENT_ADAPTIVE)
+            assert np.array_equal(state.received_global[rows[handed]], mail.payload[handed])
+            assert np.all(start[rows[~handed]] == CLIENT_PREDICTING)
+        node_weight = bit_set(kinds, MessageKind.NODE_WEIGHT)
+        global_weight = bit_set(kinds, MessageKind.GLOBAL_WEIGHT)
+        mail = result.messages
+        assert len(mail) == np.count_nonzero(node_weight | global_weight)
+
+        # No data block from a row that started the round predicting.
+        data = bit_set(kinds, MessageKind.DATA_BLOCK)
+        assert np.array_equal(data, result.transmitted)
+        assert not np.any(data & (start == CLIENT_PREDICTING))
+
+        # NODE_WEIGHT exactly when an adapting client's |e'| <= beta, and
+        # GLOBAL_WEIGHT exactly when a sink-side row's |e| <= alpha.
+        quiet = np.abs(result.error_new) <= beta
+        assert np.array_equal(node_weight, (start == CLIENT_ADAPTIVE) & quiet)
+        near = np.abs(result.error_glob) <= alpha
+        assert np.array_equal(global_weight, (start <= SINK_ADAPTIVE) & near)
+
+        suppressed += (start == CLIENT_PREDICTING) | ((start == CLIENT_ADAPTIVE) & quiet)
+
+    # Sent plus suppressed blocks make up every row's rounds.
+    assert np.array_equal(state.sent + suppressed, np.full(m, rounds))
