@@ -382,7 +382,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (WsnAdaptError, OSError, ValueError) as exc:
+    except (WsnAdaptError, OSError, ValueError, MemoryError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return 2
     return 0

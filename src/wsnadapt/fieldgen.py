@@ -344,17 +344,13 @@ def build_spatial_covariance(layout: NodeLayout, params: FieldParams) -> Covaria
 def _ar1_series(innovations: np.ndarray, phi: float) -> np.ndarray:
     """Stationary AR(1) path along the last axis from unit-scale innovations.
 
-    Step t is ``phi * path[t - 1] + damp * innovation[t]``.  The recursion
-    runs time-major (on Python floats for a single series), so each step
-    is one contiguous row; the arithmetic, and so every bit, is the same.
+    ``innovations`` holds one series per row, at least 2-D.  Step t is
+    ``phi * path[t - 1] + damp * innovation[t]``.  The recursion runs
+    time-major, so each step is one contiguous row; the arithmetic, and so
+    every bit, is that of a series stepped on its own.
     """
     damp = np.sqrt(1.0 - phi * phi)
     steps = np.moveaxis(innovations, -1, 0)
-    if steps.ndim == 1:
-        path = [float(steps[0])]
-        for x in steps[1:].tolist():
-            path.append(phi * path[-1] + damp * x)
-        return np.array(path)
     out = damp * steps
     out[0] = steps[0]
     for prev, row in zip(out[:-1], out[1:]):
@@ -403,7 +399,6 @@ def generate_stream(
     n: int,
     num_blocks: int,
     seed: int,
-    jitter: bool = False,
 ) -> Stream:
     """Seeded spatio-temporally correlated observation blocks for every node.
 
@@ -413,19 +408,12 @@ def generate_stream(
     with coefficient temporal_phi.  The desired scalar of each block is
     samples @ w0 + v with w0 the normalized all-ones initial weight and v
     drawn per node at variance noise_var.  Bit-identical for equal seeds.
-
-    ``jitter`` adds 1e-10 * sigma_i**2 to the covariance diagonal before
-    factoring; without it a degenerate layout raises NotPositiveDefinite.
+    A degenerate layout raises NotPositiveDefinite.
     """
     if n < 1 or num_blocks < 1:
         raise ValueError("n and num_blocks must be >= 1")
     m = layout.size
-    cov = build_spatial_covariance(layout, params)
-    ruu = cov.ruu
-    if jitter:
-        sig = params.sigma_vector(m)
-        ruu = ruu + np.diag(1e-10 * sig**2)
-    low = cholesky_factor(ruu)
+    low = cholesky_factor(build_spatial_covariance(layout, params).ruu)
 
     total = n * num_blocks
     rng_field = substream(seed, ROLE_FIELD)
@@ -454,18 +442,18 @@ def inject_malicious(stream: Stream, node_ids: Iterable[int], scale: float, seed
         raise ValueError(f"scale must exceed 1, got {scale}")
     rows = stream.rows_of(ids)
 
-    total = stream.n * stream.num_blocks
+    k, num_blocks, n = len(ids), stream.num_blocks, stream.n
     noise_std = float(np.sqrt(stream.params.noise_var))
+    # Each node draws its innovations, then its measurement noise, from its
+    # own substream; the k series then run as one recursion.
+    rngs = [substream(seed, ROLE_MALICIOUS, i) for i in ids]
+    innovations = np.array([rng.standard_normal(n * num_blocks) for rng in rngs])
+    series = _ar1_series(innovations.reshape(k, n * num_blocks), stream.params.temporal_phi)
+    v = np.array([rng.normal(0.0, noise_std, num_blocks) for rng in rngs])
     blocks = stream.blocks.copy()
     desired = stream.desired.copy()
-    for row, node_id in zip(rows, ids):
-        rng = substream(seed, ROLE_MALICIOUS, node_id)
-        series = (scale * stream.sigma[row]) * _ar1_series(
-            rng.standard_normal(total), stream.params.temporal_phi
-        )
-        blocks[row] = series.reshape(stream.num_blocks, stream.n)
-        v = rng.normal(0.0, noise_std, stream.num_blocks)
-        desired[row] = _desired(blocks[row], v)
+    blocks[rows] = (scale * stream.sigma[rows])[:, None, None] * series.reshape(k, num_blocks, n)
+    desired[rows] = _desired(blocks[rows], v.reshape(k, num_blocks))
     return replace(stream, blocks=blocks, desired=desired)
 
 
@@ -473,25 +461,22 @@ def awgn_channel(
     samples: np.ndarray,
     desired: np.ndarray,
     keys: np.ndarray,
-    snr_db: float | None,
+    snr_db: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Additive white Gaussian noise on the blocks transmitted in one round.
 
     Row k of ``samples`` (``(k, n)``) and ``desired`` is one node's block,
     and ``keys[k]`` is the Philox key of that (node, block)'s own channel
-    substream (see ``channel_keys``).  ``snr_db=None`` means the channel is
-    off and both arrays are returned unchanged.  Otherwise each block's
-    per-sample noise variance is its mean-square sample power scaled by
-    10**(-snr_db/10); the same variance is applied to its desired scalar.
+    substream (see ``channel_keys``).  Each block's per-sample noise
+    variance is its mean-square sample power scaled by 10**(-snr_db/10);
+    the same variance is applied to its desired scalar.
 
     ``rng`` is a Generator over a Philox bit generator, re-keyed here once
     per row with its counter at zero: row k draws exactly what
     ``np.random.Generator(np.random.Philox(key))`` would, n samples' noise
     and then the desired scalar's, scaled as ``Generator.normal`` scales.
     """
-    if snr_db is None:
-        return samples, desired
     count, n = samples.shape
     noise_std = np.sqrt(np.mean(samples**2, axis=1) * 10.0 ** (-snr_db / 10.0))
     bit_generator = rng.bit_generator

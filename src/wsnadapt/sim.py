@@ -256,10 +256,8 @@ def run_ada(scenario: Scenario) -> RunReport:
 @dataclass(frozen=True)
 class ProtocolRun:
     """One engine run; ``percentages[k]`` belongs to engine row k, node
-    ``state.node_ids[k]`` of point ``state.point[k]``.  ``streams[p]`` is
-    the stream point p read, restricted to its active nodes."""
+    ``state.node_ids[k]`` of point ``state.point[k]``."""
 
-    streams: tuple[Stream, ...]
     state: stdp.ProtocolState
     trace: stdp.Trace
     percentages: np.ndarray
@@ -353,35 +351,35 @@ def simulate_protocol(
             for i in active
         ]
     ).reshape(len(active), num_blocks)
-    channel = None
-    if scenario.channel is not None:
-        # Every (node, block) keeps its own channel substream: the run derives
-        # all their keys at once and re-keys one generator per sent block.
-        ids = np.array(active, dtype=np.int64)
-        keys = channel_keys(scenario.seed, active, num_blocks)
-        rng = np.random.Generator(np.random.Philox(0))
-        snr = scenario.channel
-
-        def channel(samples, desired, node_ids, block_index):
-            rows = np.searchsorted(ids, node_ids)
-            return fieldgen.awgn_channel(samples, desired, keys[rows, block_index], snr, rng)
-
-    # Point p's rows read streams[p]; draws are in ``active`` order, and one
-    # point reads everything as it is.
-    if len(streams) == 1:
-        blocks, desired = streams[0].blocks, streams[0].desired
-    else:
-        blocks = np.concatenate([s.blocks for s in streams])
-        desired = np.concatenate([s.desired for s in streams])
-        draws = draws[np.searchsorted(active, [i for group in groups for i in group])]
     state = stdp.new_protocol_state(
         [i for group in groups for i in group],
         scenario.n_block,
         sizes=[len(group) for group in groups],
     )
+    # Engine row k is node ``active[node_row[k]]``: the row of its noise
+    # draws and channel keys.  Point p's rows read streams[p], and one point
+    # reads everything as it is.
+    node_row = np.searchsorted(active, state.node_ids)
+    draws = draws[node_row]
+    if len(streams) == 1:
+        blocks, desired = streams[0].blocks, streams[0].desired
+    else:
+        blocks = np.concatenate([s.blocks for s in streams])
+        desired = np.concatenate([s.desired for s in streams])
+    channel = None
+    if scenario.channel is not None:
+        # Every (node, block) keeps its own channel substream: the run derives
+        # all their keys at once and re-keys one generator per sent block.
+        keys = channel_keys(scenario.seed, active, num_blocks)
+        rng = np.random.Generator(np.random.Philox(0))
+        snr = scenario.channel
+
+        def channel(samples, desired, rows, block_index):
+            return fieldgen.awgn_channel(
+                samples, desired, keys[node_row[rows], block_index], snr, rng
+            )
+
     thresholds = [point.thresholds for point in points]
-    if len(set(thresholds)) == 1:
-        thresholds = thresholds[0]
     trace = stdp.Trace.empty(num_blocks, len(state.node_ids), scenario.n_block)
     for r in range(num_blocks):
         trace.record(
@@ -396,7 +394,6 @@ def simulate_protocol(
             )
         )
     return ProtocolRun(
-        streams=tuple(streams),
         state=state,
         trace=trace,
         percentages=stdp.transmission_percentage(state),
@@ -473,7 +470,7 @@ def run_stdp(
     metadata = _base_metadata("STDP", scenario)
     metadata.update(
         {
-            "active_nodes": list(run.streams[point].node_ids),
+            "active_nodes": list(run.state.node_ids[run.rows(point)]),
             "total_percentage": stdp.total_percentages(run.state)[point],
             "mu": None if np.isnan(mu) else float(mu),
         }
@@ -506,7 +503,7 @@ def run_detect(scenario: Scenario, stream: Stream | None = None) -> RunReport:
     metadata = _base_metadata("DETECT", scenario)
     metadata.update(
         {
-            "active_nodes": list(run.streams[0].node_ids),
+            "active_nodes": list(run.state.node_ids[run.rows(0)]),
             "kappa": report.kappa,
             "threshold": report.threshold,
             "flagged": sorted(

@@ -23,6 +23,8 @@ The array round.  The engine runs one or more *points*, independent
 protocol runs over the same rounds (a sweep's points, or one scenario),
 side by side.  Its rows are (point, node) pairs: point p's nodes are
 consecutive rows, ids ascending, and ``point[k]`` names row k's point.
+Inside the engine a row is the only address: queued mail and the channel
+hook name rows, and node ids appear only in error messages.
 ``phase[k]`` is the row's phase code (an index into ``PHASES``; which
 filter is active is a function of the phase alone), ``client_weight[k]``
 its client filter Wc and ``received_global[k]`` the global weight Wr that
@@ -61,7 +63,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, Diverged, InvalidParameter, ProtocolViolation, UnknownNode
+from .errors import DimensionMismatch, Diverged, InvalidParameter, ProtocolViolation
 from .numerics import max_eigenvalue
 
 SINK_ID = 0
@@ -132,16 +134,14 @@ class Thresholds:
 class Mail:
     """Messages queued between rounds, as columns with one entry per message.
 
-    ``kind`` holds ``KIND_BITS`` codes, ``point`` the point each message
-    belongs to and ``node`` its client end: the sender of a NODE_WEIGHT,
-    the receiver of anything else (the point's sink is always the other
-    end).  ``payload[j]`` is the weight that entry j carries (zeros for a
-    QUERY).
+    ``kind`` holds ``KIND_BITS`` codes and ``row`` the engine row of each
+    message's client end: the sender of a NODE_WEIGHT, the receiver of
+    anything else (the sink of the row's point is always the other end).
+    ``payload[j]`` is the weight that entry j carries (zeros for a QUERY).
     """
 
     kind: np.ndarray
-    point: np.ndarray
-    node: np.ndarray
+    row: np.ndarray
     payload: np.ndarray
 
     def __len__(self) -> int:
@@ -158,15 +158,13 @@ class ProtocolState:
     ``sent[k]`` counts the blocks row k transmitted in ``round_index``
     rounds.  Point p's rows are ``bounds[p]:bounds[p + 1]``;
     ``global_weight[p]`` is its sink filter and ``mu[p]`` its automatic step
-    size (NaN until first estimated).  ``rows`` maps a (point, node id)
-    address to its row.
+    size (NaN until first estimated).
     """
 
     n: int
     node_ids: tuple[int, ...]
     point: np.ndarray
     bounds: np.ndarray
-    rows: dict[tuple[int, int], int]
     global_weight: np.ndarray
     mu: np.ndarray
     phase: np.ndarray
@@ -364,7 +362,6 @@ def new_protocol_state(
         node_ids=tuple(ids),
         point=point,
         bounds=np.cumsum([0, *sizes]),
-        rows={(p, i): k for k, (p, i) in enumerate(zip(point.tolist(), ids))},
         global_weight=np.tile(initial_weight(n), (len(sizes), 1)),
         mu=np.full(len(sizes), np.nan),
         phase=np.full(m, RAW_TRANSMIT, dtype=np.int8),
@@ -373,8 +370,7 @@ def new_protocol_state(
         sent=np.zeros(m, dtype=np.int64),
         pending=Mail(
             kind=np.full(m, KIND_BITS[MessageKind.QUERY], dtype=np.uint8),
-            point=point,
-            node=np.array(ids, dtype=np.int64),
+            row=np.arange(m),
             payload=np.zeros((m, n)),
         ),
     )
@@ -383,26 +379,18 @@ def new_protocol_state(
 def _deliver(state: ProtocolState, mail: Mail) -> None:
     """Apply the queued messages, each checked against the phase its row
     ended the previous round in; the first bad entry raises."""
-    rows = np.array(
-        [state.rows.get(a, -1) for a in zip(mail.point.tolist(), mail.node.tolist())],
-        dtype=np.intp,
-    )
-    known = rows >= 0
-    accepted = known.copy()
-    accepted[known] = _ACCEPTS[mail.kind[known], state.phase[rows[known]]]
+    accepted = _ACCEPTS[mail.kind, state.phase[mail.row]]
     if not accepted.all():
         j = int(np.argmin(accepted))
-        kind, node = _KIND_OF_BIT[int(mail.kind[j])], int(mail.node[j])
-        role = "from" if kind is MessageKind.NODE_WEIGHT else "to"
+        kind, row = _KIND_OF_BIT[int(mail.kind[j])], int(mail.row[j])
         if not _ACCEPTS[KIND_BITS[kind]].any():
             raise ProtocolViolation(f"{kind.value} cannot be queued between rounds")
-        if not known[j]:
-            raise UnknownNode(f"{kind.value} {role} unknown node {node}")
+        role = "from" if kind is MessageKind.NODE_WEIGHT else "to"
         raise ProtocolViolation(
-            f"{kind.value} {role} node {node} in {PHASES[state.phase[rows[j]]].value}"
+            f"{kind.value} {role} node {state.node_ids[row]} in {PHASES[state.phase[row]].value}"
         )
     handed = mail.kind == KIND_BITS[MessageKind.GLOBAL_WEIGHT]
-    rows = rows[handed]
+    rows = mail.row[handed]
     state.phase[rows] = CLIENT_ADAPTIVE
     state.client_weight[rows] = mail.payload[handed]
     state.received_global[rows] = mail.payload[handed]
@@ -414,15 +402,6 @@ def _diverged(state: ProtocolState, row: int, side: str) -> Diverged:
         f"for node {state.node_ids[row]}",
         point=int(state.point[row]),
     )
-
-
-def _per_row(thresholds: Thresholds | Sequence[Thresholds], point: np.ndarray):
-    """(alpha, beta) for every row: scalars when one ``Thresholds`` holds for
-    every point, else gathered from the point's own entry."""
-    if isinstance(thresholds, Thresholds):
-        return float(thresholds.alpha), float(thresholds.beta)
-    alpha, beta = np.array([(t.alpha, t.beta) for t in thresholds]).T
-    return alpha[point], beta[point]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -447,8 +426,9 @@ def step_round(
     docstring.  ``mu`` overrides the automatic step-size rule (0.5 / (M *
     lambda_max) of the point's empirical block covariance, refreshed
     whenever one of its nodes is in a raw round).
-    ``channel(samples, desired, node_ids, round_index)`` optionally maps the
-    transmitted rows to what the sinks receive.
+    ``channel(samples, desired, rows, round_index)`` optionally maps the
+    blocks of the transmitting engine rows ``rows`` to what the sinks
+    receive.
 
     Raises ``Diverged`` at the first round with a non-finite error, naming
     the round, the node and (as ``point``) the lowest point that has one.
@@ -464,11 +444,12 @@ def step_round(
             f"a round of {m} nodes needs ({m}, {state.n}) samples and {m} desired "
             f"values and noise draws, got {samples.shape}, {desired.shape} and {noise.shape}"
         )
-    if not isinstance(thresholds, Thresholds) and len(thresholds) != points:
+    if isinstance(thresholds, Thresholds):
+        thresholds = [thresholds] * points
+    if len(thresholds) != points:
         raise DimensionMismatch(f"{len(thresholds)} thresholds for {points} points")
-    alpha, beta = _per_row(thresholds, state.point)
+    alpha, beta = np.array([(t.alpha, t.beta) for t in thresholds]).T[:, state.point]
 
-    ids = np.array(state.node_ids, dtype=np.int64)
     _deliver(state, state.pending)
 
     phase = state.phase.copy()
@@ -511,7 +492,7 @@ def step_round(
     if sent.size and stop > 0:
         u_sent, d_sent = samples[sent], desired[sent]
         if channel is not None:
-            u_sent, d_sent = channel(u_sent, d_sent, ids[sent], state.round_index)
+            u_sent, d_sent = channel(u_sent, d_sent, sent, state.round_index)
 
         # Sink side: per point, one global sweep over this round's arrivals,
         # then the alpha decision for rows whose sink filter is (or is
@@ -543,7 +524,7 @@ def step_round(
         sink_bad = np.flatnonzero(~np.isfinite(errs))
         if sink_bad.size:
             raise _diverged(state, sent[sink_bad[0]], "sink")
-        near = np.abs(errs) <= (alpha if isinstance(alpha, float) else alpha[sent])
+        near = np.abs(errs) <= alpha[sent]
         handed = sent[(sent_phase <= SINK_ADAPTIVE) & near]
         to_sink_adaptive = sent[~near & (sent_phase == RAW_TRANSMIT)]
         kinds[handed] |= KIND_BITS[MessageKind.GLOBAL_WEIGHT]
@@ -559,14 +540,12 @@ def step_round(
     # handed-off ones; no row sends both in one round.
     queued = np.concatenate([np.flatnonzero(silenced), handed])
     kind = kinds[queued] & _WEIGHT_BITS
-    queued_point = state.point[queued]
     state.pending = Mail(
         kind=kind,
-        point=queued_point,
-        node=ids[queued],
+        row=queued,
         payload=np.where(
             (kind == KIND_BITS[MessageKind.GLOBAL_WEIGHT])[:, None],
-            state.global_weight[queued_point],
+            state.global_weight[state.point[queued]],
             state.client_weight[queued],
         ),
     )

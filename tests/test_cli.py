@@ -379,6 +379,22 @@ def test_detect_that_cannot_classify_fails_and_writes_nothing(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_run_too_large_to_allocate_is_a_run_error(tmp_path, capsys):
+    # 2e15 samples per node: the field draw asks for 142 PiB, which no
+    # allocator grants, so the run fails at its first large allocation.
+    path = write_config(
+        tmp_path, {"experiment": "stdp", "n_block": 100_000_000_000_000, "num_blocks": 20}
+    )
+    assert main(["validate", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("run error: Unable to allocate 142. PiB")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert not out.exists()
+
+
 def test_detect_ingest_sharing_one_node_is_a_config_error(tmp_path, capsys):
     csv_path = write_readings(tmp_path / "field.csv", [3, 42, 43])
     path = write_config(

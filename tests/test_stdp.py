@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import global_ia_update
-from wsnadapt.errors import DimensionMismatch, Diverged, ProtocolViolation, UnknownNode
+from wsnadapt.errors import DimensionMismatch, Diverged, ProtocolViolation
 from wsnadapt.fieldgen import (
     ROLE_MEASURE,
     ROLE_PROTOCOL,
@@ -66,21 +66,20 @@ def drive(layout, stream, thresholds, mu=None, noise_seed=None, channel=None):
     return state, rows, messages
 
 
-def queue(state, kind, node, payload):
-    """Append one message of the state's first point to its queue of
-    undelivered mail; ``node`` is its client end (the sender of a
-    NODE_WEIGHT, else the receiver)."""
+def queue(state, kind, row, payload):
+    """Append one message to the state's queue of undelivered mail; ``row``
+    is the engine row of its client end (the sender of a NODE_WEIGHT, else
+    the receiver)."""
     state.pending = Mail(
         kind=np.append(state.pending.kind, KIND_BITS[kind]).astype(np.uint8),
-        point=np.append(state.pending.point, 0),
-        node=np.append(state.pending.node, node),
+        row=np.append(state.pending.row, row),
         payload=np.vstack([state.pending.payload, payload]),
     )
 
 
-def queued(mail, kind):
-    """Client ends of the queued messages of one kind."""
-    return mail.node[mail.kind == KIND_BITS[kind]].tolist()
+def queued(state, mail, kind):
+    """Node ids of the client ends of the queued messages of one kind."""
+    return [state.node_ids[k] for k in mail.row[mail.kind == KIND_BITS[kind]].tolist()]
 
 
 def stacked(blocks):
@@ -198,7 +197,7 @@ def test_step_round_huge_alpha_hands_off_everyone():
     layout, stream = make_stream(3, seed=1)
     state, rows, messages = drive(layout, stream, Thresholds(alpha=1e9, beta=0.05), noise_seed=1)
     first = messages[0]
-    handed = set(queued(first, MessageKind.GLOBAL_WEIGHT))
+    handed = set(queued(state, first, MessageKind.GLOBAL_WEIGHT))
     assert handed == set(layout.node_ids)
     round1 = [r for r in rows if r.round_index == 1]
     assert all(r.phase is Phase.CLIENT_ADAPTIVE for r in round1)
@@ -239,11 +238,11 @@ def test_message_causality():
     for row in rows:
         by_round[(row.round_index, row.node_id)] = row
     for r, batch in enumerate(messages):
-        for receiver in queued(batch, MessageKind.GLOBAL_WEIGHT):
+        for receiver in queued(state, batch, MessageKind.GLOBAL_WEIGHT):
             row = by_round[(r, receiver)]
             assert row.error_glob is not None
             assert abs(row.error_glob) <= thresholds.alpha
-        for sender in queued(batch, MessageKind.NODE_WEIGHT):
+        for sender in queued(state, batch, MessageKind.NODE_WEIGHT):
             row = by_round[(r, sender)]
             assert row.error_new is not None
             assert abs(row.error_new) <= thresholds.beta
@@ -280,14 +279,43 @@ def test_protocol_violation_on_misdelivered_messages():
     state.phase[0] = CLIENT_PREDICTING
     state.client_weight[0] = initial_weight(stream.n)
     state.received_global[0] = initial_weight(stream.n)
-    queue(state, MessageKind.GLOBAL_WEIGHT, ids[0], initial_weight(stream.n))
+    queue(state, MessageKind.GLOBAL_WEIGHT, 0, initial_weight(stream.n))
     with pytest.raises(ProtocolViolation):
         step_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
 
     state = new_protocol_state(ids, stream.n)
-    queue(state, MessageKind.NODE_WEIGHT, ids[0], initial_weight(stream.n))
+    queue(state, MessageKind.NODE_WEIGHT, 0, initial_weight(stream.n))
     with pytest.raises(ProtocolViolation):
         step_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
+
+
+def test_misdelivered_message_names_the_node_not_the_row():
+    # Two points over ids (4, 7, 9): row 4 is node 7 of the second point,
+    # and row 5 its node 9.
+    n = 3
+    state = new_protocol_state([4, 7, 9, 4, 7, 9], n, sizes=[3, 3])
+    state.phase[4] = CLIENT_PREDICTING
+    state.pending = Mail(
+        kind=np.array([KIND_BITS[MessageKind.GLOBAL_WEIGHT]], dtype=np.uint8),
+        row=np.array([4]),
+        payload=initial_weight(n)[None],
+    )
+    rng = np.random.default_rng(14)
+    samples, desired = rng.normal(size=(6, n)), rng.normal(size=6)
+    thresholds = [Thresholds(0.5, 0.05)] * 2
+    with pytest.raises(ProtocolViolation) as err:
+        step_round(state, samples, desired, thresholds)
+    assert str(err.value) == "GLOBAL_WEIGHT to node 7 in CLIENT_PREDICTING"
+
+    state = new_protocol_state([4, 7, 9, 4, 7, 9], n, sizes=[3, 3])
+    state.pending = Mail(
+        kind=np.array([KIND_BITS[MessageKind.NODE_WEIGHT]], dtype=np.uint8),
+        row=np.array([5]),
+        payload=initial_weight(n)[None],
+    )
+    with pytest.raises(ProtocolViolation) as err:
+        step_round(state, samples, desired, thresholds)
+    assert str(err.value) == "NODE_WEIGHT from node 9 in RAW_TRANSMIT"
 
 
 def test_step_round_requires_block_per_node():
@@ -301,8 +329,8 @@ def test_channel_hook_applies_to_transmitted_blocks_only():
     layout, stream = make_stream(30, seed=11)
     seen = []
 
-    def channel(samples, desired, node_ids, block_index):
-        seen.extend((node_id, block_index) for node_id in node_ids)
+    def channel(samples, desired, rows, block_index):
+        seen.extend((row, block_index) for row in rows)
         return samples, desired
 
     state, rows, _ = drive(layout, stream, Thresholds(0.5, 0.05), noise_seed=11, channel=channel)
@@ -336,14 +364,6 @@ def test_explicit_mu_bypasses_auto_rule():
     layout, stream = make_stream(10, seed=12)
     state, _, _ = drive(layout, stream, Thresholds(0.5, 0.05), mu=0.01, noise_seed=12)
     assert np.isnan(state.mu).all()  # auto estimate never engaged
-
-
-def test_message_to_unknown_node_is_rejected():
-    layout, stream = make_stream(2, seed=8)
-    state = new_protocol_state(list(layout.node_ids), stream.n)
-    queue(state, MessageKind.GLOBAL_WEIGHT, 99, initial_weight(stream.n))
-    with pytest.raises(UnknownNode):
-        step_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
 
 
 def test_divergence_stops_at_first_non_finite_round():
@@ -431,17 +451,17 @@ def test_step_round_properties(case):
 
         # The previous round's weight messages are delivered in this one.
         if mail is not None:
-            rows = np.array(
-                [state.rows[a] for a in zip(mail.point.tolist(), mail.node.tolist())], dtype=int
-            )
             handed = mail.kind == KIND_BITS[MessageKind.GLOBAL_WEIGHT]
-            assert np.all(start[rows[handed]] == CLIENT_ADAPTIVE)
-            assert np.array_equal(state.received_global[rows[handed]], mail.payload[handed])
-            assert np.all(start[rows[~handed]] == CLIENT_PREDICTING)
+            assert np.all(start[mail.row[handed]] == CLIENT_ADAPTIVE)
+            assert np.array_equal(state.received_global[mail.row[handed]], mail.payload[handed])
+            assert np.all(start[mail.row[~handed]] == CLIENT_PREDICTING)
         node_weight = bit_set(kinds, MessageKind.NODE_WEIGHT)
         global_weight = bit_set(kinds, MessageKind.GLOBAL_WEIGHT)
         mail = result.messages
-        assert len(mail) == np.count_nonzero(node_weight | global_weight)
+        # Mail names the silenced rows, then the handed-off rows.
+        assert np.array_equal(
+            mail.row, np.concatenate([np.flatnonzero(node_weight), np.flatnonzero(global_weight)])
+        )
 
         # No data block from a row that started the round predicting.
         data = bit_set(kinds, MessageKind.DATA_BLOCK)
