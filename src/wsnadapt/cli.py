@@ -13,13 +13,13 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import jsonschema
 
 from .errors import InvalidParameter, SchemaError, WsnAdaptError
-from .fieldgen import FieldParams, NodeLayout, Stream, ingest_csv
+from .fieldgen import Stream, ingest_csv
 from .sim import (
     SWEEP_AXES,
     MaliciousSpec,
@@ -34,7 +34,6 @@ from .sim import (
     scenario_to_dict,
     sweep,
 )
-from .stdp import Thresholds
 
 EXPERIMENTS = ("ada", "stdp", "detect", "sweep")
 
@@ -174,51 +173,35 @@ def _semantic_validate(doc: dict, scenario: Scenario) -> None:
             raise SchemaError("/sweep/values", f"axis needs integers, got {bad}")
 
 
+def _tuples(value):
+    """A JSON value with its arrays, at every depth, as tuples."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
 def _build_scenario(doc: dict) -> Scenario:
+    """The default scenario with each field the config sets replaced; a
+    config key is the name of the field it sets.
+
+    A section such as ``field`` replaces the fields it names in its value
+    type's default.  Value types are built in field order, so the first
+    bad section raises first and the Scenario's own checks run last.
+    """
     base = default_scenario()
-    layout = base.layout
-    if "layout" in doc:
-        layout = NodeLayout(
-            positions=tuple(tuple(p) for p in doc["layout"]["positions"]),
-            sink=tuple(doc["layout"]["sink"]),
-            node_ids=tuple(doc["layout"]["node_ids"]),
-        )
-    fdoc = doc.get("field", {})
-    sigma = fdoc.get("sigma_u", base.field.sigma_u)
-    fld = FieldParams(
-        theta=fdoc.get("theta", base.field.theta),
-        sigma_u=tuple(sigma) if isinstance(sigma, list) else sigma,
-        sigma_d=fdoc.get("sigma_d", base.field.sigma_d),
-        noise_var=fdoc.get("noise_var", base.field.noise_var),
-        temporal_phi=fdoc.get("temporal_phi", base.field.temporal_phi),
-    )
-    tdoc = doc.get("thresholds", {})
-    thresholds = Thresholds(
-        alpha=tdoc.get("alpha", base.thresholds.alpha),
-        beta=tdoc.get("beta", base.thresholds.beta),
-    )
-    mal = doc.get("malicious")
-    malicious = (
-        None
-        if mal is None
-        else MaliciousSpec(node_ids=tuple(mal["node_ids"]), scale=float(mal["scale"]))
-    )
-    select_count = doc.get("select_count")
-    if select_count is None:
-        select_count = min(base.select_count, len(layout.node_ids))
-    return Scenario(
-        layout=layout,
-        field=fld,
-        n_block=doc.get("n_block", base.n_block),
-        num_blocks=doc.get("num_blocks", base.num_blocks),
-        thresholds=thresholds,
-        mu_mode=doc.get("mu_mode", base.mu_mode),
-        malicious=malicious,
-        channel=doc.get("channel", base.channel),
-        seed=doc.get("seed", base.seed),
-        select_first=doc.get("select_first", base.select_first),
-        select_count=select_count,
-    )
+    values = {}
+    for f in fields(Scenario):
+        value = doc.get(f.name)
+        if value is None:
+            continue
+        default = getattr(base, f.name)
+        if f.name == "malicious":
+            # float(): an integer scale echoes as 4.0, keeping its config_sha1.
+            value = MaliciousSpec(node_ids=tuple(value["node_ids"]), scale=float(value["scale"]))
+        elif is_dataclass(default):
+            value = replace(default, **{key: _tuples(v) for key, v in value.items()})
+        values[f.name] = _tuples(value)
+    if "select_count" not in values:
+        values["select_count"] = min(base.select_count, values.get("layout", base.layout).size)
+    return replace(base, **values)
 
 
 def _finite_number(text: str) -> float:

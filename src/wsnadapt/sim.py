@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import ada, fieldgen, malicious, stdp
-from .errors import Diverged, InvalidParameter
+from .errors import Diverged, InsufficientHistory, InvalidParameter
 from .fieldgen import (
     ROLE_PROTOCOL,
     FieldParams,
@@ -112,39 +112,18 @@ def default_scenario(**overrides) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """Plain JSON-able echo of a scenario (the config-file shape)."""
-    sig = scenario.field.sigma_u
-    return {
-        "layout": {
-            "positions": [list(p) for p in scenario.layout.positions],
-            "sink": list(scenario.layout.sink),
-            "node_ids": list(scenario.layout.node_ids),
-        },
-        "field": {
-            "theta": scenario.field.theta,
-            "sigma_u": list(sig) if isinstance(sig, tuple) else sig,
-            "sigma_d": scenario.field.sigma_d,
-            "noise_var": scenario.field.noise_var,
-            "temporal_phi": scenario.field.temporal_phi,
-        },
-        "n_block": scenario.n_block,
-        "num_blocks": scenario.num_blocks,
-        "thresholds": {
-            "alpha": scenario.thresholds.alpha,
-            "beta": scenario.thresholds.beta,
-        },
-        "mu_mode": scenario.mu_mode,
-        "malicious": None
-        if scenario.malicious is None
-        else {
-            "node_ids": list(scenario.malicious.node_ids),
-            "scale": scenario.malicious.scale,
-        },
-        "channel": scenario.channel,
-        "seed": scenario.seed,
-        "select_first": scenario.select_first,
-        "select_count": scenario.select_count,
-    }
+    """Plain JSON-able echo of a scenario (the config-file shape): each
+    value type becomes a dict keyed by its field names, which are the
+    config keys; tuples stay tuples, which JSON writes as arrays."""
+    return _echo(scenario)
+
+
+def _echo(value):
+    # Not dataclasses.asdict: it deep-copies every leaf, which on a 400-node
+    # layout costs two orders of magnitude more than this walk.
+    if is_dataclass(value):
+        return {f.name: _echo(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 def config_hash(config: dict) -> str:
@@ -484,9 +463,14 @@ def run_detect(scenario: Scenario, stream: Stream | None = None) -> RunReport:
         raise ValueError("detect experiment requires a malicious configuration")
     run = simulate_protocol(scenario, stream)
     _, rows, weights = run.weight_snapshots()
-    histories = malicious.histories_from_snapshots(
-        {run.state.node_ids[k]: weights[rows == k] for k in np.unique(rows)}
-    )
+    snapshots = {run.state.node_ids[k]: weights[rows == k] for k in np.unique(rows)}
+    if len(snapshots) < 2:
+        never = [i for i in run.state.node_ids if i not in snapshots]
+        raise InsufficientHistory(
+            f"detect needs at least 2 nodes with weight snapshots to classify, got "
+            f"{list(snapshots)}; nodes {never} never adapted a client filter"
+        )
+    histories = malicious.histories_from_snapshots(snapshots)
     variances = {i: malicious.weight_variance(h) for i, h in sorted(histories.items())}
     report = malicious.classify(variances)
     files = _protocol_files(run, 0, scenario.thresholds.beta)

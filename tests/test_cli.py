@@ -1,5 +1,6 @@
 import ast
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 import wsnadapt
 from wsnadapt.cli import CONFIG_SCHEMA, main, parse_config
 from wsnadapt.errors import SchemaError
-from wsnadapt.sim import MaliciousSpec, default_scenario, scenario_to_dict
+from wsnadapt.fieldgen import FieldParams, NodeLayout
+from wsnadapt.sim import MaliciousSpec, Scenario, default_scenario, scenario_to_dict
+from wsnadapt.stdp import Thresholds
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -46,17 +49,50 @@ def test_unknown_key_is_rejected(tmp_path):
         parse_config(path)
 
 
+# Sets every config key to a value other than its default: unsorted ids,
+# integer coordinates, a per-node sigma_u with an integer entry, and an
+# integer scale and channel.
+EVERY_KEY = {
+    "experiment": "stdp",
+    "seed": 7,
+    "layout": {
+        "positions": [[1, 1], [3.0, 1.2], [2.5, 3.1], [0.8, 2.9], [1.9, 2.2]],
+        "sink": [2, 2.0],
+        "node_ids": [7, 3, 9, 1, 5],
+    },
+    "field": {
+        "theta": 1.5,
+        "sigma_u": [1.0, 2, 1.5, 0.9, 1.1],
+        "sigma_d": 1.2,
+        "noise_var": 0.02,
+        "temporal_phi": 0.8,
+    },
+    "n_block": 4,
+    "num_blocks": 20,
+    "thresholds": {"alpha": 0.4, "beta": 0.1},
+    "mu_mode": 0.05,
+    "malicious": {"node_ids": [3], "scale": 4},
+    "channel": 25,
+    "select_first": True,
+    "select_count": 4,
+}
+
+
 def test_effective_config_round_trips(tmp_path, capsys):
-    path = write_config(
-        tmp_path,
-        {"experiment": "stdp", "num_blocks": 20, "output_dir": str(tmp_path / "out")},
-    )
-    assert main(["run", "--config", str(path), "--jobs", "1"]) == 0
-    assert capsys.readouterr().out == ""
-    echo = tmp_path / "out" / "effective_config.json"
-    reparsed = parse_config(echo)
-    assert reparsed.scenario == parse_config(path).scenario
-    assert reparsed.experiment == "stdp"
+    for name, doc in [("minimal", {"experiment": "stdp", "num_blocks": 20}), ("every", EVERY_KEY)]:
+        doc = {**doc, "output_dir": str(tmp_path / name)}
+        path = write_config(tmp_path, doc, f"{name}.json")
+        assert main(["run", "--config", str(path), "--jobs", "1"]) == 0
+        assert capsys.readouterr().out == ""
+        echo_path = tmp_path / name / "effective_config.json"
+        reparsed = parse_config(echo_path)
+        assert reparsed.scenario == parse_config(path).scenario, name
+        assert reparsed.experiment == "stdp"
+        # The echo holds each value as given; a scale is a float even when
+        # given as an integer, so 4 echoes as 4.0.
+        echo = json.loads(echo_path.read_text())
+        assert {key: echo[key] for key in doc} == doc, name
+        assert echo["malicious"] is None or type(echo["malicious"]["scale"]) is float
 
 
 def test_validate_writes_nothing(tmp_path, capsys):
@@ -365,8 +401,24 @@ def test_divergent_explicit_mu_fails_fast_with_one_line(tmp_path, mu):
             "config error: /layout/node_ids: detect needs at least 2 nodes to classify",
         ),
         ({"num_blocks": 3}, 2, "run error: node 3 has 1 snapshots, need >= 2"),
+        (
+            {
+                "layout": {
+                    "positions": [[3.6, 2.7], [3.1, 3.6], [1.0, 2.5], [3.6, 3.5]],
+                    "sink": [2.0, 2.0],
+                    "node_ids": [3, 7, 9, 12],
+                },
+                "num_blocks": 30,
+                "select_count": 3,
+                "thresholds": {"alpha": 0.002},
+                "malicious": {"node_ids": [7], "scale": 6.0},
+            },
+            2,
+            "run error: detect needs at least 2 nodes with weight snapshots to classify, "
+            "got [7]; nodes [3, 9, 12] never adapted a client filter",
+        ),
     ],
-    ids=["one_selected", "one_node_layout", "short_history"],
+    ids=["one_selected", "one_node_layout", "short_history", "one_node_adapts"],
 )
 def test_detect_that_cannot_classify_fails_and_writes_nothing(tmp_path, capsys, doc, code, message):
     malicious = {"node_ids": [5], "scale": 6.0}
@@ -612,6 +664,28 @@ def test_config_schema_holds_no_numeric_bound():
     # A field's range is checked by its value type, and only there.
     bounds = {"minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum", "multipleOf"}
     assert not bounds & set(schema_keywords(CONFIG_SCHEMA))
+
+
+def field_names(value_type):
+    return {f.name for f in fields(value_type)}
+
+
+def test_config_keys_are_the_value_type_fields():
+    """The config is built and echoed field by field, so the schema must
+    name exactly the fields of the value types: a field in only one of
+    them would be silently ignored or rejected."""
+    properties = CONFIG_SCHEMA["properties"]
+    scenario_keys = set(properties) - {"experiment", "output_dir", "ingest_csv", "sweep"}
+    assert scenario_keys == field_names(Scenario)
+    sections = {"layout": NodeLayout, "field": FieldParams, "thresholds": Thresholds}
+    for key, value_type in sections.items():
+        assert set(properties[key]["properties"]) == field_names(value_type), key
+    (section,) = [s for s in properties["malicious"]["anyOf"] if s["type"] == "object"]
+    assert set(section["properties"]) == field_names(MaliciousSpec)
+    # The round trip's every-key input sets each of them.
+    assert scenario_keys <= set(EVERY_KEY)
+    for key, value_type in {**sections, "malicious": MaliciousSpec}.items():
+        assert set(EVERY_KEY[key]) == field_names(value_type), key
 
 
 def key_paths(doc, prefix=""):

@@ -77,6 +77,12 @@ def queue(state, kind, row, payload):
     )
 
 
+def clear_mail(state):
+    """Drop the state's undelivered mail, the initial queries included."""
+    mail = state.pending
+    state.pending = Mail(kind=mail.kind[:0], row=mail.row[:0], payload=mail.payload[:0])
+
+
 def queued(state, mail, kind):
     """Node ids of the client ends of the queued messages of one kind."""
     return [state.node_ids[k] for k in mail.row[mail.kind == KIND_BITS[kind]].tolist()]
@@ -279,14 +285,18 @@ def test_protocol_violation_on_misdelivered_messages():
     state.phase[0] = CLIENT_PREDICTING
     state.client_weight[0] = initial_weight(stream.n)
     state.received_global[0] = initial_weight(stream.n)
+    clear_mail(state)
     queue(state, MessageKind.GLOBAL_WEIGHT, 0, initial_weight(stream.n))
-    with pytest.raises(ProtocolViolation):
+    with pytest.raises(ProtocolViolation) as err:
         step_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
+    assert str(err.value) == "GLOBAL_WEIGHT to node 1 in CLIENT_PREDICTING"
 
     state = new_protocol_state(ids, stream.n)
+    clear_mail(state)
     queue(state, MessageKind.NODE_WEIGHT, 0, initial_weight(stream.n))
-    with pytest.raises(ProtocolViolation):
+    with pytest.raises(ProtocolViolation) as err:
         step_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
+    assert str(err.value) == "NODE_WEIGHT from node 1 in RAW_TRANSMIT"
 
 
 def test_misdelivered_message_names_the_node_not_the_row():
