@@ -15,12 +15,14 @@ import sys
 import tempfile
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from typing import Iterable
 
 import jsonschema
 
 from .errors import InvalidParameter, SchemaError, WsnAdaptError
 from .fieldgen import Stream, ingest_csv
 from .sim import (
+    OUTPUT_FILES,
     SWEEP_AXES,
     MaliciousSpec,
     Scenario,
@@ -257,11 +259,11 @@ def parse_config(path, seed: int | None = None) -> ParsedConfig:
     )
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, parts: Iterable[bytes]) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -299,7 +301,8 @@ def _load_ingest(parsed: ParsedConfig) -> Stream | None:
 
 def _write_outputs(parsed: ParsedConfig, stream: Stream | None, out_dir: Path) -> None:
     """Run the experiment, then write its CSVs and the effective config; a
-    run that fails writes nothing."""
+    run that fails writes nothing.  A known output file that this run did
+    not write is removed, so the directory never mixes two runs."""
     scenario = parsed.scenario
     if parsed.experiment == "ada":
         report = run_ada(scenario)
@@ -314,11 +317,14 @@ def _write_outputs(parsed: ParsedConfig, stream: Stream | None, out_dir: Path) -
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(
         out_dir / "effective_config.json",
-        json.dumps(parsed.effective(), indent=2, sort_keys=True) + "\n",
+        [(json.dumps(parsed.effective(), indent=2, sort_keys=True) + "\n").encode()],
     )
-    for name, (header, rows) in files.items():
-        lines = [",".join(header), *map(",".join, rows)]
-        _write_atomic(out_dir / name, "\n".join(lines) + "\n")
+    for name, (header, body) in files.items():
+        _write_atomic(out_dir / name, [(",".join(header) + "\n").encode(), *body.chunks])
+    for name in OUTPUT_FILES - files.keys():
+        stale = out_dir / name
+        if stale.is_file():
+            stale.unlink()
 
 
 def main(argv=None) -> int:

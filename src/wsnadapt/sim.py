@@ -135,10 +135,11 @@ def config_hash(config: dict) -> str:
 class Table:
     """One CSV file: its header and equal-length columns.
 
-    A column is a numpy array (floats print with 9 significant digits,
-    integers as they are) or a list of strings.  ``absent`` maps a column
-    index to a boolean mask of the cells that hold no value: they print
-    empty and read back as None.  Iterating a table yields its rows.
+    Every column is a numpy array: floats (printed as ``format(v, ".9g")``),
+    integers (printed as their digits) or fixed-width byte strings (printed
+    as they are, read back as str).  ``absent`` maps a column index to a
+    boolean mask of the cells that hold no value: they print empty and read
+    back as None.  Iterating a table yields its rows.
     """
 
     header: tuple[str, ...]
@@ -151,7 +152,7 @@ class Table:
     def __iter__(self):
         cells = []
         for c, column in enumerate(self.columns):
-            values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+            values = (column.astype(str) if column.dtype.kind == "S" else column).tolist()
             for k in np.flatnonzero(self.absent.get(c, ())):
                 values[k] = None
             cells.append(values)
@@ -161,8 +162,8 @@ class Table:
         """Row ``index``, read from each column directly."""
         return tuple(
             None if c in self.absent and self.absent[c][index]
-            else column[index].item() if isinstance(column, np.ndarray)
-            else column[index]
+            else column[index].decode() if column.dtype.kind == "S"
+            else column[index].item()
             for c, column in enumerate(self.columns)
         )
 
@@ -185,7 +186,7 @@ class RunReport:
             if not len(table):
                 raise ValueError(f"series {name} is empty")
             for column in table.columns:
-                if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+                if column.dtype.kind == "f":
                     bad = np.flatnonzero(~np.isfinite(column))
                     if bad.size:
                         row = bad[0]
@@ -215,7 +216,7 @@ def run_ada(scenario: Scenario) -> RunReport:
             (
                 np.array(sizes),
                 np.array([acc for _, acc in selection.curve]),
-                [";".join(ids[:size]) for size in sizes],
+                np.array([";".join(ids[:size]) for size in sizes], dtype=np.bytes_),
             )
         ),
     }
@@ -379,13 +380,13 @@ def simulate_protocol(
     )
 
 
-_PHASE_NAMES = np.array([p.value for p in stdp.PHASES], dtype=object)
+_PHASE_NAMES = np.array([p.value for p in stdp.PHASES], dtype=np.bytes_)
 _KIND_NAMES = np.array(
     [
         ";".join(k.value for k in stdp.kinds_of(mask))
         for mask in range(sum(stdp.KIND_BITS.values()) + 1)
     ],
-    dtype=object,
+    dtype=np.bytes_,
 )
 
 
@@ -410,8 +411,8 @@ def _protocol_files(run: ProtocolRun, point: int, beta: float) -> dict[str, Tabl
             (
                 np.repeat(np.arange(rounds), m),
                 np.tile(ids, rounds),
-                _PHASE_NAMES[phase].tolist(),
-                _KIND_NAMES[trace.kinds[:, rows].ravel()].tolist(),
+                _PHASE_NAMES[phase],
+                _KIND_NAMES[trace.kinds[:, rows].ravel()],
                 trace.error_glob[:, rows].ravel(),
                 trace.error_new[:, rows].ravel(),
                 transmitted.astype(np.int8),
@@ -481,7 +482,7 @@ def run_detect(scenario: Scenario, stream: Stream | None = None) -> RunReport:
             np.array(detected),
             np.array([variances[i] for i in detected]),
             np.full(len(detected), report.threshold),
-            [report.labels[i].value for i in detected],
+            np.array([report.labels[i].value for i in detected], dtype=np.bytes_),
         ),
     )
     metadata = _base_metadata("DETECT", scenario)
@@ -499,6 +500,20 @@ def run_detect(scenario: Scenario, stream: Stream | None = None) -> RunReport:
 
 
 SWEEP_AXES = ("beta", "n_block", "node_count")
+
+# Every CSV file name a report can hold.
+OUTPUT_FILES = frozenset(
+    {
+        "ada_iterations.csv",
+        "ada_nodes.csv",
+        "stdp_transmission.csv",
+        "message_trace.csv",
+        "weights.csv",
+        "detection.csv",
+        "sweep_transmission.csv",
+        "sweep_totals.csv",
+    }
+)
 
 
 def scenario_for_point(scenario: Scenario, axis: str, value) -> Scenario:
@@ -577,36 +592,198 @@ def sweep(scenario: Scenario, axis: str, values: Sequence) -> RunReport:
     return RunReport(files=files, metadata=metadata)
 
 
-def _column_text(column, absent: np.ndarray | None) -> list[str]:
-    """One column as CSV cells: floats with 9 significant digits, integers
-    as they are, absent cells empty."""
-    if not isinstance(column, np.ndarray):
-        return list(column)
-    present = column if absent is None else column[~absent]
-    if present.dtype.kind == "f":
-        cells = list(map("{:.9g}".format, present.tolist()))
-    else:
-        # Format each distinct integer once and share the strings between
-        # its cells (round, node, tap and flag columns repeat few values).
-        values, index = np.unique(present, return_inverse=True)
-        cells = np.array(list(map(str, values.tolist())), dtype=object)[index].tolist()
-    if absent is None:
-        return cells
-    text = np.full(column.size, "", dtype=object)
-    text[~absent] = cells
-    return text.tolist()
+# A CSV file's data rows are built as bytes, one chunk of at most
+# CHUNK_ROWS rows at a time.  Each column lays its cells out as a uint8
+# matrix of byte slots, one row per cell, in which a slot the cell does not
+# use holds NUL.  The columns and separators are joined side by side, and
+# deleting every NUL from the chunk's bytes leaves its CSV text.  A cell's
+# slots are gathered whole from a small table of layouts and its digits
+# from a table of four-digit groups: writing one slot column of a
+# row-major matrix at a time costs a pass over the matrix per slot.
+CHUNK_ROWS = 65_536
 
 
-def report_files(report: RunReport) -> dict[str, tuple[tuple[str, ...], list[tuple[str, ...]]]]:
-    """Map a report to its CSV files: name -> (header, formatted rows).
+@dataclass(frozen=True)
+class CsvBody:
+    """A CSV file's data rows as bytes, in chunks of at most ``CHUNK_ROWS``
+    rows; its length is its number of rows."""
 
-    Floats are rendered with 9 significant digits, one column at a time, so
-    repeated runs are byte-comparable.
+    chunks: tuple[bytes, ...]
+    rows: int
+
+    def __len__(self) -> int:
+        return self.rows
+
+
+def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits "0000" .. "9999" as little-endian uint32 words, and
+    each group's count of trailing zeros ("0000" has four)."""
+    k = np.arange(10_000)
+    digits = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1)
+    words = (digits + ord("0")).astype(np.uint8).view("<u4").ravel()
+    trailing = np.zeros(10_000, np.int64)
+    for t in range(1, 5):
+        trailing[k % 10**t == 0] = t
+    return words, trailing
+
+
+_GROUP_WORDS, _GROUP_TRAILING = _digit_groups()
+_INT_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+# Every power of ten up to 10**22 is an exact double, so scaling by one
+# rounds only once.
+_POW10 = np.array([float(10**k) for k in range(23)])
+# Decimal exponents of a float cell on the exact path, a carry included.
+_E_MIN, _E_MAX = -14, 31
+# The byte slots of a float cell: its sign, the "0.000" that leads a
+# fixed-notation value below 1, nine mantissa digits (the first at _LEAD,
+# the others at _REST) with a point slot after each of the first eight,
+# and the exponent "e+00".
+_FLOAT_SLOTS = np.frombuffer(b"-0.000" + b"0." * 8 + b"0e+00", np.uint8)
+_LEAD, _REST = 6, slice(8, 23, 2)
+
+
+def _float_layouts() -> np.ndarray:
+    """A float cell's slot bytes by (sign, exponent, significant digits),
+    NUL in the digit slots: the ``.9g`` rules, fixed notation for exponents
+    -4 .. 8 and scientific otherwise, trailing zeros of the mantissa
+    dropped."""
+    neg, e, used = (
+        g.ravel()[:, None]
+        for g in np.meshgrid(
+            [False, True], np.arange(_E_MIN, _E_MAX + 1), np.arange(1, 10), indexing="ij"
+        )
+    )
+    fixed = (e >= -4) & (e < 9)
+    j = np.arange(8)
+    keep = np.zeros((neg.size, len(_FLOAT_SLOTS)), bool)
+    keep[:, :1] = neg
+    keep[:, 1:3] = fixed & (e < 0)
+    keep[:, 3:6] = fixed & (e <= -2 - j[:3])  # the zeros of 0.0ddd .. 0.000ddd
+    keep[:, 7:22:2] = (j == np.where(fixed, e, 0)) & (j + 1 < used)
+    keep[:, 23:] = ~fixed
+    slots = np.tile(_FLOAT_SLOTS, (neg.size, 1))
+    slots[:, 24:25] = np.where(e < 0, ord("-"), ord("+"))
+    slots[:, 25:26] = np.abs(e) // 10 + ord("0")
+    slots[:, 26:27] = np.abs(e) % 10 + ord("0")
+    return np.where(keep, slots, 0)
+
+
+_FLOAT_BYTES = _float_layouts()
+# The first k of the eight digits after the leading one, as byte masks.
+_LEADING_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``a * 10**(8 - e)`` with one rounding where |8 - e| <= 22."""
+    k = 8 - e
+    p = _POW10[np.minimum(np.abs(k), 22)]
+    with np.errstate(over="ignore"):
+        return np.where(k >= 0, a * p, a / p)
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """Finite floats as the bytes of ``format(v, ".9g")``."""
+    a = np.abs(x)
+    with np.errstate(divide="ignore"):
+        e = np.clip(np.floor(np.log10(a)), _E_MIN - 1, _E_MAX).astype(np.int64)
+    s = _scaled(a, e)
+    # s is within 1.2e-7 of the exact scaled value, so rint(s) is the
+    # correctly rounded 9-digit mantissa unless s lies near a tie.  Zero,
+    # subnormals, exponents outside the exact range and the rare value
+    # whose log10 rounds across a power of ten fall back.
+    fallback = (
+        (e < _E_MIN) | (e >= _E_MAX) | (s < 1e8) | (s >= 1e9)
+        | (np.abs(s - np.floor(s) - 0.5) < 1e-6)
+    )
+    # Digits come from float arithmetic, exact on integers below 2**53.
+    m = np.where(fallback, 1e8, np.rint(s))
+    carry = m == 1e9
+    m[carry] = 1e8
+    e += carry
+    np.clip(e, _E_MIN, _E_MAX, out=e)
+    high = np.floor(m / 1e4)
+    low = (m - high * 1e4).astype(np.intp)
+    lead = np.floor(high / 1e4)
+    mid = (high - lead * 1e4).astype(np.intp)
+    used = 9 - _GROUP_TRAILING[low] - (low == 0) * _GROUP_TRAILING[mid]
+    # Fixed notation keeps the zeros before its point.
+    shown = np.where((e >= 0) & (e < 9), np.maximum(used, e + 1), used)
+    rest = _GROUP_WORDS[mid] | _GROUP_WORDS[low].astype(np.uint64) << np.uint64(32)
+    rest &= _LEADING_BYTES[shown - 1]
+    layout = (np.signbit(x) * (_E_MAX - _E_MIN + 1) + e - _E_MIN) * 9 + used - 1
+    cells = _FLOAT_BYTES.take(layout, axis=0)
+    cells[:, _LEAD] = lead + ord("0")
+    cells[:, _REST] = rest.view(np.uint8).reshape(-1, 8)
+
+    rows = np.flatnonzero(fallback)
+    if rows.size:
+        text = np.array([format(v, ".9g") for v in x[rows].tolist()], dtype=f"S{len(_FLOAT_SLOTS)}")
+        cells[rows] = text.view(np.uint8).reshape(rows.size, -1)
+    return cells
+
+
+def _int_cells(v: np.ndarray) -> np.ndarray:
+    """Integers as their decimal digits, a minus sign first if negative."""
+    neg = v < 0
+    u = v.astype(np.uint64)
+    np.negative(u, out=u, where=neg)  # |v|, exact for the most negative int64 too
+    size = 4 * -(-len(str(int(u.max()))) // 4)
+    length = np.ones(len(v), np.intp)
+    for p in _INT_POW10[1:size]:
+        length += u >= p
+    # Digit-word masks by digit count, each keeping only the number's own digits.
+    keep = np.arange(size) >= size - np.arange(size + 1)[:, None]
+    words = np.where(keep, 0xFF, 0).astype(np.uint8).view("<u4").take(length, axis=0)
+    for g in reversed(range(1, size // 4)):
+        u, low = np.divmod(u, 10_000)
+        words[:, g] &= _GROUP_WORDS[low]
+    words[:, 0] &= _GROUP_WORDS[u]
+    cells = np.empty((len(v), 1 + size), np.uint8)
+    cells[:, 0] = np.where(neg, ord("-"), 0)
+    cells[:, 1:] = words.view(np.uint8)
+    return cells
+
+
+def _text_cells(v: np.ndarray) -> np.ndarray:
+    """Fixed-width byte strings, NUL-padded as numpy stores them."""
+    return np.ascontiguousarray(v).view(np.uint8).reshape(len(v), v.dtype.itemsize)
+
+
+def _chunk_bytes(table: Table, rows: slice) -> bytes:
+    """CSV bytes of a run of the table's rows."""
+    parts = []
+    for c, column in enumerate(table.columns):
+        values = column[rows]
+        absent = table.absent.get(c)
+        if absent is not None:
+            # An absent cell holds a placeholder, 0.0 in a protocol trace,
+            # which only the fallback formats: encode a stand-in, then
+            # blank the cell.
+            absent = absent[rows]
+            values = np.where(absent, b"" if values.dtype.kind == "S" else 1, values)
+        kind = values.dtype.kind
+        encode = _float_cells if kind == "f" else _text_cells if kind == "S" else _int_cells
+        cells = encode(values)
+        if absent is not None:
+            cells[absent] = 0
+        parts += [cells, np.full((len(values), 1), ord(","), np.uint8)]
+    parts[-1][:] = ord("\n")
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+
+
+def report_files(report: RunReport) -> dict[str, tuple[tuple[str, ...], CsvBody]]:
+    """Map a report to its CSV files: name -> (header, data rows as bytes).
+
+    A float cell is exactly ``format(v, ".9g")``, an integer its plain
+    digits, a string its bytes, and an absent cell is empty, so repeated
+    runs are byte-comparable.
     """
     out = {}
     for name, table in report.files.items():
-        columns = [
-            _column_text(column, table.absent.get(c)) for c, column in enumerate(table.columns)
-        ]
-        out[name] = (table.header, list(zip(*columns)))
+        n = len(table)
+        chunks = tuple(
+            _chunk_bytes(table, slice(start, start + CHUNK_ROWS))
+            for start in range(0, n, CHUNK_ROWS)
+        )
+        out[name] = (table.header, CsvBody(chunks, n))
     return out

@@ -173,6 +173,36 @@ def test_run_ada_writes_expected_files(tmp_path):
     assert not any(p.suffix == ".tmp" for p in out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "doc, written",
+    [
+        ({"experiment": "ada"}, {"ada_iterations.csv", "ada_nodes.csv"}),
+        (
+            {"experiment": "stdp", "num_blocks": 40, "thresholds": {"alpha": 1e-6}},
+            {"stdp_transmission.csv", "message_trace.csv"},
+        ),
+    ],
+    ids=["ada_after_stdp", "stdp_without_weight_updates"],
+)
+def test_run_removes_the_known_outputs_it_did_not_write(tmp_path, capsys, doc, written):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("not an output")
+    (out / "weights.csv.bak").write_text("not an output name")
+    first = write_config(tmp_path, {"experiment": "stdp", "num_blocks": 30}, name="first.json")
+    assert main(["run", "--config", str(first), "--out", str(out)]) == 0
+    before = read_dir(out)
+    assert "weights.csv" in before
+    # A run that fails removes nothing.
+    failing = write_config(tmp_path, {"experiment": "stdp", "mu_mode": 50}, name="failing.json")
+    assert main(["run", "--config", str(failing), "--out", str(out)]) == 2
+    assert read_dir(out) == before
+    path = write_config(tmp_path, doc, name="second.json")
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert set(read_dir(out)) == written | {"effective_config.json", "notes.txt", "weights.csv.bak"}
+    assert capsys.readouterr().out == ""
+
+
 def test_sweep_command_requires_sweep_config(tmp_path, capsys):
     path = write_config(tmp_path, {"experiment": "ada"})
     assert main(["sweep", "--config", str(path)]) == 1

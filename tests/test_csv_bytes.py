@@ -1,0 +1,194 @@
+"""The CSV bytes of report tables, cell by cell against Python's own text:
+every float cell is ``format(v, ".9g")`` and every integer cell ``str(v)``."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wsnadapt import sim
+from wsnadapt.sim import (
+    OUTPUT_FILES,
+    MaliciousSpec,
+    RunReport,
+    Table,
+    default_scenario,
+    report_files,
+    run_ada,
+    run_detect,
+    run_stdp,
+    sweep,
+)
+
+
+def csv_bytes(*columns, absent=None) -> bytes:
+    """The data rows of a one-file report holding ``columns``."""
+    header = tuple(f"c{k}" for k in range(len(columns)))
+    table = Table(header, columns, absent=absent or {})
+    ((_, body),) = report_files(RunReport({"t.csv": table}, {})).values()
+    assert len(body) == len(table)
+    return b"".join(body.chunks)
+
+
+def expected(values, text=lambda v: format(v, ".9g")) -> bytes:
+    return "".join(text(v) + "\n" for v in values).encode()
+
+
+def near(value: float, steps: int = 2) -> list[float]:
+    """``value`` and its neighbouring doubles, ``steps`` each way."""
+    out, up, down = [value], value, value
+    for _ in range(steps):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        out += [up, down]
+    return out
+
+
+ADVERSARIAL = [
+    0.0,
+    -0.0,
+    5e-324,
+    2.225073858507201e-308,  # largest subnormal
+    2.2250738585072014e-308,  # smallest normal
+    1e-310,
+    1.7976931348623157e308,
+    *(10.0**k for k in range(-20, 33)),
+    *near(1.0),
+    *near(1e22),
+    *near(1e23),
+    # The fixed/scientific switch at 1e-4 (exponent -5 against -4), also
+    # by a carry into the next decade.
+    *near(1e-4),
+    *near(1e-5),
+    9.99999999e-5,
+    9.999999995e-5,
+    9.9999999949e-5,
+    9.999999996e-5,
+    # ... and at 1e9 (exponent 8 against 9).
+    *near(1e9),
+    *near(1e8),
+    999999999.0,
+    999999999.4,
+    *near(999999999.5),
+    999999999.7,
+    *near(99999999.95),
+    *near(9999999995.0),
+    9.9999999995,
+    0.99999999995,
+    # Exact ties at the ninth digit (half to even) and their neighbours.
+    *near(100000000.5),
+    *near(123456789.5),
+    *near(123456788.5),
+    *near(12345678.25),
+    *near(1.5),
+    # Decimal ties that are not exact doubles: the stored value decides.
+    1.234567885,
+    1.234567895e-5,
+    0.000123456785,
+    2.5000000050,
+    # Many digits and the exponent range's edges.
+    0.1,
+    0.2,
+    1 / 3,
+    2 / 3,
+    math.pi,
+    math.e,
+    1e-14,
+    1e-15,
+    9.999999999e30,
+    1e31,
+    123456789012345678.0,
+]
+
+
+def test_adversarial_floats_match_format():
+    x = np.array(ADVERSARIAL + [-v for v in ADVERSARIAL])
+    assert csv_bytes(x) == expected(x.tolist())
+
+
+def test_a_million_random_floats_match_format():
+    rng = np.random.default_rng(20261018)
+    n = 500_000
+    # Log-uniform over and past the exponents that skip the fallback ...
+    spread = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-17, 34, n)
+    # ... and uniform bit patterns, which reach every finite exponent.
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
+    x = np.concatenate([spread, bits[np.isfinite(bits)]])
+    assert x.size >= 999_000
+    assert csv_bytes(x) == expected(x.tolist())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_any_finite_float_matches_format(values):
+    assert csv_bytes(np.array(values)) == expected(values)
+
+
+INTS = [0, 1, -1, 9, 10, -10, 9999, 10000, -10000, 99999999, 100000000, 2**31, 2**32 + 7,
+        -(2**32 + 7), 2**63 - 1, -(2**63)]
+
+
+@pytest.mark.parametrize(
+    "values, dtype",
+    [(INTS, np.int64), ([0, 2**64 - 1, 10**19], np.uint64), ([-128, 127, 0, 1], np.int8)],
+    ids=["int64", "uint64", "int8"],
+)
+def test_integers_are_their_digits(values, dtype):
+    assert csv_bytes(np.array(values, dtype=dtype)) == expected(values, str)
+
+
+def test_absent_cells_are_empty():
+    floats = np.array([0.25, 0.0, -3.5, 1e300, 7.0])
+    ints = np.array([1, -20, 2**40, 5, 0])
+    text = np.array([b"a", b"bb", b"", b"dddd", b"e"])
+    absent = {
+        0: np.array([False, True, False, True, False]),
+        1: np.array([True, False, False, False, True]),
+        2: np.array([False, False, False, True, False]),
+    }
+    assert csv_bytes(floats, ints, text, absent=absent) == (
+        b"0.25,,a\n,-20,bb\n-3.5,1099511627776,\n,5,\n7,,e\n"
+    )
+    assert text.tolist() == [b"a", b"bb", b"", b"dddd", b"e"]  # the table is not written
+
+
+def test_rows_split_into_chunks_join_to_the_same_bytes(monkeypatch):
+    x = np.linspace(-2.0, 3.0, 23)
+    ids = np.arange(23) * 37
+    whole = csv_bytes(x, ids)
+    monkeypatch.setattr(sim, "CHUNK_ROWS", 5)
+    table = Table(("x", "id"), (x, ids))
+    ((_, body),) = report_files(RunReport({"t.csv": table}, {})).values()
+    assert [chunk.count(b"\n") for chunk in body.chunks] == [5, 5, 5, 5, 3]
+    assert len(body) == 23 and b"".join(body.chunks) == whole
+
+
+REPORTS = {
+    "ada": lambda: run_ada(default_scenario()),
+    "stdp": lambda: run_stdp(default_scenario(num_blocks=40)),
+    "detect": lambda: run_detect(
+        default_scenario(num_blocks=60, malicious=MaliciousSpec(node_ids=(5, 9), scale=6.0))
+    ),
+    "sweep": lambda: sweep(default_scenario(num_blocks=40), "n_block", [4, 5]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPORTS))
+def test_every_table_row_is_one_body_row(kind):
+    report = REPORTS[kind]()
+    files = report_files(report)
+    assert files.keys() == report.files.keys() and files.keys() <= OUTPUT_FILES
+    assert sum(len(body) for _, body in files.values()) == sum(
+        len(table) for table in report.files.values()
+    )
+    for name, (header, body) in files.items():
+        table = report.files[name]
+        assert header == table.header
+        text = b"".join(body.chunks).decode()
+        lines = text.splitlines()
+        assert len(body) == len(table) == len(lines) == text.count("\n")
+        assert lines[0].split(",") == [
+            "" if cell is None else format(cell, ".9g") if isinstance(cell, float) else str(cell)
+            for cell in table[0]
+        ]

@@ -306,9 +306,9 @@ def test_config_hash_stable_and_sensitive(default_scenario):
 def test_report_files_formats_nine_significant_digits():
     report = run_ada(default_scenario())
     files = report_files(report)
-    header, rows = files["ada_iterations.csv"]
+    header, body = files["ada_iterations.csv"]
     assert header == ("iter", "accuracy")
-    value = rows[-1][1]
+    value = b"".join(body.chunks).splitlines()[-1].split(b",")[1].decode()
     mantissa = value.replace(".", "").replace("-", "").lstrip("0")
     assert len(mantissa) <= 9
 
