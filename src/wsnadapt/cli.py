@@ -274,10 +274,11 @@ def _write_atomic(path: Path, parts: Iterable[bytes]) -> None:
 def _load_ingest(parsed: ParsedConfig) -> Stream | None:
     """The configured ``ingest_csv`` stream, or None without one.
 
-    A file naming id 0 (the sink), sharing no node with the layout, or, for
-    detect, sharing fewer than 2 nodes with the run's active nodes raises
-    SchemaError at ``/ingest_csv`` naming the ids, before the run writes
-    anything.  Other ids outside the layout are dropped.
+    A file naming id 0 (the sink), sharing no node with the layout or with
+    the run's active nodes, or, for detect, sharing fewer than 2 nodes with
+    them raises SchemaError at ``/ingest_csv`` naming the ids, before the
+    run writes anything.  Other ids outside the layout are dropped.  Only
+    the protocol experiments (stdp, detect) take an ingest file.
     """
     if parsed.ingest_path is None:
         return None
@@ -288,14 +289,19 @@ def _load_ingest(parsed: ParsedConfig) -> Stream | None:
         raise SchemaError("/ingest_csv", "node id 0 is the sink's id, not a sensor's")
     if not set(ids) & set(scenario.layout.node_ids):
         raise SchemaError("/ingest_csv", f"node ids {ids} all lie outside the layout")
-    if parsed.experiment == "detect":
-        active = sorted(set(ids) & set(active_node_ids(scenario)))
-        if len(active) < 2:
-            raise SchemaError(
-                "/ingest_csv",
-                f"detect needs at least 2 nodes to classify; the run would use only "
-                f"{active} of node ids {ids}",
-            )
+    selected = active_node_ids(scenario)
+    active = sorted(set(ids) & set(selected))
+    if not active:
+        raise SchemaError(
+            "/ingest_csv",
+            f"node ids {ids} include none of the run's active nodes {sorted(selected)}",
+        )
+    if parsed.experiment == "detect" and len(active) < 2:
+        raise SchemaError(
+            "/ingest_csv",
+            f"detect needs at least 2 nodes to classify; the run would use only "
+            f"{active} of node ids {ids}",
+        )
     return stream
 
 

@@ -14,6 +14,8 @@ than refactoring per right-hand side or per leading block.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
@@ -97,7 +99,6 @@ def solve_spd(a, b) -> np.ndarray:
     return x
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def max_eigenvalue(a, tol: float = 1e-8, max_iter: int = 10_000):
     """Dominant eigenvalue of a symmetric PSD matrix by power iteration.
 
@@ -110,13 +111,41 @@ def max_eigenvalue(a, tol: float = 1e-8, max_iter: int = 10_000):
     iteration over all of them in which each matrix stops at its own
     convergence.  ``np.matvec`` and ``np.vecdot`` reproduce the bits of the
     single matrix-vector and dot products, so every value equals that
-    matrix's own ``max_eigenvalue``.
+    matrix's own ``max_eigenvalue``.  A single matrix, or a stack of one,
+    takes a loop of ``ndarray.dot`` products, which have the same bits.
     """
     m = np.asarray(a, dtype=float)
     stacked = m.ndim == 3
     stack = as_symmetric_matrix(m, stacked) if stacked else as_symmetric_matrix(m)[None]
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if len(stack) == 1:
+        lam = _power_iteration(stack[0], tol, max_iter)
+        return np.array([lam]) if stacked else lam
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _stacked_power_iteration(stack, tol, max_iter)
+
+
+def _power_iteration(m: np.ndarray, tol: float, max_iter: int) -> float:
+    """``max_eigenvalue`` of one checked matrix."""
+    v = np.ones(len(m))
+    mv = m.dot(v)
+    lam = float(v.dot(mv)) / float(v.dot(v))
+    for _ in range(max_iter):
+        norm = math.sqrt(mv.dot(mv))
+        if norm == 0.0:  # the start vector is in the nullspace of a PSD matrix
+            return 0.0
+        v = mv / norm
+        mv = m.dot(v)
+        new = float(v.dot(mv))
+        if abs(new - lam) <= tol * max(abs(new), 1e-300):
+            return new
+        lam = new
+    raise NoConvergence(f"Rayleigh quotient still moving after {max_iter} iterations")
+
+
+def _stacked_power_iteration(stack: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """``max_eigenvalue`` of each matrix of a checked stack."""
     v = np.ones(stack.shape[:2])
     # Each iteration's M @ v is the next iteration's w: computed once, it
     # is the same product on the same array.
@@ -144,11 +173,9 @@ def max_eigenvalue(a, tol: float = 1e-8, max_iter: int = 10_000):
                     # A zero norm: the start vector is in the nullspace of a PSD matrix.
                     out[live[j]] = 0.0 if sizes[j] == 0.0 else new
             if not keep:
-                return out if stacked else float(out[0])
+                return out
             live = [live[j] for j in keep]
             stack, v, mv = stack[keep], v[keep], mv[keep]
             lam_new = [lam_new[j] for j in keep]
         lam = lam_new
-    raise NoConvergence(
-        f"Rayleigh quotient still moving after {max_iter} iterations"
-    )
+    raise NoConvergence(f"Rayleigh quotient still moving after {max_iter} iterations")

@@ -139,12 +139,15 @@ class Table:
     integers (printed as their digits) or fixed-width byte strings (printed
     as they are, read back as str).  ``absent`` maps a column index to a
     boolean mask of the cells that hold no value: they print empty and read
-    back as None.  Iterating a table yields its rows.
+    back as None.  ``labels`` maps a column index to the byte-string names
+    of its integer codes: a coded cell prints, and reads back, as
+    ``labels[c][code]``.  Iterating a table yields its rows.
     """
 
     header: tuple[str, ...]
     columns: tuple
     absent: dict[int, np.ndarray] = field(default_factory=dict)
+    labels: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -152,6 +155,8 @@ class Table:
     def __iter__(self):
         cells = []
         for c, column in enumerate(self.columns):
+            if c in self.labels:
+                column = self.labels[c][column]
             values = (column.astype(str) if column.dtype.kind == "S" else column).tolist()
             for k in np.flatnonzero(self.absent.get(c, ())):
                 values[k] = None
@@ -162,6 +167,7 @@ class Table:
         """Row ``index``, read from each column directly."""
         return tuple(
             None if c in self.absent and self.absent[c][index]
+            else self.labels[c][column[index]].decode() if c in self.labels
             else column[index].decode() if column.dtype.kind == "S"
             else column[index].item()
             for c, column in enumerate(self.columns)
@@ -235,12 +241,16 @@ def run_ada(scenario: Scenario) -> RunReport:
 
 @dataclass(frozen=True)
 class ProtocolRun:
-    """One engine run; ``percentages[k]`` belongs to engine row k, node
+    """One engine run: its final state, whose ``trace`` holds every round,
+    and ``percentages[k]``, which belongs to engine row k, node
     ``state.node_ids[k]`` of point ``state.point[k]``."""
 
     state: stdp.ProtocolState
-    trace: stdp.Trace
     percentages: np.ndarray
+
+    @property
+    def trace(self) -> stdp.Trace:
+        return self.state.trace
 
     def rows(self, point: int) -> slice:
         """The engine rows of one point."""
@@ -248,11 +258,16 @@ class ProtocolRun:
 
     def weight_snapshots(self, point: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every client-filter update of one point as (round, row, weight),
-        with rows counted from the point's first, grouped by row and
-        chronological within a row."""
+        read from the trace's update log, with rows counted from the point's
+        first, grouped by row and chronological within a row."""
         rows = self.rows(point)
-        k, rounds = np.nonzero(self.trace.phase[:, rows].T == stdp.CLIENT_ADAPTIVE)
-        return rounds, k, self.trace.client_weight[rounds, k + rows.start]
+        rounds, updated, weights = self.trace.client_updates()
+        mine = (updated >= rows.start) & (updated < rows.stop)
+        # The log runs by round; a stable sort by row keeps each row's
+        # updates in time order.
+        order = mine.nonzero()[0]
+        order = order[np.argsort(updated[order], kind="stable")]
+        return rounds[order], updated[order] - rows.start, weights[order]
 
 
 def _scenario_stream(scenario: Scenario) -> Stream:
@@ -334,13 +349,13 @@ def simulate_protocol(
     state = stdp.new_protocol_state(
         [i for group in groups for i in group],
         scenario.n_block,
+        num_blocks,
         sizes=[len(group) for group in groups],
     )
     # Engine row k is node ``active[node_row[k]]``: the row of its noise
     # draws and channel keys.  Point p's rows read streams[p], and one point
     # reads everything as it is.
     node_row = np.searchsorted(active, state.node_ids)
-    draws = draws[node_row]
     if len(streams) == 1:
         blocks, desired = streams[0].blocks, streams[0].desired
     else:
@@ -359,25 +374,19 @@ def simulate_protocol(
                 samples, desired, keys[node_row[rows], block_index], snr, rng
             )
 
-    thresholds = [point.thresholds for point in points]
-    trace = stdp.Trace.empty(num_blocks, len(state.node_ids), scenario.n_block)
-    for r in range(num_blocks):
-        trace.record(
-            stdp.step_round(
-                state,
-                blocks[:, r],
-                desired[:, r],
-                thresholds,
-                mu=scenario.explicit_mu,
-                client_noise=draws[:, r],
-                channel=channel,
-            )
-        )
-    return ProtocolRun(
-        state=state,
-        trace=trace,
-        percentages=stdp.transmission_percentage(state),
+    inputs = stdp.run_inputs(
+        state,
+        blocks,
+        desired,
+        [point.thresholds for point in points],
+        mu=scenario.explicit_mu,
+        client_noise=draws[node_row],
+        channel=channel,
     )
+    with stdp.errstate():
+        for _ in range(num_blocks):
+            stdp.step_round(state, inputs)
+    return ProtocolRun(state=state, percentages=stdp.transmission_percentage(state))
 
 
 _PHASE_NAMES = np.array([p.value for p in stdp.PHASES], dtype=np.bytes_)
@@ -390,10 +399,16 @@ _KIND_NAMES = np.array(
 )
 
 
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """Integers as int32 where they fit; they print the same either way."""
+    fits = not values.size or (values.min() >= -(2**31) and values.max() < 2**31)
+    return values.astype(np.int32) if fits else values
+
+
 def _protocol_files(run: ProtocolRun, point: int, beta: float) -> dict[str, Table]:
     rows = run.rows(point)
     trace = run.trace
-    ids = np.array(run.state.node_ids[rows])
+    ids = _narrow(np.array(run.state.node_ids[rows]))
     rounds, m = trace.phase[:, rows].shape
     phase = trace.phase[:, rows].ravel()
     transmitted = trace.transmitted[:, rows].ravel()
@@ -409,15 +424,16 @@ def _protocol_files(run: ProtocolRun, point: int, beta: float) -> dict[str, Tabl
         "message_trace.csv": Table(
             ("round", "node_id", "phase", "kind", "error_glob", "error_new", "transmitted"),
             (
-                np.repeat(np.arange(rounds), m),
+                np.repeat(_narrow(np.arange(rounds)), m),
                 np.tile(ids, rounds),
-                _PHASE_NAMES[phase],
-                _KIND_NAMES[trace.kinds[:, rows].ravel()],
+                phase,
+                trace.kinds[:, rows].ravel(),
                 trace.error_glob[:, rows].ravel(),
                 trace.error_new[:, rows].ravel(),
-                transmitted.astype(np.int8),
+                transmitted.view(np.int8),
             ),
             absent={4: ~transmitted, 5: phase < stdp.CLIENT_ADAPTIVE},
+            labels={2: _PHASE_NAMES, 3: _KIND_NAMES},
         ),
     }
     update_rounds, updated, weights = run.weight_snapshots(point)
@@ -426,9 +442,9 @@ def _protocol_files(run: ProtocolRun, point: int, beta: float) -> dict[str, Tabl
         files["weights.csv"] = Table(
             ("round", "node_id", "tap_index", "value"),
             (
-                np.repeat(update_rounds, n),
+                np.repeat(_narrow(update_rounds), n),
                 np.repeat(ids[updated], n),
-                np.tile(np.arange(n), update_rounds.size),
+                np.tile(np.arange(n, dtype=np.int32), update_rounds.size),
                 weights.ravel(),
             ),
         )
@@ -749,6 +765,15 @@ def _text_cells(v: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(v).view(np.uint8).reshape(len(v), v.dtype.itemsize)
 
 
+def _label_cells(codes: np.ndarray, names: np.ndarray) -> np.ndarray:
+    """Coded cells as their names' bytes, gathered from one slot row per
+    name, the slots cut to the longest name the codes use."""
+    used = np.zeros(len(names), dtype=bool)
+    used[codes] = True
+    width = max(1, int(np.char.str_len(names[used]).max(initial=0)))
+    return _text_cells(names.astype(f"S{width}")).take(codes, axis=0)
+
+
 def _chunk_bytes(table: Table, rows: slice) -> bytes:
     """CSV bytes of a run of the table's rows."""
     parts = []
@@ -761,9 +786,12 @@ def _chunk_bytes(table: Table, rows: slice) -> bytes:
             # blank the cell.
             absent = absent[rows]
             values = np.where(absent, b"" if values.dtype.kind == "S" else 1, values)
-        kind = values.dtype.kind
-        encode = _float_cells if kind == "f" else _text_cells if kind == "S" else _int_cells
-        cells = encode(values)
+        if c in table.labels:
+            cells = _label_cells(values, table.labels[c])
+        else:
+            kind = values.dtype.kind
+            encode = _float_cells if kind == "f" else _text_cells if kind == "S" else _int_cells
+            cells = encode(values)
         if absent is not None:
             cells[absent] = 0
         parts += [cells, np.full((len(values), 1), ord(","), np.uint8)]

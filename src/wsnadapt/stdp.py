@@ -29,13 +29,22 @@ hook name rows, and node ids appear only in error messages.
 filter is active is a function of the phase alone), ``client_weight[k]``
 its client filter Wc and ``received_global[k]`` the global weight Wr that
 seeded it; each point has its own sink, with its own global weight and
-auto step size.  A round takes the ``(rows, n)`` matrix U of sensed
-blocks and the desired vector d, and works on masks over the phase codes:
+auto step size.
+
+A run is set up once and then stepped round by round.
+``new_protocol_state`` allocates the run's ``Trace``, and ``run_inputs``
+checks what the run reads against the state: the ``(rows, rounds, n)``
+sensed blocks, the desired values and client noise draws, and the alpha
+and beta of every row.  Round r takes the ``(rows, n)`` matrix U of the
+round's blocks and the desired vector d, works on masks over the phase
+codes, writes its columns into trace row r in place and appends its
+client-filter updates to the trace's log; it copies no per-round state:
 
 1. client side, rows in a client phase: d' = U.Wr + noise; adapting rows
    step Wc += mu U (d' - U.Wc); the error e' = d' - U.Wc is held against
    beta (adapting rows fall silent at or below it, predicting rows
-   restart above it);
+   restart above it).  This arithmetic is row-wise, so it runs over every
+   row and keeps the client rows' results;
 2. wire: the transmitting rows, optionally through the channel;
 3. sink side, per point: one global sweep w += mu sum_i u_i (d_i - u_i.w)
    over the point's received rows, then their errors d - U w are held
@@ -51,13 +60,15 @@ point's sweep and errors run over exactly its own received rows, and only
 the step-size estimate (one power iteration over every refreshing point's
 block covariance) spans points.  A full run is a deterministic function of
 (inputs, thresholds), and each point of a batch equals its run alone.  The
-first non-finite error stops the run with ``Diverged``.
+first non-finite error stops the run with ``Diverged``; overflow on the
+way there is expected, so rounds run inside ``errstate()``, entered once
+per run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
@@ -99,7 +110,13 @@ KIND_BITS = {
 
 
 _KIND_OF_BIT = {bit: kind for kind, bit in KIND_BITS.items()}
-_WEIGHT_BITS = KIND_BITS[MessageKind.NODE_WEIGHT] | KIND_BITS[MessageKind.GLOBAL_WEIGHT]
+_QUERY = KIND_BITS[MessageKind.QUERY]
+_NODE_WEIGHT = KIND_BITS[MessageKind.NODE_WEIGHT]
+_DATA_BLOCK = np.uint8(KIND_BITS[MessageKind.DATA_BLOCK])
+# A handed-off row sends its data block and is sent the global weight.
+_HANDED = KIND_BITS[MessageKind.DATA_BLOCK] | KIND_BITS[MessageKind.GLOBAL_WEIGHT]
+# Mail kinds of the silenced rows and of the handed-off ones.
+_MAIL_KINDS = np.array([_NODE_WEIGHT, KIND_BITS[MessageKind.GLOBAL_WEIGHT]], dtype=np.uint8)
 
 
 def kinds_of(mask: int) -> tuple[MessageKind, ...]:
@@ -148,6 +165,54 @@ class Mail:
         return self.kind.size
 
 
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """A whole run as preallocated ``(rounds, m)`` columns, row r written by
+    round r in place, plus the log of client-filter updates.
+
+    ``phase`` holds each round's start-of-round phase codes and ``kinds``
+    the ``KIND_BITS`` mask of each node's messages.  ``error_glob`` (the
+    sink's error) has a value where ``transmitted``, ``error_new`` (the
+    client's) where the node started in a client phase; every other cell
+    is 0.0.  ``updates`` is append-only: one ``(round, rows, weights)``
+    entry for each round in which CLIENT_ADAPTIVE rows stepped their
+    filters, ``weights[j]`` being row ``rows[j]``'s filter after the step.
+    """
+
+    phase: np.ndarray
+    kinds: np.ndarray
+    transmitted: np.ndarray
+    error_glob: np.ndarray
+    error_new: np.ndarray
+    updates: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
+
+    @classmethod
+    def empty(cls, rounds: int, m: int) -> "Trace":
+        shape = (rounds, m)
+        return cls(
+            phase=np.zeros(shape, dtype=np.uint8),
+            kinds=np.zeros(shape, dtype=np.uint8),
+            transmitted=np.zeros(shape, dtype=bool),
+            error_glob=np.zeros(shape),
+            error_new=np.zeros(shape),
+        )
+
+    def __len__(self) -> int:
+        return len(self.phase)
+
+    def client_updates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The update log as (round, row, weight) columns, in the order the
+        updates happened: by round, then by row."""
+        if not self.updates:
+            return np.zeros(0, np.int64), np.zeros(0, np.intp), np.zeros((0, 0))
+        rounds, rows, weights = zip(*self.updates)
+        return (
+            np.repeat(rounds, [k.size for k in rows]),
+            np.concatenate(rows),
+            np.concatenate(weights),
+        )
+
+
 @dataclass
 class ProtocolState:
     """Mutable engine state; row k is node ``node_ids[k]`` of point
@@ -158,7 +223,8 @@ class ProtocolState:
     ``sent[k]`` counts the blocks row k transmitted in ``round_index``
     rounds.  Point p's rows are ``bounds[p]:bounds[p + 1]``;
     ``global_weight[p]`` is its sink filter and ``mu[p]`` its automatic step
-    size (NaN until first estimated).
+    size (NaN until first estimated).  ``trace`` is the run's trace, whose
+    row r round r writes.
     """
 
     n: int
@@ -172,13 +238,17 @@ class ProtocolState:
     received_global: np.ndarray
     sent: np.ndarray
     pending: Mail
+    trace: Trace
     round_index: int = 0
 
 
 def transmission_percentage(state: ProtocolState) -> np.ndarray:
     """Percentage of sensed blocks each row actually transmitted."""
     if state.round_index == 0 or not state.node_ids:
-        raise ValueError("record has nodes with no sensed blocks")
+        raise ValueError(
+            f"no transmission percentage: {state.round_index} rounds over "
+            f"{len(state.node_ids)} nodes"
+        )
     return 100.0 * state.sent / state.round_index
 
 
@@ -203,82 +273,62 @@ class TraceRow(NamedTuple):
     transmitted: bool
 
 
-@dataclass(frozen=True)
-class RoundResult:
-    """One round as columns; entry k belongs to engine row k, node
-    ``node_ids[k]``.
+class RoundResult(NamedTuple):
+    """One round of a run, as ``step_round`` returns it: a view of trace row
+    ``round_index`` and the weight messages the round queued.
 
-    ``phase`` holds the start-of-round phase codes and ``kinds`` the
-    ``KIND_BITS`` mask of each node's messages.  ``error_glob`` (the sink's
-    error) has a value where ``transmitted``, ``error_new`` (the client's)
-    where the node started in a client phase; every other cell is 0.0.
-    ``client_weight`` is each client filter after the round's update.
-    ``messages`` are the weight messages queued for the next round.
+    The engine keeps nothing here that the trace does not hold; the view
+    stays because the benchmark's traced runs count every round's phases
+    and messages from its ``rows``.
     """
 
+    trace: Trace
     round_index: int
     node_ids: tuple[int, ...]
-    phase: np.ndarray
-    kinds: np.ndarray
-    transmitted: np.ndarray
-    error_glob: np.ndarray
-    error_new: np.ndarray
-    client_weight: np.ndarray
     messages: Mail
 
     @property
     def rows(self) -> tuple[TraceRow, ...]:
-        """The round node by node, built on request from the columns."""
-        client = self.phase >= CLIENT_ADAPTIVE
+        """The round node by node, built on request from the trace row."""
+        r, trace = self.round_index, self.trace
+        phase = trace.phase[r].tolist()
+        kinds = trace.kinds[r].tolist()
+        transmitted = trace.transmitted[r].tolist()
+        error_glob = trace.error_glob[r].tolist()
+        error_new = trace.error_new[r].tolist()
         return tuple(
             TraceRow(
-                self.round_index,
+                r,
                 node_id,
-                PHASES[self.phase[k]],
-                kinds_of(int(self.kinds[k])),
-                float(self.error_glob[k]) if self.transmitted[k] else None,
-                float(self.error_new[k]) if client[k] else None,
-                bool(self.transmitted[k]),
+                PHASES[phase[k]],
+                kinds_of(kinds[k]),
+                error_glob[k] if transmitted[k] else None,
+                error_new[k] if phase[k] >= CLIENT_ADAPTIVE else None,
+                transmitted[k],
             )
             for k, node_id in enumerate(self.node_ids)
         )
 
 
-@dataclass(frozen=True)
-class Trace:
-    """A whole run as preallocated ``(rounds, m)`` columns of round results.
+@dataclass(frozen=True, eq=False)
+class RunInputs:
+    """What one engine run reads, checked against its state once.
 
-    ``client_weight[r, k]`` is meaningful where ``phase[r, k]`` is
-    CLIENT_ADAPTIVE: it is row k's filter after its round-r update.
+    Row k of ``blocks`` ``(rows, rounds, n)``, ``desired`` and ``noise``
+    ``(rows, rounds)`` is what engine row k senses and draws; ``alpha[k]``
+    and ``beta[k]`` are the thresholds of row k's point.  ``mu`` is an
+    explicit step size for every point, or None for the automatic rule.
+    ``bounds`` is ``state.bounds`` as a list.
     """
 
-    phase: np.ndarray
-    kinds: np.ndarray
-    transmitted: np.ndarray
-    error_glob: np.ndarray
-    error_new: np.ndarray
-    client_weight: np.ndarray
-
-    @classmethod
-    def empty(cls, rounds: int, m: int, n: int) -> "Trace":
-        shape = (rounds, m)
-        return cls(
-            phase=np.zeros(shape, dtype=np.int8),
-            kinds=np.zeros(shape, dtype=np.uint8),
-            transmitted=np.zeros(shape, dtype=bool),
-            error_glob=np.zeros(shape),
-            error_new=np.zeros(shape),
-            client_weight=np.zeros(shape + (n,)),
-        )
-
-    def record(self, result: RoundResult) -> None:
-        r = result.round_index
-        self.phase[r] = result.phase
-        self.kinds[r] = result.kinds
-        self.transmitted[r] = result.transmitted
-        self.error_glob[r] = result.error_glob
-        self.error_new[r] = result.error_new
-        self.client_weight[r] = result.client_weight
+    blocks: np.ndarray
+    desired: np.ndarray
+    noise: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    mu: float | None
+    channel: Callable[[np.ndarray, np.ndarray, np.ndarray, int], tuple] | None
+    bounds: list[int]
 
 
 def initial_weight(n: int) -> np.ndarray:
@@ -286,6 +336,34 @@ def initial_weight(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     return np.full(n, 1.0 / np.sqrt(n))
+
+
+def errstate() -> np.errstate:
+    """The floating-point error state rounds run in: a diverging filter
+    overflows on its way to the non-finite error that ``step_round``
+    reports as ``Diverged``."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+# The arithmetic kernels.  The checked public functions below and the
+# engine, whose inputs are checked once per run, share them.
+
+
+def _sweep(w: np.ndarray, u: np.ndarray, d: np.ndarray, mu) -> np.ndarray:
+    """w + mu * sum_i u_i (d_i - u_i.w), the terms added in row order."""
+    residual = d - np.vecdot(u, w)
+    return w + mu * np.add.reduce(u * residual[:, None], axis=0, initial=0.0)
+
+
+def _desired(u: np.ndarray, w: np.ndarray, noise) -> np.ndarray:
+    """u.w + noise, row by row."""
+    return np.vecdot(u, w) + noise
+
+
+def _client_step(w: np.ndarray, u: np.ndarray, d_new, mu) -> np.ndarray:
+    """w + (mu u) (d_new - u.w), row by row; ``mu`` is a scalar or a
+    column of one step size per row."""
+    return w + (mu * u) * (d_new - np.vecdot(u, w))[..., None]
 
 
 def _check_pair(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,9 +390,7 @@ def global_lms_update(
             f"blocks {samples.shape} and desired {desired.shape} do not fit a "
             f"{w_prev.size}-tap weight"
         )
-    residual = desired - np.vecdot(samples, w_prev)
-    step = np.add.reduce(samples * residual[:, None], axis=0, initial=0.0)
-    return w_prev + mu * step
+    return _sweep(w_prev, samples, desired, mu)
 
 
 def client_desired(u: np.ndarray, w_glob: np.ndarray, noise) -> np.ndarray:
@@ -323,7 +399,7 @@ def client_desired(u: np.ndarray, w_glob: np.ndarray, noise) -> np.ndarray:
     ``u`` and ``w_glob`` are one vector each, or one per row.
     """
     u, w_glob = _check_pair(u, w_glob)
-    return np.vecdot(u, w_glob) + noise
+    return _desired(u, w_glob, noise)
 
 
 def client_update(w_prev: np.ndarray, u: np.ndarray, d_new, mu) -> np.ndarray:
@@ -331,14 +407,15 @@ def client_update(w_prev: np.ndarray, u: np.ndarray, d_new, mu) -> np.ndarray:
     for every row of stacked vectors; ``mu`` is one step size or one per
     row."""
     u, w_prev = _check_pair(u, w_prev)
-    residual = np.asarray(d_new, dtype=float) - np.vecdot(u, w_prev)
-    return w_prev + (np.asarray(mu, dtype=float)[..., None] * u) * residual[..., None]
+    mu = np.asarray(mu, dtype=float)[..., None]
+    return _client_step(w_prev, u, np.asarray(d_new, dtype=float), mu)
 
 
 def new_protocol_state(
-    node_ids: Sequence[int], n: int, sizes: Sequence[int] | None = None
+    node_ids: Sequence[int], n: int, rounds: int, sizes: Sequence[int] | None = None
 ) -> ProtocolState:
-    """Fresh engine state; queues each point's initial query to its nodes.
+    """Fresh engine state for a run of ``rounds`` rounds; queues each
+    point's initial query to its nodes.
 
     ``sizes[p]`` consecutive entries of ``node_ids`` are point p's nodes
     (default: one point holding them all); they become the point's rows in
@@ -364,7 +441,7 @@ def new_protocol_state(
         bounds=np.cumsum([0, *sizes]),
         global_weight=np.tile(initial_weight(n), (len(sizes), 1)),
         mu=np.full(len(sizes), np.nan),
-        phase=np.full(m, RAW_TRANSMIT, dtype=np.int8),
+        phase=np.full(m, RAW_TRANSMIT, dtype=np.uint8),
         client_weight=np.zeros((m, n)),
         received_global=np.zeros((m, n)),
         sent=np.zeros(m, dtype=np.int64),
@@ -373,6 +450,60 @@ def new_protocol_state(
             row=np.arange(m),
             payload=np.zeros((m, n)),
         ),
+        trace=Trace.empty(rounds, m),
+    )
+
+
+def run_inputs(
+    state: ProtocolState,
+    blocks: np.ndarray,
+    desired: np.ndarray,
+    thresholds: Thresholds | Sequence[Thresholds],
+    mu: float | None = None,
+    client_noise: np.ndarray | None = None,
+    channel: Callable[[np.ndarray, np.ndarray, np.ndarray, int], tuple] | None = None,
+) -> RunInputs:
+    """Check a run's inputs against its state and gather them per row.
+
+    Row k of ``blocks`` ``(rows, rounds, n)``, ``desired`` and
+    ``client_noise`` ``(rows, rounds)`` (default zeros) is what node
+    ``state.node_ids[k]`` senses and draws in each round; a ``Stream`` over
+    the same nodes holds its rows in that (ascending id) order, so for one
+    point ``stream.blocks`` and ``stream.desired`` fit.  ``thresholds`` is
+    one ``Thresholds`` for every point or one per point.  ``mu``
+    overrides the automatic step-size rule (0.5 / (M * lambda_max) of the
+    point's empirical block covariance, refreshed whenever one of its
+    nodes is in a raw round).  ``channel(samples, desired, rows,
+    round_index)`` optionally maps the blocks of the transmitting engine
+    rows ``rows`` to what the sinks receive.
+    """
+    m, rounds, points = len(state.node_ids), len(state.trace), len(state.global_weight)
+    blocks = np.asarray(blocks, dtype=float)
+    desired = np.asarray(desired, dtype=float)
+    noise = (
+        np.zeros((m, rounds)) if client_noise is None else np.asarray(client_noise, dtype=float)
+    )
+    shapes = (blocks.shape, desired.shape, noise.shape)
+    if shapes != ((m, rounds, state.n), (m, rounds), (m, rounds)):
+        raise DimensionMismatch(
+            f"{rounds} rounds of {m} nodes need ({m}, {rounds}, {state.n}) blocks and "
+            f"({m}, {rounds}) desired values and noise draws, got {blocks.shape}, "
+            f"{desired.shape} and {noise.shape}"
+        )
+    if isinstance(thresholds, Thresholds):
+        thresholds = [thresholds] * points
+    if len(thresholds) != points:
+        raise DimensionMismatch(f"{len(thresholds)} thresholds for {points} points")
+    alpha, beta = np.array([(t.alpha, t.beta) for t in thresholds]).T[:, state.point]
+    return RunInputs(
+        blocks=blocks,
+        desired=desired,
+        noise=noise,
+        alpha=alpha,
+        beta=beta,
+        mu=None if mu is None else float(mu),
+        channel=channel,
+        bounds=state.bounds.tolist(),
     )
 
 
@@ -391,9 +522,10 @@ def _deliver(state: ProtocolState, mail: Mail) -> None:
         )
     handed = mail.kind == KIND_BITS[MessageKind.GLOBAL_WEIGHT]
     rows = mail.row[handed]
+    payload = mail.payload[handed]
     state.phase[rows] = CLIENT_ADAPTIVE
-    state.client_weight[rows] = mail.payload[handed]
-    state.received_global[rows] = mail.payload[handed]
+    state.client_weight[rows] = payload
+    state.received_global[rows] = payload
 
 
 def _diverged(state: ProtocolState, row: int, side: str) -> Diverged:
@@ -404,132 +536,111 @@ def _diverged(state: ProtocolState, row: int, side: str) -> Diverged:
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def step_round(
-    state: ProtocolState,
-    samples: np.ndarray,
-    desired: np.ndarray,
-    thresholds: Thresholds | Sequence[Thresholds],
-    mu: float | None = None,
-    client_noise: np.ndarray | None = None,
-    channel: Callable[[np.ndarray, np.ndarray, np.ndarray, int], tuple] | None = None,
-) -> RoundResult:
-    """Advance every point by one synchronous round.
+def step_round(state: ProtocolState, inputs: RunInputs) -> RoundResult:
+    """Advance every point by one synchronous round, round
+    ``state.round_index`` of ``inputs``, and write it into that row of
+    ``state.trace``; returns the round's view.
 
-    Row k of ``samples`` (rows x n), ``desired`` and ``client_noise`` (one
-    entry per row) is what node ``state.node_ids[k]`` senses and draws this
-    round; a ``Stream`` over the same nodes holds its rows in that
-    (ascending id) order, so for one point ``stream.blocks[:, r]`` and
-    ``stream.desired[:, r]`` fit.  ``thresholds`` is one ``Thresholds`` for
-    every point or one per point.  Which blocks reach the sink, and which
-    weight messages are exchanged, follows the phase table in the module
-    docstring.  ``mu`` overrides the automatic step-size rule (0.5 / (M *
-    lambda_max) of the point's empirical block covariance, refreshed
-    whenever one of its nodes is in a raw round).
-    ``channel(samples, desired, rows, round_index)`` optionally maps the
-    blocks of the transmitting engine rows ``rows`` to what the sinks
-    receive.
+    Which blocks reach the sink, and which weight messages are exchanged,
+    follows the phase table in the module docstring.  Run it inside
+    ``errstate()``.
 
     Raises ``Diverged`` at the first round with a non-finite error, naming
     the round, the node and (as ``point``) the lowest point that has one.
     Within a point, client errors are checked before sink errors.
     """
-    m = len(state.node_ids)
-    points = len(state.global_weight)
-    samples = np.asarray(samples, dtype=float)
-    desired = np.asarray(desired, dtype=float)
-    noise = np.zeros(m) if client_noise is None else np.asarray(client_noise, dtype=float)
-    if samples.shape != (m, state.n) or desired.shape != (m,) or noise.shape != (m,):
-        raise DimensionMismatch(
-            f"a round of {m} nodes needs ({m}, {state.n}) samples and {m} desired "
-            f"values and noise draws, got {samples.shape}, {desired.shape} and {noise.shape}"
-        )
-    if isinstance(thresholds, Thresholds):
-        thresholds = [thresholds] * points
-    if len(thresholds) != points:
-        raise DimensionMismatch(f"{len(thresholds)} thresholds for {points} points")
-    alpha, beta = np.array([(t.alpha, t.beta) for t in thresholds]).T[:, state.point]
+    r = state.round_index
+    trace = state.trace
+    if len(state.pending):
+        _deliver(state, state.pending)
+    phase = trace.phase[r]
+    phase[:] = state.phase
+    samples = inputs.blocks[:, r]
 
-    _deliver(state, state.pending)
-
-    phase = state.phase.copy()
-    kinds = np.full(m, KIND_BITS[MessageKind.QUERY] if state.round_index == 0 else 0, np.uint8)
-    error_new = np.zeros(m)
-    error_glob = np.zeros(m)
-    transmit = phase <= SINK_ADAPTIVE
-
-    # Client side: local filters and the beta decision.
-    adapting = phase == CLIENT_ADAPTIVE
-    predicting = phase == CLIENT_PREDICTING
-    client = adapting | predicting
-    if client.any():
-        u = samples[client]
-        d_new = client_desired(u, state.received_global[client], noise[client])
-        if adapting.any():
-            sub = adapting[client]
-            state.client_weight[adapting] = client_update(
-                state.client_weight[adapting],
-                u[sub],
-                d_new[sub],
-                # fmax maps a never-estimated (NaN) step size to 0.0.
-                mu if mu is not None else np.fmax(state.mu, 0.0)[state.point[adapting]],
-            )
-        error_new[client] = d_new - np.vecdot(u, state.client_weight[client])
+    # Client side: local filters and the beta decision, computed for every
+    # row (the arithmetic is row-wise) and kept for the client rows: masks
+    # cost less than gathering each input.
+    adapting_rows = phase == CLIENT_ADAPTIVE
+    client = adapting_rows | (phase == CLIENT_PREDICTING)
+    d_new = _desired(samples, state.received_global, inputs.noise[:, r])
+    adapting = adapting_rows.nonzero()[0]
+    if adapting.size:
+        # fmax maps a never-estimated (NaN) step size to 0.0.
+        mu = inputs.mu
+        if mu is None:
+            mu = np.fmax(state.mu, 0.0)[state.point, None]
+        weights = _client_step(state.client_weight, samples, d_new, mu)[adapting]
+        state.client_weight[adapting] = weights
+        trace.updates.append((r, adapting, weights))
+    errors = d_new - np.vecdot(samples, state.client_weight)
+    error_new = trace.error_new[r]
+    np.copyto(error_new, errors, where=client)
+    loud = np.abs(errors) > inputs.beta
+    # Rows whose sink filter is (or is becoming) active always transmit.
+    sink_side = phase <= SINK_ADAPTIVE
+    transmit = trace.transmitted[r]
+    np.bitwise_or(sink_side, adapting_rows & loud, out=transmit)
+    silenced = (adapting_rows > loud).nonzero()[0]
+    restarted = (client > adapting_rows) & loud
+    client_bad = adapting[:0]
+    if not np.isfinite(error_new).all():
+        client_bad = (~np.isfinite(error_new)).nonzero()[0]
     # Points from ``stop`` on have a non-finite client error: the sink side
     # runs only for the points before it, to find a lower point's sink error.
-    client_bad = np.flatnonzero(~np.isfinite(error_new))
+    points = len(inputs.bounds) - 1
     stop = state.point[client_bad[0]] if client_bad.size else points
-    loud = np.abs(error_new) > beta
-    transmit |= adapting & loud
-    silenced = adapting & ~loud
-    restarted = predicting & loud
-    kinds[silenced] |= KIND_BITS[MessageKind.NODE_WEIGHT]
 
     # Wire: data blocks of transmitting nodes, optionally through the channel.
-    sent = np.flatnonzero(transmit)
-    kinds[sent] |= KIND_BITS[MessageKind.DATA_BLOCK]
+    sent = transmit.nonzero()[0]
     handed = to_sink_adaptive = sent[:0]
     if sent.size and stop > 0:
-        u_sent, d_sent = samples[sent], desired[sent]
-        if channel is not None:
-            u_sent, d_sent = channel(u_sent, d_sent, sent, state.round_index)
+        u_sent, d_sent = samples[sent], inputs.desired[sent, r]
+        if inputs.channel is not None:
+            u_sent, d_sent = inputs.channel(u_sent, d_sent, sent, r)
 
         # Sink side: per point, one global sweep over this round's arrivals,
         # then the alpha decision for rows whose sink filter is (or is
         # becoming) active.  Point p's arrivals are rows cut[p]:cut[p + 1]
         # of u_sent; raw rows always transmit, so they are among them.
-        cut = np.searchsorted(sent, state.bounds).tolist()
+        cut = sent.searchsorted(inputs.bounds).tolist()
         live = [p for p in range(stop) if cut[p] < cut[p + 1]]
-        sent_phase = phase[sent]
+        raw_rows = phase == RAW_TRANSMIT
+        mu = inputs.mu
         if mu is None:
-            raw = np.searchsorted(np.flatnonzero(sent_phase == RAW_TRANSMIT), cut).tolist()
+            raw = raw_rows.nonzero()[0].searchsorted(inputs.bounds).tolist()
             steps = state.mu.tolist()
             refresh = [p for p in live if raw[p] < raw[p + 1] or math.isnan(steps[p])]
             if refresh:
                 blocks = [u_sent[cut[p] : cut[p + 1]] for p in refresh]
                 lams = max_eigenvalue(np.array([(u.T @ u) / u.shape[0] for u in blocks]))
-                bounds = state.bounds.tolist()
                 for p, lam in zip(refresh, lams.tolist()):
-                    nodes = bounds[p + 1] - bounds[p]
+                    nodes = inputs.bounds[p + 1] - inputs.bounds[p]
                     state.mu[p] = 0.5 / (nodes * lam) if lam > 0 else 0.0
+        error_glob = trace.error_glob[r]
         for p in live:
             a, b = cut[p], cut[p + 1]
             u, d = u_sent[a:b], d_sent[a:b]
-            weight = global_lms_update(
-                state.global_weight[p], u, d, mu if mu is not None else state.mu[p]
-            )
+            weight = _sweep(state.global_weight[p], u, d, state.mu[p] if mu is None else mu)
             state.global_weight[p] = weight
             error_glob[sent[a:b]] = d - u @ weight
-        errs = error_glob[sent]
-        sink_bad = np.flatnonzero(~np.isfinite(errs))
-        if sink_bad.size:
-            raise _diverged(state, sent[sink_bad[0]], "sink")
-        near = np.abs(errs) <= alpha[sent]
-        handed = sent[(sent_phase <= SINK_ADAPTIVE) & near]
-        to_sink_adaptive = sent[~near & (sent_phase == RAW_TRANSMIT)]
-        kinds[handed] |= KIND_BITS[MessageKind.GLOBAL_WEIGHT]
+        # Rows that sent nothing hold 0.0, and none of them is on the sink side.
+        finite = np.isfinite(error_glob)
+        if not finite.all():
+            raise _diverged(state, np.argmin(finite), "sink")
+        if not client_bad.size:
+            near = np.abs(error_glob) <= inputs.alpha
+            handed = (sink_side & near).nonzero()[0]
+            to_sink_adaptive = raw_rows > near
     if client_bad.size:
         raise _diverged(state, client_bad[0], "client")
+
+    # The round's messages, in sending order: see KIND_BITS.
+    kinds = trace.kinds[r]
+    np.multiply(transmit, _DATA_BLOCK, out=kinds)
+    kinds[silenced] = _NODE_WEIGHT
+    kinds[handed] = _HANDED
+    if r == 0:
+        kinds |= _QUERY
 
     # End-of-round transitions; weight messages are delivered next round.
     state.phase[to_sink_adaptive] = SINK_ADAPTIVE
@@ -538,27 +649,12 @@ def step_round(
     state.sent += transmit
     # Queue NODE_WEIGHT from the silenced rows, then GLOBAL_WEIGHT to the
     # handed-off ones; no row sends both in one round.
-    queued = np.concatenate([np.flatnonzero(silenced), handed])
-    kind = kinds[queued] & _WEIGHT_BITS
     state.pending = Mail(
-        kind=kind,
-        row=queued,
-        payload=np.where(
-            (kind == KIND_BITS[MessageKind.GLOBAL_WEIGHT])[:, None],
-            state.global_weight[state.point[queued]],
-            state.client_weight[queued],
+        kind=_MAIL_KINDS.repeat([silenced.size, handed.size]),
+        row=np.concatenate([silenced, handed]),
+        payload=np.concatenate(
+            [state.client_weight[silenced], state.global_weight[state.point[handed]]]
         ),
     )
-    result = RoundResult(
-        round_index=state.round_index,
-        node_ids=state.node_ids,
-        phase=phase,
-        kinds=kinds,
-        transmitted=transmit,
-        error_glob=error_glob,
-        error_new=error_new,
-        client_weight=state.client_weight.copy(),
-        messages=state.pending,
-    )
-    state.round_index += 1
-    return result
+    state.round_index = r + 1
+    return RoundResult(trace, r, state.node_ids, state.pending)

@@ -477,6 +477,27 @@ def test_run_too_large_to_allocate_is_a_run_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_stdp_ingest_sharing_no_active_node_is_a_config_error(tmp_path, capsys):
+    # The shipped stdp config selects the nearest nodes; with one selected
+    # (node 2) a file holding only node 7 leaves the run no node to step.
+    csv_path = write_readings(tmp_path / "field.csv", [7])
+    doc = json.loads((CONFIG_DIR / "stdp.json").read_text())
+    doc.update(select_count=1, ingest_csv=str(csv_path), num_blocks=4)
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    for command in ("validate", "run"):
+        args = [command, "--config", str(path)]
+        if command == "run":
+            args += ["--out", str(out)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: /ingest_csv: node ids [7] include none of the run's active nodes [2]\n"
+        )
+    assert not out.exists()
+
+
 def test_detect_ingest_sharing_one_node_is_a_config_error(tmp_path, capsys):
     csv_path = write_readings(tmp_path / "field.csv", [3, 42, 43])
     path = write_config(

@@ -164,6 +164,25 @@ def test_rows_split_into_chunks_join_to_the_same_bytes(monkeypatch):
     assert len(body) == 23 and b"".join(body.chunks) == whole
 
 
+def test_coded_cells_print_their_names(monkeypatch):
+    names = np.array([b"", b"RAW", b"CLIENT_PREDICTING", b"A;B"])
+    codes = np.array([1, 0, 3, 3, 1, 2, 0], dtype=np.uint8)
+    absent = np.array([False, False, False, True, False, False, False])
+    table = Table(("id", "name"), (np.arange(7, dtype=np.int32), codes), {1: absent}, {1: names})
+    text = [None if gone else names[c].decode() for c, gone in zip(codes, absent)]
+    assert list(table) == list(zip(range(7), text)) and table[2] == (2, "A;B")
+    whole = b"0,RAW\n1,\n2,A;B\n3,\n4,RAW\n5,CLIENT_PREDICTING\n6,\n"
+    ((_, body),) = report_files(RunReport({"t.csv": table}, {})).values()
+    assert b"".join(body.chunks) == whole
+    # A chunk's slots are as wide as the longest name it uses.
+    monkeypatch.setattr(sim, "CHUNK_ROWS", 2)
+    assert [sim._label_cells(codes[k : k + 2], names).shape[1] for k in range(0, 7, 2)] == [
+        3, 3, 17, 1
+    ]
+    ((_, body),) = report_files(RunReport({"t.csv": table}, {})).values()
+    assert len(body.chunks) == 4 and b"".join(body.chunks) == whole
+
+
 REPORTS = {
     "ada": lambda: run_ada(default_scenario()),
     "stdp": lambda: run_stdp(default_scenario(num_blocks=40)),

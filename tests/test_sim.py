@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,6 +272,26 @@ def test_diverging_sweep_names_the_first_round_and_lowest_point(axis, values, mu
     with pytest.raises(Diverged) as err:
         sweep(scenario, axis, values)
     assert str(err.value) == first[2]
+    assert err.value.point == first[1]
+
+
+@pytest.mark.parametrize(
+    "axis, values, mu", [("beta", [0.4, 0.2, 0.05, 0.1], 2.0), ("beta", [0.05], 50.0)]
+)
+def test_diverging_run_raises_without_runtime_warnings(axis, values, mu):
+    # The engine's floating-point error state is entered once per run; the
+    # overflow on the way to a non-finite error must stay inside it.
+    scenario = default_scenario(mu_mode=mu)
+    first = min(diverging_points(scenario, axis, values))
+    points = [scenario_for_point(scenario, axis, value) for value in values]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Diverged) as err:
+            simulate_protocol(points[0], points=points)
+    assert re.fullmatch(
+        r"diverged in round \d+: non-finite (client|sink) error for node \d+", str(err.value)
+    )
+    assert f"{err.value} at {axis}={values[err.value.point]}" == first[2]
     assert err.value.point == first[1]
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import global_ia_update
+from oracles import global_ia_update, replay_client_updates
 from wsnadapt.errors import DimensionMismatch, Diverged, ProtocolViolation
 from wsnadapt.fieldgen import (
     ROLE_MEASURE,
@@ -13,7 +13,7 @@ from wsnadapt.fieldgen import (
     generate_stream,
     substream,
 )
-from wsnadapt.sim import default_layout, default_scenario, simulate_protocol
+from wsnadapt.sim import ProtocolRun, default_layout, default_scenario, simulate_protocol
 from wsnadapt.stdp import (
     CLIENT_ADAPTIVE,
     CLIENT_PREDICTING,
@@ -24,11 +24,15 @@ from wsnadapt.stdp import (
     MessageKind,
     Phase,
     Thresholds,
+    TraceRow,
     client_desired,
     client_update,
+    errstate,
     global_lms_update,
     initial_weight,
+    kinds_of,
     new_protocol_state,
+    run_inputs,
     step_round,
     transmission_percentage,
 )
@@ -40,30 +44,51 @@ def make_stream(num_blocks, n=5, seed=0, layout=None, noise_var=0.01, phi=0.9):
     return layout, generate_stream(layout, params, n, num_blocks, seed)
 
 
+def trace_rows(state, r):
+    """Round r node by node, read off the state's trace columns."""
+    trace = state.trace
+    return [
+        TraceRow(
+            r,
+            node_id,
+            PHASES[trace.phase[r, k]],
+            kinds_of(int(trace.kinds[r, k])),
+            float(trace.error_glob[r, k]) if trace.transmitted[r, k] else None,
+            float(trace.error_new[r, k]) if trace.phase[r, k] >= CLIENT_ADAPTIVE else None,
+            bool(trace.transmitted[r, k]),
+        )
+        for k, node_id in enumerate(state.node_ids)
+    ]
+
+
 def drive(layout, stream, thresholds, mu=None, noise_seed=None, channel=None):
-    """Run the engine over a whole stream, returning (state, rows, messages)."""
+    """Run the engine over a whole stream, returning (state, rows, messages):
+    the rows read off the trace, the mail queued after each round."""
     ids = list(stream.node_ids)
-    state = new_protocol_state(ids, stream.n)
-    noise = np.zeros((len(ids), stream.num_blocks))
+    state = new_protocol_state(ids, stream.n, stream.num_blocks)
+    noise = None
     if noise_seed is not None:
         std = float(np.sqrt(stream.params.noise_var))
         noise = np.array(
             [substream(noise_seed, ROLE_PROTOCOL, i).normal(0, std, stream.num_blocks) for i in ids]
         )
-    rows, messages = [], []
-    for r in range(stream.num_blocks):
-        result = step_round(
-            state,
-            stream.blocks[:, r],
-            stream.desired[:, r],
-            thresholds,
-            mu=mu,
-            client_noise=noise[:, r],
-            channel=channel,
-        )
-        rows.extend(result.rows)
-        messages.append(result.messages)
+    inputs = run_inputs(
+        state, stream.blocks, stream.desired, thresholds, mu=mu, client_noise=noise, channel=channel
+    )
+    messages = []
+    with errstate():
+        for _ in range(stream.num_blocks):
+            step_round(state, inputs)
+            messages.append(state.pending)
+    rows = [row for r in range(state.round_index) for row in trace_rows(state, r)]
     return state, rows, messages
+
+
+def one_round(state, samples, desired, thresholds):
+    """Step a one-round state through the given round."""
+    inputs = run_inputs(state, samples[:, None], desired[:, None], thresholds)
+    with errstate():
+        return step_round(state, inputs)
 
 
 def queue(state, kind, row, payload):
@@ -281,21 +306,21 @@ def test_noiseless_predicting_never_reverts():
 def test_protocol_violation_on_misdelivered_messages():
     layout, stream = make_stream(3, seed=8)
     ids = list(layout.node_ids)
-    state = new_protocol_state(ids, stream.n)
+    state = new_protocol_state(ids, stream.n, 1)
     state.phase[0] = CLIENT_PREDICTING
     state.client_weight[0] = initial_weight(stream.n)
     state.received_global[0] = initial_weight(stream.n)
     clear_mail(state)
     queue(state, MessageKind.GLOBAL_WEIGHT, 0, initial_weight(stream.n))
     with pytest.raises(ProtocolViolation) as err:
-        step_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
+        one_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
     assert str(err.value) == "GLOBAL_WEIGHT to node 1 in CLIENT_PREDICTING"
 
-    state = new_protocol_state(ids, stream.n)
+    state = new_protocol_state(ids, stream.n, 1)
     clear_mail(state)
     queue(state, MessageKind.NODE_WEIGHT, 0, initial_weight(stream.n))
     with pytest.raises(ProtocolViolation) as err:
-        step_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
+        one_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
     assert str(err.value) == "NODE_WEIGHT from node 1 in RAW_TRANSMIT"
 
 
@@ -303,7 +328,7 @@ def test_misdelivered_message_names_the_node_not_the_row():
     # Two points over ids (4, 7, 9): row 4 is node 7 of the second point,
     # and row 5 its node 9.
     n = 3
-    state = new_protocol_state([4, 7, 9, 4, 7, 9], n, sizes=[3, 3])
+    state = new_protocol_state([4, 7, 9, 4, 7, 9], n, 1, sizes=[3, 3])
     state.phase[4] = CLIENT_PREDICTING
     state.pending = Mail(
         kind=np.array([KIND_BITS[MessageKind.GLOBAL_WEIGHT]], dtype=np.uint8),
@@ -314,25 +339,32 @@ def test_misdelivered_message_names_the_node_not_the_row():
     samples, desired = rng.normal(size=(6, n)), rng.normal(size=6)
     thresholds = [Thresholds(0.5, 0.05)] * 2
     with pytest.raises(ProtocolViolation) as err:
-        step_round(state, samples, desired, thresholds)
+        one_round(state, samples, desired, thresholds)
     assert str(err.value) == "GLOBAL_WEIGHT to node 7 in CLIENT_PREDICTING"
 
-    state = new_protocol_state([4, 7, 9, 4, 7, 9], n, sizes=[3, 3])
+    state = new_protocol_state([4, 7, 9, 4, 7, 9], n, 1, sizes=[3, 3])
     state.pending = Mail(
         kind=np.array([KIND_BITS[MessageKind.NODE_WEIGHT]], dtype=np.uint8),
         row=np.array([5]),
         payload=initial_weight(n)[None],
     )
     with pytest.raises(ProtocolViolation) as err:
-        step_round(state, samples, desired, thresholds)
+        one_round(state, samples, desired, thresholds)
     assert str(err.value) == "NODE_WEIGHT from node 9 in RAW_TRANSMIT"
 
 
 def test_step_round_requires_block_per_node():
     layout, stream = make_stream(2, seed=10)
-    state = new_protocol_state(list(layout.node_ids), stream.n)
+    state = new_protocol_state(list(layout.node_ids), stream.n, 2)
     with pytest.raises(DimensionMismatch):
-        step_round(state, stream.blocks[:-1, 0], stream.desired[:-1, 0], Thresholds(0.5, 0.05))
+        run_inputs(state, stream.blocks[:-1], stream.desired[:-1], Thresholds(0.5, 0.05))
+    # every round of the run, and no other
+    with pytest.raises(DimensionMismatch):
+        run_inputs(state, stream.blocks[:, :1], stream.desired[:, :1], Thresholds(0.5, 0.05))
+    with pytest.raises(DimensionMismatch):
+        run_inputs(state, stream.blocks, stream.desired, Thresholds(0.5, 0.05), client_noise=[0.0])
+    with pytest.raises(DimensionMismatch):
+        run_inputs(state, stream.blocks, stream.desired, [Thresholds(0.5, 0.05)] * 2)
 
 
 def test_channel_hook_applies_to_transmitted_blocks_only():
@@ -349,14 +381,14 @@ def test_channel_hook_applies_to_transmitted_blocks_only():
 
 
 def test_transmission_percentage_trivials():
-    state = new_protocol_state([1, 2], n=3)
+    state = new_protocol_state([1, 2], n=3, rounds=10)
     with pytest.raises(ValueError):
         transmission_percentage(state)
     state.sent[:] = [10, 0]
     state.round_index = 10
     pct = transmission_percentage(state)
     assert pct.tolist() == [100.0, 0.0]
-    nobody = new_protocol_state([], n=3)
+    nobody = new_protocol_state([], n=3, rounds=10)
     nobody.round_index = 10
     with pytest.raises(ValueError):
         transmission_percentage(nobody)
@@ -447,17 +479,25 @@ def test_step_round_properties(case):
     random multi-point runs of linear data with noise."""
     sizes, n, rounds, thresholds, noise_level, seed = case
     rng = np.random.default_rng(seed)
-    state = new_protocol_state([i for size in sizes for i in range(1, size + 1)], n, sizes)
+    state = new_protocol_state([i for size in sizes for i in range(1, size + 1)], n, rounds, sizes)
     m = len(state.node_ids)
     samples = rng.normal(size=(rounds, m, n))
     desired = samples @ rng.normal(size=n) + noise_level * rng.normal(size=(rounds, m))
     client_noise = noise_level * rng.normal(size=(rounds, m))
+    inputs = run_inputs(
+        state, samples.transpose(1, 0, 2), desired.T, thresholds, client_noise=client_noise.T
+    )
     alpha, beta = np.array([(t.alpha, t.beta) for t in thresholds]).T[:, state.point]
+    trace = state.trace
     suppressed = np.zeros(m, dtype=np.int64)
     mail = None
     for r in range(rounds):
-        result = step_round(state, samples[r], desired[r], thresholds, client_noise=client_noise[r])
-        start, kinds = result.phase, result.kinds
+        with errstate():
+            result = step_round(state, inputs)
+        start, kinds = trace.phase[r], trace.kinds[r]
+        # The returned view is the trace row and the queued mail.
+        assert list(result.rows) == trace_rows(state, r)
+        assert result.messages is state.pending
 
         # The previous round's weight messages are delivered in this one.
         if mail is not None:
@@ -467,7 +507,7 @@ def test_step_round_properties(case):
             assert np.all(start[mail.row[~handed]] == CLIENT_PREDICTING)
         node_weight = bit_set(kinds, MessageKind.NODE_WEIGHT)
         global_weight = bit_set(kinds, MessageKind.GLOBAL_WEIGHT)
-        mail = result.messages
+        mail = state.pending
         # Mail names the silenced rows, then the handed-off rows.
         assert np.array_equal(
             mail.row, np.concatenate([np.flatnonzero(node_weight), np.flatnonzero(global_weight)])
@@ -475,17 +515,60 @@ def test_step_round_properties(case):
 
         # No data block from a row that started the round predicting.
         data = bit_set(kinds, MessageKind.DATA_BLOCK)
-        assert np.array_equal(data, result.transmitted)
+        assert np.array_equal(data, trace.transmitted[r])
         assert not np.any(data & (start == CLIENT_PREDICTING))
 
         # NODE_WEIGHT exactly when an adapting client's |e'| <= beta, and
         # GLOBAL_WEIGHT exactly when a sink-side row's |e| <= alpha.
-        quiet = np.abs(result.error_new) <= beta
+        quiet = np.abs(trace.error_new[r]) <= beta
         assert np.array_equal(node_weight, (start == CLIENT_ADAPTIVE) & quiet)
-        near = np.abs(result.error_glob) <= alpha
+        near = np.abs(trace.error_glob[r]) <= alpha
         assert np.array_equal(global_weight, (start <= SINK_ADAPTIVE) & near)
 
         suppressed += (start == CLIENT_PREDICTING) | ((start == CLIENT_ADAPTIVE) & quiet)
 
     # Sent plus suppressed blocks make up every row's rounds.
     assert np.array_equal(state.sent + suppressed, np.full(m, rounds))
+
+
+@pytest.mark.parametrize("points", [1, 2])
+def test_client_update_log_matches_a_replay(points):
+    """The update log gives the (round, row, weight) of every client-filter
+    update, per point in ``weight_snapshots`` order, as a replay that reads
+    the client weights after each round finds them."""
+    layout, stream = make_stream(120, seed=15)
+    ids = list(stream.node_ids)
+    m = len(ids)
+    state = new_protocol_state(ids * points, stream.n, stream.num_blocks, [m] * points)
+    std = float(np.sqrt(stream.params.noise_var))
+    noise = np.array(
+        [substream(15, ROLE_PROTOCOL, i).normal(0, std, stream.num_blocks) for i in ids]
+    )
+    inputs = run_inputs(
+        state,
+        np.concatenate([stream.blocks] * points),
+        np.concatenate([stream.desired] * points),
+        [Thresholds(0.5, 0.05), Thresholds(0.8, 0.1)][:points],
+        client_noise=np.concatenate([noise] * points),
+    )
+
+    def step():
+        with errstate():
+            step_round(state, inputs)
+
+    expected = replay_client_updates(
+        step, state, stream.num_blocks, CLIENT_ADAPTIVE, KIND_BITS[MessageKind.GLOBAL_WEIGHT]
+    )
+    run = ProtocolRun(state=state, percentages=transmission_percentage(state))
+    for p in range(points):
+        mine = [(r, k - p * m, w) for r, k, w in expected if p * m <= k < (p + 1) * m]
+        rounds, rows, weights = run.weight_snapshots(p)
+        assert len(mine) == rounds.size > 0
+        assert rounds.tolist() == [r for r, _, _ in mine]
+        assert rows.tolist() == [k for _, k, _ in mine]
+        assert np.array_equal(weights, np.array([w for _, _, w in mine]))
+    # The log itself runs by round, then by row.
+    rounds, rows, weights = state.trace.client_updates()
+    in_time = sorted(expected, key=lambda update: (update[0], update[1]))
+    assert list(zip(rounds.tolist(), rows.tolist())) == [(r, k) for r, k, _ in in_time]
+    assert np.array_equal(weights, np.array([w for _, _, w in in_time]))
