@@ -1,7 +1,10 @@
 """Command-line front end: validate a JSON scenario config, run the chosen
 experiment, and write CSV reports plus an effective-config echo.
 
-Exit codes: 0 success, 1 config validation failure, 2 runtime failure.
+A config's keys and value types are checked against the field annotations
+of the value types it builds (``Scenario``, ``NodeLayout``, ``FieldParams``,
+``Thresholds``, ``MaliciousSpec``); each field's range is checked by those
+types.  Exit codes: 0 success, 1 config validation failure, 2 runtime failure.
 Diagnostics go to stderr only; output files are written atomically.
 """
 
@@ -13,11 +16,12 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from functools import cache
+from itertools import count, repeat
 from pathlib import Path
-from typing import Iterable
-
-import jsonschema
+from types import UnionType
+from typing import Iterable, Literal, Union, get_args, get_origin, get_type_hints
 
 from .errors import InvalidParameter, SchemaError, WsnAdaptError
 from .fieldgen import Stream, ingest_csv
@@ -39,79 +43,37 @@ from .sim import (
 
 EXPERIMENTS = ("ada", "stdp", "detect", "sweep")
 
-_NUMBER = {"type": "number"}
-_POSITION = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
 
-# Shape, types, enums and required keys only: each field's range is
-# checked by the value type it builds (NodeLayout, FieldParams, Thresholds,
-# Scenario), which names the field on failure.
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["experiment"],
-    "properties": {
-        "experiment": {"enum": list(EXPERIMENTS)},
-        "output_dir": {"type": "string", "minLength": 1},
-        "ingest_csv": {"type": "string", "minLength": 1},
-        "seed": {"type": "integer"},
-        "layout": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["positions", "sink", "node_ids"],
-            "properties": {
-                "positions": {"type": "array", "items": _POSITION},
-                "sink": _POSITION,
-                "node_ids": {"type": "array", "items": {"type": "integer"}},
-            },
-        },
-        "field": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "theta": _NUMBER,
-                "sigma_u": {"anyOf": [_NUMBER, {"type": "array", "items": _NUMBER}]},
-                "sigma_d": _NUMBER,
-                "noise_var": _NUMBER,
-                "temporal_phi": _NUMBER,
-            },
-        },
-        "n_block": {"type": "integer"},
-        "num_blocks": {"type": "integer"},
-        "thresholds": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"alpha": _NUMBER, "beta": _NUMBER},
-        },
-        "mu_mode": {"anyOf": [{"const": "auto"}, _NUMBER]},
-        "malicious": {
-            "anyOf": [
-                {"type": "null"},
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["node_ids", "scale"],
-                    "properties": {
-                        "node_ids": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-                        "scale": _NUMBER,
-                    },
-                },
-            ]
-        },
-        "channel": {"anyOf": [{"type": "null"}, _NUMBER]},
-        "select_first": {"type": "boolean"},
-        "select_count": {"type": "integer"},
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["axis", "values"],
-            "properties": {
-                "axis": {"enum": list(SWEEP_AXES)},
-                "values": {"type": "array", "items": _NUMBER, "minItems": 1},
-            },
-        },
+# A config section's keys are the fields of its value type, and each value
+# must fit its field's annotation; a key is required when its field has no
+# default.  A field's range is checked only by the value type it builds,
+# which names the field on failure.
+@dataclass(frozen=True, eq=False)
+class _Section:
+    keys: dict  # key -> the annotation its value must fit
+    required: frozenset
+
+
+# The top level: Scenario's fields, which the default scenario fills, and
+# the keys that set no field.
+_CONFIG = _Section(
+    {
+        **get_type_hints(Scenario),
+        "experiment": Literal[EXPERIMENTS],
+        "output_dir": str,
+        "ingest_csv": str,
+        "sweep": _Section(
+            {"axis": Literal[SWEEP_AXES], "values": tuple[float, ...]}, frozenset({"axis", "values"})
+        ),
     },
-}
+    frozenset({"experiment"}),
+)
+_NON_EMPTY = {("malicious", "node_ids"), ("sweep", "values"), ("output_dir",), ("ingest_csv",)}
+_KINDS = {bool: "boolean", int: "integer", float: "number", str: "string", type(None): "null",
+          list: "array", dict: "object"}
+# The Python types of the JSON values a scalar annotation takes: a bool is
+# not a number, and 5.0 is not an integer.
+_PLAIN = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
 
 
 @dataclass(frozen=True)
@@ -132,21 +94,62 @@ class ParsedConfig:
         return doc
 
 
-# JSON Schema counts 5.0 as an integer; a block length or a seed must be an int.
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: type(value) is int
-    ),
-)
+@cache
+def _resolve(hint) -> tuple:
+    """An annotation's origin, its arguments (a section for an object) and
+    the Python types of the JSON values that fit it, worked out once."""
+    if is_dataclass(hint) and not isinstance(hint, _Section):
+        required = frozenset(f.name for f in fields(hint) if f.default is MISSING)
+        hint = _Section(get_type_hints(hint), required)
+    if isinstance(hint, _Section):
+        return None, hint, (dict,)
+    origin = Union if get_origin(hint) is UnionType else get_origin(hint)
+    return origin, get_args(hint), (list,) if origin is tuple else _PLAIN.get(hint, (hint,))
 
 
-def _schema_validate(doc: dict) -> None:
-    validator = _Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        raise SchemaError("/" + "/".join(map(str, err.absolute_path)), err.message)
+def _first_error(value, hint, path: tuple) -> tuple[tuple, str] | None:
+    """The first problem, by sorted path, of a JSON value against the
+    annotation ``hint``, as (path, message); None when the value fits."""
+    origin, args, accepts = _resolve(hint)
+    if origin is Union:
+        # The alternatives have distinct JSON types, so at most one fits the
+        # value's; a problem inside it is reported at the union's path.
+        for alt in args:
+            if type(value) in _resolve(alt)[2]:
+                error = _first_error(value, alt, path)
+                if error is None or error[0] == path:
+                    return error
+                return path, f"{error[1]} at /{'/'.join(map(str, error[0]))}"
+        kinds = " or ".join(repr(_KINDS[_resolve(alt)[2][-1]]) for alt in args)
+        return path, f"{value!r} is not of type {kinds}"
+    if origin is Literal:
+        return None if value in args else (path, f"{value!r} is not one of {list(args)!r}")
+    if type(value) not in accepts:
+        return path, f"{value!r} is not of type {_KINDS[accepts[-1]]!r}"
+    if not value and path in _NON_EMPTY:
+        return path, f"{value!r} should be non-empty"
+    if type(value) is dict:
+        unknown = [key for key in value if key not in args.keys]
+        if unknown:
+            names = ", ".join(map(repr, unknown))
+            return path, f"unknown key(s) {names}; expected one of: {', '.join(args.keys)}"
+        missing = [key for key in args.keys if key in args.required and key not in value]
+        if missing:
+            return path, f"{missing[0]!r} is a required property"
+        children = [(key, value[key], args.keys[key]) for key in sorted(value)]
+    elif type(value) is list:
+        if args[-1] is not Ellipsis and len(value) != len(args):
+            return path, f"{value!r} is too {'short' if len(value) < len(args) else 'long'}"
+        children = zip(count(), value, repeat(args[0]) if args[-1] is Ellipsis else args)
+    else:
+        return None
+    for key, child, child_hint in children:
+        if child and type(child) in _PLAIN.get(child_hint, ()):
+            continue  # the common case, without a call
+        error = _first_error(child, child_hint, (*path, key))
+        if error is not None:
+            return error
+    return None
 
 
 def _semantic_validate(doc: dict, scenario: Scenario) -> None:
@@ -230,7 +233,9 @@ def parse_config(path, seed: int | None = None) -> ParsedConfig:
         raise SchemaError("/", "config must be a JSON object")
     if seed is not None:
         doc["seed"] = seed
-    _schema_validate(doc)
+    error = _first_error(doc, _CONFIG, ())
+    if error is not None:
+        raise SchemaError("/" + "/".join(map(str, error[0])), error[1])
     try:
         scenario = _build_scenario(doc)
     except InvalidParameter as exc:
@@ -348,13 +353,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="override the config output directory")
-        if name != "validate":
-            p.add_argument(
-                "--jobs",
-                type=int,
-                help="accepted for compatibility and has no effect: a sweep runs "
-                "its points in one process",
-            )
+        if name != "validate":  # a sweep runs its points in one process
+            p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
     args = parser.parse_args(argv)
 
     try:

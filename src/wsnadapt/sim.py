@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ada, fieldgen, malicious, stdp
-from .errors import Diverged, InsufficientHistory, InvalidParameter
+from .errors import Diverged, InsufficientHistory, InvalidParameter, NoConvergence
 from .fieldgen import (
     ROLE_PROTOCOL,
     FieldParams,
@@ -61,7 +61,7 @@ class Scenario:
     field: FieldParams = FieldParams()
     n_block: int = 5
     num_blocks: int = 200
-    thresholds: Thresholds = Thresholds(alpha=0.5, beta=0.05)
+    thresholds: Thresholds = Thresholds()
     mu_mode: float | str = "auto"
     malicious: MaliciousSpec | None = None
     channel: float | None = None
@@ -81,9 +81,13 @@ class Scenario:
         if isinstance(sigma, tuple) and len(sigma) != m:
             raise InvalidParameter("field/sigma_u", f"expected {m} entries, got {len(sigma)}")
         if self.malicious is not None:
-            unknown = set(self.malicious.node_ids) - set(self.layout.node_ids)
+            ids = self.malicious.node_ids
+            unknown = set(ids) - set(self.layout.node_ids)
             if unknown:
                 raise InvalidParameter("malicious/node_ids", f"unknown nodes {sorted(unknown)}")
+            if len(set(ids)) != len(ids):
+                repeated = sorted({i for i in ids if ids.count(i) > 1})
+                raise InvalidParameter("malicious/node_ids", f"ids {repeated} occur more than once")
             if not self.malicious.scale > 1:
                 raise InvalidParameter(
                     "malicious/scale", f"must be > 1, got {self.malicious.scale}"
@@ -111,19 +115,14 @@ def default_scenario(**overrides) -> Scenario:
     return replace(Scenario(layout=default_layout()), **overrides)
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
+def scenario_to_dict(scenario) -> dict:
     """Plain JSON-able echo of a scenario (the config-file shape): each
     value type becomes a dict keyed by its field names, which are the
     config keys; tuples stay tuples, which JSON writes as arrays."""
-    return _echo(scenario)
-
-
-def _echo(value):
     # Not dataclasses.asdict: it deep-copies every leaf, which on a 400-node
     # layout costs two orders of magnitude more than this walk.
-    if is_dataclass(value):
-        return {f.name: _echo(getattr(value, f.name)) for f in fields(value)}
-    return value
+    values = {f.name: getattr(scenario, f.name) for f in fields(scenario)}
+    return {key: scenario_to_dict(v) if is_dataclass(v) else v for key, v in values.items()}
 
 
 def config_hash(config: dict) -> str:
@@ -207,9 +206,17 @@ def _base_metadata(kind: str, scenario: Scenario) -> dict:
 
 
 def run_ada(scenario: Scenario) -> RunReport:
-    """Descent accuracy trace plus the per-node-count accuracy curve."""
+    """Descent accuracy trace plus the per-node-count accuracy curve; a
+    descent that does not converge raises NoConvergence naming its
+    iteration count and relative residual."""
     cov = build_spatial_covariance(scenario.layout, scenario.field)
     trace = ada.steepest_descent(cov, mu=scenario.explicit_mu)
+    if not trace.converged:
+        residual = np.linalg.norm(cov.rdu - cov.ruu @ trace.final_weight) / np.linalg.norm(cov.rdu)
+        raise NoConvergence(
+            f"accuracy descent did not converge: relative residual {residual:.3g} after "
+            f"{trace.iterations} iterations"
+        )
     selection = ada.select_nodes(scenario.layout, cov, count=scenario.select_count)
     sizes = [size for size, _ in selection.curve]
     ids = [str(i) for i in selection.order]
@@ -273,19 +280,11 @@ class ProtocolRun:
 def _scenario_stream(scenario: Scenario) -> Stream:
     """The stream a scenario senses: every layout node, corrupted ones injected."""
     stream = generate_stream(
-        scenario.layout,
-        scenario.field,
-        scenario.n_block,
-        scenario.num_blocks,
-        scenario.seed,
+        scenario.layout, scenario.field, scenario.n_block, scenario.num_blocks, scenario.seed
     )
-    if scenario.malicious is not None:
-        stream = inject_malicious(
-            stream,
-            scenario.malicious.node_ids,
-            scenario.malicious.scale,
-            scenario.seed,
-        )
+    spec = scenario.malicious
+    if spec is not None:
+        stream = inject_malicious(stream, spec.node_ids, spec.scale, scenario.seed)
     return stream
 
 
@@ -535,9 +534,7 @@ OUTPUT_FILES = frozenset(
 def scenario_for_point(scenario: Scenario, axis: str, value) -> Scenario:
     """The single-run scenario corresponding to one sweep point."""
     if axis == "beta":
-        return replace(
-            scenario, thresholds=Thresholds(scenario.thresholds.alpha, float(value))
-        )
+        return replace(scenario, thresholds=Thresholds(scenario.thresholds.alpha, float(value)))
     if axis == "n_block":
         return replace(scenario, n_block=int(value))
     if axis == "node_count":

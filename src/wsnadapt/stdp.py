@@ -136,8 +136,8 @@ _ACCEPTS[KIND_BITS[MessageKind.GLOBAL_WEIGHT], [RAW_TRANSMIT, SINK_ADAPTIVE]] = 
 class Thresholds:
     """User-defined error thresholds: alpha at the sink, beta at the client."""
 
-    alpha: float
-    beta: float
+    alpha: float = 0.5
+    beta: float = 0.05
 
     def __post_init__(self):
         if not self.alpha > 0:

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 import wsnadapt
-from wsnadapt.cli import CONFIG_SCHEMA, main, parse_config
-from wsnadapt.errors import SchemaError
+from wsnadapt.cli import main, parse_config
+from wsnadapt.errors import InvalidParameter, SchemaError
 from wsnadapt.fieldgen import FieldParams, NodeLayout
 from wsnadapt.sim import MaliciousSpec, Scenario, default_scenario, scenario_to_dict
 from wsnadapt.stdp import Thresholds
@@ -668,6 +668,18 @@ def two_node_layout(node_ids):
         ),
         ({"experiment": "stdp"}, ["--seed", "-1"], "/seed: must be >= 0, got -1"),
         ({"experiment": "stdp", "n_block": 5.0}, [], "/n_block: 5.0 is not of type 'integer'"),
+        (
+            {"experiment": "detect", "malicious": {"node_ids": [3, 3], "scale": 6}},
+            [],
+            "/malicious/node_ids: ids [3] occur more than once",
+        ),
+        ({"n_block": 4}, [], "/: 'experiment' is a required property"),
+        # Several problems: the first by sorted path is reported.
+        (
+            {"experiment": "stdp", "n_block": 5.0, "channel": "x", "field": {"theta": "y"}},
+            [],
+            "/channel: 'x' is not of type 'number' or 'null'",
+        ),
     ],
     ids=[
         "negative_beta_sweep_value",
@@ -686,9 +698,18 @@ def two_node_layout(node_ids):
         "id_zero",
         "negative_seed_flag",
         "integral_float_n_block",
+        "duplicate_malicious_ids",
+        "missing_experiment",
+        "first_of_several_by_path",
     ],
 )
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, doc, flags, message):
+    assert_config_error(tmp_path, capsys, doc, message, flags)
+
+
+def assert_config_error(tmp_path, capsys, doc, message, flags=()):
+    """``validate`` and ``run`` both exit 1 with the one line ``message``,
+    and nothing is written."""
     path = write_config(tmp_path, doc)
     out = tmp_path / "out"
     lines = []
@@ -701,42 +722,243 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, doc, flags, message
     assert not out.exists()
 
 
-def schema_keywords(node):
-    if isinstance(node, dict):
-        for key, value in node.items():
-            yield key
-            yield from schema_keywords(value)
-    elif isinstance(node, list):
-        for value in node:
-            yield from schema_keywords(value)
+TOP_LEVEL_KEYS = (
+    "layout, field, n_block, num_blocks, thresholds, mu_mode, malicious, channel, seed, "
+    "select_first, select_count, experiment, output_dir, ingest_csv, sweep"
+)
+SWEEP = {"experiment": "sweep", "sweep": {"axis": "beta", "values": [0.1]}}
+DETECT = {"experiment": "detect", "malicious": {"node_ids": [3], "scale": 6}}
 
 
-def test_config_schema_holds_no_numeric_bound():
-    # A field's range is checked by its value type, and only there.
-    bounds = {"minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum", "multipleOf"}
-    assert not bounds & set(schema_keywords(CONFIG_SCHEMA))
+# One case per constraint the config's shape check holds: types, unknown
+# keys, required keys, array lengths, non-empty values and names.
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"field": {"theta": True}}, "/field/theta: True is not of type 'number'"),
+        ({"n_block": True}, "/n_block: True is not of type 'integer'"),
+        ({"seed": 3.0}, "/seed: 3.0 is not of type 'integer'"),
+        ({"layout": two_node_layout([1, 2.0])}, "/layout/node_ids/1: 2.0 is not of type 'integer'"),
+        ({"select_first": 1}, "/select_first: 1 is not of type 'boolean'"),
+        ({"output_dir": 3}, "/output_dir: 3 is not of type 'string'"),
+        ({"n_block": None}, "/n_block: None is not of type 'integer'"),
+        ({"field": [1]}, "/field: [1] is not of type 'object'"),
+        ({"bogus": 1}, f"/: unknown key(s) 'bogus'; expected one of: {TOP_LEVEL_KEYS}"),
+        (
+            {"layout": {**two_node_layout([1, 2]), "bogus": 1}},
+            "/layout: unknown key(s) 'bogus'; expected one of: positions, sink, node_ids",
+        ),
+        (
+            {"field": {"bogus": 1, "zz": 2}},
+            "/field: unknown key(s) 'bogus', 'zz'; expected one of: "
+            "theta, sigma_u, sigma_d, noise_var, temporal_phi",
+        ),
+        (
+            {"thresholds": {"bogus": 1}},
+            "/thresholds: unknown key(s) 'bogus'; expected one of: alpha, beta",
+        ),
+        (
+            {**DETECT, "malicious": {"node_ids": [3], "scale": 6, "bogus": 1}},
+            "/malicious: unknown key(s) 'bogus'; expected one of: node_ids, scale",
+        ),
+        (
+            {**SWEEP, "sweep": {"axis": "beta", "values": [0.1], "bogus": 1}},
+            "/sweep: unknown key(s) 'bogus'; expected one of: axis, values",
+        ),
+        (
+            {"layout": {"sink": [2, 2], "node_ids": [1]}},
+            "/layout: 'positions' is a required property",
+        ),
+        (
+            {"layout": {"positions": [[1, 1]], "node_ids": [1]}},
+            "/layout: 'sink' is a required property",
+        ),
+        (
+            {"layout": {"positions": [[1, 1]], "sink": [2, 2]}},
+            "/layout: 'node_ids' is a required property",
+        ),
+        ({**DETECT, "malicious": {"scale": 6}}, "/malicious: 'node_ids' is a required property"),
+        ({**DETECT, "malicious": {"node_ids": [3]}}, "/malicious: 'scale' is a required property"),
+        ({**SWEEP, "sweep": {"values": [0.1]}}, "/sweep: 'axis' is a required property"),
+        ({**SWEEP, "sweep": {"axis": "beta"}}, "/sweep: 'values' is a required property"),
+        (
+            {"layout": {**two_node_layout([1, 2]), "positions": [[1.0, 1.0], [3.0]]}},
+            "/layout/positions/1: [3.0] is too short",
+        ),
+        (
+            {"layout": {**two_node_layout([1, 2]), "positions": [[1.0, 1.0], [3.0, 3.0, 1.0]]}},
+            "/layout/positions/1: [3.0, 3.0, 1.0] is too long",
+        ),
+        (
+            {"layout": {**two_node_layout([1, 2]), "positions": [[1.0, "a"], [3.0, 3.0]]}},
+            "/layout/positions/0/1: 'a' is not of type 'number'",
+        ),
+        ({"layout": {**two_node_layout([1, 2]), "sink": [2.0]}}, "/layout/sink: [2.0] is too short"),
+        (
+            {**DETECT, "malicious": {"node_ids": [], "scale": 6}},
+            "/malicious: [] should be non-empty at /malicious/node_ids",
+        ),
+        ({**SWEEP, "sweep": {"axis": "beta", "values": []}}, "/sweep/values: [] should be non-empty"),
+        ({"output_dir": ""}, "/output_dir: '' should be non-empty"),
+        ({"ingest_csv": ""}, "/ingest_csv: '' should be non-empty"),
+        (
+            {"experiment": "bogus"},
+            "/experiment: 'bogus' is not one of ['ada', 'stdp', 'detect', 'sweep']",
+        ),
+        (
+            {**SWEEP, "sweep": {"axis": "theta", "values": [1]}},
+            "/sweep/axis: 'theta' is not one of ['beta', 'n_block', 'node_count']",
+        ),
+        ({**DETECT, "malicious": 5}, "/malicious: 5 is not of type 'object' or 'null'"),
+        (
+            {**DETECT, "malicious": {"node_ids": [3], "scale": "x"}},
+            "/malicious: 'x' is not of type 'number' at /malicious/scale",
+        ),
+        ({"mu_mode": True}, "/mu_mode: True is not of type 'number' or 'string'"),
+        ({"channel": "x"}, "/channel: 'x' is not of type 'number' or 'null'"),
+        ({"field": {"sigma_u": "x"}}, "/field/sigma_u: 'x' is not of type 'number' or 'array'"),
+        (
+            {"field": {"sigma_u": [1, "x"]}},
+            "/field/sigma_u: 'x' is not of type 'number' at /field/sigma_u/1",
+        ),
+    ],
+    ids=[
+        "bool_as_number",
+        "bool_as_integer",
+        "float_as_integer",
+        "float_in_integer_array",
+        "integer_as_bool",
+        "number_as_string",
+        "null_for_a_number",
+        "array_as_object",
+        "unknown_top_level_key",
+        "unknown_layout_key",
+        "unknown_field_keys",
+        "unknown_thresholds_key",
+        "unknown_malicious_key",
+        "unknown_sweep_key",
+        "missing_positions",
+        "missing_sink",
+        "missing_node_ids",
+        "missing_malicious_node_ids",
+        "missing_malicious_scale",
+        "missing_sweep_axis",
+        "missing_sweep_values",
+        "position_of_one",
+        "position_of_three",
+        "string_coordinate",
+        "sink_of_one",
+        "empty_malicious_node_ids",
+        "empty_sweep_values",
+        "empty_output_dir",
+        "empty_ingest_csv",
+        "unknown_experiment",
+        "unknown_sweep_axis",
+        "number_as_malicious",
+        "string_scale",
+        "bool_mu_mode",
+        "string_channel",
+        "string_sigma_u",
+        "string_in_sigma_u",
+    ],
+)
+def test_config_shape_is_checked_against_the_value_types(tmp_path, capsys, doc, message):
+    assert_config_error(tmp_path, capsys, {"experiment": "stdp", **doc}, message)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"malicious": None}, {"channel": None}, {"field": {"sigma_u": [1, 2.5, *[1.0] * 8]}}],
+    ids=["null_malicious", "null_channel", "list_sigma_u"],
+)
+def test_config_shapes_that_are_accepted(tmp_path, capsys, doc):
+    path = write_config(tmp_path, {"experiment": "stdp", "num_blocks": 10, **doc})
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    echo = json.loads((out / "effective_config.json").read_text())
+    for key, value in doc.items():  # a section echoes the keys it was given
+        assert echo[key] == ({**echo[key], **value} if isinstance(value, dict) else value)
+
+
+# A range error for each value type; mu_mode "AUTO" passes the type check
+# (float | str) and gets Scenario's message.
+@pytest.mark.parametrize(
+    "doc, build",
+    [
+        ({"field": {"theta": -1}}, lambda: FieldParams(theta=-1)),
+        ({"field": {"temporal_phi": 1}}, lambda: FieldParams(temporal_phi=1)),
+        ({"thresholds": {"alpha": 0}}, lambda: Thresholds(alpha=0)),
+        (
+            {"layout": two_node_layout([2, 2])},
+            lambda: NodeLayout(((1.0, 1.0), (3.0, 3.0)), (2.0, 2.0), (2, 2)),
+        ),
+        ({"mu_mode": "AUTO"}, lambda: default_scenario(mu_mode="AUTO")),
+        ({"num_blocks": 1}, lambda: default_scenario(num_blocks=1)),
+        (
+            {"malicious": {"node_ids": [3], "scale": 1.0}},
+            lambda: default_scenario(malicious=MaliciousSpec((3,), 1.0)),
+        ),
+    ],
+    ids=["theta", "temporal_phi", "alpha", "layout_ids", "mu_mode", "num_blocks", "scale"],
+)
+def test_a_range_error_comes_from_its_value_type(tmp_path, capsys, doc, build):
+    with pytest.raises(InvalidParameter) as err:
+        build()
+    assert_config_error(tmp_path, capsys, {"experiment": "stdp", **doc}, f"/{err.value}")
 
 
 def field_names(value_type):
     return {f.name for f in fields(value_type)}
 
 
-def test_config_keys_are_the_value_type_fields():
-    """The config is built and echoed field by field, so the schema must
-    name exactly the fields of the value types: a field in only one of
-    them would be silently ignored or rejected."""
-    properties = CONFIG_SCHEMA["properties"]
-    scenario_keys = set(properties) - {"experiment", "output_dir", "ingest_csv", "sweep"}
-    assert scenario_keys == field_names(Scenario)
-    sections = {"layout": NodeLayout, "field": FieldParams, "thresholds": Thresholds}
+def test_config_keys_are_the_value_type_fields(tmp_path):
+    """A config key is the name of a value-type field: every key of
+    EVERY_KEY, which sets each field, is accepted and echoed, and an
+    unknown key is refused in each section."""
+    sections = {
+        "layout": NodeLayout, "field": FieldParams, "thresholds": Thresholds, "malicious": MaliciousSpec
+    }
+    assert set(EVERY_KEY) - {"experiment"} == field_names(Scenario)
     for key, value_type in sections.items():
-        assert set(properties[key]["properties"]) == field_names(value_type), key
-    (section,) = [s for s in properties["malicious"]["anyOf"] if s["type"] == "object"]
-    assert set(section["properties"]) == field_names(MaliciousSpec)
-    # The round trip's every-key input sets each of them.
-    assert scenario_keys <= set(EVERY_KEY)
-    for key, value_type in {**sections, "malicious": MaliciousSpec}.items():
         assert set(EVERY_KEY[key]) == field_names(value_type), key
+    echo = json.loads(json.dumps(parse_config(write_config(tmp_path, EVERY_KEY)).effective()))
+    assert {key: echo[key] for key in EVERY_KEY} == EVERY_KEY
+    for key in [*sections, "sweep"]:
+        doc = {**EVERY_KEY, **SWEEP} if key == "sweep" else dict(EVERY_KEY)
+        doc[key] = {**doc[key], "bogus": 1}
+        with pytest.raises(SchemaError) as err:
+            parse_config(write_config(tmp_path, doc))
+        assert err.value.pointer == f"/{key}"
+        assert err.value.reason.startswith("unknown key(s) 'bogus'; expected one of: ")
+
+
+def test_importing_the_cli_leaves_out_jsonschema():
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, wsnadapt.cli; print('jsonschema' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(wsnadapt.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_ada_descent_that_cannot_converge_exits_2_and_writes_nothing(tmp_path, capsys):
+    path = write_config(tmp_path, {"experiment": "ada", "field": {"theta": 1e6}})
+    assert main(["validate", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "run error: accuracy descent did not converge: relative residual 2.88e-07 after "
+        "50000 iterations\n"
+    )
+    assert not out.exists()
 
 
 def key_paths(doc, prefix=""):
