@@ -264,15 +264,23 @@ def parse_config(path, seed: int | None = None) -> ParsedConfig:
     )
 
 
-def _write_atomic(path: Path, parts: Iterable[bytes]) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+def _write_atomic(out_dir: Path, files: dict[str, Iterable[bytes]]) -> None:
+    """Write each named file's parts to a temp file in ``out_dir`` and rename
+    the temp files into place only once all of them are complete; a failed
+    write removes them and leaves every existing file as it was."""
+    temps: list[str] = []
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.writelines(parts)
-        os.replace(tmp, path)
+        for name, parts in files.items():
+            fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.", suffix=".tmp")
+            temps.append(tmp)
+            with os.fdopen(fd, "wb") as handle:
+                handle.writelines(parts)
+        for tmp, name in zip(temps, files):
+            os.replace(tmp, out_dir / name)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -312,8 +320,9 @@ def _load_ingest(parsed: ParsedConfig) -> Stream | None:
 
 def _write_outputs(parsed: ParsedConfig, stream: Stream | None, out_dir: Path) -> None:
     """Run the experiment, then write its CSVs and the effective config; a
-    run that fails writes nothing.  A known output file that this run did
-    not write is removed, so the directory never mixes two runs."""
+    run that fails, or a file that cannot be written in full, changes no
+    file.  A known output file that this run did not write is removed, so
+    the directory never mixes two runs."""
     scenario = parsed.scenario
     if parsed.experiment == "ada":
         report = run_ada(scenario)
@@ -324,14 +333,12 @@ def _write_outputs(parsed: ParsedConfig, stream: Stream | None, out_dir: Path) -
     else:
         axis, values = parsed.sweep_axis
         report = sweep(scenario, axis, values)
-    files = report_files(report)
+    config = json.dumps(parsed.effective(), indent=2, sort_keys=True) + "\n"
+    files = {"effective_config.json": [config.encode()]}
+    for name, (header, body) in report_files(report).items():
+        files[name] = [(",".join(header) + "\n").encode(), *body.chunks]
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(
-        out_dir / "effective_config.json",
-        [(json.dumps(parsed.effective(), indent=2, sort_keys=True) + "\n").encode()],
-    )
-    for name, (header, body) in files.items():
-        _write_atomic(out_dir / name, [(",".join(header) + "\n").encode(), *body.chunks])
+    _write_atomic(out_dir, files)
     for name in OUTPUT_FILES - files.keys():
         stale = out_dir / name
         if stale.is_file():

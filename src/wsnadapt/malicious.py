@@ -24,16 +24,19 @@ class Label(str, Enum):
 
 @dataclass(frozen=True)
 class WeightHistory:
-    """Snapshots of one node's adaptive weight, one per update round."""
+    """Snapshots of one node's adaptive weight, one per update round: a
+    ``(k, n)`` array, given as one or as k equal-length vectors."""
 
     node_id: int
-    snapshots: tuple[np.ndarray, ...]
+    snapshots: np.ndarray
 
     def __post_init__(self):
-        snaps = tuple(np.asarray(s, dtype=float).ravel() for s in self.snapshots)
-        if snaps and any(s.size != snaps[0].size for s in snaps):
-            raise DimensionMismatch("all snapshots must have the same length")
-        object.__setattr__(self, "snapshots", snaps)
+        try:
+            snaps = np.asarray(self.snapshots, dtype=float)
+        except ValueError as exc:
+            raise DimensionMismatch("all snapshots must have the same length") from exc
+        k = len(snaps)
+        object.__setattr__(self, "snapshots", snaps.reshape(k, -1 if k else 0))
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,7 @@ def weight_variance(history: WeightHistory) -> float:
         raise InsufficientHistory(
             f"node {history.node_id} has {len(history.snapshots)} snapshots, need >= 2"
         )
-    pooled = np.concatenate(history.snapshots)
-    return float(np.var(pooled, ddof=0))
+    return float(np.var(history.snapshots, ddof=0))
 
 
 def classify(variances: Mapping[int, float], kappa: float = 5.0) -> DetectionReport:
@@ -72,10 +74,8 @@ def classify(variances: Mapping[int, float], kappa: float = 5.0) -> DetectionRep
 
 
 def histories_from_snapshots(
-    snapshots: Mapping[int, Sequence[np.ndarray]]
+    snapshots: Mapping[int, np.ndarray | Sequence[np.ndarray]]
 ) -> dict[int, WeightHistory]:
-    """Wrap raw per-node snapshot lists (e.g. a protocol run's weight log)."""
-    return {
-        i: WeightHistory(node_id=i, snapshots=tuple(snaps))
-        for i, snaps in snapshots.items()
-    }
+    """Wrap raw per-node snapshots (e.g. a protocol run's weight log), each
+    node's a ``(k, n)`` array or a list of k vectors."""
+    return {i: WeightHistory(node_id=i, snapshots=snaps) for i, snaps in snapshots.items()}

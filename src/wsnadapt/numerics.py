@@ -1,15 +1,16 @@
 """Dense symmetric linear algebra kernels used throughout the package.
 
-Matrices and vectors are plain float64 numpy arrays.  Every entry point
-validates its input (squareness, symmetry to 1e-12 relative tolerance,
-size >= 1), so callers can pass arbitrary array-likes.  Matrix orders are
-node counts (ten by default, hundreds in the benchmark) or block lengths.
-The factorization is written out explicitly instead of delegating to
-LAPACK: the positive-definiteness test must follow one fixed pivot rule so
-that a degenerate covariance fails loudly and reproducibly, and the stream
-generator's samples depend on the factor's exact bits.  Callers factor
-once and substitute against the factor (``forward_substitute``) rather
-than refactoring per right-hand side or per leading block.
+Matrices and vectors are plain float64 numpy arrays, one matrix per call.
+Every entry point validates its input (squareness, symmetry to 1e-12
+relative tolerance, size >= 1), so callers can pass arbitrary array-likes.
+Matrix orders are node counts (ten by default, hundreds in the benchmark)
+or block lengths.  The factorization is written out explicitly instead of
+delegating to LAPACK: the positive-definiteness test must follow one fixed
+pivot rule so that a degenerate covariance fails loudly and reproducibly,
+and the stream generator's samples depend on the factor's exact bits.
+Callers factor once and substitute against the factor
+(``forward_substitute``) rather than refactoring per right-hand side or
+per leading block.
 """
 
 from __future__ import annotations
@@ -31,18 +32,14 @@ def as_vector(b) -> np.ndarray:
     return v
 
 
-def as_symmetric_matrix(a, stacked: bool = False) -> np.ndarray:
-    """Coerce to a square float64 array, or with ``stacked`` to a ``(k, n, n)``
-    stack of them, checking each for symmetry to 1e-12 (relative)."""
+def as_symmetric_matrix(a) -> np.ndarray:
+    """Coerce to a square float64 array, checked for symmetry to 1e-12 (relative)."""
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    transpose = np.swapaxes(m, -2, -1)
-    if (m == transpose).all():  # exactly symmetric, as computed covariances are
+    if (m == m.T).all():  # exactly symmetric, as computed covariances are
         return m
-    entries = (-1, m.shape[-1] ** 2)  # one row per matrix
-    skew = np.abs(m - transpose).reshape(entries).max(axis=1)
-    if np.any(skew > SYMMETRY_RTOL * np.abs(m).reshape(entries).max(axis=1)):
+    if np.abs(m - m.T).max() > SYMMETRY_RTOL * np.abs(m).max():
         raise DimensionMismatch("matrix is not symmetric within 1e-12 relative tolerance")
     return m
 
@@ -99,35 +96,17 @@ def solve_spd(a, b) -> np.ndarray:
     return x
 
 
-def max_eigenvalue(a, tol: float = 1e-8, max_iter: int = 10_000):
+def max_eigenvalue(a, tol: float = 1e-8, max_iter: int = 10_000) -> float:
     """Dominant eigenvalue of a symmetric PSD matrix by power iteration.
 
     Deterministic: starts from the all-ones vector and stops once the
     Rayleigh quotient changes by no more than ``tol`` (relative) between
     iterations.  Covariance matrices have non-negative entries, so the
     dominant eigenvector is never orthogonal to the start vector.
-
-    A ``(k, n, n)`` stack gives an array of k eigenvalues, one power
-    iteration over all of them in which each matrix stops at its own
-    convergence.  ``np.matvec`` and ``np.vecdot`` reproduce the bits of the
-    single matrix-vector and dot products, so every value equals that
-    matrix's own ``max_eigenvalue``.  A single matrix, or a stack of one,
-    takes a loop of ``ndarray.dot`` products, which have the same bits.
     """
-    m = np.asarray(a, dtype=float)
-    stacked = m.ndim == 3
-    stack = as_symmetric_matrix(m, stacked) if stacked else as_symmetric_matrix(m)[None]
+    m = as_symmetric_matrix(a)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if len(stack) == 1:
-        lam = _power_iteration(stack[0], tol, max_iter)
-        return np.array([lam]) if stacked else lam
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _stacked_power_iteration(stack, tol, max_iter)
-
-
-def _power_iteration(m: np.ndarray, tol: float, max_iter: int) -> float:
-    """``max_eigenvalue`` of one checked matrix."""
     v = np.ones(len(m))
     mv = m.dot(v)
     lam = float(v.dot(mv)) / float(v.dot(v))
@@ -141,41 +120,4 @@ def _power_iteration(m: np.ndarray, tol: float, max_iter: int) -> float:
         if abs(new - lam) <= tol * max(abs(new), 1e-300):
             return new
         lam = new
-    raise NoConvergence(f"Rayleigh quotient still moving after {max_iter} iterations")
-
-
-def _stacked_power_iteration(stack: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """``max_eigenvalue`` of each matrix of a checked stack."""
-    v = np.ones(stack.shape[:2])
-    # Each iteration's M @ v is the next iteration's w: computed once, it
-    # is the same product on the same array.
-    mv = np.matvec(stack, v)
-    lam = (np.vecdot(v, mv) / np.vecdot(v, v)).tolist()
-    out = np.empty(len(stack))
-    live = list(range(len(stack)))
-    for _ in range(max_iter):
-        norm = np.sqrt(np.vecdot(mv, mv))
-        v = mv / norm[:, None]
-        mv = np.matvec(stack, v)
-        lam_new = np.vecdot(v, mv).tolist()
-        # The convergence test runs on Python floats: the same IEEE
-        # arithmetic as numpy's, for a fraction of the per-call cost.
-        sizes = norm.tolist()
-        keep = [
-            j
-            for j, new in enumerate(lam_new)
-            if sizes[j] != 0.0 and not abs(new - lam[j]) <= tol * max(abs(new), 1e-300)
-        ]
-        if len(keep) < len(live):
-            kept = set(keep)
-            for j, new in enumerate(lam_new):
-                if j not in kept:
-                    # A zero norm: the start vector is in the nullspace of a PSD matrix.
-                    out[live[j]] = 0.0 if sizes[j] == 0.0 else new
-            if not keep:
-                return out
-            live = [live[j] for j in keep]
-            stack, v, mv = stack[keep], v[keep], mv[keep]
-            lam_new = [lam_new[j] for j in keep]
-        lam = lam_new
     raise NoConvergence(f"Rayleigh quotient still moving after {max_iter} iterations")

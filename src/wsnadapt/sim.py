@@ -479,7 +479,10 @@ def run_detect(scenario: Scenario, stream: Stream | None = None) -> RunReport:
         raise ValueError("detect experiment requires a malicious configuration")
     run = simulate_protocol(scenario, stream)
     _, rows, weights = run.weight_snapshots()
-    snapshots = {run.state.node_ids[k]: weights[rows == k] for k in np.unique(rows)}
+    # weight_snapshots groups the log by row: one (k, n) block per node.
+    updated, starts = np.unique(rows, return_index=True)
+    blocks = np.split(weights, starts[1:])
+    snapshots = {run.state.node_ids[k]: block for k, block in zip(updated.tolist(), blocks)}
     if len(snapshots) < 2:
         never = [i for i in run.state.node_ids if i not in snapshots]
         raise InsufficientHistory(

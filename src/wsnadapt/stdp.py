@@ -56,13 +56,12 @@ order, so the array round reproduces the per-node arithmetic bit for bit.
 Row-wise operations give every point the bits it would get alone.  The
 sink side does not batch across points: the bits of a 2-D ``U @ w`` and of
 the sweep's column sums depend on how many rows they are given, so each
-point's sweep and errors run over exactly its own received rows, and only
-the step-size estimate (one power iteration over every refreshing point's
-block covariance) spans points.  A full run is a deterministic function of
-(inputs, thresholds), and each point of a batch equals its run alone.  The
-first non-finite error stops the run with ``Diverged``; overflow on the
-way there is expected, so rounds run inside ``errstate()``, entered once
-per run.
+point's step-size estimate, sweep and errors run over exactly its own
+received rows, one point after another.  A full run is a deterministic
+function of (inputs, thresholds), and each point of a batch equals its run
+alone.  The first non-finite error stops the run with ``Diverged``;
+overflow on the way there is expected, so rounds run inside
+``errstate()``, entered once per run.
 """
 
 from __future__ import annotations
@@ -598,28 +597,26 @@ def step_round(state: ProtocolState, inputs: RunInputs) -> RoundResult:
         if inputs.channel is not None:
             u_sent, d_sent = inputs.channel(u_sent, d_sent, sent, r)
 
-        # Sink side: per point, one global sweep over this round's arrivals,
-        # then the alpha decision for rows whose sink filter is (or is
-        # becoming) active.  Point p's arrivals are rows cut[p]:cut[p + 1]
-        # of u_sent; raw rows always transmit, so they are among them.
+        # Sink side: per point, the step-size estimate when one of its rows
+        # is raw (or none was made yet), one global sweep over this round's
+        # arrivals, then the alpha decision for rows whose sink filter is
+        # (or is becoming) active.  Point p's arrivals are rows
+        # cut[p]:cut[p + 1] of u_sent; raw rows always transmit, so they are
+        # among them.
         cut = sent.searchsorted(inputs.bounds).tolist()
         live = [p for p in range(stop) if cut[p] < cut[p + 1]]
         raw_rows = phase == RAW_TRANSMIT
         mu = inputs.mu
         if mu is None:
             raw = raw_rows.nonzero()[0].searchsorted(inputs.bounds).tolist()
-            steps = state.mu.tolist()
-            refresh = [p for p in live if raw[p] < raw[p + 1] or math.isnan(steps[p])]
-            if refresh:
-                blocks = [u_sent[cut[p] : cut[p + 1]] for p in refresh]
-                lams = max_eigenvalue(np.array([(u.T @ u) / u.shape[0] for u in blocks]))
-                for p, lam in zip(refresh, lams.tolist()):
-                    nodes = inputs.bounds[p + 1] - inputs.bounds[p]
-                    state.mu[p] = 0.5 / (nodes * lam) if lam > 0 else 0.0
         error_glob = trace.error_glob[r]
         for p in live:
             a, b = cut[p], cut[p + 1]
             u, d = u_sent[a:b], d_sent[a:b]
+            if mu is None and (raw[p] < raw[p + 1] or math.isnan(state.mu[p])):
+                lam = max_eigenvalue((u.T @ u) / u.shape[0])
+                nodes = inputs.bounds[p + 1] - inputs.bounds[p]
+                state.mu[p] = 0.5 / (nodes * lam) if lam > 0 else 0.0
             weight = _sweep(state.global_weight[p], u, d, state.mu[p] if mu is None else mu)
             state.global_weight[p] = weight
             error_glob[sent[a:b]] = d - u @ weight

@@ -1,5 +1,8 @@
 import ast
+import errno
 import json
+import os
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -201,6 +204,29 @@ def test_run_removes_the_known_outputs_it_did_not_write(tmp_path, capsys, doc, w
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     assert set(read_dir(out)) == written | {"effective_config.json", "notes.txt", "weights.csv.bak"}
     assert capsys.readouterr().out == ""
+
+
+def test_write_that_fails_part_way_keeps_the_previous_run(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    first = write_config(tmp_path, {"experiment": "stdp", "num_blocks": 30, "seed": 1})
+    assert main(["run", "--config", str(first), "--out", str(out)]) == 0
+    before = read_dir(out)
+    assert len(before) == 4
+    mkstemp = tempfile.mkstemp
+    calls = []
+
+    def third_fails(*args, **kwargs):
+        calls.append(kwargs)
+        if len(calls) == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return mkstemp(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "mkstemp", third_fails)
+    assert main(["run", "--config", str(first), "--seed", "2", "--out", str(out)]) == 2
+    assert len(calls) == 3
+    assert capsys.readouterr().err == "run error: [Errno 28] No space left on device\n"
+    assert read_dir(out) == before
+    assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
 def test_sweep_command_requires_sweep_config(tmp_path, capsys):

@@ -73,6 +73,9 @@ def test_pooled_variance_covers_vector_snapshots():
     as_scalars = scalar_history(2, values)
     as_vectors = WeightHistory(node_id=2, snapshots=(np.array(values), np.array(values)))
     assert weight_variance(as_vectors) == pytest.approx(weight_variance(as_scalars), rel=1e-12)
+    # one (k, n) array per node gives the bits of the k vectors
+    as_array = WeightHistory(node_id=2, snapshots=np.array([values, values]))
+    assert weight_variance(as_array) == weight_variance(as_vectors)
 
 
 def test_scale_equivariance():

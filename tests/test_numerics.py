@@ -68,6 +68,9 @@ def test_solve_dimension_mismatch():
 def test_max_eigenvalue_diagonal():
     assert max_eigenvalue(np.diag([1.0, 2.0, 4.0]), tol=1e-10) == pytest.approx(4.0, rel=1e-8)
     assert max_eigenvalue(np.eye(5)) == pytest.approx(1.0, rel=1e-10)
+    # one matrix per call: a stack of two is not a matrix
+    with pytest.raises(DimensionMismatch):
+        max_eigenvalue(np.stack([np.eye(3), np.diag([1.0, 2.0, 4.0])]))
 
 
 def test_max_eigenvalue_matches_jacobi_oracle(default_cov):
