@@ -18,7 +18,7 @@ import sys
 import tempfile
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import cache
-from itertools import count, repeat
+from itertools import count, repeat, takewhile
 from pathlib import Path
 from types import UnionType
 from typing import Iterable, Literal, Union, get_args, get_origin, get_type_hints
@@ -321,8 +321,9 @@ def _load_ingest(parsed: ParsedConfig) -> Stream | None:
 def _write_outputs(parsed: ParsedConfig, stream: Stream | None, out_dir: Path) -> None:
     """Run the experiment, then write its CSVs and the effective config; a
     run that fails, or a file that cannot be written in full, changes no
-    file.  A known output file that this run did not write is removed, so
-    the directory never mixes two runs."""
+    file and leaves no directory that it made.  A known output file that
+    this run did not write is removed, so the directory never mixes two
+    runs."""
     scenario = parsed.scenario
     if parsed.experiment == "ada":
         report = run_ada(scenario)
@@ -337,8 +338,15 @@ def _write_outputs(parsed: ParsedConfig, stream: Stream | None, out_dir: Path) -
     files = {"effective_config.json": [config.encode()]}
     for name, (header, body) in report_files(report).items():
         files[name] = [(",".join(header) + "\n").encode(), *body.chunks]
+    # The directories the run makes, deepest first.
+    made = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir, files)
+    try:
+        _write_atomic(out_dir, files)
+    except BaseException:
+        for directory in made:
+            directory.rmdir()
+        raise
     for name in OUTPUT_FILES - files.keys():
         stale = out_dir / name
         if stale.is_file():

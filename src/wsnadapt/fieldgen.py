@@ -346,8 +346,12 @@ def _ar1_series(innovations: np.ndarray, phi: float) -> np.ndarray:
 
     ``innovations`` holds one series per row, at least 2-D.  Step t is
     ``phi * path[t - 1] + damp * innovation[t]``.  The recursion runs
-    time-major, so each step is one contiguous row; the arithmetic, and so
-    every bit, is that of a series stepped on its own.
+    time-major, one step over every series at a time.  For the C-ordered
+    ``(m, total)`` input of both callers, ``np.moveaxis`` gives a view
+    whose step rows are strided, their m values ``total * 8`` bytes apart;
+    ``damp * steps`` keeps that layout, so the path comes back C-ordered.
+    The arithmetic, and so every bit, is that of a series stepped on its
+    own.
     """
     damp = np.sqrt(1.0 - phi * phi)
     steps = np.moveaxis(innovations, -1, 0)

@@ -246,37 +246,6 @@ def run_ada(scenario: Scenario) -> RunReport:
     return RunReport(files=files, metadata=metadata)
 
 
-@dataclass(frozen=True)
-class ProtocolRun:
-    """One engine run: its final state, whose ``trace`` holds every round,
-    and ``percentages[k]``, which belongs to engine row k, node
-    ``state.node_ids[k]`` of point ``state.point[k]``."""
-
-    state: stdp.ProtocolState
-    percentages: np.ndarray
-
-    @property
-    def trace(self) -> stdp.Trace:
-        return self.state.trace
-
-    def rows(self, point: int) -> slice:
-        """The engine rows of one point."""
-        return slice(*self.state.bounds[point:point + 2].tolist())
-
-    def weight_snapshots(self, point: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every client-filter update of one point as (round, row, weight),
-        read from the trace's update log, with rows counted from the point's
-        first, grouped by row and chronological within a row."""
-        rows = self.rows(point)
-        rounds, updated, weights = self.trace.client_updates()
-        mine = (updated >= rows.start) & (updated < rows.stop)
-        # The log runs by round; a stable sort by row keeps each row's
-        # updates in time order.
-        order = mine.nonzero()[0]
-        order = order[np.argsort(updated[order], kind="stable")]
-        return rounds[order], updated[order] - rows.start, weights[order]
-
-
 def _scenario_stream(scenario: Scenario) -> Stream:
     """The stream a scenario senses: every layout node, corrupted ones injected."""
     stream = generate_stream(
@@ -299,8 +268,9 @@ def active_node_ids(scenario: Scenario) -> tuple[int, ...]:
 
 def simulate_protocol(
     scenario: Scenario, stream: Stream | None = None, points: Sequence[Scenario] | None = None
-) -> ProtocolRun:
-    """Generate (or take) a stream and run the full protocol over it.
+) -> stdp.ProtocolState:
+    """Generate (or take) a stream and run the full protocol over it; returns
+    the run, whose ``trace`` holds every round.
 
     ``points`` are scenarios run side by side as the points of one engine
     (default: ``scenario`` alone).  The client noise, the channel and the
@@ -345,16 +315,12 @@ def simulate_protocol(
             for i in active
         ]
     ).reshape(len(active), num_blocks)
-    state = stdp.new_protocol_state(
-        [i for group in groups for i in group],
-        scenario.n_block,
-        num_blocks,
-        sizes=[len(group) for group in groups],
-    )
     # Engine row k is node ``active[node_row[k]]``: the row of its noise
-    # draws and channel keys.  Point p's rows read streams[p], and one point
-    # reads everything as it is.
-    node_row = np.searchsorted(active, state.node_ids)
+    # draws and channel keys.  A stream's rows ascend by id, so the engine's
+    # rows are the groups' ids in order; point p's rows read streams[p], and
+    # one point reads everything as it is.
+    ids = [i for group in groups for i in group]
+    node_row = np.searchsorted(active, ids)
     if len(streams) == 1:
         blocks, desired = streams[0].blocks, streams[0].desired
     else:
@@ -373,19 +339,20 @@ def simulate_protocol(
                 samples, desired, keys[node_row[rows], block_index], snr, rng
             )
 
-    inputs = stdp.run_inputs(
-        state,
+    state = stdp.new_protocol_state(
+        ids,
         blocks,
         desired,
         [point.thresholds for point in points],
+        sizes=[len(group) for group in groups],
         mu=scenario.explicit_mu,
         client_noise=draws[node_row],
         channel=channel,
     )
     with stdp.errstate():
         for _ in range(num_blocks):
-            stdp.step_round(state, inputs)
-    return ProtocolRun(state=state, percentages=stdp.transmission_percentage(state))
+            stdp.step_round(state)
+    return state
 
 
 _PHASE_NAMES = np.array([p.value for p in stdp.PHASES], dtype=np.bytes_)
@@ -404,10 +371,10 @@ def _narrow(values: np.ndarray) -> np.ndarray:
     return values.astype(np.int32) if fits else values
 
 
-def _protocol_files(run: ProtocolRun, point: int, beta: float) -> dict[str, Table]:
-    rows = run.rows(point)
-    trace = run.trace
-    ids = _narrow(np.array(run.state.node_ids[rows]))
+def _protocol_files(state: stdp.ProtocolState, point: int, beta: float) -> dict[str, Table]:
+    rows = state.rows(point)
+    trace = state.trace
+    ids = _narrow(np.array(state.node_ids[rows]))
     rounds, m = trace.phase[:, rows].shape
     phase = trace.phase[:, rows].ravel()
     transmitted = trace.transmitted[:, rows].ravel()
@@ -417,7 +384,7 @@ def _protocol_files(run: ProtocolRun, point: int, beta: float) -> dict[str, Tabl
             (
                 np.full(m, beta),
                 ids,
-                run.percentages[rows],
+                stdp.transmission_percentage(state)[rows],
             )
         ),
         "message_trace.csv": Table(
@@ -435,7 +402,7 @@ def _protocol_files(run: ProtocolRun, point: int, beta: float) -> dict[str, Tabl
             labels={2: _PHASE_NAMES, 3: _KIND_NAMES},
         ),
     }
-    update_rounds, updated, weights = run.weight_snapshots(point)
+    update_rounds, updated, weights = trace.client_updates(rows)
     if update_rounds.size:
         n = weights.shape[1]
         files["weights.csv"] = Table(
@@ -451,22 +418,25 @@ def _protocol_files(run: ProtocolRun, point: int, beta: float) -> dict[str, Tabl
 
 
 def run_stdp(
-    scenario: Scenario, stream: Stream | None = None, run: ProtocolRun | None = None, point: int = 0
+    scenario: Scenario,
+    stream: Stream | None = None,
+    state: stdp.ProtocolState | None = None,
+    point: int = 0,
 ) -> RunReport:
     """Protocol run reporting per-node transmission percentages and traces.
 
-    ``run`` is an engine run that already holds ``scenario`` as its point
+    ``state`` is an engine run that already holds ``scenario`` as its point
     ``point`` (see ``sweep``); without one the scenario runs on its own.
     """
-    if run is None:
-        run = simulate_protocol(scenario, stream)
-    files = _protocol_files(run, point, scenario.thresholds.beta)
-    mu = run.state.mu[point]
+    if state is None:
+        state = simulate_protocol(scenario, stream)
+    files = _protocol_files(state, point, scenario.thresholds.beta)
+    mu = state.mu[point]
     metadata = _base_metadata("STDP", scenario)
     metadata.update(
         {
-            "active_nodes": list(run.state.node_ids[run.rows(point)]),
-            "total_percentage": stdp.total_percentages(run.state)[point],
+            "active_nodes": list(state.node_ids[state.rows(point)]),
+            "total_percentage": stdp.total_percentages(state)[point],
             "mu": None if np.isnan(mu) else float(mu),
         }
     )
@@ -477,14 +447,14 @@ def run_detect(scenario: Scenario, stream: Stream | None = None) -> RunReport:
     """Protocol run followed by weight-variance classification."""
     if scenario.malicious is None and stream is None:
         raise ValueError("detect experiment requires a malicious configuration")
-    run = simulate_protocol(scenario, stream)
-    _, rows, weights = run.weight_snapshots()
-    # weight_snapshots groups the log by row: one (k, n) block per node.
+    state = simulate_protocol(scenario, stream)
+    _, rows, weights = state.trace.client_updates(state.rows(0))
+    # client_updates groups the log by row: one (k, n) block per node.
     updated, starts = np.unique(rows, return_index=True)
     blocks = np.split(weights, starts[1:])
-    snapshots = {run.state.node_ids[k]: block for k, block in zip(updated.tolist(), blocks)}
+    snapshots = {state.node_ids[k]: block for k, block in zip(updated.tolist(), blocks)}
     if len(snapshots) < 2:
-        never = [i for i in run.state.node_ids if i not in snapshots]
+        never = [i for i in state.node_ids if i not in snapshots]
         raise InsufficientHistory(
             f"detect needs at least 2 nodes with weight snapshots to classify, got "
             f"{list(snapshots)}; nodes {never} never adapted a client filter"
@@ -492,7 +462,7 @@ def run_detect(scenario: Scenario, stream: Stream | None = None) -> RunReport:
     histories = malicious.histories_from_snapshots(snapshots)
     variances = {i: malicious.weight_variance(h) for i, h in sorted(histories.items())}
     report = malicious.classify(variances)
-    files = _protocol_files(run, 0, scenario.thresholds.beta)
+    files = _protocol_files(state, 0, scenario.thresholds.beta)
     detected = sorted(variances)
     files["detection.csv"] = Table(
         ("node_id", "variance", "threshold", "label"),
@@ -506,7 +476,7 @@ def run_detect(scenario: Scenario, stream: Stream | None = None) -> RunReport:
     metadata = _base_metadata("DETECT", scenario)
     metadata.update(
         {
-            "active_nodes": list(run.state.node_ids[run.rows(0)]),
+            "active_nodes": list(state.node_ids),
             "kappa": report.kappa,
             "threshold": report.threshold,
             "flagged": sorted(
@@ -565,13 +535,13 @@ def sweep(scenario: Scenario, axis: str, values: Sequence) -> RunReport:
     ids, pct, totals = [], [], []
     for batch in batches:
         try:
-            run = simulate_protocol(batch[0], points=batch)
+            state = simulate_protocol(batch[0], points=batch)
         except Diverged as exc:
             point = len(totals) + exc.point
             raise Diverged(f"{exc} at {axis}={values[point]}", point) from None
         # Each point's rows are those of its own report.
         for k, member in enumerate(batch):
-            report = run_stdp(member, run=run, point=k)
+            report = run_stdp(member, state=state, point=k)
             _, node_ids, percentages = report.files["stdp_transmission.csv"].columns
             ids.append(node_ids)
             pct.append(percentages)

@@ -31,14 +31,16 @@ its client filter Wc and ``received_global[k]`` the global weight Wr that
 seeded it; each point has its own sink, with its own global weight and
 auto step size.
 
-A run is set up once and then stepped round by round.
-``new_protocol_state`` allocates the run's ``Trace``, and ``run_inputs``
-checks what the run reads against the state: the ``(rows, rounds, n)``
-sensed blocks, the desired values and client noise draws, and the alpha
-and beta of every row.  Round r takes the ``(rows, n)`` matrix U of the
-round's blocks and the desired vector d, works on masks over the phase
-codes, writes its columns into trace row r in place and appends its
-client-filter updates to the trace's log; it copies no per-round state:
+A run is one ``ProtocolState``, set up once and then stepped round by
+round.  ``new_protocol_state`` takes the run's inputs and checks them: the
+``(rows, rounds, n)`` sensed blocks, the desired values and client noise
+draws, and the alpha and beta of every row.  It allocates the run's
+``Trace``, the only record of the run: sent-block counts are read off its
+``transmitted`` column.  Round r, ``step_round(state)``, takes the
+``(rows, n)`` matrix U of the round's blocks and the desired vector d,
+works on masks over the phase codes, writes its columns into trace row r
+in place and appends its client-filter updates to the trace's log; it
+copies no per-round state:
 
 1. client side, rows in a client phase: d' = U.Wr + noise; adapting rows
    step Wc += mu U (d' - U.Wc); the error e' = d' - U.Wc is held against
@@ -167,7 +169,9 @@ class Mail:
 @dataclass(frozen=True, eq=False)
 class Trace:
     """A whole run as preallocated ``(rounds, m)`` columns, row r written by
-    round r in place, plus the log of client-filter updates.
+    round r in place, plus the log of client-filter updates.  It is the
+    run's only record: a row's sent blocks are the count of its
+    ``transmitted`` cells.
 
     ``phase`` holds each round's start-of-round phase codes and ``kinds``
     the ``KIND_BITS`` mask of each node's messages.  ``error_glob`` (the
@@ -199,46 +203,72 @@ class Trace:
     def __len__(self) -> int:
         return len(self.phase)
 
-    def client_updates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The update log as (round, row, weight) columns, in the order the
-        updates happened: by round, then by row."""
+    def client_updates(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The logged updates of rows ``rows.start:rows.stop`` as (round,
+        row, weight) columns, rows counted from ``rows.start``, grouped by
+        row and in time order within each row."""
         if not self.updates:
             return np.zeros(0, np.int64), np.zeros(0, np.intp), np.zeros((0, 0))
-        rounds, rows, weights = zip(*self.updates)
-        return (
-            np.repeat(rounds, [k.size for k in rows]),
-            np.concatenate(rows),
-            np.concatenate(weights),
-        )
+        rounds, updated, weights = zip(*self.updates)
+        rounds = np.repeat(rounds, [k.size for k in updated])
+        updated = np.concatenate(updated)
+        # The log runs by round; a stable sort by row keeps each row's
+        # updates in time order.
+        order = ((updated >= rows.start) & (updated < rows.stop)).nonzero()[0]
+        order = order[np.argsort(updated[order], kind="stable")]
+        return rounds[order], updated[order] - rows.start, np.concatenate(weights)[order]
 
 
 @dataclass
 class ProtocolState:
-    """Mutable engine state; row k is node ``node_ids[k]`` of point
-    ``point[k]``, rows ordered by point and then by ascending id.
+    """One protocol run: its inputs, its engine state and its trace.  Row k
+    is node ``node_ids[k]`` of point ``point[k]``, rows ordered by point and
+    then by ascending id.
 
-    ``client_weight`` and ``received_global`` rows are meaningful only while
-    the row is in a client phase; a GLOBAL_WEIGHT delivery overwrites both.
-    ``sent[k]`` counts the blocks row k transmitted in ``round_index``
-    rounds.  Point p's rows are ``bounds[p]:bounds[p + 1]``;
-    ``global_weight[p]`` is its sink filter and ``mu[p]`` its automatic step
-    size (NaN until first estimated).  ``trace`` is the run's trace, whose
-    row r round r writes.
+    Inputs, checked when the state is made: row k of ``blocks``
+    ``(rows, rounds, n)``, ``desired`` and ``noise`` ``(rows, rounds)`` is
+    what row k senses and draws, and ``alpha[k]`` and ``beta[k]`` are the
+    thresholds of its point.  ``explicit_mu`` is the step size of every
+    point, or None for the automatic rule.  ``channel(samples, desired,
+    rows, round_index)``, if set, maps the blocks of the transmitting rows
+    ``rows`` to what the sinks receive.
+
+    Engine state: ``client_weight`` and ``received_global`` rows are
+    meaningful only while the row is in a client phase; a GLOBAL_WEIGHT
+    delivery overwrites both.  Point p's rows are ``bounds[p]:bounds[p +
+    1]``; ``global_weight[p]`` is its sink filter and ``mu[p]`` its
+    automatic step size (NaN until first estimated).  ``trace`` is the
+    run's trace, whose row r round r writes; ``round_index`` rounds have
+    run.
     """
 
-    n: int
     node_ids: tuple[int, ...]
     point: np.ndarray
-    bounds: np.ndarray
+    bounds: tuple[int, ...]
+    blocks: np.ndarray
+    desired: np.ndarray
+    noise: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    explicit_mu: float | None
+    channel: Callable[[np.ndarray, np.ndarray, np.ndarray, int], tuple] | None
     global_weight: np.ndarray
     mu: np.ndarray
     phase: np.ndarray
     client_weight: np.ndarray
     received_global: np.ndarray
-    sent: np.ndarray
     pending: Mail
     trace: Trace
     round_index: int = 0
+
+    def rows(self, point: int) -> slice:
+        """The engine rows of one point."""
+        return slice(*self.bounds[point:point + 2])
+
+
+def _sent(state: ProtocolState) -> np.ndarray:
+    """Blocks each row transmitted in the rounds run so far."""
+    return state.trace.transmitted[: state.round_index].sum(axis=0)
 
 
 def transmission_percentage(state: ProtocolState) -> np.ndarray:
@@ -248,14 +278,15 @@ def transmission_percentage(state: ProtocolState) -> np.ndarray:
             f"no transmission percentage: {state.round_index} rounds over "
             f"{len(state.node_ids)} nodes"
         )
-    return 100.0 * state.sent / state.round_index
+    return 100.0 * _sent(state) / state.round_index
 
 
 def total_percentages(state: ProtocolState) -> list[float]:
     """Percentage of all its sensed blocks each point transmitted."""
-    bounds = state.bounds.tolist()
+    sent = _sent(state)
+    bounds = state.bounds
     return [
-        100.0 * int(state.sent[a:b].sum()) / (state.round_index * (b - a))
+        100.0 * int(sent[a:b].sum()) / (state.round_index * (b - a))
         for a, b in zip(bounds, bounds[1:])
     ]
 
@@ -307,27 +338,6 @@ class RoundResult(NamedTuple):
             )
             for k, node_id in enumerate(self.node_ids)
         )
-
-
-@dataclass(frozen=True, eq=False)
-class RunInputs:
-    """What one engine run reads, checked against its state once.
-
-    Row k of ``blocks`` ``(rows, rounds, n)``, ``desired`` and ``noise``
-    ``(rows, rounds)`` is what engine row k senses and draws; ``alpha[k]``
-    and ``beta[k]`` are the thresholds of row k's point.  ``mu`` is an
-    explicit step size for every point, or None for the automatic rule.
-    ``bounds`` is ``state.bounds`` as a list.
-    """
-
-    blocks: np.ndarray
-    desired: np.ndarray
-    noise: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    mu: float | None
-    channel: Callable[[np.ndarray, np.ndarray, np.ndarray, int], tuple] | None
-    bounds: list[int]
 
 
 def initial_weight(n: int) -> np.ndarray:
@@ -411,14 +421,32 @@ def client_update(w_prev: np.ndarray, u: np.ndarray, d_new, mu) -> np.ndarray:
 
 
 def new_protocol_state(
-    node_ids: Sequence[int], n: int, rounds: int, sizes: Sequence[int] | None = None
+    node_ids: Sequence[int],
+    blocks: np.ndarray,
+    desired: np.ndarray,
+    thresholds: Thresholds | Sequence[Thresholds],
+    sizes: Sequence[int] | None = None,
+    mu: float | None = None,
+    client_noise: np.ndarray | None = None,
+    channel: Callable[[np.ndarray, np.ndarray, np.ndarray, int], tuple] | None = None,
 ) -> ProtocolState:
-    """Fresh engine state for a run of ``rounds`` rounds; queues each
-    point's initial query to its nodes.
+    """A fresh run over the given inputs, checked against its rows; queues
+    each point's initial query to its nodes.
 
     ``sizes[p]`` consecutive entries of ``node_ids`` are point p's nodes
     (default: one point holding them all); they become the point's rows in
-    ascending id order.
+    ascending id order.  Row k of ``blocks`` ``(rows, rounds, n)``,
+    ``desired`` and ``client_noise`` ``(rows, rounds)`` (default zeros) is
+    what row k's node senses and draws in each round; the run has
+    ``rounds`` rounds of ``n``-sample blocks.  A ``Stream`` over the same
+    nodes holds its rows in that (ascending id) order, so for one point
+    ``stream.blocks`` and ``stream.desired`` fit.  ``thresholds`` is one
+    ``Thresholds`` for every point or one per point.  ``mu`` overrides the
+    automatic step-size rule (0.5 / (M * lambda_max) of the point's
+    empirical block covariance, refreshed whenever one of its nodes is in a
+    raw round).  ``channel(samples, desired, rows, round_index)``
+    optionally maps the blocks of the transmitting engine rows ``rows`` to
+    what the sinks receive.
     """
     flat = [int(i) for i in node_ids]
     sizes = [len(flat)] if sizes is None else [int(size) for size in sizes]
@@ -431,78 +459,48 @@ def new_protocol_state(
         if len(set(group)) != size or SINK_ID in group:
             raise ValueError("node ids must be unique and non-zero (0 is the sink)")
         ids.extend(group)
-    point = np.repeat(np.arange(len(sizes)), sizes)
-    m = len(ids)
+    m, points = len(ids), len(sizes)
+    blocks = np.asarray(blocks, dtype=float)
+    if blocks.ndim != 3 or len(blocks) != m:
+        raise DimensionMismatch(f"{m} nodes need ({m}, rounds, n) blocks, got {blocks.shape}")
+    _, rounds, n = blocks.shape
+    desired = np.asarray(desired, dtype=float)
+    noise = (
+        np.zeros((m, rounds)) if client_noise is None else np.asarray(client_noise, dtype=float)
+    )
+    if desired.shape != (m, rounds) or noise.shape != (m, rounds):
+        raise DimensionMismatch(
+            f"{rounds} rounds of {m} nodes need ({m}, {rounds}) desired values and noise "
+            f"draws, got {desired.shape} and {noise.shape}"
+        )
+    if isinstance(thresholds, Thresholds):
+        thresholds = [thresholds] * points
+    if len(thresholds) != points:
+        raise DimensionMismatch(f"{len(thresholds)} thresholds for {points} points")
+    point = np.repeat(np.arange(points), sizes)
+    alpha, beta = np.array([(t.alpha, t.beta) for t in thresholds]).T[:, point]
     return ProtocolState(
-        n=n,
         node_ids=tuple(ids),
         point=point,
-        bounds=np.cumsum([0, *sizes]),
-        global_weight=np.tile(initial_weight(n), (len(sizes), 1)),
-        mu=np.full(len(sizes), np.nan),
+        bounds=tuple(np.cumsum([0, *sizes]).tolist()),
+        blocks=blocks,
+        desired=desired,
+        noise=noise,
+        alpha=alpha,
+        beta=beta,
+        explicit_mu=None if mu is None else float(mu),
+        channel=channel,
+        global_weight=np.tile(initial_weight(n), (points, 1)),
+        mu=np.full(points, np.nan),
         phase=np.full(m, RAW_TRANSMIT, dtype=np.uint8),
         client_weight=np.zeros((m, n)),
         received_global=np.zeros((m, n)),
-        sent=np.zeros(m, dtype=np.int64),
         pending=Mail(
             kind=np.full(m, KIND_BITS[MessageKind.QUERY], dtype=np.uint8),
             row=np.arange(m),
             payload=np.zeros((m, n)),
         ),
         trace=Trace.empty(rounds, m),
-    )
-
-
-def run_inputs(
-    state: ProtocolState,
-    blocks: np.ndarray,
-    desired: np.ndarray,
-    thresholds: Thresholds | Sequence[Thresholds],
-    mu: float | None = None,
-    client_noise: np.ndarray | None = None,
-    channel: Callable[[np.ndarray, np.ndarray, np.ndarray, int], tuple] | None = None,
-) -> RunInputs:
-    """Check a run's inputs against its state and gather them per row.
-
-    Row k of ``blocks`` ``(rows, rounds, n)``, ``desired`` and
-    ``client_noise`` ``(rows, rounds)`` (default zeros) is what node
-    ``state.node_ids[k]`` senses and draws in each round; a ``Stream`` over
-    the same nodes holds its rows in that (ascending id) order, so for one
-    point ``stream.blocks`` and ``stream.desired`` fit.  ``thresholds`` is
-    one ``Thresholds`` for every point or one per point.  ``mu``
-    overrides the automatic step-size rule (0.5 / (M * lambda_max) of the
-    point's empirical block covariance, refreshed whenever one of its
-    nodes is in a raw round).  ``channel(samples, desired, rows,
-    round_index)`` optionally maps the blocks of the transmitting engine
-    rows ``rows`` to what the sinks receive.
-    """
-    m, rounds, points = len(state.node_ids), len(state.trace), len(state.global_weight)
-    blocks = np.asarray(blocks, dtype=float)
-    desired = np.asarray(desired, dtype=float)
-    noise = (
-        np.zeros((m, rounds)) if client_noise is None else np.asarray(client_noise, dtype=float)
-    )
-    shapes = (blocks.shape, desired.shape, noise.shape)
-    if shapes != ((m, rounds, state.n), (m, rounds), (m, rounds)):
-        raise DimensionMismatch(
-            f"{rounds} rounds of {m} nodes need ({m}, {rounds}, {state.n}) blocks and "
-            f"({m}, {rounds}) desired values and noise draws, got {blocks.shape}, "
-            f"{desired.shape} and {noise.shape}"
-        )
-    if isinstance(thresholds, Thresholds):
-        thresholds = [thresholds] * points
-    if len(thresholds) != points:
-        raise DimensionMismatch(f"{len(thresholds)} thresholds for {points} points")
-    alpha, beta = np.array([(t.alpha, t.beta) for t in thresholds]).T[:, state.point]
-    return RunInputs(
-        blocks=blocks,
-        desired=desired,
-        noise=noise,
-        alpha=alpha,
-        beta=beta,
-        mu=None if mu is None else float(mu),
-        channel=channel,
-        bounds=state.bounds.tolist(),
     )
 
 
@@ -535,9 +533,9 @@ def _diverged(state: ProtocolState, row: int, side: str) -> Diverged:
     )
 
 
-def step_round(state: ProtocolState, inputs: RunInputs) -> RoundResult:
+def step_round(state: ProtocolState) -> RoundResult:
     """Advance every point by one synchronous round, round
-    ``state.round_index`` of ``inputs``, and write it into that row of
+    ``state.round_index`` of its inputs, and write it into that row of
     ``state.trace``; returns the round's view.
 
     Which blocks reach the sink, and which weight messages are exchanged,
@@ -554,18 +552,18 @@ def step_round(state: ProtocolState, inputs: RunInputs) -> RoundResult:
         _deliver(state, state.pending)
     phase = trace.phase[r]
     phase[:] = state.phase
-    samples = inputs.blocks[:, r]
+    samples = state.blocks[:, r]
 
     # Client side: local filters and the beta decision, computed for every
     # row (the arithmetic is row-wise) and kept for the client rows: masks
     # cost less than gathering each input.
     adapting_rows = phase == CLIENT_ADAPTIVE
     client = adapting_rows | (phase == CLIENT_PREDICTING)
-    d_new = _desired(samples, state.received_global, inputs.noise[:, r])
+    d_new = _desired(samples, state.received_global, state.noise[:, r])
     adapting = adapting_rows.nonzero()[0]
     if adapting.size:
         # fmax maps a never-estimated (NaN) step size to 0.0.
-        mu = inputs.mu
+        mu = state.explicit_mu
         if mu is None:
             mu = np.fmax(state.mu, 0.0)[state.point, None]
         weights = _client_step(state.client_weight, samples, d_new, mu)[adapting]
@@ -574,7 +572,7 @@ def step_round(state: ProtocolState, inputs: RunInputs) -> RoundResult:
     errors = d_new - np.vecdot(samples, state.client_weight)
     error_new = trace.error_new[r]
     np.copyto(error_new, errors, where=client)
-    loud = np.abs(errors) > inputs.beta
+    loud = np.abs(errors) > state.beta
     # Rows whose sink filter is (or is becoming) active always transmit.
     sink_side = phase <= SINK_ADAPTIVE
     transmit = trace.transmitted[r]
@@ -586,16 +584,16 @@ def step_round(state: ProtocolState, inputs: RunInputs) -> RoundResult:
         client_bad = (~np.isfinite(error_new)).nonzero()[0]
     # Points from ``stop`` on have a non-finite client error: the sink side
     # runs only for the points before it, to find a lower point's sink error.
-    points = len(inputs.bounds) - 1
+    points = len(state.bounds) - 1
     stop = state.point[client_bad[0]] if client_bad.size else points
 
     # Wire: data blocks of transmitting nodes, optionally through the channel.
     sent = transmit.nonzero()[0]
     handed = to_sink_adaptive = sent[:0]
     if sent.size and stop > 0:
-        u_sent, d_sent = samples[sent], inputs.desired[sent, r]
-        if inputs.channel is not None:
-            u_sent, d_sent = inputs.channel(u_sent, d_sent, sent, r)
+        u_sent, d_sent = samples[sent], state.desired[sent, r]
+        if state.channel is not None:
+            u_sent, d_sent = state.channel(u_sent, d_sent, sent, r)
 
         # Sink side: per point, the step-size estimate when one of its rows
         # is raw (or none was made yet), one global sweep over this round's
@@ -603,19 +601,19 @@ def step_round(state: ProtocolState, inputs: RunInputs) -> RoundResult:
         # (or is becoming) active.  Point p's arrivals are rows
         # cut[p]:cut[p + 1] of u_sent; raw rows always transmit, so they are
         # among them.
-        cut = sent.searchsorted(inputs.bounds).tolist()
+        cut = sent.searchsorted(state.bounds).tolist()
         live = [p for p in range(stop) if cut[p] < cut[p + 1]]
         raw_rows = phase == RAW_TRANSMIT
-        mu = inputs.mu
+        mu = state.explicit_mu
         if mu is None:
-            raw = raw_rows.nonzero()[0].searchsorted(inputs.bounds).tolist()
+            raw = raw_rows.nonzero()[0].searchsorted(state.bounds).tolist()
         error_glob = trace.error_glob[r]
         for p in live:
             a, b = cut[p], cut[p + 1]
             u, d = u_sent[a:b], d_sent[a:b]
             if mu is None and (raw[p] < raw[p + 1] or math.isnan(state.mu[p])):
                 lam = max_eigenvalue((u.T @ u) / u.shape[0])
-                nodes = inputs.bounds[p + 1] - inputs.bounds[p]
+                nodes = state.bounds[p + 1] - state.bounds[p]
                 state.mu[p] = 0.5 / (nodes * lam) if lam > 0 else 0.0
             weight = _sweep(state.global_weight[p], u, d, state.mu[p] if mu is None else mu)
             state.global_weight[p] = weight
@@ -625,7 +623,7 @@ def step_round(state: ProtocolState, inputs: RunInputs) -> RoundResult:
         if not finite.all():
             raise _diverged(state, np.argmin(finite), "sink")
         if not client_bad.size:
-            near = np.abs(error_glob) <= inputs.alpha
+            near = np.abs(error_glob) <= state.alpha
             handed = (sink_side & near).nonzero()[0]
             to_sink_adaptive = raw_rows > near
     if client_bad.size:
@@ -643,7 +641,6 @@ def step_round(state: ProtocolState, inputs: RunInputs) -> RoundResult:
     state.phase[to_sink_adaptive] = SINK_ADAPTIVE
     state.phase[silenced] = CLIENT_PREDICTING
     state.phase[restarted] = RAW_TRANSMIT
-    state.sent += transmit
     # Queue NODE_WEIGHT from the silenced rows, then GLOBAL_WEIGHT to the
     # handed-off ones; no row sends both in one round.
     state.pending = Mail(

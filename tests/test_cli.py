@@ -229,6 +229,26 @@ def test_write_that_fails_part_way_keeps_the_previous_run(tmp_path, capsys, monk
     assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
+def test_write_that_fails_removes_the_directories_it_made(tmp_path, capsys, monkeypatch):
+    config = write_config(tmp_path, {"experiment": "stdp", "num_blocks": 30})
+    out = tmp_path / "fresh" / "out"
+    mkstemp = tempfile.mkstemp
+    calls = []
+
+    def third_fails(*args, **kwargs):
+        calls.append(kwargs)
+        if len(calls) == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return mkstemp(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "mkstemp", third_fails)
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert len(calls) == 3
+    assert capsys.readouterr().err == "run error: [Errno 28] No space left on device\n"
+    assert not (tmp_path / "fresh").exists()
+    assert tmp_path.is_dir()
+
+
 def test_sweep_command_requires_sweep_config(tmp_path, capsys):
     path = write_config(tmp_path, {"experiment": "ada"})
     assert main(["sweep", "--config", str(path)]) == 1

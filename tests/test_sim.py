@@ -87,8 +87,8 @@ def test_channel_run_derives_keys_without_a_seed_sequence_per_block(monkeypatch)
     scenario = default_scenario(
         num_blocks=120, channel=20.0, malicious=MaliciousSpec(node_ids=(5, 9), scale=6.0)
     )
-    run = simulate_protocol(scenario)
-    sent_blocks = int(run.state.sent.sum())
+    state = simulate_protocol(scenario)
+    sent_blocks = int(state.trace.transmitted.sum())
     assert sent_blocks > 100
     m = scenario.layout.size
     assert len(built) <= 3 * m + 2, len(built)
@@ -239,9 +239,9 @@ def test_every_sweep_point_equals_its_own_run(case):
 def test_point_report_read_off_an_engine_run_equals_its_own_run(axis, values):
     scenario = small_scenario(channel=30.0, malicious=MaliciousSpec(node_ids=(5, 9), scale=4.0))
     points = [scenario_for_point(scenario, axis, value) for value in values]
-    run = simulate_protocol(points[0], points=points)
+    state = simulate_protocol(points[0], points=points)
     for k, point in enumerate(points):
-        shared, own = run_stdp(point, run=run, point=k), run_stdp(point)
+        shared, own = run_stdp(point, state=state, point=k), run_stdp(point)
         assert shared.metadata == own.metadata
         assert report_files(shared) == report_files(own)
         assert "weights.csv" in report_files(own)

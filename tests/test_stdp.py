@@ -13,7 +13,7 @@ from wsnadapt.fieldgen import (
     generate_stream,
     substream,
 )
-from wsnadapt.sim import ProtocolRun, default_layout, default_scenario, simulate_protocol
+from wsnadapt.sim import default_layout, default_scenario, simulate_protocol
 from wsnadapt.stdp import (
     CLIENT_ADAPTIVE,
     CLIENT_PREDICTING,
@@ -32,7 +32,7 @@ from wsnadapt.stdp import (
     initial_weight,
     kinds_of,
     new_protocol_state,
-    run_inputs,
+    total_percentages,
     step_round,
     transmission_percentage,
 )
@@ -65,30 +65,34 @@ def drive(layout, stream, thresholds, mu=None, noise_seed=None, channel=None):
     """Run the engine over a whole stream, returning (state, rows, messages):
     the rows read off the trace, the mail queued after each round."""
     ids = list(stream.node_ids)
-    state = new_protocol_state(ids, stream.n, stream.num_blocks)
     noise = None
     if noise_seed is not None:
         std = float(np.sqrt(stream.params.noise_var))
         noise = np.array(
             [substream(noise_seed, ROLE_PROTOCOL, i).normal(0, std, stream.num_blocks) for i in ids]
         )
-    inputs = run_inputs(
-        state, stream.blocks, stream.desired, thresholds, mu=mu, client_noise=noise, channel=channel
+    state = new_protocol_state(
+        ids, stream.blocks, stream.desired, thresholds, mu=mu, client_noise=noise, channel=channel
     )
     messages = []
     with errstate():
         for _ in range(stream.num_blocks):
-            step_round(state, inputs)
+            step_round(state)
             messages.append(state.pending)
     rows = [row for r in range(state.round_index) for row in trace_rows(state, r)]
     return state, rows, messages
 
 
-def one_round(state, samples, desired, thresholds):
-    """Step a one-round state through the given round."""
-    inputs = run_inputs(state, samples[:, None], desired[:, None], thresholds)
+def first_round(ids, samples, desired, thresholds, sizes=None):
+    """A one-round state over the given ``(rows, n)`` samples and desired
+    values."""
+    return new_protocol_state(ids, samples[:, None], desired[:, None], thresholds, sizes)
+
+
+def one_round(state):
+    """Step a state through its next round."""
     with errstate():
-        return step_round(state, inputs)
+        return step_round(state)
 
 
 def queue(state, kind, row, payload):
@@ -257,7 +261,7 @@ def test_mode_exclusivity_and_conservation():
     for k, i in enumerate(state.node_ids):
         sent = sum(r.transmitted for r in rows if r.node_id == i)
         kept = sum(not r.transmitted for r in rows if r.node_id == i)
-        assert sent == state.sent[k]
+        assert transmission_percentage(state)[k] == 100.0 * sent / 120
         assert sent + kept == state.round_index == 120
 
 
@@ -285,7 +289,7 @@ def test_trace_is_deterministic():
     a = drive(layout, stream, Thresholds(0.5, 0.05), noise_seed=6)
     b = drive(layout, stream, Thresholds(0.5, 0.05), noise_seed=6)
     assert a[1] == b[1]
-    assert np.array_equal(a[0].sent, b[0].sent)
+    assert np.array_equal(transmission_percentage(a[0]), transmission_percentage(b[0]))
     assert np.array_equal(a[0].global_weight, b[0].global_weight)
 
 
@@ -306,21 +310,22 @@ def test_noiseless_predicting_never_reverts():
 def test_protocol_violation_on_misdelivered_messages():
     layout, stream = make_stream(3, seed=8)
     ids = list(layout.node_ids)
-    state = new_protocol_state(ids, stream.n, 1)
+    u, d, thresholds = stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05)
+    state = first_round(ids, u, d, thresholds)
     state.phase[0] = CLIENT_PREDICTING
     state.client_weight[0] = initial_weight(stream.n)
     state.received_global[0] = initial_weight(stream.n)
     clear_mail(state)
     queue(state, MessageKind.GLOBAL_WEIGHT, 0, initial_weight(stream.n))
     with pytest.raises(ProtocolViolation) as err:
-        one_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
+        one_round(state)
     assert str(err.value) == "GLOBAL_WEIGHT to node 1 in CLIENT_PREDICTING"
 
-    state = new_protocol_state(ids, stream.n, 1)
+    state = first_round(ids, u, d, thresholds)
     clear_mail(state)
     queue(state, MessageKind.NODE_WEIGHT, 0, initial_weight(stream.n))
     with pytest.raises(ProtocolViolation) as err:
-        one_round(state, stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05))
+        one_round(state)
     assert str(err.value) == "NODE_WEIGHT from node 1 in RAW_TRANSMIT"
 
 
@@ -328,43 +333,46 @@ def test_misdelivered_message_names_the_node_not_the_row():
     # Two points over ids (4, 7, 9): row 4 is node 7 of the second point,
     # and row 5 its node 9.
     n = 3
-    state = new_protocol_state([4, 7, 9, 4, 7, 9], n, 1, sizes=[3, 3])
+    ids = [4, 7, 9, 4, 7, 9]
+    rng = np.random.default_rng(14)
+    samples, desired = rng.normal(size=(6, n)), rng.normal(size=6)
+    thresholds = [Thresholds(0.5, 0.05)] * 2
+    state = first_round(ids, samples, desired, thresholds, sizes=[3, 3])
     state.phase[4] = CLIENT_PREDICTING
     state.pending = Mail(
         kind=np.array([KIND_BITS[MessageKind.GLOBAL_WEIGHT]], dtype=np.uint8),
         row=np.array([4]),
         payload=initial_weight(n)[None],
     )
-    rng = np.random.default_rng(14)
-    samples, desired = rng.normal(size=(6, n)), rng.normal(size=6)
-    thresholds = [Thresholds(0.5, 0.05)] * 2
     with pytest.raises(ProtocolViolation) as err:
-        one_round(state, samples, desired, thresholds)
+        one_round(state)
     assert str(err.value) == "GLOBAL_WEIGHT to node 7 in CLIENT_PREDICTING"
 
-    state = new_protocol_state([4, 7, 9, 4, 7, 9], n, 1, sizes=[3, 3])
+    state = first_round(ids, samples, desired, thresholds, sizes=[3, 3])
     state.pending = Mail(
         kind=np.array([KIND_BITS[MessageKind.NODE_WEIGHT]], dtype=np.uint8),
         row=np.array([5]),
         payload=initial_weight(n)[None],
     )
     with pytest.raises(ProtocolViolation) as err:
-        one_round(state, samples, desired, thresholds)
+        one_round(state)
     assert str(err.value) == "NODE_WEIGHT from node 9 in RAW_TRANSMIT"
 
 
 def test_step_round_requires_block_per_node():
     layout, stream = make_stream(2, seed=10)
-    state = new_protocol_state(list(layout.node_ids), stream.n, 2)
+    ids, thresholds = list(layout.node_ids), Thresholds(0.5, 0.05)
     with pytest.raises(DimensionMismatch):
-        run_inputs(state, stream.blocks[:-1], stream.desired[:-1], Thresholds(0.5, 0.05))
-    # every round of the run, and no other
+        new_protocol_state(ids, stream.blocks[:-1], stream.desired[:-1], thresholds)
     with pytest.raises(DimensionMismatch):
-        run_inputs(state, stream.blocks[:, :1], stream.desired[:, :1], Thresholds(0.5, 0.05))
+        new_protocol_state(ids, stream.blocks[:, 0], stream.desired, thresholds)
+    # every round of the blocks, and no other
     with pytest.raises(DimensionMismatch):
-        run_inputs(state, stream.blocks, stream.desired, Thresholds(0.5, 0.05), client_noise=[0.0])
+        new_protocol_state(ids, stream.blocks[:, :1], stream.desired, thresholds)
     with pytest.raises(DimensionMismatch):
-        run_inputs(state, stream.blocks, stream.desired, [Thresholds(0.5, 0.05)] * 2)
+        new_protocol_state(ids, stream.blocks, stream.desired, thresholds, client_noise=[0.0])
+    with pytest.raises(DimensionMismatch):
+        new_protocol_state(ids, stream.blocks, stream.desired, [thresholds] * 2)
 
 
 def test_channel_hook_applies_to_transmitted_blocks_only():
@@ -376,22 +384,53 @@ def test_channel_hook_applies_to_transmitted_blocks_only():
         return samples, desired
 
     state, rows, _ = drive(layout, stream, Thresholds(0.5, 0.05), noise_seed=11, channel=channel)
-    sent = int(state.sent.sum())
+    sent = int(state.trace.transmitted.sum())
     assert len(seen) == sent
 
 
+def idle_state(ids, rounds):
+    """A state over ``rounds`` rounds of zero 3-sample blocks."""
+    m = len(ids)
+    return new_protocol_state(ids, np.zeros((m, rounds, 3)), np.zeros((m, rounds)), Thresholds())
+
+
 def test_transmission_percentage_trivials():
-    state = new_protocol_state([1, 2], n=3, rounds=10)
+    state = idle_state([1, 2], rounds=10)
     with pytest.raises(ValueError):
         transmission_percentage(state)
-    state.sent[:] = [10, 0]
+    state.trace.transmitted[:, 0] = True
     state.round_index = 10
     pct = transmission_percentage(state)
     assert pct.tolist() == [100.0, 0.0]
-    nobody = new_protocol_state([], n=3, rounds=10)
+    nobody = idle_state([], rounds=10)
     nobody.round_index = 10
     with pytest.raises(ValueError):
         transmission_percentage(nobody)
+
+
+def test_total_percentages_read_each_points_rows():
+    # With client noise, point 0 never stops transmitting (beta 0); point
+    # 1, handed off and silenced at once, sends only its first block.
+    layout, stream = make_stream(40, seed=16)
+    ids, m = list(stream.node_ids), len(stream.node_ids)
+    noise = np.random.default_rng(16).normal(0.0, 0.1, size=(m, 40))
+    state = new_protocol_state(
+        ids * 2,
+        np.concatenate([stream.blocks] * 2),
+        np.concatenate([stream.desired] * 2),
+        [Thresholds(alpha=0.5, beta=0.0), Thresholds(alpha=1e9, beta=1e9)],
+        [m, m],
+        client_noise=np.concatenate([noise] * 2),
+    )
+    with errstate():
+        for _ in range(40):
+            step_round(state)
+    totals = total_percentages(state)
+    assert totals[0] == 100.0
+    assert totals[1] == pytest.approx(100.0 / 40)
+    sent = state.trace.transmitted.sum(axis=0)
+    for p, total in enumerate(totals):
+        assert total == pytest.approx(100.0 * sent[state.rows(p)].mean() / 40, rel=1e-15)
 
 
 def test_thresholds_validation():
@@ -443,8 +482,9 @@ def test_stream_rows_follow_node_ids_for_an_unsorted_layout():
     # stepping rounds straight off the stream matches the scenario run
     state, rows, _ = drive(layout, stream, Thresholds(0.5, 0.05), noise_seed=13)
     run = simulate_protocol(default_scenario(layout=layout, seed=13), stream)
-    assert np.array_equal(state.sent, run.state.sent)
-    assert np.array_equal(state.global_weight, run.state.global_weight)
+    assert np.array_equal(state.trace.transmitted, run.trace.transmitted)
+    assert np.array_equal(transmission_percentage(state), transmission_percentage(run))
+    assert np.array_equal(state.global_weight, run.global_weight)
     assert [r.phase for r in rows] == [PHASES[code] for code in run.trace.phase.ravel()]
 
 
@@ -479,13 +519,17 @@ def test_step_round_properties(case):
     random multi-point runs of linear data with noise."""
     sizes, n, rounds, thresholds, noise_level, seed = case
     rng = np.random.default_rng(seed)
-    state = new_protocol_state([i for size in sizes for i in range(1, size + 1)], n, rounds, sizes)
-    m = len(state.node_ids)
+    m = sum(sizes)
     samples = rng.normal(size=(rounds, m, n))
     desired = samples @ rng.normal(size=n) + noise_level * rng.normal(size=(rounds, m))
     client_noise = noise_level * rng.normal(size=(rounds, m))
-    inputs = run_inputs(
-        state, samples.transpose(1, 0, 2), desired.T, thresholds, client_noise=client_noise.T
+    state = new_protocol_state(
+        [i for size in sizes for i in range(1, size + 1)],
+        samples.transpose(1, 0, 2),
+        desired.T,
+        thresholds,
+        sizes,
+        client_noise=client_noise.T,
     )
     alpha, beta = np.array([(t.alpha, t.beta) for t in thresholds]).T[:, state.point]
     trace = state.trace
@@ -493,7 +537,7 @@ def test_step_round_properties(case):
     mail = None
     for r in range(rounds):
         with errstate():
-            result = step_round(state, inputs)
+            result = step_round(state)
         start, kinds = trace.phase[r], trace.kinds[r]
         # The returned view is the trace row and the queued mail.
         assert list(result.rows) == trace_rows(state, r)
@@ -528,47 +572,48 @@ def test_step_round_properties(case):
         suppressed += (start == CLIENT_PREDICTING) | ((start == CLIENT_ADAPTIVE) & quiet)
 
     # Sent plus suppressed blocks make up every row's rounds.
-    assert np.array_equal(state.sent + suppressed, np.full(m, rounds))
+    sent = trace.transmitted.sum(axis=0)
+    assert np.array_equal(sent + suppressed, np.full(m, rounds))
+    assert np.array_equal(transmission_percentage(state), 100.0 * sent / rounds)
 
 
 @pytest.mark.parametrize("points", [1, 2])
 def test_client_update_log_matches_a_replay(points):
     """The update log gives the (round, row, weight) of every client-filter
-    update, per point in ``weight_snapshots`` order, as a replay that reads
+    update, per point in ``client_updates`` order, as a replay that reads
     the client weights after each round finds them."""
     layout, stream = make_stream(120, seed=15)
     ids = list(stream.node_ids)
     m = len(ids)
-    state = new_protocol_state(ids * points, stream.n, stream.num_blocks, [m] * points)
     std = float(np.sqrt(stream.params.noise_var))
     noise = np.array(
         [substream(15, ROLE_PROTOCOL, i).normal(0, std, stream.num_blocks) for i in ids]
     )
-    inputs = run_inputs(
-        state,
+    state = new_protocol_state(
+        ids * points,
         np.concatenate([stream.blocks] * points),
         np.concatenate([stream.desired] * points),
         [Thresholds(0.5, 0.05), Thresholds(0.8, 0.1)][:points],
+        [m] * points,
         client_noise=np.concatenate([noise] * points),
     )
 
     def step():
         with errstate():
-            step_round(state, inputs)
+            step_round(state)
 
     expected = replay_client_updates(
         step, state, stream.num_blocks, CLIENT_ADAPTIVE, KIND_BITS[MessageKind.GLOBAL_WEIGHT]
     )
-    run = ProtocolRun(state=state, percentages=transmission_percentage(state))
     for p in range(points):
         mine = [(r, k - p * m, w) for r, k, w in expected if p * m <= k < (p + 1) * m]
-        rounds, rows, weights = run.weight_snapshots(p)
+        rounds, rows, weights = state.trace.client_updates(state.rows(p))
         assert len(mine) == rounds.size > 0
         assert rounds.tolist() == [r for r, _, _ in mine]
         assert rows.tolist() == [k for _, k, _ in mine]
         assert np.array_equal(weights, np.array([w for _, _, w in mine]))
     # The log itself runs by round, then by row.
-    rounds, rows, weights = state.trace.client_updates()
+    log = state.trace.updates
     in_time = sorted(expected, key=lambda update: (update[0], update[1]))
-    assert list(zip(rounds.tolist(), rows.tolist())) == [(r, k) for r, k, _ in in_time]
-    assert np.array_equal(weights, np.array([w for _, _, w in in_time]))
+    assert [(r, k) for r, rows, _ in log for k in rows.tolist()] == [(r, k) for r, k, _ in in_time]
+    assert np.array_equal(np.concatenate([w for _, _, w in log]), [w for _, _, w in in_time])
