@@ -62,10 +62,6 @@ class Diverged(WsnAdaptError):
         super().__init__(message)
 
 
-class ProtocolViolation(WsnAdaptError):
-    """A message arrived in a node phase that cannot accept it."""
-
-
 class SchemaError(WsnAdaptError):
     """Config file failed validation; message carries a JSON-pointer path."""
 

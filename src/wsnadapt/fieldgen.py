@@ -34,7 +34,7 @@ from .errors import (
 from .numerics import as_symmetric_matrix, as_vector, cholesky_factor
 from .stdp import initial_weight
 
-# Substream roles (third entropy word of the generator key).
+# Substream roles (the entropy entry after the seed in the generator key).
 ROLE_FIELD = 0      # shared cross-node innovations
 ROLE_MEASURE = 1    # per-node measurement noise v_i
 ROLE_MALICIOUS = 2  # per-node replacement samples for corrupted nodes
@@ -42,9 +42,12 @@ ROLE_CHANNEL = 3    # per-node channel noise
 ROLE_PROTOCOL = 4   # per-node client-side noise draws during the protocol
 
 
-def substream(seed: int, role: int, node_id: int = 0, extra: int = 0) -> np.random.Generator:
-    """Independent, reproducible generator for one (seed, role, node) slot."""
-    key = np.random.SeedSequence([int(seed), int(role), int(node_id), int(extra)])
+def substream(seed: int, role: int, node_id: int = 0) -> np.random.Generator:
+    """Independent, reproducible generator for one (seed, role, node) slot.
+
+    The key's fourth entropy word stays 0: dropping it would change the
+    generator of every seed or node id of 2**32 or more."""
+    key = np.random.SeedSequence([int(seed), int(role), int(node_id), 0])
     return np.random.Generator(np.random.Philox(key))
 
 
@@ -155,7 +158,7 @@ def philox_keys(columns: Sequence) -> np.ndarray:
 
 def channel_keys(seed: int, node_ids: Sequence[int], num_blocks: int) -> np.ndarray:
     """``(m, num_blocks, 2)`` table whose entry ``[k, b]`` is the Philox key
-    of ``substream(seed, ROLE_CHANNEL, node_ids[k], b)``."""
+    of the entropy ``SeedSequence([seed, ROLE_CHANNEL, node_ids[k], b])``."""
     ids = np.asarray(node_ids, dtype=np.int64)
     keys = np.empty((ids.size, num_blocks, 2), np.uint64)
     blocks = np.arange(num_blocks, dtype=np.int64)

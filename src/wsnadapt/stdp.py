@@ -16,14 +16,16 @@ Per-node life cycle (one protocol round = one sensed block per node):
                       frozen filter and re-enters RAW_TRANSMIT when the
                       error climbs back above beta
 
-Weight messages travel with one round of latency; a round's data blocks
-reach the sink within the round.
+A round's data blocks reach the sink within the round, and its weight
+messages take effect at its end: a node handed off in round r starts round
+r + 1 adapting from the global weight it was sent, and one silenced in
+round r starts round r + 1 predicting.
 
 The array round.  The engine runs one or more *points*, independent
 protocol runs over the same rounds (a sweep's points, or one scenario),
 side by side.  Its rows are (point, node) pairs: point p's nodes are
 consecutive rows, ids ascending, and ``point[k]`` names row k's point.
-Inside the engine a row is the only address: queued mail and the channel
+Inside the engine a row is the only address: the trace and the channel
 hook name rows, and node ids appear only in error messages.
 ``phase[k]`` is the row's phase code (an index into ``PHASES``; which
 filter is active is a function of the phase alone), ``client_weight[k]``
@@ -36,11 +38,11 @@ round.  ``new_protocol_state`` takes the run's inputs and checks them: the
 ``(rows, rounds, n)`` sensed blocks, the desired values and client noise
 draws, and the alpha and beta of every row.  It allocates the run's
 ``Trace``, the only record of the run: sent-block counts are read off its
-``transmitted`` column.  Round r, ``step_round(state)``, takes the
-``(rows, n)`` matrix U of the round's blocks and the desired vector d,
-works on masks over the phase codes, writes its columns into trace row r
-in place and appends its client-filter updates to the trace's log; it
-copies no per-round state:
+``transmitted`` column and each round's messages off its ``kinds``.  Round
+r, ``step_round(state)``, takes the ``(rows, n)`` matrix U of the round's
+blocks and the desired vector d, works on masks over the phase codes,
+writes its columns into trace row r in place and appends its
+client-filter updates to the trace's log; it copies no per-round state:
 
 1. client side, rows in a client phase: d' = U.Wr + noise; adapting rows
    step Wc += mu U (d' - U.Wc); the error e' = d' - U.Wc is held against
@@ -50,7 +52,9 @@ copies no per-round state:
 2. wire: the transmitting rows, optionally through the channel;
 3. sink side, per point: one global sweep w += mu sum_i u_i (d_i - u_i.w)
    over the point's received rows, then their errors d - U w are held
-   against alpha.
+   against alpha;
+4. transitions: a sink-side row at or below alpha is handed off, entering
+   CLIENT_ADAPTIVE with Wc = Wr = its point's new global weight.
 
 Row dot products use ``np.vecdot``, which sums each row in the order of a
 1-D ``u @ w``, and the sweep adds its terms row by row in ascending id
@@ -75,7 +79,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, Diverged, InvalidParameter, ProtocolViolation
+from .errors import DimensionMismatch, Diverged, InvalidParameter
 from .numerics import max_eigenvalue
 
 SINK_ID = 0
@@ -110,27 +114,16 @@ KIND_BITS = {
 }
 
 
-_KIND_OF_BIT = {bit: kind for kind, bit in KIND_BITS.items()}
 _QUERY = KIND_BITS[MessageKind.QUERY]
 _NODE_WEIGHT = KIND_BITS[MessageKind.NODE_WEIGHT]
 _DATA_BLOCK = np.uint8(KIND_BITS[MessageKind.DATA_BLOCK])
 # A handed-off row sends its data block and is sent the global weight.
 _HANDED = KIND_BITS[MessageKind.DATA_BLOCK] | KIND_BITS[MessageKind.GLOBAL_WEIGHT]
-# Mail kinds of the silenced rows and of the handed-off ones.
-_MAIL_KINDS = np.array([_NODE_WEIGHT, KIND_BITS[MessageKind.GLOBAL_WEIGHT]], dtype=np.uint8)
 
 
 def kinds_of(mask: int) -> tuple[MessageKind, ...]:
     """The message kinds set in a kind mask, in sending order."""
     return tuple(kind for kind, bit in KIND_BITS.items() if mask & bit)
-
-
-# _ACCEPTS[bit, code]: a node in phase ``code`` accepts a queued message of
-# kind ``bit``.  Data blocks are never queued.
-_ACCEPTS = np.zeros((max(KIND_BITS.values()) + 1, len(PHASES)), dtype=bool)
-_ACCEPTS[KIND_BITS[MessageKind.QUERY], RAW_TRANSMIT] = True
-_ACCEPTS[KIND_BITS[MessageKind.NODE_WEIGHT], CLIENT_PREDICTING] = True
-_ACCEPTS[KIND_BITS[MessageKind.GLOBAL_WEIGHT], [RAW_TRANSMIT, SINK_ADAPTIVE]] = True
 
 
 @dataclass(frozen=True)
@@ -143,27 +136,11 @@ class Thresholds:
     def __post_init__(self):
         if not self.alpha > 0:
             raise InvalidParameter("thresholds/alpha", f"must be > 0, got {self.alpha}")
-        # beta == 0 is the degenerate always-transmit configuration.
+        # beta == 0 silences a client only at an error of exactly 0.0: with
+        # client noise every block is sent, without it a handed-off client
+        # matches the global weight it was sent and falls silent at once.
         if not self.beta >= 0:
             raise InvalidParameter("thresholds/beta", f"must be >= 0, got {self.beta}")
-
-
-@dataclass(frozen=True)
-class Mail:
-    """Messages queued between rounds, as columns with one entry per message.
-
-    ``kind`` holds ``KIND_BITS`` codes and ``row`` the engine row of each
-    message's client end: the sender of a NODE_WEIGHT, the receiver of
-    anything else (the sink of the row's point is always the other end).
-    ``payload[j]`` is the weight that entry j carries (zeros for a QUERY).
-    """
-
-    kind: np.ndarray
-    row: np.ndarray
-    payload: np.ndarray
-
-    def __len__(self) -> int:
-        return self.kind.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,12 +211,12 @@ class ProtocolState:
     ``rows`` to what the sinks receive.
 
     Engine state: ``client_weight`` and ``received_global`` rows are
-    meaningful only while the row is in a client phase; a GLOBAL_WEIGHT
-    delivery overwrites both.  Point p's rows are ``bounds[p]:bounds[p +
-    1]``; ``global_weight[p]`` is its sink filter and ``mu[p]`` its
-    automatic step size (NaN until first estimated).  ``trace`` is the
-    run's trace, whose row r round r writes; ``round_index`` rounds have
-    run.
+    meaningful only while the row is in a client phase; the round that
+    hands a row off sets both to its point's global weight.  Point p's
+    rows are ``bounds[p]:bounds[p + 1]``; ``global_weight[p]`` is its sink
+    filter and ``mu[p]`` its automatic step size (NaN until first
+    estimated).  ``trace`` is the run's trace, whose row r round r writes;
+    ``round_index`` rounds have run.
     """
 
     node_ids: tuple[int, ...]
@@ -257,7 +234,6 @@ class ProtocolState:
     phase: np.ndarray
     client_weight: np.ndarray
     received_global: np.ndarray
-    pending: Mail
     trace: Trace
     round_index: int = 0
 
@@ -305,7 +281,7 @@ class TraceRow(NamedTuple):
 
 class RoundResult(NamedTuple):
     """One round of a run, as ``step_round`` returns it: a view of trace row
-    ``round_index`` and the weight messages the round queued.
+    ``round_index``.
 
     The engine keeps nothing here that the trace does not hold; the view
     stays because the benchmark's traced runs count every round's phases
@@ -315,7 +291,6 @@ class RoundResult(NamedTuple):
     trace: Trace
     round_index: int
     node_ids: tuple[int, ...]
-    messages: Mail
 
     @property
     def rows(self) -> tuple[TraceRow, ...]:
@@ -430,17 +405,16 @@ def new_protocol_state(
     client_noise: np.ndarray | None = None,
     channel: Callable[[np.ndarray, np.ndarray, np.ndarray, int], tuple] | None = None,
 ) -> ProtocolState:
-    """A fresh run over the given inputs, checked against its rows; queues
-    each point's initial query to its nodes.
+    """A fresh run over the given inputs, checked against its rows.
 
     ``sizes[p]`` consecutive entries of ``node_ids`` are point p's nodes
-    (default: one point holding them all); they become the point's rows in
-    ascending id order.  Row k of ``blocks`` ``(rows, rounds, n)``,
-    ``desired`` and ``client_noise`` ``(rows, rounds)`` (default zeros) is
-    what row k's node senses and draws in each round; the run has
-    ``rounds`` rounds of ``n``-sample blocks.  A ``Stream`` over the same
-    nodes holds its rows in that (ascending id) order, so for one point
-    ``stream.blocks`` and ``stream.desired`` fit.  ``thresholds`` is one
+    (default: one point holding them all) and its rows, in the given
+    order; ids must strictly ascend within a point.  Row k of ``blocks``
+    ``(rows, rounds, n)``, ``desired`` and ``client_noise`` ``(rows,
+    rounds)`` (default zeros) is what row k's node senses and draws in
+    each round; the run has ``rounds`` rounds of ``n``-sample blocks.  A
+    ``Stream`` over the same nodes holds its rows in that (ascending id)
+    order, so for one point ``stream.blocks`` and ``stream.desired`` fit.  ``thresholds`` is one
     ``Thresholds`` for every point or one per point.  ``mu`` overrides the
     automatic step-size rule (0.5 / (M * lambda_max) of the point's
     empirical block covariance, refreshed whenever one of its nodes is in a
@@ -448,17 +422,17 @@ def new_protocol_state(
     optionally maps the blocks of the transmitting engine rows ``rows`` to
     what the sinks receive.
     """
-    flat = [int(i) for i in node_ids]
-    sizes = [len(flat)] if sizes is None else [int(size) for size in sizes]
-    if not sizes or sum(sizes) != len(flat) or min(sizes) < 0:
-        raise ValueError(f"point sizes {sizes} do not split {len(flat)} node ids")
-    ids, start = [], 0
-    for size in sizes:
-        group = sorted(flat[start : start + size])
-        start += size
-        if len(set(group)) != size or SINK_ID in group:
-            raise ValueError("node ids must be unique and non-zero (0 is the sink)")
-        ids.extend(group)
+    ids = tuple(int(i) for i in node_ids)
+    sizes = [len(ids)] if sizes is None else [int(size) for size in sizes]
+    if not sizes or sum(sizes) != len(ids) or min(sizes) < 0:
+        raise ValueError(f"point sizes {sizes} do not split {len(ids)} node ids")
+    bounds = tuple(np.cumsum([0, *sizes]).tolist())
+    for p in range(len(sizes)):
+        group = ids[bounds[p] : bounds[p + 1]]
+        if any(a >= b for a, b in zip(group, group[1:])):
+            raise ValueError(f"point {p}: node ids {list(group)} do not strictly ascend")
+    if SINK_ID in ids:
+        raise ValueError("node ids must be non-zero (0 is the sink)")
     m, points = len(ids), len(sizes)
     blocks = np.asarray(blocks, dtype=float)
     if blocks.ndim != 3 or len(blocks) != m:
@@ -480,9 +454,9 @@ def new_protocol_state(
     point = np.repeat(np.arange(points), sizes)
     alpha, beta = np.array([(t.alpha, t.beta) for t in thresholds]).T[:, point]
     return ProtocolState(
-        node_ids=tuple(ids),
+        node_ids=ids,
         point=point,
-        bounds=tuple(np.cumsum([0, *sizes]).tolist()),
+        bounds=bounds,
         blocks=blocks,
         desired=desired,
         noise=noise,
@@ -495,34 +469,8 @@ def new_protocol_state(
         phase=np.full(m, RAW_TRANSMIT, dtype=np.uint8),
         client_weight=np.zeros((m, n)),
         received_global=np.zeros((m, n)),
-        pending=Mail(
-            kind=np.full(m, KIND_BITS[MessageKind.QUERY], dtype=np.uint8),
-            row=np.arange(m),
-            payload=np.zeros((m, n)),
-        ),
         trace=Trace.empty(rounds, m),
     )
-
-
-def _deliver(state: ProtocolState, mail: Mail) -> None:
-    """Apply the queued messages, each checked against the phase its row
-    ended the previous round in; the first bad entry raises."""
-    accepted = _ACCEPTS[mail.kind, state.phase[mail.row]]
-    if not accepted.all():
-        j = int(np.argmin(accepted))
-        kind, row = _KIND_OF_BIT[int(mail.kind[j])], int(mail.row[j])
-        if not _ACCEPTS[KIND_BITS[kind]].any():
-            raise ProtocolViolation(f"{kind.value} cannot be queued between rounds")
-        role = "from" if kind is MessageKind.NODE_WEIGHT else "to"
-        raise ProtocolViolation(
-            f"{kind.value} {role} node {state.node_ids[row]} in {PHASES[state.phase[row]].value}"
-        )
-    handed = mail.kind == KIND_BITS[MessageKind.GLOBAL_WEIGHT]
-    rows = mail.row[handed]
-    payload = mail.payload[handed]
-    state.phase[rows] = CLIENT_ADAPTIVE
-    state.client_weight[rows] = payload
-    state.received_global[rows] = payload
 
 
 def _diverged(state: ProtocolState, row: int, side: str) -> Diverged:
@@ -548,8 +496,6 @@ def step_round(state: ProtocolState) -> RoundResult:
     """
     r = state.round_index
     trace = state.trace
-    if len(state.pending):
-        _deliver(state, state.pending)
     phase = trace.phase[r]
     phase[:] = state.phase
     samples = state.blocks[:, r]
@@ -637,18 +583,13 @@ def step_round(state: ProtocolState) -> RoundResult:
     if r == 0:
         kinds |= _QUERY
 
-    # End-of-round transitions; weight messages are delivered next round.
+    # End-of-round transitions: a handed-off row starts the next round
+    # adapting from the global weight it was sent.
     state.phase[to_sink_adaptive] = SINK_ADAPTIVE
     state.phase[silenced] = CLIENT_PREDICTING
     state.phase[restarted] = RAW_TRANSMIT
-    # Queue NODE_WEIGHT from the silenced rows, then GLOBAL_WEIGHT to the
-    # handed-off ones; no row sends both in one round.
-    state.pending = Mail(
-        kind=_MAIL_KINDS.repeat([silenced.size, handed.size]),
-        row=np.concatenate([silenced, handed]),
-        payload=np.concatenate(
-            [state.client_weight[silenced], state.global_weight[state.point[handed]]]
-        ),
-    )
+    state.phase[handed] = CLIENT_ADAPTIVE
+    payload = state.global_weight[state.point[handed]]
+    state.client_weight[handed] = state.received_global[handed] = payload
     state.round_index = r + 1
-    return RoundResult(trace, r, state.node_ids, state.pending)
+    return RoundResult(trace, r, state.node_ids)

@@ -158,21 +158,18 @@ def awgn_channel_per_block(samples, desired, node_ids, block_index, snr_db, seed
     return noisy, noisy_desired
 
 
-def replay_client_updates(step, state, rounds, adaptive, handoff):
+def replay_client_updates(step, state, rounds, adaptive):
     """Every client-filter update of an engine run as (round, row, weight)
     triples, grouped by row and chronological within a row.
 
     ``step()`` advances the engine ``state`` by one round.  A row steps its
-    filter in a round it starts in phase code ``adaptive``: it ended the
-    previous round there, or a queued message of kind code ``handoff`` (a
-    global weight) puts it there on delivery.  The update is the row of
+    filter in a round it starts in phase code ``adaptive``, the phase it
+    ended the previous round in.  The update is the row of
     ``state.client_weight`` read after that round.
     """
     updates = []
     for r in range(rounds):
-        mail = state.pending
-        starts = set(np.flatnonzero(state.phase == adaptive).tolist())
-        starts |= set(mail.row[mail.kind == handoff].tolist())
+        starts = np.flatnonzero(state.phase == adaptive).tolist()
         step()
-        updates.extend((r, k, state.client_weight[k].copy()) for k in sorted(starts))
+        updates.extend((r, k, state.client_weight[k].copy()) for k in starts)
     return sorted(updates, key=lambda update: update[1])

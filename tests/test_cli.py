@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import wsnadapt
+from wsnadapt import errors
 from wsnadapt.cli import main, parse_config
 from wsnadapt.errors import InvalidParameter, SchemaError
 from wsnadapt.fieldgen import FieldParams, NodeLayout
@@ -1032,3 +1033,26 @@ def test_every_range_error_names_a_config_key():
                 fields.append(node.args[0].value)
     assert len(fields) >= 15
     assert set(fields) <= paths, sorted(set(fields) - paths)
+
+
+def test_every_error_class_is_raised_in_the_package():
+    """Each class in ``wsnadapt.errors`` but the base is raised or built
+    somewhere in the package, so no error type outlives its last use."""
+    classes = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type)
+        and issubclass(value, errors.WsnAdaptError)
+        and value is not errors.WsnAdaptError
+    }
+    used = set()
+    for source in Path(wsnadapt.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            # ``X(...)``, ``errors.X(...)`` or a bare ``raise X``.
+            target = node.func if isinstance(node, ast.Call) else getattr(node, "exc", None)
+            if isinstance(target, ast.Name):
+                used.add(target.id)
+            elif isinstance(target, ast.Attribute):
+                used.add(target.attr)
+    assert len(classes) >= 12
+    assert classes <= used, sorted(classes - used)

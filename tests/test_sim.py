@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,6 +100,20 @@ def test_run_stdp_beta_zero_and_huge(default_scenario):
     assert all(pct == 100.0 for _, _, pct in full.files["stdp_transmission.csv"])
     floor = run_stdp(small_scenario(thresholds=Thresholds(1e9, 1e9)))
     assert all(pct == pytest.approx(100.0 / 40) for _, _, pct in floor.files["stdp_transmission.csv"])
+
+
+def test_run_stdp_beta_zero_without_client_noise_sends_one_block_per_node():
+    # beta 0 silences a client only at an error of exactly 0.0.  Without
+    # noise a handed-off client's filter is the global weight it was sent,
+    # so its error is 0.0: every node sends the block that handed it off
+    # and falls silent in the next round.
+    default = default_scenario()
+    scenario = default_scenario(
+        field=replace(default.field, noise_var=0.0), thresholds=Thresholds(0.5, 0.0)
+    )
+    report = run_stdp(scenario)
+    assert [pct for _, _, pct in report.files["stdp_transmission.csv"]] == [0.5] * 10
+    assert report.metadata["total_percentage"] == 0.5
 
 
 def test_run_stdp_reports_are_reproducible():

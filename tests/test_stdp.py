@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import global_ia_update, replay_client_updates
-from wsnadapt.errors import DimensionMismatch, Diverged, ProtocolViolation
+from wsnadapt.errors import DimensionMismatch, Diverged
 from wsnadapt.fieldgen import (
     ROLE_MEASURE,
     ROLE_PROTOCOL,
@@ -19,7 +19,6 @@ from wsnadapt.stdp import (
     CLIENT_PREDICTING,
     SINK_ADAPTIVE,
     KIND_BITS,
-    Mail,
     PHASES,
     MessageKind,
     Phase,
@@ -62,8 +61,8 @@ def trace_rows(state, r):
 
 
 def drive(layout, stream, thresholds, mu=None, noise_seed=None, channel=None):
-    """Run the engine over a whole stream, returning (state, rows, messages):
-    the rows read off the trace, the mail queued after each round."""
+    """Run the engine over a whole stream, returning (state, rows, kinds):
+    the rows read off the trace and each round's row of ``trace.kinds``."""
     ids = list(stream.node_ids)
     noise = None
     if noise_seed is not None:
@@ -74,13 +73,11 @@ def drive(layout, stream, thresholds, mu=None, noise_seed=None, channel=None):
     state = new_protocol_state(
         ids, stream.blocks, stream.desired, thresholds, mu=mu, client_noise=noise, channel=channel
     )
-    messages = []
     with errstate():
         for _ in range(stream.num_blocks):
             step_round(state)
-            messages.append(state.pending)
     rows = [row for r in range(state.round_index) for row in trace_rows(state, r)]
-    return state, rows, messages
+    return state, rows, list(state.trace.kinds[: state.round_index])
 
 
 def first_round(ids, samples, desired, thresholds, sizes=None):
@@ -89,32 +86,9 @@ def first_round(ids, samples, desired, thresholds, sizes=None):
     return new_protocol_state(ids, samples[:, None], desired[:, None], thresholds, sizes)
 
 
-def one_round(state):
-    """Step a state through its next round."""
-    with errstate():
-        return step_round(state)
-
-
-def queue(state, kind, row, payload):
-    """Append one message to the state's queue of undelivered mail; ``row``
-    is the engine row of its client end (the sender of a NODE_WEIGHT, else
-    the receiver)."""
-    state.pending = Mail(
-        kind=np.append(state.pending.kind, KIND_BITS[kind]).astype(np.uint8),
-        row=np.append(state.pending.row, row),
-        payload=np.vstack([state.pending.payload, payload]),
-    )
-
-
-def clear_mail(state):
-    """Drop the state's undelivered mail, the initial queries included."""
-    mail = state.pending
-    state.pending = Mail(kind=mail.kind[:0], row=mail.row[:0], payload=mail.payload[:0])
-
-
-def queued(state, mail, kind):
-    """Node ids of the client ends of the queued messages of one kind."""
-    return [state.node_ids[k] for k in mail.row[mail.kind == KIND_BITS[kind]].tolist()]
+def queued(state, kinds, kind):
+    """Node ids of the rows whose round kind mask ``kinds`` has one kind."""
+    return [state.node_ids[k] for k in np.flatnonzero(kinds & KIND_BITS[kind]).tolist()]
 
 
 def stacked(blocks):
@@ -230,9 +204,8 @@ def test_client_update_convergence_on_ar1_stream():
 
 def test_step_round_huge_alpha_hands_off_everyone():
     layout, stream = make_stream(3, seed=1)
-    state, rows, messages = drive(layout, stream, Thresholds(alpha=1e9, beta=0.05), noise_seed=1)
-    first = messages[0]
-    handed = set(queued(state, first, MessageKind.GLOBAL_WEIGHT))
+    state, rows, kinds = drive(layout, stream, Thresholds(alpha=1e9, beta=0.05), noise_seed=1)
+    handed = set(queued(state, kinds[0], MessageKind.GLOBAL_WEIGHT))
     assert handed == set(layout.node_ids)
     round1 = [r for r in rows if r.round_index == 1]
     assert all(r.phase is Phase.CLIENT_ADAPTIVE for r in round1)
@@ -268,11 +241,11 @@ def test_mode_exclusivity_and_conservation():
 def test_message_causality():
     layout, stream = make_stream(120, seed=5)
     thresholds = Thresholds(alpha=0.5, beta=0.05)
-    state, rows, messages = drive(layout, stream, thresholds, noise_seed=5)
+    state, rows, kinds = drive(layout, stream, thresholds, noise_seed=5)
     by_round = {}
     for row in rows:
         by_round[(row.round_index, row.node_id)] = row
-    for r, batch in enumerate(messages):
+    for r, batch in enumerate(kinds):
         for receiver in queued(state, batch, MessageKind.GLOBAL_WEIGHT):
             row = by_round[(r, receiver)]
             assert row.error_glob is not None
@@ -307,56 +280,23 @@ def test_noiseless_predicting_never_reverts():
             assert not row.transmitted
 
 
-def test_protocol_violation_on_misdelivered_messages():
-    layout, stream = make_stream(3, seed=8)
-    ids = list(layout.node_ids)
-    u, d, thresholds = stream.blocks[:, 0], stream.desired[:, 0], Thresholds(0.5, 0.05)
-    state = first_round(ids, u, d, thresholds)
-    state.phase[0] = CLIENT_PREDICTING
-    state.client_weight[0] = initial_weight(stream.n)
-    state.received_global[0] = initial_weight(stream.n)
-    clear_mail(state)
-    queue(state, MessageKind.GLOBAL_WEIGHT, 0, initial_weight(stream.n))
-    with pytest.raises(ProtocolViolation) as err:
-        one_round(state)
-    assert str(err.value) == "GLOBAL_WEIGHT to node 1 in CLIENT_PREDICTING"
-
-    state = first_round(ids, u, d, thresholds)
-    clear_mail(state)
-    queue(state, MessageKind.NODE_WEIGHT, 0, initial_weight(stream.n))
-    with pytest.raises(ProtocolViolation) as err:
-        one_round(state)
-    assert str(err.value) == "NODE_WEIGHT from node 1 in RAW_TRANSMIT"
-
-
-def test_misdelivered_message_names_the_node_not_the_row():
-    # Two points over ids (4, 7, 9): row 4 is node 7 of the second point,
-    # and row 5 its node 9.
-    n = 3
-    ids = [4, 7, 9, 4, 7, 9]
-    rng = np.random.default_rng(14)
-    samples, desired = rng.normal(size=(6, n)), rng.normal(size=6)
-    thresholds = [Thresholds(0.5, 0.05)] * 2
-    state = first_round(ids, samples, desired, thresholds, sizes=[3, 3])
-    state.phase[4] = CLIENT_PREDICTING
-    state.pending = Mail(
-        kind=np.array([KIND_BITS[MessageKind.GLOBAL_WEIGHT]], dtype=np.uint8),
-        row=np.array([4]),
-        payload=initial_weight(n)[None],
-    )
-    with pytest.raises(ProtocolViolation) as err:
-        one_round(state)
-    assert str(err.value) == "GLOBAL_WEIGHT to node 7 in CLIENT_PREDICTING"
-
-    state = first_round(ids, samples, desired, thresholds, sizes=[3, 3])
-    state.pending = Mail(
-        kind=np.array([KIND_BITS[MessageKind.NODE_WEIGHT]], dtype=np.uint8),
-        row=np.array([5]),
-        payload=initial_weight(n)[None],
-    )
-    with pytest.raises(ProtocolViolation) as err:
-        one_round(state)
-    assert str(err.value) == "NODE_WEIGHT from node 9 in RAW_TRANSMIT"
+@pytest.mark.parametrize("sizes", [None, [2, 2]])
+def test_node_ids_must_ascend_within_a_point(sizes):
+    # Row k's blocks are node ids[k]'s: ids out of order would label one
+    # node's samples as another's, so they are refused, not sorted.
+    ids = [1, 2, 4, 3] if sizes else [2, 1]
+    samples = np.arange(len(ids), dtype=float)[:, None] * np.ones(3)
+    with pytest.raises(ValueError) as err:
+        first_round(ids, samples, np.zeros(len(ids)), Thresholds(), sizes)
+    point = 1 if sizes else 0
+    assert str(err.value) == f"point {point}: node ids {ids[-2:]} do not strictly ascend"
+    with pytest.raises(ValueError, match=r"point 0: node ids \[3, 3\] do not strictly ascend"):
+        first_round([3, 3], samples[:2], np.zeros(2), Thresholds())
+    # Points may share ids.
+    ids = [1, 2, 1, 2] if sizes else [1, 2]
+    state = first_round(ids, samples, np.zeros(len(ids)), Thresholds(), sizes)
+    assert state.node_ids == tuple(ids)
+    assert state.blocks[:, 0, 0].tolist() == samples[:, 0].tolist()
 
 
 def test_step_round_requires_block_per_node():
@@ -438,7 +378,7 @@ def test_thresholds_validation():
         Thresholds(alpha=0.0, beta=0.1)
     with pytest.raises(ValueError):
         Thresholds(alpha=0.5, beta=-0.1)
-    Thresholds(alpha=0.5, beta=0.0)  # degenerate always-transmit config is legal
+    Thresholds(alpha=0.5, beta=0.0)  # beta 0 is legal
 
 
 def test_explicit_mu_bypasses_auto_rule():
@@ -514,7 +454,7 @@ def bit_set(kinds, kind):
 @settings(max_examples=60, deadline=None)
 @given(engine_runs())
 def test_step_round_properties(case):
-    """Message delivery, the silence of predicting rows, the alpha/beta
+    """What the weight messages set, the silence of predicting rows, the alpha/beta
     conditions of the weight messages and the count of sent blocks, over
     random multi-point runs of linear data with noise."""
     sizes, n, rounds, thresholds, noise_level, seed = case
@@ -534,28 +474,23 @@ def test_step_round_properties(case):
     alpha, beta = np.array([(t.alpha, t.beta) for t in thresholds]).T[:, state.point]
     trace = state.trace
     suppressed = np.zeros(m, dtype=np.int64)
-    mail = None
     for r in range(rounds):
         with errstate():
             result = step_round(state)
         start, kinds = trace.phase[r], trace.kinds[r]
-        # The returned view is the trace row and the queued mail.
+        # The returned view is the trace row.
         assert list(result.rows) == trace_rows(state, r)
-        assert result.messages is state.pending
 
-        # The previous round's weight messages are delivered in this one.
-        if mail is not None:
-            handed = mail.kind == KIND_BITS[MessageKind.GLOBAL_WEIGHT]
-            assert np.all(start[mail.row[handed]] == CLIENT_ADAPTIVE)
-            assert np.array_equal(state.received_global[mail.row[handed]], mail.payload[handed])
-            assert np.all(start[mail.row[~handed]] == CLIENT_PREDICTING)
+        # A round's weight messages take effect by its end: a row sent the
+        # global weight adapts from it, a row that sent its own predicts.
         node_weight = bit_set(kinds, MessageKind.NODE_WEIGHT)
         global_weight = bit_set(kinds, MessageKind.GLOBAL_WEIGHT)
-        mail = state.pending
-        # Mail names the silenced rows, then the handed-off rows.
-        assert np.array_equal(
-            mail.row, np.concatenate([np.flatnonzero(node_weight), np.flatnonzero(global_weight)])
-        )
+        handed = np.flatnonzero(global_weight)
+        assert np.all(state.phase[handed] == CLIENT_ADAPTIVE)
+        sent_weight = state.global_weight[state.point[handed]]
+        assert np.array_equal(state.client_weight[handed], sent_weight)
+        assert np.array_equal(state.received_global[handed], sent_weight)
+        assert np.all(state.phase[node_weight] == CLIENT_PREDICTING)
 
         # No data block from a row that started the round predicting.
         data = bit_set(kinds, MessageKind.DATA_BLOCK)
@@ -602,9 +537,7 @@ def test_client_update_log_matches_a_replay(points):
         with errstate():
             step_round(state)
 
-    expected = replay_client_updates(
-        step, state, stream.num_blocks, CLIENT_ADAPTIVE, KIND_BITS[MessageKind.GLOBAL_WEIGHT]
-    )
+    expected = replay_client_updates(step, state, stream.num_blocks, CLIENT_ADAPTIVE)
     for p in range(points):
         mine = [(r, k - p * m, w) for r, k, w in expected if p * m <= k < (p + 1) * m]
         rounds, rows, weights = state.trace.client_updates(state.rows(p))
