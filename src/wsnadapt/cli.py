@@ -18,7 +18,7 @@ import sys
 import tempfile
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import cache
-from itertools import count, repeat, takewhile
+from itertools import chain, count, repeat, takewhile
 from pathlib import Path
 from types import UnionType
 from typing import Iterable, Literal, Union, get_args, get_origin, get_type_hints
@@ -267,13 +267,19 @@ def parse_config(path, seed: int | None = None) -> ParsedConfig:
 def _write_atomic(out_dir: Path, files: dict[str, Iterable[bytes]]) -> None:
     """Write each named file's parts to a temp file in ``out_dir`` and rename
     the temp files into place only once all of them are complete; a failed
-    write removes them and leaves every existing file as it was."""
+    write, or a part that raises as it is made, removes them and leaves
+    every existing file as it was.  Parts are written as they are made.
+    Each file gets the mode ``open`` would give it, ``0o666`` less the
+    umask, in place of a temp file's owner-only mode."""
+    umask = os.umask(0)
+    os.umask(umask)
     temps: list[str] = []
     try:
         for name, parts in files.items():
             fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.", suffix=".tmp")
             temps.append(tmp)
             with os.fdopen(fd, "wb") as handle:
+                os.chmod(tmp, 0o666 & ~umask)
                 handle.writelines(parts)
         for tmp, name in zip(temps, files):
             os.replace(tmp, out_dir / name)
@@ -320,10 +326,11 @@ def _load_ingest(parsed: ParsedConfig) -> Stream | None:
 
 def _write_outputs(parsed: ParsedConfig, stream: Stream | None, out_dir: Path) -> None:
     """Run the experiment, then write its CSVs and the effective config; a
-    run that fails, or a file that cannot be written in full, changes no
-    file and leaves no directory that it made.  A known output file that
-    this run did not write is removed, so the directory never mixes two
-    runs."""
+    run that fails, or a file that cannot be encoded or written in full,
+    changes no file and leaves no directory that it made.  Each CSV is
+    encoded chunk by chunk as it is written, so the run holds one chunk of
+    its text at a time.  A known output file that this run did not write
+    is removed, so the directory never mixes two runs."""
     scenario = parsed.scenario
     if parsed.experiment == "ada":
         report = run_ada(scenario)
@@ -337,7 +344,7 @@ def _write_outputs(parsed: ParsedConfig, stream: Stream | None, out_dir: Path) -
     config = json.dumps(parsed.effective(), indent=2, sort_keys=True) + "\n"
     files = {"effective_config.json": [config.encode()]}
     for name, (header, body) in report_files(report).items():
-        files[name] = [(",".join(header) + "\n").encode(), *body.chunks]
+        files[name] = chain([(",".join(header) + "\n").encode()], body)
     # The directories the run makes, deepest first.
     made = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -579,26 +579,36 @@ def sweep(scenario: Scenario, axis: str, values: Sequence) -> RunReport:
 
 
 # A CSV file's data rows are built as bytes, one chunk of at most
-# CHUNK_ROWS rows at a time.  Each column lays its cells out as a uint8
-# matrix of byte slots, one row per cell, in which a slot the cell does not
-# use holds NUL.  The columns and separators are joined side by side, and
-# deleting every NUL from the chunk's bytes leaves its CSV text.  A cell's
-# slots are gathered whole from a small table of layouts and its digits
-# from a table of four-digit groups: writing one slot column of a
-# row-major matrix at a time costs a pass over the matrix per slot.
-CHUNK_ROWS = 65_536
+# CHUNK_ROWS rows at a time, each chunk only when the writer asks for it.
+# Each column lays its cells out as a uint8 matrix of byte slots, one row
+# per cell, in which a slot the cell does not use holds NUL.  The columns
+# and separators are joined side by side, and deleting every NUL from the
+# chunk's bytes leaves its CSV text.  A cell's slots are gathered whole
+# from a small table of layouts and its digits from a table of four-digit
+# groups: writing one slot column of a row-major matrix at a time costs a
+# pass over the matrix per slot.  A chunk of 8192 rows keeps its working
+# arrays in cache: it encodes no slower than larger chunks and holds less
+# while its file is written.
+CHUNK_ROWS = 8192
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CsvBody:
-    """A CSV file's data rows as bytes, in chunks of at most ``CHUNK_ROWS``
-    rows; its length is its number of rows."""
+    """A table's CSV data rows; its length is its number of rows.
 
-    chunks: tuple[bytes, ...]
-    rows: int
+    Iterating it encodes the rows one chunk of at most ``CHUNK_ROWS`` rows
+    at a time and yields each chunk's bytes, so a writer that consumes the
+    chunks as they come holds one chunk's text at a time.
+    """
+
+    table: Table
 
     def __len__(self) -> int:
-        return self.rows
+        return len(self.table)
+
+    def __iter__(self) -> Iterator[bytes]:
+        for start in range(0, len(self.table), CHUNK_ROWS):
+            yield _chunk_bytes(self.table, slice(start, start + CHUNK_ROWS))
 
 
 def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
@@ -770,18 +780,11 @@ def _chunk_bytes(table: Table, rows: slice) -> bytes:
 
 
 def report_files(report: RunReport) -> dict[str, tuple[tuple[str, ...], CsvBody]]:
-    """Map a report to its CSV files: name -> (header, data rows as bytes).
+    """Map a report to its CSV files: name -> (header, data rows).
 
+    No row is encoded here: each body encodes its rows as it is iterated.
     A float cell is exactly ``format(v, ".9g")``, an integer its plain
     digits, a string its bytes, and an absent cell is empty, so repeated
     runs are byte-comparable.
     """
-    out = {}
-    for name, table in report.files.items():
-        n = len(table)
-        chunks = tuple(
-            _chunk_bytes(table, slice(start, start + CHUNK_ROWS))
-            for start in range(0, n, CHUNK_ROWS)
-        )
-        out[name] = (table.header, CsvBody(chunks, n))
-    return out
+    return {name: (table.header, CsvBody(table)) for name, table in report.files.items()}

@@ -2,18 +2,30 @@ import ast
 import errno
 import json
 import os
+import stat
 import tempfile
+import tracemalloc
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wsnadapt
-from wsnadapt import errors
-from wsnadapt.cli import main, parse_config
+from wsnadapt import errors, sim
+from wsnadapt.cli import _write_atomic, main, parse_config
 from wsnadapt.errors import InvalidParameter, SchemaError
 from wsnadapt.fieldgen import FieldParams, NodeLayout
-from wsnadapt.sim import MaliciousSpec, Scenario, default_scenario, scenario_to_dict
+from wsnadapt.sim import (
+    MaliciousSpec,
+    RunReport,
+    Scenario,
+    Table,
+    default_scenario,
+    report_files,
+    scenario_to_dict,
+)
 from wsnadapt.stdp import Thresholds
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -248,6 +260,66 @@ def test_write_that_fails_removes_the_directories_it_made(tmp_path, capsys, monk
     assert capsys.readouterr().err == "run error: [Errno 28] No space left on device\n"
     assert not (tmp_path / "fresh").exists()
     assert tmp_path.is_dir()
+
+
+def test_encode_that_fails_part_way_keeps_the_previous_run(tmp_path, capsys, monkeypatch):
+    # Rows are encoded while the files are written, so an encode error
+    # arrives after some temp files exist.
+    out = tmp_path / "out"
+    first = write_config(tmp_path, {"experiment": "stdp", "num_blocks": 30, "seed": 1})
+    assert main(["run", "--config", str(first), "--out", str(out)]) == 0
+    before = read_dir(out)
+    chunk_bytes = sim._chunk_bytes
+    calls, staged = [], []
+
+    def second_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            staged.append({p.name.split(".")[1] for p in target.glob(".*.tmp")})
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return chunk_bytes(*args)
+
+    monkeypatch.setattr(sim, "_chunk_bytes", second_fails)
+    fresh = tmp_path / "fresh" / "out"
+    for target in (out, fresh):
+        calls.clear()
+        assert main(["run", "--config", str(first), "--seed", "2", "--out", str(target)]) == 2
+        assert len(calls) == 2 and "effective_config" in staged[-1]
+        assert capsys.readouterr().err == "run error: [Errno 28] No space left on device\n"
+    assert read_dir(out) == before
+    assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+    assert not (tmp_path / "fresh").exists()
+
+
+def test_written_files_take_their_mode_from_the_umask(tmp_path):
+    config = write_config(tmp_path, {"experiment": "stdp", "num_blocks": 30})
+    modes = {}
+    old = os.umask(0o022)
+    try:
+        for umask in (0o022, 0o077):
+            os.umask(umask)
+            out = tmp_path / f"out_{umask:o}"
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            modes[umask] = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    finally:
+        os.umask(old)
+    assert len(modes[0o022]) == 4 and modes[0o022].keys() == modes[0o077].keys()
+    assert set(modes[0o022].values()) == {0o644}
+    assert set(modes[0o077].values()) == {0o600}
+
+
+def test_writing_a_report_holds_about_one_chunk(tmp_path):
+    k = np.arange(32 * sim.CHUNK_ROWS)
+    report = RunReport({"t.csv": Table(("k", "x"), (k, np.sin(k) * 1e3))}, {})
+    tracemalloc.start()
+    try:
+        files = {name: chain([b"k,x\n"], body) for name, (_, body) in report_files(report).items()}
+        _write_atomic(tmp_path, files)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = (tmp_path / "t.csv").stat().st_size
+    assert peak < written / 2, (peak, written)
 
 
 def test_sweep_command_requires_sweep_config(tmp_path, capsys):

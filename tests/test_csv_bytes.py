@@ -29,7 +29,7 @@ def csv_bytes(*columns, absent=None) -> bytes:
     table = Table(header, columns, absent=absent or {})
     ((_, body),) = report_files(RunReport({"t.csv": table}, {})).values()
     assert len(body) == len(table)
-    return b"".join(body.chunks)
+    return b"".join(body)
 
 
 def expected(values, text=lambda v: format(v, ".9g")) -> bytes:
@@ -160,8 +160,9 @@ def test_rows_split_into_chunks_join_to_the_same_bytes(monkeypatch):
     monkeypatch.setattr(sim, "CHUNK_ROWS", 5)
     table = Table(("x", "id"), (x, ids))
     ((_, body),) = report_files(RunReport({"t.csv": table}, {})).values()
-    assert [chunk.count(b"\n") for chunk in body.chunks] == [5, 5, 5, 5, 3]
-    assert len(body) == 23 and b"".join(body.chunks) == whole
+    chunks = list(body)
+    assert [chunk.count(b"\n") for chunk in chunks] == [5, 5, 5, 5, 3]
+    assert len(body) == 23 and b"".join(chunks) == whole
 
 
 def test_coded_cells_print_their_names(monkeypatch):
@@ -173,14 +174,15 @@ def test_coded_cells_print_their_names(monkeypatch):
     assert list(table) == list(zip(range(7), text)) and table[2] == (2, "A;B")
     whole = b"0,RAW\n1,\n2,A;B\n3,\n4,RAW\n5,CLIENT_PREDICTING\n6,\n"
     ((_, body),) = report_files(RunReport({"t.csv": table}, {})).values()
-    assert b"".join(body.chunks) == whole
+    assert b"".join(body) == whole
     # A chunk's slots are as wide as the longest name it uses.
     monkeypatch.setattr(sim, "CHUNK_ROWS", 2)
     assert [sim._label_cells(codes[k : k + 2], names).shape[1] for k in range(0, 7, 2)] == [
         3, 3, 17, 1
     ]
     ((_, body),) = report_files(RunReport({"t.csv": table}, {})).values()
-    assert len(body.chunks) == 4 and b"".join(body.chunks) == whole
+    chunks = list(body)
+    assert len(chunks) == 4 and b"".join(chunks) == whole
 
 
 REPORTS = {
@@ -204,7 +206,7 @@ def test_every_table_row_is_one_body_row(kind):
     for name, (header, body) in files.items():
         table = report.files[name]
         assert header == table.header
-        text = b"".join(body.chunks).decode()
+        text = b"".join(body).decode()
         lines = text.splitlines()
         assert len(body) == len(table) == len(lines) == text.count("\n")
         assert lines[0].split(",") == [
