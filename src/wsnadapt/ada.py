@@ -100,7 +100,7 @@ def steepest_descent(
         raise StepSizeOutOfRange(f"mu={mu:.6g} outside (0, {bound:.6g}]")
     w = np.zeros(cov.order) if w0 is None else as_vector(w0).copy()
     if w.size != cov.order:
-        raise StepSizeOutOfRange(f"w0 has length {w.size}, expected {cov.order}")
+        raise DimensionMismatch(f"w0 has length {w.size}, expected {cov.order}")
 
     # One Ruu @ w per iterate serves both J(w) and the residual of the next step.
     errs = []

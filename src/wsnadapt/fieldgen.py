@@ -192,6 +192,9 @@ class NodeLayout:
             raise InvalidParameter(
                 "layout/node_ids", f"ids must be >= 1 (0 is the sink's), got {min(ids)}"
             )
+        # The engine, the channel keys and the CSV tables hold ids as int64.
+        if max(ids) > 2**63 - 1:
+            raise InvalidParameter("layout/node_ids", f"ids must be <= 2**63 - 1, got {max(ids)}")
         if len(set(ids)) != len(ids):
             repeated = sorted({i for i in ids if ids.count(i) > 1})
             raise InvalidParameter("layout/node_ids", f"ids {repeated} occur more than once")

@@ -136,11 +136,10 @@ class Table:
 
     Every column is a numpy array: floats (printed as ``format(v, ".9g")``),
     integers (printed as their digits) or fixed-width byte strings (printed
-    as they are, read back as str).  ``absent`` maps a column index to a
-    boolean mask of the cells that hold no value: they print empty and read
-    back as None.  ``labels`` maps a column index to the byte-string names
-    of its integer codes: a coded cell prints, and reads back, as
-    ``labels[c][code]``.  Iterating a table yields its rows.
+    as they are).  ``absent`` maps a column index to a boolean mask of the
+    cells that hold no value: they print empty.  ``labels`` maps a column
+    index to the byte-string names of its integer codes: a coded cell
+    prints as ``labels[c][code]``.
     """
 
     header: tuple[str, ...]
@@ -150,32 +149,6 @@ class Table:
 
     def __len__(self) -> int:
         return len(self.columns[0])
-
-    def __iter__(self):
-        cells = []
-        for c, column in enumerate(self.columns):
-            if c in self.labels:
-                column = self.labels[c][column]
-            values = (column.astype(str) if column.dtype.kind == "S" else column).tolist()
-            for k in np.flatnonzero(self.absent.get(c, ())):
-                values[k] = None
-            cells.append(values)
-        return zip(*cells)
-
-    def __getitem__(self, index: int) -> tuple:
-        """Row ``index``, read from each column directly."""
-        return tuple(
-            None if c in self.absent and self.absent[c][index]
-            else self.labels[c][column[index]].decode() if c in self.labels
-            else column[index].decode() if column.dtype.kind == "S"
-            else column[index].item()
-            for c, column in enumerate(self.columns)
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Table) and self.header == other.header and list(self) == list(other)
-        )
 
 
 @dataclass(frozen=True)
@@ -190,13 +163,14 @@ class RunReport:
         for name, table in self.files.items():
             if not len(table):
                 raise ValueError(f"series {name} is empty")
-            for column in table.columns:
+            for heading, column in zip(table.header, table.columns):
                 if column.dtype.kind == "f":
                     bad = np.flatnonzero(~np.isfinite(column))
                     if bad.size:
                         row = bad[0]
                         raise ValueError(
-                            f"non-finite value in series {name}, row {row}: {table[row]}"
+                            f"non-finite value in series {name}, row {row}, "
+                            f"column {heading}: {column[row]}"
                         )
 
 

@@ -177,9 +177,6 @@ class Trace:
             error_new=np.zeros(shape),
         )
 
-    def __len__(self) -> int:
-        return len(self.phase)
-
     def client_updates(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The logged updates of rows ``rows.start:rows.stop`` as (round,
         row, weight) columns, rows counted from ``rows.start``, grouped by
@@ -329,8 +326,8 @@ def errstate() -> np.errstate:
     return np.errstate(over="ignore", invalid="ignore")
 
 
-# The arithmetic kernels.  The checked public functions below and the
-# engine, whose inputs are checked once per run, share them.
+# The arithmetic kernels of a round.  They check nothing: the engine checks
+# its inputs once per run, in ``new_protocol_state``.
 
 
 def _sweep(w: np.ndarray, u: np.ndarray, d: np.ndarray, mu) -> np.ndarray:
@@ -348,51 +345,6 @@ def _client_step(w: np.ndarray, u: np.ndarray, d_new, mu) -> np.ndarray:
     """w + (mu u) (d_new - u.w), row by row; ``mu`` is a scalar or a
     column of one step size per row."""
     return w + (mu * u) * (d_new - np.vecdot(u, w))[..., None]
-
-
-def _check_pair(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if u.shape != w.shape or u.ndim not in (1, 2):
-        raise DimensionMismatch(f"shapes {u.shape} and {w.shape} do not agree")
-    return u, w
-
-
-def global_lms_update(
-    w_prev: np.ndarray, samples: np.ndarray, desired: np.ndarray, mu: float
-) -> np.ndarray:
-    """One simultaneous sweep w + mu * sum_i u_i^T (d_i - u_i w).
-
-    ``samples`` holds one block u_i per row and ``desired`` the matching
-    d_i; the terms are added in row order, starting from zero.
-    """
-    w_prev = np.asarray(w_prev, dtype=float)
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    desired = np.asarray(desired, dtype=float)
-    if samples.shape[1] != w_prev.size or desired.shape != (samples.shape[0],):
-        raise DimensionMismatch(
-            f"blocks {samples.shape} and desired {desired.shape} do not fit a "
-            f"{w_prev.size}-tap weight"
-        )
-    return _sweep(w_prev, samples, desired, mu)
-
-
-def client_desired(u: np.ndarray, w_glob: np.ndarray, noise) -> np.ndarray:
-    """Client-side desired scalar u @ w_glob + noise (noise drawn by caller).
-
-    ``u`` and ``w_glob`` are one vector each, or one per row.
-    """
-    u, w_glob = _check_pair(u, w_glob)
-    return _desired(u, w_glob, noise)
-
-
-def client_update(w_prev: np.ndarray, u: np.ndarray, d_new, mu) -> np.ndarray:
-    """Single-datum LMS step w + mu * u^T (d_new - u w), for one vector or
-    for every row of stacked vectors; ``mu`` is one step size or one per
-    row."""
-    u, w_prev = _check_pair(u, w_prev)
-    mu = np.asarray(mu, dtype=float)[..., None]
-    return _client_step(w_prev, u, np.asarray(d_new, dtype=float), mu)
 
 
 def new_protocol_state(

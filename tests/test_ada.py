@@ -65,6 +65,11 @@ def test_descent_rejects_large_mu():
         steepest_descent(cov, mu=-0.1)
 
 
+def test_descent_rejects_a_start_of_the_wrong_length(default_cov):
+    with pytest.raises(DimensionMismatch, match="w0 has length 3, expected 10"):
+        steepest_descent(default_cov, w0=[0.0] * 3)
+
+
 def test_descent_matches_direct_solve(default_cov):
     trace = steepest_descent(default_cov, tol=1e-12)
     w_star = optimal_weight(default_cov)

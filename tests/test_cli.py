@@ -712,6 +712,20 @@ def two_node_layout(node_ids):
     return {"positions": [[1.0, 1.0], [3.0, 3.0]], "sink": [2.0, 2.0], "node_ids": node_ids}
 
 
+def test_the_largest_int64_id_runs_with_the_channel(tmp_path, capsys):
+    doc = {
+        "experiment": "stdp",
+        "num_blocks": 10,
+        "channel": 30.0,
+        "layout": two_node_layout([1, 2**63 - 1]),
+    }
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "stdp_transmission.csv").read_text().splitlines()
+    assert rows[-1].startswith("0.05,9223372036854775807,")
+
+
 @pytest.mark.parametrize(
     "doc, flags, message",
     [
@@ -785,6 +799,11 @@ def two_node_layout(node_ids):
             [],
             "/layout/node_ids: ids must be >= 1 (0 is the sink's), got 0",
         ),
+        (
+            {"experiment": "stdp", "layout": two_node_layout([1, 2**63])},
+            [],
+            "/layout/node_ids: ids must be <= 2**63 - 1, got 9223372036854775808",
+        ),
         ({"experiment": "stdp"}, ["--seed", "-1"], "/seed: must be >= 0, got -1"),
         ({"experiment": "stdp", "n_block": 5.0}, [], "/n_block: 5.0 is not of type 'integer'"),
         (
@@ -815,6 +834,7 @@ def two_node_layout(node_ids):
         "positions_and_ids_differ",
         "duplicate_ids",
         "id_zero",
+        "id_above_int64",
         "negative_seed_flag",
         "integral_float_n_block",
         "duplicate_malicious_ids",

@@ -43,8 +43,8 @@ def test_run_ada_single_node_at_sink():
     layout = NodeLayout(positions=((2.0, 2.0),), sink=(2.0, 2.0), node_ids=(1,))
     scenario = Scenario(layout=layout, select_count=1)
     report = run_ada(scenario)
-    assert report.files["ada_iterations.csv"][-1][1] == pytest.approx(1.0, abs=1e-8)
-    assert report.files["ada_nodes.csv"][-1][1] == pytest.approx(1.0, abs=1e-12)
+    assert report.files["ada_iterations.csv"].columns[1][-1] == pytest.approx(1.0, abs=1e-8)
+    assert report.files["ada_nodes.csv"].columns[1][-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_ada_matches_direct_solve(default_scenario, default_cov):
@@ -55,14 +55,14 @@ def test_run_ada_matches_direct_solve(default_scenario, default_cov):
         - 2.0 * default_cov.rdu @ w_star
         + w_star @ default_cov.ruu @ w_star
     ) / default_cov.sigma_d_sq
-    assert report.files["ada_iterations.csv"][-1][1] == pytest.approx(best, abs=1e-8)
+    assert report.files["ada_iterations.csv"].columns[1][-1] == pytest.approx(best, abs=1e-8)
     assert report.metadata["converged"]
 
 
 def test_run_ada_curve_non_decreasing(default_scenario):
     report = run_ada(default_scenario)
-    accs = [row[1] for row in report.files["ada_nodes.csv"]]
-    assert all(accs[k + 1] >= accs[k] - 1e-12 for k in range(len(accs) - 1))
+    accs = report.files["ada_nodes.csv"].columns[1]
+    assert np.all(np.diff(accs) >= -1e-12)
 
 
 def test_run_ada_builds_the_covariance_once(default_scenario, monkeypatch):
@@ -102,9 +102,9 @@ def test_channel_run_derives_keys_without_a_seed_sequence_per_block(monkeypatch)
 
 def test_run_stdp_beta_zero_and_huge(default_scenario):
     full = run_stdp(small_scenario(thresholds=Thresholds(0.5, 0.0)))
-    assert all(pct == 100.0 for _, _, pct in full.files["stdp_transmission.csv"])
+    assert np.all(full.files["stdp_transmission.csv"].columns[2] == 100.0)
     floor = run_stdp(small_scenario(thresholds=Thresholds(1e9, 1e9)))
-    assert all(pct == pytest.approx(100.0 / 40) for _, _, pct in floor.files["stdp_transmission.csv"])
+    assert floor.files["stdp_transmission.csv"].columns[2] == pytest.approx(100.0 / 40)
 
 
 def test_run_stdp_beta_zero_without_client_noise_sends_one_block_per_node():
@@ -117,22 +117,21 @@ def test_run_stdp_beta_zero_without_client_noise_sends_one_block_per_node():
         field=replace(default.field, noise_var=0.0), thresholds=Thresholds(0.5, 0.0)
     )
     report = run_stdp(scenario)
-    assert [pct for _, _, pct in report.files["stdp_transmission.csv"]] == [0.5] * 10
+    assert report.files["stdp_transmission.csv"].columns[2].tolist() == [0.5] * 10
     assert report.metadata["total_percentage"] == 0.5
 
 
 def test_run_stdp_reports_are_reproducible():
     a = run_stdp(small_scenario())
     b = run_stdp(small_scenario())
-    assert a.files == b.files
+    assert csv_files(a) == csv_files(b)
     assert a.metadata == b.metadata
 
 
 def test_run_stdp_select_first_restricts_nodes():
     report = run_stdp(small_scenario(select_first=True, select_count=6))
     assert report.metadata["active_nodes"] == [2, 4, 5, 7, 9, 10]
-    nodes = {node_id for _, node_id, _ in report.files["stdp_transmission.csv"]}
-    assert nodes == {2, 4, 5, 7, 9, 10}
+    assert report.files["stdp_transmission.csv"].columns[1].tolist() == [2, 4, 5, 7, 9, 10]
 
 
 def test_run_detect_requires_malicious(default_scenario):
@@ -144,56 +143,51 @@ def test_run_detect_flags_the_corrupted_nodes():
     scenario = default_scenario(malicious=MaliciousSpec(node_ids=(5, 9), scale=6.0))
     report = run_detect(scenario)
     assert report.metadata["flagged"] == [5, 9]
-    labels = {node_id: label for node_id, _, _, label in report.files["detection.csv"]}
-    assert labels[5] == "Malicious" and labels[9] == "Malicious"
-    assert sum(lab == "Malicious" for lab in labels.values()) == 2
+    node_id, _, _, label = report.files["detection.csv"].columns
+    assert node_id[label == b"Malicious"].tolist() == [5, 9]
 
 
 def test_run_detect_near_normal_scale_well_formed():
     scenario = small_scenario(malicious=MaliciousSpec(node_ids=(5, 9), scale=1.0001))
     report = run_detect(scenario)  # no label guarantee, only shape
     assert len(report.files["detection.csv"]) == 10
-    for _, variance, threshold, label in report.files["detection.csv"]:
-        assert np.isfinite(variance) and np.isfinite(threshold)
-        assert label in ("Normal", "Malicious")
+    _, variance, threshold, label = report.files["detection.csv"].columns
+    assert np.isfinite(variance).all() and np.isfinite(threshold).all()
+    assert set(label.tolist()) <= {b"Normal", b"Malicious"}
 
 
 def test_sweep_single_value_equals_single_run():
     scenario = small_scenario()
     merged = sweep(scenario, "beta", [0.1])
     single = run_stdp(scenario_for_point(scenario, "beta", 0.1))
-    assert merged.files["stdp_transmission.csv"] == single.files["stdp_transmission.csv"]
+    assert csv_files(merged)["stdp_transmission.csv"] == csv_files(single)["stdp_transmission.csv"]
     assert merged.metadata["points"][0]["config_sha1"] == single.metadata["config_sha1"]
 
 
 def test_sweep_beta_monotone_and_point_reproducible(default_scenario):
     values = [0.05, 0.1, 0.2, 0.4]
     merged = sweep(default_scenario, "beta", values)
-    per_node = {}
-    for beta, node_id, pct in merged.files["stdp_transmission.csv"]:
-        per_node.setdefault(node_id, {})[beta] = pct
-    for node_id, curve in per_node.items():
-        series = [curve[beta] for beta in values]
-        assert all(series[k + 1] <= series[k] for k in range(len(values) - 1))
+    beta_col, node_col, pct = merged.files["stdp_transmission.csv"].columns
+    curves = [pct[beta_col == beta] for beta in values]
+    assert all(np.all(later <= earlier) for earlier, later in zip(curves, curves[1:]))
     # every point is reproducible by running its scenario directly
     direct = run_stdp(scenario_for_point(default_scenario, "beta", 0.2))
-    assert [r for r in merged.files["stdp_transmission.csv"] if r[0] == 0.2] == [
-        (0.2, node_id, pct) for _, node_id, pct in direct.files["stdp_transmission.csv"]
-    ]
+    _, direct_nodes, direct_pct = direct.files["stdp_transmission.csv"].columns
+    at = beta_col == 0.2
+    assert np.array_equal(node_col[at], direct_nodes) and np.array_equal(pct[at], direct_pct)
 
 
 def test_sweep_block_size_default_config():
     merged = sweep(default_scenario(), "n_block", [4, 5])
-    totals = dict(merged.files["sweep_totals.csv"])
-    assert totals[4] <= totals[5]
+    n_block, total = merged.files["sweep_totals.csv"].columns
+    assert n_block.tolist() == [4, 5] and total[0] <= total[1]
 
 
 def test_sweep_node_count_axis():
     merged = sweep(small_scenario(), "node_count", [3, 6])
-    nodes_at_3 = {n for v, n, _ in merged.files["sweep_transmission.csv"] if v == 3}
-    nodes_at_6 = {n for v, n, _ in merged.files["sweep_transmission.csv"] if v == 6}
-    assert nodes_at_3 == {2, 4, 5}
-    assert nodes_at_6 == {2, 4, 5, 7, 9, 10}
+    value, node_id, _ = merged.files["sweep_transmission.csv"].columns
+    assert node_id[value == 3].tolist() == [2, 4, 5]
+    assert node_id[value == 6].tolist() == [2, 4, 5, 7, 9, 10]
     assert len(merged.metadata["points"]) == 2
 
 
@@ -330,11 +324,11 @@ def test_report_absent_cells_are_masked_not_nan():
     absent = np.array([False, True, False])
     table = Table(("round", "error"), (np.arange(3), errors), absent={1: absent})
     report = RunReport(files={"trace": table}, metadata={})
-    assert list(report.files["trace"]) == [(0, 0.5), (1, None), (2, 0.25)]
-    assert table != Table(("round", "value"), (np.arange(3), errors), absent={1: absent})
-    errors[2] = np.inf  # a real non-finite value still fails, naming series and row
-    with pytest.raises(ValueError, match="series trace, row 2"):
+    assert csv_files(report) == {"trace": (("round", "error"), b"0,0.5\n1,\n2,0.25\n")}
+    errors[2] = np.inf  # a real non-finite value still fails, naming series, row and column
+    with pytest.raises(ValueError) as err:
         RunReport(files={"trace": table}, metadata={})
+    assert str(err.value) == "non-finite value in series trace, row 2, column error: inf"
 
 
 def test_config_hash_stable_and_sensitive(default_scenario):

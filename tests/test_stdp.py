@@ -24,10 +24,9 @@ from wsnadapt.stdp import (
     Phase,
     Thresholds,
     TraceRow,
-    client_desired,
-    client_update,
+    _client_step,
+    _desired,
     errstate,
-    global_lms_update,
     initial_weight,
     kinds_of,
     new_protocol_state,
@@ -91,9 +90,18 @@ def queued(state, kinds, kind):
     return [state.node_ids[k] for k in np.flatnonzero(kinds & KIND_BITS[kind]).tolist()]
 
 
-def stacked(blocks):
-    """(u, d) pairs as a block matrix and a desired vector."""
-    return np.array([u for u, _ in blocks]), np.array([d for _, d in blocks])
+def one_round_sweep(w_prev, samples, desired, mu):
+    """The global weight after one all-raw round of a one-point engine that
+    starts from ``w_prev``, with ``samples[i]`` and ``desired[i]`` node
+    i's block and desired value and an explicit step size ``mu``."""
+    ids = range(1, len(samples) + 1)
+    state = new_protocol_state(
+        ids, np.asarray(samples)[:, None], np.asarray(desired)[:, None], Thresholds(), mu=mu
+    )
+    state.global_weight[0] = w_prev
+    with errstate():
+        step_round(state)
+    return state.global_weight[0]
 
 
 def test_initial_weight_values_and_norm():
@@ -104,80 +112,63 @@ def test_initial_weight_values_and_norm():
 
 
 def test_global_lms_single_term():
-    w = global_lms_update([0.0, 0.0], [[1.0, 0.0]], [1.0], mu=0.5)
+    w = one_round_sweep([0.0, 0.0], [[1.0, 0.0]], [1.0], mu=0.5)
     assert np.array_equal(w, [0.5, 0.0])
 
 
 def test_global_updates_fixed_point():
     rng = np.random.default_rng(2)
     w = rng.normal(size=4)
-    blocks = []
-    for _ in range(6):
-        u = rng.normal(size=4)
-        blocks.append((u, float(u @ w)))  # zero innovation
-    assert np.allclose(global_lms_update(w, *stacked(blocks), 0.3), w, atol=1e-14)
-    assert np.allclose(global_ia_update(w, blocks, 0.3), w, atol=1e-12)
+    u = rng.normal(size=(6, 4))
+    d = u @ w  # zero innovation
+    assert np.allclose(one_round_sweep(w, u, d, 0.3), w, atol=1e-14)
+    assert np.allclose(global_ia_update(w, list(zip(u, d)), 0.3), w, atol=1e-12)
 
 
 def test_global_lms_matches_term_by_term_oracle():
     rng = np.random.default_rng(3)
     w_prev = rng.normal(size=5)
-    blocks = [(rng.normal(size=5), float(rng.normal())) for _ in range(6)]
+    u = rng.normal(size=(6, 5))
+    d = rng.normal(size=6)
     mu = 0.07
-    expected = w_prev.copy()
     acc = np.zeros(5)
-    for u, d in blocks:
-        acc = acc + u * (d - float(u @ w_prev))
+    for u_i, d_i in zip(u, d):
+        acc = acc + u_i * (d_i - float(u_i @ w_prev))
     expected = w_prev + mu * acc
-    got = global_lms_update(w_prev, *stacked(blocks), mu)
+    got = one_round_sweep(w_prev, u, d, mu)
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
-def test_global_update_forms_agree():
-    rng = np.random.default_rng(5)
-    for _ in range(1000):
-        n = int(rng.integers(1, 9))
-        m = int(rng.integers(1, 11))
-        w_prev = rng.normal(size=n)
-        blocks = [(rng.normal(size=n), float(rng.normal())) for _ in range(m)]
-        mu = float(rng.uniform(0.01, 0.8))
-        a = global_lms_update(w_prev, *stacked(blocks), mu)
-        b = global_ia_update(w_prev, blocks, mu)
-        assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
-
-
-def test_global_update_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        global_lms_update([0.0, 0.0], np.zeros((1, 3)), [1.0], mu=0.1)
-
-
 def test_client_desired_and_statistics():
-    assert client_desired([1.0, 1.0], [0.5, 0.5], 0.0) == 1.0
-    assert client_desired([1.0, 1.0], [0.0, 0.0], 0.25) == 0.25
+    assert _desired(np.array([1.0, 1.0]), np.array([0.5, 0.5]), 0.0) == 1.0
+    assert _desired(np.array([1.0, 1.0]), np.array([0.0, 0.0]), 0.25) == 0.25
     rng = np.random.default_rng(13)
     u = rng.normal(size=5)
     w = rng.normal(size=5)
     noise_var = 0.04
     draws = rng.normal(0, np.sqrt(noise_var), 10_000)
-    vals = np.array([client_desired(u, w, z) for z in draws])
-    resid = vals - float(u @ w)
+    resid = _desired(u, w, draws) - float(u @ w)
     assert abs(resid.var() / noise_var - 1.0) < 0.1
 
 
 def test_client_update_trivials():
-    w = client_update([0.0, 0.0], [1.0, 0.0], 1.0, mu=0.5)
+    w = _client_step(np.zeros(2), np.array([1.0, 0.0]), 1.0, mu=0.5)
     assert np.array_equal(w, [0.5, 0.0])
     rng = np.random.default_rng(21)
     w_prev = rng.normal(size=4)
     u = rng.normal(size=4)
-    unchanged = client_update(w_prev, u, float(u @ w_prev), mu=0.4)
+    unchanged = _client_step(w_prev, u, float(u @ w_prev), mu=0.4)
     assert np.allclose(unchanged, w_prev, atol=1e-15)
-    # stacked rows update exactly as one vector at a time
+    # stacked rows update exactly as one vector at a time, with one step
+    # size for all rows or a column of one per row
     w_rows, u_rows, d_rows = rng.normal(size=(7, 4)), rng.normal(size=(7, 4)), rng.normal(size=7)
-    stacked_update = client_update(w_rows, u_rows, d_rows, mu=0.3)
+    mus = rng.uniform(0.1, 0.5, size=7)
+    for mu, row_mu in ((0.3, [0.3] * 7), (mus[:, None], mus)):
+        stacked = _client_step(w_rows, u_rows, d_rows, mu)
+        for k in range(7):
+            assert np.array_equal(stacked[k], _client_step(w_rows[k], u_rows[k], d_rows[k], row_mu[k]))
     for k in range(7):
-        assert np.array_equal(stacked_update[k], client_update(w_rows[k], u_rows[k], d_rows[k], 0.3))
-        assert client_desired(u_rows, w_rows, d_rows)[k] == client_desired(u_rows[k], w_rows[k], d_rows[k])
+        assert _desired(u_rows, w_rows, d_rows)[k] == _desired(u_rows[k], w_rows[k], d_rows[k])
 
 
 def test_client_update_convergence_on_ar1_stream():
@@ -195,8 +186,8 @@ def test_client_update_convergence_on_ar1_stream():
     errors = []
     (row,) = stream.rows_of([2])
     for u in stream.blocks[row]:
-        d_new = client_desired(u, w_glob, rng.normal(0, 0.1))
-        w = client_update(w, u, d_new, mu)
+        d_new = _desired(u, w_glob, rng.normal(0, 0.1))
+        w = _client_step(w, u, d_new, mu)
         errors.append(abs(d_new - float(u @ w)))
     assert min(errors[:200]) < 0.1
     assert np.mean(errors[-50:]) < 0.1
