@@ -11,7 +11,9 @@ substream keys whose entropy words do not each fit in 32 bits.  Two
 sweeps pin the batched sweep engine: a 20-node ``node_count`` sweep whose
 points use different node sets, and a 16-node ``beta`` sweep with a 30 dB
 channel, two corrupted nodes, an explicit step size and node ids listed
-out of order.
+out of order.  Two runs pin the ``ingest_csv`` path: a stdp run and a
+detect run with a 30 dB channel, both over a seeded AR(1) readings file
+for the ten default nodes that the test writes.
 
 A digest here may change only in a change that says why in CHANGES.md and
 reports the largest absolute difference against the previous output.
@@ -80,6 +82,19 @@ GOLDEN = {
         "effective_config.json": "056169785e06ee8f08097083d7361146c9087a409a7afcf79816ec977d322287",
         "stdp_transmission.csv": "df9beca06cf15cb1865c29ae6f6e4986b5e5f45c7e4f28d5554c27374ea18d74",
         "sweep_totals.csv": "2c1076096177e3e8baccd6d4ded840ae8e1425d35e1fd5af79327f4d0102018f",
+    },
+    "stdp_ingest": {
+        "effective_config.json": "42f0261db8509972c9a927b1690d3744f5f32ea42e7a9051ebfad301e05f1c65",
+        "message_trace.csv": "71d66e51d85714e4ad8d4e494d82e781670004824bafe059bc300982453940ed",
+        "stdp_transmission.csv": "7b192c5780653132cb8c8173671e5910827591cc5396f9b73f6bb719e4c0a5de",
+        "weights.csv": "2627b8956ddd2114e1e6d66198e1e541823fc72567a505d40066593ba005bb70",
+    },
+    "detect_ingest": {
+        "detection.csv": "df2a2548a1d53a7a4b2df3641bad191855a9f1402c824494ad7c84a230587a5c",
+        "effective_config.json": "f9149188dd8b8132f1ddf87248a7d0c9c6cb5ed3d76e3617b7393cef78ec13ba",
+        "message_trace.csv": "e0a4b9841e5ac8ac072e55eda620751e9dabd434805a89597a8fb14a08f3549b",
+        "stdp_transmission.csv": "178ac371b2e51fd2e72bfc32e2b52f38c448cc542eb272a34040e7471f93243a",
+        "weights.csv": "51eb133209c6b252d82b672755e9ab3f5111631641e677655ea542042dfb320e",
     },
 }
 
@@ -185,6 +200,19 @@ def sweep_beta_channel_config() -> dict:
     }
 
 
+def ingest_readings() -> str:
+    """600 readings per default node: independent AR(1) series, x <- 0.9 x
+    + N(0, 0.3**2) from 0, each value written as its shortest repr."""
+    rng = random.Random(1810)
+    lines = ["timestamp,node_id,value"]
+    x = dict.fromkeys(range(1, 11), 0.0)
+    for t in range(600):
+        for node in x:
+            x[node] = 0.9 * x[node] + rng.gauss(0.0, 0.3)
+            lines.append(f"{t},{node},{x[node]!r}")
+    return "\n".join(lines) + "\n"
+
+
 def digests(out: Path) -> dict[str, str]:
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -227,4 +255,20 @@ def test_detect_multiword_entropy_matches_golden(tmp_path):
 def test_sweep_matches_golden(name, config, tmp_path):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(config()))
+    assert run_config(path, tmp_path / "out") == GOLDEN[name]
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [
+        ("stdp_ingest", {"experiment": "stdp"}),
+        ("detect_ingest", {"experiment": "detect", "channel": 30.0}),
+    ],
+)
+def test_ingest_matches_golden(name, config, tmp_path, monkeypatch):
+    # A relative ingest path keeps effective_config.json free of tmp_path.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "readings.csv").write_text(ingest_readings())
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**config, "ingest_csv": "readings.csv"}))
     assert run_config(path, tmp_path / "out") == GOLDEN[name]
