@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, StepSizeOutOfRange, TargetUnreachable
+from .errors import DimensionMismatch, NoConvergence, StepSizeOutOfRange, TargetUnreachable
 from .fieldgen import CovariancePair, NodeLayout
 from .numerics import as_vector, cholesky_factor, forward_substitute, max_eigenvalue, solve_spd
 
@@ -28,25 +28,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DescentTrace:
-    """One steepest-descent run: the error and accuracy of every iterate
-    (``iterations + 1`` entries, the start included) and the last iterate."""
+    """One converged steepest-descent run: the error J(w) of every iterate
+    (``iterations + 1`` entries, the start included) and the last iterate.
+    An iterate's accuracy is ``1 - mmse / sigma_d**2``."""
 
     final_weight: np.ndarray
-    mmse: tuple[float, ...]
-    accuracy: tuple[float, ...]
+    mmse: np.ndarray
     mu: float
-    converged: bool
     iterations: int
 
 
 @dataclass(frozen=True)
 class NodeSelection:
-    """Sink-distance node ranking with its per-prefix accuracy curve."""
+    """Sink-distance node ranking with its per-prefix accuracy curve:
+    ``accuracy[k - 1]`` is the optimal accuracy of the first k nodes of
+    ``order``, and ``selected`` is the chosen prefix."""
 
     order: tuple[int, ...]
-    curve: tuple[tuple[int, float], ...]
+    accuracy: np.ndarray
     selected: tuple[int, ...]
-    achieved: float
 
 
 def step_size_bound(ruu) -> float:
@@ -91,7 +91,8 @@ def steepest_descent(
     ``w0`` defaults to the zero vector so the accuracy trace starts at 0;
     ``mu`` defaults to half the stability ceiling (1 / lambda_max).  A mu
     outside (0, 2/lambda_max] raises StepSizeOutOfRange; running out of
-    iterations is reported through ``converged``, not an exception.
+    iterations raises NoConvergence naming the relative residual and the
+    iteration count.
     """
     bound = step_size_bound(cov.ruu)
     if mu is None:
@@ -105,28 +106,21 @@ def steepest_descent(
     # One Ruu @ w per iterate serves both J(w) and the residual of the next step.
     errs = []
     rdu_norm = float(np.linalg.norm(cov.rdu))
-    converged = False
     iterations = 0
     while True:
         ruu_w = cov.ruu @ w
         errs.append(_error_given(cov, w, ruu_w))
         residual = cov.rdu - ruu_w
-        if float(np.linalg.norm(residual)) <= tol * rdu_norm:
-            converged = True
-            break
+        norm = float(np.linalg.norm(residual))
+        if norm <= tol * rdu_norm:
+            return DescentTrace(final_weight=w, mmse=np.array(errs), mu=mu, iterations=iterations)
         if iterations >= max_iter:
-            break
+            raise NoConvergence(
+                f"accuracy descent did not converge: relative residual {norm / rdu_norm:.3g} "
+                f"after {iterations} iterations"
+            )
         w = w + mu * residual
         iterations += 1
-    acc = tuple(1.0 - j / cov.sigma_d_sq for j in errs)
-    return DescentTrace(
-        final_weight=w,
-        mmse=tuple(errs),
-        accuracy=acc,
-        mu=mu,
-        converged=converged,
-        iterations=iterations,
-    )
 
 
 def select_nodes(
@@ -165,27 +159,18 @@ def select_nodes(
 
     cov = cov.restrict(ranked)
     y = forward_substitute(cholesky_factor(cov.ruu), cov.rdu)
-    curve = tuple(
-        (size, float(acc))
-        for size, acc in enumerate(np.cumsum(y * y) / cov.sigma_d_sq, start=1)
-    )
+    acc = np.cumsum(y * y) / cov.sigma_d_sq
 
     if count is not None:
         if not 1 <= count <= m:
             raise ValueError(f"count must be in [1, {m}], got {count}")
-        return NodeSelection(
-            order=order,
-            curve=curve,
-            selected=order[:count],
-            achieved=curve[count - 1][1],
-        )
-    if not 0.0 < target <= 1.0:
+    elif not 0.0 < target <= 1.0:
         raise ValueError(f"target must be in (0, 1], got {target}")
-    for size, acc in curve:
-        if acc >= target:
-            return NodeSelection(
-                order=order, curve=curve, selected=order[:size], achieved=acc
+    else:
+        reached = np.flatnonzero(acc >= target)
+        if not reached.size:
+            raise TargetUnreachable(
+                f"target {target} unreachable; all {m} nodes achieve {acc[-1]:.6g}"
             )
-    raise TargetUnreachable(
-        f"target {target} unreachable; all {m} nodes achieve {curve[-1][1]:.6g}"
-    )
+        count = int(reached[0]) + 1
+    return NodeSelection(order=order, accuracy=acc, selected=order[:count])

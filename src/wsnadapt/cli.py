@@ -161,6 +161,10 @@ def _semantic_validate(doc: dict, scenario: Scenario) -> None:
         raise SchemaError("/sweep", "only valid when experiment is 'sweep'")
     if experiment in ("ada", "sweep") and "ingest_csv" in doc:
         raise SchemaError("/ingest_csv", f"not applicable to the {experiment} experiment")
+    # Corruption is injected into generated streams only; on an ingested one
+    # it would scale the listed nodes' client noise and nothing else.
+    if "ingest_csv" in doc and scenario.malicious is not None:
+        raise SchemaError("/malicious", "corrupts generated streams only, not an ingest_csv")
     if experiment == "detect" and scenario.malicious is None and "ingest_csv" not in doc:
         raise SchemaError(
             "/malicious", "detect needs a malicious configuration or an ingest_csv to run on"
@@ -343,8 +347,8 @@ def _write_outputs(parsed: ParsedConfig, stream: Stream | None, out_dir: Path) -
         report = sweep(scenario, axis, values)
     config = json.dumps(parsed.effective(), indent=2, sort_keys=True) + "\n"
     files = {"effective_config.json": [config.encode()]}
-    for name, (header, body) in report_files(report).items():
-        files[name] = chain([(",".join(header) + "\n").encode()], body)
+    for name, (header, table) in report_files(report).items():
+        files[name] = chain([(",".join(header) + "\n").encode()], table)
     # The directories the run makes, deepest first.
     made = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -19,6 +19,7 @@ re-keys one generator per block instead of building one.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -232,6 +233,17 @@ class FieldParams:
             raise InvalidParameter("field/sigma_u", f"must be > 0, got {self.sigma_u}")
         if not self.sigma_d > 0:
             raise InvalidParameter("field/sigma_d", f"must be > 0, got {self.sigma_d}")
+        # Variances are squares, so each scale must square to a float.
+        for sigma in np.ravel(np.asarray(self.sigma_u, dtype=float)).tolist():
+            if not 0.0 < sigma * sigma < math.inf:
+                raise InvalidParameter(
+                    "field/sigma_u", f"must square to a finite positive float, got {sigma}"
+                )
+        sigma_d = float(self.sigma_d)
+        if not 0.0 < sigma_d * sigma_d < math.inf:
+            raise InvalidParameter(
+                "field/sigma_d", f"must square to a finite positive float, got {self.sigma_d}"
+            )
         if not self.noise_var >= 0:
             raise InvalidParameter("field/noise_var", f"must be >= 0, got {self.noise_var}")
         if not 0.0 <= self.temporal_phi < 1.0:

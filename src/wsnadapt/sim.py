@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import ada, fieldgen, malicious, stdp
-from .errors import Diverged, InsufficientHistory, InvalidParameter, NoConvergence
+from .errors import Diverged, InsufficientHistory, InvalidParameter
 from .fieldgen import (
     ROLE_PROTOCOL,
     FieldParams,
@@ -76,6 +76,13 @@ class Scenario:
             raise InvalidParameter("num_blocks", f"must be >= 2, got {self.num_blocks}")
         if self.mu_mode != "auto" and (isinstance(self.mu_mode, str) or not self.mu_mode > 0):
             raise InvalidParameter("mu_mode", f"must be 'auto' or > 0, got {self.mu_mode!r}")
+        if self.channel is not None:
+            try:
+                10.0 ** (-self.channel / 10.0)
+            except OverflowError:
+                raise InvalidParameter(
+                    "channel", f"must keep 10**(-channel/10) finite, got {self.channel}"
+                ) from None
         m = self.layout.size
         sigma = self.field.sigma_u
         if isinstance(sigma, tuple) and len(sigma) != m:
@@ -98,7 +105,7 @@ class Scenario:
             raise InvalidParameter("seed", f"must be >= 0, got {self.seed}")
 
     @property
-    def explicit_mu(self) -> float | None:
+    def mu(self) -> float | None:
         return None if self.mu_mode == "auto" else float(self.mu_mode)
 
 
@@ -132,7 +139,9 @@ def config_hash(config: dict) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Table:
-    """One CSV file: its header and equal-length columns.
+    """One CSV file: its header and equal-length columns.  Iterating it
+    encodes its rows one chunk of at most ``CHUNK_ROWS`` rows at a time and
+    yields each chunk's CSV bytes.
 
     Every column is a numpy array: floats (printed as ``format(v, ".9g")``),
     integers (printed as their digits) or fixed-width byte strings (printed
@@ -149,6 +158,10 @@ class Table:
 
     def __len__(self) -> int:
         return len(self.columns[0])
+
+    def __iter__(self) -> Iterator[bytes]:
+        for start in range(0, len(self), CHUNK_ROWS):
+            yield _chunk_bytes(self, slice(start, start + CHUNK_ROWS))
 
 
 @dataclass(frozen=True)
@@ -181,28 +194,20 @@ def _base_metadata(kind: str, scenario: Scenario) -> dict:
 
 def run_ada(scenario: Scenario) -> RunReport:
     """Descent accuracy trace plus the per-node-count accuracy curve; a
-    descent that does not converge raises NoConvergence naming its
-    iteration count and relative residual."""
+    descent that does not converge raises NoConvergence."""
     cov = build_spatial_covariance(scenario.layout, scenario.field)
-    trace = ada.steepest_descent(cov, mu=scenario.explicit_mu)
-    if not trace.converged:
-        residual = np.linalg.norm(cov.rdu - cov.ruu @ trace.final_weight) / np.linalg.norm(cov.rdu)
-        raise NoConvergence(
-            f"accuracy descent did not converge: relative residual {residual:.3g} after "
-            f"{trace.iterations} iterations"
-        )
+    trace = ada.steepest_descent(cov, mu=scenario.mu)
+    accuracy = 1.0 - trace.mmse / cov.sigma_d_sq
     selection = ada.select_nodes(scenario.layout, cov, count=scenario.select_count)
-    sizes = [size for size, _ in selection.curve]
+    sizes = np.arange(1, len(selection.accuracy) + 1)
     ids = [str(i) for i in selection.order]
     files = {
-        "ada_iterations.csv": Table(
-            ("iter", "accuracy"), (np.arange(len(trace.accuracy)), np.array(trace.accuracy))
-        ),
+        "ada_iterations.csv": Table(("iter", "accuracy"), (np.arange(len(accuracy)), accuracy)),
         "ada_nodes.csv": Table(
             ("k", "accuracy", "node_ids"),
             (
-                np.array(sizes),
-                np.array([acc for _, acc in selection.curve]),
+                sizes,
+                selection.accuracy,
                 np.array([";".join(ids[:size]) for size in sizes], dtype=np.bytes_),
             )
         ),
@@ -211,9 +216,8 @@ def run_ada(scenario: Scenario) -> RunReport:
     metadata.update(
         {
             "mu": trace.mu,
-            "converged": trace.converged,
             "iterations": trace.iterations,
-            "final_accuracy": trace.accuracy[-1],
+            "final_accuracy": float(accuracy[-1]),
             "selected": list(selection.selected),
         }
     )
@@ -319,7 +323,7 @@ def simulate_protocol(
         desired,
         [point.thresholds for point in points],
         sizes=[len(group) for group in groups],
-        mu=scenario.explicit_mu,
+        mu=scenario.mu,
         client_noise=draws[node_row],
         channel=channel,
     )
@@ -566,25 +570,6 @@ def sweep(scenario: Scenario, axis: str, values: Sequence) -> RunReport:
 CHUNK_ROWS = 8192
 
 
-@dataclass(frozen=True, eq=False)
-class CsvBody:
-    """A table's CSV data rows; its length is its number of rows.
-
-    Iterating it encodes the rows one chunk of at most ``CHUNK_ROWS`` rows
-    at a time and yields each chunk's bytes, so a writer that consumes the
-    chunks as they come holds one chunk's text at a time.
-    """
-
-    table: Table
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-    def __iter__(self) -> Iterator[bytes]:
-        for start in range(0, len(self.table), CHUNK_ROWS):
-            yield _chunk_bytes(self.table, slice(start, start + CHUNK_ROWS))
-
-
 def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
     """The ASCII digits "0000" .. "9999" as little-endian uint32 words, and
     each group's count of trailing zeros ("0000" has four)."""
@@ -753,12 +738,12 @@ def _chunk_bytes(table: Table, rows: slice) -> bytes:
     return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
 
-def report_files(report: RunReport) -> dict[str, tuple[tuple[str, ...], CsvBody]]:
-    """Map a report to its CSV files: name -> (header, data rows).
+def report_files(report: RunReport) -> dict[str, tuple[tuple[str, ...], Table]]:
+    """Map a report to its CSV files: name -> (header, table).
 
-    No row is encoded here: each body encodes its rows as it is iterated.
+    No row is encoded here: each table encodes its rows as it is iterated.
     A float cell is exactly ``format(v, ".9g")``, an integer its plain
     digits, a string its bytes, and an absent cell is empty, so repeated
     runs are byte-comparable.
     """
-    return {name: (table.header, CsvBody(table)) for name, table in report.files.items()}
+    return {name: (table.header, table) for name, table in report.files.items()}

@@ -202,17 +202,19 @@ class ProtocolState:
     Inputs, checked when the state is made: row k of ``blocks``
     ``(rows, rounds, n)``, ``desired`` and ``noise`` ``(rows, rounds)`` is
     what row k senses and draws, and ``alpha[k]`` and ``beta[k]`` are the
-    thresholds of its point.  ``explicit_mu`` is the step size of every
-    point, or None for the automatic rule.  ``channel(samples, desired,
-    rows, round_index)``, if set, maps the blocks of the transmitting rows
+    thresholds of its point.  ``auto_mu`` says whether the step sizes
+    follow the automatic rule.  ``channel(samples, desired, rows,
+    round_index)``, if set, maps the blocks of the transmitting rows
     ``rows`` to what the sinks receive.
 
     Engine state: ``client_weight`` and ``received_global`` rows are
     meaningful only while the row is in a client phase; the round that
     hands a row off sets both to its point's global weight.  Point p's
     rows are ``bounds[p]:bounds[p + 1]``; ``global_weight[p]`` is its sink
-    filter and ``mu[p]`` its automatic step size (NaN until first
-    estimated).  ``trace`` is the run's trace, whose row r round r writes;
+    filter and ``mu[p]`` the step size of its sink and client filters.  An
+    explicit step size is set once; with ``auto_mu`` it is NaN until first
+    estimated and refreshed by every round in which one of the point's
+    rows is raw.  ``trace`` is the run's trace, whose row r round r writes;
     ``round_index`` rounds have run.
     """
 
@@ -224,7 +226,7 @@ class ProtocolState:
     noise: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    explicit_mu: float | None
+    auto_mu: bool
     channel: Callable[[np.ndarray, np.ndarray, np.ndarray, int], tuple] | None
     global_weight: np.ndarray
     mu: np.ndarray
@@ -367,10 +369,11 @@ def new_protocol_state(
     each round; the run has ``rounds`` rounds of ``n``-sample blocks.  A
     ``Stream`` over the same nodes holds its rows in that (ascending id)
     order, so for one point ``stream.blocks`` and ``stream.desired`` fit.  ``thresholds`` is one
-    ``Thresholds`` for every point or one per point.  ``mu`` overrides the
-    automatic step-size rule (0.5 / (M * lambda_max) of the point's
+    ``Thresholds`` for every point or one per point.  ``mu`` is every
+    point's step size; without it the state's ``auto_mu`` is set and each
+    point follows the automatic rule, 0.5 / (M * lambda_max) of the point's
     empirical block covariance, refreshed whenever one of its nodes is in a
-    raw round).  ``channel(samples, desired, rows, round_index)``
+    raw round.  ``channel(samples, desired, rows, round_index)``
     optionally maps the blocks of the transmitting engine rows ``rows`` to
     what the sinks receive.
     """
@@ -414,10 +417,10 @@ def new_protocol_state(
         noise=noise,
         alpha=alpha,
         beta=beta,
-        explicit_mu=None if mu is None else float(mu),
+        auto_mu=mu is None,
         channel=channel,
         global_weight=np.tile(initial_weight(n), (points, 1)),
-        mu=np.full(points, np.nan),
+        mu=np.full(points, np.nan if mu is None else float(mu)),
         phase=np.full(m, RAW_TRANSMIT, dtype=np.uint8),
         client_weight=np.zeros((m, n)),
         received_global=np.zeros((m, n)),
@@ -461,9 +464,7 @@ def step_round(state: ProtocolState) -> RoundResult:
     adapting = adapting_rows.nonzero()[0]
     if adapting.size:
         # fmax maps a never-estimated (NaN) step size to 0.0.
-        mu = state.explicit_mu
-        if mu is None:
-            mu = np.fmax(state.mu, 0.0)[state.point, None]
+        mu = np.fmax(state.mu, 0.0)[state.point, None]
         weights = _client_step(state.client_weight, samples, d_new, mu)[adapting]
         state.client_weight[adapting] = weights
         trace.updates.append((r, adapting, weights))
@@ -502,18 +503,16 @@ def step_round(state: ProtocolState) -> RoundResult:
         cut = sent.searchsorted(state.bounds).tolist()
         live = [p for p in range(stop) if cut[p] < cut[p + 1]]
         raw_rows = phase == RAW_TRANSMIT
-        mu = state.explicit_mu
-        if mu is None:
-            raw = raw_rows.nonzero()[0].searchsorted(state.bounds).tolist()
+        raw = raw_rows.nonzero()[0].searchsorted(state.bounds).tolist()
         error_glob = trace.error_glob[r]
         for p in live:
             a, b = cut[p], cut[p + 1]
             u, d = u_sent[a:b], d_sent[a:b]
-            if mu is None and (raw[p] < raw[p + 1] or math.isnan(state.mu[p])):
+            if state.auto_mu and (raw[p] < raw[p + 1] or math.isnan(state.mu[p])):
                 lam = max_eigenvalue((u.T @ u) / u.shape[0])
                 nodes = state.bounds[p + 1] - state.bounds[p]
                 state.mu[p] = 0.5 / (nodes * lam) if lam > 0 else 0.0
-            weight = _sweep(state.global_weight[p], u, d, state.mu[p] if mu is None else mu)
+            weight = _sweep(state.global_weight[p], u, d, state.mu[p])
             state.global_weight[p] = weight
             error_glob[sent[a:b]] = d - u @ weight
         # Rows that sent nothing hold 0.0, and none of them is on the sink side.

@@ -19,6 +19,7 @@ from wsnadapt.ada import (
 )
 from wsnadapt.errors import (
     DimensionMismatch,
+    NoConvergence,
     NotPositiveDefinite,
     StepSizeOutOfRange,
     TargetUnreachable,
@@ -53,7 +54,7 @@ def test_step_size_bound_matches_jacobi(default_cov):
 def test_descent_one_step_identity():
     cov = CovariancePair(ruu=np.array([[1.0]]), rdu=np.array([0.5]), sigma_d_sq=1.0)
     trace = steepest_descent(cov, w0=[0.0], mu=1.0)
-    assert trace.converged and trace.iterations == 1
+    assert trace.iterations == 1
     assert trace.final_weight[0] == 0.5
 
 
@@ -73,7 +74,6 @@ def test_descent_rejects_a_start_of_the_wrong_length(default_cov):
 def test_descent_matches_direct_solve(default_cov):
     trace = steepest_descent(default_cov, tol=1e-12)
     w_star = optimal_weight(default_cov)
-    assert trace.converged
     assert np.max(np.abs(trace.final_weight - w_star)) < 1e-8
     assert np.allclose(w_star, gauss_solve(default_cov.ruu, default_cov.rdu), atol=1e-10)
 
@@ -85,13 +85,10 @@ def test_descent_monotone_error_and_trace_consistency():
         bound = step_size_bound(cov.ruu)
         for mu in (0.3 * bound, 0.5 * bound, 0.95 * bound):
             trace = steepest_descent(cov, mu=mu, max_iter=4000)
-            errors = np.array(trace.mmse)
-            assert np.all(np.diff(errors) <= 1e-12)
-            assert trace.iterations + 1 == len(trace.mmse) == len(trace.accuracy)
-            assert np.allclose(
-                trace.accuracy, 1.0 - errors / cov.sigma_d_sq, atol=1e-14
-            )
-            assert trace.accuracy[0] == 0.0  # zero start carries zero accuracy
+            assert trace.mmse.dtype == np.float64
+            assert np.all(np.diff(trace.mmse) <= 1e-12)
+            assert trace.iterations + 1 == len(trace.mmse)
+            assert trace.mmse[0] == cov.sigma_d_sq  # zero start carries zero accuracy
 
 
 def test_descent_fixed_point_residual(default_cov):
@@ -103,29 +100,40 @@ def test_descent_fixed_point_residual(default_cov):
 def test_descent_errors_are_exact_mmse_of_every_iterate(default_cov):
     trace = steepest_descent(default_cov, tol=1e-10)
     assert trace.mmse[-1] == mmse(default_cov, trace.final_weight)
-    assert trace.accuracy[-1] == accuracy(default_cov, trace.final_weight)
+    # A run's accuracy column is this array expression, equal bit for bit
+    # to the accuracy of each iterate.
+    acc = 1.0 - trace.mmse / default_cov.sigma_d_sq
     w = np.zeros(default_cov.order)
     for k, err in enumerate(trace.mmse):
         assert err == mmse(default_cov, w), k
+        assert acc[k] == accuracy(default_cov, w), k
         if k < trace.iterations:
             w = w + trace.mu * (default_cov.rdu - default_cov.ruu @ w)
     assert np.array_equal(w, trace.final_weight)
 
 
 def test_descent_final_weight_exact_under_iteration_cap():
+    # A cap of exactly the iterations a descent needs returns the same
+    # trace; one fewer raises.
     rng = np.random.default_rng(19)
     for _ in range(5):
         cov = random_cov(rng, int(rng.integers(2, 9)))
-        for max_iter in (0, 1, 7):
-            trace = steepest_descent(cov, w0=rng.normal(size=cov.order), max_iter=max_iter, tol=1e-14)
-            assert trace.iterations == max_iter == len(trace.mmse) - 1
-            assert trace.mmse[-1] == mmse(cov, trace.final_weight)
+        w0 = rng.normal(size=cov.order)
+        free = steepest_descent(cov, w0=w0, tol=1e-10)
+        k = free.iterations
+        capped = steepest_descent(cov, w0=w0, max_iter=k, tol=1e-10)
+        assert capped.iterations == k == len(capped.mmse) - 1
+        assert np.array_equal(capped.final_weight, free.final_weight)
+        assert np.array_equal(capped.mmse, free.mmse)
+        assert capped.mmse[-1] == mmse(cov, capped.final_weight)
+        with pytest.raises(NoConvergence, match=f"after {k - 1} iterations$"):
+            steepest_descent(cov, w0=w0, max_iter=k - 1, tol=1e-10)
 
 
 def test_descent_max_iter_flag():
     cov = CovariancePair(ruu=np.eye(2), rdu=np.array([1.0, 1.0]), sigma_d_sq=4.0)
-    trace = steepest_descent(cov, mu=1e-4, tol=1e-12, max_iter=5)
-    assert not trace.converged and trace.iterations == 5
+    with pytest.raises(NoConvergence, match="after 5 iterations"):
+        steepest_descent(cov, mu=1e-4, tol=1e-12, max_iter=5)
 
 
 def test_mmse_trivials():
@@ -155,7 +163,7 @@ def test_accuracy_in_unit_interval_over_random_layouts():
 
 def test_select_full_set_when_target_is_max(default_scenario, default_cov):
     sel = select_nodes(default_scenario.layout, default_cov, count=10)
-    full_acc = sel.curve[-1][1]
+    full_acc = sel.accuracy[-1]
     again = select_nodes(default_scenario.layout, default_cov, target=full_acc)
     assert again.selected == again.order
     assert len(again.selected) == 10
@@ -165,7 +173,7 @@ def test_select_single_node_at_sink():
     layout = NodeLayout(positions=((1.0, 1.0),), sink=(1.0, 1.0), node_ids=(7,))
     sel = select_nodes(layout, build_spatial_covariance(layout, FieldParams()), target=0.99)
     assert sel.selected == (7,)
-    assert sel.achieved == pytest.approx(1.0, abs=1e-12)
+    assert sel.accuracy[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_select_orders_by_sink_distance(default_scenario, default_cov):
@@ -176,8 +184,8 @@ def test_select_orders_by_sink_distance(default_scenario, default_cov):
 
 def test_select_six_of_ten_accuracy(default_scenario, default_cov):
     sel = select_nodes(default_scenario.layout, default_cov, count=10)
-    acc6 = sel.curve[5][1]
-    acc10 = sel.curve[9][1]
+    acc6 = sel.accuracy[5]
+    acc10 = sel.accuracy[9]
     assert acc6 >= 0.9 * acc10
 
 
@@ -188,8 +196,8 @@ def test_select_curve_non_decreasing_random_layouts():
         positions, sink = random_layout(rng, m)
         layout = NodeLayout(positions=tuple(positions), sink=sink, node_ids=tuple(range(1, m + 1)))
         sel = select_nodes(layout, build_spatial_covariance(layout, FieldParams()), count=m)
-        accs = [a for _, a in sel.curve]
-        assert all(accs[k + 1] >= accs[k] - 1e-12 for k in range(m - 1))
+        assert len(sel.accuracy) == m
+        assert np.all(np.diff(sel.accuracy) >= -1e-12)
 
 
 def test_select_target_unreachable(default_scenario, default_cov):
@@ -212,7 +220,7 @@ def test_select_rejects_a_covariance_of_another_layout(default_scenario, default
 def test_select_greedy_bounded_by_exhaustive(default_scenario, default_cov):
     sel = select_nodes(default_scenario.layout, default_cov, count=10)
     best = best_accuracy_per_size(default_cov.ruu, default_cov.rdu, default_cov.sigma_d_sq)
-    for size, acc in sel.curve:
+    for size, acc in enumerate(sel.accuracy, start=1):
         assert acc <= best[size] + 1e-12
 
 
@@ -235,9 +243,8 @@ def test_select_curve_matches_per_prefix_oracle(per_node_sigma):
             positions, sink, ids, sigma_u, params.theta, params.sigma_d
         )
         assert sel.order == order
-        assert [size for size, _ in sel.curve] == list(range(1, m + 1))
-        got = np.array([acc for _, acc in sel.curve])
-        assert np.max(np.abs(got - expected)) <= 1e-12, m
+        assert sel.accuracy.shape == (m,)
+        assert np.max(np.abs(sel.accuracy - expected)) <= 1e-12, m
 
 
 def per_prefix_failure(layout: NodeLayout, params: FieldParams) -> str | None:

@@ -625,7 +625,6 @@ def test_detect_ingest_sharing_one_node_is_a_config_error(tmp_path, capsys):
             "experiment": "detect",
             "ingest_csv": str(csv_path),
             "num_blocks": 4,
-            "malicious": {"node_ids": [3], "scale": 6.0},
         },
     )
     out = tmp_path / "out"
@@ -1098,6 +1097,50 @@ def test_ada_descent_that_cannot_converge_exits_2_and_writes_nothing(tmp_path, c
         "50000 iterations\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"experiment": "ada", "field": {"sigma_d": 1e200}},
+            "/field/sigma_d: must square to a finite positive float, got 1e+200",
+        ),
+        (
+            {"experiment": "stdp", "channel": -3090},
+            "/channel: must keep 10**(-channel/10) finite, got -3090",
+        ),
+        (
+            {"experiment": "ada", "field": {"sigma_u": 1e200}},
+            "/field/sigma_u: must square to a finite positive float, got 1e+200",
+        ),
+        (
+            {"experiment": "ada", "field": {"sigma_u": 1e-200}},
+            "/field/sigma_u: must square to a finite positive float, got 1e-200",
+        ),
+        (
+            {"experiment": "ada", "field": {"sigma_d": 1e-200}},
+            "/field/sigma_d: must square to a finite positive float, got 1e-200",
+        ),
+    ],
+    ids=["sigma_d_huge", "channel_below_range", "sigma_u_huge", "sigma_u_tiny", "sigma_d_tiny"],
+)
+def test_scales_out_of_float_range_are_config_errors(tmp_path, capsys, doc, message):
+    assert_config_error(tmp_path, capsys, doc, message)
+
+
+@pytest.mark.parametrize("experiment", ["stdp", "detect"])
+def test_malicious_beside_an_ingest_file_is_a_config_error(tmp_path, capsys, experiment):
+    # The ingested samples cannot be corrupted; before, only the listed
+    # nodes' simulated client noise was scaled, and that alone flagged them.
+    csv_path = write_readings(tmp_path / "field.csv", range(1, 11), samples=40)
+    doc = {
+        "experiment": experiment,
+        "ingest_csv": str(csv_path),
+        "malicious": {"node_ids": [5, 9], "scale": 6},
+    }
+    message = "/malicious: corrupts generated streams only, not an ingest_csv"
+    assert_config_error(tmp_path, capsys, doc, message)
 
 
 def key_paths(doc, prefix=""):

@@ -56,7 +56,7 @@ def test_run_ada_matches_direct_solve(default_scenario, default_cov):
         + w_star @ default_cov.ruu @ w_star
     ) / default_cov.sigma_d_sq
     assert report.files["ada_iterations.csv"].columns[1][-1] == pytest.approx(best, abs=1e-8)
-    assert report.metadata["converged"]
+    assert report.metadata["final_accuracy"] == report.files["ada_iterations.csv"].columns[1][-1]
 
 
 def test_run_ada_curve_non_decreasing(default_scenario):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import global_ia_update, replay_client_updates
+from wsnadapt import stdp
 from wsnadapt.errors import DimensionMismatch, Diverged
 from wsnadapt.fieldgen import (
     ROLE_MEASURE,
@@ -13,6 +14,7 @@ from wsnadapt.fieldgen import (
     generate_stream,
     substream,
 )
+from wsnadapt.numerics import max_eigenvalue
 from wsnadapt.sim import default_layout, default_scenario, simulate_protocol
 from wsnadapt.stdp import (
     CLIENT_ADAPTIVE,
@@ -375,7 +377,36 @@ def test_thresholds_validation():
 def test_explicit_mu_bypasses_auto_rule():
     layout, stream = make_stream(10, seed=12)
     state, _, _ = drive(layout, stream, Thresholds(0.5, 0.05), mu=0.01, noise_seed=12)
-    assert np.isnan(state.mu).all()  # auto estimate never engaged
+    assert (state.mu == 0.01).all()  # auto estimate never engaged
+
+
+@pytest.mark.parametrize("mu", [0.01, None])
+def test_a_fixed_mu_runs_no_power_iteration(monkeypatch, mu):
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return max_eigenvalue(a)
+
+    monkeypatch.setattr(stdp, "max_eigenvalue", counted)
+    _, stream = make_stream(60, seed=5)
+    state = new_protocol_state(
+        stream.node_ids,
+        stream.blocks,
+        stream.desired,
+        [Thresholds(0.5, 0.05), Thresholds(0.5, 0.2)],
+        sizes=[4, 6],
+        mu=mu,
+    )
+    with errstate():
+        for _ in range(stream.num_blocks):
+            step_round(state)
+    assert state.trace.updates  # client filters stepped with the point's mu
+    if mu is None:
+        assert calls and np.isfinite(state.mu).all()
+    else:
+        assert calls == [] and state.auto_mu is False
+        assert state.mu.tolist() == [mu, mu]
 
 
 def test_divergence_stops_at_first_non_finite_round():
