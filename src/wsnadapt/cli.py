@@ -128,6 +128,11 @@ def _first_error(value, hint, path: tuple) -> tuple[tuple, str] | None:
         return path, f"{value!r} is not of type {_KINDS[accepts[-1]]!r}"
     if not value and path in _NON_EMPTY:
         return path, f"{value!r} should be non-empty"
+    if hint is float and type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            return path, f"must fit a float, got an integer of {value.bit_length()} bits"
     if type(value) is dict:
         unknown = [key for key in value if key not in args.keys]
         if unknown:
@@ -144,7 +149,7 @@ def _first_error(value, hint, path: tuple) -> tuple[tuple, str] | None:
     else:
         return None
     for key, child, child_hint in children:
-        if child and type(child) in _PLAIN.get(child_hint, ()):
+        if child and type(child) is child_hint:
             continue  # the common case, without a call
         error = _first_error(child, child_hint, (*path, key))
         if error is not None:
@@ -231,7 +236,7 @@ def parse_config(path, seed: int | None = None) -> ParsedConfig:
     with open(path) as handle:
         try:
             doc = json.load(handle, parse_float=_finite_number, parse_constant=_finite_number)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
             raise SchemaError("/", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("/", "config must be a JSON object")

@@ -13,6 +13,10 @@ class NoConvergence(WsnAdaptError):
     """An iterative routine exhausted its iteration budget."""
 
 
+class NonFinite(WsnAdaptError):
+    """An input holds a NaN or infinite entry where only finite ones make sense."""
+
+
 class StepSizeOutOfRange(WsnAdaptError):
     """Step size violates the stability bound 0 < mu <= 2/lambda_max."""
 

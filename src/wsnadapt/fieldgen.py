@@ -9,11 +9,9 @@ sample index is exactly the configured R_uu.
 
 Randomness discipline: one Philox substream per (seed, role, node), so
 corrupting one node or toggling the channel never perturbs the draws of
-any other node.  The channel goes one step further, with one substream
-per (node, block).  Philox is counter-based, so a substream is fully set
-by its 128-bit key: ``philox_keys`` derives the keys of every (node,
-block) at once with a NumPy port of ``SeedSequence``, and the channel
-re-keys one generator per block instead of building one.
+any other node.  A node's channel substream is read block by block, n + 1
+draws per block, and drawn whole before the protocol runs: a (node, block)
+gets the same channel noise whatever the node sent before it.
 """
 
 from __future__ import annotations
@@ -52,127 +50,6 @@ def substream(seed: int, role: int, node_id: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-# numpy's SeedSequence constants: pool of four 32-bit words, the hash
-# multipliers of entropy mixing (A) and of state generation (B), and the
-# multipliers of the pool-word mix.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_constants(init: int, mult: int, count: int) -> list[int]:
-    """The running hash constant before each of ``count`` hash steps, and after the last."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    return out
-
-
-def _hashmix(value: np.ndarray, before: int, after: int) -> np.ndarray:
-    value = (value ^ np.uint32(before)) * np.uint32(after)
-    return value ^ (value >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return out ^ (out >> np.uint32(16))
-
-
-def _mixed_keys(words: list[np.ndarray]) -> np.ndarray:
-    """``SeedSequence(entropy).generate_state(2, np.uint64)`` for each row of
-    an entropy table given as its W >= 1 uint32 word columns (arrays of
-    one length, or of length 1 for a word every row shares)."""
-    width = len(words)
-    steps = _POOL_SIZE * _POOL_SIZE + max(width - _POOL_SIZE, 0) * _POOL_SIZE
-    consts = _hash_constants(_INIT_A, _MULT_A, steps)
-    hashes = iter(zip(consts, consts[1:]))
-    zero = np.zeros(1, np.uint32)
-    pool = [
-        _hashmix(words[i] if i < width else zero, *next(hashes)) for i in range(_POOL_SIZE)
-    ]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(hashes)))
-    for src in range(_POOL_SIZE, width):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(words[src], *next(hashes)))
-    consts = _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)
-    state = [
-        _hashmix(pool[i], consts[i], consts[i + 1]).astype(np.uint64) for i in range(_POOL_SIZE)
-    ]
-    return np.stack(
-        [state[0] | state[1] << np.uint64(32), state[2] | state[3] << np.uint64(32)], axis=1
-    )
-
-
-def philox_keys(columns: Sequence) -> np.ndarray:
-    """The Philox key of ``SeedSequence(row)`` for every row of an entropy
-    table, as an ``(R, 2)`` uint64 array.
-
-    The table is given by column: each entry of ``columns`` is either one
-    int (of any size) shared by every row, or an array of R non-negative
-    64-bit integers.  Row r's key equals
-    ``np.random.SeedSequence([c[r] for c in columns]).generate_state(2, np.uint64)``,
-    the key ``Philox(SeedSequence(row))`` runs on.  SeedSequence splits each
-    value into 32-bit words, least significant first (one word below
-    2**32, more above), and mixes the row's words in order, so rows are
-    grouped by which of their values take two words and each group is
-    mixed at once.
-    """
-    rows = max((np.size(c) for c in columns if np.ndim(c)), default=1)
-    # Per column, its word arrays: one-element arrays for a shared int, the
-    # low and high words for an array column.
-    parts = []
-    layout = np.zeros(rows, np.int64)  # bit c set: column c takes two words in this row
-    for c, value in enumerate(columns):
-        if np.ndim(value) == 0:
-            value = int(value)
-            if value < 0:
-                raise ValueError(f"entropy must be non-negative, got {value}")
-            count = max(1, (value.bit_length() + 31) // 32)
-            parts.append([np.array([value >> 32 * k & 0xFFFFFFFF], np.uint32) for k in range(count)])
-            continue
-        value = np.asarray(value)
-        if value.shape != (rows,) or value.dtype.kind not in "iu":
-            raise ValueError(f"an entropy column must hold {rows} integers")
-        if value.dtype.kind == "i" and rows and value.min() < 0:
-            raise ValueError("entropy must be non-negative")
-        value = value.astype(np.uint64, copy=False)
-        high = (value >> np.uint64(32)).astype(np.uint32)
-        parts.append([value.astype(np.uint32), high])
-        layout |= (high != 0).astype(np.int64) << c
-    keys = np.empty((rows, 2), np.uint64)
-    groups = np.unique(layout)
-    for group in groups:
-        at = slice(None) if groups.size == 1 else layout == group
-        words = []
-        for c, (value, part) in enumerate(zip(columns, parts)):
-            if np.ndim(value) == 0:
-                words += part
-            else:
-                words += [w[at] for w in part[: 1 + (group >> c & 1)]]
-        keys[at] = _mixed_keys(words)
-    return keys
-
-
-def channel_keys(seed: int, node_ids: Sequence[int], num_blocks: int) -> np.ndarray:
-    """``(m, num_blocks, 2)`` table whose entry ``[k, b]`` is the Philox key
-    of the entropy ``SeedSequence([seed, ROLE_CHANNEL, node_ids[k], b])``."""
-    ids = np.asarray(node_ids, dtype=np.int64)
-    keys = np.empty((ids.size, num_blocks, 2), np.uint64)
-    blocks = np.arange(num_blocks, dtype=np.int64)
-    # A few thousand keys at a time keep the derivation's temporaries small.
-    step = max(1, 4096 // num_blocks)
-    for start in range(0, ids.size, step):
-        chunk = ids[start : start + step]
-        keys[start : start + step] = philox_keys(
-            [seed, ROLE_CHANNEL, np.repeat(chunk, num_blocks), np.tile(blocks, chunk.size)]
-        ).reshape(chunk.size, num_blocks, 2)
-    return keys
-
-
 @dataclass(frozen=True)
 class NodeLayout:
     """Sensor positions (meters), the sink position, and node ids."""
@@ -193,7 +70,7 @@ class NodeLayout:
             raise InvalidParameter(
                 "layout/node_ids", f"ids must be >= 1 (0 is the sink's), got {min(ids)}"
             )
-        # The engine, the channel keys and the CSV tables hold ids as int64.
+        # The engine and the CSV tables hold ids as int64.
         if max(ids) > 2**63 - 1:
             raise InvalidParameter("layout/node_ids", f"ids must be <= 2**63 - 1, got {max(ids)}")
         if len(set(ids)) != len(ids):
@@ -479,44 +356,36 @@ def inject_malicious(stream: Stream, node_ids: Iterable[int], scale: float, seed
     return replace(stream, blocks=blocks, desired=desired)
 
 
+def channel_noise(seed: int, node_ids: Sequence[int], num_blocks: int, n: int) -> np.ndarray:
+    """The unit normal draws of ``awgn_channel`` for ``num_blocks`` blocks of
+    n samples: row k is node ``node_ids[k]``'s channel substream read block
+    by block, n + 1 draws per block, drawn straight into the result."""
+    noise = np.empty((len(node_ids), num_blocks, n + 1))
+    for k, node_id in enumerate(node_ids):
+        substream(seed, ROLE_CHANNEL, node_id).standard_normal(out=noise[k])
+    return noise
+
+
 def awgn_channel(
-    samples: np.ndarray,
-    desired: np.ndarray,
-    keys: np.ndarray,
-    snr_db: float,
-    rng: np.random.Generator,
+    blocks: np.ndarray, desired: np.ndarray, noise: np.ndarray, snr_db: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Additive white Gaussian noise on the blocks transmitted in one round.
+    """Additive white Gaussian noise on every block: what the sink receives
+    of ``(rows, B, n)`` blocks and their ``(rows, B)`` desired scalars.
 
-    Row k of ``samples`` (``(k, n)``) and ``desired`` is one node's block,
-    and ``keys[k]`` is the Philox key of that (node, block)'s own channel
-    substream (see ``channel_keys``).  Each block's per-sample noise
-    variance is its mean-square sample power scaled by 10**(-snr_db/10);
-    the same variance is applied to its desired scalar.
-
-    ``rng`` is a Generator over a Philox bit generator, re-keyed here once
-    per row with its counter at zero: row k draws exactly what
-    ``np.random.Generator(np.random.Philox(key))`` would, n samples' noise
-    and then the desired scalar's, scaled as ``Generator.normal`` scales.
+    ``noise`` holds ``(rows, B, n + 1)`` unit normal draws: ``noise[k, b]``
+    is block b's n sample draws, then its desired scalar's.  Each block's
+    noise variance is its mean-square sample power scaled by
+    10**(-snr_db/10), applied to its samples and its desired scalar as
+    ``Generator.normal(0.0, std, n + 1)`` scales its draws.  The result is
+    written into ``noise``, and the returned arrays are views of it.
     """
-    count, n = samples.shape
-    noise_std = np.sqrt(np.mean(samples**2, axis=1) * 10.0 ** (-snr_db / 10.0))
-    bit_generator = rng.bit_generator
-    fresh = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": None},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    z = np.empty((count, n + 1))
-    for row, key in enumerate(keys.tolist()):
-        fresh["state"]["key"] = key
-        bit_generator.state = fresh
-        rng.standard_normal(out=z[row])
-    noise = 0.0 + noise_std[:, None] * z
-    return samples + noise[:, :n], desired + noise[:, n]
+    n = blocks.shape[-1]
+    std = np.sqrt(np.mean(blocks**2, axis=-1) * 10.0 ** (-snr_db / 10.0))
+    noise *= std[..., None]
+    noise += 0.0  # as Generator.normal's loc 0.0: -0.0 draws become 0.0
+    noise[..., :n] += blocks
+    noise[..., n] += desired
+    return noise[..., :n], noise[..., n]
 
 
 def ingest_csv(path, n: int, params: FieldParams, seed: int) -> Stream:

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
+from .errors import DimensionMismatch, NoConvergence, NonFinite, NotPositiveDefinite
 
 SYMMETRY_RTOL = 1e-12
 
@@ -102,7 +102,9 @@ def max_eigenvalue(a, tol: float = 1e-8, max_iter: int = 10_000) -> float:
     Deterministic: starts from the all-ones vector and stops once the
     Rayleigh quotient changes by no more than ``tol`` (relative) between
     iterations.  Covariance matrices have non-negative entries, so the
-    dominant eigenvector is never orthogonal to the start vector.
+    dominant eigenvector is never orthogonal to the start vector.  A
+    matrix with a NaN or infinite entry raises NonFinite before the first
+    iteration.
     """
     m = as_symmetric_matrix(a)
     if tol <= 0:
@@ -110,6 +112,10 @@ def max_eigenvalue(a, tol: float = 1e-8, max_iter: int = 10_000) -> float:
     v = np.ones(len(m))
     mv = m.dot(v)
     lam = float(v.dot(mv)) / float(v.dot(v))
+    # The all-ones start sums every entry, so one NaN or infinity makes lam
+    # non-finite; so does a sum beyond the float range.
+    if not math.isfinite(lam):
+        raise NonFinite(f"matrix has a non-finite entry or entry sum: {lam}")
     for _ in range(max_iter):
         norm = math.sqrt(mv.dot(mv))
         if norm == 0.0:  # the start vector is in the nullspace of a PSD matrix

@@ -20,7 +20,6 @@ from .fieldgen import (
     NodeLayout,
     Stream,
     build_spatial_covariance,
-    channel_keys,
     generate_stream,
     inject_malicious,
     substream,
@@ -256,8 +255,11 @@ def simulate_protocol(
     its active nodes and its stream (``stream``, if given, serves every
     point), so a point may differ from ``scenario`` only in ``thresholds``,
     ``select_first`` and ``select_count``.  Every point gets the bits of its
-    own run.
+    own run.  A given stream is sensed as it is, so ``scenario`` may not
+    set ``malicious`` with one.
     """
+    if stream is not None and scenario.malicious is not None:
+        raise InvalidParameter("malicious", "corrupts generated streams only, not a given stream")
     points = [scenario] if points is None else list(points)
     selection = {"select_first": scenario.select_first, "select_count": scenario.select_count}
     for point in points:
@@ -294,9 +296,9 @@ def simulate_protocol(
         ]
     ).reshape(len(active), num_blocks)
     # Engine row k is node ``active[node_row[k]]``: the row of its noise
-    # draws and channel keys.  A stream's rows ascend by id, so the engine's
-    # rows are the groups' ids in order; point p's rows read streams[p], and
-    # one point reads everything as it is.
+    # draws.  A stream's rows ascend by id, so the engine's rows are the
+    # groups' ids in order; point p's rows read streams[p], and one point
+    # reads everything as it is.
     ids = [i for group in groups for i in group]
     node_row = np.searchsorted(active, ids)
     if len(streams) == 1:
@@ -304,30 +306,25 @@ def simulate_protocol(
     else:
         blocks = np.concatenate([s.blocks for s in streams])
         desired = np.concatenate([s.desired for s in streams])
-    channel = None
-    if scenario.channel is not None:
-        # Every (node, block) keeps its own channel substream: the run derives
-        # all their keys at once and re-keys one generator per sent block.
-        keys = channel_keys(scenario.seed, active, num_blocks)
-        rng = np.random.Generator(np.random.Philox(0))
-        snr = scenario.channel
-
-        def channel(samples, desired, rows, block_index):
-            return fieldgen.awgn_channel(
-                samples, desired, keys[node_row[rows], block_index], snr, rng
-            )
-
-    state = stdp.new_protocol_state(
-        ids,
-        blocks,
-        desired,
-        [point.thresholds for point in points],
-        sizes=[len(group) for group in groups],
-        mu=scenario.mu,
-        client_noise=draws[node_row],
-        channel=channel,
-    )
     with stdp.errstate():
+        received = None
+        if scenario.channel is not None:
+            # Every block crosses the channel before round 0, and a round
+            # reads what the sinks receive of the blocks its rows send: a
+            # (node, block) gets the same noise in every point, whatever the
+            # node sent before.
+            noise = fieldgen.channel_noise(scenario.seed, ids, num_blocks, blocks.shape[2])
+            received = fieldgen.awgn_channel(blocks, desired, noise, scenario.channel)
+        state = stdp.new_protocol_state(
+            ids,
+            blocks,
+            desired,
+            [point.thresholds for point in points],
+            sizes=[len(group) for group in groups],
+            mu=scenario.mu,
+            client_noise=draws[node_row],
+            received=received,
+        )
         for _ in range(num_blocks):
             stdp.step_round(state)
     return state

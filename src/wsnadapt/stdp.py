@@ -25,8 +25,8 @@ The array round.  The engine runs one or more *points*, independent
 protocol runs over the same rounds (a sweep's points, or one scenario),
 side by side.  Its rows are (point, node) pairs: point p's nodes are
 consecutive rows, ids ascending, and ``point[k]`` names row k's point.
-Inside the engine a row is the only address: the trace and the channel
-hook name rows, and node ids appear only in error messages.
+Inside the engine a row is the only address: the trace names rows, and
+node ids appear only in error messages.
 ``phase[k]`` is the row's phase code (an index into ``PHASES``; which
 filter is active is a function of the phase alone), ``client_weight[k]``
 its client filter Wc and ``received_global[k]`` the global weight Wr that
@@ -36,9 +36,10 @@ auto step size.
 A run is one ``ProtocolState``, set up once and then stepped round by
 round.  ``new_protocol_state`` takes the run's inputs and checks them: the
 ``(rows, rounds, n)`` sensed blocks, the desired values and client noise
-draws, and the alpha and beta of every row.  It allocates the run's
-``Trace``, the only record of the run: sent-block counts are read off its
-``transmitted`` column and each round's messages off its ``kinds``.  Round
+draws, what the sinks receive of each block, and the alpha and beta of
+every row.  It allocates the run's ``Trace``, the only record of the run:
+sent-block counts are read off its ``transmitted`` column and each round's
+messages off its ``kinds``.  Round
 r, ``step_round(state)``, takes the ``(rows, n)`` matrix U of the round's
 blocks and the desired vector d, works on masks over the phase codes,
 writes its columns into trace row r in place and appends its
@@ -49,7 +50,7 @@ client-filter updates to the trace's log; it copies no per-round state:
    beta (adapting rows fall silent at or below it, predicting rows
    restart above it).  This arithmetic is row-wise, so it runs over every
    row and keeps the client rows' results;
-2. wire: the transmitting rows, optionally through the channel;
+2. wire: the transmitting rows' blocks, as the sinks receive them;
 3. sink side, per point: one global sweep w += mu sum_i u_i (d_i - u_i.w)
    over the point's received rows, then their errors d - U w are held
    against alpha;
@@ -75,11 +76,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, Diverged, InvalidParameter
+from .errors import DimensionMismatch, Diverged, InvalidParameter, NonFinite
 from .numerics import max_eigenvalue
 
 SINK_ID = 0
@@ -202,10 +203,10 @@ class ProtocolState:
     Inputs, checked when the state is made: row k of ``blocks``
     ``(rows, rounds, n)``, ``desired`` and ``noise`` ``(rows, rounds)`` is
     what row k senses and draws, and ``alpha[k]`` and ``beta[k]`` are the
-    thresholds of its point.  ``auto_mu`` says whether the step sizes
-    follow the automatic rule.  ``channel(samples, desired, rows,
-    round_index)``, if set, maps the blocks of the transmitting rows
-    ``rows`` to what the sinks receive.
+    thresholds of its point.  ``sink_blocks`` and ``sink_desired``, shaped
+    as ``blocks`` and ``desired``, are what the sinks receive of each block
+    a row sends (the sensed arrays themselves without a channel).
+    ``auto_mu`` says whether the step sizes follow the automatic rule.
 
     Engine state: ``client_weight`` and ``received_global`` rows are
     meaningful only while the row is in a client phase; the round that
@@ -224,10 +225,11 @@ class ProtocolState:
     blocks: np.ndarray
     desired: np.ndarray
     noise: np.ndarray
+    sink_blocks: np.ndarray
+    sink_desired: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
     auto_mu: bool
-    channel: Callable[[np.ndarray, np.ndarray, np.ndarray, int], tuple] | None
     global_weight: np.ndarray
     mu: np.ndarray
     phase: np.ndarray
@@ -357,7 +359,7 @@ def new_protocol_state(
     sizes: Sequence[int] | None = None,
     mu: float | None = None,
     client_noise: np.ndarray | None = None,
-    channel: Callable[[np.ndarray, np.ndarray, np.ndarray, int], tuple] | None = None,
+    received: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ProtocolState:
     """A fresh run over the given inputs, checked against its rows.
 
@@ -373,9 +375,10 @@ def new_protocol_state(
     point's step size; without it the state's ``auto_mu`` is set and each
     point follows the automatic rule, 0.5 / (M * lambda_max) of the point's
     empirical block covariance, refreshed whenever one of its nodes is in a
-    raw round.  ``channel(samples, desired, rows, round_index)``
-    optionally maps the blocks of the transmitting engine rows ``rows`` to
-    what the sinks receive.
+    raw round.  ``received``, a ``(blocks, desired)`` pair shaped as
+    those inputs, is what the sinks receive of each block a row sends
+    (default: the sensed arrays themselves, not copied); a round reads it
+    for its transmitting rows only.
     """
     ids = tuple(int(i) for i in node_ids)
     sizes = [len(ids)] if sizes is None else [int(size) for size in sizes]
@@ -402,6 +405,14 @@ def new_protocol_state(
             f"{rounds} rounds of {m} nodes need ({m}, {rounds}) desired values and noise "
             f"draws, got {desired.shape} and {noise.shape}"
         )
+    sink_blocks, sink_desired = (
+        (blocks, desired) if received is None else (np.asarray(a, dtype=float) for a in received)
+    )
+    if sink_blocks.shape != blocks.shape or sink_desired.shape != desired.shape:
+        raise DimensionMismatch(
+            f"the sinks receive {sink_blocks.shape} blocks and {sink_desired.shape} desired "
+            f"values of the sensed {blocks.shape} and {desired.shape}"
+        )
     if isinstance(thresholds, Thresholds):
         thresholds = [thresholds] * points
     if len(thresholds) != points:
@@ -415,10 +426,11 @@ def new_protocol_state(
         blocks=blocks,
         desired=desired,
         noise=noise,
+        sink_blocks=sink_blocks,
+        sink_desired=sink_desired,
         alpha=alpha,
         beta=beta,
         auto_mu=mu is None,
-        channel=channel,
         global_weight=np.tile(initial_weight(n), (points, 1)),
         mu=np.full(points, np.nan if mu is None else float(mu)),
         phase=np.full(m, RAW_TRANSMIT, dtype=np.uint8),
@@ -447,7 +459,9 @@ def step_round(state: ProtocolState) -> RoundResult:
 
     Raises ``Diverged`` at the first round with a non-finite error, naming
     the round, the node and (as ``point``) the lowest point that has one.
-    Within a point, client errors are checked before sink errors.
+    Within a point, client errors are checked before sink errors.  A
+    point's step-size estimate over a non-finite block covariance raises
+    ``Diverged`` at once, naming the round and (as ``point``) that point.
     """
     r = state.round_index
     trace = state.trace
@@ -486,13 +500,11 @@ def step_round(state: ProtocolState) -> RoundResult:
     points = len(state.bounds) - 1
     stop = state.point[client_bad[0]] if client_bad.size else points
 
-    # Wire: data blocks of transmitting nodes, optionally through the channel.
+    # Wire: data blocks of transmitting nodes, as the sinks receive them.
     sent = transmit.nonzero()[0]
     handed = to_sink_adaptive = sent[:0]
     if sent.size and stop > 0:
-        u_sent, d_sent = samples[sent], state.desired[sent, r]
-        if state.channel is not None:
-            u_sent, d_sent = state.channel(u_sent, d_sent, sent, r)
+        u_sent, d_sent = state.sink_blocks[sent, r], state.sink_desired[sent, r]
 
         # Sink side: per point, the step-size estimate when one of its rows
         # is raw (or none was made yet), one global sweep over this round's
@@ -509,7 +521,12 @@ def step_round(state: ProtocolState) -> RoundResult:
             a, b = cut[p], cut[p + 1]
             u, d = u_sent[a:b], d_sent[a:b]
             if state.auto_mu and (raw[p] < raw[p + 1] or math.isnan(state.mu[p])):
-                lam = max_eigenvalue((u.T @ u) / u.shape[0])
+                try:
+                    lam = max_eigenvalue((u.T @ u) / u.shape[0])
+                except NonFinite:
+                    raise Diverged(
+                        f"diverged in round {r}: non-finite block covariance at the sink", point=p
+                    ) from None
                 nodes = state.bounds[p + 1] - state.bounds[p]
                 state.mu[p] = 0.5 / (nodes * lam) if lam > 0 else 0.0
             weight = _sweep(state.global_weight[p], u, d, state.mu[p])

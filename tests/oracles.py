@@ -138,23 +138,27 @@ def random_layout(rng: np.random.Generator, m: int, side: float = 4.0, min_sep: 
     return points[:m], points[m]
 
 
-def awgn_channel_per_block(samples, desired, node_ids, block_index, snr_db, seed, role):
-    """The AWGN channel with one freshly seeded generator per transmitted block.
+def awgn_channel_per_node(blocks, desired, node_ids, snr_db, seed, role):
+    """The AWGN channel with one freshly seeded generator per node, read
+    block by block.
 
-    Block ``block_index`` of node ``node_ids[k]`` (row k) draws from
-    ``Philox(SeedSequence([seed, role, node, block_index]))``: n samples'
-    noise, then the desired scalar's, at a variance of the block's
-    mean-square power times 10**(-snr_db/10).
+    Row k of ``blocks`` (``(rows, B, n)``) and ``desired`` (``(rows, B)``)
+    is node ``node_ids[k]``, which draws from
+    ``Philox(SeedSequence([seed, role, node, 0]))`` one block after the
+    other: n samples' noise, then the desired scalar's, at a variance of the
+    block's mean-square power times 10**(-snr_db/10).
     """
-    noisy = np.empty_like(samples)
+    noisy = np.empty_like(blocks)
     noisy_desired = np.empty_like(desired)
     for k, node_id in enumerate(node_ids):
-        key = np.random.SeedSequence([int(seed), int(role), int(node_id), int(block_index)])
+        key = np.random.SeedSequence([int(seed), int(role), int(node_id), 0])
         rng = np.random.Generator(np.random.Philox(key))
-        power = float(np.mean(samples[k] ** 2))
-        noise_std = float(np.sqrt(power * 10.0 ** (-snr_db / 10.0)))
-        noisy[k] = samples[k] + rng.normal(0.0, noise_std, samples.shape[1])
-        noisy_desired[k] = desired[k] + rng.normal(0.0, noise_std)
+        for b, u in enumerate(blocks[k]):
+            power = float(np.mean(u**2))
+            noise_std = float(np.sqrt(power * 10.0 ** (-snr_db / 10.0)))
+            noise = rng.normal(0.0, noise_std, u.size + 1)
+            noisy[k, b] = u + noise[:-1]
+            noisy_desired[k, b] = desired[k, b] + noise[-1]
     return noisy, noisy_desired
 
 

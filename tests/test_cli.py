@@ -3,6 +3,7 @@ import errno
 import json
 import os
 import stat
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import fields
@@ -1006,8 +1007,13 @@ def test_config_shape_is_checked_against_the_value_types(tmp_path, capsys, doc, 
 
 @pytest.mark.parametrize(
     "doc",
-    [{"malicious": None}, {"channel": None}, {"field": {"sigma_u": [1, 2.5, *[1.0] * 8]}}],
-    ids=["null_malicious", "null_channel", "list_sigma_u"],
+    [
+        {"malicious": None},
+        {"channel": None},
+        {"field": {"sigma_u": [1, 2.5, *[1.0] * 8]}},
+        {"seed": 10**400},
+    ],
+    ids=["null_malicious", "null_channel", "list_sigma_u", "seed_beyond_the_float_range"],
 )
 def test_config_shapes_that_are_accepted(tmp_path, capsys, doc):
     path = write_config(tmp_path, {"experiment": "stdp", "num_blocks": 10, **doc})
@@ -1127,6 +1133,60 @@ def test_ada_descent_that_cannot_converge_exits_2_and_writes_nothing(tmp_path, c
 )
 def test_scales_out_of_float_range_are_config_errors(tmp_path, capsys, doc, message):
     assert_config_error(tmp_path, capsys, doc, message)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"experiment": "ada", "field": {"theta": 10**400}}, "/field/theta"),
+        ({"experiment": "stdp", "channel": -(10**400)}, "/channel"),
+        (
+            {"experiment": "sweep", "sweep": {"axis": "beta", "values": [0.1, 10**400]}},
+            "/sweep/values/1",
+        ),
+        (
+            {"experiment": "stdp", "layout": {**two_node_layout([1, 2]), "sink": [2, 10**400]}},
+            "/layout/sink/1",
+        ),
+    ],
+    ids=["theta", "channel", "sweep_value", "sink"],
+)
+def test_integers_beyond_the_float_range_are_config_errors(tmp_path, capsys, doc, message):
+    message += ": must fit a float, got an integer of 1329 bits"
+    assert_config_error(tmp_path, capsys, doc, message)
+
+
+def test_an_integer_literal_of_too_many_digits_is_a_config_error(tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integer literals of any length")
+    path = write_config(tmp_path, '{"experiment": "ada", "seed": 1' + "0" * limit + "}")
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: /: not valid JSON: ")
+        assert captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("channel", [None, 30.0])
+def test_a_corruption_that_overflows_the_sink_covariance_fails_in_round_0(
+    tmp_path, capsys, channel
+):
+    doc = {
+        "experiment": "detect",
+        "channel": channel,
+        "malicious": {"node_ids": [3, 7], "scale": 1e160},
+    }
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "run error: diverged in round 0: non-finite block covariance at the sink\n",
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment", ["stdp", "detect"])

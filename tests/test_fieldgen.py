@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import awgn_channel_per_block, pearson, random_layout
+from oracles import awgn_channel_per_node, pearson, random_layout
 from wsnadapt.errors import (
     CsvFormatError,
     InvalidTheta,
@@ -14,11 +14,10 @@ from wsnadapt.fieldgen import (
     NodeLayout,
     awgn_channel,
     build_spatial_covariance,
-    channel_keys,
+    channel_noise,
     generate_stream,
     ingest_csv,
     inject_malicious,
-    philox_keys,
 )
 from wsnadapt.numerics import cholesky_factor
 from wsnadapt.sim import default_layout
@@ -159,98 +158,43 @@ def test_inject_malicious_empty_set_is_identity():
     assert np.array_equal(stream.desired, same.desired)
 
 
-def channel_rng() -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(0))
-
-
 def test_awgn_vanishing_at_high_snr():
     stream = generate_stream(default_layout(), FieldParams(), 5, 1, seed=3)
-    samples, desired = stream.blocks[:1, 0], stream.desired[:1, 0]
-    keys = channel_keys(3, [1], 1)[:, 0]
-    quiet_samples, quiet_desired = awgn_channel(samples, desired, keys, 300.0, channel_rng())
-    assert np.max(np.abs(quiet_samples - samples)) < 1e-10
-    assert abs(quiet_desired[0] - desired[0]) < 1e-10
+    blocks, desired = stream.blocks[:1], stream.desired[:1]
+    quiet_blocks, quiet_desired = awgn_channel(blocks, desired, channel_noise(3, [1], 1, 5), 300.0)
+    assert np.max(np.abs(quiet_blocks - blocks)) < 1e-10
+    assert abs(quiet_desired[0, 0] - desired[0, 0]) < 1e-10
 
 
 def test_awgn_zero_db_power_ratio():
     stream = generate_stream(default_layout(), FieldParams(), 5, 2000, seed=6)
-    keys = channel_keys(6, [1], 2000)[0]
-    rng = channel_rng()
+    blocks = stream.blocks[:1]
+    noisy, _ = awgn_channel(blocks, stream.desired[:1], channel_noise(6, [1], 2000, 5), 0.0)
     signal = suma = 0.0
-    for b, u in enumerate(stream.blocks[0]):
-        noisy, _ = awgn_channel(u[None], stream.desired[0, b : b + 1], keys[b : b + 1], 0.0, rng)
+    for u, v in zip(blocks[0], noisy[0]):
         signal += float(u @ u)
-        diff = noisy[0] - u
+        diff = v - u
         suma += float(diff @ diff)
     assert 0.9 <= suma / signal <= 1.1
 
 
-def seed_sequence_key(entropy) -> np.ndarray:
-    return np.random.SeedSequence([int(v) for v in entropy]).generate_state(2, np.uint64)
-
-
-def test_philox_keys_match_seed_sequence():
-    # Values of every word count: zero, one word, exactly 2**32, two words,
-    # and (as shared scalars) three or more words.
-    rng = np.random.default_rng(61)
-    scalars = [0, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**64, 2**64 + 3, 2**100 + 1]
-    row_values = np.array([0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 9, 2**64 - 1], dtype=np.uint64)
-    for _ in range(150):
-        rows = int(rng.integers(1, 25))
-        columns = []
-        for _ in range(int(rng.integers(1, 8))):
-            kind = rng.integers(3)
-            if kind == 0:
-                columns.append(scalars[rng.integers(len(scalars))])
-            elif kind == 1:
-                columns.append(row_values[rng.integers(len(row_values), size=rows)])
-            else:
-                columns.append(rng.integers(0, 2**62, size=rows, dtype=np.int64) >> rng.integers(63))
-        if all(np.ndim(c) == 0 for c in columns):
-            rows = 1
-        keys = philox_keys(columns)
-        assert keys.shape == (rows, 2) and keys.dtype == np.uint64
-        for r in range(rows):
-            entropy = [c if np.ndim(c) == 0 else c[r] for c in columns]
-            assert np.array_equal(keys[r], seed_sequence_key(entropy)), entropy
-
-
-def test_philox_keys_reject_negative_entropy():
-    with pytest.raises(ValueError, match="non-negative"):
-        philox_keys([1, np.array([3, -1])])
-    with pytest.raises(ValueError, match="non-negative"):
-        philox_keys([-1, 2])
-
-
-def test_channel_keys_are_the_substream_keys():
-    ids = [9, 2**32 + 7, 1, 2**40, 4]
-    for seed in (0, 12, 2**32 + 5, 2**64 + 1):
-        keys = channel_keys(seed, ids, 7)
-        assert keys.shape == (5, 7, 2)
-        for k, node_id in enumerate(ids):
-            for b in range(7):
-                expected = seed_sequence_key([seed, ROLE_CHANNEL, node_id, b])
-                assert np.array_equal(keys[k, b], expected)
-
-
-def test_awgn_channel_matches_per_block_generators():
+def test_awgn_channel_matches_per_node_generators():
     rng = np.random.default_rng(67)
-    channel = channel_rng()
+    seeds = [0, 3, 2**32 + 9, 2**64, 2**64 + 7]
+    id_pool = np.array([1, 2, 3, 5, 8, 21, 2**32, 2**32 + 1, 2**33, 77, 99, 2**63 - 1])
     for trial in range(120):
         m = int(rng.integers(1, 12))
+        num_blocks = int(rng.integers(1, 7))
         n = int(rng.choice([1, 2, 5, 9, 40]))
-        ids = rng.permutation(np.array([1, 2, 3, 5, 8, 13, 21, 2**32 + 1, 2**33, 77, 78, 99]))[:m]
-        seed = int(rng.choice([0, 3, 2**32 + 9]))
-        block = int(rng.integers(0, 6))
-        samples = rng.normal(size=(m, n)) * rng.uniform(0.01, 10.0)
-        samples[rng.uniform(size=m) < 0.2] = rng.choice([0.0, -0.0])  # zero-power rows
-        desired = rng.normal(size=m)
+        ids = rng.permutation(id_pool)[:m].tolist()
+        seed = seeds[rng.integers(len(seeds))]
+        blocks = rng.normal(size=(m, num_blocks, n)) * rng.uniform(0.01, 10.0)
+        blocks[rng.uniform(size=(m, num_blocks)) < 0.2] = rng.choice([0.0, -0.0])  # zero power
+        desired = rng.normal(size=(m, num_blocks))
         snr_db = float(rng.uniform(-20.0, 45.0))
-        keys = channel_keys(seed, ids, 6)[:, block]
-        got = awgn_channel(samples, desired, keys, snr_db, channel)
-        expected = awgn_channel_per_block(
-            samples, desired, ids, block, snr_db, seed, ROLE_CHANNEL
-        )
+        noise = channel_noise(seed, ids, num_blocks, n)
+        got = awgn_channel(blocks, desired, noise, snr_db)
+        expected = awgn_channel_per_node(blocks, desired, ids, snr_db, seed, ROLE_CHANNEL)
         assert got[0].tobytes() == expected[0].tobytes(), trial
         assert got[1].tobytes() == expected[1].tobytes(), trial
 

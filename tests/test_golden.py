@@ -7,7 +7,8 @@ its output directory must hash to the recorded digest.  One extra
 corrupted nodes pins the channel and corruption paths, which no shipped
 config exercises.  A small 12-node x 60-round detect scenario with a
 10 dB channel, a seed of 2**32 + 5 and one node id of 2**32 + 7 pins the
-substream keys whose entropy words do not each fit in 32 bits.  Two
+substreams whose entropy takes several 32-bit words, the channel's among
+them.  Two
 sweeps pin the batched sweep engine: a 20-node ``node_count`` sweep whose
 points use different node sets, and a 16-node ``beta`` sweep with a 30 dB
 channel, two corrupted nodes, an explicit step size and node ids listed
@@ -60,18 +61,18 @@ GOLDEN = {
         "sweep_transmission.csv": "1c572c0ce8da858b6d853d5677375f8d9edcb08044055241454dfdee17e53e4c",
     },
     "detect_100": {
-        "detection.csv": "d5f66083d2868b619959858b289ff39ace9a134f45114355eb8d0e336f377047",
+        "detection.csv": "d85d7724be1bdc894cc291d8ba2b6798b919c86dd9b7afd5b31f4ac6bbb52fc0",
         "effective_config.json": "32c0c9c1eaf4d0fb99406011d4e37be3466b526cb43ce277398714a0832b5740",
-        "message_trace.csv": "bf0cdca692ffaf06c25e33ed7f690752cf62a83a1fb08ef7be18fd814eee93f8",
-        "stdp_transmission.csv": "1d2a004fa510363d7bccb20743ee5bb82b900bdb50b34c5db2cadb57b0067153",
-        "weights.csv": "f23bc1db1bacb7e1de818b12d5851bcdb9fdef67158fbdb9c01994944fa61a1c",
+        "message_trace.csv": "7b3f2e3d32023bd2fa731c8323731672ba81105e7722205a5a3e903382c830a4",
+        "stdp_transmission.csv": "08bd8f877c75a0d86c8517d823cf8e2bad81b547071ba21081a3b221c5acc84f",
+        "weights.csv": "23c1e4b05027a3167452b837c36aca0950167adf866b5feb8adba392681d871a",
     },
     "detect_multiword": {
-        "detection.csv": "34a14de9158b6476f6f14fb05a41b501739348540707f1600df0899c25393e45",
+        "detection.csv": "7f3c0a622508ec07a0c13e2824230d9a084b91539563c4bef855496ef70f66ed",
         "effective_config.json": "61b71e73154be40556fe151787f954f21b3af1aa0f324753dded3ba7b026654f",
-        "message_trace.csv": "4e3b65061e9e0c7b313bb8513230e5e01a03c444952e1e385bd156d87acdd54a",
-        "stdp_transmission.csv": "a9e8a2791cebc22d2a0e22170f04693f329530a9a574e2662df61d4e87152860",
-        "weights.csv": "2aadb59c7ffce19555798c4f449961c6401106b77a1298e451e5a08ffa0a3526",
+        "message_trace.csv": "c7c8cdb47d04b23844a216c85bd95a4ee6595adf9c5258c97c85a8dd3ab581cc",
+        "stdp_transmission.csv": "616a774efdbd00466ae655d53c28c99bbabe0425594ea72964d7b0f86b9261c6",
+        "weights.csv": "801c1df359329094f51643a137a53b3f174f162fc633b9f17e8815fd44bfc653",
     },
     "sweep_node_count": {
         "effective_config.json": "998c64c5c7c9ba8dfef027dafc7e5d09b0370349e3d315591a2fd3599b413b44",
@@ -80,8 +81,8 @@ GOLDEN = {
     },
     "sweep_beta_channel": {
         "effective_config.json": "056169785e06ee8f08097083d7361146c9087a409a7afcf79816ec977d322287",
-        "stdp_transmission.csv": "df9beca06cf15cb1865c29ae6f6e4986b5e5f45c7e4f28d5554c27374ea18d74",
-        "sweep_totals.csv": "2c1076096177e3e8baccd6d4ded840ae8e1425d35e1fd5af79327f4d0102018f",
+        "stdp_transmission.csv": "ff95c7a1dd8d626222e791940b1980210ecdd3cc94336abb3bba223dc6562c1f",
+        "sweep_totals.csv": "2e036112b0d4e42fdebc796290dd3b29a20db8e6fa401aca00f56d23ce9cec90",
     },
     "stdp_ingest": {
         "effective_config.json": "42f0261db8509972c9a927b1690d3744f5f32ea42e7a9051ebfad301e05f1c65",
@@ -90,11 +91,11 @@ GOLDEN = {
         "weights.csv": "2627b8956ddd2114e1e6d66198e1e541823fc72567a505d40066593ba005bb70",
     },
     "detect_ingest": {
-        "detection.csv": "df2a2548a1d53a7a4b2df3641bad191855a9f1402c824494ad7c84a230587a5c",
+        "detection.csv": "fa18b047d3d2f1994572f938effa8d5b6ea2313f20c5804770d8d5a9bef4bf98",
         "effective_config.json": "f9149188dd8b8132f1ddf87248a7d0c9c6cb5ed3d76e3617b7393cef78ec13ba",
-        "message_trace.csv": "e0a4b9841e5ac8ac072e55eda620751e9dabd434805a89597a8fb14a08f3549b",
+        "message_trace.csv": "a68aa2cf56cbe1a1c0435879031bddcd06a602f7037c8bd3c7869f29c4a02a4b",
         "stdp_transmission.csv": "178ac371b2e51fd2e72bfc32e2b52f38c448cc542eb272a34040e7471f93243a",
-        "weights.csv": "51eb133209c6b252d82b672755e9ab3f5111631641e677655ea542042dfb320e",
+        "weights.csv": "a8bad47fbba2890e99eb9365fe16432d99d603d146ea20a97a36f9060383edea",
     },
 }
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import gauss_solve, jacobi_eigenvalues, random_spd
-from wsnadapt.errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
+from wsnadapt.errors import DimensionMismatch, NoConvergence, NonFinite, NotPositiveDefinite
 from wsnadapt.numerics import cholesky_factor, max_eigenvalue, solve_spd
 
 
@@ -100,3 +100,11 @@ def test_max_eigenvalue_no_convergence():
 
 def test_max_eigenvalue_zero_matrix():
     assert max_eigenvalue(np.zeros((3, 3))) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_max_eigenvalue_refuses_a_non_finite_matrix(bad):
+    a = np.eye(3)
+    a[0, 1] = a[1, 0] = bad
+    with pytest.raises(NonFinite, match="non-finite entry"):
+        max_eigenvalue(a)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import gauss_solve
 from wsnadapt import fieldgen, sim
 from wsnadapt.errors import Diverged
-from wsnadapt.fieldgen import FieldParams, NodeLayout, build_spatial_covariance
+from wsnadapt.fieldgen import FieldParams, NodeLayout, build_spatial_covariance, generate_stream
 from wsnadapt.sim import (
     MaliciousSpec,
     RunReport,
@@ -79,9 +79,10 @@ def test_run_ada_builds_the_covariance_once(default_scenario, monkeypatch):
 
 
 def test_channel_run_derives_keys_without_a_seed_sequence_per_block(monkeypatch):
-    # Each node needs a few substreams of its own (measurement, protocol,
-    # corruption); the channel's (node, block) keys come from one table, so
-    # the SeedSequence count grows with the nodes, not with the sent blocks.
+    # One substream per (role, node) plus the field's: measurement, protocol
+    # and channel noise for every node and corruption for the corrupted one.
+    # The channel reads a node's substream block by block, so the count does
+    # not grow with the sent blocks.
     real = np.random.SeedSequence
     built = []
 
@@ -90,14 +91,22 @@ def test_channel_run_derives_keys_without_a_seed_sequence_per_block(monkeypatch)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "SeedSequence", counted)
-    scenario = default_scenario(
-        num_blocks=120, channel=20.0, malicious=MaliciousSpec(node_ids=(5, 9), scale=6.0)
-    )
-    state = simulate_protocol(scenario)
-    sent_blocks = int(state.trace.transmitted.sum())
-    assert sent_blocks > 100
+    counts, sent = [], []
+    for beta in (0.05, 0.2):
+        built.clear()
+        scenario = default_scenario(
+            num_blocks=120,
+            channel=20.0,
+            thresholds=Thresholds(0.5, beta),
+            malicious=MaliciousSpec(node_ids=(5,), scale=6.0),
+        )
+        state = simulate_protocol(scenario)
+        sent.append(int(state.trace.transmitted.sum()))
+        counts.append(len(built))
     m = scenario.layout.size
-    assert len(built) <= 3 * m + 2, len(built)
+    assert min(sent) > 100 and sent[0] != sent[1], sent
+    assert counts == [1 + 3 * m + 1] * 2  # the field, 3 roles per node, 1 corrupted node
+    assert counts[0] <= 3 * m + 2
 
 
 def test_run_stdp_beta_zero_and_huge(default_scenario):
@@ -259,6 +268,28 @@ def test_point_report_read_off_an_engine_run_equals_its_own_run(axis, values):
         assert shared.metadata == own.metadata
         assert csv_files(shared) == csv_files(own)
         assert "weights.csv" in csv_files(own)
+
+
+def test_channel_sweep_points_receive_the_same_bytes_for_a_node_and_block():
+    scenario = small_scenario(channel=30.0)
+    alone = simulate_protocol(scenario)
+    assert not np.array_equal(alone.sink_blocks, alone.blocks)
+    for axis, values in (("beta", [0.3, 0.0, 0.1]), ("node_count", [6, 2, 4])):
+        points = [scenario_for_point(scenario, axis, value) for value in values]
+        state = simulate_protocol(points[0], points=points)
+        rows = np.searchsorted(alone.node_ids, state.node_ids)
+        assert state.sink_blocks.tobytes() == alone.sink_blocks[rows].tobytes()
+        assert state.sink_desired.tobytes() == alone.sink_desired[rows].tobytes()
+
+
+@pytest.mark.parametrize("run", [run_stdp, run_detect])
+def test_a_given_stream_is_not_corrupted_so_malicious_is_refused(run):
+    scenario = small_scenario(malicious=MaliciousSpec(node_ids=(5, 9), scale=6.0))
+    stream = generate_stream(
+        scenario.layout, scenario.field, scenario.n_block, scenario.num_blocks, scenario.seed
+    )
+    with pytest.raises(ValueError, match="^malicious: corrupts generated streams only"):
+        run(scenario, stream=stream)
 
 
 def diverging_points(scenario, axis, values):

@@ -61,7 +61,7 @@ def trace_rows(state, r):
     ]
 
 
-def drive(layout, stream, thresholds, mu=None, noise_seed=None, channel=None):
+def drive(layout, stream, thresholds, mu=None, noise_seed=None, received=None):
     """Run the engine over a whole stream, returning (state, rows, kinds):
     the rows read off the trace and each round's row of ``trace.kinds``."""
     ids = list(stream.node_ids)
@@ -72,7 +72,7 @@ def drive(layout, stream, thresholds, mu=None, noise_seed=None, channel=None):
             [substream(noise_seed, ROLE_PROTOCOL, i).normal(0, std, stream.num_blocks) for i in ids]
         )
     state = new_protocol_state(
-        ids, stream.blocks, stream.desired, thresholds, mu=mu, client_noise=noise, channel=channel
+        ids, stream.blocks, stream.desired, thresholds, mu=mu, client_noise=noise, received=received
     )
     with errstate():
         for _ in range(stream.num_blocks):
@@ -306,19 +306,31 @@ def test_step_round_requires_block_per_node():
         new_protocol_state(ids, stream.blocks, stream.desired, thresholds, client_noise=[0.0])
     with pytest.raises(DimensionMismatch):
         new_protocol_state(ids, stream.blocks, stream.desired, [thresholds] * 2)
+    with pytest.raises(DimensionMismatch):
+        received = (stream.blocks[:, :1], stream.desired[:, :1])
+        new_protocol_state(ids, stream.blocks, stream.desired, thresholds, received=received)
 
 
-def test_channel_hook_applies_to_transmitted_blocks_only():
+def test_sinks_receive_only_the_blocks_that_were_sent():
     layout, stream = make_stream(30, seed=11)
-    seen = []
-
-    def channel(samples, desired, rows, block_index):
-        seen.extend((row, block_index) for row in rows)
-        return samples, desired
-
-    state, rows, _ = drive(layout, stream, Thresholds(0.5, 0.05), noise_seed=11, channel=channel)
-    sent = int(state.trace.transmitted.sum())
-    assert len(seen) == sent
+    thresholds = Thresholds(0.5, 0.05)
+    state, rows, kinds = drive(layout, stream, thresholds, noise_seed=11)
+    unsent = ~state.trace.transmitted.T
+    assert unsent.any()
+    # What the sinks would receive of a block never sent is never read.
+    blocks, desired = stream.blocks.copy(), stream.desired.copy()
+    blocks[unsent] = np.nan
+    desired[unsent] = np.inf
+    again, again_rows, again_kinds = drive(
+        layout, stream, thresholds, noise_seed=11, received=(blocks, desired)
+    )
+    assert again_rows == rows
+    assert np.array_equal(again_kinds, kinds)
+    # The sink side reads the received blocks.
+    blocks, desired = stream.blocks.copy(), stream.desired.copy()
+    blocks[~unsent] *= 1.5
+    noisy, _, _ = drive(layout, stream, thresholds, noise_seed=11, received=(blocks, desired))
+    assert not np.array_equal(noisy.trace.error_glob, state.trace.error_glob)
 
 
 def idle_state(ids, rounds):
