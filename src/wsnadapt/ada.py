@@ -9,7 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, StepSizeOutOfRange, TargetUnreachable
+from .errors import (
+    DimensionMismatch, NoConvergence, NotPositiveDefinite, StepSizeOutOfRange, TargetUnreachable
+)
 from .fieldgen import CovariancePair, NodeLayout
 from .numerics import as_vector, cholesky_factor, forward_substitute, max_eigenvalue, solve_spd
 
@@ -142,7 +144,8 @@ def select_nodes(
     that prefix's triangular system, and the prefix's optimal accuracy is
     rdu_k . Ruu_k^-1 rdu_k / sigma_d^2 = sum(y[:k]**2) / sigma_d^2: the
     curve is ``cumsum(y**2) / sigma_d**2``.  A degenerate ranked
-    covariance raises NotPositiveDefinite from that one factorization.
+    covariance raises NotPositiveDefinite from that one factorization,
+    naming the first ranked node that adds no independent signal.
 
     With ``target`` returns the smallest prefix reaching it (raising
     TargetUnreachable if even the full set misses); with ``count`` returns
@@ -158,7 +161,11 @@ def select_nodes(
     order = tuple(layout.node_ids[k] for k in ranked)
 
     cov = cov.restrict(ranked)
-    y = forward_substitute(cholesky_factor(cov.ruu), cov.rdu)
+    try:
+        low = cholesky_factor(cov.ruu)
+    except NotPositiveDefinite as exc:
+        raise exc.naming(order) from None
+    y = forward_substitute(low, cov.rdu)
     acc = np.cumsum(y * y) / cov.sigma_d_sq
 
     if count is not None:

@@ -4,7 +4,8 @@ experiment, and write CSV reports plus an effective-config echo.
 A config's keys and value types are checked against the field annotations
 of the value types it builds (``Scenario``, ``NodeLayout``, ``FieldParams``,
 ``Thresholds``, ``MaliciousSpec``); each field's range is checked by those
-types.  Exit codes: 0 success, 1 config validation failure, 2 runtime failure.
+types, and the nodes a run would sense by ``sim.sensed_nodes``.  Exit codes:
+0 success, 1 config validation failure, 2 runtime failure.
 Diagnostics go to stderr only; output files are written atomically.
 """
 
@@ -23,14 +24,13 @@ from pathlib import Path
 from types import UnionType
 from typing import Iterable, Literal, Union, get_args, get_origin, get_type_hints
 
-from .errors import InvalidParameter, SchemaError, WsnAdaptError
+from .errors import InvalidParameter, SchemaError, UnknownNode, WsnAdaptError
 from .fieldgen import Stream, ingest_csv
 from .sim import (
     OUTPUT_FILES,
     SWEEP_AXES,
     MaliciousSpec,
     Scenario,
-    active_node_ids,
     default_scenario,
     report_files,
     run_ada,
@@ -38,6 +38,7 @@ from .sim import (
     run_stdp,
     scenario_for_point,
     scenario_to_dict,
+    sensed_nodes,
     sweep,
 )
 
@@ -174,11 +175,6 @@ def _semantic_validate(doc: dict, scenario: Scenario) -> None:
         raise SchemaError(
             "/malicious", "detect needs a malicious configuration or an ingest_csv to run on"
         )
-    # The detector labels nodes against the median of at least two.
-    if experiment == "detect" and scenario.layout.size < 2:
-        raise SchemaError("/layout/node_ids", "detect needs at least 2 nodes to classify")
-    if experiment == "detect" and scenario.select_first and scenario.select_count < 2:
-        raise SchemaError("/select_count", "detect needs at least 2 selected nodes to classify")
 
     sweep_doc = doc.get("sweep")
     if sweep_doc is not None and sweep_doc["axis"] in ("n_block", "node_count"):
@@ -300,36 +296,20 @@ def _write_atomic(out_dir: Path, files: dict[str, Iterable[bytes]]) -> None:
 
 
 def _load_ingest(parsed: ParsedConfig) -> Stream | None:
-    """The configured ``ingest_csv`` stream, or None without one.
-
-    A file naming id 0 (the sink), sharing no node with the layout or with
-    the run's active nodes, or, for detect, sharing fewer than 2 nodes with
-    them raises SchemaError at ``/ingest_csv`` naming the ids, before the
-    run writes anything.  Other ids outside the layout are dropped.  Only
-    the protocol experiments (stdp, detect) take an ingest file.
-    """
-    if parsed.ingest_path is None:
-        return None
-    scenario = parsed.scenario
-    stream = ingest_csv(parsed.ingest_path, scenario.n_block, scenario.field, scenario.seed)
-    ids = list(stream.node_ids)
-    if ids[0] == 0:
-        raise SchemaError("/ingest_csv", "node id 0 is the sink's id, not a sensor's")
-    if not set(ids) & set(scenario.layout.node_ids):
-        raise SchemaError("/ingest_csv", f"node ids {ids} all lie outside the layout")
-    selected = active_node_ids(scenario)
-    active = sorted(set(ids) & set(selected))
-    if not active:
-        raise SchemaError(
-            "/ingest_csv",
-            f"node ids {ids} include none of the run's active nodes {sorted(selected)}",
-        )
-    if parsed.experiment == "detect" and len(active) < 2:
-        raise SchemaError(
-            "/ingest_csv",
-            f"detect needs at least 2 nodes to classify; the run would use only "
-            f"{active} of node ids {ids}",
-        )
+    """The configured ``ingest_csv`` stream (None without one), once
+    ``sim.sensed_nodes`` has checked what the run would sense: the file's
+    ids are refused at ``/ingest_csv``, any other problem at its field."""
+    scenario, detect = parsed.scenario, parsed.experiment == "detect"
+    stream = None
+    if parsed.ingest_path is not None:
+        stream = ingest_csv(parsed.ingest_path, scenario.n_block, scenario.field, scenario.seed)
+    try:
+        if detect or stream is not None:
+            sensed_nodes([scenario], stream, detect)
+    except UnknownNode as exc:
+        raise SchemaError("/ingest_csv", str(exc)) from None
+    except InvalidParameter as exc:
+        raise SchemaError("/" + exc.field, exc.reason) from None
     return stream
 
 

@@ -6,7 +6,17 @@ class WsnAdaptError(Exception):
 
 
 class NotPositiveDefinite(WsnAdaptError):
-    """A matrix required to be SPD has a (numerically) non-positive pivot."""
+    """A matrix required to be SPD has a (numerically) non-positive pivot,
+    in column ``column``."""
+
+    def __init__(self, message: str, column: int):
+        self.column = column
+        super().__init__(message)
+
+    def naming(self, node_ids) -> "NotPositiveDefinite":
+        """This error naming its column's node, the rows being ``node_ids``."""
+        message = f"covariance is degenerate at node {node_ids[self.column]}: {self}"
+        return NotPositiveDefinite(message, self.column)
 
 
 class NoConvergence(WsnAdaptError):

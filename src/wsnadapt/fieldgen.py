@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     InvalidParameter,
     InvalidTheta,
+    NotPositiveDefinite,
     UnknownNode,
 )
 from .numerics import as_symmetric_matrix, as_vector, cholesky_factor
@@ -307,12 +308,16 @@ def generate_stream(
     with coefficient temporal_phi.  The desired scalar of each block is
     samples @ w0 + v with w0 the normalized all-ones initial weight and v
     drawn per node at variance noise_var.  Bit-identical for equal seeds.
-    A degenerate layout raises NotPositiveDefinite.
+    A degenerate layout raises NotPositiveDefinite naming the first node
+    that adds no independent signal, in layout order.
     """
     if n < 1 or num_blocks < 1:
         raise ValueError("n and num_blocks must be >= 1")
     m = layout.size
-    low = cholesky_factor(build_spatial_covariance(layout, params).ruu)
+    try:
+        low = cholesky_factor(build_spatial_covariance(layout, params).ruu)
+    except NotPositiveDefinite as exc:
+        raise exc.naming(layout.node_ids) from None
 
     total = n * num_blocks
     rng_field = substream(seed, ROLE_FIELD)

@@ -58,9 +58,7 @@ def cholesky_factor(a) -> np.ndarray:
     for j in range(n):
         pivot = m[j, j] - low[j, :j] @ low[j, :j]
         if pivot <= floor:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at column {j} is <= {floor:.3e}"
-            )
+            raise NotPositiveDefinite(f"pivot {pivot:.3e} at column {j} is <= {floor:.3e}", j)
         low[j, j] = np.sqrt(pivot)
         if j + 1 < n:
             low[j + 1:, j] = (m[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]

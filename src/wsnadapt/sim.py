@@ -1,6 +1,7 @@
 """Scenario orchestration: binds the field generator, the accuracy model,
 the dual-prediction protocol and the detector into reproducible experiment
-runs, and lays their results out as the CSV files each run writes.
+runs, and lays their results out as the CSV files each run writes.  Which
+nodes a run senses, and whether it can run on them, is ``sensed_nodes``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import ada, fieldgen, malicious, stdp
-from .errors import Diverged, InsufficientHistory, InvalidParameter
+from .errors import Diverged, InsufficientHistory, InvalidParameter, UnknownNode
 from .fieldgen import (
     ROLE_PROTOCOL,
     FieldParams,
@@ -234,13 +235,47 @@ def _scenario_stream(scenario: Scenario) -> Stream:
     return stream
 
 
-def active_node_ids(scenario: Scenario) -> tuple[int, ...]:
-    """Participating nodes: everyone, or the selected nearest subset."""
-    if not scenario.select_first:
-        return scenario.layout.node_ids
-    cov = build_spatial_covariance(scenario.layout, scenario.field)
-    chosen = ada.select_nodes(scenario.layout, cov, count=scenario.select_count).selected
-    return tuple(sorted(chosen))
+def sensed_nodes(
+    points: Sequence[Scenario], stream: Stream | None = None, detect: bool = False
+) -> list[tuple[int, ...]]:
+    """Each point's nodes, ids ascending: the layout's, or with
+    ``select_first`` the ``select_count`` nearest the sink (one ranking for
+    all points, which share a layout), that a given ``stream`` holds.
+    Refused before any stream is made: a stream holding id 0, no layout
+    node or none of a point's nodes (UnknownNode), and for ``detect``,
+    which labels nodes against their median, fewer than 2 nodes or an
+    unsensed corrupted one (InvalidParameter; UnknownNode when the stream
+    leaves fewer)."""
+    layout = points[0].layout
+    if detect and layout.size < 2:
+        raise InvalidParameter("layout/node_ids", "detect needs at least 2 nodes to classify")
+    if detect and any(p.select_first and p.select_count < 2 for p in points):
+        raise InvalidParameter("select_count", "detect needs at least 2 selected nodes to classify")
+    order = layout.node_ids
+    if any(p.select_first for p in points):
+        cov = build_spatial_covariance(layout, points[0].field)
+        order = ada.select_nodes(layout, cov, count=layout.size).order
+    ids = list(layout.node_ids if stream is None else stream.node_ids)
+    present = set(ids)
+    if 0 in present:
+        raise UnknownNode("node id 0 is the sink's id, not a sensor's")
+    if present.isdisjoint(layout.node_ids):
+        raise UnknownNode(f"node ids {ids} all lie outside the layout")
+    sensed = []
+    for point in points:
+        chosen = sorted(order[: point.select_count] if point.select_first else order)
+        own = [i for i in chosen if i in present]
+        if not own:
+            raise UnknownNode(f"node ids {ids} include none of the run's active nodes {chosen}")
+        if detect and len(own) < 2:
+            use = f"the run would use only {own} of node ids {ids}"
+            raise UnknownNode(f"detect needs at least 2 nodes to classify; {use}")
+        missing = sorted(set(point.malicious.node_ids) - set(own)) if point.malicious else []
+        if detect and missing:
+            message = f"corrupted nodes {missing} are not among the sensed nodes {own}"
+            raise InvalidParameter("malicious/node_ids", message)
+        sensed.append(tuple(own))
+    return sensed
 
 
 def simulate_protocol(
@@ -252,7 +287,7 @@ def simulate_protocol(
     ``points`` are scenarios run side by side as the points of one engine
     (default: ``scenario`` alone).  The client noise, the channel and the
     step-size mode come from ``scenario``; each point brings its thresholds,
-    its active nodes and its stream (``stream``, if given, serves every
+    its ``sensed_nodes`` and its stream (``stream``, if given, serves every
     point), so a point may differ from ``scenario`` only in ``thresholds``,
     ``select_first`` and ``select_count``.  Every point gets the bits of its
     own run.  A given stream is sensed as it is, so ``scenario`` may not
@@ -265,17 +300,16 @@ def simulate_protocol(
     for point in points:
         if replace(point, thresholds=scenario.thresholds, **selection) != scenario:
             raise ValueError("engine points may differ only in thresholds and node selection")
+    groups = sensed_nodes(points, stream)
     # Each point generates the stream of its own scenario, as its single run
     # does.  Thresholds and node selection, the only ways points may differ,
     # do not enter the stream, so these streams are equal.  perfbench's
     # traced sweep test counts one covariance factorization per point; once
     # it counts one per engine, one shared stream saves the other P - 1.
-    streams = []
-    for point in points:
-        own = _scenario_stream(point) if stream is None else stream
-        present = set(own.node_ids)
-        streams.append(own.restrict([i for i in active_node_ids(point) if i in present]))
-    groups = [s.node_ids for s in streams]
+    streams = [
+        (_scenario_stream(point) if stream is None else stream).restrict(group)
+        for point, group in zip(points, groups)
+    ]
     active = sorted(set().union(*groups))
     num_blocks = streams[0].num_blocks
 
@@ -298,9 +332,9 @@ def simulate_protocol(
     # Engine row k is node ``active[node_row[k]]``: the row of its noise
     # draws.  A stream's rows ascend by id, so the engine's rows are the
     # groups' ids in order; point p's rows read streams[p], and one point
-    # reads everything as it is.
+    # reads everything as it is, with no copy.
     ids = [i for group in groups for i in group]
-    node_row = np.searchsorted(active, ids)
+    node_row = slice(None) if len(points) == 1 else np.searchsorted(active, ids)
     if len(streams) == 1:
         blocks, desired = streams[0].blocks, streams[0].desired
     else:
@@ -313,8 +347,8 @@ def simulate_protocol(
             # reads what the sinks receive of the blocks its rows send: a
             # (node, block) gets the same noise in every point, whatever the
             # node sent before.
-            noise = fieldgen.channel_noise(scenario.seed, ids, num_blocks, blocks.shape[2])
-            received = fieldgen.awgn_channel(blocks, desired, noise, scenario.channel)
+            noise = fieldgen.channel_noise(scenario.seed, active, num_blocks, blocks.shape[2])
+            received = fieldgen.awgn_channel(blocks, desired, noise[node_row], scenario.channel)
         state = stdp.new_protocol_state(
             ids,
             blocks,
@@ -422,6 +456,7 @@ def run_detect(scenario: Scenario, stream: Stream | None = None) -> RunReport:
     """Protocol run followed by weight-variance classification."""
     if scenario.malicious is None and stream is None:
         raise ValueError("detect experiment requires a malicious configuration")
+    sensed_nodes([scenario], stream, detect=True)
     state = simulate_protocol(scenario, stream)
     _, rows, weights = state.trace.client_updates(state.rows(0))
     # client_updates groups the log by row: one (k, n) block per node.

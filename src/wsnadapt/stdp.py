@@ -201,11 +201,12 @@ class ProtocolState:
     then by ascending id.
 
     Inputs, checked when the state is made: row k of ``blocks``
-    ``(rows, rounds, n)``, ``desired`` and ``noise`` ``(rows, rounds)`` is
-    what row k senses and draws, and ``alpha[k]`` and ``beta[k]`` are the
-    thresholds of its point.  ``sink_blocks`` and ``sink_desired``, shaped
-    as ``blocks`` and ``desired``, are what the sinks receive of each block
-    a row sends (the sensed arrays themselves without a channel).
+    ``(rows, rounds, n)`` and ``noise`` ``(rows, rounds)`` is what row k
+    senses and draws, and ``alpha[k]`` and ``beta[k]`` are the thresholds
+    of its point.  ``sink_blocks`` (shaped as ``blocks``) and
+    ``sink_desired`` ``(rows, rounds)`` are what the sinks receive of each
+    block a row sends and of its desired value (without a channel, the
+    sensed arrays themselves).
     ``auto_mu`` says whether the step sizes follow the automatic rule.
 
     Engine state: ``client_weight`` and ``received_global`` rows are
@@ -223,7 +224,6 @@ class ProtocolState:
     point: np.ndarray
     bounds: tuple[int, ...]
     blocks: np.ndarray
-    desired: np.ndarray
     noise: np.ndarray
     sink_blocks: np.ndarray
     sink_desired: np.ndarray
@@ -424,7 +424,6 @@ def new_protocol_state(
         point=point,
         bounds=bounds,
         blocks=blocks,
-        desired=desired,
         noise=noise,
         sink_blocks=sink_blocks,
         sink_desired=sink_desired,

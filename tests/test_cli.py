@@ -641,6 +641,48 @@ def test_detect_ingest_sharing_one_node_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_detect_that_senses_no_corrupted_node_is_a_config_error(tmp_path, capsys):
+    # The four nodes nearest the sink are 2, 5, 4 and 10: nodes 1 and 3
+    # would be corrupted and then never labelled.
+    doc = {
+        "experiment": "detect",
+        "select_first": True,
+        "select_count": 4,
+        "malicious": {"node_ids": [1, 3], "scale": 6.0},
+    }
+    assert_config_error(
+        tmp_path,
+        capsys,
+        doc,
+        "/malicious/node_ids: corrupted nodes [1, 3] are not among the sensed nodes "
+        "[2, 4, 5, 10]",
+    )
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"experiment": "ada"}, {"experiment": "stdp"}, {"experiment": "stdp", "select_first": True}],
+    ids=["ada", "stdp", "stdp_selected"],
+)
+def test_a_degenerate_layout_names_its_node(tmp_path, capsys, doc):
+    # Nodes 7 and 9 share a position, so node 9 adds nothing to node 7, in
+    # layout order and in sink-distance order (7 ranks first on the tie).
+    positions = {**sim.DEFAULT_POSITIONS, 7: (1.0, 1.0), 9: (1.0, 1.0)}
+    layout = {
+        "positions": [positions[i] for i in sorted(positions)],
+        "sink": list(sim.DEFAULT_SINK),
+        "node_ids": sorted(positions),
+    }
+    path = write_config(tmp_path, {**doc, "layout": layout, "num_blocks": 4})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("run error: covariance is degenerate at node 9: pivot ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert not out.exists()
+
+
 def test_module_entry_point_is_silent_on_success():
     import subprocess
     import sys

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import gauss_solve
-from wsnadapt import fieldgen, sim
-from wsnadapt.errors import Diverged
+from wsnadapt import ada, fieldgen, sim, stdp
+from wsnadapt.errors import Diverged, InvalidParameter, UnknownNode
 from wsnadapt.fieldgen import FieldParams, NodeLayout, build_spatial_covariance, generate_stream
 from wsnadapt.sim import (
     MaliciousSpec,
@@ -24,6 +24,7 @@ from wsnadapt.sim import (
     run_stdp,
     scenario_for_point,
     scenario_to_dict,
+    sensed_nodes,
     simulate_protocol,
     sweep,
 )
@@ -290,6 +291,84 @@ def test_a_given_stream_is_not_corrupted_so_malicious_is_refused(run):
     )
     with pytest.raises(ValueError, match="^malicious: corrupts generated streams only"):
         run(scenario, stream=stream)
+
+
+def counting(monkeypatch, module, name, calls):
+    """Patch ``module.name`` to append each call's arguments to ``calls``."""
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def stream_of(node_ids, scenario):
+    """A generated stream of the given node ids, one metre apart."""
+    positions = tuple((float(k), 0.0) for k in range(len(node_ids)))
+    layout = NodeLayout(positions=positions, sink=(0.0, 1.0), node_ids=tuple(node_ids))
+    return generate_stream(layout, scenario.field, scenario.n_block, scenario.num_blocks, 3)
+
+
+@pytest.mark.parametrize(
+    "run, node_ids, message",
+    [
+        (run_stdp, (50, 51, 52), "node ids [50, 51, 52] all lie outside the layout"),
+        (run_detect, (50, 51, 52), "node ids [50, 51, 52] all lie outside the layout"),
+        (
+            run_detect,
+            (5, 50, 51),
+            "detect needs at least 2 nodes to classify; the run would use only [5] of node ids "
+            "[5, 50, 51]",
+        ),
+    ],
+)
+def test_an_unusable_stream_is_refused_before_round_0(monkeypatch, run, node_ids, message):
+    scenario = small_scenario()
+    rounds = []
+    counting(monkeypatch, stdp, "step_round", rounds)
+    with pytest.raises(UnknownNode, match=re.escape(message)):
+        run(scenario, stream=stream_of(node_ids, scenario))
+    assert rounds == []
+
+
+def test_sensed_nodes_ranks_once_for_all_points(monkeypatch):
+    calls = []
+    counting(monkeypatch, ada, "select_nodes", calls)
+    points = [scenario_for_point(small_scenario(), "node_count", k) for k in (6, 2, 4)]
+    assert sensed_nodes([small_scenario(), *points]) == [
+        tuple(range(1, 11)), (2, 4, 5, 7, 9, 10), (2, 5), (2, 4, 5, 10)
+    ]
+    assert len(calls) == 1
+    stream = stream_of((1, 2, 3, 4, 99), small_scenario())
+    assert sensed_nodes(points, stream) == [(2, 4), (2,), (2, 4)]
+    calls.clear()
+    sweep(small_scenario(), "node_count", [6, 2, 4])
+    assert len(calls) == 1
+
+
+def test_a_multi_point_channel_run_draws_each_nodes_channel_noise_once(monkeypatch):
+    keys = []
+    counting(monkeypatch, np.random, "SeedSequence", keys)
+    scenario = small_scenario(channel=30.0)
+    sweep(scenario, "beta", [0.05, 0.1, 0.2])
+    channel = sorted(key[2] for key, in keys if key[1] == fieldgen.ROLE_CHANNEL)
+    assert channel == list(scenario.layout.node_ids)
+
+
+def test_detect_refuses_a_corrupted_node_it_does_not_sense(monkeypatch):
+    scenario = small_scenario(
+        select_first=True, select_count=4, malicious=MaliciousSpec(node_ids=(1, 3), scale=6.0)
+    )
+    rounds = []
+    counting(monkeypatch, stdp, "step_round", rounds)
+    message = "malicious/node_ids: corrupted nodes [1, 3] are not among the sensed nodes [2, 4, 5, 10]"
+    with pytest.raises(InvalidParameter, match=re.escape(message)):
+        run_detect(scenario)
+    assert rounds == []
+    # stdp still runs it: a node_count sweep point must equal its own run.
+    assert run_stdp(scenario).metadata["active_nodes"] == [2, 4, 5, 10]
 
 
 def diverging_points(scenario, axis, values):
