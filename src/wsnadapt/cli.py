@@ -3,8 +3,8 @@ experiment, and write CSV reports plus an effective-config echo.
 
 A config's keys and value types are checked against the field annotations
 of the value types it builds (``Scenario``, ``NodeLayout``, ``FieldParams``,
-``Thresholds``, ``MaliciousSpec``); each field's range is checked by those
-types, and the nodes a run would sense by ``sim.sensed_nodes``.  Exit codes:
+``Thresholds``, ``MaliciousSpec``), each field's range by those types, and the
+rest by the ``sim.plan`` that ``validate`` builds and ``run`` executes.  Exit codes:
 0 success, 1 config validation failure, 2 runtime failure.
 Diagnostics go to stderr only; output files are written atomically.
 """
@@ -25,21 +25,17 @@ from types import UnionType
 from typing import Iterable, Literal, Union, get_args, get_origin, get_type_hints
 
 from .errors import InvalidParameter, SchemaError, UnknownNode, WsnAdaptError
-from .fieldgen import Stream, ingest_csv
 from .sim import (
     OUTPUT_FILES,
     SWEEP_AXES,
     MaliciousSpec,
+    RunPlan,
     Scenario,
     default_scenario,
+    execute,
+    plan,
     report_files,
-    run_ada,
-    run_detect,
-    run_stdp,
-    scenario_for_point,
     scenario_to_dict,
-    sensed_nodes,
-    sweep,
 )
 
 EXPERIMENTS = ("ada", "stdp", "detect", "sweep")
@@ -114,13 +110,10 @@ def _first_error(value, hint, path: tuple) -> tuple[tuple, str] | None:
     origin, args, accepts = _resolve(hint)
     if origin is Union:
         # The alternatives have distinct JSON types, so at most one fits the
-        # value's; a problem inside it is reported at the union's path.
+        # value's; a problem inside it is reported at its own path.
         for alt in args:
             if type(value) in _resolve(alt)[2]:
-                error = _first_error(value, alt, path)
-                if error is None or error[0] == path:
-                    return error
-                return path, f"{error[1]} at /{'/'.join(map(str, error[0]))}"
+                return _first_error(value, alt, path)
         kinds = " or ".join(repr(_KINDS[_resolve(alt)[2][-1]]) for alt in args)
         return path, f"{value!r} is not of type {kinds}"
     if origin is Literal:
@@ -158,8 +151,8 @@ def _first_error(value, hint, path: tuple) -> tuple[tuple, str] | None:
     return None
 
 
-def _semantic_validate(doc: dict, scenario: Scenario) -> None:
-    """Checks that relate several fields of a built scenario's config."""
+def _semantic_validate(doc: dict) -> None:
+    """Checks that relate the config's keys to its experiment."""
     experiment = doc["experiment"]
     if experiment == "sweep" and "sweep" not in doc:
         raise SchemaError("/sweep", "sweep experiment requires the sweep section")
@@ -167,20 +160,6 @@ def _semantic_validate(doc: dict, scenario: Scenario) -> None:
         raise SchemaError("/sweep", "only valid when experiment is 'sweep'")
     if experiment in ("ada", "sweep") and "ingest_csv" in doc:
         raise SchemaError("/ingest_csv", f"not applicable to the {experiment} experiment")
-    # Corruption is injected into generated streams only; on an ingested one
-    # it would scale the listed nodes' client noise and nothing else.
-    if "ingest_csv" in doc and scenario.malicious is not None:
-        raise SchemaError("/malicious", "corrupts generated streams only, not an ingest_csv")
-    if experiment == "detect" and scenario.malicious is None and "ingest_csv" not in doc:
-        raise SchemaError(
-            "/malicious", "detect needs a malicious configuration or an ingest_csv to run on"
-        )
-
-    sweep_doc = doc.get("sweep")
-    if sweep_doc is not None and sweep_doc["axis"] in ("n_block", "node_count"):
-        bad = [v for v in sweep_doc["values"] if v != int(v)]
-        if bad:
-            raise SchemaError("/sweep/values", f"axis needs integers, got {bad}")
 
 
 def _tuples(value):
@@ -222,12 +201,21 @@ def _finite_number(text: str) -> float:
     return value
 
 
+def _config_error(exc: InvalidParameter | UnknownNode, axis: str | None = None) -> SchemaError:
+    """The config error at the key that ``exc``, from a value type or ``sim.plan``, refuses."""
+    if isinstance(exc, UnknownNode):
+        return SchemaError("/ingest_csv", str(exc))
+    if exc.point is not None:
+        return SchemaError(f"/sweep/values/{exc.point}", f"{axis} {exc.reason}")
+    return SchemaError("/" + exc.field, exc.reason)
+
+
 def parse_config(path, seed: int | None = None) -> ParsedConfig:
     """Load, check and default-fill a config file; ``seed`` overrides its seed.
 
-    Raises SchemaError (with a JSON-pointer path) on any validation
-    problem, a sweep value out of its axis's range included, and OSError on
-    unreadable input.  No simulation work happens here.
+    Raises SchemaError (with a JSON-pointer path) on any problem with the
+    config's shape or a value's range, and OSError on unreadable input.
+    No simulation work happens here; ``sim.plan`` checks the rest.
     """
     with open(path) as handle:
         try:
@@ -244,22 +232,17 @@ def parse_config(path, seed: int | None = None) -> ParsedConfig:
     try:
         scenario = _build_scenario(doc)
     except InvalidParameter as exc:
-        raise SchemaError("/" + exc.field, exc.reason) from None
-    _semantic_validate(doc, scenario)
+        raise _config_error(exc) from None
+    _semantic_validate(doc)
     sweep_doc = doc.get("sweep")
     sweep_axis = None
     if sweep_doc is not None:
-        axis = sweep_doc["axis"]
-        values = [
-            int(v) if axis in ("n_block", "node_count") else float(v)
-            for v in sweep_doc["values"]
-        ]
-        for k, value in enumerate(values):
-            try:
-                scenario_for_point(scenario, axis, value)
-            except InvalidParameter as exc:
-                raise SchemaError(f"/sweep/values/{k}", f"{axis} {exc.reason}") from None
-        sweep_axis = (axis, values)
+        axis, values = sweep_doc["axis"], sweep_doc["values"]
+        integral = axis in ("n_block", "node_count")
+        bad = [v for v in values if integral and v != int(v)]
+        if bad:
+            raise SchemaError("/sweep/values", f"axis needs integers, got {bad}")
+        sweep_axis = (axis, [int(v) if integral else float(v) for v in values])
     return ParsedConfig(
         experiment=doc["experiment"],
         scenario=scenario,
@@ -295,41 +278,14 @@ def _write_atomic(out_dir: Path, files: dict[str, Iterable[bytes]]) -> None:
         raise
 
 
-def _load_ingest(parsed: ParsedConfig) -> Stream | None:
-    """The configured ``ingest_csv`` stream (None without one), once
-    ``sim.sensed_nodes`` has checked what the run would sense: the file's
-    ids are refused at ``/ingest_csv``, any other problem at its field."""
-    scenario, detect = parsed.scenario, parsed.experiment == "detect"
-    stream = None
-    if parsed.ingest_path is not None:
-        stream = ingest_csv(parsed.ingest_path, scenario.n_block, scenario.field, scenario.seed)
-    try:
-        if detect or stream is not None:
-            sensed_nodes([scenario], stream, detect)
-    except UnknownNode as exc:
-        raise SchemaError("/ingest_csv", str(exc)) from None
-    except InvalidParameter as exc:
-        raise SchemaError("/" + exc.field, exc.reason) from None
-    return stream
-
-
-def _write_outputs(parsed: ParsedConfig, stream: Stream | None, out_dir: Path) -> None:
-    """Run the experiment, then write its CSVs and the effective config; a
+def _write_outputs(parsed: ParsedConfig, run_plan: RunPlan, out_dir: Path) -> None:
+    """Execute the plan, then write its CSVs and the effective config; a
     run that fails, or a file that cannot be encoded or written in full,
     changes no file and leaves no directory that it made.  Each CSV is
     encoded chunk by chunk as it is written, so the run holds one chunk of
     its text at a time.  A known output file that this run did not write
     is removed, so the directory never mixes two runs."""
-    scenario = parsed.scenario
-    if parsed.experiment == "ada":
-        report = run_ada(scenario)
-    elif parsed.experiment == "stdp":
-        report = run_stdp(scenario, stream=stream)
-    elif parsed.experiment == "detect":
-        report = run_detect(scenario, stream=stream)
-    else:
-        axis, values = parsed.sweep_axis
-        report = sweep(scenario, axis, values)
+    report = execute(run_plan)
     config = json.dumps(parsed.effective(), indent=2, sort_keys=True) + "\n"
     files = {"effective_config.json": [config.encode()]}
     for name, (header, table) in report_files(report).items():
@@ -378,13 +334,16 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
+    axis, values = parsed.sweep_axis or (None, ())
     try:
-        # validate reads the ingest file too, so it rejects exactly what run rejects.
-        stream = _load_ingest(parsed)
+        # validate builds the plan that run executes, so it refuses what run refuses.
+        try:
+            run_plan = plan(parsed.scenario, parsed.experiment, parsed.ingest_path, axis, values)
+        except (InvalidParameter, UnknownNode) as exc:
+            raise _config_error(exc, axis) from None
         if args.command == "validate":
             return 0
-        out_dir = Path(args.out if args.out is not None else parsed.output_dir)
-        _write_outputs(parsed, stream, out_dir)
+        _write_outputs(parsed, run_plan, Path(parsed.output_dir if args.out is None else args.out))
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -38,14 +38,18 @@ class DimensionMismatch(WsnAdaptError):
 class InvalidParameter(WsnAdaptError, ValueError):
     """A config value lies outside its range.
 
-    ``field`` is the value's path in the config file, e.g. ``field/theta``
-    or ``malicious/node_ids``; ``reason`` says what is wrong with it.
+    ``field`` is the value's path in the config file, e.g. ``field/theta``,
+    or ``field/sigma_u/9`` with the ``index`` of an array entry; ``reason``
+    says what is wrong with it.  ``point`` is the index of the sweep value
+    whose point it refuses (None for any other value).
     """
 
-    def __init__(self, field: str, reason: str):
-        self.field = field
+    point: int | None = None
+
+    def __init__(self, field: str, reason: str, index: int | None = None):
+        self.field = field if index is None else f"{field}/{index}"
         self.reason = reason
-        super().__init__(f"{field}: {reason}")
+        super().__init__(f"{self.field}: {reason}")
 
 
 class InvalidTheta(InvalidParameter):

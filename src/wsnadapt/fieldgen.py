@@ -107,16 +107,17 @@ class FieldParams:
         # Each test is written so that NaN fails it.
         if not self.theta > 0:
             raise InvalidTheta("field/theta", f"must be > 0, got {self.theta}")
-        if not np.all(np.asarray(self.sigma_u, dtype=float) > 0):
-            raise InvalidParameter("field/sigma_u", f"must be > 0, got {self.sigma_u}")
-        if not self.sigma_d > 0:
-            raise InvalidParameter("field/sigma_d", f"must be > 0, got {self.sigma_d}")
         # Variances are squares, so each scale must square to a float.
-        for sigma in np.ravel(np.asarray(self.sigma_u, dtype=float)).tolist():
+        for k, sigma in enumerate(np.ravel(np.asarray(self.sigma_u, dtype=float)).tolist()):
+            index = k if np.ndim(self.sigma_u) else None
+            if not sigma > 0:
+                raise InvalidParameter("field/sigma_u", f"must be > 0, got {sigma}", index)
             if not 0.0 < sigma * sigma < math.inf:
                 raise InvalidParameter(
-                    "field/sigma_u", f"must square to a finite positive float, got {sigma}"
+                    "field/sigma_u", f"must square to a finite positive float, got {sigma}", index
                 )
+        if not self.sigma_d > 0:
+            raise InvalidParameter("field/sigma_d", f"must be > 0, got {self.sigma_d}")
         sigma_d = float(self.sigma_d)
         if not 0.0 < sigma_d * sigma_d < math.inf:
             raise InvalidParameter(

@@ -1,7 +1,7 @@
 """Scenario orchestration: binds the field generator, the accuracy model,
 the dual-prediction protocol and the detector into reproducible experiment
-runs, and lays their results out as the CSV files each run writes.  Which
-nodes a run senses, and whether it can run on them, is ``sensed_nodes``.
+runs, and lays their results out as the CSV files each run writes.  What a
+run will do, and whether it can go ahead, is decided once, by ``plan``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .fieldgen import (
     Stream,
     build_spatial_covariance,
     generate_stream,
+    ingest_csv,
     inject_malicious,
     substream,
 )
@@ -238,19 +239,12 @@ def _scenario_stream(scenario: Scenario) -> Stream:
 def sensed_nodes(
     points: Sequence[Scenario], stream: Stream | None = None, detect: bool = False
 ) -> list[tuple[int, ...]]:
-    """Each point's nodes, ids ascending: the layout's, or with
-    ``select_first`` the ``select_count`` nearest the sink (one ranking for
-    all points, which share a layout), that a given ``stream`` holds.
-    Refused before any stream is made: a stream holding id 0, no layout
-    node or none of a point's nodes (UnknownNode), and for ``detect``,
-    which labels nodes against their median, fewer than 2 nodes or an
-    unsensed corrupted one (InvalidParameter; UnknownNode when the stream
-    leaves fewer)."""
+    """Each point's nodes, ids ascending: the layout's, or with ``select_first``
+    the ``select_count`` nearest the sink (one ranking for all points, which
+    share a layout), that a given ``stream`` holds.  UnknownNode refuses a
+    stream holding id 0, no layout node, none of a point's nodes or, for
+    ``detect``, fewer than 2; InvalidParameter an unsensed corrupted node."""
     layout = points[0].layout
-    if detect and layout.size < 2:
-        raise InvalidParameter("layout/node_ids", "detect needs at least 2 nodes to classify")
-    if detect and any(p.select_first and p.select_count < 2 for p in points):
-        raise InvalidParameter("select_count", "detect needs at least 2 selected nodes to classify")
     order = layout.node_ids
     if any(p.select_first for p in points):
         cov = build_spatial_covariance(layout, points[0].field)
@@ -278,36 +272,85 @@ def sensed_nodes(
     return sensed
 
 
-def simulate_protocol(
-    scenario: Scenario, stream: Stream | None = None, points: Sequence[Scenario] | None = None
-) -> stdp.ProtocolState:
-    """Generate (or take) a stream and run the full protocol over it; returns
-    the run, whose ``trace`` holds every round.
+@dataclass(frozen=True, eq=False)
+class RunPlan:
+    """What a run will do, decided by ``plan`` before any stream is made: its
+    points, their sensed ids (none for ada) and the given stream, if any."""
 
-    ``points`` are scenarios run side by side as the points of one engine
-    (default: ``scenario`` alone).  The client noise, the channel and the
-    step-size mode come from ``scenario``; each point brings its thresholds,
-    its ``sensed_nodes`` and its stream (``stream``, if given, serves every
-    point), so a point may differ from ``scenario`` only in ``thresholds``,
-    ``select_first`` and ``select_count``.  Every point gets the bits of its
-    own run.  A given stream is sensed as it is, so ``scenario`` may not
-    set ``malicious`` with one.
-    """
+    experiment: str
+    scenario: Scenario
+    points: tuple[Scenario, ...]
+    groups: tuple[tuple[int, ...], ...]
+    stream: Stream | None
+    axis: str | None
+    values: tuple
+
+
+def plan(scenario: Scenario, experiment: str = "stdp", stream=None, axis=None, values=()) -> RunPlan:
+    """The plan of an ``experiment`` run on ``scenario``, made with every check
+    that needs no generated stream.  ``stream`` is a ``Stream`` or a CSV path
+    for ``fieldgen.ingest_csv``; a sweep has a point per value of ``values``
+    along ``axis``.  InvalidParameter refuses ``malicious`` beside a stream, a
+    detect run with nothing to detect or under 2 nodes, and a bad sweep value
+    (``point`` is its index) before the file is read and ``sensed_nodes`` runs."""
+    if stream is not None and experiment not in ("stdp", "detect"):
+        raise ValueError(f"the {experiment} experiment runs on no given stream")
+    # Corruption is injected into generated streams only; on a given one it
+    # would scale the listed nodes' client noise and nothing else.
     if stream is not None and scenario.malicious is not None:
-        raise InvalidParameter("malicious", "corrupts generated streams only, not a given stream")
-    points = [scenario] if points is None else list(points)
-    selection = {"select_first": scenario.select_first, "select_count": scenario.select_count}
-    for point in points:
-        if replace(point, thresholds=scenario.thresholds, **selection) != scenario:
-            raise ValueError("engine points may differ only in thresholds and node selection")
-    groups = sensed_nodes(points, stream)
+        raise InvalidParameter("malicious", "corrupts generated streams only, not an ingest_csv")
+    detect = experiment == "detect"
+    if detect and scenario.malicious is None and stream is None:
+        raise InvalidParameter(
+            "malicious", "detect needs a malicious configuration or an ingest_csv to run on"
+        )
+    if detect and scenario.layout.size < 2:
+        raise InvalidParameter("layout/node_ids", "detect needs at least 2 nodes to classify")
+    if detect and scenario.select_first and scenario.select_count < 2:
+        raise InvalidParameter("select_count", "detect needs at least 2 selected nodes to classify")
+    points, values = [scenario], tuple(values)
+    if experiment == "sweep":
+        if not values:
+            raise ValueError("sweep needs at least one axis value")
+        points = []
+        for k, value in enumerate(values):
+            try:
+                points.append(scenario_for_point(scenario, axis, value))
+            except InvalidParameter as exc:
+                exc.point = k
+                raise
+    if stream is not None and not isinstance(stream, Stream):
+        stream = ingest_csv(stream, scenario.n_block, scenario.field, scenario.seed)
+    groups = [] if experiment == "ada" else sensed_nodes(points, stream, detect)
+    return RunPlan(experiment, scenario, tuple(points), tuple(groups), stream, axis, values)
+
+
+def execute(plan: RunPlan) -> RunReport:
+    """Run a plan's experiment; returns its report."""
+    if plan.experiment == "ada":
+        return run_ada(plan.scenario)
+    return {"stdp": run_stdp, "detect": run_detect, "sweep": sweep}[plan.experiment](plan)
+
+
+def simulate_protocol(plan: RunPlan) -> stdp.ProtocolState:
+    """Run the full protocol over a plan's points, side by side as the
+    points of one engine; returns the run, whose ``trace`` holds every
+    round.  The client noise, the channel and the step-size mode come from
+    the first point; each point brings its thresholds, its sensed group and
+    its stream (the plan's, if it has one, serves every point), so a point
+    may differ from the first only in ``thresholds``, ``select_first`` and
+    ``select_count``.  Every point gets the bits of its own run."""
+    points, groups, scenario = plan.points, plan.groups, plan.points[0]
+    own = dict(thresholds=scenario.thresholds, select_first=scenario.select_first)
+    if any(replace(p, select_count=scenario.select_count, **own) != scenario for p in points):
+        raise ValueError("engine points may differ only in thresholds and node selection")
     # Each point generates the stream of its own scenario, as its single run
     # does.  Thresholds and node selection, the only ways points may differ,
     # do not enter the stream, so these streams are equal.  perfbench's
     # traced sweep test counts one covariance factorization per point; once
     # it counts one per engine, one shared stream saves the other P - 1.
     streams = [
-        (_scenario_stream(point) if stream is None else stream).restrict(group)
+        (_scenario_stream(point) if plan.stream is None else plan.stream).restrict(group)
         for point, group in zip(points, groups)
     ]
     active = sorted(set().union(*groups))
@@ -426,19 +469,13 @@ def _protocol_files(state: stdp.ProtocolState, point: int, beta: float) -> dict[
     return files
 
 
-def run_stdp(
-    scenario: Scenario,
-    stream: Stream | None = None,
-    state: stdp.ProtocolState | None = None,
-    point: int = 0,
-) -> RunReport:
-    """Protocol run reporting per-node transmission percentages and traces.
-
-    ``state`` is an engine run that already holds ``scenario`` as its point
-    ``point`` (see ``sweep``); without one the scenario runs on its own.
-    """
+def run_stdp(plan: RunPlan, state: stdp.ProtocolState | None = None, point: int = 0) -> RunReport:
+    """Protocol run reporting per-node transmission percentages and traces
+    of the plan's point ``point``; ``state`` is the plan's engine run when
+    the caller holds it already (see ``sweep``)."""
     if state is None:
-        state = simulate_protocol(scenario, stream)
+        state = simulate_protocol(plan)
+    scenario = plan.points[point]
     files = _protocol_files(state, point, scenario.thresholds.beta)
     mu = state.mu[point]
     metadata = _base_metadata("STDP", scenario)
@@ -452,12 +489,12 @@ def run_stdp(
     return RunReport(files=files, metadata=metadata)
 
 
-def run_detect(scenario: Scenario, stream: Stream | None = None) -> RunReport:
-    """Protocol run followed by weight-variance classification."""
-    if scenario.malicious is None and stream is None:
-        raise ValueError("detect experiment requires a malicious configuration")
-    sensed_nodes([scenario], stream, detect=True)
-    state = simulate_protocol(scenario, stream)
+def run_detect(plan: RunPlan) -> RunReport:
+    """Protocol run followed by weight-variance classification, of a detect plan."""
+    if plan.experiment != "detect":
+        raise ValueError(f"run_detect needs a detect plan, got a {plan.experiment} plan")
+    scenario = plan.scenario
+    state = simulate_protocol(plan)
     _, rows, weights = state.trace.client_updates(state.rows(0))
     # client_updates groups the log by row: one (k, n) block per node.
     updated, starts = np.unique(rows, return_index=True)
@@ -525,8 +562,8 @@ def scenario_for_point(scenario: Scenario, axis: str, value) -> Scenario:
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
-def sweep(scenario: Scenario, axis: str, values: Sequence) -> RunReport:
-    """One protocol run per axis value, merged into a single report.
+def sweep(plan: RunPlan) -> RunReport:
+    """One protocol run per point of a sweep plan, merged into a single report.
 
     Every point reuses the scenario's base seed, so points differ only in
     the swept parameter and each point can be reproduced by running the
@@ -536,22 +573,21 @@ def sweep(scenario: Scenario, axis: str, values: Sequence) -> RunReport:
     total are those of its own ``run_stdp`` report.  A point that diverges
     raises ``Diverged`` naming it, e.g. ``at beta=0.4``.
     """
-    values = list(values)
-    if not values:
-        raise ValueError("sweep needs at least one axis value")
-    points = [scenario_for_point(scenario, axis, value) for value in values]
-    batches = [[point] for point in points] if axis == "n_block" else [points]
+    scenario, axis, values, points = plan.scenario, plan.axis, list(plan.values), plan.points
+    batches = [plan]
+    if axis == "n_block":
+        batches = [replace(plan, points=(p,), groups=(g,)) for p, g in zip(points, plan.groups)]
 
     ids, pct, totals = [], [], []
     for batch in batches:
         try:
-            state = simulate_protocol(batch[0], points=batch)
+            state = simulate_protocol(batch)
         except Diverged as exc:
             point = len(totals) + exc.point
             raise Diverged(f"{exc} at {axis}={values[point]}", point) from None
         # Each point's rows are those of its own report.
-        for k, member in enumerate(batch):
-            report = run_stdp(member, state=state, point=k)
+        for k in range(len(batch.points)):
+            report = run_stdp(batch, state=state, point=k)
             _, node_ids, percentages = report.files["stdp_transmission.csv"].columns
             ids.append(node_ids)
             pct.append(percentages)

@@ -20,7 +20,7 @@ from wsnadapt.ada import (
 from wsnadapt.errors import StepSizeOutOfRange
 from wsnadapt.fieldgen import CovariancePair, FieldParams, NodeLayout, build_spatial_covariance
 from wsnadapt.malicious import Label, classify, weight_variance, WeightHistory
-from wsnadapt.sim import MaliciousSpec, default_scenario, run_detect, run_stdp, sweep
+from wsnadapt.sim import MaliciousSpec, default_scenario, plan, run_detect, run_stdp, sweep
 from wsnadapt.stdp import (
     CLIENT_ADAPTIVE,
     CLIENT_PREDICTING,
@@ -144,13 +144,13 @@ def test_criterion_05_update_forms_equivalent():
 def test_criterion_06_transmission_monotone_in_beta(default_scenario):
     started = time.monotonic()
     betas = [0.05, 0.1, 0.2, 0.4]
-    merged = sweep(default_scenario, "beta", betas)
+    merged = sweep(plan(default_scenario, "sweep", axis="beta", values=betas))
     beta_col, node_col, pct = merged.files["stdp_transmission.csv"].columns
     nodes = [node_col[beta_col == b] for b in betas]
     curves = [pct[beta_col == b] for b in betas]
     assert all(np.array_equal(ids, nodes[0]) for ids in nodes)
     assert all(np.all(later <= earlier) for earlier, later in zip(curves, curves[1:]))
-    zero = run_stdp(replace(default_scenario, thresholds=Thresholds(0.5, 0.0)))
+    zero = run_stdp(plan(replace(default_scenario, thresholds=Thresholds(0.5, 0.0))))
     assert np.all(zero.files["stdp_transmission.csv"].columns[2] == 100.0)
     elapsed = time.monotonic() - started
     ok = elapsed < 10.0
@@ -162,7 +162,7 @@ def test_criterion_06_transmission_monotone_in_beta(default_scenario):
 
 def test_criterion_07_blocksize_comparison_shipped_default_config_only():
     # config-dependent claim: asserted for the shipped default scenario only
-    merged = sweep(default_scenario(), "n_block", [4, 5])
+    merged = sweep(plan(default_scenario(), "sweep", axis="n_block", values=[4, 5]))
     n_block, total = merged.files["sweep_totals.csv"].columns
     assert n_block.tolist() == [4, 5]
     total_4, total_5 = total.tolist()
@@ -211,7 +211,7 @@ def test_criterion_09_detection_robust_over_seeds():
         scenario = default_scenario(
             seed=seed, malicious=MaliciousSpec(node_ids=(5, 9), scale=6.0)
         )
-        report = run_detect(scenario)
+        report = run_detect(plan(scenario, "detect"))
         hits += report.metadata["flagged"] == [5, 9]
     ok = hits >= 18
     record_criterion(9, f"exactly {{5, 9}} flagged in {hits}/20 seeded runs", ok)
@@ -282,7 +282,7 @@ def test_criterion_11_protocol_safety_under_fuzzing():
             seed=int(rng.integers(0, 2**32)),
             select_count=min(6, m),
         )
-        state = sim.simulate_protocol(scenario)
+        state = sim.simulate_protocol(plan(scenario))
         trace = state.trace
         assert not np.any((trace.phase == CLIENT_PREDICTING) & trace.transmitted)
         global_weight = (trace.kinds & KIND_BITS[MessageKind.GLOBAL_WEIGHT]) != 0

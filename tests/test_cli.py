@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import wsnadapt
-from wsnadapt import errors, sim
+from test_sim import counting
+from wsnadapt import ada, errors, sim
 from wsnadapt.cli import _write_atomic, main, parse_config
 from wsnadapt.errors import InvalidParameter, SchemaError
 from wsnadapt.fieldgen import FieldParams, NodeLayout
@@ -659,6 +660,25 @@ def test_detect_that_senses_no_corrupted_node_is_a_config_error(tmp_path, capsys
     )
 
 
+@pytest.mark.parametrize("select_first", [True, False])
+def test_a_detect_run_decides_its_nodes_once(tmp_path, monkeypatch, select_first):
+    # validate and run each build one plan, which ranks the nodes at most
+    # once; the run itself reads the plan's groups.
+    doc = {
+        "experiment": "detect",
+        "select_first": select_first,
+        "num_blocks": 60,
+        "malicious": {"node_ids": [5, 9], "scale": 6.0},
+    }
+    path = write_config(tmp_path, doc)
+    ranked, planned = [], []
+    counting(monkeypatch, ada, "select_nodes", ranked)
+    counting(monkeypatch, sim, "sensed_nodes", planned)
+    for command, plans in (("validate", 1), ("run", 2)):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert (len(ranked), len(planned)) == (plans * select_first, plans), command
+
+
 @pytest.mark.parametrize(
     "doc",
     [{"experiment": "ada"}, {"experiment": "stdp"}, {"experiment": "stdp", "select_first": True}],
@@ -703,9 +723,9 @@ def test_module_entry_point_is_silent_on_success():
 @pytest.mark.parametrize("doc", [{}, {"malicious": None}], ids=["absent", "null"])
 def test_detect_with_nothing_to_detect_is_a_config_error(tmp_path, capsys, doc):
     path = write_config(tmp_path, {"experiment": "detect", **doc})
-    with pytest.raises(SchemaError) as err:
-        parse_config(path)
-    assert err.value.pointer == "/malicious"
+    with pytest.raises(InvalidParameter) as err:
+        sim.plan(parse_config(path).scenario, "detect")
+    assert err.value.field == "malicious"
     out = tmp_path / "out"
     for command in ("validate", "run"):
         args = [command, "--config", str(path)]
@@ -854,6 +874,22 @@ def test_the_largest_int64_id_runs_with_the_channel(tmp_path, capsys):
             "/malicious/node_ids: ids [3] occur more than once",
         ),
         ({"n_block": 4}, [], "/: 'experiment' is a required property"),
+        (
+            {"experiment": "stdp", "field": {"sigma_u": [1.0] * 9 + [-1.0]}},
+            [],
+            "/field/sigma_u/9: must be > 0, got -1.0",
+        ),
+        # The plan's checks that need no stream come before the file is read.
+        (
+            {
+                "experiment": "detect",
+                "select_first": True,
+                "select_count": 1,
+                "ingest_csv": "no-such-dir/field.csv",
+            },
+            [],
+            "/select_count: detect needs at least 2 selected nodes to classify",
+        ),
         # Several problems: the first by sorted path is reported.
         (
             {"experiment": "stdp", "n_block": 5.0, "channel": "x", "field": {"theta": "y"}},
@@ -881,6 +917,8 @@ def test_the_largest_int64_id_runs_with_the_channel(tmp_path, capsys):
         "integral_float_n_block",
         "duplicate_malicious_ids",
         "missing_experiment",
+        "sigma_u_entry",
+        "stream_free_check_before_a_missing_ingest_file",
         "first_of_several_by_path",
     ],
 )
@@ -890,12 +928,14 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, doc, flags, message
 
 def assert_config_error(tmp_path, capsys, doc, message, flags=()):
     """``validate`` and ``run`` both exit 1 with the one line ``message``,
-    and nothing is written."""
+    before any stream is built, and nothing is written."""
     path = write_config(tmp_path, doc)
     out = tmp_path / "out"
     lines = []
     for command in ("validate", "run"):
-        assert main([command, "--config", str(path), "--out", str(out), *flags]) == 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "generate_stream", lambda *a: pytest.fail("a stream was built"))
+            assert main([command, "--config", str(path), "--out", str(out), *flags]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines.append(captured.err)
@@ -977,7 +1017,7 @@ DETECT = {"experiment": "detect", "malicious": {"node_ids": [3], "scale": 6}}
         ({"layout": {**two_node_layout([1, 2]), "sink": [2.0]}}, "/layout/sink: [2.0] is too short"),
         (
             {**DETECT, "malicious": {"node_ids": [], "scale": 6}},
-            "/malicious: [] should be non-empty at /malicious/node_ids",
+            "/malicious/node_ids: [] should be non-empty",
         ),
         ({**SWEEP, "sweep": {"axis": "beta", "values": []}}, "/sweep/values: [] should be non-empty"),
         ({"output_dir": ""}, "/output_dir: '' should be non-empty"),
@@ -993,14 +1033,14 @@ DETECT = {"experiment": "detect", "malicious": {"node_ids": [3], "scale": 6}}
         ({**DETECT, "malicious": 5}, "/malicious: 5 is not of type 'object' or 'null'"),
         (
             {**DETECT, "malicious": {"node_ids": [3], "scale": "x"}},
-            "/malicious: 'x' is not of type 'number' at /malicious/scale",
+            "/malicious/scale: 'x' is not of type 'number'",
         ),
         ({"mu_mode": True}, "/mu_mode: True is not of type 'number' or 'string'"),
         ({"channel": "x"}, "/channel: 'x' is not of type 'number' or 'null'"),
         ({"field": {"sigma_u": "x"}}, "/field/sigma_u: 'x' is not of type 'number' or 'array'"),
         (
             {"field": {"sigma_u": [1, "x"]}},
-            "/field/sigma_u: 'x' is not of type 'number' at /field/sigma_u/1",
+            "/field/sigma_u/1: 'x' is not of type 'number'",
         ),
     ],
     ids=[

@@ -15,6 +15,7 @@ from wsnadapt.sim import (
     RunReport,
     Table,
     default_scenario,
+    plan,
     report_files,
     run_ada,
     run_detect,
@@ -185,11 +186,16 @@ def test_coded_cells_print_their_names(monkeypatch):
 
 REPORTS = {
     "ada": lambda: run_ada(default_scenario()),
-    "stdp": lambda: run_stdp(default_scenario(num_blocks=40)),
+    "stdp": lambda: run_stdp(plan(default_scenario(num_blocks=40))),
     "detect": lambda: run_detect(
-        default_scenario(num_blocks=60, malicious=MaliciousSpec(node_ids=(5, 9), scale=6.0))
+        plan(
+            default_scenario(num_blocks=60, malicious=MaliciousSpec(node_ids=(5, 9), scale=6.0)),
+            "detect",
+        )
     ),
-    "sweep": lambda: sweep(default_scenario(num_blocks=40), "n_block", [4, 5]),
+    "sweep": lambda: sweep(
+        plan(default_scenario(num_blocks=40), "sweep", axis="n_block", values=[4, 5])
+    ),
 }
 
 

@@ -18,6 +18,7 @@ from wsnadapt.sim import (
     Table,
     config_hash,
     default_scenario,
+    plan,
     report_files,
     run_ada,
     run_detect,
@@ -101,7 +102,7 @@ def test_channel_run_derives_keys_without_a_seed_sequence_per_block(monkeypatch)
             thresholds=Thresholds(0.5, beta),
             malicious=MaliciousSpec(node_ids=(5,), scale=6.0),
         )
-        state = simulate_protocol(scenario)
+        state = simulate_protocol(plan(scenario))
         sent.append(int(state.trace.transmitted.sum()))
         counts.append(len(built))
     m = scenario.layout.size
@@ -111,9 +112,9 @@ def test_channel_run_derives_keys_without_a_seed_sequence_per_block(monkeypatch)
 
 
 def test_run_stdp_beta_zero_and_huge(default_scenario):
-    full = run_stdp(small_scenario(thresholds=Thresholds(0.5, 0.0)))
+    full = run_stdp(plan(small_scenario(thresholds=Thresholds(0.5, 0.0))))
     assert np.all(full.files["stdp_transmission.csv"].columns[2] == 100.0)
-    floor = run_stdp(small_scenario(thresholds=Thresholds(1e9, 1e9)))
+    floor = run_stdp(plan(small_scenario(thresholds=Thresholds(1e9, 1e9))))
     assert floor.files["stdp_transmission.csv"].columns[2] == pytest.approx(100.0 / 40)
 
 
@@ -126,32 +127,32 @@ def test_run_stdp_beta_zero_without_client_noise_sends_one_block_per_node():
     scenario = default_scenario(
         field=replace(default.field, noise_var=0.0), thresholds=Thresholds(0.5, 0.0)
     )
-    report = run_stdp(scenario)
+    report = run_stdp(plan(scenario))
     assert report.files["stdp_transmission.csv"].columns[2].tolist() == [0.5] * 10
     assert report.metadata["total_percentage"] == 0.5
 
 
 def test_run_stdp_reports_are_reproducible():
-    a = run_stdp(small_scenario())
-    b = run_stdp(small_scenario())
+    a = run_stdp(plan(small_scenario()))
+    b = run_stdp(plan(small_scenario()))
     assert csv_files(a) == csv_files(b)
     assert a.metadata == b.metadata
 
 
 def test_run_stdp_select_first_restricts_nodes():
-    report = run_stdp(small_scenario(select_first=True, select_count=6))
+    report = run_stdp(plan(small_scenario(select_first=True, select_count=6)))
     assert report.metadata["active_nodes"] == [2, 4, 5, 7, 9, 10]
     assert report.files["stdp_transmission.csv"].columns[1].tolist() == [2, 4, 5, 7, 9, 10]
 
 
 def test_run_detect_requires_malicious(default_scenario):
     with pytest.raises(ValueError):
-        run_detect(default_scenario)
+        run_detect(plan(default_scenario, "detect"))
 
 
 def test_run_detect_flags_the_corrupted_nodes():
     scenario = default_scenario(malicious=MaliciousSpec(node_ids=(5, 9), scale=6.0))
-    report = run_detect(scenario)
+    report = run_detect(plan(scenario, "detect"))
     assert report.metadata["flagged"] == [5, 9]
     node_id, _, _, label = report.files["detection.csv"].columns
     assert node_id[label == b"Malicious"].tolist() == [5, 9]
@@ -159,7 +160,7 @@ def test_run_detect_flags_the_corrupted_nodes():
 
 def test_run_detect_near_normal_scale_well_formed():
     scenario = small_scenario(malicious=MaliciousSpec(node_ids=(5, 9), scale=1.0001))
-    report = run_detect(scenario)  # no label guarantee, only shape
+    report = run_detect(plan(scenario, "detect"))  # no label guarantee, only shape
     assert len(report.files["detection.csv"]) == 10
     _, variance, threshold, label = report.files["detection.csv"].columns
     assert np.isfinite(variance).all() and np.isfinite(threshold).all()
@@ -168,33 +169,34 @@ def test_run_detect_near_normal_scale_well_formed():
 
 def test_sweep_single_value_equals_single_run():
     scenario = small_scenario()
-    merged = sweep(scenario, "beta", [0.1])
-    single = run_stdp(scenario_for_point(scenario, "beta", 0.1))
+    merged = sweep(plan(scenario, "sweep", axis="beta", values=[0.1]))
+    single = run_stdp(plan(scenario_for_point(scenario, "beta", 0.1)))
     assert csv_files(merged)["stdp_transmission.csv"] == csv_files(single)["stdp_transmission.csv"]
     assert merged.metadata["points"][0]["config_sha1"] == single.metadata["config_sha1"]
 
 
 def test_sweep_beta_monotone_and_point_reproducible(default_scenario):
     values = [0.05, 0.1, 0.2, 0.4]
-    merged = sweep(default_scenario, "beta", values)
+    # A plan takes any sequence of values, a numpy array too.
+    merged = sweep(plan(default_scenario, "sweep", axis="beta", values=np.array(values)))
     beta_col, node_col, pct = merged.files["stdp_transmission.csv"].columns
     curves = [pct[beta_col == beta] for beta in values]
     assert all(np.all(later <= earlier) for earlier, later in zip(curves, curves[1:]))
     # every point is reproducible by running its scenario directly
-    direct = run_stdp(scenario_for_point(default_scenario, "beta", 0.2))
+    direct = run_stdp(plan(scenario_for_point(default_scenario, "beta", 0.2)))
     _, direct_nodes, direct_pct = direct.files["stdp_transmission.csv"].columns
     at = beta_col == 0.2
     assert np.array_equal(node_col[at], direct_nodes) and np.array_equal(pct[at], direct_pct)
 
 
 def test_sweep_block_size_default_config():
-    merged = sweep(default_scenario(), "n_block", [4, 5])
+    merged = sweep(plan(default_scenario(), "sweep", axis="n_block", values=[4, 5]))
     n_block, total = merged.files["sweep_totals.csv"].columns
     assert n_block.tolist() == [4, 5] and total[0] <= total[1]
 
 
 def test_sweep_node_count_axis():
-    merged = sweep(small_scenario(), "node_count", [3, 6])
+    merged = sweep(plan(small_scenario(), "sweep", axis="node_count", values=[3, 6]))
     value, node_id, _ = merged.files["sweep_transmission.csv"].columns
     assert node_id[value == 3].tolist() == [2, 4, 5]
     assert node_id[value == 6].tolist() == [2, 4, 5, 7, 9, 10]
@@ -241,13 +243,13 @@ def sweep_cases(draw):
 @given(sweep_cases())
 def test_every_sweep_point_equals_its_own_run(case):
     scenario, axis, values = case
-    merged = sweep(scenario, axis, values)
+    merged = sweep(plan(scenario, "sweep", axis=axis, values=values))
     name = "stdp_transmission.csv" if axis == "beta" else "sweep_transmission.csv"
     value_col, node_col, pct_col = merged.files[name].columns
     totals = merged.files["sweep_totals.csv"].columns[1]
     start = 0
     for k, value in enumerate(values):
-        single = run_stdp(scenario_for_point(scenario, axis, value))
+        single = run_stdp(plan(scenario_for_point(scenario, axis, value)))
         _, nodes, pct = single.files["stdp_transmission.csv"].columns
         rows = slice(start, start + len(nodes))
         start += len(nodes)
@@ -262,10 +264,10 @@ def test_every_sweep_point_equals_its_own_run(case):
 @pytest.mark.parametrize("axis, values", [("beta", [0.3, 0.0, 0.1]), ("node_count", [6, 2, 4])])
 def test_point_report_read_off_an_engine_run_equals_its_own_run(axis, values):
     scenario = small_scenario(channel=30.0, malicious=MaliciousSpec(node_ids=(5, 9), scale=4.0))
-    points = [scenario_for_point(scenario, axis, value) for value in values]
-    state = simulate_protocol(points[0], points=points)
-    for k, point in enumerate(points):
-        shared, own = run_stdp(point, state=state, point=k), run_stdp(point)
+    sweep_plan = plan(scenario, "sweep", axis=axis, values=values)
+    state = simulate_protocol(sweep_plan)
+    for k, point in enumerate(sweep_plan.points):
+        shared, own = run_stdp(sweep_plan, state=state, point=k), run_stdp(plan(point))
         assert shared.metadata == own.metadata
         assert csv_files(shared) == csv_files(own)
         assert "weights.csv" in csv_files(own)
@@ -273,11 +275,10 @@ def test_point_report_read_off_an_engine_run_equals_its_own_run(axis, values):
 
 def test_channel_sweep_points_receive_the_same_bytes_for_a_node_and_block():
     scenario = small_scenario(channel=30.0)
-    alone = simulate_protocol(scenario)
+    alone = simulate_protocol(plan(scenario))
     assert not np.array_equal(alone.sink_blocks, alone.blocks)
     for axis, values in (("beta", [0.3, 0.0, 0.1]), ("node_count", [6, 2, 4])):
-        points = [scenario_for_point(scenario, axis, value) for value in values]
-        state = simulate_protocol(points[0], points=points)
+        state = simulate_protocol(plan(scenario, "sweep", axis=axis, values=values))
         rows = np.searchsorted(alone.node_ids, state.node_ids)
         assert state.sink_blocks.tobytes() == alone.sink_blocks[rows].tobytes()
         assert state.sink_desired.tobytes() == alone.sink_desired[rows].tobytes()
@@ -290,7 +291,7 @@ def test_a_given_stream_is_not_corrupted_so_malicious_is_refused(run):
         scenario.layout, scenario.field, scenario.n_block, scenario.num_blocks, scenario.seed
     )
     with pytest.raises(ValueError, match="^malicious: corrupts generated streams only"):
-        run(scenario, stream=stream)
+        run(plan(scenario, run.__name__.removeprefix("run_"), stream=stream))
 
 
 def counting(monkeypatch, module, name, calls):
@@ -328,8 +329,9 @@ def test_an_unusable_stream_is_refused_before_round_0(monkeypatch, run, node_ids
     scenario = small_scenario()
     rounds = []
     counting(monkeypatch, stdp, "step_round", rounds)
+    stream = stream_of(node_ids, scenario)
     with pytest.raises(UnknownNode, match=re.escape(message)):
-        run(scenario, stream=stream_of(node_ids, scenario))
+        run(plan(scenario, run.__name__.removeprefix("run_"), stream=stream))
     assert rounds == []
 
 
@@ -344,7 +346,7 @@ def test_sensed_nodes_ranks_once_for_all_points(monkeypatch):
     stream = stream_of((1, 2, 3, 4, 99), small_scenario())
     assert sensed_nodes(points, stream) == [(2, 4), (2,), (2, 4)]
     calls.clear()
-    sweep(small_scenario(), "node_count", [6, 2, 4])
+    sweep(plan(small_scenario(), "sweep", axis="node_count", values=[6, 2, 4]))
     assert len(calls) == 1
 
 
@@ -352,7 +354,7 @@ def test_a_multi_point_channel_run_draws_each_nodes_channel_noise_once(monkeypat
     keys = []
     counting(monkeypatch, np.random, "SeedSequence", keys)
     scenario = small_scenario(channel=30.0)
-    sweep(scenario, "beta", [0.05, 0.1, 0.2])
+    sweep(plan(scenario, "sweep", axis="beta", values=[0.05, 0.1, 0.2]))
     channel = sorted(key[2] for key, in keys if key[1] == fieldgen.ROLE_CHANNEL)
     assert channel == list(scenario.layout.node_ids)
 
@@ -365,10 +367,10 @@ def test_detect_refuses_a_corrupted_node_it_does_not_sense(monkeypatch):
     counting(monkeypatch, stdp, "step_round", rounds)
     message = "malicious/node_ids: corrupted nodes [1, 3] are not among the sensed nodes [2, 4, 5, 10]"
     with pytest.raises(InvalidParameter, match=re.escape(message)):
-        run_detect(scenario)
+        run_detect(plan(scenario, "detect"))
     assert rounds == []
     # stdp still runs it: a node_count sweep point must equal its own run.
-    assert run_stdp(scenario).metadata["active_nodes"] == [2, 4, 5, 10]
+    assert run_stdp(plan(scenario)).metadata["active_nodes"] == [2, 4, 5, 10]
 
 
 def diverging_points(scenario, axis, values):
@@ -376,7 +378,7 @@ def diverging_points(scenario, axis, values):
     found = []
     for k, value in enumerate(values):
         try:
-            run_stdp(scenario_for_point(scenario, axis, value))
+            run_stdp(plan(scenario_for_point(scenario, axis, value)))
         except Diverged as exc:
             round_index = int(str(exc).split("round ")[1].split(":")[0])
             found.append((round_index, k, f"{exc} at {axis}={value}"))
@@ -394,7 +396,7 @@ def test_diverging_sweep_names_the_first_round_and_lowest_point(axis, values, mu
     first = min(found)
     assert first[1] > 0 and len({r for r, _, _ in found}) > 1
     with pytest.raises(Diverged) as err:
-        sweep(scenario, axis, values)
+        sweep(plan(scenario, "sweep", axis=axis, values=values))
     assert str(err.value) == first[2]
     assert err.value.point == first[1]
 
@@ -407,11 +409,11 @@ def test_diverging_run_raises_without_runtime_warnings(axis, values, mu):
     # overflow on the way to a non-finite error must stay inside it.
     scenario = default_scenario(mu_mode=mu)
     first = min(diverging_points(scenario, axis, values))
-    points = [scenario_for_point(scenario, axis, value) for value in values]
+    sweep_plan = plan(scenario, "sweep", axis=axis, values=values)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(Diverged) as err:
-            simulate_protocol(points[0], points=points)
+            simulate_protocol(sweep_plan)
     assert re.fullmatch(
         r"diverged in round \d+: non-finite (client|sink) error for node \d+", str(err.value)
     )
@@ -421,7 +423,7 @@ def test_diverging_run_raises_without_runtime_warnings(axis, values, mu):
 
 def test_sweep_rejects_unknown_axis(default_scenario):
     with pytest.raises(ValueError):
-        sweep(default_scenario, "theta", [1.0])
+        sweep(plan(default_scenario, "sweep", axis="theta", values=[1.0]))
 
 
 def test_report_rejects_non_finite():
@@ -473,6 +475,9 @@ def test_scenario_validation():
 
 def test_engine_points_may_differ_only_in_thresholds_and_selection():
     scenario = small_scenario()
-    simulate_protocol(scenario, points=[small_scenario(select_first=True, select_count=3)])
-    with pytest.raises(ValueError, match="only in thresholds and node selection"):
-        simulate_protocol(scenario, points=[small_scenario(seed=5)])
+    simulate_protocol(plan(scenario, "sweep", axis="node_count", values=[3, 10]))
+    base = plan(scenario, "sweep", axis="beta", values=[0.1, 0.2])
+    reseeded = replace(base, points=(scenario, small_scenario(seed=5)))
+    for bad in (reseeded, plan(scenario, "sweep", axis="n_block", values=[4, 5])):
+        with pytest.raises(ValueError, match="only in thresholds and node selection"):
+            simulate_protocol(bad)

@@ -15,7 +15,7 @@ from wsnadapt.fieldgen import (
     substream,
 )
 from wsnadapt.numerics import max_eigenvalue
-from wsnadapt.sim import default_layout, default_scenario, simulate_protocol
+from wsnadapt.sim import default_layout, default_scenario, plan, simulate_protocol
 from wsnadapt.stdp import (
     CLIENT_ADAPTIVE,
     CLIENT_PREDICTING,
@@ -455,7 +455,7 @@ def test_stream_rows_follow_node_ids_for_an_unsorted_layout():
         assert np.allclose(noise, expected, atol=1e-12)
     # stepping rounds straight off the stream matches the scenario run
     state, rows, _ = drive(layout, stream, Thresholds(0.5, 0.05), noise_seed=13)
-    run = simulate_protocol(default_scenario(layout=layout, seed=13), stream)
+    run = simulate_protocol(plan(default_scenario(layout=layout, seed=13), stream=stream))
     assert np.array_equal(state.trace.transmitted, run.trace.transmitted)
     assert np.array_equal(transmission_percentage(state), transmission_percentage(run))
     assert np.array_equal(state.global_weight, run.global_weight)
