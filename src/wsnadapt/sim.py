@@ -423,7 +423,11 @@ def _narrow(values: np.ndarray) -> np.ndarray:
     return values.astype(np.int32) if fits else values
 
 
-def _protocol_files(state: stdp.ProtocolState, point: int, beta: float) -> dict[str, Table]:
+def _protocol_files(
+    state: stdp.ProtocolState, point: int, beta: float, updates: tuple
+) -> dict[str, Table]:
+    """The protocol CSVs of one point of an engine run; ``updates`` is the
+    run's ``trace.client_updates()``."""
     rows = state.rows(point)
     trace = state.trace
     ids = _narrow(np.array(state.node_ids[rows]))
@@ -454,7 +458,11 @@ def _protocol_files(state: stdp.ProtocolState, point: int, beta: float) -> dict[
             labels={2: _PHASE_NAMES, 3: _KIND_NAMES},
         ),
     }
-    update_rounds, updated, weights = trace.client_updates(rows)
+    # The log is grouped by ascending row, so the point's rows are one run of it.
+    update_rounds, updated, weights = updates
+    first, stop = np.searchsorted(updated, (rows.start, rows.stop))
+    update_rounds, weights = update_rounds[first:stop], weights[first:stop]
+    updated = updated[first:stop] - rows.start
     if update_rounds.size:
         n = weights.shape[1]
         files["weights.csv"] = Table(
@@ -469,14 +477,22 @@ def _protocol_files(state: stdp.ProtocolState, point: int, beta: float) -> dict[
     return files
 
 
-def run_stdp(plan: RunPlan, state: stdp.ProtocolState | None = None, point: int = 0) -> RunReport:
+def run_stdp(
+    plan: RunPlan,
+    state: stdp.ProtocolState | None = None,
+    point: int = 0,
+    updates: tuple | None = None,
+) -> RunReport:
     """Protocol run reporting per-node transmission percentages and traces
-    of the plan's point ``point``; ``state`` is the plan's engine run when
-    the caller holds it already (see ``sweep``)."""
+    of the plan's point ``point``; ``state`` is the plan's engine run, and
+    ``updates`` its ``trace.client_updates()``, when the caller holds them
+    already (see ``sweep``)."""
     if state is None:
         state = simulate_protocol(plan)
+    if updates is None:
+        updates = state.trace.client_updates()
     scenario = plan.points[point]
-    files = _protocol_files(state, point, scenario.thresholds.beta)
+    files = _protocol_files(state, point, scenario.thresholds.beta, updates)
     mu = state.mu[point]
     metadata = _base_metadata("STDP", scenario)
     metadata.update(
@@ -495,8 +511,9 @@ def run_detect(plan: RunPlan) -> RunReport:
         raise ValueError(f"run_detect needs a detect plan, got a {plan.experiment} plan")
     scenario = plan.scenario
     state = simulate_protocol(plan)
-    _, rows, weights = state.trace.client_updates(state.rows(0))
+    updates = state.trace.client_updates()
     # client_updates groups the log by row: one (k, n) block per node.
+    _, rows, weights = updates
     updated, starts = np.unique(rows, return_index=True)
     blocks = np.split(weights, starts[1:])
     snapshots = {state.node_ids[k]: block for k, block in zip(updated.tolist(), blocks)}
@@ -509,7 +526,7 @@ def run_detect(plan: RunPlan) -> RunReport:
     histories = malicious.histories_from_snapshots(snapshots)
     variances = {i: malicious.weight_variance(h) for i, h in sorted(histories.items())}
     report = malicious.classify(variances)
-    files = _protocol_files(state, 0, scenario.thresholds.beta)
+    files = _protocol_files(state, 0, scenario.thresholds.beta, updates)
     detected = sorted(variances)
     files["detection.csv"] = Table(
         ("node_id", "variance", "threshold", "label"),
@@ -585,9 +602,10 @@ def sweep(plan: RunPlan) -> RunReport:
         except Diverged as exc:
             point = len(totals) + exc.point
             raise Diverged(f"{exc} at {axis}={values[point]}", point) from None
+        updates = state.trace.client_updates()
         # Each point's rows are those of its own report.
         for k in range(len(batch.points)):
-            report = run_stdp(batch, state=state, point=k)
+            report = run_stdp(batch, state=state, point=k, updates=updates)
             _, node_ids, percentages = report.files["stdp_transmission.csv"].columns
             ids.append(node_ids)
             pct.append(percentages)
@@ -626,15 +644,20 @@ def sweep(plan: RunPlan) -> RunReport:
 
 # A CSV file's data rows are built as bytes, one chunk of at most
 # CHUNK_ROWS rows at a time, each chunk only when the writer asks for it.
-# Each column lays its cells out as a uint8 matrix of byte slots, one row
-# per cell, in which a slot the cell does not use holds NUL.  The columns
-# and separators are joined side by side, and deleting every NUL from the
-# chunk's bytes leaves its CSV text.  A cell's slots are gathered whole
-# from a small table of layouts and its digits from a table of four-digit
-# groups: writing one slot column of a row-major matrix at a time costs a
-# pass over the matrix per slot.  A chunk of 8192 rows keeps its working
-# arrays in cache: it encodes no slower than larger chunks and holds less
-# while its file is written.
+# A chunk is one uint8 matrix, a row per CSV row: each column owns a run
+# of byte slots in it and a separator slot after them, and the matrix
+# starts NUL but for the separators.  A column encodes only its present
+# cells, as a matrix of their slots in
+# which a slot the cell does not use holds NUL, and copies them into its
+# run of each present row; an absent cell keeps its NULs.  Deleting every
+# NUL from the matrix's bytes leaves the chunk's CSV text.  A cell's slots
+# are gathered whole from small tables: an integer in [0, 10**4) from the
+# digit strings of its column's width, a name from its label's bytes, a
+# float's layout from its sign and exponent, and its digits from a table
+# of four-digit groups.  Writing one slot column of a row-major matrix at
+# a time costs a pass over the matrix per slot.  A chunk of 8192 rows
+# keeps its working arrays in cache: it encodes no slower than larger
+# chunks and holds less while its file is written.
 CHUNK_ROWS = 8192
 
 
@@ -651,6 +674,20 @@ def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
 
 
 _GROUP_WORDS, _GROUP_TRAILING = _digit_groups()
+
+
+def _small_ints() -> list[np.ndarray]:
+    """For each width w = 1 .. 4, the integers 0 .. 10**w - 1 as their
+    digits in w slots, NUL before the first digit, one ``V{w}`` item each."""
+    groups = _GROUP_WORDS.view(np.uint8).reshape(-1, 4)
+    lead = np.searchsorted([10, 100, 1000], np.arange(10_000), side="right")
+    groups = np.where(np.arange(4) >= 3 - lead[:, None], groups, 0)
+    return [
+        np.ascontiguousarray(groups[: 10**w, 4 - w :]).view(f"V{w}").ravel() for w in range(1, 5)
+    ]
+
+
+_SMALL_INTS = _small_ints()
 _INT_POW10 = 10 ** np.arange(20, dtype=np.uint64)
 # Every power of ten up to 10**22 is an exact double, so scaling by one
 # rounds only once.
@@ -659,10 +696,10 @@ _POW10 = np.array([float(10**k) for k in range(23)])
 _E_MIN, _E_MAX = -14, 31
 # The byte slots of a float cell: its sign, the "0.000" that leads a
 # fixed-notation value below 1, nine mantissa digits (the first at _LEAD,
-# the others at _REST) with a point slot after each of the first eight,
-# and the exponent "e+00".
-_FLOAT_SLOTS = np.frombuffer(b"-0.000" + b"0." * 8 + b"0e+00", np.uint8)
-_LEAD, _REST = 6, slice(8, 23, 2)
+# the others at the odd slots of _REST) with a point slot before each of
+# the last eight, and the exponent "e+00".
+_FLOAT_SLOTS = np.frombuffer(b"-0.000" + b"0" + b".0" * 8 + b"e+00", np.uint8)
+_LEAD, _REST = 6, slice(7, 23)
 
 
 def _float_layouts() -> np.ndarray:
@@ -692,8 +729,16 @@ def _float_layouts() -> np.ndarray:
 
 
 _FLOAT_BYTES = _float_layouts()
-# The first k of the eight digits after the leading one, as byte masks.
-_LEADING_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# _REST read as two little-endian words of four point-and-digit pairs: a
+# four-digit group with its digits at the odd bytes (the point comes from
+# the layout), and by count of digits shown after the leading one, the
+# masks of the two words that keep just those digits.
+_GROUP_PAIRS = np.zeros((10_000, 8), np.uint8)
+_GROUP_PAIRS[:, 1::2] = _GROUP_WORDS.view(np.uint8).reshape(-1, 4)
+_GROUP_PAIRS = _GROUP_PAIRS.view("<u8").ravel()
+_SHOWN_PAIRS = np.array(
+    [[(1 << 16 * min(max(k - h, 0), 4)) - 1 for h in (0, 4)] for k in range(9)], np.uint64
+)
 
 
 def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -731,12 +776,13 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     used = 9 - _GROUP_TRAILING[low] - (low == 0) * _GROUP_TRAILING[mid]
     # Fixed notation keeps the zeros before its point.
     shown = np.where((e >= 0) & (e < 9), np.maximum(used, e + 1), used)
-    rest = _GROUP_WORDS[mid] | _GROUP_WORDS[low].astype(np.uint64) << np.uint64(32)
-    rest &= _LEADING_BYTES[shown - 1]
     layout = (np.signbit(x) * (_E_MAX - _E_MIN + 1) + e - _E_MIN) * 9 + used - 1
     cells = _FLOAT_BYTES.take(layout, axis=0)
     cells[:, _LEAD] = lead + ord("0")
-    cells[:, _REST] = rest.view(np.uint8).reshape(-1, 8)
+    rest = cells[:, _REST].view("<u8")
+    keep = _SHOWN_PAIRS.take(shown - 1, axis=0)
+    rest[:, 0] |= _GROUP_PAIRS[mid] & keep[:, 0]
+    rest[:, 1] |= _GROUP_PAIRS[low] & keep[:, 1]
 
     rows = np.flatnonzero(fallback)
     if rows.size:
@@ -747,6 +793,10 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
 
 def _int_cells(v: np.ndarray) -> np.ndarray:
     """Integers as their decimal digits, a minus sign first if negative."""
+    low, high = int(v.min()), int(v.max())
+    if low >= 0 and high < 10_000:
+        width = len(str(high))
+        return _SMALL_INTS[width - 1].take(v).view(np.uint8).reshape(len(v), width)
     neg = v < 0
     u = v.astype(np.uint64)
     np.negative(u, out=u, where=neg)  # |v|, exact for the most negative int64 too
@@ -781,29 +831,41 @@ def _label_cells(codes: np.ndarray, names: np.ndarray) -> np.ndarray:
     return _text_cells(names.astype(f"S{width}")).take(codes, axis=0)
 
 
+def _cells(values: np.ndarray, names: np.ndarray | None) -> np.ndarray:
+    """A column's cells as a C-contiguous ``(len(values), slots)`` uint8
+    matrix; no values, no slots."""
+    if not values.size:
+        return np.zeros((0, 0), np.uint8)
+    if names is not None:
+        return _label_cells(values, names)
+    kind = values.dtype.kind
+    encode = _float_cells if kind == "f" else _text_cells if kind == "S" else _int_cells
+    return encode(values)
+
+
 def _chunk_bytes(table: Table, rows: slice) -> bytes:
     """CSV bytes of a run of the table's rows."""
-    parts = []
+    columns = []
     for c, column in enumerate(table.columns):
-        values = column[rows]
-        absent = table.absent.get(c)
-        if absent is not None:
-            # An absent cell holds a placeholder, 0.0 in a protocol trace,
-            # which only the fallback formats: encode a stand-in, then
-            # blank the cell.
-            absent = absent[rows]
-            values = np.where(absent, b"" if values.dtype.kind == "S" else 1, values)
-        if c in table.labels:
-            cells = _label_cells(values, table.labels[c])
-        else:
-            kind = values.dtype.kind
-            encode = _float_cells if kind == "f" else _text_cells if kind == "S" else _int_cells
-            cells = encode(values)
-        if absent is not None:
-            cells[absent] = 0
-        parts += [cells, np.full((len(values), 1), ord(","), np.uint8)]
-    parts[-1][:] = ord("\n")
-    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+        values, present = column[rows], None
+        if c in table.absent:
+            present = np.flatnonzero(~table.absent[c][rows])
+            values = values[present]
+        columns.append((_cells(values, table.labels.get(c)), present))
+    # One row of separators, NUL elsewhere, repeated for every row.
+    ends = np.cumsum([cells.shape[1] + 1 for cells, _ in columns])
+    blank = np.zeros(ends[-1], np.uint8)
+    blank[ends - 1] = ord(",")
+    blank[-1] = ord("\n")
+    n = len(table.columns[0][rows])
+    matrix = np.tile(blank, (n, 1))
+    for (cells, present), end in zip(columns, ends):
+        slots = cells.shape[1]
+        if slots:
+            # Each row's run of this column's slots, as one item.
+            run = np.ndarray(n, f"V{slots}", matrix, end - 1 - slots, (ends[-1],))
+            run[slice(None) if present is None else present] = cells.view(f"V{slots}").ravel()
+    return matrix.tobytes().translate(None, b"\0")
 
 
 def report_files(report: RunReport) -> dict[str, tuple[tuple[str, ...], Table]]:

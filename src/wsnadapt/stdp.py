@@ -178,10 +178,9 @@ class Trace:
             error_new=np.zeros(shape),
         )
 
-    def client_updates(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The logged updates of rows ``rows.start:rows.stop`` as (round,
-        row, weight) columns, rows counted from ``rows.start``, grouped by
-        row and in time order within each row."""
+    def client_updates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The logged updates of every row as (round, row, weight) columns,
+        grouped by ascending row and in time order within each row."""
         if not self.updates:
             return np.zeros(0, np.int64), np.zeros(0, np.intp), np.zeros((0, 0))
         rounds, updated, weights = zip(*self.updates)
@@ -189,9 +188,8 @@ class Trace:
         updated = np.concatenate(updated)
         # The log runs by round; a stable sort by row keeps each row's
         # updates in time order.
-        order = ((updated >= rows.start) & (updated < rows.stop)).nonzero()[0]
-        order = order[np.argsort(updated[order], kind="stable")]
-        return rounds[order], updated[order] - rows.start, np.concatenate(weights)[order]
+        order = np.argsort(updated, kind="stable")
+        return rounds[order], updated[order], np.concatenate(weights)[order]
 
 
 @dataclass

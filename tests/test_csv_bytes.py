@@ -184,6 +184,104 @@ def test_coded_cells_print_their_names(monkeypatch):
     assert len(chunks) == 4 and b"".join(chunks) == whole
 
 
+def cell_text(table: Table, c: int, k: int) -> str:
+    """Python's own text of cell (row ``k``, column ``c``)."""
+    value = table.columns[c][k]
+    if c in table.absent and table.absent[c][k]:
+        return ""
+    if c in table.labels:
+        return table.labels[c][value].decode()
+    kind = table.columns[c].dtype.kind
+    return value.decode() if kind == "S" else format(value, ".9g") if kind == "f" else str(value)
+
+
+def chunked_bytes(table: Table, chunk_rows: int) -> bytes:
+    """The table's rows encoded ``chunk_rows`` at a time, each chunk
+    checked against Python's text of its cells."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "CHUNK_ROWS", chunk_rows)
+        chunks = list(table)
+    for start, chunk in zip(range(0, len(table), chunk_rows), chunks):
+        rows = range(start, min(start + chunk_rows, len(table)))
+        assert chunk == "".join(
+            ",".join(cell_text(table, c, k) for c in range(len(table.columns))) + "\n"
+            for k in rows
+        ).encode()
+    return b"".join(chunks)
+
+
+NAMES = np.array([b"", b"RAW", b"CLIENT_PREDICTING", b"A;B"])
+INTEGERS = {np.int8: 2**7, np.int32: 2**31, np.int64: 2**63, np.uint64: 2**64}
+
+
+@st.composite
+def tables(draw):
+    """A table of 1-6 columns of mixed kinds over 1-12 rows, each column
+    with or without absent cells, and a chunk size of 1-5 rows."""
+    n = draw(st.integers(1, 12))
+    header, columns, absent, labels = [], [], {}, {}
+    kinds = [*INTEGERS, "float", "coded", "bytes"]
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6))
+    for c, kind in enumerate(kinds):
+        if kind in INTEGERS:
+            # Often within the small-integer range, which has its own path.
+            top = INTEGERS[kind]
+            low = 0 if kind == np.uint64 else -top
+            values = st.one_of(st.integers(0, min(10_001, top - 1)), st.integers(low, top - 1))
+            column = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=kind)
+        elif kind == "float":
+            floats = st.floats(allow_nan=False, allow_infinity=False)
+            column = np.array(draw(st.lists(floats, min_size=n, max_size=n)))
+        elif kind == "coded":
+            codes = st.integers(0, len(NAMES) - 1)
+            column = np.array(draw(st.lists(codes, min_size=n, max_size=n)), dtype=np.uint8)
+            labels[c] = NAMES
+        else:
+            text = st.binary(max_size=5).map(lambda b: bytes(x % 26 + 97 for x in b))
+            column = np.array(draw(st.lists(text, min_size=n, max_size=n)), dtype="S5")
+        if draw(st.booleans()):
+            absent[c] = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        header.append(f"c{c}")
+        columns.append(column)
+    return Table(tuple(header), tuple(columns), absent, labels), draw(st.integers(1, 5))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(tables())
+def test_any_table_matches_its_cells_text(case):
+    table, chunk_rows = case
+    assert chunked_bytes(table, chunk_rows) == chunked_bytes(table, len(table))
+
+
+@pytest.mark.parametrize(
+    "columns, absent, labels",
+    [
+        # Both sides of the small-integer tables' range in one chunk, then
+        # each power of ten in them.
+        (
+            [np.array([9999, 10000, 0, 10, 100, 1000], np.int32),
+             np.array([10000, 9999, 7, 1, 9, 99], np.uint64)],
+            {},
+            {},
+        ),
+        ([np.array([-1, -9, 0, 5], np.int8), np.array([-3, 2, 10, -10], np.int64)], {}, {}),
+        ([np.array([2**63 - 1, 0, 5], np.int64)], {}, {}),
+        # Silent rounds: a float and a coded column absent in a whole chunk.
+        (
+            [np.arange(5, dtype=np.int32), np.array([0.0, 0.0, 0.0, 2.5, -1e-7]),
+             np.array([1, 2, 3, 3, 0], np.uint8)],
+            {1: np.array([True, True, True, False, True]), 2: np.array([True] * 3 + [False] * 2)},
+            {2: NAMES},
+        ),
+    ],
+    ids=["small_int_edge", "small_negatives", "int64_max_beside_0", "absent_chunk"],
+)
+def test_integer_edges_and_absent_chunks_match_their_cells_text(columns, absent, labels):
+    table = Table(tuple(f"c{c}" for c in range(len(columns))), tuple(columns), absent, labels)
+    whole = chunked_bytes(table, len(table))
+    assert chunked_bytes(table, 3) == whole
+
+
 REPORTS = {
     "ada": lambda: run_ada(default_scenario()),
     "stdp": lambda: run_stdp(plan(default_scenario(num_blocks=40))),

@@ -359,6 +359,20 @@ def test_a_multi_point_channel_run_draws_each_nodes_channel_noise_once(monkeypat
     assert channel == list(scenario.layout.node_ids)
 
 
+def test_each_engine_run_reads_its_client_update_log_once(monkeypatch):
+    calls = []
+    counting(monkeypatch, stdp.Trace, "client_updates", calls)
+    sweep(plan(small_scenario(), "sweep", axis="beta", values=[0.05, 0.1, 0.2]))
+    assert len(calls) == 1
+    calls.clear()
+    scenario = default_scenario(num_blocks=60, malicious=MaliciousSpec(node_ids=(5, 9), scale=6.0))
+    run_detect(plan(scenario, "detect"))
+    assert len(calls) == 1
+    calls.clear()
+    sweep(plan(small_scenario(), "sweep", axis="n_block", values=[4, 5]))
+    assert len(calls) == 2  # n_block points run one engine each
+
+
 def test_detect_refuses_a_corrupted_node_it_does_not_sense(monkeypatch):
     scenario = small_scenario(
         select_first=True, select_count=4, malicious=MaliciousSpec(node_ids=(1, 3), scale=6.0)
