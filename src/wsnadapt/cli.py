@@ -1,10 +1,9 @@
 """Command-line front end: validate a JSON scenario config, run the chosen
 experiment, and write CSV reports plus an effective-config echo.
 
-A config's keys and value types are checked against the field annotations
-of the value types it builds (``Scenario``, ``NodeLayout``, ``FieldParams``,
-``Thresholds``, ``MaliciousSpec``), each field's range by those types, and the
-rest by the ``sim.plan`` that ``validate`` builds and ``run`` executes.  Exit codes:
+The CLI checks only a config's shape, against the field annotations of the
+value types it builds, and maps the refusals of those types (a field's range)
+and of ``sim.plan`` (how keys relate) to JSON pointers.  Exit codes:
 0 success, 1 config validation failure, 2 runtime failure.
 Diagnostics go to stderr only; output files are written atomically.
 """
@@ -26,6 +25,7 @@ from typing import Iterable, Literal, Union, get_args, get_origin, get_type_hint
 
 from .errors import InvalidParameter, SchemaError, UnknownNode, WsnAdaptError
 from .sim import (
+    EXPERIMENTS,
     OUTPUT_FILES,
     SWEEP_AXES,
     MaliciousSpec,
@@ -37,8 +37,6 @@ from .sim import (
     report_files,
     scenario_to_dict,
 )
-
-EXPERIMENTS = ("ada", "stdp", "detect", "sweep")
 
 
 # A config section's keys are the fields of its value type, and each value
@@ -81,12 +79,13 @@ class ParsedConfig:
     ingest_path: str | None
     sweep_axis: tuple[str, list] | None
 
-    def effective(self) -> dict:
+    def effective(self, run_plan: RunPlan) -> dict:
+        """The config as ``run_plan`` runs it, sweep values as the plan reads them."""
         doc = {"experiment": self.experiment, "output_dir": self.output_dir}
         if self.ingest_path is not None:
             doc["ingest_csv"] = self.ingest_path
-        if self.sweep_axis is not None:
-            doc["sweep"] = {"axis": self.sweep_axis[0], "values": self.sweep_axis[1]}
+        if run_plan.axis is not None:
+            doc["sweep"] = {"axis": run_plan.axis, "values": list(run_plan.values)}
         doc.update(scenario_to_dict(self.scenario))
         return doc
 
@@ -151,17 +150,6 @@ def _first_error(value, hint, path: tuple) -> tuple[tuple, str] | None:
     return None
 
 
-def _semantic_validate(doc: dict) -> None:
-    """Checks that relate the config's keys to its experiment."""
-    experiment = doc["experiment"]
-    if experiment == "sweep" and "sweep" not in doc:
-        raise SchemaError("/sweep", "sweep experiment requires the sweep section")
-    if experiment != "sweep" and "sweep" in doc:
-        raise SchemaError("/sweep", "only valid when experiment is 'sweep'")
-    if experiment in ("ada", "sweep") and "ingest_csv" in doc:
-        raise SchemaError("/ingest_csv", f"not applicable to the {experiment} experiment")
-
-
 def _tuples(value):
     """A JSON value with its arrays, at every depth, as tuples."""
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
@@ -188,9 +176,7 @@ def _build_scenario(doc: dict) -> Scenario:
         elif is_dataclass(default):
             value = replace(default, **{key: _tuples(v) for key, v in value.items()})
         values[f.name] = _tuples(value)
-    if "select_count" not in values:
-        values["select_count"] = min(base.select_count, values.get("layout", base.layout).size)
-    return replace(base, **values)
+    return default_scenario(**values)
 
 
 def _finite_number(text: str) -> float:
@@ -215,7 +201,7 @@ def parse_config(path, seed: int | None = None) -> ParsedConfig:
 
     Raises SchemaError (with a JSON-pointer path) on any problem with the
     config's shape or a value's range, and OSError on unreadable input.
-    No simulation work happens here; ``sim.plan`` checks the rest.
+    No simulation work happens here; ``sim.plan`` checks how the keys relate.
     """
     with open(path) as handle:
         try:
@@ -233,22 +219,13 @@ def parse_config(path, seed: int | None = None) -> ParsedConfig:
         scenario = _build_scenario(doc)
     except InvalidParameter as exc:
         raise _config_error(exc) from None
-    _semantic_validate(doc)
-    sweep_doc = doc.get("sweep")
-    sweep_axis = None
-    if sweep_doc is not None:
-        axis, values = sweep_doc["axis"], sweep_doc["values"]
-        integral = axis in ("n_block", "node_count")
-        bad = [v for v in values if integral and v != int(v)]
-        if bad:
-            raise SchemaError("/sweep/values", f"axis needs integers, got {bad}")
-        sweep_axis = (axis, [int(v) if integral else float(v) for v in values])
+    sweep = doc.get("sweep")
     return ParsedConfig(
         experiment=doc["experiment"],
         scenario=scenario,
         output_dir=doc.get("output_dir", "out"),
         ingest_path=doc.get("ingest_csv"),
-        sweep_axis=sweep_axis,
+        sweep_axis=None if sweep is None else (sweep["axis"], sweep["values"]),
     )
 
 
@@ -286,7 +263,7 @@ def _write_outputs(parsed: ParsedConfig, run_plan: RunPlan, out_dir: Path) -> No
     its text at a time.  A known output file that this run did not write
     is removed, so the directory never mixes two runs."""
     report = execute(run_plan)
-    config = json.dumps(parsed.effective(), indent=2, sort_keys=True) + "\n"
+    config = json.dumps(parsed.effective(run_plan), indent=2, sort_keys=True) + "\n"
     files = {"effective_config.json": [config.encode()]}
     for name, (header, table) in report_files(report).items():
         files[name] = chain([(",".join(header) + "\n").encode()], table)

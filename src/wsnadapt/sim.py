@@ -120,7 +120,10 @@ def default_layout() -> NodeLayout:
 
 
 def default_scenario(**overrides) -> Scenario:
-    return replace(Scenario(layout=default_layout()), **overrides)
+    """The default scenario but for ``overrides``; ``select_count`` fits a small layout."""
+    overrides.setdefault("layout", default_layout())
+    overrides.setdefault("select_count", min(Scenario.select_count, overrides["layout"].size))
+    return Scenario(**overrides)
 
 
 def scenario_to_dict(scenario) -> dict:
@@ -272,6 +275,10 @@ def sensed_nodes(
     return sensed
 
 
+EXPERIMENTS = ("ada", "stdp", "detect", "sweep")
+SWEEP_AXES = ("beta", "n_block", "node_count")
+
+
 @dataclass(frozen=True, eq=False)
 class RunPlan:
     """What a run will do, decided by ``plan`` before any stream is made: its
@@ -289,12 +296,21 @@ class RunPlan:
 def plan(scenario: Scenario, experiment: str = "stdp", stream=None, axis=None, values=()) -> RunPlan:
     """The plan of an ``experiment`` run on ``scenario``, made with every check
     that needs no generated stream.  ``stream`` is a ``Stream`` or a CSV path
-    for ``fieldgen.ingest_csv``; a sweep has a point per value of ``values``
-    along ``axis``.  InvalidParameter refuses ``malicious`` beside a stream, a
-    detect run with nothing to detect or under 2 nodes, and a bad sweep value
-    (``point`` is its index) before the file is read and ``sensed_nodes`` runs."""
+    for ``fieldgen.ingest_csv``; a sweep alone has a point per value of
+    ``values`` along ``axis``, a float on ``beta`` and an int otherwise.
+    InvalidParameter refuses an unknown experiment, a sweep section or stream
+    the experiment takes none of, ``malicious`` beside a stream, a detect run
+    with nothing to detect or under 2 nodes, and a bad sweep value (``point``
+    is its index) before the file is read and ``sensed_nodes`` runs."""
+    values = tuple(values)
+    if experiment not in EXPERIMENTS:
+        raise InvalidParameter("experiment", f"{experiment!r} is not one of {list(EXPERIMENTS)!r}")
+    if experiment == "sweep" and axis is None:
+        raise InvalidParameter("sweep", "sweep experiment requires the sweep section")
+    if experiment != "sweep" and (axis is not None or values):
+        raise InvalidParameter("sweep", "only valid when experiment is 'sweep'")
     if stream is not None and experiment not in ("stdp", "detect"):
-        raise ValueError(f"the {experiment} experiment runs on no given stream")
+        raise InvalidParameter("ingest_csv", f"not applicable to the {experiment} experiment")
     # Corruption is injected into generated streams only; on a given one it
     # would scale the listed nodes' client noise and nothing else.
     if stream is not None and scenario.malicious is not None:
@@ -308,10 +324,10 @@ def plan(scenario: Scenario, experiment: str = "stdp", stream=None, axis=None, v
         raise InvalidParameter("layout/node_ids", "detect needs at least 2 nodes to classify")
     if detect and scenario.select_first and scenario.select_count < 2:
         raise InvalidParameter("select_count", "detect needs at least 2 selected nodes to classify")
-    points, values = [scenario], tuple(values)
+    points = [scenario]
     if experiment == "sweep":
         if not values:
-            raise ValueError("sweep needs at least one axis value")
+            raise InvalidParameter("sweep", "needs at least one axis value")
         points = []
         for k, value in enumerate(values):
             try:
@@ -319,6 +335,7 @@ def plan(scenario: Scenario, experiment: str = "stdp", stream=None, axis=None, v
             except InvalidParameter as exc:
                 exc.point = k
                 raise
+        values = tuple(float(v) if axis == "beta" else int(v) for v in values)
     if stream is not None and not isinstance(stream, Stream):
         stream = ingest_csv(stream, scenario.n_block, scenario.field, scenario.seed)
     groups = [] if experiment == "ada" else sensed_nodes(points, stream, detect)
@@ -551,8 +568,6 @@ def run_detect(plan: RunPlan) -> RunReport:
     return RunReport(files=files, metadata=metadata)
 
 
-SWEEP_AXES = ("beta", "n_block", "node_count")
-
 # Every CSV file name a report can hold.
 OUTPUT_FILES = frozenset(
     {
@@ -569,12 +584,18 @@ OUTPUT_FILES = frozenset(
 
 
 def scenario_for_point(scenario: Scenario, axis: str, value) -> Scenario:
-    """The single-run scenario corresponding to one sweep point."""
+    """The single-run scenario corresponding to one sweep point; a value
+    that is not an integer on an integral axis raises InvalidParameter."""
     if axis == "beta":
         return replace(scenario, thresholds=Thresholds(scenario.thresholds.alpha, float(value)))
+    integral = float(value).is_integer()
     if axis == "n_block":
+        if not integral:
+            raise InvalidParameter("n_block", f"must be an integer, got {value}")
         return replace(scenario, n_block=int(value))
     if axis == "node_count":
+        if not integral:
+            raise InvalidParameter("select_count", f"must be an integer, got {value}")
         return replace(scenario, select_first=True, select_count=int(value))
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
@@ -586,30 +607,30 @@ def sweep(plan: RunPlan) -> RunReport:
     the swept parameter and each point can be reproduced by running the
     corresponding single scenario directly.  ``beta`` and ``node_count``
     points run as the points of one engine; ``n_block`` points differ in
-    their block length and run one after another.  Each point's rows and
-    total are those of its own ``run_stdp`` report.  A point that diverges
-    raises ``Diverged`` naming it, e.g. ``at beta=0.4``.
+    their block length and run one after another.  Each point's rows, total
+    and ``config_sha1`` are those of its own ``run_stdp`` report.  A point
+    that diverges raises ``Diverged`` naming it, e.g. ``at beta=0.4``.
     """
     scenario, axis, values, points = plan.scenario, plan.axis, list(plan.values), plan.points
     batches = [plan]
     if axis == "n_block":
         batches = [replace(plan, points=(p,), groups=(g,)) for p, g in zip(points, plan.groups)]
 
-    ids, pct, totals = [], [], []
+    ids, pct, own = [], [], []
     for batch in batches:
         try:
             state = simulate_protocol(batch)
         except Diverged as exc:
-            point = len(totals) + exc.point
+            point = len(own) + exc.point
             raise Diverged(f"{exc} at {axis}={values[point]}", point) from None
         updates = state.trace.client_updates()
-        # Each point's rows are those of its own report.
         for k in range(len(batch.points)):
             report = run_stdp(batch, state=state, point=k, updates=updates)
             _, node_ids, percentages = report.files["stdp_transmission.csv"].columns
             ids.append(node_ids)
             pct.append(percentages)
-            totals.append(report.metadata["total_percentage"])
+            own.append(report.metadata)
+    totals = [meta["total_percentage"] for meta in own]
 
     name = "stdp_transmission.csv" if axis == "beta" else "sweep_transmission.csv"
     files = {
@@ -631,11 +652,11 @@ def sweep(plan: RunPlan) -> RunReport:
             "points": [
                 {
                     "value": value,
-                    "config_sha1": config_hash(scenario_to_dict(point)),
+                    "config_sha1": meta["config_sha1"],
                     "seed": point.seed,
-                    "total_percentage": total,
+                    "total_percentage": meta["total_percentage"],
                 }
-                for value, point, total in zip(values, points, totals)
+                for value, point, meta in zip(values, points, own)
             ],
         }
     )

@@ -16,7 +16,7 @@ import pytest
 import wsnadapt
 from test_sim import counting
 from wsnadapt import ada, errors, sim
-from wsnadapt.cli import _write_atomic, main, parse_config
+from wsnadapt.cli import _CONFIG, _config_error, _write_atomic, main, parse_config
 from wsnadapt.errors import InvalidParameter, SchemaError
 from wsnadapt.fieldgen import FieldParams, NodeLayout
 from wsnadapt.sim import (
@@ -350,14 +350,9 @@ def test_sweep_command_runs_sweep_config(tmp_path):
         assert [row.split(",")[0] for row in totals[1:]] == [str(v) for v in doc["sweep"]["values"]]
 
 
-def test_sweep_section_only_for_sweep_experiment(tmp_path):
-    path = write_config(
-        tmp_path,
-        {"experiment": "ada", "sweep": {"axis": "beta", "values": [0.1]}},
-    )
-    with pytest.raises(SchemaError) as err:
-        parse_config(path)
-    assert err.value.pointer == "/sweep"
+def test_sweep_section_only_for_sweep_experiment(tmp_path, capsys):
+    doc = {"experiment": "ada", "sweep": {"axis": "beta", "values": [0.1]}}
+    assert_config_error(tmp_path, capsys, doc, "/sweep: only valid when experiment is 'sweep'")
 
 
 def test_ingest_csv_flows_into_stdp(tmp_path):
@@ -421,9 +416,6 @@ def test_sweep_config_with_ingest_is_a_config_error(tmp_path, capsys):
             "sweep": {"axis": "beta", "values": [0.05, 0.1]},
         },
     )
-    with pytest.raises(SchemaError) as err:
-        parse_config(path)
-    assert err.value.pointer == "/ingest_csv"
     out = tmp_path / "out"
     for command in ("sweep", "validate"):
         args = [command, "--config", str(path)]
@@ -890,6 +882,11 @@ def test_the_largest_int64_id_runs_with_the_channel(tmp_path, capsys):
             [],
             "/select_count: detect needs at least 2 selected nodes to classify",
         ),
+        (
+            {"experiment": "sweep", "sweep": {"axis": "n_block", "values": [4, 2.5]}},
+            [],
+            "/sweep/values/1: n_block must be an integer, got 2.5",
+        ),
         # Several problems: the first by sorted path is reported.
         (
             {"experiment": "stdp", "n_block": 5.0, "channel": "x", "field": {"theta": "y"}},
@@ -919,6 +916,7 @@ def test_the_largest_int64_id_runs_with_the_channel(tmp_path, capsys):
         "missing_experiment",
         "sigma_u_entry",
         "stream_free_check_before_a_missing_ingest_file",
+        "non_integer_n_block_sweep_value",
         "first_of_several_by_path",
     ],
 )
@@ -949,6 +947,97 @@ TOP_LEVEL_KEYS = (
 )
 SWEEP = {"experiment": "sweep", "sweep": {"axis": "beta", "values": [0.1]}}
 DETECT = {"experiment": "detect", "malicious": {"node_ids": [3], "scale": 6}}
+
+
+# Each rule that relates config keys to each other: the CLI's line is
+# sim.plan's refusal at its pointer.
+@pytest.mark.parametrize(
+    "doc, kwargs, message",
+    [
+        (
+            {"experiment": "ada", "ingest_csv": "field.csv"},
+            {"experiment": "ada", "stream": "field.csv"},
+            "/ingest_csv: not applicable to the ada experiment",
+        ),
+        (
+            {**SWEEP, "ingest_csv": "field.csv"},
+            {"experiment": "sweep", "stream": "field.csv", "axis": "beta", "values": [0.1]},
+            "/ingest_csv: not applicable to the sweep experiment",
+        ),
+        (
+            {"experiment": "stdp", "sweep": SWEEP["sweep"]},
+            {"experiment": "stdp", "axis": "beta", "values": [0.1]},
+            "/sweep: only valid when experiment is 'sweep'",
+        ),
+        (
+            {"experiment": "sweep"},
+            {"experiment": "sweep"},
+            "/sweep: sweep experiment requires the sweep section",
+        ),
+        (
+            {"experiment": "sweep", "sweep": {"axis": "n_block", "values": [2.5]}},
+            {"experiment": "sweep", "axis": "n_block", "values": [2.5]},
+            "/sweep/values/0: n_block must be an integer, got 2.5",
+        ),
+        (
+            {"experiment": "sweep", "sweep": {"axis": "node_count", "values": [3, 2.5]}},
+            {"experiment": "sweep", "axis": "node_count", "values": [3, 2.5]},
+            "/sweep/values/1: node_count must be an integer, got 2.5",
+        ),
+        (
+            {"experiment": "bogus"},
+            {"experiment": "bogus"},
+            "/experiment: 'bogus' is not one of ['ada', 'stdp', 'detect', 'sweep']",
+        ),
+    ],
+    ids=[
+        "ada_with_a_stream",
+        "sweep_with_a_stream",
+        "stdp_with_a_sweep",
+        "sweep_without_an_axis",
+        "non_integer_n_block",
+        "non_integer_node_count",
+        "unknown_experiment",
+    ],
+)
+def test_plan_refuses_what_the_cli_refuses_with_its_line(tmp_path, capsys, doc, kwargs, message):
+    with pytest.raises(InvalidParameter) as err:
+        sim.plan(default_scenario(), **kwargs)
+    assert isinstance(err.value, ValueError)
+    assert str(_config_error(err.value, kwargs.get("axis"))) == message
+    assert_config_error(tmp_path, capsys, doc, message)
+
+
+def test_a_stdp_plan_refuses_sweep_values_without_an_axis():
+    with pytest.raises(InvalidParameter, match="^sweep: only valid when experiment is 'sweep'$"):
+        sim.plan(default_scenario(), "stdp", values=[0.1])
+
+
+@pytest.mark.parametrize(
+    "sweep, echoed, column",
+    [
+        ({"axis": "n_block", "values": [4.0, 5]}, "[\n      4,\n      5\n    ]", ["4", "5"]),
+        ({"axis": "beta", "values": [1]}, "[\n      1.0\n    ]", ["1"]),
+    ],
+    ids=["n_block", "beta"],
+)
+def test_sweep_values_echo_as_the_plan_reads_them(tmp_path, capsys, sweep, echoed, column):
+    doc = {"experiment": "sweep", "num_blocks": 10, "sweep": sweep}
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    text = (out / "effective_config.json").read_text()
+    assert f'"values": {echoed}' in text
+    totals = (out / "sweep_totals.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in totals] == column
+
+
+def test_a_sweep_command_on_another_experiment_names_the_experiment_first(tmp_path, capsys):
+    doc = {"experiment": "ada", "ingest_csv": "field.csv", "sweep": SWEEP["sweep"]}
+    assert main(["sweep", "--config", str(write_config(tmp_path, doc))]) == 1
+    assert capsys.readouterr() == (
+        "", "config error: /experiment: sweep command needs a sweep config, got 'ada'\n"
+    )
 
 
 # One case per constraint the config's shape check holds: types, unknown
@@ -1149,7 +1238,8 @@ def test_config_keys_are_the_value_type_fields(tmp_path):
     assert set(EVERY_KEY) - {"experiment"} == field_names(Scenario)
     for key, value_type in sections.items():
         assert set(EVERY_KEY[key]) == field_names(value_type), key
-    echo = json.loads(json.dumps(parse_config(write_config(tmp_path, EVERY_KEY)).effective()))
+    parsed = parse_config(write_config(tmp_path, EVERY_KEY))
+    echo = json.loads(json.dumps(parsed.effective(sim.plan(parsed.scenario, parsed.experiment))))
     assert {key: echo[key] for key in EVERY_KEY} == EVERY_KEY
     for key in [*sections, "sweep"]:
         doc = {**EVERY_KEY, **SWEEP} if key == "sweep" else dict(EVERY_KEY)
@@ -1297,7 +1387,7 @@ def test_every_range_error_names_a_config_key():
     key path of the config file, so its JSON pointer names a real key."""
     # The default has no malicious section; give it one, so its keys count.
     spec = MaliciousSpec(node_ids=(5,), scale=6.0)
-    paths = set(key_paths(scenario_to_dict(default_scenario(malicious=spec))))
+    paths = set(key_paths(scenario_to_dict(default_scenario(malicious=spec)))) | set(_CONFIG.keys)
     fields = []
     for source in Path(wsnadapt.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(source.read_text())):

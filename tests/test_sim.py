@@ -487,6 +487,13 @@ def test_scenario_validation():
         default_scenario(select_count=11)
 
 
+def test_default_scenario_fits_select_count_to_a_small_layout():
+    layout = NodeLayout(((1.0, 1.0), (3.0, 1.0), (2.0, 3.0)), (2.0, 2.0), (1, 2, 3))
+    assert default_scenario(layout=layout).select_count == 3
+    assert default_scenario(layout=layout, select_count=2).select_count == 2
+    assert default_scenario().select_count == 6
+
+
 def test_engine_points_may_differ_only_in_thresholds_and_selection():
     scenario = small_scenario()
     simulate_protocol(plan(scenario, "sweep", axis="node_count", values=[3, 10]))
