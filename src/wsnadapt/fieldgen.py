@@ -9,7 +9,9 @@ sample index is exactly the configured R_uu.
 
 Randomness discipline: one Philox substream per (seed, role, node), so
 corrupting one node or toggling the channel never perturbs the draws of
-any other node.  A node's channel substream is read block by block, n + 1
+any other node.  ``node_draws`` is the one function that reads a node's
+substream; only the shared field innovations (``ROLE_FIELD``) are drawn
+elsewhere.  A node's channel substream is read block by block, n + 1
 draws per block, and drawn whole before the protocol runs: a (node, block)
 gets the same channel noise whatever the node sent before it.
 """
@@ -49,6 +51,17 @@ def substream(seed: int, role: int, node_id: int = 0) -> np.random.Generator:
     generator of every seed or node id of 2**32 or more."""
     key = np.random.SeedSequence([int(seed), int(role), int(node_id), 0])
     return np.random.Generator(np.random.Philox(key))
+
+
+def node_draws(seed: int, role: int, node_ids: Sequence[int], *shape: int) -> np.ndarray:
+    """Unit normals shaped ``(len(node_ids), *shape)``: row k is node
+    ``node_ids[k]``'s ``(seed, role)`` substream read in order, drawn straight
+    into the result.  ``std * row + 0.0`` is, bit for bit, what
+    ``Generator.normal(0.0, std, shape)`` would have drawn."""
+    draws = np.empty((len(node_ids), *shape))
+    for row, node_id in zip(draws, node_ids):
+        substream(seed, role, node_id).standard_normal(out=row)
+    return draws
 
 
 @dataclass(frozen=True)
@@ -171,7 +184,7 @@ class CovariancePair:
 
 @dataclass(frozen=True)
 class Stream:
-    """Per-node sample blocks as arrays, plus the configuration that produced them.
+    """Per-node sample blocks as arrays.
 
     Row k of every array belongs to node ``node_ids[k]``, and the ids are
     ascending, the row order of ``stdp.ProtocolState``: ``blocks[k]`` is
@@ -180,9 +193,6 @@ class Stream:
     signal standard deviation.  Every entry is checked finite once, here.
     """
 
-    params: FieldParams
-    n: int
-    num_blocks: int
     node_ids: tuple[int, ...]
     blocks: np.ndarray
     desired: np.ndarray
@@ -192,14 +202,20 @@ class Stream:
         m = len(self.node_ids)
         if any(a >= b for a, b in zip(self.node_ids, self.node_ids[1:])):
             raise ValueError("stream node ids must be strictly ascending")
-        if self.blocks.shape != (m, self.num_blocks, self.n):
-            raise DimensionMismatch(
-                f"blocks have shape {self.blocks.shape}, expected {(m, self.num_blocks, self.n)}"
-            )
-        if self.desired.shape != (m, self.num_blocks) or self.sigma.shape != (m,):
+        if self.blocks.ndim != 3 or len(self.blocks) != m:
+            raise DimensionMismatch(f"blocks have shape {self.blocks.shape}, expected {m} rows")
+        if self.desired.shape != self.blocks.shape[:2] or self.sigma.shape != (m,):
             raise DimensionMismatch("desired and sigma must have one row per node")
         if not (np.isfinite(self.blocks).all() and np.isfinite(self.desired).all()):
             raise ValueError("stream entries must be finite")
+
+    @property
+    def num_blocks(self) -> int:
+        return self.blocks.shape[1]
+
+    @property
+    def n(self) -> int:
+        return self.blocks.shape[2]
 
     def rows_of(self, node_ids: Sequence[int]) -> np.ndarray:
         """Row indices of the given nodes, in the given order."""
@@ -243,10 +259,11 @@ def _ar1_series(innovations: np.ndarray, phi: float) -> np.ndarray:
 
     ``innovations`` holds one series per row, at least 2-D.  Step t is
     ``phi * path[t - 1] + damp * innovation[t]``.  The recursion runs
-    time-major, one step over every series at a time.  For the C-ordered
-    ``(m, total)`` input of both callers, ``np.moveaxis`` gives a view
-    whose step rows are strided, their m values ``total * 8`` bytes apart;
-    ``damp * steps`` keeps that layout, so the path comes back C-ordered.
+    time-major, one step over every series at a time.  For the ``(m, total)``
+    input of both callers, whose rows are contiguous, ``np.moveaxis`` gives
+    a view whose step rows are strided, their m values a row stride apart;
+    ``damp * steps`` keeps time the fast axis, so the path comes back
+    C-ordered.
     The arithmetic, and so every bit, is that of a series stepped on its
     own.
     """
@@ -269,29 +286,18 @@ def _desired(blocks: np.ndarray, noise: np.ndarray) -> np.ndarray:
 
 
 def _measured_stream(
-    params: FieldParams, seed: int, node_ids: Sequence[int], blocks: np.ndarray, sigma: np.ndarray
+    noise_var: float, seed: int, node_ids: Sequence[int], blocks: np.ndarray, sigma: np.ndarray
 ) -> Stream:
     """Stream over ``(m, num_blocks, n)`` blocks whose desired scalars carry
     each node's measurement noise, drawn from its own substream.  Row k of
     ``blocks`` and ``sigma`` is node ``node_ids[k]``; the stream reorders
     the rows by ascending id."""
     order = np.argsort(node_ids, kind="stable")
-    node_ids = [int(node_ids[k]) for k in order]
+    node_ids = tuple(int(node_ids[k]) for k in order)
     blocks, sigma = blocks[order], sigma[order]
-    m, num_blocks, n = blocks.shape
-    noise_std = float(np.sqrt(params.noise_var))
-    noise = np.array(
-        [substream(seed, ROLE_MEASURE, i).normal(0.0, noise_std, num_blocks) for i in node_ids]
-    )
-    return Stream(
-        params=params,
-        n=n,
-        num_blocks=num_blocks,
-        node_ids=tuple(node_ids),
-        blocks=blocks,
-        desired=_desired(blocks, noise),
-        sigma=sigma,
-    )
+    noise_std = float(np.sqrt(noise_var))
+    noise = noise_std * node_draws(seed, ROLE_MEASURE, node_ids, blocks.shape[1]) + 0.0
+    return Stream(node_ids, blocks, _desired(blocks, noise), sigma)
 
 
 def generate_stream(
@@ -326,21 +332,22 @@ def generate_stream(
     # in row t, matching the per-sample-index draw order of the contract.
     z = rng_field.standard_normal((total, m))
     innovations = low @ z.T  # m x total, marginal covariance exactly ruu
-    series = _ar1_series(innovations, params.temporal_phi)
-
-    return _measured_stream(
-        params, seed, layout.node_ids, series.reshape(m, num_blocks, n), params.sigma_vector(m)
-    )
+    blocks = _ar1_series(innovations, params.temporal_phi).reshape(m, num_blocks, n)
+    return _measured_stream(params.noise_var, seed, layout.node_ids, blocks, params.sigma_vector(m))
 
 
-def inject_malicious(stream: Stream, node_ids: Iterable[int], scale: float, seed: int) -> Stream:
+def inject_malicious(
+    stream: Stream, params: FieldParams, node_ids: Iterable[int], scale: float, seed: int
+) -> Stream:
     """Replace the listed nodes' observations with abnormally spread ones.
 
-    A corrupted node senses an independent AR(1) signal whose standard
-    deviation is ``scale`` times its nominal one; its desired scalars are
-    recomputed from the corrupted samples.  All draws come from that
-    node's dedicated substream, so every other node's blocks are returned
-    bit-for-bit untouched.
+    A corrupted node senses an independent AR(1) signal, with the
+    ``temporal_phi`` of ``params``, whose standard deviation is ``scale``
+    times its nominal one; its desired scalars are recomputed from the
+    corrupted samples with measurement noise of variance ``noise_var``.
+    Each node's innovations, then its noise, are one ``node_draws`` row of
+    its ``ROLE_MALICIOUS`` substream, so every other node's blocks are
+    returned bit-for-bit untouched.
     """
     ids = sorted(set(int(i) for i in node_ids))
     if scale <= 1:
@@ -348,28 +355,14 @@ def inject_malicious(stream: Stream, node_ids: Iterable[int], scale: float, seed
     rows = stream.rows_of(ids)
 
     k, num_blocks, n = len(ids), stream.num_blocks, stream.n
-    noise_std = float(np.sqrt(stream.params.noise_var))
-    # Each node draws its innovations, then its measurement noise, from its
-    # own substream; the k series then run as one recursion.
-    rngs = [substream(seed, ROLE_MALICIOUS, i) for i in ids]
-    innovations = np.array([rng.standard_normal(n * num_blocks) for rng in rngs])
-    series = _ar1_series(innovations.reshape(k, n * num_blocks), stream.params.temporal_phi)
-    v = np.array([rng.normal(0.0, noise_std, num_blocks) for rng in rngs])
+    draws = node_draws(seed, ROLE_MALICIOUS, ids, n * num_blocks + num_blocks)
+    series = _ar1_series(draws[:, : n * num_blocks], params.temporal_phi)
+    v = float(np.sqrt(params.noise_var)) * draws[:, n * num_blocks :] + 0.0
     blocks = stream.blocks.copy()
     desired = stream.desired.copy()
     blocks[rows] = (scale * stream.sigma[rows])[:, None, None] * series.reshape(k, num_blocks, n)
-    desired[rows] = _desired(blocks[rows], v.reshape(k, num_blocks))
+    desired[rows] = _desired(blocks[rows], v)
     return replace(stream, blocks=blocks, desired=desired)
-
-
-def channel_noise(seed: int, node_ids: Sequence[int], num_blocks: int, n: int) -> np.ndarray:
-    """The unit normal draws of ``awgn_channel`` for ``num_blocks`` blocks of
-    n samples: row k is node ``node_ids[k]``'s channel substream read block
-    by block, n + 1 draws per block, drawn straight into the result."""
-    noise = np.empty((len(node_ids), num_blocks, n + 1))
-    for k, node_id in enumerate(node_ids):
-        substream(seed, ROLE_CHANNEL, node_id).standard_normal(out=noise[k])
-    return noise
 
 
 def awgn_channel(
@@ -378,8 +371,9 @@ def awgn_channel(
     """Additive white Gaussian noise on every block: what the sink receives
     of ``(rows, B, n)`` blocks and their ``(rows, B)`` desired scalars.
 
-    ``noise`` holds ``(rows, B, n + 1)`` unit normal draws: ``noise[k, b]``
-    is block b's n sample draws, then its desired scalar's.  Each block's
+    ``noise`` holds ``(rows, B, n + 1)`` unit normal draws, row k node k's
+    ``node_draws`` of its ``ROLE_CHANNEL`` substream: ``noise[k, b]`` is
+    block b's n sample draws, then its desired scalar's.  Each block's
     noise variance is its mean-square sample power scaled by
     10**(-snr_db/10), applied to its samples and its desired scalar as
     ``Generator.normal(0.0, std, n + 1)`` scales its draws.  The result is
@@ -438,7 +432,7 @@ def ingest_csv(path, n: int, params: FieldParams, seed: int) -> Stream:
         ]
     )
     return _measured_stream(
-        params,
+        params.noise_var,
         seed,
         node_ids,
         series.reshape(len(node_ids), num_blocks, n),

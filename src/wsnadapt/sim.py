@@ -16,6 +16,7 @@ import numpy as np
 from . import ada, fieldgen, malicious, stdp
 from .errors import Diverged, InsufficientHistory, InvalidParameter, UnknownNode
 from .fieldgen import (
+    ROLE_CHANNEL,
     ROLE_PROTOCOL,
     FieldParams,
     NodeLayout,
@@ -24,7 +25,7 @@ from .fieldgen import (
     generate_stream,
     ingest_csv,
     inject_malicious,
-    substream,
+    node_draws,
 )
 from .stdp import Thresholds
 
@@ -235,7 +236,7 @@ def _scenario_stream(scenario: Scenario) -> Stream:
     )
     spec = scenario.malicious
     if spec is not None:
-        stream = inject_malicious(stream, spec.node_ids, spec.scale, scenario.seed)
+        stream = inject_malicious(stream, scenario.field, spec.node_ids, spec.scale, scenario.seed)
     return stream
 
 
@@ -298,10 +299,11 @@ def plan(scenario: Scenario, experiment: str = "stdp", stream=None, axis=None, v
     that needs no generated stream.  ``stream`` is a ``Stream`` or a CSV path
     for ``fieldgen.ingest_csv``; a sweep alone has a point per value of
     ``values`` along ``axis``, a float on ``beta`` and an int otherwise.
-    InvalidParameter refuses an unknown experiment, a sweep section or stream
-    the experiment takes none of, ``malicious`` beside a stream, a detect run
-    with nothing to detect or under 2 nodes, and a bad sweep value (``point``
-    is its index) before the file is read and ``sensed_nodes`` runs."""
+    InvalidParameter refuses an unknown experiment or sweep axis, a sweep
+    section or stream the experiment takes none of, ``malicious`` beside a
+    stream, a detect run with nothing to detect or under 2 nodes, and a bad
+    sweep value (``point`` is its index) before the file is read and
+    ``sensed_nodes`` runs."""
     values = tuple(values)
     if experiment not in EXPERIMENTS:
         raise InvalidParameter("experiment", f"{experiment!r} is not one of {list(EXPERIMENTS)!r}")
@@ -326,6 +328,8 @@ def plan(scenario: Scenario, experiment: str = "stdp", stream=None, axis=None, v
         raise InvalidParameter("select_count", "detect needs at least 2 selected nodes to classify")
     points = [scenario]
     if experiment == "sweep":
+        if axis not in SWEEP_AXES:
+            raise InvalidParameter("sweep", f"axis {axis!r} is not one of {list(SWEEP_AXES)!r}")
         if not values:
             raise InvalidParameter("sweep", "needs at least one axis value")
         points = []
@@ -381,14 +385,8 @@ def simulate_protocol(plan: RunPlan) -> stdp.ProtocolState:
     noise_std = float(np.sqrt(scenario.field.noise_var))
     corrupted = set(scenario.malicious.node_ids) if scenario.malicious else set()
     scale = scenario.malicious.scale if scenario.malicious else 1.0
-    draws = np.array(
-        [
-            substream(scenario.seed, ROLE_PROTOCOL, i).normal(
-                0.0, noise_std * (scale if i in corrupted else 1.0), num_blocks
-            )
-            for i in active
-        ]
-    ).reshape(len(active), num_blocks)
+    stds = np.array([noise_std * (scale if i in corrupted else 1.0) for i in active])
+    draws = stds[:, None] * node_draws(scenario.seed, ROLE_PROTOCOL, active, num_blocks) + 0.0
     # Engine row k is node ``active[node_row[k]]``: the row of its noise
     # draws.  A stream's rows ascend by id, so the engine's rows are the
     # groups' ids in order; point p's rows read streams[p], and one point
@@ -407,7 +405,7 @@ def simulate_protocol(plan: RunPlan) -> stdp.ProtocolState:
             # reads what the sinks receive of the blocks its rows send: a
             # (node, block) gets the same noise in every point, whatever the
             # node sent before.
-            noise = fieldgen.channel_noise(scenario.seed, active, num_blocks, blocks.shape[2])
+            noise = node_draws(scenario.seed, ROLE_CHANNEL, active, num_blocks, blocks.shape[2] + 1)
             received = fieldgen.awgn_channel(blocks, desired, noise[node_row], scenario.channel)
         state = stdp.new_protocol_state(
             ids,

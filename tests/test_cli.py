@@ -1013,6 +1013,14 @@ def test_a_stdp_plan_refuses_sweep_values_without_an_axis():
         sim.plan(default_scenario(), "stdp", values=[0.1])
 
 
+def test_a_sweep_plan_refuses_an_unknown_axis_before_any_point():
+    message = "sweep: axis 'theta' is not one of ['beta', 'n_block', 'node_count']"
+    with pytest.raises(InvalidParameter) as err:
+        sim.plan(default_scenario(), "sweep", axis="theta", values=[1])
+    assert str(err.value) == message
+    assert err.value.point is None
+
+
 @pytest.mark.parametrize(
     "sweep, echoed, column",
     [
@@ -1400,6 +1408,24 @@ def test_every_range_error_names_a_config_key():
                 fields.append(node.args[0].value)
     assert len(fields) >= 15
     assert set(fields) <= paths, sorted(set(fields) - paths)
+
+
+def test_only_fieldgen_reads_a_random_substream():
+    """``substream`` is called twice in the package, both in ``fieldgen``:
+    for the shared field innovations and by ``node_draws``, which reads
+    every per-node substream, so the (seed, role, node) rule has one home."""
+    calls = []
+    for source in Path(wsnadapt.__file__).parent.glob("*.py"):
+        tree = ast.parse(source.read_text())
+        owner = {}  # node -> name of its innermost enclosing function
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                owner.update(dict.fromkeys(ast.walk(function), function.name))
+        for node in ast.walk(tree):
+            target = node.func if isinstance(node, ast.Call) else None
+            if getattr(target, "id", getattr(target, "attr", None)) == "substream":
+                calls.append((source.name, owner.get(node)))
+    assert sorted(calls) == [("fieldgen.py", "generate_stream"), ("fieldgen.py", "node_draws")]
 
 
 def test_every_error_class_is_raised_in_the_package():

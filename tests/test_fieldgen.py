@@ -4,20 +4,26 @@ import pytest
 from oracles import awgn_channel_per_node, pearson, random_layout
 from wsnadapt.errors import (
     CsvFormatError,
+    DimensionMismatch,
     InvalidTheta,
     NotPositiveDefinite,
     UnknownNode,
 )
 from wsnadapt.fieldgen import (
     ROLE_CHANNEL,
+    ROLE_MALICIOUS,
+    ROLE_MEASURE,
+    ROLE_PROTOCOL,
     FieldParams,
     NodeLayout,
+    Stream,
     awgn_channel,
     build_spatial_covariance,
-    channel_noise,
     generate_stream,
     ingest_csv,
     inject_malicious,
+    node_draws,
+    substream,
 )
 from wsnadapt.numerics import cholesky_factor
 from wsnadapt.sim import default_layout
@@ -128,12 +134,42 @@ def test_generate_stream_co_located_nodes_are_not_positive_definite():
         generate_stream(layout, FieldParams(), 4, 2, seed=0)
 
 
+@pytest.mark.parametrize("role", [ROLE_MEASURE, ROLE_MALICIOUS, ROLE_CHANNEL, ROLE_PROTOCOL])
+@pytest.mark.parametrize("shape", [(7,), (3, 4)])
+def test_node_draws_reads_each_nodes_own_substream(role, shape):
+    ids = [9, 2, 2**32, 2**32 + 5, 2**63 - 1]
+    for seed in (0, 11, 2**40):
+        draws = node_draws(seed, role, ids, *shape)
+        assert draws.shape == (len(ids), *shape)
+        for row, node_id in zip(draws, ids):
+            expected = substream(seed, role, node_id).standard_normal(shape)
+            assert row.tobytes() == expected.tobytes()
+    assert node_draws(3, role, [], *shape).shape == (0, *shape)
+
+
+@pytest.mark.parametrize("std", [0.0, 0.1, 0.6])
+def test_scaled_node_draws_equal_generator_normal(std):
+    (row,) = node_draws(5, ROLE_MEASURE, [4], 300)
+    expected = substream(5, ROLE_MEASURE, 4).normal(0.0, std, 300)
+    assert (std * row + 0.0).tobytes() == expected.tobytes()
+
+
+def test_stream_shape_is_read_off_its_blocks():
+    stream = generate_stream(default_layout(), FieldParams(), 5, 3, seed=4)
+    assert (stream.n, stream.num_blocks) == (stream.blocks.shape[2], stream.blocks.shape[1])
+    assert (stream.n, stream.num_blocks) == (5, 3)
+    with pytest.raises(DimensionMismatch):
+        Stream(stream.node_ids, stream.blocks, stream.desired[:, :2], stream.sigma)
+    with pytest.raises(DimensionMismatch):
+        Stream(stream.node_ids, stream.blocks[:, :2], stream.desired, stream.sigma)
+
+
 def test_inject_malicious_variance_ratio():
     # nominal sigma^2 is 1; AR(1) autocorrelation shrinks the effective
     # sample count, so use a long stream for the +-20% band
     layout = default_layout()
     stream = generate_stream(layout, FieldParams(), 5, 2000, seed=21)
-    tainted = inject_malicious(stream, {5, 9}, scale=6.0, seed=21)
+    tainted = inject_malicious(stream, FieldParams(), {5, 9}, scale=6.0, seed=21)
     for node_id in (5, 9):
         dirty = node_series(tainted, node_id)
         assert 36.0 * 0.8 <= dirty.var() <= 36.0 * 1.2
@@ -146,14 +182,14 @@ def test_inject_malicious_variance_ratio():
 def test_inject_malicious_rejects_bad_args():
     stream = generate_stream(default_layout(), FieldParams(), 4, 2, seed=0)
     with pytest.raises(ValueError):
-        inject_malicious(stream, {5}, scale=1.0, seed=0)
+        inject_malicious(stream, FieldParams(), {5}, scale=1.0, seed=0)
     with pytest.raises(UnknownNode):
-        inject_malicious(stream, {77}, scale=6.0, seed=0)
+        inject_malicious(stream, FieldParams(), {77}, scale=6.0, seed=0)
 
 
 def test_inject_malicious_empty_set_is_identity():
     stream = generate_stream(default_layout(), FieldParams(), 4, 3, seed=2)
-    same = inject_malicious(stream, set(), scale=6.0, seed=2)
+    same = inject_malicious(stream, FieldParams(), set(), scale=6.0, seed=2)
     assert np.array_equal(stream.blocks, same.blocks)
     assert np.array_equal(stream.desired, same.desired)
 
@@ -161,7 +197,8 @@ def test_inject_malicious_empty_set_is_identity():
 def test_awgn_vanishing_at_high_snr():
     stream = generate_stream(default_layout(), FieldParams(), 5, 1, seed=3)
     blocks, desired = stream.blocks[:1], stream.desired[:1]
-    quiet_blocks, quiet_desired = awgn_channel(blocks, desired, channel_noise(3, [1], 1, 5), 300.0)
+    noise = node_draws(3, ROLE_CHANNEL, [1], 1, 5 + 1)
+    quiet_blocks, quiet_desired = awgn_channel(blocks, desired, noise, 300.0)
     assert np.max(np.abs(quiet_blocks - blocks)) < 1e-10
     assert abs(quiet_desired[0, 0] - desired[0, 0]) < 1e-10
 
@@ -169,7 +206,8 @@ def test_awgn_vanishing_at_high_snr():
 def test_awgn_zero_db_power_ratio():
     stream = generate_stream(default_layout(), FieldParams(), 5, 2000, seed=6)
     blocks = stream.blocks[:1]
-    noisy, _ = awgn_channel(blocks, stream.desired[:1], channel_noise(6, [1], 2000, 5), 0.0)
+    noise = node_draws(6, ROLE_CHANNEL, [1], 2000, 5 + 1)
+    noisy, _ = awgn_channel(blocks, stream.desired[:1], noise, 0.0)
     signal = suma = 0.0
     for u, v in zip(blocks[0], noisy[0]):
         signal += float(u @ u)
@@ -192,7 +230,7 @@ def test_awgn_channel_matches_per_node_generators():
         blocks[rng.uniform(size=(m, num_blocks)) < 0.2] = rng.choice([0.0, -0.0])  # zero power
         desired = rng.normal(size=(m, num_blocks))
         snr_db = float(rng.uniform(-20.0, 45.0))
-        noise = channel_noise(seed, ids, num_blocks, n)
+        noise = node_draws(seed, ROLE_CHANNEL, ids, num_blocks, n + 1)
         got = awgn_channel(blocks, desired, noise, snr_db)
         expected = awgn_channel_per_node(blocks, desired, ids, snr_db, seed, ROLE_CHANNEL)
         assert got[0].tobytes() == expected[0].tobytes(), trial

@@ -38,7 +38,11 @@ from wsnadapt.stdp import (
 )
 
 
-def make_stream(num_blocks, n=5, seed=0, layout=None, noise_var=0.01, phi=0.9):
+# The measurement noise variance of ``make_stream``'s streams, unless given.
+NOISE_VAR = 0.01
+
+
+def make_stream(num_blocks, n=5, seed=0, layout=None, noise_var=NOISE_VAR, phi=0.9):
     layout = layout or default_layout()
     params = FieldParams(noise_var=noise_var, temporal_phi=phi)
     return layout, generate_stream(layout, params, n, num_blocks, seed)
@@ -63,11 +67,12 @@ def trace_rows(state, r):
 
 def drive(layout, stream, thresholds, mu=None, noise_seed=None, received=None):
     """Run the engine over a whole stream, returning (state, rows, kinds):
-    the rows read off the trace and each round's row of ``trace.kinds``."""
+    the rows read off the trace and each round's row of ``trace.kinds``.
+    With ``noise_seed`` the clients draw noise of variance ``NOISE_VAR``."""
     ids = list(stream.node_ids)
     noise = None
     if noise_seed is not None:
-        std = float(np.sqrt(stream.params.noise_var))
+        std = float(np.sqrt(NOISE_VAR))
         noise = np.array(
             [substream(noise_seed, ROLE_PROTOCOL, i).normal(0, std, stream.num_blocks) for i in ids]
         )
@@ -448,7 +453,7 @@ def test_stream_rows_follow_node_ids_for_an_unsorted_layout():
     _, stream = make_stream(80, seed=13, layout=layout)
     assert stream.node_ids == tuple(sorted(layout.node_ids))
     # each row's desired values carry that node's own measurement noise
-    std = float(np.sqrt(stream.params.noise_var))
+    std = float(np.sqrt(NOISE_VAR))
     for k, i in enumerate(stream.node_ids):
         noise = stream.desired[k] - np.vecdot(stream.blocks[k], initial_weight(stream.n))
         expected = substream(13, ROLE_MEASURE, i).normal(0.0, std, stream.num_blocks)
@@ -554,7 +559,7 @@ def test_client_update_log_matches_a_replay(points):
     layout, stream = make_stream(120, seed=15)
     ids = list(stream.node_ids)
     m = len(ids)
-    std = float(np.sqrt(stream.params.noise_var))
+    std = float(np.sqrt(NOISE_VAR))
     noise = np.array(
         [substream(15, ROLE_PROTOCOL, i).normal(0, std, stream.num_blocks) for i in ids]
     )
