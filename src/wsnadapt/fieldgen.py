@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     InvalidParameter,
     InvalidTheta,
+    NonFinite,
     NotPositiveDefinite,
     UnknownNode,
 )
@@ -188,26 +189,30 @@ class Stream:
 
     Row k of every array belongs to node ``node_ids[k]``, and the ids are
     ascending, the row order of ``stdp.ProtocolState``: ``blocks[k]`` is
-    that node's ``(num_blocks, n)`` array of sample windows, ``desired[k]``
-    its ``(num_blocks,)`` desired scalars and ``sigma[k]`` its nominal
-    signal standard deviation.  Every entry is checked finite once, here.
+    that node's ``(num_blocks, n)`` array of sample windows and
+    ``desired[k]`` its ``(num_blocks,)`` desired scalars.  Every entry is
+    checked finite once, here: NonFinite names the first node and block
+    holding a NaN or infinity, and DimensionMismatch, which refuses arrays
+    of the wrong shape, names the first pair of ids out of order.
     """
 
     node_ids: tuple[int, ...]
     blocks: np.ndarray
     desired: np.ndarray
-    sigma: np.ndarray
 
     def __post_init__(self):
         m = len(self.node_ids)
-        if any(a >= b for a, b in zip(self.node_ids, self.node_ids[1:])):
-            raise ValueError("stream node ids must be strictly ascending")
+        for a, b in zip(self.node_ids, self.node_ids[1:]):
+            if a >= b:
+                raise DimensionMismatch(f"stream rows must ascend by node id, got {a} before {b}")
         if self.blocks.ndim != 3 or len(self.blocks) != m:
             raise DimensionMismatch(f"blocks have shape {self.blocks.shape}, expected {m} rows")
-        if self.desired.shape != self.blocks.shape[:2] or self.sigma.shape != (m,):
-            raise DimensionMismatch("desired and sigma must have one row per node")
+        if self.desired.shape != self.blocks.shape[:2]:
+            raise DimensionMismatch("desired must have one row per node, one entry per block")
         if not (np.isfinite(self.blocks).all() and np.isfinite(self.desired).all()):
-            raise ValueError("stream entries must be finite")
+            bad = ~(np.isfinite(self.blocks).all(axis=2) & np.isfinite(self.desired))
+            row, block = np.argwhere(bad)[0]
+            raise NonFinite(f"non-finite stream entry at node {self.node_ids[row]}, block {block}")
 
     @property
     def num_blocks(self) -> int:
@@ -231,13 +236,7 @@ class Stream:
         if node_ids == self.node_ids:
             return self
         rows = self.rows_of(node_ids)
-        return replace(
-            self,
-            node_ids=node_ids,
-            blocks=self.blocks[rows],
-            desired=self.desired[rows],
-            sigma=self.sigma[rows],
-        )
+        return Stream(node_ids, self.blocks[rows], self.desired[rows])
 
 
 def build_spatial_covariance(layout: NodeLayout, params: FieldParams) -> CovariancePair:
@@ -286,18 +285,18 @@ def _desired(blocks: np.ndarray, noise: np.ndarray) -> np.ndarray:
 
 
 def _measured_stream(
-    noise_var: float, seed: int, node_ids: Sequence[int], blocks: np.ndarray, sigma: np.ndarray
+    noise_var: float, seed: int, node_ids: Sequence[int], blocks: np.ndarray
 ) -> Stream:
     """Stream over ``(m, num_blocks, n)`` blocks whose desired scalars carry
     each node's measurement noise, drawn from its own substream.  Row k of
-    ``blocks`` and ``sigma`` is node ``node_ids[k]``; the stream reorders
-    the rows by ascending id."""
+    ``blocks`` is node ``node_ids[k]``; the stream reorders the rows by
+    ascending id."""
     order = np.argsort(node_ids, kind="stable")
     node_ids = tuple(int(node_ids[k]) for k in order)
-    blocks, sigma = blocks[order], sigma[order]
+    blocks = blocks[order]
     noise_std = float(np.sqrt(noise_var))
     noise = noise_std * node_draws(seed, ROLE_MEASURE, node_ids, blocks.shape[1]) + 0.0
-    return Stream(node_ids, blocks, _desired(blocks, noise), sigma)
+    return Stream(node_ids, blocks, _desired(blocks, noise))
 
 
 def generate_stream(
@@ -333,17 +332,23 @@ def generate_stream(
     z = rng_field.standard_normal((total, m))
     innovations = low @ z.T  # m x total, marginal covariance exactly ruu
     blocks = _ar1_series(innovations, params.temporal_phi).reshape(m, num_blocks, n)
-    return _measured_stream(params.noise_var, seed, layout.node_ids, blocks, params.sigma_vector(m))
+    return _measured_stream(params.noise_var, seed, layout.node_ids, blocks)
 
 
 def inject_malicious(
-    stream: Stream, params: FieldParams, node_ids: Iterable[int], scale: float, seed: int
+    stream: Stream,
+    layout: NodeLayout,
+    params: FieldParams,
+    node_ids: Iterable[int],
+    scale: float,
+    seed: int,
 ) -> Stream:
     """Replace the listed nodes' observations with abnormally spread ones.
 
     A corrupted node senses an independent AR(1) signal, with the
     ``temporal_phi`` of ``params``, whose standard deviation is ``scale``
-    times its nominal one; its desired scalars are recomputed from the
+    times its nominal one, the ``sigma_u`` entry of its position in
+    ``layout``; its desired scalars are recomputed from the
     corrupted samples with measurement noise of variance ``noise_var``.
     Each node's innovations, then its noise, are one ``node_draws`` row of
     its ``ROLE_MALICIOUS`` substream, so every other node's blocks are
@@ -353,6 +358,10 @@ def inject_malicious(
     if scale <= 1:
         raise ValueError(f"scale must exceed 1, got {scale}")
     rows = stream.rows_of(ids)
+    position = {i: k for k, i in enumerate(layout.node_ids)}
+    if not position.keys() >= set(ids):
+        raise UnknownNode(f"nodes {sorted(set(ids) - position.keys())} not in layout")
+    sigma = params.sigma_vector(layout.size)[[position[i] for i in ids]]
 
     k, num_blocks, n = len(ids), stream.num_blocks, stream.n
     draws = node_draws(seed, ROLE_MALICIOUS, ids, n * num_blocks + num_blocks)
@@ -360,9 +369,9 @@ def inject_malicious(
     v = float(np.sqrt(params.noise_var)) * draws[:, n * num_blocks :] + 0.0
     blocks = stream.blocks.copy()
     desired = stream.desired.copy()
-    blocks[rows] = (scale * stream.sigma[rows])[:, None, None] * series.reshape(k, num_blocks, n)
+    blocks[rows] = (scale * sigma)[:, None, None] * series.reshape(k, num_blocks, n)
     desired[rows] = _desired(blocks[rows], v)
-    return replace(stream, blocks=blocks, desired=desired)
+    return Stream(stream.node_ids, blocks, desired)
 
 
 def awgn_channel(
@@ -431,10 +440,5 @@ def ingest_csv(path, n: int, params: FieldParams, seed: int) -> Stream:
             for i in node_ids
         ]
     )
-    return _measured_stream(
-        params.noise_var,
-        seed,
-        node_ids,
-        series.reshape(len(node_ids), num_blocks, n),
-        np.array([float(np.std(s)) or 1.0 for s in series]),
-    )
+    blocks = series.reshape(len(node_ids), num_blocks, n)
+    return _measured_stream(params.noise_var, seed, node_ids, blocks)

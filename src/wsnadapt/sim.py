@@ -197,9 +197,10 @@ def _base_metadata(kind: str, scenario: Scenario) -> dict:
     return {"kind": kind, "scenario": echo, "config_sha1": config_hash(echo)}
 
 
-def run_ada(scenario: Scenario) -> RunReport:
-    """Descent accuracy trace plus the per-node-count accuracy curve; a
-    descent that does not converge raises NoConvergence."""
+def run_ada(plan: RunPlan) -> RunReport:
+    """Descent accuracy trace plus the per-node-count accuracy curve of the
+    plan's scenario; a descent that does not converge raises NoConvergence."""
+    scenario = plan.scenario
     cov = build_spatial_covariance(scenario.layout, scenario.field)
     trace = ada.steepest_descent(cov, mu=scenario.mu)
     accuracy = 1.0 - trace.mmse / cov.sigma_d_sq
@@ -236,7 +237,9 @@ def _scenario_stream(scenario: Scenario) -> Stream:
     )
     spec = scenario.malicious
     if spec is not None:
-        stream = inject_malicious(stream, scenario.field, spec.node_ids, spec.scale, scenario.seed)
+        stream = inject_malicious(
+            stream, scenario.layout, scenario.field, spec.node_ids, spec.scale, scenario.seed
+        )
     return stream
 
 
@@ -348,9 +351,8 @@ def plan(scenario: Scenario, experiment: str = "stdp", stream=None, axis=None, v
 
 def execute(plan: RunPlan) -> RunReport:
     """Run a plan's experiment; returns its report."""
-    if plan.experiment == "ada":
-        return run_ada(plan.scenario)
-    return {"stdp": run_stdp, "detect": run_detect, "sweep": sweep}[plan.experiment](plan)
+    runners = {"ada": run_ada, "stdp": run_stdp, "detect": run_detect, "sweep": sweep}
+    return runners[plan.experiment](plan)
 
 
 def simulate_protocol(plan: RunPlan) -> stdp.ProtocolState:
@@ -438,11 +440,22 @@ def _narrow(values: np.ndarray) -> np.ndarray:
     return values.astype(np.int32) if fits else values
 
 
-def _protocol_files(
-    state: stdp.ProtocolState, point: int, beta: float, updates: tuple
-) -> dict[str, Table]:
-    """The protocol CSVs of one point of an engine run; ``updates`` is the
-    run's ``trace.client_updates()``."""
+def run_stdp(
+    plan: RunPlan,
+    state: stdp.ProtocolState | None = None,
+    point: int = 0,
+    updates: tuple | None = None,
+) -> RunReport:
+    """Protocol run reporting per-node transmission percentages and traces
+    of the plan's point ``point``; ``state`` is the plan's engine run, and
+    ``updates`` its ``trace.client_updates()``, when the caller holds them
+    already (see ``sweep`` and ``run_detect``).  It is the one builder of a
+    protocol point's files and metadata."""
+    if state is None:
+        state = simulate_protocol(plan)
+    if updates is None:
+        updates = state.trace.client_updates()
+    scenario = plan.points[point]
     rows = state.rows(point)
     trace = state.trace
     ids = _narrow(np.array(state.node_ids[rows]))
@@ -453,7 +466,7 @@ def _protocol_files(
         "stdp_transmission.csv": Table(
             ("beta", "node_id", "pct"),
             (
-                np.full(m, beta),
+                np.full(m, scenario.thresholds.beta),
                 ids,
                 stdp.transmission_percentage(state)[rows],
             )
@@ -489,30 +502,11 @@ def _protocol_files(
                 weights.ravel(),
             ),
         )
-    return files
-
-
-def run_stdp(
-    plan: RunPlan,
-    state: stdp.ProtocolState | None = None,
-    point: int = 0,
-    updates: tuple | None = None,
-) -> RunReport:
-    """Protocol run reporting per-node transmission percentages and traces
-    of the plan's point ``point``; ``state`` is the plan's engine run, and
-    ``updates`` its ``trace.client_updates()``, when the caller holds them
-    already (see ``sweep``)."""
-    if state is None:
-        state = simulate_protocol(plan)
-    if updates is None:
-        updates = state.trace.client_updates()
-    scenario = plan.points[point]
-    files = _protocol_files(state, point, scenario.thresholds.beta, updates)
     mu = state.mu[point]
     metadata = _base_metadata("STDP", scenario)
     metadata.update(
         {
-            "active_nodes": list(state.node_ids[state.rows(point)]),
+            "active_nodes": list(state.node_ids[rows]),
             "total_percentage": stdp.total_percentages(state)[point],
             "mu": None if np.isnan(mu) else float(mu),
         }
@@ -521,10 +515,12 @@ def run_stdp(
 
 
 def run_detect(plan: RunPlan) -> RunReport:
-    """Protocol run followed by weight-variance classification, of a detect plan."""
+    """Weight-variance classification of a detect plan's protocol run: the
+    ``run_stdp`` report of that same run, extended by ``detection.csv`` and
+    the ``kappa``, ``threshold`` and ``flagged`` of its metadata, whose
+    ``kind`` is DETECT."""
     if plan.experiment != "detect":
         raise ValueError(f"run_detect needs a detect plan, got a {plan.experiment} plan")
-    scenario = plan.scenario
     state = simulate_protocol(plan)
     updates = state.trace.client_updates()
     # client_updates groups the log by row: one (k, n) block per node.
@@ -541,9 +537,9 @@ def run_detect(plan: RunPlan) -> RunReport:
     histories = malicious.histories_from_snapshots(snapshots)
     variances = {i: malicious.weight_variance(h) for i, h in sorted(histories.items())}
     report = malicious.classify(variances)
-    files = _protocol_files(state, 0, scenario.thresholds.beta, updates)
+    protocol = run_stdp(plan, state, 0, updates)
     detected = sorted(variances)
-    files["detection.csv"] = Table(
+    detection = Table(
         ("node_id", "variance", "threshold", "label"),
         (
             np.array(detected),
@@ -552,18 +548,15 @@ def run_detect(plan: RunPlan) -> RunReport:
             np.array([report.labels[i].value for i in detected], dtype=np.bytes_),
         ),
     )
-    metadata = _base_metadata("DETECT", scenario)
-    metadata.update(
-        {
-            "active_nodes": list(state.node_ids),
-            "kappa": report.kappa,
-            "threshold": report.threshold,
-            "flagged": sorted(
-                i for i, lab in report.labels.items() if lab is malicious.Label.MALICIOUS
-            ),
-        }
-    )
-    return RunReport(files=files, metadata=metadata)
+    flagged = sorted(i for i, lab in report.labels.items() if lab is malicious.Label.MALICIOUS)
+    metadata = {
+        **protocol.metadata,
+        "kind": "DETECT",
+        "kappa": report.kappa,
+        "threshold": report.threshold,
+        "flagged": flagged,
+    }
+    return RunReport(files={**protocol.files, "detection.csv": detection}, metadata=metadata)
 
 
 # Every CSV file name a report can hold.

@@ -283,7 +283,7 @@ def test_integer_edges_and_absent_chunks_match_their_cells_text(columns, absent,
 
 
 REPORTS = {
-    "ada": lambda: run_ada(default_scenario()),
+    "ada": lambda: run_ada(plan(default_scenario(), "ada")),
     "stdp": lambda: run_stdp(plan(default_scenario(num_blocks=40))),
     "detect": lambda: run_detect(
         plan(

@@ -6,6 +6,7 @@ from wsnadapt.errors import (
     CsvFormatError,
     DimensionMismatch,
     InvalidTheta,
+    NonFinite,
     NotPositiveDefinite,
     UnknownNode,
 )
@@ -159,9 +160,45 @@ def test_stream_shape_is_read_off_its_blocks():
     assert (stream.n, stream.num_blocks) == (stream.blocks.shape[2], stream.blocks.shape[1])
     assert (stream.n, stream.num_blocks) == (5, 3)
     with pytest.raises(DimensionMismatch):
-        Stream(stream.node_ids, stream.blocks, stream.desired[:, :2], stream.sigma)
+        Stream(stream.node_ids, stream.blocks, stream.desired[:, :2])
     with pytest.raises(DimensionMismatch):
-        Stream(stream.node_ids, stream.blocks[:, :2], stream.desired, stream.sigma)
+        Stream(stream.node_ids, stream.blocks[:, :2], stream.desired)
+
+
+def test_stream_names_its_first_non_finite_entry():
+    stream = generate_stream(default_layout(), FieldParams(), 5, 6, seed=4)
+    blocks, desired = stream.blocks.copy(), stream.desired.copy()
+    blocks[7, 4, 2] = np.inf
+    desired[3, 5] = np.nan
+    with pytest.raises(NonFinite, match=r"at node 4, block 5$"):
+        Stream(stream.node_ids, blocks, desired)
+    with pytest.raises(NonFinite, match=r"at node 8, block 4$"):
+        Stream(stream.node_ids, blocks, stream.desired)
+
+
+def test_stream_names_its_first_pair_of_ids_out_of_order():
+    stream = generate_stream(default_layout(), FieldParams(), 5, 3, seed=4)
+    ids = (1, 2, 9, 4, 5, 6, 7, 8, 3, 10)
+    with pytest.raises(DimensionMismatch, match=r"got 9 before 4$"):
+        Stream(ids, stream.blocks, stream.desired)
+    with pytest.raises(DimensionMismatch, match=r"got 2 before 2$"):
+        Stream((1, 2, 2), stream.blocks[:3], stream.desired[:3])
+
+
+def test_inject_malicious_scales_by_the_sigma_of_the_layout_position():
+    # Ids out of layout order: the stream's rows ascend by id, the sigmas
+    # follow the layout.
+    layout = NodeLayout(
+        positions=((0.3, 0.1), (2.0, 1.0), (1.1, 3.2), (3.0, 2.5), (0.5, 2.2)),
+        sink=(1.5, 1.5),
+        node_ids=(9, 3, 14, 1, 6),
+    )
+    sigma_u = (0.5, 1.7, 0.9, 2.4, 1.2)
+    stream = generate_stream(layout, FieldParams(), 5, 40, seed=7)
+    unit = inject_malicious(stream, layout, FieldParams(), (14, 3), 6.0, seed=7)
+    scaled = inject_malicious(stream, layout, FieldParams(sigma_u=sigma_u), (14, 3), 6.0, seed=7)
+    for node_id, sigma in ((14, 0.9), (3, 1.7)):
+        assert np.allclose(node_series(scaled, node_id), sigma * node_series(unit, node_id))
 
 
 def test_inject_malicious_variance_ratio():
@@ -169,7 +206,7 @@ def test_inject_malicious_variance_ratio():
     # sample count, so use a long stream for the +-20% band
     layout = default_layout()
     stream = generate_stream(layout, FieldParams(), 5, 2000, seed=21)
-    tainted = inject_malicious(stream, FieldParams(), {5, 9}, scale=6.0, seed=21)
+    tainted = inject_malicious(stream, layout, FieldParams(), {5, 9}, scale=6.0, seed=21)
     for node_id in (5, 9):
         dirty = node_series(tainted, node_id)
         assert 36.0 * 0.8 <= dirty.var() <= 36.0 * 1.2
@@ -180,16 +217,20 @@ def test_inject_malicious_variance_ratio():
 
 
 def test_inject_malicious_rejects_bad_args():
-    stream = generate_stream(default_layout(), FieldParams(), 4, 2, seed=0)
+    layout = default_layout()
+    stream = generate_stream(layout, FieldParams(), 4, 2, seed=0)
     with pytest.raises(ValueError):
-        inject_malicious(stream, FieldParams(), {5}, scale=1.0, seed=0)
+        inject_malicious(stream, layout, FieldParams(), {5}, scale=1.0, seed=0)
     with pytest.raises(UnknownNode):
-        inject_malicious(stream, FieldParams(), {77}, scale=6.0, seed=0)
+        inject_malicious(stream, layout, FieldParams(), {77}, scale=6.0, seed=0)
+    with pytest.raises(UnknownNode, match=r"nodes \[5\] not in layout"):
+        inject_malicious(stream, layout_two_nodes(), FieldParams(), {5}, scale=6.0, seed=0)
 
 
 def test_inject_malicious_empty_set_is_identity():
-    stream = generate_stream(default_layout(), FieldParams(), 4, 3, seed=2)
-    same = inject_malicious(stream, FieldParams(), set(), scale=6.0, seed=2)
+    layout = default_layout()
+    stream = generate_stream(layout, FieldParams(), 4, 3, seed=2)
+    same = inject_malicious(stream, layout, FieldParams(), set(), scale=6.0, seed=2)
     assert np.array_equal(stream.blocks, same.blocks)
     assert np.array_equal(stream.desired, same.desired)
 

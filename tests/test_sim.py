@@ -18,6 +18,7 @@ from wsnadapt.sim import (
     Table,
     config_hash,
     default_scenario,
+    execute,
     plan,
     report_files,
     run_ada,
@@ -41,16 +42,20 @@ def small_scenario(**overrides):
     return default_scenario(num_blocks=40, **overrides)
 
 
+def tainted_scenario():
+    return default_scenario(num_blocks=60, malicious=MaliciousSpec(node_ids=(5, 9), scale=6.0))
+
+
 def test_run_ada_single_node_at_sink():
     layout = NodeLayout(positions=((2.0, 2.0),), sink=(2.0, 2.0), node_ids=(1,))
     scenario = Scenario(layout=layout, select_count=1)
-    report = run_ada(scenario)
+    report = run_ada(plan(scenario, "ada"))
     assert report.files["ada_iterations.csv"].columns[1][-1] == pytest.approx(1.0, abs=1e-8)
     assert report.files["ada_nodes.csv"].columns[1][-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_ada_matches_direct_solve(default_scenario, default_cov):
-    report = run_ada(default_scenario)
+    report = run_ada(plan(default_scenario, "ada"))
     w_star = gauss_solve(default_cov.ruu, default_cov.rdu)
     best = 1.0 - (
         default_cov.sigma_d_sq
@@ -62,7 +67,7 @@ def test_run_ada_matches_direct_solve(default_scenario, default_cov):
 
 
 def test_run_ada_curve_non_decreasing(default_scenario):
-    report = run_ada(default_scenario)
+    report = run_ada(plan(default_scenario, "ada"))
     accs = report.files["ada_nodes.csv"].columns[1]
     assert np.all(np.diff(accs) >= -1e-12)
 
@@ -76,7 +81,7 @@ def test_run_ada_builds_the_covariance_once(default_scenario, monkeypatch):
 
     monkeypatch.setattr(fieldgen, "build_spatial_covariance", counted)
     monkeypatch.setattr(sim, "build_spatial_covariance", counted)
-    run_ada(default_scenario)
+    run_ada(plan(default_scenario, "ada"))
     assert calls == [default_scenario.layout.size]
 
 
@@ -360,17 +365,48 @@ def test_a_multi_point_channel_run_draws_each_nodes_channel_noise_once(monkeypat
 
 
 def test_each_engine_run_reads_its_client_update_log_once(monkeypatch):
-    calls = []
+    calls, reports = [], []
     counting(monkeypatch, stdp.Trace, "client_updates", calls)
     sweep(plan(small_scenario(), "sweep", axis="beta", values=[0.05, 0.1, 0.2]))
     assert len(calls) == 1
     calls.clear()
-    scenario = default_scenario(num_blocks=60, malicious=MaliciousSpec(node_ids=(5, 9), scale=6.0))
-    run_detect(plan(scenario, "detect"))
+    counting(monkeypatch, sim, "run_stdp", reports)
+    run_detect(plan(tainted_scenario(), "detect"))
     assert len(calls) == 1
+    assert len(reports) == 1  # detect extends its run's one run_stdp report
     calls.clear()
     sweep(plan(small_scenario(), "sweep", axis="n_block", values=[4, 5]))
     assert len(calls) == 2  # n_block points run one engine each
+
+
+def test_a_detect_report_is_its_runs_stdp_report_plus_the_detection(monkeypatch):
+    states = []
+
+    def recorded(run_plan):
+        states.append(simulate_protocol(run_plan))
+        return states[-1]
+
+    monkeypatch.setattr(sim, "simulate_protocol", recorded)
+    detect_plan = plan(tainted_scenario(), "detect")
+    detect = run_detect(detect_plan)
+    (state,) = states
+    protocol = run_stdp(detect_plan, state, 0)
+    files = csv_files(detect)
+    expected = csv_files(protocol)
+    for name in ("stdp_transmission.csv", "message_trace.csv", "weights.csv"):
+        assert files[name] == expected[name]
+    assert files.keys() == expected.keys() | {"detection.csv"}
+    same = {key: value for key, value in protocol.metadata.items() if key != "kind"}
+    assert detect.metadata.items() >= same.items()
+    assert detect.metadata["kind"] == "DETECT"
+    assert detect.metadata.keys() - same.keys() == {"kind", "kappa", "threshold", "flagged"}
+
+
+def test_execute_runs_an_ada_plan_as_run_ada_does():
+    ada_plan = plan(small_scenario(), "ada")
+    ran, direct = execute(ada_plan), run_ada(ada_plan)
+    assert csv_files(ran) == csv_files(direct)
+    assert ran.metadata == direct.metadata
 
 
 def test_detect_refuses_a_corrupted_node_it_does_not_sense(monkeypatch):
@@ -467,7 +503,7 @@ def test_config_hash_stable_and_sensitive(default_scenario):
 
 
 def test_report_files_formats_nine_significant_digits():
-    report = run_ada(default_scenario())
+    report = run_ada(plan(default_scenario(), "ada"))
     files = report_files(report)
     header, body = files["ada_iterations.csv"]
     assert header == ("iter", "accuracy")
