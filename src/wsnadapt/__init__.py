@@ -2,7 +2,7 @@
 
 Library layout:
 
-- ``numerics``: dense SPD solves and dominant-eigenvalue estimation
+- ``numerics``: Cholesky factor, forward substitution, dominant eigenvalue
 - ``fieldgen``: spatial covariance construction and seeded stream synthesis
 - ``ada``: steepest-descent accuracy estimation and node selection
 - ``stdp``: the dual-prediction transmission-suppression protocol

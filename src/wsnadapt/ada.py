@@ -1,6 +1,7 @@
 """Adaptive data-accuracy model: steepest descent on the quadratic MMSE
-objective J(w) = sigma_d^2 - 2 rdu.w + w.Ruu.w, plus node-subset selection
-by sink distance with the per-size accuracy curve.
+objective J(w) = sigma_d^2 - 2 rdu.w + w.Ruu.w, which needs no a priori
+knowledge, and node-subset selection by sink distance with the per-size
+optimal accuracy curve: the package's only two accuracy computations.
 """
 
 from __future__ import annotations
@@ -13,15 +14,12 @@ from .errors import (
     DimensionMismatch, NoConvergence, NotPositiveDefinite, StepSizeOutOfRange, TargetUnreachable
 )
 from .fieldgen import CovariancePair, NodeLayout
-from .numerics import as_vector, cholesky_factor, forward_substitute, max_eigenvalue, solve_spd
+from .numerics import cholesky_factor, forward_substitute, max_eigenvalue
 
 __all__ = [
     "CovariancePair",
     "DescentTrace",
     "NodeSelection",
-    "accuracy",
-    "mmse",
-    "optimal_weight",
     "select_nodes",
     "steepest_descent",
     "step_size_bound",
@@ -59,51 +57,27 @@ def step_size_bound(ruu) -> float:
     return 2.0 / lam
 
 
-def mmse(cov: CovariancePair, w) -> float:
-    """Mean-square estimation error of combining weight w."""
-    w = as_vector(w)
-    return _error_given(cov, w, cov.ruu @ w)
-
-
-def _error_given(cov: CovariancePair, w: np.ndarray, ruu_w: np.ndarray) -> float:
-    """J(w) from w and the product Ruu @ w."""
-    return float(cov.sigma_d_sq - 2.0 * (cov.rdu @ w) + w @ ruu_w)
-
-
-def accuracy(cov: CovariancePair, w) -> float:
-    """Normalized accuracy 1 - J(w) / sigma_d^2."""
-    return 1.0 - mmse(cov, w) / cov.sigma_d_sq
-
-
-def optimal_weight(cov: CovariancePair) -> np.ndarray:
-    """Normal-equation solution Ruu w = rdu (the descent fixed point)."""
-    return solve_spd(cov.ruu, cov.rdu)
-
-
 def steepest_descent(
     cov: CovariancePair,
-    w0=None,
     mu: float | None = None,
     tol: float = 1e-8,
     max_iter: int = 50_000,
 ) -> DescentTrace:
-    """Iterate w <- w + mu (rdu - Ruu w) until the relative residual
-    ||rdu - Ruu w|| / ||rdu|| drops to ``tol`` or ``max_iter`` is hit.
+    """Iterate w <- w + mu (rdu - Ruu w) from w = 0 until the relative
+    residual ||rdu - Ruu w|| / ||rdu|| drops to ``tol`` or ``max_iter`` is hit.
 
-    ``w0`` defaults to the zero vector so the accuracy trace starts at 0;
-    ``mu`` defaults to half the stability ceiling (1 / lambda_max).  A mu
-    outside (0, 2/lambda_max] raises StepSizeOutOfRange; running out of
-    iterations raises NoConvergence naming the relative residual and the
-    iteration count.
+    ``mmse[k]`` is J of iterate k, so the accuracy trace
+    ``1 - mmse / sigma_d**2`` starts at 0.  ``mu`` defaults to half the
+    stability ceiling (1 / lambda_max).  A mu outside (0, 2/lambda_max]
+    raises StepSizeOutOfRange; running out of iterations raises
+    NoConvergence naming the relative residual and the iteration count.
     """
     bound = step_size_bound(cov.ruu)
     if mu is None:
         mu = bound / 2.0
     if not 0.0 < mu <= bound:
         raise StepSizeOutOfRange(f"mu={mu:.6g} outside (0, {bound:.6g}]")
-    w = np.zeros(cov.order) if w0 is None else as_vector(w0).copy()
-    if w.size != cov.order:
-        raise DimensionMismatch(f"w0 has length {w.size}, expected {cov.order}")
+    w = np.zeros(cov.order)
 
     # One Ruu @ w per iterate serves both J(w) and the residual of the next step.
     errs = []
@@ -111,7 +85,7 @@ def steepest_descent(
     iterations = 0
     while True:
         ruu_w = cov.ruu @ w
-        errs.append(_error_given(cov, w, ruu_w))
+        errs.append(float(cov.sigma_d_sq - 2.0 * (cov.rdu @ w) + w @ ruu_w))
         residual = cov.rdu - ruu_w
         norm = float(np.linalg.norm(residual))
         if norm <= tol * rdu_norm:

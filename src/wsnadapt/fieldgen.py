@@ -276,9 +276,9 @@ def _ar1_series(innovations: np.ndarray, phi: float) -> np.ndarray:
 
 
 def _desired(blocks: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Desired scalars u_b @ w0 + v_b for every window along the last axis.
+    """Desired scalars u_b @ w_init + v_b for every window along the last axis.
 
-    ``np.vecdot`` sums each window in the same order as a 1-D ``u @ w0``,
+    ``np.vecdot`` sums each window in the same order as a 1-D ``u @ w_init``,
     so the scalars are bit-identical to a per-window dot product.
     """
     return np.vecdot(blocks, initial_weight(blocks.shape[-1])) + noise
@@ -312,13 +312,15 @@ def generate_stream(
     L @ z with L the Cholesky factor of R_uu, so sample marginals carry the
     exact spatial covariance; consecutive samples of a node follow AR(1)
     with coefficient temporal_phi.  The desired scalar of each block is
-    samples @ w0 + v with w0 the normalized all-ones initial weight and v
+    samples @ w + v with w the normalized all-ones initial weight and v
     drawn per node at variance noise_var.  Bit-identical for equal seeds.
     A degenerate layout raises NotPositiveDefinite naming the first node
     that adds no independent signal, in layout order.
     """
-    if n < 1 or num_blocks < 1:
-        raise ValueError("n and num_blocks must be >= 1")
+    if n < 1:
+        raise InvalidParameter("n_block", "must be >= 1")
+    if num_blocks < 1:
+        raise InvalidParameter("num_blocks", "must be >= 1")
     m = layout.size
     try:
         low = cholesky_factor(build_spatial_covariance(layout, params).ruu)
@@ -356,7 +358,7 @@ def inject_malicious(
     """
     ids = sorted(set(int(i) for i in node_ids))
     if scale <= 1:
-        raise ValueError(f"scale must exceed 1, got {scale}")
+        raise InvalidParameter("malicious/scale", f"must exceed 1, got {scale}")
     rows = stream.rows_of(ids)
     position = {i: k for k, i in enumerate(layout.node_ids)}
     if not position.keys() >= set(ids):

@@ -77,23 +77,6 @@ def forward_substitute(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
-def solve_spd(a, b) -> np.ndarray:
-    """Solve a @ x = b for SPD ``a`` by factor-then-substitute."""
-    m = as_symmetric_matrix(a)
-    rhs = as_vector(b)
-    if rhs.size != m.shape[0]:
-        raise DimensionMismatch(
-            f"matrix order {m.shape[0]} does not match vector length {rhs.size}"
-        )
-    low = cholesky_factor(m)
-    n = m.shape[0]
-    y = forward_substitute(low, rhs)
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - low[i + 1:, i] @ x[i + 1:]) / low[i, i]
-    return x
-
-
 def max_eigenvalue(a, tol: float = 1e-8, max_iter: int = 10_000) -> float:
     """Dominant eigenvalue of a symmetric PSD matrix by power iteration.
 

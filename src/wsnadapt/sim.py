@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import ada, fieldgen, malicious, stdp
-from .errors import Diverged, InsufficientHistory, InvalidParameter, UnknownNode
+from .errors import Diverged, InsufficientHistory, InvalidParameter, NonFinite, UnknownNode
 from .fieldgen import (
     ROLE_CHANNEL,
     ROLE_PROTOCOL,
@@ -186,7 +186,7 @@ class RunReport:
                     bad = np.flatnonzero(~np.isfinite(column))
                     if bad.size:
                         row = bad[0]
-                        raise ValueError(
+                        raise NonFinite(
                             f"non-finite value in series {name}, row {row}, "
                             f"column {heading}: {column[row]}"
                         )

@@ -80,7 +80,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, Diverged, InvalidParameter, NonFinite
+from .errors import DimensionMismatch, Diverged, InvalidParameter, NonFinite, UnknownNode
 from .numerics import max_eigenvalue
 
 SINK_ID = 0
@@ -381,14 +381,14 @@ def new_protocol_state(
     ids = tuple(int(i) for i in node_ids)
     sizes = [len(ids)] if sizes is None else [int(size) for size in sizes]
     if not sizes or sum(sizes) != len(ids) or min(sizes) < 0:
-        raise ValueError(f"point sizes {sizes} do not split {len(ids)} node ids")
+        raise DimensionMismatch(f"point sizes {sizes} do not split {len(ids)} node ids")
     bounds = tuple(np.cumsum([0, *sizes]).tolist())
     for p in range(len(sizes)):
         group = ids[bounds[p] : bounds[p + 1]]
         if any(a >= b for a, b in zip(group, group[1:])):
-            raise ValueError(f"point {p}: node ids {list(group)} do not strictly ascend")
+            raise DimensionMismatch(f"point {p}: node ids {list(group)} do not strictly ascend")
     if SINK_ID in ids:
-        raise ValueError("node ids must be non-zero (0 is the sink)")
+        raise UnknownNode("node ids must be non-zero (0 is the sink)")
     m, points = len(ids), len(sizes)
     blocks = np.asarray(blocks, dtype=float)
     if blocks.ndim != 3 or len(blocks) != m:

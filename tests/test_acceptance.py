@@ -10,15 +10,9 @@ import pytest
 from conftest import record_criterion
 from oracles import gauss_solve, global_ia_update, random_layout
 from wsnadapt import sim
-from wsnadapt.ada import (
-    accuracy,
-    optimal_weight,
-    select_nodes,
-    steepest_descent,
-    step_size_bound,
-)
+from wsnadapt.ada import select_nodes, steepest_descent, step_size_bound
 from wsnadapt.errors import StepSizeOutOfRange
-from wsnadapt.fieldgen import CovariancePair, FieldParams, NodeLayout, build_spatial_covariance
+from wsnadapt.fieldgen import FieldParams, NodeLayout, build_spatial_covariance
 from wsnadapt.malicious import Label, classify, weight_variance, WeightHistory
 from wsnadapt.sim import MaliciousSpec, default_scenario, plan, run_detect, run_stdp, sweep
 from wsnadapt.stdp import (
@@ -62,7 +56,7 @@ def test_criterion_01_descent_converges_to_normal_equation(covariance_suite):
         w = trace.final_weight
         rdu_norm = np.linalg.norm(cov.rdu)
         assert np.linalg.norm(cov.rdu - cov.ruu @ w) <= 1e-8 * rdu_norm
-        w_star = optimal_weight(cov)
+        w_star = gauss_solve(cov.ruu, cov.rdu)
         assert np.linalg.norm(cov.ruu @ (w - w_star)) <= 2e-8 * rdu_norm
         assert np.all(np.diff(trace.mmse) <= 1e-12 * cov.sigma_d_sq)
     elapsed = time.monotonic() - started
@@ -90,12 +84,12 @@ def test_criterion_03_single_node_accuracy_closed_form(covariance_suite):
         theta = float(rng.uniform(0.5, 4.0))
         sigma_d = float(rng.uniform(0.5, 2.0))
         rho = np.exp(-distance / theta)
-        cov = CovariancePair(
-            ruu=np.array([[1.0]]), rdu=np.array([sigma_d * rho]), sigma_d_sq=sigma_d**2
-        )
-        assert accuracy(cov, optimal_weight(cov)) == pytest.approx(rho**2, abs=1e-12)
+        layout = NodeLayout(positions=((distance, 0.0),), sink=(0.0, 0.0), node_ids=(1,))
+        cov = build_spatial_covariance(layout, FieldParams(theta=theta, sigma_d=sigma_d))
+        assert select_nodes(layout, cov, count=1).accuracy[0] == pytest.approx(rho**2, abs=1e-12)
     for cov in covariance_suite:
-        assert 0.0 <= accuracy(cov, optimal_weight(cov)) <= 1.0
+        trace = steepest_descent(cov)
+        assert 0.0 <= 1.0 - trace.mmse[-1] / cov.sigma_d_sq <= 1.0
     record_criterion(3, "single-node accuracy equals rho^2 (1e-12); optimum in [0,1]", True)
 
 

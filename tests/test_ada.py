@@ -6,13 +6,11 @@ from oracles import (
     gauss_solve,
     jacobi_eigenvalues,
     prefix_accuracy_curve,
+    quadratic_error,
     random_layout,
 )
 from wsnadapt.ada import (
     CovariancePair,
-    accuracy,
-    mmse,
-    optimal_weight,
     select_nodes,
     steepest_descent,
     step_size_bound,
@@ -29,16 +27,19 @@ from wsnadapt.numerics import cholesky_factor
 from wsnadapt.sim import default_layout
 
 
-def single_node_cov(rho: float, sigma_d: float = 1.0) -> CovariancePair:
-    return CovariancePair(
-        ruu=np.array([[1.0]]), rdu=np.array([sigma_d * rho]), sigma_d_sq=sigma_d**2
-    )
+def random_scenario(rng, m: int) -> tuple[NodeLayout, CovariancePair]:
+    positions, sink = random_layout(rng, m)
+    layout = NodeLayout(positions=tuple(positions), sink=sink, node_ids=tuple(range(1, m + 1)))
+    params = FieldParams(theta=float(rng.uniform(0.8, 3.0)))
+    return layout, build_spatial_covariance(layout, params)
 
 
 def random_cov(rng, m: int) -> CovariancePair:
-    positions, sink = random_layout(rng, m)
-    layout = NodeLayout(positions=tuple(positions), sink=sink, node_ids=tuple(range(1, m + 1)))
-    return build_spatial_covariance(layout, FieldParams(theta=float(rng.uniform(0.8, 3.0))))
+    return random_scenario(rng, m)[1]
+
+
+def error_of(cov: CovariancePair, w) -> float:
+    return quadratic_error(cov.ruu, cov.rdu, cov.sigma_d_sq, w)
 
 
 def test_step_size_bound_trivials():
@@ -53,7 +54,7 @@ def test_step_size_bound_matches_jacobi(default_cov):
 
 def test_descent_one_step_identity():
     cov = CovariancePair(ruu=np.array([[1.0]]), rdu=np.array([0.5]), sigma_d_sq=1.0)
-    trace = steepest_descent(cov, w0=[0.0], mu=1.0)
+    trace = steepest_descent(cov, mu=1.0)
     assert trace.iterations == 1
     assert trace.final_weight[0] == 0.5
 
@@ -66,16 +67,10 @@ def test_descent_rejects_large_mu():
         steepest_descent(cov, mu=-0.1)
 
 
-def test_descent_rejects_a_start_of_the_wrong_length(default_cov):
-    with pytest.raises(DimensionMismatch, match="w0 has length 3, expected 10"):
-        steepest_descent(default_cov, w0=[0.0] * 3)
-
-
 def test_descent_matches_direct_solve(default_cov):
     trace = steepest_descent(default_cov, tol=1e-12)
-    w_star = optimal_weight(default_cov)
+    w_star = gauss_solve(default_cov.ruu, default_cov.rdu)
     assert np.max(np.abs(trace.final_weight - w_star)) < 1e-8
-    assert np.allclose(w_star, gauss_solve(default_cov.ruu, default_cov.rdu), atol=1e-10)
 
 
 def test_descent_monotone_error_and_trace_consistency():
@@ -99,14 +94,14 @@ def test_descent_fixed_point_residual(default_cov):
 
 def test_descent_errors_are_exact_mmse_of_every_iterate(default_cov):
     trace = steepest_descent(default_cov, tol=1e-10)
-    assert trace.mmse[-1] == mmse(default_cov, trace.final_weight)
+    assert trace.mmse[-1] == error_of(default_cov, trace.final_weight)
     # A run's accuracy column is this array expression, equal bit for bit
     # to the accuracy of each iterate.
     acc = 1.0 - trace.mmse / default_cov.sigma_d_sq
     w = np.zeros(default_cov.order)
     for k, err in enumerate(trace.mmse):
-        assert err == mmse(default_cov, w), k
-        assert acc[k] == accuracy(default_cov, w), k
+        assert err == error_of(default_cov, w), k
+        assert acc[k] == 1.0 - error_of(default_cov, w) / default_cov.sigma_d_sq, k
         if k < trace.iterations:
             w = w + trace.mu * (default_cov.rdu - default_cov.ruu @ w)
     assert np.array_equal(w, trace.final_weight)
@@ -118,16 +113,15 @@ def test_descent_final_weight_exact_under_iteration_cap():
     rng = np.random.default_rng(19)
     for _ in range(5):
         cov = random_cov(rng, int(rng.integers(2, 9)))
-        w0 = rng.normal(size=cov.order)
-        free = steepest_descent(cov, w0=w0, tol=1e-10)
+        free = steepest_descent(cov, tol=1e-10)
         k = free.iterations
-        capped = steepest_descent(cov, w0=w0, max_iter=k, tol=1e-10)
+        capped = steepest_descent(cov, max_iter=k, tol=1e-10)
         assert capped.iterations == k == len(capped.mmse) - 1
         assert np.array_equal(capped.final_weight, free.final_weight)
         assert np.array_equal(capped.mmse, free.mmse)
-        assert capped.mmse[-1] == mmse(cov, capped.final_weight)
+        assert capped.mmse[-1] == error_of(cov, capped.final_weight)
         with pytest.raises(NoConvergence, match=f"after {k - 1} iterations$"):
-            steepest_descent(cov, w0=w0, max_iter=k - 1, tol=1e-10)
+            steepest_descent(cov, max_iter=k - 1, tol=1e-10)
 
 
 def test_descent_max_iter_flag():
@@ -136,29 +130,25 @@ def test_descent_max_iter_flag():
         steepest_descent(cov, mu=1e-4, tol=1e-12, max_iter=5)
 
 
-def test_mmse_trivials():
-    cov = single_node_cov(rho=1.0)
-    assert mmse(cov, [0.0]) == pytest.approx(1.0)
-    assert mmse(cov, [1.0]) == pytest.approx(0.0, abs=1e-15)
-    at_theta = single_node_cov(rho=np.exp(-1.0))
-    w_star = optimal_weight(at_theta)
-    assert mmse(at_theta, w_star) == pytest.approx(1.0 - np.exp(-2.0), rel=1e-12)
-
-
 def test_accuracy_single_node_closed_form():
     rng = np.random.default_rng(23)
     for _ in range(200):
-        rho = float(np.exp(-rng.uniform(0.0, 5.0)))
-        cov = single_node_cov(rho, sigma_d=float(rng.uniform(0.5, 2.0)))
-        assert accuracy(cov, optimal_weight(cov)) == pytest.approx(rho**2, abs=1e-12)
+        distance = float(rng.uniform(0.0, 10.0))
+        theta = 2.0
+        rho = float(np.exp(-distance / theta))
+        params = FieldParams(theta=theta, sigma_d=float(rng.uniform(0.5, 2.0)))
+        layout = NodeLayout(positions=((distance, 0.0),), sink=(0.0, 0.0), node_ids=(1,))
+        cov = build_spatial_covariance(layout, params)
+        assert select_nodes(layout, cov, count=1).accuracy[0] == pytest.approx(rho**2, abs=1e-12)
 
 
 def test_accuracy_in_unit_interval_over_random_layouts():
     rng = np.random.default_rng(31)
     for _ in range(400):
-        cov = random_cov(rng, int(rng.integers(1, 11)))
-        acc = accuracy(cov, optimal_weight(cov))
-        assert 0.0 <= acc <= 1.0
+        m = int(rng.integers(1, 11))
+        layout, cov = random_scenario(rng, m)
+        curve = select_nodes(layout, cov, count=m).accuracy
+        assert np.all((0.0 <= curve) & (curve <= 1.0))
 
 
 def test_select_full_set_when_target_is_max(default_scenario, default_cov):

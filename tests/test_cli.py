@@ -2,6 +2,7 @@ import ast
 import errno
 import json
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -1449,3 +1450,123 @@ def test_every_error_class_is_raised_in_the_package():
                 used.add(target.attr)
     assert len(classes) >= 12
     assert classes <= used, sorted(classes - used)
+
+
+_SCOPES = (ast.FunctionDef, ast.Lambda, ast.ClassDef, ast.ListComp, ast.SetComp,
+           ast.DictComp, ast.GeneratorExp)
+
+
+def _bound_names(scope) -> set[str]:
+    """The names that ``scope`` (a function, lambda, class or
+    comprehension) binds itself, and so shadows within its own code."""
+    if isinstance(scope, (ast.FunctionDef, ast.Lambda)):
+        a = scope.args
+        names = {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if arg}
+        body = scope.body if isinstance(scope, ast.FunctionDef) else [scope.body]
+    elif isinstance(scope, ast.ClassDef):
+        names, body = set(), scope.body
+    else:
+        names, body = set(), [generator.target for generator in scope.generators]
+    pending = list(body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if not isinstance(node, _SCOPES):
+            pending.extend(ast.iter_child_nodes(node))
+    return names
+
+
+class _References(ast.NodeVisitor):
+    """The package functions that one module's code names, each resolved
+    through the module's own definitions or its relative imports.  A name
+    that an enclosing function, lambda or comprehension binds is a local
+    and names nothing; an attribute counts only on a module's own name."""
+
+    def __init__(self, module: str, tree: ast.Module):
+        self.module = module
+        self.functions = {}  # name in this module -> (module, function)
+        self.modules = {}  # name in this module -> package module
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                self.functions[node.name] = (module, node.name)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if node.module is None:
+                        self.modules[name] = alias.name
+                    else:
+                        self.functions[name] = (node.module, alias.name)
+        self.scopes = []  # (scope node, the names it binds), innermost last
+        self.owner = None  # the module-level function being visited
+        self.found = set()
+        self.visit(tree)
+
+    def _local(self, name: str) -> bool:
+        # A class body's names are not visible in the functions inside it.
+        return any(
+            name in bound
+            for k, (scope, bound) in enumerate(self.scopes)
+            if not isinstance(scope, ast.ClassDef) or k == len(self.scopes) - 1
+        )
+
+    def _enter(self, node) -> None:
+        self.scopes.append((node, _bound_names(node)))
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    def visit_FunctionDef(self, node) -> None:
+        for outer in (*node.decorator_list, *node.args.defaults, *node.args.kw_defaults):
+            if outer is not None:
+                self.visit(outer)
+        if not self.scopes:
+            self.owner = node.name
+        self.scopes.append((node, _bound_names(node)))
+        for statement in node.body:
+            self.visit(statement)
+        self.scopes.pop()
+        if not self.scopes:
+            self.owner = None
+
+    visit_Lambda = visit_ClassDef = visit_ListComp = visit_SetComp = _enter
+    visit_DictComp = visit_GeneratorExp = _enter
+
+    def _found(self, target) -> None:
+        if target != (self.module, self.owner):
+            self.found.add(target)
+
+    def visit_Name(self, node) -> None:
+        if isinstance(node.ctx, ast.Load) and node.id in self.functions and not self._local(node.id):
+            self._found(self.functions[node.id])
+
+    def visit_Attribute(self, node) -> None:
+        base = node.value
+        if isinstance(base, ast.Name) and base.id in self.modules and not self._local(base.id):
+            self._found((self.modules[base.id], node.attr))
+        self.generic_visit(node)
+
+
+def test_every_public_function_is_used_by_the_package():
+    """Each public module-level function in the package is called or named
+    by package code outside its own body (``execute``'s runner table
+    counts), or is the console script: no function lives only for tests."""
+    package = Path(wsnadapt.__file__).parent
+    public, used = set(), set()
+    for source in package.glob("*.py"):
+        tree = ast.parse(source.read_text())
+        public |= {
+            (source.stem, node.name)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        }
+        used |= _References(source.stem, tree).found
+    pyproject = (package.parent.parent / "pyproject.toml").read_text()
+    used |= set(re.findall(r'^\w+ = "wsnadapt\.(\w+):(\w+)"$', pyproject, re.M))
+    assert len(public) >= 30
+    assert public <= used, sorted(public - used)

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import gauss_solve, jacobi_eigenvalues, random_spd
 from wsnadapt.errors import DimensionMismatch, NoConvergence, NonFinite, NotPositiveDefinite
-from wsnadapt.numerics import cholesky_factor, max_eigenvalue, solve_spd
+from wsnadapt.numerics import cholesky_factor, forward_substitute, max_eigenvalue
 
 
 def test_cholesky_identity():
@@ -36,33 +36,18 @@ def test_cholesky_rejects_asymmetric():
         cholesky_factor([[1.0, 0.5], [0.2, 1.0]])
 
 
-def test_solve_identity_and_diagonal():
-    assert np.allclose(solve_spd(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
-    assert np.allclose(solve_spd([[2.0, 0.0], [0.0, 4.0]], [2.0, 4.0]), [1.0, 1.0])
-
-
-def test_solve_matches_elimination_oracle():
+def test_forward_substitute_matches_elimination_on_every_leading_block():
+    # select_nodes reads the accuracy of every prefix off one substitution,
+    # so y[:k] must be the leading k x k block's solution, bit for bit.
     rng = np.random.default_rng(42)
-    a = random_spd(rng, 5)
-    b = rng.normal(size=5)
-    x = solve_spd(a, b)
-    assert np.linalg.norm(a @ x - b) <= 1e-9 * np.linalg.norm(b)
-    assert np.allclose(x, gauss_solve(a, b), rtol=1e-9, atol=1e-12)
-
-
-def test_solve_round_trip_property():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
+    for _ in range(25):
         n = int(rng.integers(1, 11))
-        a = random_spd(rng, n)
-        x = rng.normal(size=n)
-        got = solve_spd(a, a @ x)
-        assert np.linalg.norm(got - x) <= 1e-9 * max(1.0, np.linalg.norm(x))
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        solve_spd(np.eye(3), [1.0, 2.0])
+        low = cholesky_factor(random_spd(rng, n))
+        b = rng.normal(size=n)
+        y = forward_substitute(low, b)
+        assert np.allclose(y, gauss_solve(low, b), rtol=1e-9, atol=1e-12)
+        for k in range(1, n + 1):
+            assert np.array_equal(forward_substitute(low[:k, :k], b[:k]), y[:k]), (n, k)
 
 
 def test_max_eigenvalue_diagonal():

@@ -23,3 +23,7 @@ def test_every_python_block_of_the_readme_runs():
         printed.append(out.getvalue())
     detect = [text for code, text in zip(blocks, printed) if '"detect"' in code]
     assert detect and detect[0].splitlines()[-1] == "[5, 9]"
+    select = [text for code, text in zip(blocks, printed) if "target=" in code]
+    assert select and select[0].splitlines() == [
+        "(2, 5, 4, 10)", "True", "target 0.75 unreachable; all 10 nodes achieve 0.70666"
+    ]

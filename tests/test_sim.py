@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from oracles import gauss_solve
 from wsnadapt import ada, fieldgen, sim, stdp
-from wsnadapt.errors import Diverged, InvalidParameter, UnknownNode
+from wsnadapt.errors import (
+    DimensionMismatch, Diverged, InvalidParameter, NonFinite, UnknownNode, WsnAdaptError
+)
 from wsnadapt.fieldgen import FieldParams, NodeLayout, build_spatial_covariance, generate_stream
 from wsnadapt.sim import (
     MaliciousSpec,
@@ -477,7 +479,7 @@ def test_sweep_rejects_unknown_axis(default_scenario):
 
 
 def test_report_rejects_non_finite():
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFinite):
         RunReport(files={"x": Table(("i", "x"), (np.array([0]), np.array([np.nan])))}, metadata={})
 
 
@@ -488,9 +490,38 @@ def test_report_absent_cells_are_masked_not_nan():
     report = RunReport(files={"trace": table}, metadata={})
     assert csv_files(report) == {"trace": (("round", "error"), b"0,0.5\n1,\n2,0.25\n")}
     errors[2] = np.inf  # a real non-finite value still fails, naming series, row and column
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(NonFinite) as err:
         RunReport(files={"trace": table}, metadata={})
     assert str(err.value) == "non-finite value in series trace, row 2, column error: inf"
+
+
+def test_library_input_checks_raise_typed_errors():
+    """Inputs that only a Python caller can build, past the config checks,
+    are refused with a package error class, so ``except WsnAdaptError``
+    catches each one."""
+    layout = sim.default_layout()
+    stream = generate_stream(layout, FieldParams(), 4, 2, seed=0)
+    blocks, desired = np.zeros((2, 1, 3)), np.zeros((2, 1))
+    cases = [
+        (DimensionMismatch, "point sizes [3] do not split 2 node ids",
+         lambda: stdp.new_protocol_state([1, 2], blocks, desired, Thresholds(), [3])),
+        (DimensionMismatch, "point 0: node ids [2, 1] do not strictly ascend",
+         lambda: stdp.new_protocol_state([2, 1], blocks, desired, Thresholds())),
+        (UnknownNode, "node ids must be non-zero (0 is the sink)",
+         lambda: stdp.new_protocol_state([0, 1], blocks, desired, Thresholds())),
+        (InvalidParameter, "malicious/scale: must exceed 1, got 1.0",
+         lambda: fieldgen.inject_malicious(stream, layout, FieldParams(), {5}, 1.0, 0)),
+        (InvalidParameter, "n_block: must be >= 1",
+         lambda: generate_stream(layout, FieldParams(), 0, 2, seed=0)),
+        (InvalidParameter, "num_blocks: must be >= 1",
+         lambda: generate_stream(layout, FieldParams(), 4, 0, seed=0)),
+        (NonFinite, "non-finite value in series x, row 0, column x: nan",
+         lambda: RunReport({"x": Table(("i", "x"), (np.array([0]), np.array([np.nan])))}, {})),
+    ]
+    for cls, message, call in cases:
+        with pytest.raises(WsnAdaptError) as err:
+            call()
+        assert type(err.value) is cls and str(err.value) == message
 
 
 def test_config_hash_stable_and_sensitive(default_scenario):

@@ -284,11 +284,11 @@ def test_node_ids_must_ascend_within_a_point(sizes):
     # node's samples as another's, so they are refused, not sorted.
     ids = [1, 2, 4, 3] if sizes else [2, 1]
     samples = np.arange(len(ids), dtype=float)[:, None] * np.ones(3)
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(DimensionMismatch) as err:
         first_round(ids, samples, np.zeros(len(ids)), Thresholds(), sizes)
     point = 1 if sizes else 0
     assert str(err.value) == f"point {point}: node ids {ids[-2:]} do not strictly ascend"
-    with pytest.raises(ValueError, match=r"point 0: node ids \[3, 3\] do not strictly ascend"):
+    with pytest.raises(DimensionMismatch, match=r"point 0: node ids \[3, 3\] do not strictly ascend"):
         first_round([3, 3], samples[:2], np.zeros(2), Thresholds())
     # Points may share ids.
     ids = [1, 2, 1, 2] if sizes else [1, 2]
