@@ -79,9 +79,9 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg import eigvalsh
 
-from .errors import DimensionMismatch, Diverged, InvalidParameter, NonFinite, UnknownNode
-from .numerics import max_eigenvalue
+from .errors import DimensionMismatch, Diverged, InvalidParameter, UnknownNode
 
 SINK_ID = 0
 
@@ -249,7 +249,7 @@ def _sent(state: ProtocolState) -> np.ndarray:
 def transmission_percentage(state: ProtocolState) -> np.ndarray:
     """Percentage of sensed blocks each row actually transmitted."""
     if state.round_index == 0 or not state.node_ids:
-        raise ValueError(
+        raise DimensionMismatch(
             f"no transmission percentage: {state.round_index} rounds over "
             f"{len(state.node_ids)} nodes"
         )
@@ -317,7 +317,7 @@ class RoundResult(NamedTuple):
 def initial_weight(n: int) -> np.ndarray:
     """Unit-norm all-ones start vector (every tap 1/sqrt(n))."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DimensionMismatch(f"a weight needs n >= 1 taps, got {n}")
     return np.full(n, 1.0 / np.sqrt(n))
 
 
@@ -373,7 +373,9 @@ def new_protocol_state(
     point's step size; without it the state's ``auto_mu`` is set and each
     point follows the automatic rule, 0.5 / (M * lambda_max) of the point's
     empirical block covariance, refreshed whenever one of its nodes is in a
-    raw round.  ``received``, a ``(blocks, desired)`` pair shaped as
+    raw round: lambda_max is the largest of the ``eigvalsh`` eigenvalues of
+    the ``(n, n)`` covariance of the blocks the point received in that
+    round.  ``received``, a ``(blocks, desired)`` pair shaped as
     those inputs, is what the sinks receive of each block a row sends
     (default: the sensed arrays themselves, not copied); a round reads it
     for its transmitting rows only.
@@ -518,12 +520,14 @@ def step_round(state: ProtocolState) -> RoundResult:
             a, b = cut[p], cut[p + 1]
             u, d = u_sent[a:b], d_sent[a:b]
             if state.auto_mu and (raw[p] < raw[p + 1] or math.isnan(state.mu[p])):
-                try:
-                    lam = max_eigenvalue((u.T @ u) / u.shape[0])
-                except NonFinite:
+                cov = (u.T @ u) / u.shape[0]
+                # The absolute entry sum bounds every partial sum of the
+                # entries, so one NaN, infinity or overflowing sum shows here.
+                if not math.isfinite(np.abs(cov).sum()):
                     raise Diverged(
                         f"diverged in round {r}: non-finite block covariance at the sink", point=p
-                    ) from None
+                    )
+                lam = eigvalsh(cov)[-1]
                 nodes = state.bounds[p + 1] - state.bounds[p]
                 state.mu[p] = 0.5 / (nodes * lam) if lam > 0 else 0.0
             weight = _sweep(state.global_weight[p], u, d, state.mu[p])

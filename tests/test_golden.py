@@ -38,17 +38,17 @@ GOLDEN = {
         "effective_config.json": "09515ec9f7306b096ea589fb5b727c95a6d65b03c5f9d25e7f616e1bc65a2ab8",
     },
     "detect": {
-        "detection.csv": "766e6f0b3dd10ec427b8b243ea8aaa7935bf8d59ec70dd0413cea5d3ea77d152",
+        "detection.csv": "68c4b57a5769e31c42b48db7659663396a1a4e221f22be93844f2565e34c14e2",
         "effective_config.json": "bb8e2895daa0c29f693921c83f42b37e9ba16fdb6f3d840db1682fc744f24ebf",
-        "message_trace.csv": "17aa0898ac7512ea49d366ee5fb36fbe607035fc1d4d4d779494ecdf12f2866e",
+        "message_trace.csv": "a54c82ed28c5176de9c0676e93c582facabc3d3a7d94def7995ba240437ed26b",
         "stdp_transmission.csv": "e85ec3380d65706d3ecb5e35f71673ff4f51306f43bf4d95400edd6794bc2276",
-        "weights.csv": "725ba76e25d9e0463c3dc0a0c3a5f0efe62b8ade6cb53a3f4e0f2d0721af70dc",
+        "weights.csv": "e1ffcf746ef9ef44e78051a27efa13c689daf7f3b8f2faddd5dc24995694c4a5",
     },
     "stdp": {
         "effective_config.json": "02cbb4dc7c973dd9a8bc4ac87f261117f0709b890771cc3a8ac774b697dc226a",
-        "message_trace.csv": "e189e1b1819dad6f0f6da951976b95923c0f954d29a09577a913d66faa3ba988",
+        "message_trace.csv": "6655d70962b67c87f9d0bb3753828c35fa533b32e3b0486a6f1ae86f1cf2fc9c",
         "stdp_transmission.csv": "2d72f7d231f57a43298957c11aa8d3ac06d3fe4d7bb4d3e4bfafd60d8ce68732",
-        "weights.csv": "cc44d50f6900871890cfa46be484351ceb88709d926a50931aa3ef631a35252f",
+        "weights.csv": "446386d1a1de68dd2e736c06531179701173608c476c6d40d0f5908eabdf93df",
     },
     "sweep_beta": {
         "effective_config.json": "87fef6d149560f9d053b3025057f544d2970073b3893f60959925c52694239af",
@@ -61,18 +61,18 @@ GOLDEN = {
         "sweep_transmission.csv": "1c572c0ce8da858b6d853d5677375f8d9edcb08044055241454dfdee17e53e4c",
     },
     "detect_100": {
-        "detection.csv": "d85d7724be1bdc894cc291d8ba2b6798b919c86dd9b7afd5b31f4ac6bbb52fc0",
+        "detection.csv": "390cf49db2aae7c765f3709d933d94325b4cf403cba580dfa54a9bfca4998cac",
         "effective_config.json": "32c0c9c1eaf4d0fb99406011d4e37be3466b526cb43ce277398714a0832b5740",
-        "message_trace.csv": "7b3f2e3d32023bd2fa731c8323731672ba81105e7722205a5a3e903382c830a4",
+        "message_trace.csv": "386c57d1b2efbd4b723cca40af9c89bff622b8fa7740f687c7c9adc18e441327",
         "stdp_transmission.csv": "08bd8f877c75a0d86c8517d823cf8e2bad81b547071ba21081a3b221c5acc84f",
-        "weights.csv": "23c1e4b05027a3167452b837c36aca0950167adf866b5feb8adba392681d871a",
+        "weights.csv": "b0dc73e19a537c8ecce28a65528bf26a70451e570eafb8f54bf19e83f207aedb",
     },
     "detect_multiword": {
-        "detection.csv": "7f3c0a622508ec07a0c13e2824230d9a084b91539563c4bef855496ef70f66ed",
+        "detection.csv": "ac6a455f5cde0fae254daf675263ef50e919f685c309c307049eebbcd59dda28",
         "effective_config.json": "61b71e73154be40556fe151787f954f21b3af1aa0f324753dded3ba7b026654f",
-        "message_trace.csv": "c7c8cdb47d04b23844a216c85bd95a4ee6595adf9c5258c97c85a8dd3ab581cc",
+        "message_trace.csv": "b6f99b411e18b9f7692e37d5732d4863625f2db3b0445f8b0066848485e220b6",
         "stdp_transmission.csv": "616a774efdbd00466ae655d53c28c99bbabe0425594ea72964d7b0f86b9261c6",
-        "weights.csv": "801c1df359329094f51643a137a53b3f174f162fc633b9f17e8815fd44bfc653",
+        "weights.csv": "c1fa9016767749153f53d437733ed440ad689009dfec2bbada651bbd22e158ed",
     },
     "sweep_node_count": {
         "effective_config.json": "998c64c5c7c9ba8dfef027dafc7e5d09b0370349e3d315591a2fd3599b413b44",
@@ -86,16 +86,16 @@ GOLDEN = {
     },
     "stdp_ingest": {
         "effective_config.json": "42f0261db8509972c9a927b1690d3744f5f32ea42e7a9051ebfad301e05f1c65",
-        "message_trace.csv": "71d66e51d85714e4ad8d4e494d82e781670004824bafe059bc300982453940ed",
+        "message_trace.csv": "b355343637a337ae8e721ba961eea84e4cccecac2edabc8530d38df979c7de48",
         "stdp_transmission.csv": "7b192c5780653132cb8c8173671e5910827591cc5396f9b73f6bb719e4c0a5de",
-        "weights.csv": "2627b8956ddd2114e1e6d66198e1e541823fc72567a505d40066593ba005bb70",
+        "weights.csv": "9c0a443a9df16e527518af2254f76446b2e147e083d7a27c7d76a578758ef326",
     },
     "detect_ingest": {
-        "detection.csv": "fa18b047d3d2f1994572f938effa8d5b6ea2313f20c5804770d8d5a9bef4bf98",
+        "detection.csv": "253c359261423c9e78a36a599f1531e2d704afb5464ce79a5229d85405e1b549",
         "effective_config.json": "f9149188dd8b8132f1ddf87248a7d0c9c6cb5ed3d76e3617b7393cef78ec13ba",
-        "message_trace.csv": "a68aa2cf56cbe1a1c0435879031bddcd06a602f7037c8bd3c7869f29c4a02a4b",
+        "message_trace.csv": "afc33050a0dab7d60b60a76c415b53153c05caaef232341b85c60e8c6bba6277",
         "stdp_transmission.csv": "178ac371b2e51fd2e72bfc32e2b52f38c448cc542eb272a34040e7471f93243a",
-        "weights.csv": "a8bad47fbba2890e99eb9365fe16432d99d603d146ea20a97a36f9060383edea",
+        "weights.csv": "299a51d69a114d1de5688cd7cf3f18654163c0ff159a613e7d856ea932459f00",
     },
 }
 

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import global_ia_update, replay_client_updates
+from oracles import global_ia_update, jacobi_eigenvalues, replay_client_updates
 from wsnadapt import stdp
-from wsnadapt.errors import DimensionMismatch, Diverged
+from wsnadapt.errors import DimensionMismatch, Diverged, NonFinite
 from wsnadapt.fieldgen import (
     ROLE_MEASURE,
     ROLE_PROTOCOL,
@@ -19,6 +19,7 @@ from wsnadapt.sim import default_layout, default_scenario, plan, simulate_protoc
 from wsnadapt.stdp import (
     CLIENT_ADAPTIVE,
     CLIENT_PREDICTING,
+    RAW_TRANSMIT,
     SINK_ADAPTIVE,
     KIND_BITS,
     PHASES,
@@ -116,6 +117,14 @@ def test_initial_weight_values_and_norm():
     assert np.array_equal(initial_weight(4), [0.5, 0.5, 0.5, 0.5])
     for n in range(1, 65):
         assert np.linalg.norm(initial_weight(n)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_an_empty_weight_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch, match="n >= 1 taps, got 0"):
+        initial_weight(0)
+    # zero-sample blocks reach it through the engine
+    with pytest.raises(DimensionMismatch, match="got 0"):
+        new_protocol_state([1, 2], np.zeros((2, 3, 0)), np.zeros((2, 3)), Thresholds())
 
 
 def test_global_lms_single_term():
@@ -346,7 +355,7 @@ def idle_state(ids, rounds):
 
 def test_transmission_percentage_trivials():
     state = idle_state([1, 2], rounds=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch, match="0 rounds over 2 nodes"):
         transmission_percentage(state)
     state.trace.transmitted[:, 0] = True
     state.round_index = 10
@@ -354,7 +363,7 @@ def test_transmission_percentage_trivials():
     assert pct.tolist() == [100.0, 0.0]
     nobody = idle_state([], rounds=10)
     nobody.round_index = 10
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch, match="10 rounds over 0 nodes"):
         transmission_percentage(nobody)
 
 
@@ -397,24 +406,30 @@ def test_explicit_mu_bypasses_auto_rule():
     assert (state.mu == 0.01).all()  # auto estimate never engaged
 
 
-@pytest.mark.parametrize("mu", [0.01, None])
-def test_a_fixed_mu_runs_no_power_iteration(monkeypatch, mu):
-    calls = []
-
-    def counted(a):
-        calls.append(a.shape)
-        return max_eigenvalue(a)
-
-    monkeypatch.setattr(stdp, "max_eigenvalue", counted)
-    _, stream = make_stream(60, seed=5)
-    state = new_protocol_state(
+def two_point_state(stream, mu=None, client_noise=None):
+    """Rows of ``stream`` split into points of 4 and 6 nodes, beta 0.05 and 0.2."""
+    return new_protocol_state(
         stream.node_ids,
         stream.blocks,
         stream.desired,
         [Thresholds(0.5, 0.05), Thresholds(0.5, 0.2)],
         sizes=[4, 6],
         mu=mu,
+        client_noise=client_noise,
     )
+
+
+@pytest.mark.parametrize("mu", [0.01, None])
+def test_a_fixed_mu_runs_no_eigen_solve(monkeypatch, mu):
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return np.linalg.eigvalsh(a)
+
+    monkeypatch.setattr(stdp, "eigvalsh", counted)
+    _, stream = make_stream(60, seed=5)
+    state = two_point_state(stream, mu)
     with errstate():
         for _ in range(stream.num_blocks):
             step_round(state)
@@ -424,6 +439,52 @@ def test_a_fixed_mu_runs_no_power_iteration(monkeypatch, mu):
     else:
         assert calls == [] and state.auto_mu is False
         assert state.mu.tolist() == [mu, mu]
+
+
+def test_auto_mu_is_half_over_nodes_times_the_largest_eigenvalue():
+    # After every round in which a point has a raw row, its step size is
+    # 0.5 / (M * lambda_max) of the covariance of that round's received rows.
+    # Client noise sends predicting rows back to raw now and then.
+    _, stream = make_stream(40, seed=7)
+    noise = np.random.default_rng(7).normal(0, 0.1, size=stream.desired.shape)
+    state = two_point_state(stream, client_noise=noise)
+    trace = state.trace
+    checked = [0, 0]
+    with errstate():
+        for r in range(stream.num_blocks):
+            step_round(state)
+            for p in range(2):
+                rows = state.rows(p)
+                if not (trace.phase[r, rows] == RAW_TRANSMIT).any():
+                    continue
+                u = state.sink_blocks[rows, r][trace.transmitted[r, rows]]
+                lam = jacobi_eigenvalues(u.T @ u / len(u))[-1]
+                nodes = rows.stop - rows.start
+                assert state.mu[p] == pytest.approx(0.5 / (nodes * lam), rel=1e-12, abs=0)
+                checked[p] += 1
+    assert min(checked) >= 5
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_covariance_check_fires_wherever_the_power_iteration_refuses(seed):
+    # Blocks scaled across the range where u.T @ u overflows, with mixed
+    # signs and a few NaNs: wherever numerics.max_eigenvalue refuses the
+    # covariance as non-finite, the engine's estimate raises Diverged.
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(4, 6))
+    base[rng.uniform(size=base.shape) < 0.02] = np.nan
+    refused = 0
+    with errstate():
+        for scale in np.logspace(150, 156, 40):
+            samples = base * scale
+            try:
+                max_eigenvalue(samples.T @ samples / len(samples))
+            except NonFinite:
+                refused += 1
+                state = first_round([1, 2, 3, 4], samples, np.zeros(4), Thresholds())
+                with pytest.raises(Diverged, match="round 0: non-finite block covariance"):
+                    step_round(state)
+    assert refused
 
 
 def test_divergence_stops_at_first_non_finite_round():
