@@ -14,7 +14,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import ada, fieldgen, malicious, stdp
-from .errors import Diverged, InsufficientHistory, InvalidParameter, NonFinite, UnknownNode
+from .errors import (
+    DimensionMismatch, Diverged, InsufficientHistory, InvalidParameter, NonFinite, UnknownNode
+)
 from .fieldgen import (
     ROLE_CHANNEL,
     ROLE_PROTOCOL,
@@ -366,7 +368,7 @@ def simulate_protocol(plan: RunPlan) -> stdp.ProtocolState:
     points, groups, scenario = plan.points, plan.groups, plan.points[0]
     own = dict(thresholds=scenario.thresholds, select_first=scenario.select_first)
     if any(replace(p, select_count=scenario.select_count, **own) != scenario for p in points):
-        raise ValueError("engine points may differ only in thresholds and node selection")
+        raise DimensionMismatch("engine points may differ only in thresholds and node selection")
     # Each point generates the stream of its own scenario, as its single run
     # does.  Thresholds and node selection, the only ways points may differ,
     # do not enter the stream, so these streams are equal.  perfbench's
@@ -502,13 +504,12 @@ def run_stdp(
                 weights.ravel(),
             ),
         )
-    mu = state.mu[point]
     metadata = _base_metadata("STDP", scenario)
     metadata.update(
         {
             "active_nodes": list(state.node_ids[rows]),
             "total_percentage": stdp.total_percentages(state)[point],
-            "mu": None if np.isnan(mu) else float(mu),
+            "mu": float(state.mu[point]),
         }
     )
     return RunReport(files=files, metadata=metadata)

@@ -41,8 +41,8 @@ every row.  It allocates the run's ``Trace``, the only record of the run:
 sent-block counts are read off its ``transmitted`` column and each round's
 messages off its ``kinds``.  Round
 r, ``step_round(state)``, takes the ``(rows, n)`` matrix U of the round's
-blocks and the desired vector d, works on masks over the phase codes,
-writes its columns into trace row r in place and appends its
+blocks and the desired vector d, reads what each row does off one table of
+cases, writes its columns into trace row r in place and appends its
 client-filter updates to the trace's log; it copies no per-round state:
 
 1. client side, rows in a client phase: d' = U.Wr + noise; adapting rows
@@ -54,8 +54,10 @@ client-filter updates to the trace's log; it copies no per-round state:
 3. sink side, per point: one global sweep w += mu sum_i u_i (d_i - u_i.w)
    over the point's received rows, then their errors d - U w are held
    against alpha;
-4. transitions: a sink-side row at or below alpha is handed off, entering
-   CLIENT_ADAPTIVE with Wc = Wr = its point's new global weight.
+4. messages and next phases, looked up per row by its case: its phase,
+   whether its client error is above beta and whether its sink error is
+   at or below alpha.  A sink-side row at or below alpha is handed off,
+   entering CLIENT_ADAPTIVE with Wc = Wr = its point's new global weight.
 
 Row dot products use ``np.vecdot``, which sums each row in the order of a
 1-D ``u @ w``, and the sweep adds its terms row by row in ascending id
@@ -113,13 +115,23 @@ KIND_BITS = {
     MessageKind.DATA_BLOCK: 4,
     MessageKind.GLOBAL_WEIGHT: 8,
 }
+_QUERY, _NODE, _DATA, _GLOBAL = KIND_BITS.values()
 
-
-_QUERY = KIND_BITS[MessageKind.QUERY]
-_NODE_WEIGHT = KIND_BITS[MessageKind.NODE_WEIGHT]
-_DATA_BLOCK = np.uint8(KIND_BITS[MessageKind.DATA_BLOCK])
-# A handed-off row sends its data block and is sent the global weight.
-_HANDED = KIND_BITS[MessageKind.DATA_BLOCK] | KIND_BITS[MessageKind.GLOBAL_WEIGHT]
+# The phase table of the module docstring, as a round reads it.  Row k's
+# case is 4 * phase + 2 * loud + near, where loud is its client error
+# |e'| > beta and near its sink error |e| <= alpha.  Per case: whether the
+# row sends its data block, its round's KIND_BITS mask (but QUERY) and its
+# phase in the next round.
+_SENDS, _KINDS, _NEXT = np.array(
+    [
+        # (quiet, far), (quiet, near), (loud, far), (loud, near)
+        [(1, _DATA, SINK_ADAPTIVE), (1, _DATA | _GLOBAL, CLIENT_ADAPTIVE)] * 2,  # RAW_TRANSMIT
+        [(1, _DATA, SINK_ADAPTIVE), (1, _DATA | _GLOBAL, CLIENT_ADAPTIVE)] * 2,  # SINK_ADAPTIVE
+        [(0, _NODE, CLIENT_PREDICTING)] * 2 + [(1, _DATA, CLIENT_ADAPTIVE)] * 2,  # CLIENT_ADAPTIVE
+        [(0, 0, CLIENT_PREDICTING)] * 2 + [(0, 0, RAW_TRANSMIT)] * 2,  # CLIENT_PREDICTING
+    ],
+    dtype=np.uint8,
+).reshape(16, 3).T
 
 
 def kinds_of(mask: int) -> tuple[MessageKind, ...]:
@@ -212,10 +224,10 @@ class ProtocolState:
     hands a row off sets both to its point's global weight.  Point p's
     rows are ``bounds[p]:bounds[p + 1]``; ``global_weight[p]`` is its sink
     filter and ``mu[p]`` the step size of its sink and client filters.  An
-    explicit step size is set once; with ``auto_mu`` it is NaN until first
-    estimated and refreshed by every round in which one of the point's
-    rows is raw.  ``trace`` is the run's trace, whose row r round r writes;
-    ``round_index`` rounds have run.
+    explicit step size is set once; with ``auto_mu`` it is estimated in
+    round 0, where every row is raw, and refreshed by every round in which
+    one of the point's rows is raw.  ``trace`` is the run's trace, whose
+    row r round r writes; ``round_index`` rounds have run.
     """
 
     node_ids: tuple[int, ...]
@@ -375,11 +387,14 @@ def new_protocol_state(
     empirical block covariance, refreshed whenever one of its nodes is in a
     raw round: lambda_max is the largest of the ``eigvalsh`` eigenvalues of
     the ``(n, n)`` covariance of the blocks the point received in that
-    round.  ``received``, a ``(blocks, desired)`` pair shaped as
+    round.  An explicit ``mu`` must be finite and > 0 (``InvalidParameter``
+    otherwise).  ``received``, a ``(blocks, desired)`` pair shaped as
     those inputs, is what the sinks receive of each block a row sends
     (default: the sensed arrays themselves, not copied); a round reads it
     for its transmitting rows only.
     """
+    if mu is not None and not (math.isfinite(mu) and mu > 0):
+        raise InvalidParameter("mu_mode", f"must be 'auto' or > 0, got {mu!r}")
     ids = tuple(int(i) for i in node_ids)
     sizes = [len(ids)] if sizes is None else [int(size) for size in sizes]
     if not sizes or sum(sizes) != len(ids) or min(sizes) < 0:
@@ -471,55 +486,44 @@ def step_round(state: ProtocolState) -> RoundResult:
     # Client side: local filters and the beta decision, computed for every
     # row (the arithmetic is row-wise) and kept for the client rows: masks
     # cost less than gathering each input.
-    adapting_rows = phase == CLIENT_ADAPTIVE
-    client = adapting_rows | (phase == CLIENT_PREDICTING)
     d_new = _desired(samples, state.received_global, state.noise[:, r])
-    adapting = adapting_rows.nonzero()[0]
+    adapting = (phase == CLIENT_ADAPTIVE).nonzero()[0]
     if adapting.size:
-        # fmax maps a never-estimated (NaN) step size to 0.0.
-        mu = np.fmax(state.mu, 0.0)[state.point, None]
+        mu = state.mu[state.point, None]
         weights = _client_step(state.client_weight, samples, d_new, mu)[adapting]
         state.client_weight[adapting] = weights
         trace.updates.append((r, adapting, weights))
     errors = d_new - np.vecdot(samples, state.client_weight)
     error_new = trace.error_new[r]
-    np.copyto(error_new, errors, where=client)
-    loud = np.abs(errors) > state.beta
-    # Rows whose sink filter is (or is becoming) active always transmit.
-    sink_side = phase <= SINK_ADAPTIVE
+    np.copyto(error_new, errors, where=phase >= CLIENT_ADAPTIVE)
+    # Each row's case but its sink error, which the sink side decides.
+    case = 4 * phase + 2 * (np.abs(errors) > state.beta)
     transmit = trace.transmitted[r]
-    np.bitwise_or(sink_side, adapting_rows & loud, out=transmit)
-    silenced = (adapting_rows > loud).nonzero()[0]
-    restarted = (client > adapting_rows) & loud
+    transmit[:] = _SENDS[case]
     client_bad = adapting[:0]
     if not np.isfinite(error_new).all():
         client_bad = (~np.isfinite(error_new)).nonzero()[0]
     # Points from ``stop`` on have a non-finite client error: the sink side
     # runs only for the points before it, to find a lower point's sink error.
-    points = len(state.bounds) - 1
-    stop = state.point[client_bad[0]] if client_bad.size else points
+    stop = state.point[client_bad[0]] if client_bad.size else len(state.bounds) - 1
 
     # Wire: data blocks of transmitting nodes, as the sinks receive them.
     sent = transmit.nonzero()[0]
-    handed = to_sink_adaptive = sent[:0]
+    error_glob = trace.error_glob[r]
     if sent.size and stop > 0:
         u_sent, d_sent = state.sink_blocks[sent, r], state.sink_desired[sent, r]
 
         # Sink side: per point, the step-size estimate when one of its rows
-        # is raw (or none was made yet), one global sweep over this round's
-        # arrivals, then the alpha decision for rows whose sink filter is
-        # (or is becoming) active.  Point p's arrivals are rows
-        # cut[p]:cut[p + 1] of u_sent; raw rows always transmit, so they are
-        # among them.
+        # is raw, one global sweep over this round's arrivals, then their
+        # errors.  Point p's arrivals are rows cut[p]:cut[p + 1] of u_sent;
+        # raw rows always transmit, so they are among them.
         cut = sent.searchsorted(state.bounds).tolist()
         live = [p for p in range(stop) if cut[p] < cut[p + 1]]
-        raw_rows = phase == RAW_TRANSMIT
-        raw = raw_rows.nonzero()[0].searchsorted(state.bounds).tolist()
-        error_glob = trace.error_glob[r]
+        raw = (phase == RAW_TRANSMIT).nonzero()[0].searchsorted(state.bounds).tolist()
         for p in live:
             a, b = cut[p], cut[p + 1]
             u, d = u_sent[a:b], d_sent[a:b]
-            if state.auto_mu and (raw[p] < raw[p + 1] or math.isnan(state.mu[p])):
+            if state.auto_mu and raw[p] < raw[p + 1]:
                 cov = (u.T @ u) / u.shape[0]
                 # The absolute entry sum bounds every partial sum of the
                 # entries, so one NaN, infinity or overflowing sum shows here.
@@ -537,27 +541,19 @@ def step_round(state: ProtocolState) -> RoundResult:
         finite = np.isfinite(error_glob)
         if not finite.all():
             raise _diverged(state, np.argmin(finite), "sink")
-        if not client_bad.size:
-            near = np.abs(error_glob) <= state.alpha
-            handed = (sink_side & near).nonzero()[0]
-            to_sink_adaptive = raw_rows > near
     if client_bad.size:
         raise _diverged(state, client_bad[0], "client")
 
-    # The round's messages, in sending order: see KIND_BITS.
+    # The round's messages, in sending order (see KIND_BITS), and the
+    # end-of-round transitions: a handed-off row, sent the global weight,
+    # starts the next round adapting from it.
+    case += np.abs(error_glob) <= state.alpha
     kinds = trace.kinds[r]
-    np.multiply(transmit, _DATA_BLOCK, out=kinds)
-    kinds[silenced] = _NODE_WEIGHT
-    kinds[handed] = _HANDED
+    np.take(_KINDS, case, out=kinds)
     if r == 0:
         kinds |= _QUERY
-
-    # End-of-round transitions: a handed-off row starts the next round
-    # adapting from the global weight it was sent.
-    state.phase[to_sink_adaptive] = SINK_ADAPTIVE
-    state.phase[silenced] = CLIENT_PREDICTING
-    state.phase[restarted] = RAW_TRANSMIT
-    state.phase[handed] = CLIENT_ADAPTIVE
+    np.take(_NEXT, case, out=state.phase)
+    handed = (kinds & _GLOBAL).nonzero()[0]
     payload = state.global_weight[state.point[handed]]
     state.client_weight[handed] = state.received_global[handed] = payload
     state.round_index = r + 1

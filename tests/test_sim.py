@@ -567,5 +567,7 @@ def test_engine_points_may_differ_only_in_thresholds_and_selection():
     base = plan(scenario, "sweep", axis="beta", values=[0.1, 0.2])
     reseeded = replace(base, points=(scenario, small_scenario(seed=5)))
     for bad in (reseeded, plan(scenario, "sweep", axis="n_block", values=[4, 5])):
-        with pytest.raises(ValueError, match="only in thresholds and node selection"):
+        with pytest.raises(
+            DimensionMismatch, match="^engine points may differ only in thresholds and node selection$"
+        ):
             simulate_protocol(bad)

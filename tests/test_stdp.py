@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import global_ia_update, jacobi_eigenvalues, replay_client_updates
 from wsnadapt import stdp
-from wsnadapt.errors import DimensionMismatch, Diverged, NonFinite
+from wsnadapt.errors import DimensionMismatch, Diverged, InvalidParameter, NonFinite
 from wsnadapt.fieldgen import (
     ROLE_MEASURE,
     ROLE_PROTOCOL,
@@ -15,7 +15,7 @@ from wsnadapt.fieldgen import (
     substream,
 )
 from wsnadapt.numerics import max_eigenvalue
-from wsnadapt.sim import default_layout, default_scenario, plan, simulate_protocol
+from wsnadapt.sim import default_layout, default_scenario, plan, run_stdp, simulate_protocol
 from wsnadapt.stdp import (
     CLIENT_ADAPTIVE,
     CLIENT_PREDICTING,
@@ -419,8 +419,21 @@ def two_point_state(stream, mu=None, client_noise=None):
     )
 
 
-@pytest.mark.parametrize("mu", [0.01, None])
-def test_a_fixed_mu_runs_no_eigen_solve(monkeypatch, mu):
+@pytest.mark.parametrize("mu", [-0.01, 0.0, float("nan"), float("inf")])
+def test_an_explicit_mu_must_be_finite_and_positive(mu):
+    # A step size at or below 0 would run to the end (the sink stepping
+    # against the gradient, or nothing learning at all); a non-finite one
+    # would surface only as round 0's divergence.
+    _, stream = make_stream(2, seed=5)
+    with pytest.raises(InvalidParameter) as err:
+        two_point_state(stream, mu)
+    assert err.value.field == "mu_mode"
+    assert str(err.value) == f"mu_mode: must be 'auto' or > 0, got {mu!r}"
+
+
+@pytest.fixture
+def eigen_solves(monkeypatch):
+    """The shapes of the engine's eigen solves, one entry per call."""
     calls = []
 
     def counted(a):
@@ -428,6 +441,11 @@ def test_a_fixed_mu_runs_no_eigen_solve(monkeypatch, mu):
         return np.linalg.eigvalsh(a)
 
     monkeypatch.setattr(stdp, "eigvalsh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mu", [0.01, None])
+def test_a_fixed_mu_runs_no_eigen_solve(eigen_solves, mu):
     _, stream = make_stream(60, seed=5)
     state = two_point_state(stream, mu)
     with errstate():
@@ -435,10 +453,27 @@ def test_a_fixed_mu_runs_no_eigen_solve(monkeypatch, mu):
             step_round(state)
     assert state.trace.updates  # client filters stepped with the point's mu
     if mu is None:
-        assert calls and np.isfinite(state.mu).all()
+        assert eigen_solves and np.isfinite(state.mu).all()
     else:
-        assert calls == [] and state.auto_mu is False
+        assert eigen_solves == [] and state.auto_mu is False
         assert state.mu.tolist() == [mu, mu]
+
+
+def test_every_point_estimates_its_step_size_in_round_0(eigen_solves):
+    # Every row starts raw and transmits, so round 0 estimates each point's
+    # step size before any client filter steps with it.
+    _, stream = make_stream(2, seed=5)
+    state = two_point_state(stream)
+    assert state.auto_mu and np.isnan(state.mu).all()
+    with errstate():
+        step_round(state)
+    assert np.isfinite(state.mu).all()
+    assert eigen_solves == [(5, 5), (5, 5)]
+    beta_sweep = plan(default_scenario(num_blocks=2), "sweep", axis="beta", values=[0.05, 0.2])
+    run = simulate_protocol(beta_sweep)
+    for p in range(2):
+        mu = run_stdp(beta_sweep, run, p).metadata["mu"]
+        assert type(mu) is float and mu == run.mu[p] > 0
 
 
 def test_auto_mu_is_half_over_nodes_times_the_largest_eigenvalue():
@@ -603,6 +638,14 @@ def test_step_round_properties(case):
         assert np.array_equal(node_weight, (start == CLIENT_ADAPTIVE) & quiet)
         near = np.abs(trace.error_glob[r]) <= alpha
         assert np.array_equal(global_weight, (start <= SINK_ADAPTIVE) & near)
+
+        # Every row's next phase, by the phase table of the module docstring.
+        expected = start.copy()
+        expected[(start == RAW_TRANSMIT) & ~near] = SINK_ADAPTIVE
+        expected[(start <= SINK_ADAPTIVE) & near] = CLIENT_ADAPTIVE
+        expected[(start == CLIENT_ADAPTIVE) & quiet] = CLIENT_PREDICTING
+        expected[(start == CLIENT_PREDICTING) & ~quiet] = RAW_TRANSMIT
+        assert np.array_equal(state.phase, expected)
 
         suppressed += (start == CLIENT_PREDICTING) | ((start == CLIENT_ADAPTIVE) & quiet)
 
