@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatch, NoConvergence, NotPositiveDefinite, StepSizeOutOfRange, TargetUnreachable
+    DimensionMismatch, InvalidArgument, InvalidParameter, NoConvergence, NotPositiveDefinite,
+    StepSizeOutOfRange, TargetUnreachable,
 )
 from .fieldgen import CovariancePair, NodeLayout
 from .numerics import cholesky_factor, forward_substitute, max_eigenvalue
@@ -53,7 +54,7 @@ def step_size_bound(ruu) -> float:
     """Largest stable step size 2 / lambda_max(ruu)."""
     lam = max_eigenvalue(ruu)
     if lam <= 0:
-        raise ValueError("covariance has a non-positive dominant eigenvalue")
+        raise NotPositiveDefinite("covariance has a non-positive dominant eigenvalue")
     return 2.0 / lam
 
 
@@ -126,7 +127,7 @@ def select_nodes(
     that prefix directly.  Exactly one of the two must be given.
     """
     if (target is None) == (count is None):
-        raise ValueError("provide exactly one of target or count")
+        raise InvalidArgument("provide exactly one of target or count")
     m = layout.size
     if cov.order != m:
         raise DimensionMismatch(f"covariance of order {cov.order} for {m} nodes")
@@ -144,9 +145,9 @@ def select_nodes(
 
     if count is not None:
         if not 1 <= count <= m:
-            raise ValueError(f"count must be in [1, {m}], got {count}")
+            raise InvalidParameter("select_count", f"count must be in [1, {m}], got {count}")
     elif not 0.0 < target <= 1.0:
-        raise ValueError(f"target must be in (0, 1], got {target}")
+        raise InvalidArgument(f"target must be in (0, 1], got {target}")
     else:
         reached = np.flatnonzero(acc >= target)
         if not reached.size:

@@ -7,9 +7,9 @@ class WsnAdaptError(Exception):
 
 class NotPositiveDefinite(WsnAdaptError):
     """A matrix required to be SPD has a (numerically) non-positive pivot,
-    in column ``column``."""
+    in column ``column`` (None where no one pivot is named)."""
 
-    def __init__(self, message: str, column: int):
+    def __init__(self, message: str, column: int | None = None):
         self.column = column
         super().__init__(message)
 
@@ -52,8 +52,9 @@ class InvalidParameter(WsnAdaptError, ValueError):
         super().__init__(f"{self.field}: {reason}")
 
 
-class InvalidTheta(InvalidParameter):
-    """Range parameter of the correlation model must be positive."""
+class InvalidArgument(WsnAdaptError, ValueError):
+    """A Python caller's argument lies outside its range where no config key
+    holds it; ``InvalidParameter`` names the key where one does."""
 
 
 class UnknownNode(WsnAdaptError):

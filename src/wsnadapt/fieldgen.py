@@ -29,7 +29,6 @@ from .errors import (
     CsvFormatError,
     DimensionMismatch,
     InvalidParameter,
-    InvalidTheta,
     NonFinite,
     NotPositiveDefinite,
     UnknownNode,
@@ -120,7 +119,7 @@ class FieldParams:
     def __post_init__(self):
         # Each test is written so that NaN fails it.
         if not self.theta > 0:
-            raise InvalidTheta("field/theta", f"must be > 0, got {self.theta}")
+            raise InvalidParameter("field/theta", f"must be > 0, got {self.theta}")
         # Variances are squares, so each scale must square to a float.
         for k, sigma in enumerate(np.ravel(np.asarray(self.sigma_u, dtype=float)).tolist()):
             index = k if np.ndim(self.sigma_u) else None
@@ -167,8 +166,8 @@ class CovariancePair:
         object.__setattr__(self, "rdu", as_vector(self.rdu))
         if self.rdu.size != self.ruu.shape[0]:
             raise DimensionMismatch("rdu length must equal ruu order")
-        if self.sigma_d_sq <= 0:
-            raise ValueError("sigma_d_sq must be positive")
+        if not self.sigma_d_sq > 0:  # NaN too
+            raise InvalidParameter("field/sigma_d", "sigma_d_sq must be positive")
 
     @property
     def order(self) -> int:

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientHistory
+from .errors import DimensionMismatch, InsufficientHistory, InvalidArgument
 
 
 class Label(str, Enum):
@@ -62,9 +62,9 @@ def weight_variance(history: WeightHistory) -> float:
 def classify(variances: Mapping[int, float], kappa: float = 5.0) -> DetectionReport:
     """Label each node by comparing its variance to kappa * median(variances)."""
     if len(variances) < 2:
-        raise ValueError("need at least 2 nodes to classify")
-    if kappa <= 1:
-        raise ValueError(f"kappa must exceed 1, got {kappa}")
+        raise InsufficientHistory("need at least 2 nodes to classify")
+    if not kappa > 1:  # NaN too
+        raise InvalidArgument(f"kappa must exceed 1, got {kappa}")
     threshold = kappa * float(np.median(list(variances.values())))
     labels = {
         i: Label.MALICIOUS if v > threshold else Label.NORMAL

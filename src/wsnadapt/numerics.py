@@ -21,7 +21,9 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NonFinite, NotPositiveDefinite
+from .errors import (
+    DimensionMismatch, InvalidArgument, NoConvergence, NonFinite, NotPositiveDefinite
+)
 
 SYMMETRY_RTOL = 1e-12
 
@@ -95,8 +97,8 @@ def max_eigenvalue(a, tol: float = 1e-8, max_iter: int = 10_000) -> float:
     faster at that size and exact to rounding.
     """
     m = as_symmetric_matrix(a)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # NaN too
+        raise InvalidArgument("tol must be positive")
     v = np.ones(len(m))
     mv = m.dot(v)
     lam = float(v.dot(mv)) / float(v.dot(v))

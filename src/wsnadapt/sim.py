@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Iterator, Sequence
 
@@ -78,15 +79,18 @@ class Scenario:
             raise InvalidParameter("n_block", f"must be >= 1, got {self.n_block}")
         if not self.num_blocks >= 2:
             raise InvalidParameter("num_blocks", f"must be >= 2, got {self.num_blocks}")
-        if self.mu_mode != "auto" and (isinstance(self.mu_mode, str) or not self.mu_mode > 0):
-            raise InvalidParameter("mu_mode", f"must be 'auto' or > 0, got {self.mu_mode!r}")
+        mu = self.mu_mode
+        if mu != "auto" and (isinstance(mu, str) or not 0 < mu < math.inf):
+            raise InvalidParameter("mu_mode", f"must be 'auto' or > 0, got {mu!r}")
         if self.channel is not None:
             try:
-                10.0 ** (-self.channel / 10.0)
+                noise = 10.0 ** (-self.channel / 10.0)
             except OverflowError:
+                noise = math.inf
+            if not noise < math.inf:  # NaN too; an infinite channel means no noise
                 raise InvalidParameter(
                     "channel", f"must keep 10**(-channel/10) finite, got {self.channel}"
-                ) from None
+                )
         m = self.layout.size
         sigma = self.field.sigma_u
         if isinstance(sigma, tuple) and len(sigma) != m:
@@ -182,7 +186,7 @@ class RunReport:
     def __post_init__(self):
         for name, table in self.files.items():
             if not len(table):
-                raise ValueError(f"series {name} is empty")
+                raise DimensionMismatch(f"series {name} is empty")
             for heading, column in zip(table.header, table.columns):
                 if column.dtype.kind == "f":
                     bad = np.flatnonzero(~np.isfinite(column))
@@ -521,7 +525,9 @@ def run_detect(plan: RunPlan) -> RunReport:
     the ``kappa``, ``threshold`` and ``flagged`` of its metadata, whose
     ``kind`` is DETECT."""
     if plan.experiment != "detect":
-        raise ValueError(f"run_detect needs a detect plan, got a {plan.experiment} plan")
+        raise InvalidParameter(
+            "experiment", f"run_detect needs a detect plan, got a {plan.experiment} plan"
+        )
     state = simulate_protocol(plan)
     updates = state.trace.client_updates()
     # client_updates groups the log by row: one (k, n) block per node.
@@ -589,7 +595,7 @@ def scenario_for_point(scenario: Scenario, axis: str, value) -> Scenario:
         if not integral:
             raise InvalidParameter("select_count", f"must be an integer, got {value}")
         return replace(scenario, select_first=True, select_count=int(value))
-    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    raise InvalidParameter("sweep", f"axis {axis!r} is not one of {list(SWEEP_AXES)!r}")
 
 
 def sweep(plan: RunPlan) -> RunReport:
@@ -660,48 +666,37 @@ def sweep(plan: RunPlan) -> RunReport:
 # A chunk is one uint8 matrix, a row per CSV row: each column owns a run
 # of byte slots in it and a separator slot after them, and the matrix
 # starts NUL but for the separators.  A column encodes only its present
-# cells, as a matrix of their slots in
-# which a slot the cell does not use holds NUL, and copies them into its
-# run of each present row; an absent cell keeps its NULs.  Deleting every
-# NUL from the matrix's bytes leaves the chunk's CSV text.  A cell's slots
-# are gathered whole from small tables: an integer in [0, 10**4) from the
-# digit strings of its column's width, a name from its label's bytes, a
-# float's layout from its sign and exponent, and its digits from a table
-# of four-digit groups.  Writing one slot column of a row-major matrix at
-# a time costs a pass over the matrix per slot.  A chunk of 8192 rows
-# keeps its working arrays in cache: it encodes no slower than larger
-# chunks and holds less while its file is written.
+# cells, as a matrix of their slots in which a slot the cell does not use
+# holds NUL, and copies them into its run of each present row; an absent
+# cell keeps its NULs.  Deleting every NUL from the matrix's bytes leaves
+# the chunk's CSV text.  A cell's slots are gathered whole from small
+# tables: an integer in [0, 10**4) from the digit strings of its column's
+# width, a name from its label's bytes, a float's layout from its sign and
+# exponent, and its digits from a table of four-digit groups.  Any other
+# integer takes numpy's cast to bytes, which prints the digits of ``str``:
+# no output has one, so the exact path is also the simplest.  Writing one
+# slot column of a row-major matrix at a time costs a pass over the matrix
+# per slot.  A chunk of 8192 rows keeps its working arrays in cache: it
+# encodes no slower than larger chunks and holds less while its file is
+# written.
 CHUNK_ROWS = 8192
 
 
-def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
-    """The ASCII digits "0000" .. "9999" as little-endian uint32 words, and
-    each group's count of trailing zeros ("0000" has four)."""
+def _digit_groups() -> np.ndarray:
+    """The ASCII digits "0000" .. "9999" as little-endian uint32 words."""
     k = np.arange(10_000)
     digits = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1)
-    words = (digits + ord("0")).astype(np.uint8).view("<u4").ravel()
-    trailing = np.zeros(10_000, np.int64)
-    for t in range(1, 5):
-        trailing[k % 10**t == 0] = t
-    return words, trailing
+    return (digits + ord("0")).astype(np.uint8).view("<u4").ravel()
 
 
-_GROUP_WORDS, _GROUP_TRAILING = _digit_groups()
-
-
-def _small_ints() -> list[np.ndarray]:
-    """For each width w = 1 .. 4, the integers 0 .. 10**w - 1 as their
-    digits in w slots, NUL before the first digit, one ``V{w}`` item each."""
-    groups = _GROUP_WORDS.view(np.uint8).reshape(-1, 4)
-    lead = np.searchsorted([10, 100, 1000], np.arange(10_000), side="right")
-    groups = np.where(np.arange(4) >= 3 - lead[:, None], groups, 0)
-    return [
-        np.ascontiguousarray(groups[: 10**w, 4 - w :]).view(f"V{w}").ravel() for w in range(1, 5)
-    ]
-
-
-_SMALL_INTS = _small_ints()
-_INT_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_GROUP_WORDS = _digit_groups()
+_GROUPS = _GROUP_WORDS.view("S4")
+# Each group's count of trailing zeros ("0000" has four).
+_GROUP_TRAILING = 4 - np.strings.str_len(np.strings.rstrip(_GROUPS, b"0"))
+# For each width w = 1 .. 4, 0 .. 10**w - 1 in w slots, NUL after the digits.
+_DIGITS = np.strings.lstrip(_GROUPS, b"0")
+_DIGITS[0] = b"0"
+_SMALL_INTS = [_DIGITS[: 10**w].astype(f"S{w}") for w in range(1, 5)]
 # Every power of ten up to 10**22 is an exact double, so scaling by one
 # rounds only once.
 _POW10 = np.array([float(10**k) for k in range(23)])
@@ -805,29 +800,14 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
 
 
 def _int_cells(v: np.ndarray) -> np.ndarray:
-    """Integers as their decimal digits, a minus sign first if negative."""
+    """Integers as their decimal digits, a minus sign first if negative:
+    those in [0, 10**4) from the digit table, the rest by numpy's exact
+    cast to bytes."""
     low, high = int(v.min()), int(v.max())
     if low >= 0 and high < 10_000:
         width = len(str(high))
         return _SMALL_INTS[width - 1].take(v).view(np.uint8).reshape(len(v), width)
-    neg = v < 0
-    u = v.astype(np.uint64)
-    np.negative(u, out=u, where=neg)  # |v|, exact for the most negative int64 too
-    size = 4 * -(-len(str(int(u.max()))) // 4)
-    length = np.ones(len(v), np.intp)
-    for p in _INT_POW10[1:size]:
-        length += u >= p
-    # Digit-word masks by digit count, each keeping only the number's own digits.
-    keep = np.arange(size) >= size - np.arange(size + 1)[:, None]
-    words = np.where(keep, 0xFF, 0).astype(np.uint8).view("<u4").take(length, axis=0)
-    for g in reversed(range(1, size // 4)):
-        u, low = np.divmod(u, 10_000)
-        words[:, g] &= _GROUP_WORDS[low]
-    words[:, 0] &= _GROUP_WORDS[u]
-    cells = np.empty((len(v), 1 + size), np.uint8)
-    cells[:, 0] = np.where(neg, ord("-"), 0)
-    cells[:, 1:] = words.view(np.uint8)
-    return cells
+    return _text_cells(v.astype(np.bytes_))
 
 
 def _text_cells(v: np.ndarray) -> np.ndarray:

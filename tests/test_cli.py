@@ -1403,7 +1403,7 @@ def test_every_range_error_names_a_config_key():
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
-                and node.func.id in ("InvalidParameter", "InvalidTheta")
+                and node.func.id == "InvalidParameter"
             ):
                 assert isinstance(node.args[0], ast.Constant), f"{source.name}:{node.lineno}"
                 fields.append(node.args[0].value)
@@ -1427,6 +1427,34 @@ def test_only_fieldgen_reads_a_random_substream():
             if getattr(target, "id", getattr(target, "attr", None)) == "substream":
                 calls.append((source.name, owner.get(node)))
     assert sorted(calls) == [("fieldgen.py", "generate_stream"), ("fieldgen.py", "node_draws")]
+
+
+def test_every_raise_in_the_package_is_a_package_error():
+    """Each ``raise`` in the package re-raises or raises a ``WsnAdaptError``:
+    a class of ``errors`` called by name, or a helper whose return annotation
+    names one (``_diverged``, ``_config_error``, ``NotPositiveDefinite.naming``),
+    so ``except WsnAdaptError`` catches every refusal the package makes."""
+    package = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.WsnAdaptError)
+    }
+    trees = {s.name: ast.parse(s.read_text()) for s in Path(wsnadapt.__file__).parent.glob("*.py")}
+    returns = {
+        node.name: ast.unparse(node.returns).strip("'\"")
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.returns is not None
+    }
+    untyped = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                called = getattr(target, "id", getattr(target, "attr", None))
+                if called not in package and returns.get(called) not in package:
+                    untyped.append(f"{name}:{node.lineno}")
+    assert not untyped, untyped
 
 
 def test_every_error_class_is_raised_in_the_package():

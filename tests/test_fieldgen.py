@@ -5,7 +5,7 @@ from oracles import awgn_channel_per_node, pearson, random_layout
 from wsnadapt.errors import (
     CsvFormatError,
     DimensionMismatch,
-    InvalidTheta,
+    InvalidParameter,
     NonFinite,
     NotPositiveDefinite,
     UnknownNode,
@@ -42,7 +42,7 @@ def layout_two_nodes():
 
 def test_field_params_reject_non_positive_theta():
     for theta in (0.0, -1.0):
-        with pytest.raises(InvalidTheta):
+        with pytest.raises(InvalidParameter, match="field/theta"):
             FieldParams(theta=theta)
 
 

@@ -124,7 +124,7 @@ def test_classify_table_stable_over_kappa_range():
 
 
 def test_classify_argument_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientHistory):
         classify({1: 1.0})
     with pytest.raises(ValueError):
         classify(TABLE_VARIANCES, kappa=1.0)

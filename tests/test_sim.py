@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -8,9 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import gauss_solve
-from wsnadapt import ada, fieldgen, sim, stdp
+from wsnadapt import ada, fieldgen, malicious, numerics, sim, stdp
 from wsnadapt.errors import (
-    DimensionMismatch, Diverged, InvalidParameter, NonFinite, UnknownNode, WsnAdaptError
+    DimensionMismatch,
+    Diverged,
+    InsufficientHistory,
+    InvalidArgument,
+    InvalidParameter,
+    NonFinite,
+    NotPositiveDefinite,
+    UnknownNode,
+    WsnAdaptError,
 )
 from wsnadapt.fieldgen import FieldParams, NodeLayout, build_spatial_covariance, generate_stream
 from wsnadapt.sim import (
@@ -502,6 +511,8 @@ def test_library_input_checks_raise_typed_errors():
     layout = sim.default_layout()
     stream = generate_stream(layout, FieldParams(), 4, 2, seed=0)
     blocks, desired = np.zeros((2, 1, 3)), np.zeros((2, 1))
+    cov = build_spatial_covariance(layout, FieldParams())
+    stdp_plan = plan(default_scenario(num_blocks=3))
     cases = [
         (DimensionMismatch, "point sizes [3] do not split 2 node ids",
          lambda: stdp.new_protocol_state([1, 2], blocks, desired, Thresholds(), [3])),
@@ -517,6 +528,34 @@ def test_library_input_checks_raise_typed_errors():
          lambda: generate_stream(layout, FieldParams(), 4, 0, seed=0)),
         (NonFinite, "non-finite value in series x, row 0, column x: nan",
          lambda: RunReport({"x": Table(("i", "x"), (np.array([0]), np.array([np.nan])))}, {})),
+        (DimensionMismatch, "series x is empty",
+         lambda: RunReport({"x": Table(("x",), (np.array([], float),))}, {})),
+        (NotPositiveDefinite, "covariance has a non-positive dominant eigenvalue",
+         lambda: ada.step_size_bound(np.zeros((2, 2)))),
+        (InvalidArgument, "provide exactly one of target or count",
+         lambda: ada.select_nodes(layout, cov)),
+        (InvalidParameter, "select_count: count must be in [1, 10], got 11",
+         lambda: ada.select_nodes(layout, cov, count=11)),
+        (InvalidArgument, "target must be in (0, 1], got 0.0",
+         lambda: ada.select_nodes(layout, cov, target=0.0)),
+        (InvalidParameter, "field/sigma_d: sigma_d_sq must be positive",
+         lambda: fieldgen.CovariancePair(np.eye(1), np.ones(1), 0.0)),
+        (InvalidParameter, "field/sigma_d: sigma_d_sq must be positive",
+         lambda: fieldgen.CovariancePair(np.eye(1), np.ones(1), math.nan)),
+        (InsufficientHistory, "need at least 2 nodes to classify",
+         lambda: malicious.classify({1: 1.0})),
+        (InvalidArgument, "kappa must exceed 1, got 1.0",
+         lambda: malicious.classify({1: 1.0, 2: 2.0}, kappa=1.0)),
+        (InvalidArgument, "kappa must exceed 1, got nan",
+         lambda: malicious.classify({1: 1.0, 2: 2.0}, kappa=math.nan)),
+        (InvalidArgument, "tol must be positive",
+         lambda: numerics.max_eigenvalue(np.eye(2), tol=0.0)),
+        (InvalidArgument, "tol must be positive",
+         lambda: numerics.max_eigenvalue(np.eye(2), tol=math.nan)),
+        (InvalidParameter, "experiment: run_detect needs a detect plan, got a stdp plan",
+         lambda: run_detect(stdp_plan)),
+        (InvalidParameter, "sweep: axis 'theta' is not one of ['beta', 'n_block', 'node_count']",
+         lambda: scenario_for_point(default_scenario(), "theta", 1.0)),
     ]
     for cls, message, call in cases:
         with pytest.raises(WsnAdaptError) as err:
@@ -552,6 +591,29 @@ def test_scenario_validation():
         default_scenario(malicious=MaliciousSpec(node_ids=(99,), scale=6.0))
     with pytest.raises(ValueError):
         default_scenario(select_count=11)
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"mu_mode": math.inf}, "mu_mode: must be 'auto' or > 0, got inf"),
+        ({"channel": math.nan}, "channel: must keep 10**(-channel/10) finite, got nan"),
+        ({"channel": -math.inf}, "channel: must keep 10**(-channel/10) finite, got -inf"),
+    ],
+)
+def test_plan_refuses_a_non_finite_mu_mode_or_channel(override, message):
+    """The plan refuses what the run cannot do: an infinite mu fails the
+    protocol state, and a NaN or -inf channel makes round 0 diverge."""
+    with pytest.raises(InvalidParameter) as err:
+        plan(default_scenario(num_blocks=3, **override))
+    assert str(err.value) == message
+
+
+def test_an_infinite_channel_runs_as_no_channel():
+    bare, infinite = (
+        execute(plan(default_scenario(num_blocks=3, channel=c))) for c in (None, math.inf)
+    )
+    assert csv_files(bare) == csv_files(infinite)
 
 
 def test_default_scenario_fits_select_count_to_a_small_layout():
