@@ -106,8 +106,8 @@ def select_nodes(
     target: float | None = None,
     count: int | None = None,
 ) -> NodeSelection:
-    """Rank nodes by ascending sink distance (id breaks ties) and evaluate
-    the optimal-weight accuracy of every prefix.
+    """Rank nodes by ``layout.sink_ranking()`` (ascending sink distance, id
+    breaking ties) and evaluate the optimal-weight accuracy of every prefix.
 
     ``cov`` is the layout's spatial covariance in layout order (as
     ``build_spatial_covariance`` returns it); it is restricted to the
@@ -124,15 +124,19 @@ def select_nodes(
 
     With ``target`` returns the smallest prefix reaching it (raising
     TargetUnreachable if even the full set misses); with ``count`` returns
-    that prefix directly.  Exactly one of the two must be given.
+    that prefix directly.  Exactly one of the two must be given; a bad
+    ``count`` or ``target`` is refused before anything is factored.
     """
     if (target is None) == (count is None):
         raise InvalidArgument("provide exactly one of target or count")
     m = layout.size
     if cov.order != m:
         raise DimensionMismatch(f"covariance of order {cov.order} for {m} nodes")
-    dist = layout.sink_distances()
-    ranked = sorted(range(m), key=lambda k: (dist[k], layout.node_ids[k]))
+    if count is not None and not 1 <= count <= m:
+        raise InvalidParameter("select_count", f"count must be in [1, {m}], got {count}")
+    if target is not None and not 0.0 < target <= 1.0:
+        raise InvalidArgument(f"target must be in (0, 1], got {target}")
+    ranked = layout.sink_ranking()
     order = tuple(layout.node_ids[k] for k in ranked)
 
     cov = cov.restrict(ranked)
@@ -143,12 +147,7 @@ def select_nodes(
     y = forward_substitute(low, cov.rdu)
     acc = np.cumsum(y * y) / cov.sigma_d_sq
 
-    if count is not None:
-        if not 1 <= count <= m:
-            raise InvalidParameter("select_count", f"count must be in [1, {m}], got {count}")
-    elif not 0.0 < target <= 1.0:
-        raise InvalidArgument(f"target must be in (0, 1], got {target}")
-    else:
+    if target is not None:
         reached = np.flatnonzero(acc >= target)
         if not reached.size:
             raise TargetUnreachable(

@@ -99,6 +99,11 @@ class NodeLayout:
         p = np.asarray(self.positions, dtype=float)
         return np.hypot(p[:, 0] - self.sink[0], p[:, 1] - self.sink[1])
 
+    def sink_ranking(self) -> list[int]:
+        """Node positions (indices) by ascending sink distance, id breaking ties."""
+        dist = self.sink_distances()
+        return sorted(range(self.size), key=lambda k: (dist[k], self.node_ids[k]))
+
     def pair_distances(self) -> np.ndarray:
         p = np.asarray(self.positions, dtype=float)
         dx = p[:, 0][:, None] - p[:, 0][None, :]

@@ -253,15 +253,13 @@ def sensed_nodes(
     points: Sequence[Scenario], stream: Stream | None = None, detect: bool = False
 ) -> list[tuple[int, ...]]:
     """Each point's nodes, ids ascending: the layout's, or with ``select_first``
-    the ``select_count`` nearest the sink (one ranking for all points, which
-    share a layout), that a given ``stream`` holds.  UnknownNode refuses a
-    stream holding id 0, no layout node, none of a point's nodes or, for
-    ``detect``, fewer than 2; InvalidParameter an unsensed corrupted node."""
+    the ``select_count`` first of ``layout.sink_ranking()`` (one ranking for
+    all points, which share a layout), that a given ``stream`` holds.
+    UnknownNode refuses a stream holding id 0, no layout node, none of a
+    point's nodes or, for ``detect``, fewer than 2; InvalidParameter an
+    unsensed corrupted node."""
     layout = points[0].layout
-    order = layout.node_ids
-    if any(p.select_first for p in points):
-        cov = build_spatial_covariance(layout, points[0].field)
-        order = ada.select_nodes(layout, cov, count=layout.size).order
+    order = [layout.node_ids[k] for k in layout.sink_ranking()]
     ids = list(layout.node_ids if stream is None else stream.node_ids)
     present = set(ids)
     if 0 in present:
@@ -312,7 +310,8 @@ def plan(scenario: Scenario, experiment: str = "stdp", stream=None, axis=None, v
     section or stream the experiment takes none of, ``malicious`` beside a
     stream, a detect run with nothing to detect or under 2 nodes, and a bad
     sweep value (``point`` is its index) before the file is read and
-    ``sensed_nodes`` runs."""
+    ``sensed_nodes`` runs.  A plan builds no covariance and factors
+    nothing, so a degenerate layout is refused by the run itself."""
     values = tuple(values)
     if experiment not in EXPERIMENTS:
         raise InvalidParameter("experiment", f"{experiment!r} is not one of {list(EXPERIMENTS)!r}")
@@ -468,14 +467,11 @@ def run_stdp(
     rounds, m = trace.phase[:, rows].shape
     phase = trace.phase[:, rows].ravel()
     transmitted = trace.transmitted[:, rows].ravel()
+    pct, total = stdp.transmission_percentages(state, point)
     files = {
         "stdp_transmission.csv": Table(
             ("beta", "node_id", "pct"),
-            (
-                np.full(m, scenario.thresholds.beta),
-                ids,
-                stdp.transmission_percentage(state)[rows],
-            )
+            (np.full(m, scenario.thresholds.beta), ids, pct),
         ),
         "message_trace.csv": Table(
             ("round", "node_id", "phase", "kind", "error_glob", "error_new", "transmitted"),
@@ -512,7 +508,7 @@ def run_stdp(
     metadata.update(
         {
             "active_nodes": list(state.node_ids[rows]),
-            "total_percentage": stdp.total_percentages(state)[point],
+            "total_percentage": total,
             "mu": float(state.mu[point]),
         }
     )

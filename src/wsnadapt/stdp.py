@@ -253,29 +253,14 @@ class ProtocolState:
         return slice(*self.bounds[point:point + 2])
 
 
-def _sent(state: ProtocolState) -> np.ndarray:
-    """Blocks each row transmitted in the rounds run so far."""
-    return state.trace.transmitted[: state.round_index].sum(axis=0)
-
-
-def transmission_percentage(state: ProtocolState) -> np.ndarray:
-    """Percentage of sensed blocks each row actually transmitted."""
-    if state.round_index == 0 or not state.node_ids:
-        raise DimensionMismatch(
-            f"no transmission percentage: {state.round_index} rounds over "
-            f"{len(state.node_ids)} nodes"
-        )
-    return 100.0 * _sent(state) / state.round_index
-
-
-def total_percentages(state: ProtocolState) -> list[float]:
-    """Percentage of all its sensed blocks each point transmitted."""
-    sent = _sent(state)
-    bounds = state.bounds
-    return [
-        100.0 * int(sent[a:b].sum()) / (state.round_index * (b - a))
-        for a, b in zip(bounds, bounds[1:])
-    ]
+def transmission_percentages(state: ProtocolState, point: int) -> tuple[np.ndarray, float]:
+    """Percentage of its sensed blocks each row of ``point`` transmitted in
+    the rounds run so far, and the percentage of all the point's blocks."""
+    rounds = state.round_index
+    sent = state.trace.transmitted[:rounds, state.rows(point)].sum(axis=0)
+    if rounds == 0 or not sent.size:
+        raise DimensionMismatch(f"no transmission percentage: {rounds} rounds over {sent.size} nodes")
+    return 100.0 * sent / rounds, 100.0 * int(sent.sum()) / (rounds * sent.size)
 
 
 class TraceRow(NamedTuple):

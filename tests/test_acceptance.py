@@ -21,7 +21,7 @@ from wsnadapt.stdp import (
     KIND_BITS,
     MessageKind,
     Thresholds,
-    transmission_percentage,
+    transmission_percentages,
 )
 
 from test_malicious import TABLE_LABELS, TABLE_VARIANCES, TABLE_WEIGHTS, scalar_history
@@ -287,7 +287,7 @@ def test_criterion_11_protocol_safety_under_fuzzing():
         assert np.all(np.abs(trace.error_new[node_weight]) <= thresholds.beta)
         sent = trace.transmitted.sum(axis=0)
         kept = (~trace.transmitted).sum(axis=0)
-        pct = transmission_percentage(state)
+        pct, _ = transmission_percentages(state, 0)
         assert pct.tobytes() == (100 * sent / num_rounds).tobytes()
         assert np.all(sent + kept == num_rounds) and state.round_index == num_rounds
         rounds_done += num_rounds

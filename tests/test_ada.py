@@ -23,7 +23,7 @@ from wsnadapt.errors import (
     TargetUnreachable,
 )
 from wsnadapt.fieldgen import FieldParams, NodeLayout, build_spatial_covariance
-from wsnadapt.numerics import cholesky_factor
+from wsnadapt.numerics import cholesky_factor, max_eigenvalue
 from wsnadapt.sim import default_layout
 
 
@@ -40,6 +40,17 @@ def random_cov(rng, m: int) -> CovariancePair:
 
 def error_of(cov: CovariancePair, w) -> float:
     return quadratic_error(cov.ruu, cov.rdu, cov.sigma_d_sq, w)
+
+
+def test_a_matrix_with_negative_entries_takes_its_true_largest_eigenvalue():
+    # All ones is an eigenvector of eigenvalue 1, orthogonal to the
+    # dominant one: a power iteration from it would stop at 1.
+    ruu = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    assert max_eigenvalue(ruu) == pytest.approx(3.0, rel=1e-15)
+    assert step_size_bound(ruu) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    trace = steepest_descent(CovariancePair(ruu, np.array([1.0, -1.0]), 4.0))
+    assert trace.iterations == 1
+    assert np.allclose(trace.final_weight, [1.0 / 3.0, -1.0 / 3.0], rtol=1e-15, atol=0)
 
 
 def test_step_size_bound_trivials():

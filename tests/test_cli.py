@@ -16,7 +16,7 @@ import pytest
 
 import wsnadapt
 from test_sim import counting
-from wsnadapt import ada, errors, sim
+from wsnadapt import errors, sim
 from wsnadapt.cli import _CONFIG, _config_error, _write_atomic, main, parse_config
 from wsnadapt.errors import InvalidParameter, SchemaError
 from wsnadapt.fieldgen import FieldParams, NodeLayout
@@ -655,8 +655,8 @@ def test_detect_that_senses_no_corrupted_node_is_a_config_error(tmp_path, capsys
 
 @pytest.mark.parametrize("select_first", [True, False])
 def test_a_detect_run_decides_its_nodes_once(tmp_path, monkeypatch, select_first):
-    # validate and run each build one plan, which ranks the nodes at most
-    # once; the run itself reads the plan's groups.
+    # validate and run each build one plan, which ranks the nodes once;
+    # the run itself reads the plan's groups.
     doc = {
         "experiment": "detect",
         "select_first": select_first,
@@ -665,11 +665,11 @@ def test_a_detect_run_decides_its_nodes_once(tmp_path, monkeypatch, select_first
     }
     path = write_config(tmp_path, doc)
     ranked, planned = [], []
-    counting(monkeypatch, ada, "select_nodes", ranked)
+    counting(monkeypatch, NodeLayout, "sink_ranking", ranked)
     counting(monkeypatch, sim, "sensed_nodes", planned)
     for command, plans in (("validate", 1), ("run", 2)):
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert (len(ranked), len(planned)) == (plans * select_first, plans), command
+        assert (len(ranked), len(planned)) == (plans, plans), command
 
 
 @pytest.mark.parametrize(

@@ -353,17 +353,32 @@ def test_an_unusable_stream_is_refused_before_round_0(monkeypatch, run, node_ids
 
 def test_sensed_nodes_ranks_once_for_all_points(monkeypatch):
     calls = []
-    counting(monkeypatch, ada, "select_nodes", calls)
+    counting(monkeypatch, NodeLayout, "sink_ranking", calls)
     points = [scenario_for_point(small_scenario(), "node_count", k) for k in (6, 2, 4)]
     assert sensed_nodes([small_scenario(), *points]) == [
         tuple(range(1, 11)), (2, 4, 5, 7, 9, 10), (2, 5), (2, 4, 5, 10)
     ]
     assert len(calls) == 1
     stream = stream_of((1, 2, 3, 4, 99), small_scenario())
+    calls.clear()
     assert sensed_nodes(points, stream) == [(2, 4), (2,), (2, 4)]
+    assert len(calls) == 1
     calls.clear()
     sweep(plan(small_scenario(), "sweep", axis="node_count", values=[6, 2, 4]))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("experiment", ["stdp", "detect"])
+def test_a_select_first_plan_builds_no_covariance_and_factors_nothing(monkeypatch, experiment):
+    calls = []
+    for module in (fieldgen, sim):
+        counting(monkeypatch, module, "build_spatial_covariance", calls)
+    for module in (numerics, fieldgen, ada):
+        counting(monkeypatch, module, "cholesky_factor", calls)
+    spec = MaliciousSpec(node_ids=(2, 5), scale=6.0) if experiment == "detect" else None
+    scenario = small_scenario(select_first=True, select_count=4, malicious=spec)
+    assert plan(scenario, experiment).groups == ((2, 4, 5, 10),)
+    assert calls == []
 
 
 def test_a_multi_point_channel_run_draws_each_nodes_channel_noise_once(monkeypatch):
@@ -504,10 +519,10 @@ def test_report_absent_cells_are_masked_not_nan():
     assert str(err.value) == "non-finite value in series trace, row 2, column error: inf"
 
 
-def test_library_input_checks_raise_typed_errors():
+def test_library_input_checks_raise_typed_errors(monkeypatch):
     """Inputs that only a Python caller can build, past the config checks,
     are refused with a package error class, so ``except WsnAdaptError``
-    catches each one."""
+    catches each one; ``select_nodes`` refuses before it factors."""
     layout = sim.default_layout()
     stream = generate_stream(layout, FieldParams(), 4, 2, seed=0)
     blocks, desired = np.zeros((2, 1, 3)), np.zeros((2, 1))
@@ -548,19 +563,18 @@ def test_library_input_checks_raise_typed_errors():
          lambda: malicious.classify({1: 1.0, 2: 2.0}, kappa=1.0)),
         (InvalidArgument, "kappa must exceed 1, got nan",
          lambda: malicious.classify({1: 1.0, 2: 2.0}, kappa=math.nan)),
-        (InvalidArgument, "tol must be positive",
-         lambda: numerics.max_eigenvalue(np.eye(2), tol=0.0)),
-        (InvalidArgument, "tol must be positive",
-         lambda: numerics.max_eigenvalue(np.eye(2), tol=math.nan)),
         (InvalidParameter, "experiment: run_detect needs a detect plan, got a stdp plan",
          lambda: run_detect(stdp_plan)),
         (InvalidParameter, "sweep: axis 'theta' is not one of ['beta', 'n_block', 'node_count']",
          lambda: scenario_for_point(default_scenario(), "theta", 1.0)),
     ]
+    factored = []
+    counting(monkeypatch, ada, "cholesky_factor", factored)
     for cls, message, call in cases:
         with pytest.raises(WsnAdaptError) as err:
             call()
         assert type(err.value) is cls and str(err.value) == message
+    assert factored == []
 
 
 def test_config_hash_stable_and_sensitive(default_scenario):

@@ -33,9 +33,8 @@ from wsnadapt.stdp import (
     initial_weight,
     kinds_of,
     new_protocol_state,
-    total_percentages,
     step_round,
-    transmission_percentage,
+    transmission_percentages,
 )
 
 
@@ -221,15 +220,15 @@ def test_step_round_huge_alpha_hands_off_everyone():
 def test_step_round_beta_zero_never_stops():
     layout, stream = make_stream(40, seed=2)
     state, rows, _ = drive(layout, stream, Thresholds(alpha=0.5, beta=0.0), noise_seed=2)
-    pct = transmission_percentage(state)
-    assert all(p == 100.0 for p in pct)
+    pct, total = transmission_percentages(state, 0)
+    assert all(p == 100.0 for p in pct) and total == 100.0
     assert all(r.transmitted for r in rows)
 
 
 def test_step_round_huge_beta_floor():
     layout, stream = make_stream(50, seed=3)
     state, rows, _ = drive(layout, stream, Thresholds(alpha=1e9, beta=1e9), noise_seed=3)
-    pct = transmission_percentage(state)
+    pct, _ = transmission_percentages(state, 0)
     assert all(p == pytest.approx(100.0 / 50) for p in pct)
 
 
@@ -238,10 +237,11 @@ def test_mode_exclusivity_and_conservation():
     state, rows, _ = drive(layout, stream, Thresholds(alpha=0.5, beta=0.05), noise_seed=4)
     for row in rows:
         assert not (row.phase is Phase.CLIENT_PREDICTING and row.transmitted)
+    pct, _ = transmission_percentages(state, 0)
     for k, i in enumerate(state.node_ids):
         sent = sum(r.transmitted for r in rows if r.node_id == i)
         kept = sum(not r.transmitted for r in rows if r.node_id == i)
-        assert transmission_percentage(state)[k] == 100.0 * sent / 120
+        assert pct[k] == 100.0 * sent / 120
         assert sent + kept == state.round_index == 120
 
 
@@ -269,7 +269,8 @@ def test_trace_is_deterministic():
     a = drive(layout, stream, Thresholds(0.5, 0.05), noise_seed=6)
     b = drive(layout, stream, Thresholds(0.5, 0.05), noise_seed=6)
     assert a[1] == b[1]
-    assert np.array_equal(transmission_percentage(a[0]), transmission_percentage(b[0]))
+    (pct_a, total_a), (pct_b, total_b) = (transmission_percentages(s[0], 0) for s in (a, b))
+    assert np.array_equal(pct_a, pct_b) and total_a == total_b
     assert np.array_equal(a[0].global_weight, b[0].global_weight)
 
 
@@ -355,16 +356,23 @@ def idle_state(ids, rounds):
 
 def test_transmission_percentage_trivials():
     state = idle_state([1, 2], rounds=10)
-    with pytest.raises(DimensionMismatch, match="0 rounds over 2 nodes"):
-        transmission_percentage(state)
+    with pytest.raises(DimensionMismatch, match="^no transmission percentage: 0 rounds over 2 nodes$"):
+        transmission_percentages(state, 0)
     state.trace.transmitted[:, 0] = True
     state.round_index = 10
-    pct = transmission_percentage(state)
-    assert pct.tolist() == [100.0, 0.0]
+    pct, total = transmission_percentages(state, 0)
+    assert pct.tolist() == [100.0, 0.0] and total == 50.0
     nobody = idle_state([], rounds=10)
     nobody.round_index = 10
     with pytest.raises(DimensionMismatch, match="10 rounds over 0 nodes"):
-        transmission_percentage(nobody)
+        transmission_percentages(nobody, 0)
+    # A point of no nodes beside one of two, after 4 rounds.
+    blocks, desired = np.zeros((2, 4, 3)), np.zeros((2, 4))
+    empty_point = new_protocol_state([1, 2], blocks, desired, Thresholds(), sizes=[2, 0])
+    empty_point.round_index = 4
+    assert transmission_percentages(empty_point, 0)[1] == 0.0
+    with pytest.raises(DimensionMismatch, match="^no transmission percentage: 4 rounds over 0 nodes$"):
+        transmission_percentages(empty_point, 1)
 
 
 def test_total_percentages_read_each_points_rows():
@@ -384,12 +392,13 @@ def test_total_percentages_read_each_points_rows():
     with errstate():
         for _ in range(40):
             step_round(state)
-    totals = total_percentages(state)
-    assert totals[0] == 100.0
-    assert totals[1] == pytest.approx(100.0 / 40)
+    (pct_0, total_0), (pct_1, total_1) = (transmission_percentages(state, p) for p in (0, 1))
+    assert total_0 == 100.0 and pct_0.tolist() == [100.0] * m
+    assert total_1 == pytest.approx(100.0 / 40)
     sent = state.trace.transmitted.sum(axis=0)
-    for p, total in enumerate(totals):
+    for p, (pct, total) in enumerate([(pct_0, total_0), (pct_1, total_1)]):
         assert total == pytest.approx(100.0 * sent[state.rows(p)].mean() / 40, rel=1e-15)
+        assert np.array_equal(pct, 100.0 * sent[state.rows(p)] / 40)
 
 
 def test_thresholds_validation():
@@ -558,7 +567,8 @@ def test_stream_rows_follow_node_ids_for_an_unsorted_layout():
     state, rows, _ = drive(layout, stream, Thresholds(0.5, 0.05), noise_seed=13)
     run = simulate_protocol(plan(default_scenario(layout=layout, seed=13), stream=stream))
     assert np.array_equal(state.trace.transmitted, run.trace.transmitted)
-    assert np.array_equal(transmission_percentage(state), transmission_percentage(run))
+    (pct, total), (run_pct, run_total) = (transmission_percentages(s, 0) for s in (state, run))
+    assert np.array_equal(pct, run_pct) and total == run_total
     assert np.array_equal(state.global_weight, run.global_weight)
     assert [r.phase for r in rows] == [PHASES[code] for code in run.trace.phase.ravel()]
 
@@ -652,7 +662,8 @@ def test_step_round_properties(case):
     # Sent plus suppressed blocks make up every row's rounds.
     sent = trace.transmitted.sum(axis=0)
     assert np.array_equal(sent + suppressed, np.full(m, rounds))
-    assert np.array_equal(transmission_percentage(state), 100.0 * sent / rounds)
+    pct = [transmission_percentages(state, p)[0] for p in range(len(sizes))]
+    assert np.array_equal(np.concatenate(pct), 100.0 * sent / rounds)
 
 
 @pytest.mark.parametrize("points", [1, 2])
