@@ -90,6 +90,26 @@ class NodeLayout:
         if len(set(ids)) != len(ids):
             repeated = sorted({i for i in ids if ids.count(i) > 1})
             raise InvalidParameter("layout/node_ids", f"ids {repeated} occur more than once")
+        # Every distance must be finite: each coordinate is, and so is the
+        # diagonal of the box around the nodes and the sink, which bounds
+        # every distance between them (Python floats overflow silently).
+        points = np.array([*self.positions, self.sink], dtype=float)
+        finite = np.isfinite(points).all(axis=1)
+        if not finite.all():
+            raise self._refusal(int(np.argmin(finite)), points, "is not finite")
+        high, low = points.max(axis=0).tolist(), points.min(axis=0).tolist()
+        if not math.isfinite(math.hypot(high[0] - low[0], high[1] - low[1])):
+            # The point farthest from the coordinate-wise median is named.
+            centre = np.sort(points, axis=0)[len(points) // 2].tolist()
+            far = max(range(len(points)), key=lambda k: math.dist(points[k].tolist(), centre))
+            raise self._refusal(far, points, "lies too far from the others for a finite distance")
+
+    def _refusal(self, k: int, points: np.ndarray, reason: str) -> InvalidParameter:
+        """The refusal of ``points[k]``: node k's position, or the sink's past the nodes."""
+        where = tuple(points[k].tolist())
+        if k == self.size:
+            return InvalidParameter("layout/sink", f"the sink at {where} {reason}")
+        return InvalidParameter("layout/positions", f"node {self.node_ids[k]} at {where} {reason}", k)
 
     @property
     def size(self) -> int:
@@ -380,6 +400,7 @@ def inject_malicious(
     return Stream(stream.node_ids, blocks, desired)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def awgn_channel(
     blocks: np.ndarray, desired: np.ndarray, noise: np.ndarray, snr_db: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -392,7 +413,9 @@ def awgn_channel(
     noise variance is its mean-square sample power scaled by
     10**(-snr_db/10), applied to its samples and its desired scalar as
     ``Generator.normal(0.0, std, n + 1)`` scales its draws.  The result is
-    written into ``noise``, and the returned arrays are views of it.
+    written into ``noise``, and the returned arrays are views of it.  A
+    block whose squares overflow gets a non-finite result, silently: the
+    round whose sink reads it raises ``Diverged``.
     """
     n = blocks.shape[-1]
     std = np.sqrt(np.mean(blocks**2, axis=-1) * 10.0 ** (-snr_db / 10.0))

@@ -405,27 +405,26 @@ def simulate_protocol(plan: RunPlan) -> stdp.ProtocolState:
     else:
         blocks = np.concatenate([s.blocks for s in streams])
         desired = np.concatenate([s.desired for s in streams])
-    with stdp.errstate():
-        received = None
-        if scenario.channel is not None:
-            # Every block crosses the channel before round 0, and a round
-            # reads what the sinks receive of the blocks its rows send: a
-            # (node, block) gets the same noise in every point, whatever the
-            # node sent before.
-            noise = node_draws(scenario.seed, ROLE_CHANNEL, active, num_blocks, blocks.shape[2] + 1)
-            received = fieldgen.awgn_channel(blocks, desired, noise[node_row], scenario.channel)
-        state = stdp.new_protocol_state(
-            ids,
-            blocks,
-            desired,
-            [point.thresholds for point in points],
-            sizes=[len(group) for group in groups],
-            mu=scenario.mu,
-            client_noise=draws[node_row],
-            received=received,
-        )
-        for _ in range(num_blocks):
-            stdp.step_round(state)
+    received = None
+    if scenario.channel is not None:
+        # Every block crosses the channel before round 0, and a round
+        # reads what the sinks receive of the blocks its rows send: a
+        # (node, block) gets the same noise in every point, whatever the
+        # node sent before.
+        noise = node_draws(scenario.seed, ROLE_CHANNEL, active, num_blocks, blocks.shape[2] + 1)
+        received = fieldgen.awgn_channel(blocks, desired, noise[node_row], scenario.channel)
+    state = stdp.new_protocol_state(
+        ids,
+        blocks,
+        desired,
+        [point.thresholds for point in points],
+        sizes=[len(group) for group in groups],
+        mu=scenario.mu,
+        client_noise=draws[node_row],
+        received=received,
+    )
+    for _ in range(num_blocks):
+        stdp.step_round(state)
     return state
 
 

@@ -38,12 +38,11 @@ round.  ``new_protocol_state`` takes the run's inputs and checks them: the
 ``(rows, rounds, n)`` sensed blocks, the desired values and client noise
 draws, what the sinks receive of each block, and the alpha and beta of
 every row.  It allocates the run's ``Trace``, the only record of the run:
-sent-block counts are read off its ``transmitted`` column and each round's
-messages off its ``kinds``.  Round
-r, ``step_round(state)``, takes the ``(rows, n)`` matrix U of the round's
-blocks and the desired vector d, reads what each row does off one table of
-cases, writes its columns into trace row r in place and appends its
-client-filter updates to the trace's log; it copies no per-round state:
+each round's messages, sent blocks among them, are read off its ``kinds``.
+Round r, ``step_round(state)``, takes the ``(rows, n)`` matrix U of the
+round's blocks and the desired vector d, reads what each row does off one
+table of cases, writes its columns into trace row r in place and appends
+its client-filter updates to the trace's log; it copies no per-round state:
 
 1. client side, rows in a client phase: d' = U.Wr + noise; adapting rows
    step Wc += mu U (d' - U.Wc); the error e' = d' - U.Wc is held against
@@ -61,16 +60,18 @@ client-filter updates to the trace's log; it copies no per-round state:
 
 Row dot products use ``np.vecdot``, which sums each row in the order of a
 1-D ``u @ w``, and the sweep adds its terms row by row in ascending id
-order, so the array round reproduces the per-node arithmetic bit for bit.
+order, so the client side and the sweep reproduce the per-node arithmetic
+bit for bit.  The sink errors do not: they are one 2-D ``d - U @ w`` per
+point, whose rows may differ from a per-node ``u @ w`` in the last bit.
 Row-wise operations give every point the bits it would get alone.  The
 sink side does not batch across points: the bits of a 2-D ``U @ w`` and of
 the sweep's column sums depend on how many rows they are given, so each
 point's step-size estimate, sweep and errors run over exactly its own
 received rows, one point after another.  A full run is a deterministic
 function of (inputs, thresholds), and each point of a batch equals its run
-alone.  The first non-finite error stops the run with ``Diverged``;
-overflow on the way there is expected, so rounds run inside
-``errstate()``, entered once per run.
+alone.  The first non-finite error stops the run with ``Diverged``; a
+diverging filter overflows on its way there, and ``step_round`` ignores
+overflow and invalid operations itself, so a caller holds no error state.
 """
 
 from __future__ import annotations
@@ -119,19 +120,20 @@ _QUERY, _NODE, _DATA, _GLOBAL = KIND_BITS.values()
 
 # The phase table of the module docstring, as a round reads it.  Row k's
 # case is 4 * phase + 2 * loud + near, where loud is its client error
-# |e'| > beta and near its sink error |e| <= alpha.  Per case: whether the
-# row sends its data block, its round's KIND_BITS mask (but QUERY) and its
-# phase in the next round.
-_SENDS, _KINDS, _NEXT = np.array(
+# |e'| > beta and near its sink error |e| <= alpha.  Per case: its round's
+# KIND_BITS mask (but QUERY), whose DATA_BLOCK bit says whether the row
+# sends its block, and its phase in the next round.  Whether a row sends
+# does not depend on near, which the sink side decides after the wire.
+_KINDS, _NEXT = np.array(
     [
         # (quiet, far), (quiet, near), (loud, far), (loud, near)
-        [(1, _DATA, SINK_ADAPTIVE), (1, _DATA | _GLOBAL, CLIENT_ADAPTIVE)] * 2,  # RAW_TRANSMIT
-        [(1, _DATA, SINK_ADAPTIVE), (1, _DATA | _GLOBAL, CLIENT_ADAPTIVE)] * 2,  # SINK_ADAPTIVE
-        [(0, _NODE, CLIENT_PREDICTING)] * 2 + [(1, _DATA, CLIENT_ADAPTIVE)] * 2,  # CLIENT_ADAPTIVE
-        [(0, 0, CLIENT_PREDICTING)] * 2 + [(0, 0, RAW_TRANSMIT)] * 2,  # CLIENT_PREDICTING
+        [(_DATA, SINK_ADAPTIVE), (_DATA | _GLOBAL, CLIENT_ADAPTIVE)] * 2,  # RAW_TRANSMIT
+        [(_DATA, SINK_ADAPTIVE), (_DATA | _GLOBAL, CLIENT_ADAPTIVE)] * 2,  # SINK_ADAPTIVE
+        [(_NODE, CLIENT_PREDICTING)] * 2 + [(_DATA, CLIENT_ADAPTIVE)] * 2,  # CLIENT_ADAPTIVE
+        [(0, CLIENT_PREDICTING)] * 2 + [(0, RAW_TRANSMIT)] * 2,  # CLIENT_PREDICTING
     ],
     dtype=np.uint8,
-).reshape(16, 3).T
+).reshape(16, 2).T
 
 
 def kinds_of(mask: int) -> tuple[MessageKind, ...]:
@@ -160,8 +162,7 @@ class Thresholds:
 class Trace:
     """A whole run as preallocated ``(rounds, m)`` columns, row r written by
     round r in place, plus the log of client-filter updates.  It is the
-    run's only record: a row's sent blocks are the count of its
-    ``transmitted`` cells.
+    run's only record: a node sent its block where ``kinds`` has DATA_BLOCK.
 
     ``phase`` holds each round's start-of-round phase codes and ``kinds``
     the ``KIND_BITS`` mask of each node's messages.  ``error_glob`` (the
@@ -174,7 +175,6 @@ class Trace:
 
     phase: np.ndarray
     kinds: np.ndarray
-    transmitted: np.ndarray
     error_glob: np.ndarray
     error_new: np.ndarray
     updates: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
@@ -185,10 +185,14 @@ class Trace:
         return cls(
             phase=np.zeros(shape, dtype=np.uint8),
             kinds=np.zeros(shape, dtype=np.uint8),
-            transmitted=np.zeros(shape, dtype=bool),
             error_glob=np.zeros(shape),
             error_new=np.zeros(shape),
         )
+
+    @property
+    def transmitted(self) -> np.ndarray:
+        """The DATA_BLOCK bit of every ``kinds`` cell, as bools."""
+        return (self.kinds & _DATA) != 0
 
     def client_updates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The logged updates of every row as (round, row, weight) columns,
@@ -257,7 +261,7 @@ def transmission_percentages(state: ProtocolState, point: int) -> tuple[np.ndarr
     """Percentage of its sensed blocks each row of ``point`` transmitted in
     the rounds run so far, and the percentage of all the point's blocks."""
     rounds = state.round_index
-    sent = state.trace.transmitted[:rounds, state.rows(point)].sum(axis=0)
+    sent = np.count_nonzero(state.trace.kinds[:rounds, state.rows(point)] & _DATA, axis=0)
     if rounds == 0 or not sent.size:
         raise DimensionMismatch(f"no transmission percentage: {rounds} rounds over {sent.size} nodes")
     return 100.0 * sent / rounds, 100.0 * int(sent.sum()) / (rounds * sent.size)
@@ -294,7 +298,7 @@ class RoundResult(NamedTuple):
         r, trace = self.round_index, self.trace
         phase = trace.phase[r].tolist()
         kinds = trace.kinds[r].tolist()
-        transmitted = trace.transmitted[r].tolist()
+        transmitted = ((trace.kinds[r] & _DATA) != 0).tolist()
         error_glob = trace.error_glob[r].tolist()
         error_new = trace.error_new[r].tolist()
         return tuple(
@@ -316,13 +320,6 @@ def initial_weight(n: int) -> np.ndarray:
     if n < 1:
         raise DimensionMismatch(f"a weight needs n >= 1 taps, got {n}")
     return np.full(n, 1.0 / np.sqrt(n))
-
-
-def errstate() -> np.errstate:
-    """The floating-point error state rounds run in: a diverging filter
-    overflows on its way to the non-finite error that ``step_round``
-    reports as ``Diverged``."""
-    return np.errstate(over="ignore", invalid="ignore")
 
 
 # The arithmetic kernels of a round.  They check nothing: the engine checks
@@ -447,23 +444,27 @@ def _diverged(state: ProtocolState, row: int, side: str) -> Diverged:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def step_round(state: ProtocolState) -> RoundResult:
     """Advance every point by one synchronous round, round
     ``state.round_index`` of its inputs, and write it into that row of
     ``state.trace``; returns the round's view.
 
     Which blocks reach the sink, and which weight messages are exchanged,
-    follows the phase table in the module docstring.  Run it inside
-    ``errstate()``.
+    follows the phase table in the module docstring.  Overflow on the way
+    to a non-finite error is expected, and ignored here.
 
     Raises ``Diverged`` at the first round with a non-finite error, naming
     the round, the node and (as ``point``) the lowest point that has one.
     Within a point, client errors are checked before sink errors.  A
     point's step-size estimate over a non-finite block covariance raises
     ``Diverged`` at once, naming the round and (as ``point``) that point.
+    A state whose rounds have all run raises ``DimensionMismatch``.
     """
     r = state.round_index
     trace = state.trace
+    if r >= len(trace.phase):
+        raise DimensionMismatch(f"no round {r}: the run has {len(trace.phase)} rounds")
     phase = trace.phase[r]
     phase[:] = state.phase
     samples = state.blocks[:, r]
@@ -483,8 +484,6 @@ def step_round(state: ProtocolState) -> RoundResult:
     np.copyto(error_new, errors, where=phase >= CLIENT_ADAPTIVE)
     # Each row's case but its sink error, which the sink side decides.
     case = 4 * phase + 2 * (np.abs(errors) > state.beta)
-    transmit = trace.transmitted[r]
-    transmit[:] = _SENDS[case]
     client_bad = adapting[:0]
     if not np.isfinite(error_new).all():
         client_bad = (~np.isfinite(error_new)).nonzero()[0]
@@ -493,7 +492,7 @@ def step_round(state: ProtocolState) -> RoundResult:
     stop = state.point[client_bad[0]] if client_bad.size else len(state.bounds) - 1
 
     # Wire: data blocks of transmitting nodes, as the sinks receive them.
-    sent = transmit.nonzero()[0]
+    sent = (_KINDS[case] & _DATA).nonzero()[0]
     error_glob = trace.error_glob[r]
     if sent.size and stop > 0:
         u_sent, d_sent = state.sink_blocks[sent, r], state.sink_desired[sent, r]

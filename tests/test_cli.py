@@ -1218,6 +1218,11 @@ def test_config_shapes_that_are_accepted(tmp_path, capsys, doc):
             {"layout": two_node_layout([2, 2])},
             lambda: NodeLayout(((1.0, 1.0), (3.0, 3.0)), (2.0, 2.0), (2, 2)),
         ),
+        (
+            {"layout": {"positions": [[1e308, 0], [-1e308, 0], [1, 1]], "sink": [0, 0],
+                        "node_ids": [1, 2, 3]}},
+            lambda: NodeLayout(((1e308, 0.0), (-1e308, 0.0), (1.0, 1.0)), (0.0, 0.0), (1, 2, 3)),
+        ),
         ({"mu_mode": "AUTO"}, lambda: default_scenario(mu_mode="AUTO")),
         ({"num_blocks": 1}, lambda: default_scenario(num_blocks=1)),
         (
@@ -1225,7 +1230,10 @@ def test_config_shapes_that_are_accepted(tmp_path, capsys, doc):
             lambda: default_scenario(malicious=MaliciousSpec((3,), 1.0)),
         ),
     ],
-    ids=["theta", "temporal_phi", "alpha", "layout_ids", "mu_mode", "num_blocks", "scale"],
+    ids=[
+        "theta", "temporal_phi", "alpha", "layout_ids", "layout_extent", "mu_mode", "num_blocks",
+        "scale",
+    ],
 )
 def test_a_range_error_comes_from_its_value_type(tmp_path, capsys, doc, build):
     with pytest.raises(InvalidParameter) as err:

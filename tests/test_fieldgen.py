@@ -46,6 +46,53 @@ def test_field_params_reject_non_positive_theta():
             FieldParams(theta=theta)
 
 
+def default_with(node_id=None, position=None, sink=None):
+    """The default layout's fields, node ``node_id`` moved to ``position``
+    or the sink to ``sink``."""
+    base = default_layout()
+    positions = list(base.positions)
+    if node_id is not None:
+        positions[base.node_ids.index(node_id)] = position
+    return {"positions": tuple(positions), "sink": sink or base.sink, "node_ids": base.node_ids}
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "layout, message",
+    [
+        (default_with(4, (NAN, 1.0)), "layout/positions/3: node 4 at (nan, 1.0) is not finite"),
+        (default_with(10, (0.5, -INF)), "layout/positions/9: node 10 at (0.5, -inf) is not finite"),
+        (default_with(sink=(INF, 2.0)), "layout/sink: the sink at (inf, 2.0) is not finite"),
+        (
+            {"positions": ((1e308, 0.0), (-1e308, 0.0), (1.0, 1.0)), "sink": (0.0, 0.0),
+             "node_ids": (1, 2, 3)},
+            "layout/positions/0: node 1 at (1e+308, 0.0) lies too far from the others for a "
+            "finite distance",
+        ),
+        (
+            {"positions": ((1.0, 1.0), (2.0, 2.0)), "sink": (1.7e308, -1.7e308), "node_ids": (4, 5)},
+            "layout/sink: the sink at (1.7e+308, -1.7e+308) lies too far from the others for a "
+            "finite distance",
+        ),
+    ],
+    ids=["nan_position", "infinite_position", "infinite_sink", "overflowing_pair", "far_sink"],
+)
+def test_a_layout_without_finite_distances_is_refused(layout, message):
+    # Before the check, a NaN position ranked its node out of a selection
+    # and an infinite sink ranked every node by id alone.
+    with pytest.raises(InvalidParameter) as err:
+        NodeLayout(**layout)
+    assert str(err.value) == message
+
+
+def test_a_layout_near_the_float_range_keeps_finite_distances():
+    layout = NodeLayout(((1e308, 0.0), (-5e307, 1.0)), (0.0, 0.0), (1, 2))
+    assert np.isfinite(layout.pair_distances()).all()
+    assert np.isfinite(layout.sink_distances()).all()
+
+
 def test_covariance_single_node_at_sink():
     layout = NodeLayout(positions=((1.0, 1.0),), sink=(1.0, 1.0), node_ids=(1,))
     cov = build_spatial_covariance(layout, FieldParams(theta=2.0))

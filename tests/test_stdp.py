@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,6 @@ from wsnadapt.stdp import (
     TraceRow,
     _client_step,
     _desired,
-    errstate,
     initial_weight,
     kinds_of,
     new_protocol_state,
@@ -79,9 +80,8 @@ def drive(layout, stream, thresholds, mu=None, noise_seed=None, received=None):
     state = new_protocol_state(
         ids, stream.blocks, stream.desired, thresholds, mu=mu, client_noise=noise, received=received
     )
-    with errstate():
-        for _ in range(stream.num_blocks):
-            step_round(state)
+    for _ in range(stream.num_blocks):
+        step_round(state)
     rows = [row for r in range(state.round_index) for row in trace_rows(state, r)]
     return state, rows, list(state.trace.kinds[: state.round_index])
 
@@ -106,8 +106,7 @@ def one_round_sweep(w_prev, samples, desired, mu):
         ids, np.asarray(samples)[:, None], np.asarray(desired)[:, None], Thresholds(), mu=mu
     )
     state.global_weight[0] = w_prev
-    with errstate():
-        step_round(state)
+    step_round(state)
     return state.global_weight[0]
 
 
@@ -354,11 +353,20 @@ def idle_state(ids, rounds):
     return new_protocol_state(ids, np.zeros((m, rounds, 3)), np.zeros((m, rounds)), Thresholds())
 
 
+def test_a_step_past_the_last_round_is_a_dimension_mismatch():
+    state = idle_state([1, 2], rounds=2)
+    step_round(state)
+    step_round(state)
+    with pytest.raises(DimensionMismatch, match=r"^no round 2: the run has 2 rounds$"):
+        step_round(state)
+    assert state.round_index == 2
+
+
 def test_transmission_percentage_trivials():
     state = idle_state([1, 2], rounds=10)
     with pytest.raises(DimensionMismatch, match="^no transmission percentage: 0 rounds over 2 nodes$"):
         transmission_percentages(state, 0)
-    state.trace.transmitted[:, 0] = True
+    state.trace.kinds[:, 0] |= KIND_BITS[MessageKind.DATA_BLOCK]
     state.round_index = 10
     pct, total = transmission_percentages(state, 0)
     assert pct.tolist() == [100.0, 0.0] and total == 50.0
@@ -389,9 +397,8 @@ def test_total_percentages_read_each_points_rows():
         [m, m],
         client_noise=np.concatenate([noise] * 2),
     )
-    with errstate():
-        for _ in range(40):
-            step_round(state)
+    for _ in range(40):
+        step_round(state)
     (pct_0, total_0), (pct_1, total_1) = (transmission_percentages(state, p) for p in (0, 1))
     assert total_0 == 100.0 and pct_0.tolist() == [100.0] * m
     assert total_1 == pytest.approx(100.0 / 40)
@@ -457,9 +464,8 @@ def eigen_solves(monkeypatch):
 def test_a_fixed_mu_runs_no_eigen_solve(eigen_solves, mu):
     _, stream = make_stream(60, seed=5)
     state = two_point_state(stream, mu)
-    with errstate():
-        for _ in range(stream.num_blocks):
-            step_round(state)
+    for _ in range(stream.num_blocks):
+        step_round(state)
     assert state.trace.updates  # client filters stepped with the point's mu
     if mu is None:
         assert eigen_solves and np.isfinite(state.mu).all()
@@ -474,8 +480,7 @@ def test_every_point_estimates_its_step_size_in_round_0(eigen_solves):
     _, stream = make_stream(2, seed=5)
     state = two_point_state(stream)
     assert state.auto_mu and np.isnan(state.mu).all()
-    with errstate():
-        step_round(state)
+    step_round(state)
     assert np.isfinite(state.mu).all()
     assert eigen_solves == [(5, 5), (5, 5)]
     beta_sweep = plan(default_scenario(num_blocks=2), "sweep", axis="beta", values=[0.05, 0.2])
@@ -494,18 +499,17 @@ def test_auto_mu_is_half_over_nodes_times_the_largest_eigenvalue():
     state = two_point_state(stream, client_noise=noise)
     trace = state.trace
     checked = [0, 0]
-    with errstate():
-        for r in range(stream.num_blocks):
-            step_round(state)
-            for p in range(2):
-                rows = state.rows(p)
-                if not (trace.phase[r, rows] == RAW_TRANSMIT).any():
-                    continue
-                u = state.sink_blocks[rows, r][trace.transmitted[r, rows]]
-                lam = jacobi_eigenvalues(u.T @ u / len(u))[-1]
-                nodes = rows.stop - rows.start
-                assert state.mu[p] == pytest.approx(0.5 / (nodes * lam), rel=1e-12, abs=0)
-                checked[p] += 1
+    for r in range(stream.num_blocks):
+        step_round(state)
+        for p in range(2):
+            rows = state.rows(p)
+            if not (trace.phase[r, rows] == RAW_TRANSMIT).any():
+                continue
+            u = state.sink_blocks[rows, r][trace.transmitted[r, rows]]
+            lam = jacobi_eigenvalues(u.T @ u / len(u))[-1]
+            nodes = rows.stop - rows.start
+            assert state.mu[p] == pytest.approx(0.5 / (nodes * lam), rel=1e-12, abs=0)
+            checked[p] += 1
     assert min(checked) >= 5
 
 
@@ -518,7 +522,7 @@ def test_the_covariance_check_fires_wherever_the_power_iteration_refuses(seed):
     base = rng.normal(size=(4, 6))
     base[rng.uniform(size=base.shape) < 0.02] = np.nan
     refused = 0
-    with errstate():
+    with np.errstate(over="ignore", invalid="ignore"):  # for samples.T @ samples
         for scale in np.logspace(150, 156, 40):
             samples = base * scale
             try:
@@ -545,6 +549,21 @@ def test_divergence_stops_at_first_non_finite_round():
     assert all(
         np.isfinite(e) for row in rows for e in (row.error_glob, row.error_new) if e is not None
     )
+
+
+def test_a_direct_run_that_diverges_is_silent():
+    # The caller holds no error state: the overflow on the way to the
+    # non-finite error stays inside step_round, with warnings as errors.
+    _, stream = make_stream(200, seed=12)
+    state = new_protocol_state(
+        stream.node_ids, stream.blocks, stream.desired, Thresholds(0.5, 0.05), mu=50.0
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Diverged, match="non-finite"):
+            for _ in range(stream.num_blocks):
+                step_round(state)
+    assert 0 < state.round_index < stream.num_blocks
 
 
 def test_stream_rows_follow_node_ids_for_an_unsorted_layout():
@@ -620,8 +639,7 @@ def test_step_round_properties(case):
     trace = state.trace
     suppressed = np.zeros(m, dtype=np.int64)
     for r in range(rounds):
-        with errstate():
-            result = step_round(state)
+        result = step_round(state)
         start, kinds = trace.phase[r], trace.kinds[r]
         # The returned view is the trace row.
         assert list(result.rows) == trace_rows(state, r)
@@ -637,10 +655,12 @@ def test_step_round_properties(case):
         assert np.array_equal(state.received_global[handed], sent_weight)
         assert np.all(state.phase[node_weight] == CLIENT_PREDICTING)
 
-        # No data block from a row that started the round predicting.
+        # A data block exactly from a row that started the round raw or
+        # sink-adaptive, or adapting with |e'| > beta: none from a row
+        # that started it predicting.
         data = bit_set(kinds, MessageKind.DATA_BLOCK)
-        assert np.array_equal(data, trace.transmitted[r])
-        assert not np.any(data & (start == CLIENT_PREDICTING))
+        loud = np.abs(trace.error_new[r]) > beta
+        assert np.array_equal(data, (start <= SINK_ADAPTIVE) | ((start == CLIENT_ADAPTIVE) & loud))
 
         # NODE_WEIGHT exactly when an adapting client's |e'| <= beta, and
         # GLOBAL_WEIGHT exactly when a sink-side row's |e| <= alpha.
@@ -687,11 +707,9 @@ def test_client_update_log_matches_a_replay(points):
         client_noise=np.concatenate([noise] * points),
     )
 
-    def step():
-        with errstate():
-            step_round(state)
-
-    expected = replay_client_updates(step, state, stream.num_blocks, CLIENT_ADAPTIVE)
+    expected = replay_client_updates(
+        lambda: step_round(state), state, stream.num_blocks, CLIENT_ADAPTIVE
+    )
     rounds, rows, weights = state.trace.client_updates()
     assert rounds.tolist() == [r for r, _, _ in expected]
     assert rows.tolist() == [k for _, k, _ in expected]
