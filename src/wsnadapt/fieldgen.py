@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -90,23 +91,28 @@ class NodeLayout:
         if len(set(ids)) != len(ids):
             repeated = sorted({i for i in ids if ids.count(i) > 1})
             raise InvalidParameter("layout/node_ids", f"ids {repeated} occur more than once")
+        for k, where in enumerate((*self.positions, self.sink)):
+            if not _is_pair(where):
+                raise self._refusal(k, where, "is not a pair of numbers")
         # Every distance must be finite: each coordinate is, and so is the
         # diagonal of the box around the nodes and the sink, which bounds
         # every distance between them (Python floats overflow silently).
         points = np.array([*self.positions, self.sink], dtype=float)
         finite = np.isfinite(points).all(axis=1)
         if not finite.all():
-            raise self._refusal(int(np.argmin(finite)), points, "is not finite")
+            k = int(np.argmin(finite))
+            raise self._refusal(k, tuple(points[k].tolist()), "is not finite")
         high, low = points.max(axis=0).tolist(), points.min(axis=0).tolist()
         if not math.isfinite(math.hypot(high[0] - low[0], high[1] - low[1])):
             # The point farthest from the coordinate-wise median is named.
             centre = np.sort(points, axis=0)[len(points) // 2].tolist()
             far = max(range(len(points)), key=lambda k: math.dist(points[k].tolist(), centre))
-            raise self._refusal(far, points, "lies too far from the others for a finite distance")
+            reason = "lies too far from the others for a finite distance"
+            raise self._refusal(far, tuple(points[far].tolist()), reason)
 
-    def _refusal(self, k: int, points: np.ndarray, reason: str) -> InvalidParameter:
-        """The refusal of ``points[k]``: node k's position, or the sink's past the nodes."""
-        where = tuple(points[k].tolist())
+    def _refusal(self, k: int, where, reason: str) -> InvalidParameter:
+        """The refusal of point k, at ``where``: node k's position, or the
+        sink's past the nodes."""
         if k == self.size:
             return InvalidParameter("layout/sink", f"the sink at {where} {reason}")
         return InvalidParameter("layout/positions", f"node {self.node_ids[k]} at {where} {reason}", k)
@@ -129,6 +135,15 @@ class NodeLayout:
         dx = p[:, 0][:, None] - p[:, 0][None, :]
         dy = p[:, 1][:, None] - p[:, 1][None, :]
         return np.hypot(dx, dy)
+
+
+def _is_pair(where) -> bool:
+    """Whether ``where`` is two real numbers; a bool is not a number."""
+    try:
+        x, y = where
+    except (TypeError, ValueError):
+        return False
+    return all(isinstance(c, numbers.Real) and not isinstance(c, bool) for c in (x, y))
 
 
 @dataclass(frozen=True)

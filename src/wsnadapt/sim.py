@@ -602,7 +602,10 @@ def sweep(plan: RunPlan) -> RunReport:
     points run as the points of one engine; ``n_block`` points differ in
     their block length and run one after another.  Each point's rows, total
     and ``config_sha1`` are those of its own ``run_stdp`` report.  A point
-    that diverges raises ``Diverged`` naming it, e.g. ``at beta=0.4``.
+    that diverges raises ``Diverged`` naming it, e.g. ``at beta=0.4``: of
+    one engine's points, the lowest (in ``values`` order) of those whose
+    runs alone stop in the earliest round, with its own message; of
+    ``n_block`` points, the first to diverge.
     """
     scenario, axis, values, points = plan.scenario, plan.axis, list(plan.values), plan.points
     batches = [plan]

@@ -50,9 +50,11 @@ its client-filter updates to the trace's log; it copies no per-round state:
    restart above it).  This arithmetic is row-wise, so it runs over every
    row and keeps the client rows' results;
 2. wire: the transmitting rows' blocks, as the sinks receive them;
-3. sink side, per point: one global sweep w += mu sum_i u_i (d_i - u_i.w)
-   over the point's received rows, then their errors d - U w are held
-   against alpha;
+3. sink side, one point after another in ascending order, each settled as
+   its own run would be: its rows' client errors are checked, and if the
+   sink received rows of it, the step size is estimated when one of them
+   is raw, one global sweep w += mu sum_i u_i (d_i - u_i.w) runs over them,
+   and their errors d - U w are checked and held against alpha;
 4. messages and next phases, looked up per row by its case: its phase,
    whether its client error is above beta and whether its sink error is
    at or below alpha.  A sink-side row at or below alpha is handed off,
@@ -69,9 +71,12 @@ the sweep's column sums depend on how many rows they are given, so each
 point's step-size estimate, sweep and errors run over exactly its own
 received rows, one point after another.  A full run is a deterministic
 function of (inputs, thresholds), and each point of a batch equals its run
-alone.  The first non-finite error stops the run with ``Diverged``; a
-diverging filter overflows on its way there, and ``step_round`` ignores
-overflow and invalid operations itself, so a caller holds no error state.
+alone.  The first non-finite value stops the run with ``Diverged``; the
+sink side's loop checks each point as its run alone would, before it
+touches the next, so a batch stops where its first point to diverge alone
+stops, with that point's message.  A diverging filter overflows on its way
+there, and ``step_round`` ignores overflow and invalid operations itself,
+so a caller holds no error state.
 """
 
 from __future__ import annotations
@@ -436,12 +441,18 @@ def new_protocol_state(
     )
 
 
-def _diverged(state: ProtocolState, row: int, side: str) -> Diverged:
-    return Diverged(
-        f"diverged in round {state.round_index}: non-finite {side} error "
-        f"for node {state.node_ids[row]}",
-        point=int(state.point[row]),
-    )
+def _diverged(state: ProtocolState, p: int, what: str) -> Diverged:
+    """The refusal of point ``p`` in the current round: ``what`` is not finite."""
+    return Diverged(f"diverged in round {state.round_index}: non-finite {what}", point=p)
+
+
+def _first_non_finite(x: np.ndarray) -> int | None:
+    """The index of the first non-finite entry of ``x``, or None; ``x @ x``
+    is finite only if every entry is, and costs less than ``np.isfinite``."""
+    if math.isfinite(x @ x):
+        return None
+    finite = np.isfinite(x)
+    return None if finite.all() else int(np.argmin(finite))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -454,12 +465,12 @@ def step_round(state: ProtocolState) -> RoundResult:
     follows the phase table in the module docstring.  Overflow on the way
     to a non-finite error is expected, and ignored here.
 
-    Raises ``Diverged`` at the first round with a non-finite error, naming
-    the round, the node and (as ``point``) the lowest point that has one.
-    Within a point, client errors are checked before sink errors.  A
-    point's step-size estimate over a non-finite block covariance raises
-    ``Diverged`` at once, naming the round and (as ``point``) that point.
-    A state whose rounds have all run raises ``DimensionMismatch``.
+    Raises ``Diverged`` at the first non-finite value, by one rule: the
+    earliest round, then the lowest point (as ``point``), and within a
+    point its client errors, then its step-size estimate (a non-finite
+    block covariance), then its sink errors.  The message names the round
+    and, for an error, the node: it is the message the point's run alone
+    raises.  A state whose rounds have all run raises ``DimensionMismatch``.
     """
     r = state.round_index
     trace = state.trace
@@ -484,49 +495,41 @@ def step_round(state: ProtocolState) -> RoundResult:
     np.copyto(error_new, errors, where=phase >= CLIENT_ADAPTIVE)
     # Each row's case but its sink error, which the sink side decides.
     case = 4 * phase + 2 * (np.abs(errors) > state.beta)
-    client_bad = adapting[:0]
-    if not np.isfinite(error_new).all():
-        client_bad = (~np.isfinite(error_new)).nonzero()[0]
-    # Points from ``stop`` on have a non-finite client error: the sink side
-    # runs only for the points before it, to find a lower point's sink error.
-    stop = state.point[client_bad[0]] if client_bad.size else len(state.bounds) - 1
 
     # Wire: data blocks of transmitting nodes, as the sinks receive them.
     sent = (_KINDS[case] & _DATA).nonzero()[0]
+    u_sent, d_sent = state.sink_blocks[sent, r], state.sink_desired[sent, r]
     error_glob = trace.error_glob[r]
-    if sent.size and stop > 0:
-        u_sent, d_sent = state.sink_blocks[sent, r], state.sink_desired[sent, r]
 
-        # Sink side: per point, the step-size estimate when one of its rows
-        # is raw, one global sweep over this round's arrivals, then their
-        # errors.  Point p's arrivals are rows cut[p]:cut[p + 1] of u_sent;
-        # raw rows always transmit, so they are among them.
-        cut = sent.searchsorted(state.bounds).tolist()
-        live = [p for p in range(stop) if cut[p] < cut[p + 1]]
-        raw = (phase == RAW_TRANSMIT).nonzero()[0].searchsorted(state.bounds).tolist()
-        for p in live:
-            a, b = cut[p], cut[p + 1]
-            u, d = u_sent[a:b], d_sent[a:b]
-            if state.auto_mu and raw[p] < raw[p + 1]:
-                cov = (u.T @ u) / u.shape[0]
-                # The absolute entry sum bounds every partial sum of the
-                # entries, so one NaN, infinity or overflowing sum shows here.
-                if not math.isfinite(np.abs(cov).sum()):
-                    raise Diverged(
-                        f"diverged in round {r}: non-finite block covariance at the sink", point=p
-                    )
-                lam = eigvalsh(cov)[-1]
-                nodes = state.bounds[p + 1] - state.bounds[p]
-                state.mu[p] = 0.5 / (nodes * lam) if lam > 0 else 0.0
-            weight = _sweep(state.global_weight[p], u, d, state.mu[p])
-            state.global_weight[p] = weight
-            error_glob[sent[a:b]] = d - u @ weight
-        # Rows that sent nothing hold 0.0, and none of them is on the sink side.
-        finite = np.isfinite(error_glob)
-        if not finite.all():
-            raise _diverged(state, np.argmin(finite), "sink")
-    if client_bad.size:
-        raise _diverged(state, client_bad[0], "client")
+    # Sink side: each point in turn, settled as its run alone would be: its
+    # client errors, then, if it has arrivals (rows cut[p]:cut[p + 1] of
+    # u_sent, raw rows among them), the step-size estimate when one of its
+    # rows is raw, one global sweep over them and their errors.
+    cut = sent.searchsorted(state.bounds).tolist()
+    raw = (phase == RAW_TRANSMIT).nonzero()[0].searchsorted(state.bounds).tolist()
+    for p in range(len(cut) - 1):
+        rows = state.rows(p)
+        k = _first_non_finite(error_new[rows])
+        if k is not None:
+            raise _diverged(state, p, f"client error for node {state.node_ids[rows.start + k]}")
+        a, b = cut[p], cut[p + 1]
+        if a == b:
+            continue
+        u, d = u_sent[a:b], d_sent[a:b]
+        if state.auto_mu and raw[p] < raw[p + 1]:
+            cov = (u.T @ u) / u.shape[0]
+            # The absolute entry sum bounds every partial sum of the
+            # entries, so one NaN, infinity or overflowing sum shows here.
+            if not math.isfinite(np.abs(cov).sum()):
+                raise _diverged(state, p, "block covariance at the sink")
+            lam = eigvalsh(cov)[-1]
+            state.mu[p] = 0.5 / ((rows.stop - rows.start) * lam) if lam > 0 else 0.0
+        weight = _sweep(state.global_weight[p], u, d, state.mu[p])
+        state.global_weight[p] = weight
+        error_glob[sent[a:b]] = e = d - u @ weight
+        k = _first_non_finite(e)
+        if k is not None:
+            raise _diverged(state, p, f"sink error for node {state.node_ids[sent[a + k]]}")
 
     # The round's messages, in sending order (see KIND_BITS), and the
     # end-of-round transitions: a handed-off row, sent the global weight,

@@ -1,11 +1,22 @@
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
 from wsnadapt import sim
+
+# Every property draws the same examples on every run and stores none.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
+# Hypothesis also caches the constants it reads off the code under test, at
+# collection and database or not; a directory removed at exit takes them.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 _CRITERIA: list[tuple[int, str, bool]] = []
 

@@ -120,7 +120,7 @@ def test_a_million_random_floats_match_format():
     assert csv_bytes(x) == expected(x.tolist())
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
 def test_any_finite_float_matches_format(values):
     assert csv_bytes(np.array(values)) == expected(values)
@@ -246,7 +246,7 @@ def tables(draw):
     return Table(tuple(header), tuple(columns), absent, labels), draw(st.integers(1, 5))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(tables())
 def test_any_table_matches_its_cells_text(case):
     table, chunk_rows = case

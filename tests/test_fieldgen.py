@@ -87,6 +87,36 @@ def test_a_layout_without_finite_distances_is_refused(layout, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "positions, sink, message",
+    [
+        (
+            ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)),
+            (0.0, 0.0, 0.0),
+            "layout/positions/0: node 1 at (1.0, 2.0, 3.0) is not a pair of numbers",
+        ),
+        (
+            ((1.0, 2.0), (4.0, 5.0, 6.0)),
+            (0.0, 0.0),
+            "layout/positions/1: node 2 at (4.0, 5.0, 6.0) is not a pair of numbers",
+        ),
+        (((1.0, 2.0), (4.0, 5.0)), (0.0,), "layout/sink: the sink at (0.0,) is not a pair of numbers"),
+        (
+            ((1.0, 2.0), (3.0, "a")),
+            (0.0, 0.0),
+            "layout/positions/1: node 2 at (3.0, 'a') is not a pair of numbers",
+        ),
+    ],
+    ids=["three_coordinates", "mixed_lengths", "one_coordinate_sink", "string_coordinate"],
+)
+def test_a_position_that_is_not_a_pair_of_numbers_is_refused(positions, sink, message):
+    # Before the check, three coordinates everywhere were taken with the
+    # third ignored, and the others failed with numpy's or Python's own errors.
+    with pytest.raises(InvalidParameter) as err:
+        NodeLayout(positions, sink, (1, 2))
+    assert str(err.value) == message
+
+
 def test_a_layout_near_the_float_range_keeps_finite_distances():
     layout = NodeLayout(((1e308, 0.0), (-5e307, 1.0)), (0.0, 0.0), (1, 2))
     assert np.isfinite(layout.pair_distances()).all()

@@ -255,7 +255,7 @@ def sweep_cases(draw):
     return scenario, axis, draw(st.lists(value, min_size=1, max_size=6))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(sweep_cases())
 def test_every_sweep_point_equals_its_own_run(case):
     scenario, axis, values = case

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oracles import global_ia_update, jacobi_eigenvalues, replay_client_updates
@@ -566,6 +566,45 @@ def test_a_direct_run_that_diverges_is_silent():
     assert 0 < state.round_index < stream.num_blocks
 
 
+def run_to_end(state):
+    """Step ``state`` through its rounds: the ``Diverged`` that stopped it, or None."""
+    try:
+        while state.round_index < len(state.trace.phase):
+            step_round(state)
+    except Diverged as exc:
+        return exc
+    return None
+
+
+def test_a_lower_points_sink_error_comes_before_a_higher_points_covariance():
+    # Two 1-node points on node 1, whose round-3 block and desired value
+    # are 1e200.  Point 0 (alpha 1e-300) stays sink-adaptive, so its sink
+    # error turns non-finite; point 1, sent back to raw by round 2's client
+    # noise, estimates its step size over a non-finite covariance.  Point 0
+    # alone diverges in round 3 as well, so the batch names point 0.
+    rng = np.random.default_rng(0)
+    blocks = rng.normal(size=(4, 5))
+    desired = blocks @ initial_weight(5) + 0.3 * rng.normal(size=4)
+    blocks[3], desired[3] = 1e200, 1e200
+    noise = np.zeros((2, 4))
+    noise[1, 2] = 1.0
+    thresholds = [Thresholds(1e-300, 0.5), Thresholds(1e300, 0.5)]
+    batch = new_protocol_state(
+        [1, 1], [blocks] * 2, [desired] * 2, thresholds, [1, 1], client_noise=noise
+    )
+    err = run_to_end(batch)
+    assert batch.trace.phase[3].tolist() == [SINK_ADAPTIVE, RAW_TRANSMIT]
+    alone = [
+        run_to_end(new_protocol_state([1], [blocks], [desired], t, client_noise=noise[p : p + 1]))
+        for p, t in enumerate(thresholds)
+    ]
+    assert [str(exc) for exc in alone] == [
+        "diverged in round 3: non-finite sink error for node 1",
+        "diverged in round 3: non-finite block covariance at the sink",
+    ]
+    assert str(err) == str(alone[0]) and err.point == 0
+
+
 def test_stream_rows_follow_node_ids_for_an_unsorted_layout():
     base = default_layout()
     order = list(reversed(range(base.size)))
@@ -615,7 +654,7 @@ def bit_set(kinds, kind):
     return (kinds & KIND_BITS[kind]) != 0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(engine_runs())
 def test_step_round_properties(case):
     """What the weight messages set, the silence of predicting rows, the alpha/beta
@@ -684,6 +723,89 @@ def test_step_round_properties(case):
     assert np.array_equal(sent + suppressed, np.full(m, rounds))
     pct = [transmission_percentages(state, p)[0] for p in range(len(sizes))]
     assert np.array_equal(np.concatenate(pct), 100.0 * sent / rounds)
+
+
+@st.composite
+def sweep_batches(draw):
+    """The inputs of 1-3 points that sense the same nodes' data, as a
+    sweep's points do: each point's node subset and thresholds, and the
+    nodes' blocks, desired values, client noise and received arrays (None
+    for no noise or no channel), with the step size (None for auto).  An
+    optional 1e200 block, in round 0 (every row raw) or any round, drives
+    divergence; so does a large fixed step size."""
+    m, n, rounds = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 30))
+    subsets = draw(
+        st.lists(st.sets(st.integers(0, m - 1), min_size=1).map(sorted), min_size=1, max_size=3)
+    )
+    # An alpha of 1e300 hands a point's rows off in round 0.
+    alphas = st.floats(0.01, 2.0) | st.just(1e300)
+    thresholds = [
+        Thresholds(alpha=draw(alphas), beta=draw(st.floats(0.0, 0.5))) for _ in subsets
+    ]
+    mu = draw(st.none() | st.sampled_from([0.05, 0.5, 5.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = rng.normal(size=(m, rounds, n))
+    desired = blocks @ rng.normal(size=n) + 0.1 * rng.normal(size=(m, rounds))
+    noise = 0.1 * rng.normal(size=(m, rounds)) if draw(st.booleans()) else None
+    huge = draw(st.none() | st.just(0) | st.integers(0, rounds - 1))
+    if huge is not None:
+        k = draw(st.integers(0, m - 1))
+        blocks[k, huge], desired[k, huge] = 1e200, 1e200
+    received = None
+    if draw(st.booleans()):
+        received = (
+            blocks + 0.1 * rng.normal(size=blocks.shape),
+            desired + 0.1 * rng.normal(size=desired.shape),
+        )
+    return subsets, thresholds, mu, blocks, desired, noise, received
+
+
+def protocol_over(subsets, thresholds, mu, blocks, desired, noise, received):
+    """One state whose points sense the given node subsets (node k's id is k + 1)."""
+    rows = [k for subset in subsets for k in subset]
+    return new_protocol_state(
+        [k + 1 for k in rows],
+        blocks[rows],
+        desired[rows],
+        thresholds,
+        [len(subset) for subset in subsets],
+        mu=mu,
+        client_noise=None if noise is None else noise[rows],
+        received=None if received is None else (received[0][rows], received[1][rows]),
+    )
+
+
+@settings(max_examples=100)
+@given(sweep_batches())
+def test_each_point_of_a_batch_equals_its_run_alone(case):
+    subsets, thresholds, *inputs = case
+    batch = protocol_over(subsets, thresholds, *inputs)
+    err = run_to_end(batch)
+    alone = []
+    for subset, t in zip(subsets, thresholds):
+        state = protocol_over([subset], [t], *inputs)
+        alone.append((state, run_to_end(state)))
+
+    # Over the rounds the batch completed, every point has its alone bits.
+    done = batch.round_index
+    trace = batch.trace
+    for p, (state, _) in enumerate(alone):
+        rows = batch.rows(p)
+        for column in ("phase", "kinds", "error_glob", "error_new"):
+            mine = getattr(trace, column)[:done, rows]
+            assert mine.tobytes() == getattr(state.trace, column)[:done].tobytes(), (p, column)
+
+    # The batch stops in the earliest round any point alone stops in, naming
+    # the lowest such point with that point's own message.
+    stops = [(state.round_index, p, str(exc)) for p, (state, exc) in enumerate(alone) if exc]
+    if not stops:
+        assert err is None and done == len(trace.phase)
+        event("no divergence")
+        return
+    first_round, point, message = min(stops)
+    assert err is not None and done == first_round
+    assert (err.point, str(err)) == (point, message)
+    event(f"diverged: {message.split('non-finite ')[1].split(' for ')[0]}")
 
 
 @pytest.mark.parametrize("points", [1, 2])
