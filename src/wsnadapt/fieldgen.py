@@ -94,6 +94,10 @@ class NodeLayout:
         for k, where in enumerate((*self.positions, self.sink)):
             if not _is_pair(where):
                 raise self._refusal(k, where, "is not a pair of numbers")
+            try:
+                float(where[0]), float(where[1])
+            except OverflowError:  # an integer or fraction past the float range
+                raise self._refusal(k, None, "has a coordinate beyond the float range") from None
         # Every distance must be finite: each coordinate is, and so is the
         # diagonal of the box around the nodes and the sink, which bounds
         # every distance between them (Python floats overflow silently).
@@ -111,11 +115,12 @@ class NodeLayout:
             raise self._refusal(far, tuple(points[far].tolist()), reason)
 
     def _refusal(self, k: int, where, reason: str) -> InvalidParameter:
-        """The refusal of point k, at ``where``: node k's position, or the
-        sink's past the nodes."""
+        """The refusal of point k, at ``where`` (None: not shown): node k's
+        position, or the sink's past the nodes."""
+        at = "" if where is None else f" at {where}"
         if k == self.size:
-            return InvalidParameter("layout/sink", f"the sink at {where} {reason}")
-        return InvalidParameter("layout/positions", f"node {self.node_ids[k]} at {where} {reason}", k)
+            return InvalidParameter("layout/sink", f"the sink{at} {reason}")
+        return InvalidParameter("layout/positions", f"node {self.node_ids[k]}{at} {reason}", k)
 
     @property
     def size(self) -> int:
@@ -329,10 +334,11 @@ def _measured_stream(
     """Stream over ``(m, num_blocks, n)`` blocks whose desired scalars carry
     each node's measurement noise, drawn from its own substream.  Row k of
     ``blocks`` is node ``node_ids[k]``; the stream reorders the rows by
-    ascending id."""
+    ascending id, copying them only if the ids do not already ascend."""
     order = np.argsort(node_ids, kind="stable")
     node_ids = tuple(int(node_ids[k]) for k in order)
-    blocks = blocks[order]
+    if (np.diff(order) != 1).any():
+        blocks = blocks[order]
     noise_std = float(np.sqrt(noise_var))
     noise = noise_std * node_draws(seed, ROLE_MEASURE, node_ids, blocks.shape[1]) + 0.0
     return Stream(node_ids, blocks, _desired(blocks, noise))

@@ -50,33 +50,37 @@ its client-filter updates to the trace's log; it copies no per-round state:
    restart above it).  This arithmetic is row-wise, so it runs over every
    row and keeps the client rows' results;
 2. wire: the transmitting rows' blocks, as the sinks receive them;
-3. sink side, one point after another in ascending order, each settled as
-   its own run would be: its rows' client errors are checked, and if the
-   sink received rows of it, the step size is estimated when one of them
-   is raw, one global sweep w += mu sum_i u_i (d_i - u_i.w) runs over them,
-   and their errors d - U w are checked and held against alpha;
+3. sink side, one pass over every point's received rows: the points with
+   a raw row estimate their step sizes by one eigen solve over the stack
+   of their covariances, each point with arrivals runs one global sweep
+   w += mu sum_i u_i (d_i - u_i.w) over them, and their errors d - U w are
+   held against alpha; the client and sink errors are checked finite;
 4. messages and next phases, looked up per row by its case: its phase,
    whether its client error is above beta and whether its sink error is
    at or below alpha.  A sink-side row at or below alpha is handed off,
    entering CLIENT_ADAPTIVE with Wc = Wr = its point's new global weight.
 
 Row dot products use ``np.vecdot``, which sums each row in the order of a
-1-D ``u @ w``, and the sweep adds its terms row by row in ascending id
-order, so the client side and the sweep reproduce the per-node arithmetic
-bit for bit.  The sink errors do not: they are one 2-D ``d - U @ w`` per
-point, whose rows may differ from a per-node ``u @ w`` in the last bit.
-Row-wise operations give every point the bits it would get alone.  The
-sink side does not batch across points: the bits of a 2-D ``U @ w`` and of
-the sweep's column sums depend on how many rows they are given, so each
-point's step-size estimate, sweep and errors run over exactly its own
-received rows, one point after another.  A full run is a deterministic
+1-D ``u @ w``, so the client side and the sweep's residuals reproduce the
+per-node arithmetic bit for bit.  So does the sweep's sum, which adds its
+terms row by row in ascending id order, except with one-sample blocks
+(n = 1): numpy then sums the single column pairwise, which differs from
+row order once a point has 8 or more arrivals.  The sink errors are one
+2-D ``d - U @ w`` per point, whose rows may differ from a per-node
+``u @ w`` in the last bit.  Row-wise operations give a row the same bits
+wherever it sits, so the residuals and terms run once over every point's
+rows.  The bits of ``U.T @ U``, of a column sum and of a 2-D ``U @ w``
+depend on how many rows they are given, so each point's covariance, sum
+and errors run over exactly its own received rows; ``eigvalsh`` solves
+each matrix of a stack as it would alone.  A full run is a deterministic
 function of (inputs, thresholds), and each point of a batch equals its run
-alone.  The first non-finite value stops the run with ``Diverged``; the
-sink side's loop checks each point as its run alone would, before it
-touches the next, so a batch stops where its first point to diverge alone
-stops, with that point's message.  A diverging filter overflows on its way
-there, and ``step_round`` ignores overflow and invalid operations itself,
-so a caller holds no error state.
+alone.  The first non-finite value stops the run with ``Diverged``.  A
+round checks its client errors and its sink errors once each, and only
+when a check fails does it look for the lowest point that fails, in the
+order its run alone checks, so a batch stops where its first point to
+diverge alone stops, with that point's message.  A diverging filter
+overflows on its way there, and ``step_round`` ignores overflow and
+invalid operations itself, so a caller holds no error state.
 """
 
 from __future__ import annotations
@@ -331,12 +335,6 @@ def initial_weight(n: int) -> np.ndarray:
 # its inputs once per run, in ``new_protocol_state``.
 
 
-def _sweep(w: np.ndarray, u: np.ndarray, d: np.ndarray, mu) -> np.ndarray:
-    """w + mu * sum_i u_i (d_i - u_i.w), the terms added in row order."""
-    residual = d - np.vecdot(u, w)
-    return w + mu * np.add.reduce(u * residual[:, None], axis=0, initial=0.0)
-
-
 def _desired(u: np.ndarray, w: np.ndarray, noise) -> np.ndarray:
     """u.w + noise, row by row."""
     return np.vecdot(u, w) + noise
@@ -441,18 +439,52 @@ def new_protocol_state(
     )
 
 
-def _diverged(state: ProtocolState, p: int, what: str) -> Diverged:
-    """The refusal of point ``p`` in the current round: ``what`` is not finite."""
-    return Diverged(f"diverged in round {state.round_index}: non-finite {what}", point=p)
+def _estimate_step_sizes(
+    state: ProtocolState, u_sent: np.ndarray, cut: list[int], points: list[int]
+) -> list[int]:
+    """Set the step size of each of ``points`` from its arrivals, rows
+    ``cut[p]:cut[p + 1]`` of ``u_sent``, by one eigen solve over the stack
+    of their covariances; returns the points whose covariance is not
+    finite, which keep their step sizes."""
+    covs = np.array([u.T @ u / len(u) for u in (u_sent[cut[p] : cut[p + 1]] for p in points)])
+    # The absolute entry sum bounds every partial sum of the entries, so
+    # one NaN, infinity or overflowing sum shows here.
+    finite = [math.isfinite(x) for x in np.abs(covs).sum(axis=(1, 2)).tolist()]
+    refused = [p for p, ok in zip(points, finite) if not ok]
+    if refused:
+        points, covs = [p for p, ok in zip(points, finite) if ok], covs[finite]
+    bounds = state.bounds
+    for p, lam in zip(points, eigvalsh(covs)[:, -1].tolist()):
+        state.mu[p] = 0.5 / ((bounds[p + 1] - bounds[p]) * lam) if lam > 0 else 0.0
+    return refused
 
 
 def _first_non_finite(x: np.ndarray) -> int | None:
-    """The index of the first non-finite entry of ``x``, or None; ``x @ x``
-    is finite only if every entry is, and costs less than ``np.isfinite``."""
-    if math.isfinite(x @ x):
-        return None
+    """The index of the first non-finite entry of ``x``, or None."""
     finite = np.isfinite(x)
     return None if finite.all() else int(np.argmin(finite))
+
+
+def _check_finite(
+    state: ProtocolState, refused: list[int], sent: np.ndarray, error: np.ndarray
+) -> None:
+    """Raise the current round's ``Diverged`` if it has a non-finite value:
+    the lowest point with a non-finite client error, covariance (a point in
+    ``refused``) or sink error (``error[j]`` is row ``sent[j]``'s), in that
+    order within a point, named as its run alone names it."""
+    ids = state.node_ids
+    failures = []
+    k = _first_non_finite(state.trace.error_new[state.round_index])
+    if k is not None:
+        failures.append((state.point[k], 0, f"client error for node {ids[k]}"))
+    if refused:
+        failures.append((refused[0], 1, "block covariance at the sink"))
+    k = _first_non_finite(error)
+    if k is not None:
+        failures.append((state.point[sent[k]], 2, f"sink error for node {ids[sent[k]]}"))
+    if failures:
+        p, _, what = min(failures)
+        raise Diverged(f"diverged in round {state.round_index}: non-finite {what}", point=int(p))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -462,15 +494,22 @@ def step_round(state: ProtocolState) -> RoundResult:
     ``state.trace``; returns the round's view.
 
     Which blocks reach the sink, and which weight messages are exchanged,
-    follows the phase table in the module docstring.  Overflow on the way
-    to a non-finite error is expected, and ignored here.
+    follows the phase table in the module docstring.  The sink side is one
+    pass over every point: one eigen solve over the stacked covariances of
+    the points that estimate their step sizes, one row-wise residual and
+    term pass over all received rows, and per point only its sweep's sum
+    and its errors ``d - U @ w``.  Overflow on the way to a non-finite
+    error is expected, and ignored here.
 
     Raises ``Diverged`` at the first non-finite value, by one rule: the
     earliest round, then the lowest point (as ``point``), and within a
     point its client errors, then its step-size estimate (a non-finite
-    block covariance), then its sink errors.  The message names the round
-    and, for an error, the node: it is the message the point's run alone
-    raises.  A state whose rounds have all run raises ``DimensionMismatch``.
+    block covariance), then its sink errors.  Every point with arrivals
+    runs its sweep before the check, so a lower point's sink error is
+    found in a round where a higher point's covariance is not finite.  The
+    message names the round and, for an error, the node: it is the message
+    the point's run alone raises.  A state whose rounds have all run raises
+    ``DimensionMismatch``.
     """
     r = state.round_index
     trace = state.trace
@@ -486,7 +525,7 @@ def step_round(state: ProtocolState) -> RoundResult:
     d_new = _desired(samples, state.received_global, state.noise[:, r])
     adapting = (phase == CLIENT_ADAPTIVE).nonzero()[0]
     if adapting.size:
-        mu = state.mu[state.point, None]
+        mu = state.mu.take(state.point)[:, None]
         weights = _client_step(state.client_weight, samples, d_new, mu)[adapting]
         state.client_weight[adapting] = weights
         trace.updates.append((r, adapting, weights))
@@ -497,39 +536,39 @@ def step_round(state: ProtocolState) -> RoundResult:
     case = 4 * phase + 2 * (np.abs(errors) > state.beta)
 
     # Wire: data blocks of transmitting nodes, as the sinks receive them.
+    # Point p's arrivals are rows cut[p]:cut[p + 1] of u_sent.
     sent = (_KINDS[case] & _DATA).nonzero()[0]
-    u_sent, d_sent = state.sink_blocks[sent, r], state.sink_desired[sent, r]
-    error_glob = trace.error_glob[r]
-
-    # Sink side: each point in turn, settled as its run alone would be: its
-    # client errors, then, if it has arrivals (rows cut[p]:cut[p + 1] of
-    # u_sent, raw rows among them), the step-size estimate when one of its
-    # rows is raw, one global sweep over them and their errors.
+    u_sent, d_sent = state.sink_blocks[:, r].take(sent, axis=0), state.sink_desired[:, r].take(sent)
     cut = sent.searchsorted(state.bounds).tolist()
-    raw = (phase == RAW_TRANSMIT).nonzero()[0].searchsorted(state.bounds).tolist()
-    for p in range(len(cut) - 1):
-        rows = state.rows(p)
-        k = _first_non_finite(error_new[rows])
-        if k is not None:
-            raise _diverged(state, p, f"client error for node {state.node_ids[rows.start + k]}")
+    points = range(len(cut) - 1)
+
+    # Sink side, every point at once where the arithmetic is row-wise and
+    # point by point only where a result's bits depend on its row count:
+    # the covariances, the sweep's column sums and the errors d - U w.
+    refused = []
+    if state.auto_mu:
+        raw = (phase == RAW_TRANSMIT).nonzero()[0].searchsorted(state.bounds).tolist()
+        estimating = [p for p in points if raw[p] < raw[p + 1]]
+        if estimating:
+            refused = _estimate_step_sizes(state, u_sent, cut, estimating)
+    # One global sweep per point with arrivals, w += mu sum_i u_i (d_i -
+    # u_i.w), then the point's fit U w.
+    glob = state.global_weight
+    residual = d_sent - np.vecdot(u_sent, glob.take(state.point.take(sent), axis=0))
+    terms = u_sent * residual[:, None]
+    fit = np.empty(len(sent))
+    for p in points:
         a, b = cut[p], cut[p + 1]
-        if a == b:
-            continue
-        u, d = u_sent[a:b], d_sent[a:b]
-        if state.auto_mu and raw[p] < raw[p + 1]:
-            cov = (u.T @ u) / u.shape[0]
-            # The absolute entry sum bounds every partial sum of the
-            # entries, so one NaN, infinity or overflowing sum shows here.
-            if not math.isfinite(np.abs(cov).sum()):
-                raise _diverged(state, p, "block covariance at the sink")
-            lam = eigvalsh(cov)[-1]
-            state.mu[p] = 0.5 / ((rows.stop - rows.start) * lam) if lam > 0 else 0.0
-        weight = _sweep(state.global_weight[p], u, d, state.mu[p])
-        state.global_weight[p] = weight
-        error_glob[sent[a:b]] = e = d - u @ weight
-        k = _first_non_finite(e)
-        if k is not None:
-            raise _diverged(state, p, f"sink error for node {state.node_ids[sent[a + k]]}")
+        if a < b:
+            glob[p] += state.mu[p] * np.add.reduce(terms[a:b], axis=0, initial=0.0)
+            np.matmul(u_sent[a:b], glob[p], out=fit[a:b])
+    error = d_sent - fit
+    error_glob = trace.error_glob[r]
+    error_glob[sent] = error
+    # x @ x is finite only if every entry of x is, and costs less than
+    # np.isfinite; the entries are walked only when a check fails.
+    if refused or not (math.isfinite(error_new @ error_new) and math.isfinite(error @ error)):
+        _check_finite(state, refused, sent, error)
 
     # The round's messages, in sending order (see KIND_BITS), and the
     # end-of-round transitions: a handed-off row, sent the global weight,
@@ -541,7 +580,7 @@ def step_round(state: ProtocolState) -> RoundResult:
         kinds |= _QUERY
     np.take(_NEXT, case, out=state.phase)
     handed = (kinds & _GLOBAL).nonzero()[0]
-    payload = state.global_weight[state.point[handed]]
+    payload = state.global_weight.take(state.point.take(handed), axis=0)
     state.client_weight[handed] = state.received_global[handed] = payload
     state.round_index = r + 1
     return RoundResult(trace, r, state.node_ids)

@@ -6,9 +6,20 @@ cross-check them.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
+
+from wsnadapt.stdp import (
+    CLIENT_ADAPTIVE,
+    CLIENT_PREDICTING,
+    KIND_BITS,
+    RAW_TRANSMIT,
+    SINK_ADAPTIVE,
+    MessageKind,
+)
 
 
 def gauss_solve(a, b) -> np.ndarray:
@@ -177,3 +188,129 @@ def replay_client_updates(step, state, rounds, adaptive):
         step()
         updates.extend((r, k, state.client_weight[k].copy()) for k in starts)
     return sorted(updates, key=lambda update: update[1])
+
+
+class ReferenceRun(NamedTuple):
+    """One point's protocol run as ``reference_protocol`` makes it.
+
+    ``phase``, ``kinds``, ``error_glob`` and ``error_new`` hold one row per
+    completed round, shaped as an engine trace's columns; ``updates`` lists
+    every client-filter step as ``(round, node index, weight)`` in time
+    order; ``mu`` and ``global_weight`` are the sink's after the last
+    completed round.  ``stop`` is ``(round, message)`` for a run that
+    stopped at a non-finite value, else None.
+    """
+
+    phase: np.ndarray
+    kinds: np.ndarray
+    error_glob: np.ndarray
+    error_new: np.ndarray
+    updates: list
+    mu: float
+    global_weight: np.ndarray
+    stop: tuple[int, str] | None
+
+
+def reference_protocol(node_ids, blocks, desired, thresholds, mu=None, noise=None, received=None):
+    """The dual-prediction protocol of one point, node by node in plain
+    Python over 1-D dot products, written from the phase table of the
+    ``stdp`` module docstring.
+
+    Node k (id ``node_ids[k]``) senses ``blocks[k, r]`` (``(m, rounds, n)``)
+    and ``desired[k, r]`` in round r and draws client noise ``noise[k, r]``
+    (default zeros); the sink receives ``received = (blocks, desired)`` of
+    what it sends (default: the sensed arrays).  ``mu`` is the step size,
+    or None for the automatic rule: in a round with a raw node,
+    0.5 / (m * lambda_max) of ``U.T @ U / k`` over the k received blocks.
+    The sink's errors are one ``d - U @ w`` over the round's received rows,
+    as the engine computes them; every other value is per node.  The run
+    stops at the first non-finite client error, covariance or sink error,
+    in that order, with the engine's message.
+    """
+    blocks = np.asarray(blocks, dtype=float)
+    m, rounds, n = blocks.shape
+    noise = np.zeros((m, rounds)) if noise is None else noise
+    sink_blocks, sink_desired = (blocks, desired) if received is None else received
+    query, own_weight, data, global_weight = (
+        KIND_BITS[kind]
+        for kind in (MessageKind.QUERY, MessageKind.NODE_WEIGHT, MessageKind.DATA_BLOCK,
+                     MessageKind.GLOBAL_WEIGHT)
+    )
+    phase_log = np.zeros((rounds, m), dtype=np.uint8)
+    kinds_log = np.zeros((rounds, m), dtype=np.uint8)
+    error_glob = np.zeros((rounds, m))
+    error_new = np.zeros((rounds, m))
+    updates = []
+    w = np.full(n, 1.0 / np.sqrt(n))
+    step = math.nan if mu is None else float(mu)
+    phase = [RAW_TRANSMIT] * m
+    client = [None] * m  # Wc, the client filter
+    seed = [None] * m  # Wr, the global weight the client was sent
+
+    def stopped(r, what):
+        done = slice(0, r)
+        return ReferenceRun(
+            phase_log[done], kinds_log[done], error_glob[done], error_new[done], updates, step, w,
+            (r, f"diverged in round {r}: non-finite {what}"),
+        )
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(rounds):
+            phase_log[r] = phase
+            loud = [False] * m
+            for k in range(m):
+                if phase[k] < CLIENT_ADAPTIVE:
+                    continue
+                u = blocks[k, r]
+                d_new = u @ seed[k] + noise[k, r]
+                if phase[k] == CLIENT_ADAPTIVE:
+                    client[k] = client[k] + (step * u) * (d_new - u @ client[k])
+                    updates.append((r, k, client[k]))
+                error_new[r, k] = d_new - u @ client[k]
+                loud[k] = abs(error_new[r, k]) > thresholds.beta
+                if not math.isfinite(error_new[r, k]):
+                    return stopped(r, f"client error for node {node_ids[k]}")
+
+            sent = [
+                k for k in range(m)
+                if phase[k] <= SINK_ADAPTIVE or (phase[k] == CLIENT_ADAPTIVE and loud[k])
+            ]
+            near = [False] * m
+            if sent:
+                u, d = sink_blocks[sent, r], sink_desired[sent, r]
+                if mu is None and any(phase[k] == RAW_TRANSMIT for k in sent):
+                    cov = u.T @ u / len(sent)
+                    if not math.isfinite(np.abs(cov).sum()):
+                        return stopped(r, "block covariance at the sink")
+                    lam = np.linalg.eigvalsh(cov)[-1]
+                    step = 0.5 / (m * lam) if lam > 0 else 0.0
+                total = np.zeros(n)
+                for j in range(len(sent)):
+                    total = total + u[j] * (d[j] - u[j] @ w)
+                w = w + step * total
+                e = d - u @ w
+                for j, k in enumerate(sent):
+                    error_glob[r, k] = e[j]
+                    near[k] = abs(e[j]) <= thresholds.alpha
+                for j, k in enumerate(sent):
+                    if not math.isfinite(e[j]):
+                        return stopped(r, f"sink error for node {node_ids[k]}")
+
+            for k in range(m):
+                kinds = query if r == 0 else 0
+                if k in sent:
+                    kinds |= data
+                if phase[k] <= SINK_ADAPTIVE:
+                    if near[k]:
+                        kinds |= global_weight
+                        phase[k] = CLIENT_ADAPTIVE
+                        client[k] = seed[k] = w
+                    else:
+                        phase[k] = SINK_ADAPTIVE
+                elif phase[k] == CLIENT_ADAPTIVE and not loud[k]:
+                    kinds |= own_weight
+                    phase[k] = CLIENT_PREDICTING
+                elif phase[k] == CLIENT_PREDICTING and loud[k]:
+                    phase[k] = RAW_TRANSMIT
+                kinds_log[r, k] = kinds
+    return ReferenceRun(phase_log, kinds_log, error_glob, error_new, updates, step, w, None)

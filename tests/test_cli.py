@@ -1440,7 +1440,7 @@ def test_only_fieldgen_reads_a_random_substream():
 def test_every_raise_in_the_package_is_a_package_error():
     """Each ``raise`` in the package re-raises or raises a ``WsnAdaptError``:
     a class of ``errors`` called by name, or a helper whose return annotation
-    names one (``_diverged``, ``_config_error``, ``NotPositiveDefinite.naming``),
+    names one (``_config_error``, ``NotPositiveDefinite.naming``),
     so ``except WsnAdaptError`` catches every refusal the package makes."""
     package = {
         name

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from wsnadapt.fieldgen import (
     FieldParams,
     NodeLayout,
     Stream,
+    _measured_stream,
     awgn_channel,
     build_spatial_covariance,
     generate_stream,
@@ -117,6 +120,30 @@ def test_a_position_that_is_not_a_pair_of_numbers_is_refused(positions, sink, me
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "positions, sink, message",
+    [
+        (
+            ((10**400, 0.0),),
+            (0.0, 0.0),
+            "layout/positions/0: node 1 has a coordinate beyond the float range",
+        ),
+        (
+            ((1.0, 2.0), (0.5, Fraction(-(10**400), 3))),
+            (0.0, 0.0),
+            "layout/positions/1: node 2 has a coordinate beyond the float range",
+        ),
+        (((1.0, 0.0),), (10**400, 0.0), "layout/sink: the sink has a coordinate beyond the float range"),
+    ],
+    ids=["integer_position", "fraction_position", "integer_sink"],
+)
+def test_a_coordinate_beyond_the_float_range_is_refused(positions, sink, message):
+    # Before the check, numpy's conversion raised a bare OverflowError.
+    with pytest.raises(InvalidParameter) as err:
+        NodeLayout(positions, sink, tuple(range(1, len(positions) + 1)))
+    assert str(err.value) == message
+
+
 def test_a_layout_near_the_float_range_keeps_finite_distances():
     layout = NodeLayout(((1e308, 0.0), (-5e307, 1.0)), (0.0, 0.0), (1, 2))
     assert np.isfinite(layout.pair_distances()).all()
@@ -178,6 +205,20 @@ def test_generate_stream_deterministic():
     two = generate_stream(layout, params, 5, 10, seed=99)
     assert np.array_equal(one.blocks, two.blocks)
     assert np.array_equal(one.desired, two.desired)
+
+
+def test_a_stream_whose_ids_ascend_keeps_its_blocks_uncopied():
+    # Rows are put in ascending id order; rows already in it are kept as
+    # given, and make the stream the reordering would, bit for bit.
+    blocks = np.random.default_rng(5).normal(size=(4, 6, 3))
+    ids = [2, 3, 7, 11]
+    kept = _measured_stream(0.01, 9, ids, blocks)
+    reordered = _measured_stream(0.01, 9, ids[::-1], blocks[::-1])
+    assert np.shares_memory(kept.blocks, blocks)
+    assert not np.shares_memory(reordered.blocks, blocks)
+    assert kept.node_ids == reordered.node_ids == tuple(ids)
+    assert kept.blocks.tobytes() == reordered.blocks.tobytes()
+    assert kept.desired.tobytes() == reordered.desired.tobytes()
 
 
 def test_generate_stream_perfect_correlation_limit():

@@ -5,19 +5,34 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracles import global_ia_update, jacobi_eigenvalues, replay_client_updates
+from oracles import (
+    awgn_channel_per_node,
+    global_ia_update,
+    jacobi_eigenvalues,
+    reference_protocol,
+    replay_client_updates,
+)
 from wsnadapt import stdp
 from wsnadapt.errors import DimensionMismatch, Diverged, InvalidParameter, NonFinite
 from wsnadapt.fieldgen import (
+    ROLE_CHANNEL,
     ROLE_MEASURE,
     ROLE_PROTOCOL,
     FieldParams,
     NodeLayout,
     generate_stream,
+    inject_malicious,
     substream,
 )
 from wsnadapt.numerics import max_eigenvalue
-from wsnadapt.sim import default_layout, default_scenario, plan, run_stdp, simulate_protocol
+from wsnadapt.sim import (
+    MaliciousSpec,
+    default_layout,
+    default_scenario,
+    plan,
+    run_stdp,
+    simulate_protocol,
+)
 from wsnadapt.stdp import (
     CLIENT_ADAPTIVE,
     CLIENT_PREDICTING,
@@ -476,13 +491,14 @@ def test_a_fixed_mu_runs_no_eigen_solve(eigen_solves, mu):
 
 def test_every_point_estimates_its_step_size_in_round_0(eigen_solves):
     # Every row starts raw and transmits, so round 0 estimates each point's
-    # step size before any client filter steps with it.
+    # step size before any client filter steps with it, in one solve over
+    # the stack of the points' covariances.
     _, stream = make_stream(2, seed=5)
     state = two_point_state(stream)
     assert state.auto_mu and np.isnan(state.mu).all()
     step_round(state)
     assert np.isfinite(state.mu).all()
-    assert eigen_solves == [(5, 5), (5, 5)]
+    assert eigen_solves == [(2, 5, 5)]
     beta_sweep = plan(default_scenario(num_blocks=2), "sweep", axis="beta", values=[0.05, 0.2])
     run = simulate_protocol(beta_sweep)
     for p in range(2):
@@ -800,12 +816,115 @@ def test_each_point_of_a_batch_equals_its_run_alone(case):
     stops = [(state.round_index, p, str(exc)) for p, (state, exc) in enumerate(alone) if exc]
     if not stops:
         assert err is None and done == len(trace.phase)
+        # The step size from the stacked eigen solve, and the sink filter.
+        for p, (state, _) in enumerate(alone):
+            assert batch.mu[p : p + 1].tobytes() == state.mu.tobytes(), p
+            assert batch.global_weight[p].tobytes() == state.global_weight[0].tobytes(), p
         event("no divergence")
         return
     first_round, point, message = min(stops)
     assert err is not None and done == first_round
     assert (err.point, str(err)) == (point, message)
     event(f"diverged: {message.split('non-finite ')[1].split(' for ')[0]}")
+
+
+def first_difference(state, p, ref):
+    """Where point ``p`` of an engine run first differs, bit for bit, from
+    its reference run over the rounds both completed: the earliest round,
+    then the lowest node, then the first column, or None."""
+    rows, done = state.rows(p), min(state.round_index, len(ref.phase))
+    found = []
+    for column in ("phase", "kinds", "error_glob", "error_new"):
+        mine, theirs = getattr(state.trace, column)[:done, rows], getattr(ref, column)[:done]
+        bits = f"u{mine.itemsize}"
+        cells = np.argwhere(mine.view(bits) != theirs.view(bits))
+        if cells.size:
+            r, k = cells[0].tolist()
+            found.append((r, k, column, mine[r, k], theirs[r, k]))
+    if not found:
+        return None
+    r, k, column, mine, theirs = min(found, key=lambda cell: cell[:2])
+    node = state.node_ids[rows.start + k]
+    return f"round {r}, node {node}, {column}: engine {mine!r}, reference {theirs!r}"
+
+
+def assert_matches_reference(state, p, ref):
+    """Point ``p`` of an engine run has its reference run's trace, client
+    updates and, for a run that completed, step size and global weight."""
+    assert first_difference(state, p, ref) is None, (p, first_difference(state, p, ref))
+    rows, done = state.rows(p), min(state.round_index, len(ref.phase))
+    mine = [
+        (r, k - rows.start, w.tobytes())
+        for r, updated, weights in state.trace.updates
+        if r < done
+        for k, w in zip(updated.tolist(), weights)
+        if rows.start <= k < rows.stop
+    ]
+    assert mine == [(r, k, w.tobytes()) for r, k, w in ref.updates if r < done], p
+    if ref.stop is None and done == len(state.trace.phase):
+        assert state.mu[p : p + 1].tobytes() == np.float64(ref.mu).tobytes(), p
+        assert state.global_weight[p].tobytes() == ref.global_weight.tobytes(), p
+
+
+@settings(max_examples=100)
+@given(sweep_batches())
+def test_the_engine_matches_the_reference_protocol(case):
+    """Each point of a batch, node by node as ``oracles.reference_protocol``
+    runs it alone: every trace cell, client update, step size and sink
+    weight bit for bit, and the same stop."""
+    subsets, thresholds, mu, blocks, desired, noise, received = case
+    batch = protocol_over(subsets, thresholds, mu, blocks, desired, noise, received)
+    err = run_to_end(batch)
+    stops = []
+    for p, (subset, t) in enumerate(zip(subsets, thresholds)):
+        ref = reference_protocol(
+            [k + 1 for k in subset],
+            blocks[subset],
+            desired[subset],
+            t,
+            mu,
+            None if noise is None else noise[subset],
+            None if received is None else (received[0][subset], received[1][subset]),
+        )
+        assert_matches_reference(batch, p, ref)
+        if ref.stop is not None:
+            stops.append((ref.stop[0], p, ref.stop[1]))
+    if not stops:
+        assert err is None
+        event("no divergence")
+        return
+    first_round, point, message = min(stops)
+    assert batch.round_index == first_round
+    assert (err.point, str(err)) == (point, message)
+    event("diverged")
+
+
+@pytest.mark.parametrize("axis, values", [("beta", [0.05, 0.4, 0.0]), ("node_count", [10, 3, 6])])
+def test_a_sweep_plan_matches_the_reference_protocol(axis, values):
+    # Corrupted nodes 5 and 9 draw client noise at 6 times the standard
+    # deviation, and every block crosses a 25 dB channel.
+    spec = MaliciousSpec(node_ids=(5, 9), scale=6.0)
+    scenario = default_scenario(num_blocks=80, seed=11, channel=25.0, malicious=spec)
+    sweep = plan(scenario, "sweep", axis=axis, values=values)
+    state = simulate_protocol(sweep)
+    layout, field, seed = scenario.layout, scenario.field, scenario.seed
+    stream = generate_stream(layout, field, scenario.n_block, scenario.num_blocks, seed)
+    stream = inject_malicious(stream, layout, field, spec.node_ids, spec.scale, seed)
+    std = float(np.sqrt(field.noise_var))
+    for p, (point, group) in enumerate(zip(sweep.points, sweep.groups)):
+        rows = stream.rows_of(group)
+        blocks, desired = stream.blocks[rows], stream.desired[rows]
+        noise = np.array([
+            substream(seed, ROLE_PROTOCOL, i).normal(
+                0.0, std * (spec.scale if i in spec.node_ids else 1.0), stream.num_blocks
+            )
+            for i in group
+        ])
+        received = awgn_channel_per_node(blocks, desired, group, scenario.channel, seed, ROLE_CHANNEL)
+        ref = reference_protocol(group, blocks, desired, point.thresholds, point.mu, noise, received)
+        assert ref.stop is None and len(ref.phase) == scenario.num_blocks
+        assert_matches_reference(state, p, ref)
+    assert len({bytes(state.trace.kinds[:, state.rows(p)]) for p in range(len(values))}) > 1
 
 
 @pytest.mark.parametrize("points", [1, 2])
