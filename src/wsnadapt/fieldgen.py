@@ -115,9 +115,13 @@ class NodeLayout:
             raise self._refusal(far, tuple(points[far].tolist()), reason)
 
     def _refusal(self, k: int, where, reason: str) -> InvalidParameter:
-        """The refusal of point k, at ``where`` (None: not shown): node k's
-        position, or the sink's past the nodes."""
-        at = "" if where is None else f" at {where}"
+        """The refusal of point k, at ``where`` (None, or an int too long
+        for ``str``: not shown): node k's position, or the sink's past the
+        nodes."""
+        try:
+            at = "" if where is None else f" at {where}"
+        except ValueError:  # Python's limit on the digits of an int's str
+            at = ""
         if k == self.size:
             return InvalidParameter("layout/sink", f"the sink{at} {reason}")
         return InvalidParameter("layout/positions", f"node {self.node_ids[k]}{at} {reason}", k)
@@ -283,6 +287,14 @@ class Stream:
         return Stream(node_ids, self.blocks[rows], self.desired[rows])
 
 
+def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized float64 array whose data start 64-byte aligned."""
+    size = math.prod(shape)
+    raw = np.empty(size + 8)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip : skip + size].reshape(shape)
+
+
 def build_spatial_covariance(layout: NodeLayout, params: FieldParams) -> CovariancePair:
     """Spatial R_uu and sink-referenced R_du from geometry and signal scales.
 
@@ -292,31 +304,36 @@ def build_spatial_covariance(layout: NodeLayout, params: FieldParams) -> Covaria
     """
     m = layout.size
     sig = params.sigma_vector(m)
-    ruu = np.outer(sig, sig) * np.exp(-layout.pair_distances() / params.theta)
+    # R_uu starts on a cache line: where the heap put it moved ada's descent,
+    # all of it ``ruu @ w``, by a third with the same bits.
+    ruu = np.multiply(
+        np.outer(sig, sig), np.exp(-layout.pair_distances() / params.theta),
+        out=_aligned_empty((m, m)),
+    )
     rdu = params.sigma_d * sig * np.exp(-layout.sink_distances() / params.theta)
     return CovariancePair(ruu=ruu, rdu=rdu, sigma_d_sq=params.sigma_d**2)
 
 
 def _ar1_series(innovations: np.ndarray, phi: float) -> np.ndarray:
-    """Stationary AR(1) path along the last axis from unit-scale innovations.
+    """Stationary AR(1) path along the last axis from unit-scale innovations,
+    written over ``innovations`` and returned as that array.
 
-    ``innovations`` holds one series per row, at least 2-D.  Step t is
+    ``innovations`` holds one series per row, at least 2-D; both callers
+    pass a fresh array that nothing else reads.  Step t is
     ``phi * path[t - 1] + damp * innovation[t]``.  The recursion runs
-    time-major, one step over every series at a time.  For the ``(m, total)``
-    input of both callers, whose rows are contiguous, ``np.moveaxis`` gives
-    a view whose step rows are strided, their m values a row stride apart;
-    ``damp * steps`` keeps time the fast axis, so the path comes back
-    C-ordered.
-    The arithmetic, and so every bit, is that of a series stepped on its
-    own.
+    time-major, one step over every series at a time, on the
+    ``np.moveaxis`` view whose step rows are strided, their values a row
+    stride apart.  The arithmetic, and so every bit, is that of a series
+    stepped on its own.
     """
     damp = np.sqrt(1.0 - phi * phi)
     steps = np.moveaxis(innovations, -1, 0)
-    out = damp * steps
-    out[0] = steps[0]
-    for prev, row in zip(out[:-1], out[1:]):
+    first = steps[0].copy()
+    steps *= damp
+    steps[0] = first
+    for prev, row in zip(steps[:-1], steps[1:]):
         row += phi * prev
-    return np.moveaxis(out, 0, -1)
+    return innovations
 
 
 def _desired(blocks: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -359,6 +376,9 @@ def generate_stream(
     with coefficient temporal_phi.  The desired scalar of each block is
     samples @ w + v with w the normalized all-ones initial weight and v
     drawn per node at variance noise_var.  Bit-identical for equal seeds.
+    Each stream-sized array is dropped once it is read: the draw z once
+    ``L @ z.T`` exists, which the AR(1) path then overwrites and the
+    blocks view, so at most two are alive at once, during that product.
     A degenerate layout raises NotPositiveDefinite naming the first node
     that adds no independent signal, in layout order.
     """
@@ -378,6 +398,9 @@ def generate_stream(
     # in row t, matching the per-sample-index draw order of the contract.
     z = rng_field.standard_normal((total, m))
     innovations = low @ z.T  # m x total, marginal covariance exactly ruu
+    del z
+    # The path overwrites the innovations, and its C-ordered rows reshape
+    # into blocks with no copy.
     blocks = _ar1_series(innovations, params.temporal_phi).reshape(m, num_blocks, n)
     return _measured_stream(params.noise_var, seed, layout.node_ids, blocks)
 
@@ -421,6 +444,10 @@ def inject_malicious(
     return Stream(stream.node_ids, blocks, desired)
 
 
+# The samples whose squares ``awgn_channel`` holds at once.
+_CHANNEL_CHUNK = 1 << 14
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def awgn_channel(
     blocks: np.ndarray, desired: np.ndarray, noise: np.ndarray, snr_db: float
@@ -436,10 +463,17 @@ def awgn_channel(
     ``Generator.normal(0.0, std, n + 1)`` scales its draws.  The result is
     written into ``noise``, and the returned arrays are views of it.  A
     block whose squares overflow gets a non-finite result, silently: the
-    round whose sink reads it raises ``Diverged``.
+    round whose sink reads it raises ``Diverged``.  The mean squares are
+    taken a few nodes at a time, so no temporary the size of ``blocks``
+    exists; each block's sum runs in the order of a whole-array mean.
     """
     n = blocks.shape[-1]
-    std = np.sqrt(np.mean(blocks**2, axis=-1) * 10.0 ** (-snr_db / 10.0))
+    std = np.empty(blocks.shape[:-1])
+    step = max(1, _CHANNEL_CHUNK // max(1, math.prod(blocks.shape[1:])))
+    for start in range(0, len(blocks), step):
+        np.mean(blocks[start : start + step] ** 2, axis=-1, out=std[start : start + step])
+    std *= 10.0 ** (-snr_db / 10.0)
+    np.sqrt(std, out=std)
     noise *= std[..., None]
     noise += 0.0  # as Generator.normal's loc 0.0: -0.0 draws become 0.0
     noise[..., :n] += blocks

@@ -363,26 +363,25 @@ def execute(plan: RunPlan) -> RunReport:
 def simulate_protocol(plan: RunPlan) -> stdp.ProtocolState:
     """Run the full protocol over a plan's points, side by side as the
     points of one engine; returns the run, whose ``trace`` holds every
-    round.  The client noise, the channel and the step-size mode come from
-    the first point; each point brings its thresholds, its sensed group and
-    its stream (the plan's, if it has one, serves every point), so a point
-    may differ from the first only in ``thresholds``, ``select_first`` and
+    round and which holds none of its inputs: the reports read only the
+    trace, its update log, ``mu``, the ids and the bounds.  The client
+    noise, the channel and the step-size mode come from the first point;
+    each point brings its thresholds, its sensed group and its stream (the
+    plan's, if it has one, serves every point), so a point may differ from
+    the first only in ``thresholds``, ``select_first`` and
     ``select_count``.  Every point gets the bits of its own run."""
     points, groups, scenario = plan.points, plan.groups, plan.points[0]
     own = dict(thresholds=scenario.thresholds, select_first=scenario.select_first)
     if any(replace(p, select_count=scenario.select_count, **own) != scenario for p in points):
         raise DimensionMismatch("engine points may differ only in thresholds and node selection")
-    # Each point generates the stream of its own scenario, as its single run
-    # does.  Thresholds and node selection, the only ways points may differ,
-    # do not enter the stream, so these streams are equal.  perfbench's
-    # traced sweep test counts one covariance factorization per point; once
-    # it counts one per engine, one shared stream saves the other P - 1.
-    streams = [
-        (_scenario_stream(point) if plan.stream is None else plan.stream).restrict(group)
-        for point, group in zip(points, groups)
-    ]
+    blocks, desired = _sensed_inputs(plan)
+    num_blocks = blocks.shape[1]
+    # Engine row k is node ``active[node_row[k]]``: the row of its noise
+    # draws, of which a batch keeps only its rows' copy.  A stream's rows
+    # ascend by id, so the engine's rows are the groups' ids in order.
     active = sorted(set().union(*groups))
-    num_blocks = streams[0].num_blocks
+    ids = [i for group in groups for i in group]
+    node_row = slice(None) if len(points) == 1 else np.searchsorted(active, ids)
 
     # A corrupted node's own measurements are degraded too: its client-side
     # noise draws scale with the corruption factor.  Without this the
@@ -393,26 +392,18 @@ def simulate_protocol(plan: RunPlan) -> stdp.ProtocolState:
     corrupted = set(scenario.malicious.node_ids) if scenario.malicious else set()
     scale = scenario.malicious.scale if scenario.malicious else 1.0
     stds = np.array([noise_std * (scale if i in corrupted else 1.0) for i in active])
-    draws = stds[:, None] * node_draws(scenario.seed, ROLE_PROTOCOL, active, num_blocks) + 0.0
-    # Engine row k is node ``active[node_row[k]]``: the row of its noise
-    # draws.  A stream's rows ascend by id, so the engine's rows are the
-    # groups' ids in order; point p's rows read streams[p], and one point
-    # reads everything as it is, with no copy.
-    ids = [i for group in groups for i in group]
-    node_row = slice(None) if len(points) == 1 else np.searchsorted(active, ids)
-    if len(streams) == 1:
-        blocks, desired = streams[0].blocks, streams[0].desired
-    else:
-        blocks = np.concatenate([s.blocks for s in streams])
-        desired = np.concatenate([s.desired for s in streams])
+    client_noise = node_draws(scenario.seed, ROLE_PROTOCOL, active, num_blocks)[node_row]
+    client_noise *= stds[node_row, None]
+    client_noise += 0.0
     received = None
     if scenario.channel is not None:
         # Every block crosses the channel before round 0, and a round
         # reads what the sinks receive of the blocks its rows send: a
         # (node, block) gets the same noise in every point, whatever the
         # node sent before.
-        noise = node_draws(scenario.seed, ROLE_CHANNEL, active, num_blocks, blocks.shape[2] + 1)
-        received = fieldgen.awgn_channel(blocks, desired, noise[node_row], scenario.channel)
+        shape = (num_blocks, blocks.shape[2] + 1)
+        noise = node_draws(scenario.seed, ROLE_CHANNEL, active, *shape)[node_row]
+        received = fieldgen.awgn_channel(blocks, desired, noise, scenario.channel)
     state = stdp.new_protocol_state(
         ids,
         blocks,
@@ -420,12 +411,43 @@ def simulate_protocol(plan: RunPlan) -> stdp.ProtocolState:
         [point.thresholds for point in points],
         sizes=[len(group) for group in groups],
         mu=scenario.mu,
-        client_noise=draws[node_row],
+        client_noise=client_noise,
         received=received,
     )
     for _ in range(num_blocks):
         stdp.step_round(state)
+    state.blocks = state.noise = state.sink_blocks = state.sink_desired = None
     return state
+
+
+def _sensed_inputs(plan: RunPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The engine's ``(rows, rounds, n)`` blocks and ``(rows, rounds)``
+    desired values: each point's stream, restricted to its group, in its
+    rows.  One point's arrays are read as they are, with no copy.  A batch
+    allocates its arrays first, then makes one point's stream at a time,
+    copies it into the point's rows and drops it before the next is made.
+
+    Each point generates the stream of its own scenario, as its single run
+    does.  Thresholds and node selection, the only ways points may differ,
+    do not enter the stream, so these streams are equal.  perfbench's
+    traced sweep test counts one covariance factorization per point; once
+    it counts one per engine, one shared stream saves the other P - 1."""
+    def stream_of(point: Scenario, group: tuple[int, ...]) -> Stream:
+        return (_scenario_stream(point) if plan.stream is None else plan.stream).restrict(group)
+
+    if len(plan.points) == 1:
+        stream = stream_of(plan.points[0], plan.groups[0])
+        return stream.blocks, stream.desired
+    given, first = plan.stream, plan.points[0]
+    rounds, n = (first.num_blocks, first.n_block) if given is None else (given.num_blocks, given.n)
+    bounds = np.cumsum([0, *map(len, plan.groups)]).tolist()
+    blocks, desired = np.empty((bounds[-1], rounds, n)), np.empty((bounds[-1], rounds))
+    for p, (point, group) in enumerate(zip(plan.points, plan.groups)):
+        stream = stream_of(point, group)
+        blocks[bounds[p] : bounds[p + 1]] = stream.blocks
+        desired[bounds[p] : bounds[p + 1]] = stream.desired
+        del stream  # before the next point's is made
+    return blocks, desired
 
 
 _PHASE_NAMES = np.array([p.value for p in stdp.PHASES], dtype=np.bytes_)

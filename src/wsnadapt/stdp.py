@@ -229,7 +229,10 @@ class ProtocolState:
     of its point.  ``sink_blocks`` (shaped as ``blocks``) and
     ``sink_desired`` ``(rows, rounds)`` are what the sinks receive of each
     block a row sends and of its desired value (without a channel, the
-    sensed arrays themselves).
+    sensed arrays themselves).  A finished run reads none of these four,
+    so whoever runs its last round may set them to None, and
+    ``sim.simulate_protocol`` does: a run it returns holds no array the
+    size of its blocks.
     ``auto_mu`` says whether the step sizes follow the automatic rule.
 
     Engine state: ``client_weight`` and ``received_global`` rows are
@@ -246,10 +249,10 @@ class ProtocolState:
     node_ids: tuple[int, ...]
     point: np.ndarray
     bounds: tuple[int, ...]
-    blocks: np.ndarray
-    noise: np.ndarray
-    sink_blocks: np.ndarray
-    sink_desired: np.ndarray
+    blocks: np.ndarray | None
+    noise: np.ndarray | None
+    sink_blocks: np.ndarray | None
+    sink_desired: np.ndarray | None
     alpha: np.ndarray
     beta: np.ndarray
     auto_mu: bool

@@ -1,5 +1,6 @@
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,19 @@ def default_cov(default_scenario):
     from wsnadapt.fieldgen import build_spatial_covariance
 
     return build_spatial_covariance(default_scenario.layout, default_scenario.field)
+
+
+@pytest.fixture
+def traced_peak():
+    """A function that runs ``call()`` under tracemalloc and returns its
+    result and the peak of the memory traced meanwhile, in bytes; run a
+    small call first, so that lazy imports do not count."""
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

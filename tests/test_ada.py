@@ -118,6 +118,30 @@ def test_descent_errors_are_exact_mmse_of_every_iterate(default_cov):
     assert np.array_equal(w, trace.final_weight)
 
 
+def at_offset(a: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of ``a`` whose data start ``offset`` bytes past a 64-byte boundary."""
+    raw = np.empty(a.size + 8)
+    skip = (offset - raw.ctypes.data) % 64 // 8
+    copy = raw[skip : skip + a.size].reshape(a.shape)
+    copy[...] = a
+    assert copy.ctypes.data % 64 == offset
+    return copy
+
+
+def test_ruu_starts_on_a_cache_line_and_the_descent_has_the_same_bits_anywhere():
+    # Where the heap put R_uu moved the descent's time, not its bits.
+    rng = np.random.default_rng(23)
+    for m in (1, 7, 60):
+        _, cov = random_scenario(rng, m)
+        assert cov.ruu.ctypes.data % 64 == 0
+    runs = [
+        steepest_descent(CovariancePair(at_offset(cov.ruu, offset), cov.rdu, cov.sigma_d_sq))
+        for offset in (0, 16)
+    ]
+    assert runs[0].mmse.tobytes() == runs[1].mmse.tobytes()
+    assert runs[0].final_weight.tobytes() == runs[1].final_weight.tobytes()
+
+
 def test_descent_final_weight_exact_under_iteration_cap():
     # A cap of exactly the iterations a descent needs returns the same
     # trace; one fewer raises.

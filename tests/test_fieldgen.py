@@ -20,6 +20,7 @@ from wsnadapt.fieldgen import (
     FieldParams,
     NodeLayout,
     Stream,
+    _ar1_series,
     _measured_stream,
     awgn_channel,
     build_spatial_covariance,
@@ -144,6 +145,22 @@ def test_a_coordinate_beyond_the_float_range_is_refused(positions, sink, message
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "positions, sink, message",
+    [
+        (((10**5000, 0.0, 1.0),), (0.0, 0.0), "layout/positions/0: node 1 is not a pair of numbers"),
+        (((0.0, 1.0),), (10**5000, 0.0, 1.0), "layout/sink: the sink is not a pair of numbers"),
+    ],
+    ids=["position", "sink"],
+)
+def test_a_position_too_long_to_print_is_refused_unprinted(positions, sink, message):
+    # str() of an int past 4300 digits raises Python's own ValueError, so
+    # the refusal's message leaves such a position out.
+    with pytest.raises(InvalidParameter) as err:
+        NodeLayout(positions, sink, (1,))
+    assert str(err.value) == message
+
+
 def test_a_layout_near_the_float_range_keeps_finite_distances():
     layout = NodeLayout(((1e308, 0.0), (-5e307, 1.0)), (0.0, 0.0), (1, 2))
     assert np.isfinite(layout.pair_distances()).all()
@@ -219,6 +236,28 @@ def test_a_stream_whose_ids_ascend_keeps_its_blocks_uncopied():
     assert kept.node_ids == reordered.node_ids == tuple(ids)
     assert kept.blocks.tobytes() == reordered.blocks.tobytes()
     assert kept.desired.tobytes() == reordered.desired.tobytes()
+
+
+def test_the_ar1_path_is_written_over_its_innovations():
+    innovations = np.random.default_rng(4).normal(size=(3, 7))
+    expected = innovations.copy()
+    damp = np.sqrt(1.0 - 0.9 * 0.9)
+    for t in range(1, 7):
+        expected[:, t] = 0.9 * expected[:, t - 1] + damp * expected[:, t]
+    assert _ar1_series(innovations, 0.9) is innovations
+    assert innovations.tobytes() == expected.tobytes()
+
+
+def test_generate_stream_holds_at_most_two_stream_sized_arrays(traced_peak):
+    # The draw z and L @ z.T, while the product is made: the AR(1) path is
+    # written over the product, and the blocks are a view of it.
+    m = 20
+    layout = NodeLayout(
+        tuple((float(k % 5), float(k // 5)) for k in range(m)), (2.0, 2.0), tuple(range(1, m + 1))
+    )
+    generate_stream(layout, FieldParams(), 5, 2, seed=3)
+    stream, peak = traced_peak(lambda: generate_stream(layout, FieldParams(), 5, 2000, seed=3))
+    assert peak < 2.5 * stream.blocks.nbytes
 
 
 def test_generate_stream_perfect_correlation_limit():
@@ -394,6 +433,24 @@ def test_awgn_channel_matches_per_node_generators():
         expected = awgn_channel_per_node(blocks, desired, ids, snr_db, seed, ROLE_CHANNEL)
         assert got[0].tobytes() == expected[0].tobytes(), trial
         assert got[1].tobytes() == expected[1].tobytes(), trial
+
+
+def test_awgn_channel_holds_no_temporary_the_size_of_its_blocks(traced_peak):
+    # The mean squares are taken a few nodes at a time; a block's noise has
+    # the bits of its own generator in every chunk.
+    rng = np.random.default_rng(8)
+    ids = list(range(1, 41))
+    blocks, desired = rng.normal(size=(40, 500, 5)), rng.normal(size=(40, 500))
+    awgn_channel(blocks[:1, :1], desired[:1, :1], node_draws(8, ROLE_CHANNEL, [1], 1, 6), 30.0)
+    noise = node_draws(8, ROLE_CHANNEL, ids, 500, 6)
+    (got, got_desired), peak = traced_peak(lambda: awgn_channel(blocks, desired, noise, 30.0))
+    assert peak < blocks.nbytes / 2
+    rows = [0, 5, 6, 39]  # 6 nodes of 2500 samples fill a chunk
+    expected = awgn_channel_per_node(
+        blocks[rows], desired[rows], [ids[k] for k in rows], 30.0, 8, ROLE_CHANNEL
+    )
+    assert got[rows].tobytes() == expected[0].tobytes()
+    assert got_desired[rows].tobytes() == expected[1].tobytes()
 
 
 def csv_text(rows):

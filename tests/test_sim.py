@@ -289,15 +289,57 @@ def test_point_report_read_off_an_engine_run_equals_its_own_run(axis, values):
         assert "weights.csv" in csv_files(own)
 
 
-def test_channel_sweep_points_receive_the_same_bytes_for_a_node_and_block():
+def test_channel_sweep_points_receive_the_same_bytes_for_a_node_and_block(monkeypatch):
+    # What the sinks receive is read off the engine's inputs, which a
+    # finished run no longer holds.
+    given, new_state = [], stdp.new_protocol_state
+
+    def keep(node_ids, blocks, *args, received, **kwargs):
+        state = new_state(node_ids, blocks, *args, received=received, **kwargs)
+        given.append((state.node_ids, blocks, *received))
+        return state
+
+    monkeypatch.setattr(stdp, "new_protocol_state", keep)
     scenario = small_scenario(channel=30.0)
-    alone = simulate_protocol(plan(scenario))
-    assert not np.array_equal(alone.sink_blocks, alone.blocks)
+    simulate_protocol(plan(scenario))
+    ((ids, sensed, sink_blocks, sink_desired),) = given
+    assert not np.array_equal(sink_blocks, sensed)
     for axis, values in (("beta", [0.3, 0.0, 0.1]), ("node_count", [6, 2, 4])):
-        state = simulate_protocol(plan(scenario, "sweep", axis=axis, values=values))
-        rows = np.searchsorted(alone.node_ids, state.node_ids)
-        assert state.sink_blocks.tobytes() == alone.sink_blocks[rows].tobytes()
-        assert state.sink_desired.tobytes() == alone.sink_desired[rows].tobytes()
+        given.clear()
+        simulate_protocol(plan(scenario, "sweep", axis=axis, values=values))
+        ((rows_ids, _, blocks, desired),) = given
+        rows = np.searchsorted(ids, rows_ids)
+        assert blocks.tobytes() == sink_blocks[rows].tobytes()
+        assert desired.tobytes() == sink_desired[rows].tobytes()
+
+
+@pytest.mark.parametrize("channel", [None, 30.0])
+def test_a_finished_run_holds_none_of_its_inputs(channel):
+    scenario = small_scenario(channel=channel)
+    state = simulate_protocol(plan(scenario, "sweep", axis="beta", values=[0.05, 0.2]))
+    assert state.blocks is state.noise is state.sink_blocks is state.sink_desired is None
+    arrays = [
+        a for a in (*vars(state).values(), *vars(state.trace).values()) if isinstance(a, np.ndarray)
+    ]
+    arrays += [weights for _, _, weights in state.trace.updates]
+    # No array left holds as many entries as the sensed blocks did.
+    assert max(a.size for a in arrays) < len(state.node_ids) * state.round_index * scenario.n_block
+
+
+def test_a_sweep_batch_holds_one_points_stream_at_a_time(traced_peak):
+    # With S the bytes of one point's blocks, a batch of P points holds its
+    # blocks and desired values, P (1 + 1/n) S, and while a point's stream
+    # is made, generate_stream's two S-sized arrays: (P + 2 + P/n) S.  The
+    # engine's own arrays come later and hold less than 2 S at n = 20.
+    values = [0.05, 0.1, 0.2, 0.4]
+    scenario = default_scenario(num_blocks=400, n_block=20)
+    simulate_protocol(plan(small_scenario(), "sweep", axis="beta", values=values[:2]))
+    state, peak = traced_peak(
+        lambda: simulate_protocol(plan(scenario, "sweep", axis="beta", values=values))
+    )
+    P, n, S = len(values), scenario.n_block, scenario.layout.size * 400 * 20 * 8
+    assert state.round_index == 400
+    assert peak < (P + 2 + P / n + 0.1) * S
 
 
 @pytest.mark.parametrize("run", [run_stdp, run_detect])
