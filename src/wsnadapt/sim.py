@@ -150,16 +150,23 @@ def config_hash(config: dict) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Table:
-    """One CSV file: its header and equal-length columns.  Iterating it
-    encodes its rows one chunk of at most ``CHUNK_ROWS`` rows at a time and
-    yields each chunk's CSV bytes.
+    """One CSV file: its header and its columns, all of one shape.
+    Iterating it encodes its rows a chunk at a time and yields each chunk's
+    CSV bytes.
 
-    Every column is a numpy array: floats (printed as ``format(v, ".9g")``),
-    integers (printed as their digits) or fixed-width byte strings (printed
-    as they are).  ``absent`` maps a column index to a boolean mask of the
-    cells that hold no value: they print empty.  ``labels`` maps a column
-    index to the byte-string names of its integer codes: a coded cell
-    prints as ``labels[c][code]``.
+    Every column is a numpy array of floats (printed as ``format(v,
+    ".9g")``), integers (printed as their digits) or fixed-width byte
+    strings (printed as they are).  A column is 1-D, a CSV row per entry,
+    or a 2-D ``(groups, width)`` grid, a CSV row per cell in row-major
+    order, so a grid may be a strided view of the array that holds the
+    values or an ``np.broadcast_to`` of a row or column of them: the table
+    reads its columns where they lie.  ``absent`` maps a column index to a
+    boolean mask of the cells that hold no value: they print empty.
+    ``labels`` maps a column index to the byte-string names of its integer
+    codes: a coded cell prints as ``labels[c][code]``.  Every column and
+    mask has the table's shape; ``DimensionMismatch`` refuses any other.
+    A chunk is a run of whole grid rows (entries of a 1-D table) of about
+    ``CHUNK_ROWS`` cells, at least one grid row.
     """
 
     header: tuple[str, ...]
@@ -167,12 +174,21 @@ class Table:
     absent: dict[int, np.ndarray] = field(default_factory=dict)
     labels: dict[int, np.ndarray] = field(default_factory=dict)
 
+    def __post_init__(self):
+        shapes = [np.shape(a) for a in (*self.columns, *self.absent.values())]
+        if len(shapes[0]) not in (1, 2) or len(set(shapes)) > 1:
+            raise DimensionMismatch(
+                f"a table's columns and absent masks need one 1-D or 2-D shape, got {shapes}"
+            )
+
     def __len__(self) -> int:
-        return len(self.columns[0])
+        return math.prod(self.columns[0].shape)
 
     def __iter__(self) -> Iterator[bytes]:
-        for start in range(0, len(self), CHUNK_ROWS):
-            yield _chunk_bytes(self, slice(start, start + CHUNK_ROWS))
+        groups, *width = self.columns[0].shape
+        step = max(1, CHUNK_ROWS // (math.prod(width) or 1))
+        for start in range(0, groups, step):
+            yield _chunk_bytes(self, slice(start, start + step))
 
 
 @dataclass(frozen=True)
@@ -189,12 +205,14 @@ class RunReport:
                 raise DimensionMismatch(f"series {name} is empty")
             for heading, column in zip(table.header, table.columns):
                 if column.dtype.kind == "f":
+                    # The flat index of a cell is its CSV row.
                     bad = np.flatnonzero(~np.isfinite(column))
                     if bad.size:
                         row = bad[0]
+                        value = column[np.unravel_index(row, column.shape)]
                         raise NonFinite(
                             f"non-finite value in series {name}, row {row}, "
-                            f"column {heading}: {column[row]}"
+                            f"column {heading}: {value}"
                         )
 
 
@@ -458,12 +476,9 @@ _KIND_NAMES = np.array(
     ],
     dtype=np.bytes_,
 )
-
-
-def _narrow(values: np.ndarray) -> np.ndarray:
-    """Integers as int32 where they fit; they print the same either way."""
-    fits = not values.size or (values.min() >= -(2**31) and values.max() < 2**31)
-    return values.astype(np.int32) if fits else values
+_DATA = stdp.KIND_BITS[stdp.MessageKind.DATA_BLOCK]
+# The transmitted column prints the DATA_BLOCK bit of a kind mask.
+_SENT_NAMES = np.array([b"1" if mask & _DATA else b"0" for mask in range(len(_KIND_NAMES))])
 
 
 def run_stdp(
@@ -476,7 +491,9 @@ def run_stdp(
     of the plan's point ``point``; ``state`` is the plan's engine run, and
     ``updates`` its ``trace.client_updates()``, when the caller holds them
     already (see ``sweep`` and ``run_detect``).  It is the one builder of a
-    protocol point's files and metadata."""
+    protocol point's files and metadata.  ``message_trace.csv`` and
+    ``weights.csv`` are grids that read the trace and the update log where
+    they lie: only their absent masks are made cell by cell."""
     if state is None:
         state = simulate_protocol(plan)
     if updates is None:
@@ -484,45 +501,45 @@ def run_stdp(
     scenario = plan.points[point]
     rows = state.rows(point)
     trace = state.trace
-    ids = _narrow(np.array(state.node_ids[rows]))
-    rounds, m = trace.phase[:, rows].shape
-    phase = trace.phase[:, rows].ravel()
-    transmitted = trace.transmitted[:, rows].ravel()
+    ids = np.array(state.node_ids[rows])
+    # The trace's columns are read in place, as (rounds, nodes) grids.
+    phase, kinds = trace.phase[:, rows], trace.kinds[:, rows]
+    grid = phase.shape
     pct, total = stdp.transmission_percentages(state, point)
     files = {
         "stdp_transmission.csv": Table(
             ("beta", "node_id", "pct"),
-            (np.full(m, scenario.thresholds.beta), ids, pct),
+            (np.full(len(ids), scenario.thresholds.beta), ids, pct),
         ),
         "message_trace.csv": Table(
             ("round", "node_id", "phase", "kind", "error_glob", "error_new", "transmitted"),
             (
-                np.repeat(_narrow(np.arange(rounds)), m),
-                np.tile(ids, rounds),
+                np.broadcast_to(np.arange(grid[0])[:, None], grid),
+                np.broadcast_to(ids, grid),
                 phase,
-                trace.kinds[:, rows].ravel(),
-                trace.error_glob[:, rows].ravel(),
-                trace.error_new[:, rows].ravel(),
-                transmitted.view(np.int8),
+                kinds,
+                trace.error_glob[:, rows],
+                trace.error_new[:, rows],
+                kinds,
             ),
-            absent={4: ~transmitted, 5: phase < stdp.CLIENT_ADAPTIVE},
-            labels={2: _PHASE_NAMES, 3: _KIND_NAMES},
+            absent={4: (kinds & _DATA) == 0, 5: phase < stdp.CLIENT_ADAPTIVE},
+            labels={2: _PHASE_NAMES, 3: _KIND_NAMES, 6: _SENT_NAMES},
         ),
     }
-    # The log is grouped by ascending row, so the point's rows are one run of it.
+    # The log is grouped by ascending row, so the point's rows are one run
+    # of it: a (k, n) grid of weights, a CSV row per tap.
     update_rounds, updated, weights = updates
     first, stop = np.searchsorted(updated, (rows.start, rows.stop))
-    update_rounds, weights = update_rounds[first:stop], weights[first:stop]
-    updated = updated[first:stop] - rows.start
-    if update_rounds.size:
-        n = weights.shape[1]
+    if first < stop:
+        weights = weights[first:stop]
+        grid = weights.shape
         files["weights.csv"] = Table(
             ("round", "node_id", "tap_index", "value"),
             (
-                np.repeat(_narrow(update_rounds), n),
-                np.repeat(ids[updated], n),
-                np.tile(np.arange(n, dtype=np.int32), update_rounds.size),
-                weights.ravel(),
+                np.broadcast_to(update_rounds[first:stop, None], grid),
+                np.broadcast_to(ids[updated[first:stop] - rows.start, None], grid),
+                np.broadcast_to(np.arange(grid[1]), grid),
+                weights,
             ),
         )
     metadata = _base_metadata("STDP", scenario)
@@ -681,22 +698,26 @@ def sweep(plan: RunPlan) -> RunReport:
     return RunReport(files=files, metadata=metadata)
 
 
-# A CSV file's data rows are built as bytes, one chunk of at most
-# CHUNK_ROWS rows at a time, each chunk only when the writer asks for it.
+# A CSV file's data rows are built as bytes, one chunk of whole grid rows
+# (about CHUNK_ROWS cells) at a time, each chunk only when the writer asks
+# for it.  A column's cells in a chunk are raveled from where the column
+# lies, a view of the trace or the log or a broadcast grid, so a chunk's
+# copies are one chunk's working set and no table copies its columns.
 # A chunk is one uint8 matrix, a row per CSV row: each column owns a run
 # of byte slots in it and a separator slot after them, and the matrix
 # starts NUL but for the separators.  A column encodes only its present
 # cells, as a matrix of their slots in which a slot the cell does not use
-# holds NUL, and copies them into its run of each present row; an absent
-# cell keeps its NULs.  Deleting every NUL from the matrix's bytes leaves
-# the chunk's CSV text.  A cell's slots are gathered whole from small
+# holds NUL, and copies them into its run of each present row, after
+# which they are dropped; an absent cell keeps its NULs.  Deleting every
+# NUL from the matrix's bytes leaves the chunk's CSV text, and the matrix
+# is dropped before that.  A cell's slots are gathered whole from small
 # tables: an integer in [0, 10**4) from the digit strings of its column's
 # width, a name from its label's bytes, a float's layout from its sign and
 # exponent, and its digits from a table of four-digit groups.  Any other
 # integer takes numpy's cast to bytes, which prints the digits of ``str``:
 # no output has one, so the exact path is also the simplest.  Writing one
 # slot column of a row-major matrix at a time costs a pass over the matrix
-# per slot.  A chunk of 8192 rows keeps its working arrays in cache: it
+# per slot.  A chunk of 8192 cells keeps its working arrays in cache: it
 # encodes no slower than larger chunks and holds less while its file is
 # written.
 CHUNK_ROWS = 8192
@@ -856,29 +877,40 @@ def _cells(values: np.ndarray, names: np.ndarray | None) -> np.ndarray:
     return encode(values)
 
 
-def _chunk_bytes(table: Table, rows: slice) -> bytes:
-    """CSV bytes of a run of the table's rows."""
-    columns = []
-    for c, column in enumerate(table.columns):
-        values, present = column[rows], None
-        if c in table.absent:
-            present = np.flatnonzero(~table.absent[c][rows])
-            values = values[present]
-        columns.append((_cells(values, table.labels.get(c)), present))
+def _column_cells(table: Table, c: int, groups: slice) -> tuple[np.ndarray, np.ndarray | None]:
+    """Column ``c``'s present cells in a run of grid rows, and the indices
+    of the rows that hold them (None: every row)."""
+    values, present = table.columns[c][groups].ravel(), None
+    if c in table.absent:
+        present = np.flatnonzero(~table.absent[c][groups].ravel())
+        values = values[present]
+    return _cells(values, table.labels.get(c)), present
+
+
+def _place(matrix: np.ndarray, cells: np.ndarray, present: np.ndarray | None, end: int) -> None:
+    """Copy a column's cells into their run of slots, which ends at the
+    separator in slot ``end - 1`` of each of the ``present`` rows."""
+    slots = cells.shape[1]
+    if slots:
+        # Each row's run of this column's slots, as one item.
+        run = np.ndarray(len(matrix), f"V{slots}", matrix, end - 1 - slots, (matrix.shape[1],))
+        run[slice(None) if present is None else present] = cells.view(f"V{slots}").ravel()
+
+
+def _chunk_bytes(table: Table, groups: slice) -> bytes:
+    """CSV bytes of a run of the table's grid rows (rows of a 1-D table)."""
+    columns = [_column_cells(table, c, groups) for c in range(len(table.columns))]
     # One row of separators, NUL elsewhere, repeated for every row.
     ends = np.cumsum([cells.shape[1] + 1 for cells, _ in columns])
     blank = np.zeros(ends[-1], np.uint8)
     blank[ends - 1] = ord(",")
     blank[-1] = ord("\n")
-    n = len(table.columns[0][rows])
-    matrix = np.tile(blank, (n, 1))
-    for (cells, present), end in zip(columns, ends):
-        slots = cells.shape[1]
-        if slots:
-            # Each row's run of this column's slots, as one item.
-            run = np.ndarray(n, f"V{slots}", matrix, end - 1 - slots, (ends[-1],))
-            run[slice(None) if present is None else present] = cells.view(f"V{slots}").ravel()
-    return matrix.tobytes().translate(None, b"\0")
+    matrix = np.tile(blank, (math.prod(table.columns[0][groups].shape), 1))
+    for end in ends.tolist():
+        _place(matrix, *columns.pop(0), end)  # a column's cells die once placed
+    text = matrix.tobytes()
+    del matrix  # before the NULs are deleted
+    return text.translate(None, b"\0")
 
 
 def report_files(report: RunReport) -> dict[str, tuple[tuple[str, ...], Table]]:

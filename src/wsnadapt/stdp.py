@@ -167,6 +167,12 @@ class Thresholds:
             raise InvalidParameter("thresholds/beta", f"must be >= 0, got {self.beta}")
 
 
+# Rounds of the update log that Trace.client_updates joins per scatter: a
+# scatter per round costs more than the sort, and 16 rounds' blocks are
+# a small share of the log.
+_LOG_BATCH = 16
+
+
 @dataclass(frozen=True, eq=False)
 class Trace:
     """A whole run as preallocated ``(rounds, m)`` columns, row r written by
@@ -209,12 +215,21 @@ class Trace:
         if not self.updates:
             return np.zeros(0, np.int64), np.zeros(0, np.intp), np.zeros((0, 0))
         rounds, updated, weights = zip(*self.updates)
-        rounds = np.repeat(rounds, [k.size for k in updated])
+        sizes = [k.size for k in updated]
         updated = np.concatenate(updated)
         # The log runs by round; a stable sort by row keeps each row's
-        # updates in time order.
+        # updates in time order.  The rounds' weights are scattered to
+        # their places a batch of _LOG_BATCH rounds at a time, so the log
+        # is copied once beside one batch.
         order = np.argsort(updated, kind="stable")
-        return rounds[order], updated[order], np.concatenate(weights)[order]
+        place = np.empty_like(order)
+        place[order] = np.arange(order.size)
+        grouped = np.empty((order.size, weights[0].shape[1]))
+        starts = np.cumsum([0, *sizes]).tolist()
+        for r in range(0, len(weights), _LOG_BATCH):
+            stop = min(r + _LOG_BATCH, len(weights))
+            grouped[place[starts[r] : starts[stop]]] = np.concatenate(weights[r:stop])
+        return np.repeat(rounds, sizes)[order], updated[order], grouped
 
 
 @dataclass
@@ -449,12 +464,18 @@ def _estimate_step_sizes(
     ``cut[p]:cut[p + 1]`` of ``u_sent``, by one eigen solve over the stack
     of their covariances; returns the points whose covariance is not
     finite, which keep their step sizes."""
-    covs = np.array([u.T @ u / len(u) for u in (u_sent[cut[p] : cut[p + 1]] for p in points)])
+    covs = np.empty((len(points), u_sent.shape[1], u_sent.shape[1]))
+    for cov, p in zip(covs, points):
+        u = u_sent[cut[p] : cut[p + 1]]
+        np.matmul(u.T, u, out=cov)
+        cov /= len(u)
     # The absolute entry sum bounds every partial sum of the entries, so
-    # one NaN, infinity or overflowing sum shows here.
-    finite = [math.isfinite(x) for x in np.abs(covs).sum(axis=(1, 2)).tolist()]
-    refused = [p for p, ok in zip(points, finite) if not ok]
-    if refused:
+    # one NaN, infinity or overflowing sum shows here; the points are told
+    # apart only when the stack's sum is not finite.
+    refused = []
+    if not math.isfinite(np.abs(covs).sum()):
+        finite = [math.isfinite(x) for x in np.abs(covs).sum(axis=(1, 2)).tolist()]
+        refused = [p for p, ok in zip(points, finite) if not ok]
         points, covs = [p for p, ok in zip(points, finite) if ok], covs[finite]
     bounds = state.bounds
     for p, lam in zip(points, eigvalsh(covs)[:, -1].tolist()):

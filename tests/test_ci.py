@@ -28,3 +28,11 @@ def test_the_workflow_tests_the_declared_python_floor():
     assert re.findall(r"^ +python-version: (.*)$", workflow, re.M)[1:] == [
         "${{ matrix.python-version }}"
     ]
+
+
+def test_the_workflow_job_has_a_timeout():
+    # A hung test fails the job in minutes, not at the runner's six-hour default.
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    jobs = re.findall(r"^  (\w+):$", workflow.split("\njobs:\n", 1)[1], re.M)
+    timeouts = re.findall(r"^    timeout-minutes: (\d+)$", workflow, re.M)
+    assert len(timeouts) == len(jobs) == 1 and 0 < int(timeouts[0]) <= 30

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsnadapt import sim
+from wsnadapt.errors import DimensionMismatch, NonFinite
 from wsnadapt.sim import (
     OUTPUT_FILES,
     MaliciousSpec,
@@ -214,6 +215,27 @@ NAMES = np.array([b"", b"RAW", b"CLIENT_PREDICTING", b"A;B"])
 INTEGERS = {np.int8: 2**7, np.int32: 2**31, np.int64: 2**63, np.uint64: 2**64}
 
 
+def column_values(draw, kind, n: int) -> np.ndarray:
+    """``n`` values of one column kind: an integer dtype, "float", "coded"
+    (codes of NAMES), "bytes" or "mask" (an absent mask's bools)."""
+    if kind in INTEGERS:
+        # Often within the small-integer range, which has its own path.
+        top = INTEGERS[kind]
+        low = 0 if kind == np.uint64 else -top
+        values = st.one_of(st.integers(0, min(10_001, top - 1)), st.integers(low, top - 1))
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=kind)
+    if kind == "float":
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        return np.array(draw(st.lists(floats, min_size=n, max_size=n)))
+    if kind == "coded":
+        codes = st.integers(0, len(NAMES) - 1)
+        return np.array(draw(st.lists(codes, min_size=n, max_size=n)), dtype=np.uint8)
+    if kind == "mask":
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    text = st.binary(max_size=5).map(lambda b: bytes(x % 26 + 97 for x in b))
+    return np.array(draw(st.lists(text, min_size=n, max_size=n)), dtype="S5")
+
+
 @st.composite
 def tables(draw):
     """A table of 1-6 columns of mixed kinds over 1-12 rows, each column
@@ -223,24 +245,11 @@ def tables(draw):
     kinds = [*INTEGERS, "float", "coded", "bytes"]
     kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6))
     for c, kind in enumerate(kinds):
-        if kind in INTEGERS:
-            # Often within the small-integer range, which has its own path.
-            top = INTEGERS[kind]
-            low = 0 if kind == np.uint64 else -top
-            values = st.one_of(st.integers(0, min(10_001, top - 1)), st.integers(low, top - 1))
-            column = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=kind)
-        elif kind == "float":
-            floats = st.floats(allow_nan=False, allow_infinity=False)
-            column = np.array(draw(st.lists(floats, min_size=n, max_size=n)))
-        elif kind == "coded":
-            codes = st.integers(0, len(NAMES) - 1)
-            column = np.array(draw(st.lists(codes, min_size=n, max_size=n)), dtype=np.uint8)
+        column = column_values(draw, kind, n)
+        if kind == "coded":
             labels[c] = NAMES
-        else:
-            text = st.binary(max_size=5).map(lambda b: bytes(x % 26 + 97 for x in b))
-            column = np.array(draw(st.lists(text, min_size=n, max_size=n)), dtype="S5")
         if draw(st.booleans()):
-            absent[c] = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            absent[c] = column_values(draw, "mask", n)
         header.append(f"c{c}")
         columns.append(column)
     return Table(tuple(header), tuple(columns), absent, labels), draw(st.integers(1, 5))
@@ -251,6 +260,93 @@ def tables(draw):
 def test_any_table_matches_its_cells_text(case):
     table, chunk_rows = case
     assert chunked_bytes(table, chunk_rows) == chunked_bytes(table, len(table))
+
+
+def grid_of(draw, values, groups: int, width: int) -> np.ndarray:
+    """A ``(groups, width)`` grid that reads ``values`` in place: a strided
+    view of them, or a row or a column broadcast to the grid."""
+    form = draw(st.sampled_from(["strided", "row", "column"]))
+    if form == "strided":
+        return values(2 * groups * width).reshape(groups, 2 * width)[:, 1::2]
+    if form == "row":
+        return np.broadcast_to(values(width), (groups, width))
+    return np.broadcast_to(values(groups)[:, None], (groups, width))
+
+
+@st.composite
+def grid_tables(draw):
+    """A table of 1-5 grid columns of mixed kinds, each read in place and
+    with or without an absent mask, and its twin of raveled 1-D columns."""
+    groups, width = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    kinds = [*INTEGERS, "float", "coded", "bytes"]
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5))
+    columns, absent, labels = [], {}, {}
+    for c, kind in enumerate(kinds):
+        columns.append(grid_of(draw, lambda n: column_values(draw, kind, n), groups, width))
+        if kind == "coded":
+            labels[c] = NAMES
+        if draw(st.booleans()):
+            absent[c] = grid_of(draw, lambda n: column_values(draw, "mask", n), groups, width)
+    header = tuple(f"c{c}" for c in range(len(columns)))
+    twin = Table(
+        header,
+        tuple(np.ravel(column) for column in columns),
+        {c: np.ravel(mask) for c, mask in absent.items()},
+        labels,
+    )
+    return Table(header, tuple(columns), absent, labels), twin
+
+
+@settings(max_examples=100)
+@given(grid_tables())
+def test_a_table_of_grids_encodes_as_its_raveled_twin(case):
+    table, twin = case
+    groups, width = table.columns[0].shape
+    assert len(table) == len(twin) == groups * width
+    whole = chunked_bytes(twin, len(twin))
+    assert b"".join(table) == whole
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "CHUNK_ROWS", 5)
+        chunks = list(table)
+        assert b"".join(twin) == whole
+    # A chunk is a run of whole grid rows, at least one, of at most 5 cells.
+    rows = max(1, 5 // width)
+    assert [chunk.count(b"\n") for chunk in chunks] == [
+        width * min(rows, groups - start) for start in range(0, groups, rows)
+    ]
+    assert b"".join(chunks) == whole
+
+
+@pytest.mark.parametrize(
+    "columns, absent",
+    [
+        ((np.zeros((2, 3)), np.zeros(6)), {}),
+        ((np.zeros((2, 3)), np.zeros((3, 2))), {}),
+        ((np.zeros(6), np.zeros(5)), {}),
+        ((np.zeros((2, 3)),), {0: np.zeros(6, bool)}),
+        ((np.zeros((1, 2, 3)),), {}),
+        ((np.float64(1.0),), {}),
+    ],
+    ids=["grid_beside_1d", "transposed_grid", "unequal_lengths", "mask_shape", "3d", "0d"],
+)
+def test_columns_of_mixed_shapes_are_refused(columns, absent):
+    header = tuple(f"c{c}" for c in range(len(columns)))
+    with pytest.raises(DimensionMismatch, match="one 1-D or 2-D shape"):
+        Table(header, columns, absent)
+
+
+def test_a_non_finite_grid_cell_is_named_by_its_csv_row():
+    base = np.arange(24.0).reshape(3, 8)
+    values = base[:, ::2]  # a strided (3, 4) grid
+    values[1, 2] = -np.inf
+    ids = np.broadcast_to(np.arange(4), (3, 4))
+    table = Table(("id", "x"), (ids, values), absent={1: np.zeros((3, 4), bool)})
+    with pytest.raises(NonFinite) as err:
+        RunReport({"t.csv": table}, {})
+    assert str(err.value) == "non-finite value in series t.csv, row 6, column x: -inf"
+    values[0, 3] = np.nan
+    with pytest.raises(NonFinite, match=r"row 3, column x: nan$"):
+        RunReport({"t.csv": table}, {})
 
 
 @pytest.mark.parametrize(
@@ -311,11 +407,13 @@ def test_every_table_row_is_one_body_row(kind):
         text = b"".join(body).decode()
         lines = text.splitlines()
         assert len(body) == len(table) == len(lines) == text.count("\n")
+        # The first row is the first cell of every column's grid.
+        first = (0,) * len(table.columns[0].shape)
         assert lines[0].split(",") == [
-            "" if c in table.absent and table.absent[c][0]
-            else table.labels[c][column[0]].decode() if c in table.labels
-            else column[0].decode() if column.dtype.kind == "S"
-            else format(column[0], ".9g") if column.dtype.kind == "f"
-            else str(column[0])
+            "" if c in table.absent and table.absent[c][first]
+            else table.labels[c][column[first]].decode() if c in table.labels
+            else column[first].decode() if column.dtype.kind == "S"
+            else format(column[first], ".9g") if column.dtype.kind == "f"
+            else str(column[first])
             for c, column in enumerate(table.columns)
         ]

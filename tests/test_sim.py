@@ -342,6 +342,78 @@ def test_a_sweep_batch_holds_one_points_stream_at_a_time(traced_peak):
     assert peak < (P + 2 + P / n + 0.1) * S
 
 
+def wide_scenario():
+    """The shape of the benchmark's stdp_wide run: 100 nodes on a jittered
+    10 x 10 grid at the default layout's density, 500 rounds, no channel."""
+    cell = math.sqrt(16.0 / 10.0)
+    grid = np.stack(np.meshgrid(np.arange(10), np.arange(10)), axis=-1).reshape(-1, 2)
+    jitter = np.random.default_rng(35).uniform(-0.25, 0.25, grid.shape)
+    positions = tuple(map(tuple, ((grid + 0.5 + jitter) * cell).tolist()))
+    layout = NodeLayout(positions, (5 * cell, 5 * cell), tuple(range(1, 101)))
+    return default_scenario(layout=layout, num_blocks=500)
+
+
+def memory_span(a: np.ndarray) -> int:
+    """The bytes from the first to the last byte an array reads."""
+    return a.itemsize + sum((k - 1) * abs(step) for k, step in zip(a.shape, a.strides))
+
+
+def test_a_protocol_report_reads_its_trace_and_log_in_place():
+    # Point 1 of a sweep: its rows are a strided run of the trace's columns.
+    sweep_plan = plan(tainted_scenario(), "sweep", axis="beta", values=[0.05, 0.2])
+    state = simulate_protocol(sweep_plan)
+    updates = state.trace.client_updates()
+    trace = state.trace
+    report = run_stdp(sweep_plan, state, 1, updates)
+    rows = state.rows(1)
+    sources = {
+        "message_trace.csv": (trace.phase, trace.kinds, trace.error_glob, trace.error_new),
+        "weights.csv": updates,
+    }
+    for name, arrays in sources.items():
+        table = report.files[name]
+        grid = table.columns[0].shape
+        assert len(grid) == 2 and len(table) == math.prod(grid)
+        for column in table.columns:
+            if not any(np.shares_memory(column, a) for a in arrays):
+                # A grid broadcast from one row or column of its values.
+                assert 0 in column.strides and memory_span(column) <= max(grid) * column.itemsize
+        # The only arrays made cell by cell are the absent masks.
+        assert all(mask.dtype == bool and mask.shape == grid for mask in table.absent.values())
+    shape = (state.round_index, rows.stop - rows.start)
+    assert report.files["message_trace.csv"].columns[0].shape == shape
+
+
+def test_a_wide_runs_report_and_encoding_hold_the_log_and_one_chunk(traced_peak):
+    wide = plan(wide_scenario())
+    state = simulate_protocol(wide)
+    rounds, m = state.trace.phase.shape
+    (K, n) = state.trace.client_updates()[2].shape
+
+    def encoded(report):
+        return sum(len(chunk) for table in report.files.values() for chunk in table)
+
+    written = encoded(run_stdp(wide, state))  # lazy imports and tables first
+    report, report_peak = traced_peak(lambda: run_stdp(wide, state))
+    size, peak = traced_peak(lambda: encoded(run_stdp(wide, state)))
+    assert size == written and len(report.files["message_trace.csv"]) == rounds * m
+    # The report copies the update log once, grouped by row, beside at
+    # most seven K-sized index arrays and one batch of the log's rounds:
+    # 8 K (n + 7) + 8 B m n bytes.  Per cell of the trace it holds two
+    # absent masks, and meanwhile a uint8 temporary and the finiteness
+    # check's two bool arrays: 5 bytes.
+    batch = 8 * stdp._LOG_BATCH * m * n
+    report_bound = 8 * K * (n + 7) + batch + 5 * rounds * m + 100_000
+    assert report_peak < report_bound
+    # A chunk holds its cells, its byte matrix and the matrix's bytes, each
+    # at most CHUNK_ROWS rows of the widest message_trace.csv row: digits
+    # of the round and the id, the longest phase and kind names, two
+    # 27-slot floats, the transmitted bit and seven separators.
+    width = len(str(rounds - 1)) + len(str(max(state.node_ids))) + 7
+    width += max(map(len, sim._PHASE_NAMES)) + max(map(len, sim._KIND_NAMES)) + 2 * 27 + 1
+    assert peak < report_bound + 3 * sim.CHUNK_ROWS * width
+
+
 @pytest.mark.parametrize("run", [run_stdp, run_detect])
 def test_a_given_stream_is_not_corrupted_so_malicious_is_refused(run):
     scenario = small_scenario(malicious=MaliciousSpec(node_ids=(5, 9), scale=6.0))
