@@ -380,9 +380,10 @@ def execute(plan: RunPlan) -> RunReport:
 
 def simulate_protocol(plan: RunPlan) -> stdp.ProtocolState:
     """Run the full protocol over a plan's points, side by side as the
-    points of one engine; returns the run, whose ``trace`` holds every
-    round and which holds none of its inputs: the reports read only the
-    trace, its update log, ``mu``, the ids and the bounds.  The client
+    points of one engine, each round given its slice of the run's inputs;
+    returns the run, whose ``trace`` holds every round.  The inputs die
+    when this returns: the reports read only the trace, its update log,
+    ``mu``, the ids and the bounds.  The client
     noise, the channel and the step-size mode come from the first point;
     each point brings its thresholds, its sensed group and its stream (the
     plan's, if it has one, serves every point), so a point may differ from
@@ -393,7 +394,7 @@ def simulate_protocol(plan: RunPlan) -> stdp.ProtocolState:
     if any(replace(p, select_count=scenario.select_count, **own) != scenario for p in points):
         raise DimensionMismatch("engine points may differ only in thresholds and node selection")
     blocks, desired = _sensed_inputs(plan)
-    num_blocks = blocks.shape[1]
+    num_blocks, n = blocks.shape[1:]
     # Engine row k is node ``active[node_row[k]]``: the row of its noise
     # draws, of which a batch keeps only its rows' copy.  A stream's rows
     # ascend by id, so the engine's rows are the groups' ids in order.
@@ -410,31 +411,22 @@ def simulate_protocol(plan: RunPlan) -> stdp.ProtocolState:
     corrupted = set(scenario.malicious.node_ids) if scenario.malicious else set()
     scale = scenario.malicious.scale if scenario.malicious else 1.0
     stds = np.array([noise_std * (scale if i in corrupted else 1.0) for i in active])
-    client_noise = node_draws(scenario.seed, ROLE_PROTOCOL, active, num_blocks)[node_row]
-    client_noise *= stds[node_row, None]
-    client_noise += 0.0
-    received = None
+    noise = node_draws(scenario.seed, ROLE_PROTOCOL, active, num_blocks)[node_row]
+    noise *= stds[node_row, None]
+    noise += 0.0
+    sink_blocks, sink_desired = blocks, desired
     if scenario.channel is not None:
         # Every block crosses the channel before round 0, and a round
         # reads what the sinks receive of the blocks its rows send: a
         # (node, block) gets the same noise in every point, whatever the
         # node sent before.
-        shape = (num_blocks, blocks.shape[2] + 1)
-        noise = node_draws(scenario.seed, ROLE_CHANNEL, active, *shape)[node_row]
-        received = fieldgen.awgn_channel(blocks, desired, noise, scenario.channel)
-    state = stdp.new_protocol_state(
-        ids,
-        blocks,
-        desired,
-        [point.thresholds for point in points],
-        sizes=[len(group) for group in groups],
-        mu=scenario.mu,
-        client_noise=client_noise,
-        received=received,
-    )
-    for _ in range(num_blocks):
-        stdp.step_round(state)
-    state.blocks = state.noise = state.sink_blocks = state.sink_desired = None
+        draws = node_draws(scenario.seed, ROLE_CHANNEL, active, num_blocks, n + 1)[node_row]
+        sink_blocks, sink_desired = fieldgen.awgn_channel(blocks, desired, draws, scenario.channel)
+    thresholds = [point.thresholds for point in points]
+    sizes = [len(group) for group in groups]
+    state = stdp.new_protocol_state(ids, num_blocks, n, thresholds, sizes, scenario.mu)
+    for r in range(num_blocks):
+        stdp.step_round(state, blocks[:, r], noise[:, r], sink_blocks[:, r], sink_desired[:, r])
     return state
 
 

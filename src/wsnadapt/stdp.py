@@ -34,22 +34,24 @@ seeded it; each point has its own sink, with its own global weight and
 auto step size.
 
 A run is one ``ProtocolState``, set up once and then stepped round by
-round.  ``new_protocol_state`` takes the run's inputs and checks them: the
-``(rows, rounds, n)`` sensed blocks, the desired values and client noise
-draws, what the sinks receive of each block, and the alpha and beta of
-every row.  It allocates the run's ``Trace``, the only record of the run:
-each round's messages, sent blocks among them, are read off its ``kinds``.
-Round r, ``step_round(state)``, takes the ``(rows, n)`` matrix U of the
-round's blocks and the desired vector d, reads what each row does off one
-table of cases, writes its columns into trace row r in place and appends
-its client-filter updates to the trace's log; it copies no per-round state:
+round.  The state holds the engine's own state and nothing of its inputs:
+``new_protocol_state`` takes the rows, the number of rounds, the block
+length and each point's alpha and beta, and allocates the run's
+``Trace``, the only record of the run: each round's messages, sent blocks
+among them, are read off its ``kinds``.  Round r, ``step_round(state,
+samples, noise, received_blocks, received_desired)``, is given what the
+round brings: the ``(rows, n)`` matrix U of the rows' sensed blocks, their
+client noise draws, and the blocks U' and desired vector d that the sinks
+receive of them.  It reads what each row does off one table of cases,
+writes its columns into trace row r in place and appends its client-filter
+updates to the trace's log; it copies no per-round state:
 
 1. client side, rows in a client phase: d' = U.Wr + noise; adapting rows
    step Wc += mu U (d' - U.Wc); the error e' = d' - U.Wc is held against
    beta (adapting rows fall silent at or below it, predicting rows
    restart above it).  This arithmetic is row-wise, so it runs over every
    row and keeps the client rows' results;
-2. wire: the transmitting rows' blocks, as the sinks receive them;
+2. wire: the transmitting rows' rows of U' and d;
 3. sink side, one pass over every point's received rows: the points with
    a raw row estimate their step sizes by one eigen solve over the stack
    of their covariances, each point with arrivals runs one global sweep
@@ -181,9 +183,9 @@ class Trace:
 
     ``phase`` holds each round's start-of-round phase codes and ``kinds``
     the ``KIND_BITS`` mask of each node's messages.  ``error_glob`` (the
-    sink's error) has a value where ``transmitted``, ``error_new`` (the
-    client's) where the node started in a client phase; every other cell
-    is 0.0.  ``updates`` is append-only: one ``(round, rows, weights)``
+    sink's error) has a value where the node sent its block, ``error_new``
+    (the client's) where the node started in a client phase; every other
+    cell is 0.0.  ``updates`` is append-only: one ``(round, rows, weights)``
     entry for each round in which CLIENT_ADAPTIVE rows stepped their
     filters, ``weights[j]`` being row ``rows[j]``'s filter after the step.
     """
@@ -203,11 +205,6 @@ class Trace:
             error_glob=np.zeros(shape),
             error_new=np.zeros(shape),
         )
-
-    @property
-    def transmitted(self) -> np.ndarray:
-        """The DATA_BLOCK bit of every ``kinds`` cell, as bools."""
-        return (self.kinds & _DATA) != 0
 
     def client_updates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The logged updates of every row as (round, row, weight) columns,
@@ -234,21 +231,12 @@ class Trace:
 
 @dataclass
 class ProtocolState:
-    """One protocol run: its inputs, its engine state and its trace.  Row k
-    is node ``node_ids[k]`` of point ``point[k]``, rows ordered by point and
-    then by ascending id.
-
-    Inputs, checked when the state is made: row k of ``blocks``
-    ``(rows, rounds, n)`` and ``noise`` ``(rows, rounds)`` is what row k
-    senses and draws, and ``alpha[k]`` and ``beta[k]`` are the thresholds
-    of its point.  ``sink_blocks`` (shaped as ``blocks``) and
-    ``sink_desired`` ``(rows, rounds)`` are what the sinks receive of each
-    block a row sends and of its desired value (without a channel, the
-    sensed arrays themselves).  A finished run reads none of these four,
-    so whoever runs its last round may set them to None, and
-    ``sim.simulate_protocol`` does: a run it returns holds no array the
-    size of its blocks.
-    ``auto_mu`` says whether the step sizes follow the automatic rule.
+    """One protocol run: its engine state and its trace.  Row k is node
+    ``node_ids[k]`` of point ``point[k]``, rows ordered by point and then by
+    ascending id.  ``alpha[k]`` and ``beta[k]`` are the thresholds of row
+    k's point, and ``auto_mu`` says whether the step sizes follow the
+    automatic rule.  The state holds none of the run's inputs: each round
+    is given its own (``step_round``).
 
     Engine state: ``client_weight`` and ``received_global`` rows are
     meaningful only while the row is in a client phase; the round that
@@ -264,10 +252,6 @@ class ProtocolState:
     node_ids: tuple[int, ...]
     point: np.ndarray
     bounds: tuple[int, ...]
-    blocks: np.ndarray | None
-    noise: np.ndarray | None
-    sink_blocks: np.ndarray | None
-    sink_desired: np.ndarray | None
     alpha: np.ndarray
     beta: np.ndarray
     auto_mu: bool
@@ -349,8 +333,8 @@ def initial_weight(n: int) -> np.ndarray:
     return np.full(n, 1.0 / np.sqrt(n))
 
 
-# The arithmetic kernels of a round.  They check nothing: the engine checks
-# its inputs once per run, in ``new_protocol_state``.
+# The arithmetic kernels of a round.  They check nothing: ``step_round``
+# checks a round's inputs once, before it writes anything.
 
 
 def _desired(u: np.ndarray, w: np.ndarray, noise) -> np.ndarray:
@@ -366,24 +350,21 @@ def _client_step(w: np.ndarray, u: np.ndarray, d_new, mu) -> np.ndarray:
 
 def new_protocol_state(
     node_ids: Sequence[int],
-    blocks: np.ndarray,
-    desired: np.ndarray,
+    rounds: int,
+    n: int,
     thresholds: Thresholds | Sequence[Thresholds],
     sizes: Sequence[int] | None = None,
     mu: float | None = None,
-    client_noise: np.ndarray | None = None,
-    received: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ProtocolState:
-    """A fresh run over the given inputs, checked against its rows.
+    """A fresh run of ``rounds`` rounds of ``n``-sample blocks over the
+    given rows, with its trace allocated.
 
     ``sizes[p]`` consecutive entries of ``node_ids`` are point p's nodes
     (default: one point holding them all) and its rows, in the given
-    order; ids must strictly ascend within a point.  Row k of ``blocks``
-    ``(rows, rounds, n)``, ``desired`` and ``client_noise`` ``(rows,
-    rounds)`` (default zeros) is what row k's node senses and draws in
-    each round; the run has ``rounds`` rounds of ``n``-sample blocks.  A
-    ``Stream`` over the same nodes holds its rows in that (ascending id)
-    order, so for one point ``stream.blocks`` and ``stream.desired`` fit.  ``thresholds`` is one
+    order; ids must strictly ascend within a point.  A ``Stream`` over the
+    same nodes holds its rows in that (ascending id) order, so for one
+    point round r's inputs are ``stream.blocks[:, r]`` and
+    ``stream.desired[:, r]``.  ``thresholds`` is one
     ``Thresholds`` for every point or one per point.  ``mu`` is every
     point's step size; without it the state's ``auto_mu`` is set and each
     point follows the automatic rule, 0.5 / (M * lambda_max) of the point's
@@ -391,10 +372,7 @@ def new_protocol_state(
     raw round: lambda_max is the largest of the ``eigvalsh`` eigenvalues of
     the ``(n, n)`` covariance of the blocks the point received in that
     round.  An explicit ``mu`` must be finite and > 0 (``InvalidParameter``
-    otherwise).  ``received``, a ``(blocks, desired)`` pair shaped as
-    those inputs, is what the sinks receive of each block a row sends
-    (default: the sensed arrays themselves, not copied); a round reads it
-    for its transmitting rows only.
+    otherwise), and ``rounds`` must be >= 0 (``DimensionMismatch``).
     """
     if mu is not None and not (math.isfinite(mu) and mu > 0):
         raise InvalidParameter("mu_mode", f"must be 'auto' or > 0, got {mu!r}")
@@ -409,28 +387,9 @@ def new_protocol_state(
             raise DimensionMismatch(f"point {p}: node ids {list(group)} do not strictly ascend")
     if SINK_ID in ids:
         raise UnknownNode("node ids must be non-zero (0 is the sink)")
+    if rounds < 0:
+        raise DimensionMismatch(f"a run needs rounds >= 0, got {rounds}")
     m, points = len(ids), len(sizes)
-    blocks = np.asarray(blocks, dtype=float)
-    if blocks.ndim != 3 or len(blocks) != m:
-        raise DimensionMismatch(f"{m} nodes need ({m}, rounds, n) blocks, got {blocks.shape}")
-    _, rounds, n = blocks.shape
-    desired = np.asarray(desired, dtype=float)
-    noise = (
-        np.zeros((m, rounds)) if client_noise is None else np.asarray(client_noise, dtype=float)
-    )
-    if desired.shape != (m, rounds) or noise.shape != (m, rounds):
-        raise DimensionMismatch(
-            f"{rounds} rounds of {m} nodes need ({m}, {rounds}) desired values and noise "
-            f"draws, got {desired.shape} and {noise.shape}"
-        )
-    sink_blocks, sink_desired = (
-        (blocks, desired) if received is None else (np.asarray(a, dtype=float) for a in received)
-    )
-    if sink_blocks.shape != blocks.shape or sink_desired.shape != desired.shape:
-        raise DimensionMismatch(
-            f"the sinks receive {sink_blocks.shape} blocks and {sink_desired.shape} desired "
-            f"values of the sensed {blocks.shape} and {desired.shape}"
-        )
     if isinstance(thresholds, Thresholds):
         thresholds = [thresholds] * points
     if len(thresholds) != points:
@@ -441,10 +400,6 @@ def new_protocol_state(
         node_ids=ids,
         point=point,
         bounds=bounds,
-        blocks=blocks,
-        noise=noise,
-        sink_blocks=sink_blocks,
-        sink_desired=sink_desired,
         alpha=alpha,
         beta=beta,
         auto_mu=mu is None,
@@ -512,10 +467,23 @@ def _check_finite(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def step_round(state: ProtocolState) -> RoundResult:
+def step_round(
+    state: ProtocolState,
+    samples: np.ndarray,
+    noise: np.ndarray,
+    received_blocks: np.ndarray,
+    received_desired: np.ndarray,
+) -> RoundResult:
     """Advance every point by one synchronous round, round
-    ``state.round_index`` of its inputs, and write it into that row of
-    ``state.trace``; returns the round's view.
+    ``state.round_index``, and write it into that row of ``state.trace``;
+    returns the round's view.
+
+    The round's inputs are float arrays whose row k belongs to engine row
+    k: its sensed block ``samples`` ``(rows, n)``, its client noise draw
+    ``noise`` ``(rows,)``, and what the sinks receive of its block and
+    desired value, ``received_blocks`` ``(rows, n)`` and
+    ``received_desired`` ``(rows,)`` (without a channel, the sensed blocks
+    and desired values).  The sinks read the transmitting rows' only.
 
     Which blocks reach the sink, and which weight messages are exchanged,
     follows the phase table in the module docstring.  The sink side is one
@@ -532,21 +500,26 @@ def step_round(state: ProtocolState) -> RoundResult:
     runs its sweep before the check, so a lower point's sink error is
     found in a round where a higher point's covariance is not finite.  The
     message names the round and, for an error, the node: it is the message
-    the point's run alone raises.  A state whose rounds have all run raises
-    ``DimensionMismatch``.
+    the point's run alone raises.  A state whose rounds have all run, or
+    inputs of other shapes, raise ``DimensionMismatch`` before the round
+    writes anything.
     """
     r = state.round_index
     trace = state.trace
     if r >= len(trace.phase):
         raise DimensionMismatch(f"no round {r}: the run has {len(trace.phase)} rounds")
+    m, n = state.client_weight.shape
+    wanted = (m, n), (m,), (m, n), (m,)
+    shapes = samples.shape, noise.shape, received_blocks.shape, received_desired.shape
+    if shapes != wanted:
+        raise DimensionMismatch(f"round {r} needs inputs shaped {wanted}, got {shapes}")
     phase = trace.phase[r]
     phase[:] = state.phase
-    samples = state.blocks[:, r]
 
     # Client side: local filters and the beta decision, computed for every
     # row (the arithmetic is row-wise) and kept for the client rows: masks
     # cost less than gathering each input.
-    d_new = _desired(samples, state.received_global, state.noise[:, r])
+    d_new = _desired(samples, state.received_global, noise)
     adapting = (phase == CLIENT_ADAPTIVE).nonzero()[0]
     if adapting.size:
         mu = state.mu.take(state.point)[:, None]
@@ -562,7 +535,7 @@ def step_round(state: ProtocolState) -> RoundResult:
     # Wire: data blocks of transmitting nodes, as the sinks receive them.
     # Point p's arrivals are rows cut[p]:cut[p + 1] of u_sent.
     sent = (_KINDS[case] & _DATA).nonzero()[0]
-    u_sent, d_sent = state.sink_blocks[:, r].take(sent, axis=0), state.sink_desired[:, r].take(sent)
+    u_sent, d_sent = received_blocks.take(sent, axis=0), received_desired.take(sent)
     cut = sent.searchsorted(state.bounds).tolist()
     points = range(len(cut) - 1)
 

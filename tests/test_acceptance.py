@@ -278,15 +278,16 @@ def test_criterion_11_protocol_safety_under_fuzzing():
         )
         state = sim.simulate_protocol(plan(scenario))
         trace = state.trace
-        assert not np.any((trace.phase == CLIENT_PREDICTING) & trace.transmitted)
+        transmitted = (trace.kinds & KIND_BITS[MessageKind.DATA_BLOCK]) != 0
+        assert not np.any((trace.phase == CLIENT_PREDICTING) & transmitted)
         global_weight = (trace.kinds & KIND_BITS[MessageKind.GLOBAL_WEIGHT]) != 0
-        assert np.all(trace.transmitted[global_weight])  # error_glob present
+        assert np.all(transmitted[global_weight])  # error_glob present
         assert np.all(np.abs(trace.error_glob[global_weight]) <= thresholds.alpha)
         node_weight = (trace.kinds & KIND_BITS[MessageKind.NODE_WEIGHT]) != 0
         assert np.all(trace.phase[node_weight] >= CLIENT_ADAPTIVE)  # error_new present
         assert np.all(np.abs(trace.error_new[node_weight]) <= thresholds.beta)
-        sent = trace.transmitted.sum(axis=0)
-        kept = (~trace.transmitted).sum(axis=0)
+        sent = transmitted.sum(axis=0)
+        kept = (~transmitted).sum(axis=0)
         pct, _ = transmission_percentages(state, 0)
         assert pct.tobytes() == (100 * sent / num_rounds).tobytes()
         assert np.all(sent + kept == num_rounds) and state.round_index == num_rounds

@@ -1588,12 +1588,47 @@ class _References(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _attribute_uses(tree: ast.Module) -> set[tuple[str, bool]]:
+    """``(name, called)`` for each attribute that one module's code loads,
+    ``called`` when it is the function of a call.  An attribute of a module
+    imported from outside the package (``np.empty``) names no package
+    method, and a method's own body does not use it."""
+    outside = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and not node.level)
+        for alias in node.names
+    }
+    own = {
+        id(node)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute) and node.attr == method.name
+    }
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return {
+        (node.attr, id(node) in called)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in own
+        and not (isinstance(node.value, ast.Name) and node.value.id in outside)
+    }
+
+
 def test_every_public_function_is_used_by_the_package():
     """Each public module-level function in the package is called or named
     by package code outside its own body (``execute``'s runner table
-    counts), or is the console script: no function lives only for tests."""
+    counts), or is the console script; each public method of a package
+    class is an attribute that package code loads outside its own body, and
+    each property one that it reads without calling (an attribute is
+    matched by name, whatever its object).  No function lives only for
+    tests."""
     package = Path(wsnadapt.__file__).parent
-    public, used = set(), set()
+    public, used, methods, attributes = set(), set(), set(), set()
     for source in package.glob("*.py"):
         tree = ast.parse(source.read_text())
         public |= {
@@ -1602,7 +1637,25 @@ def test_every_public_function_is_used_by_the_package():
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
         }
         used |= _References(source.stem, tree).found
+        methods |= {
+            (source.stem, cls.name, node.name, "property" in map(ast.unparse, node.decorator_list))
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        }
+        attributes |= _attribute_uses(tree)
     pyproject = (package.parent.parent / "pyproject.toml").read_text()
     used |= set(re.findall(r'^\w+ = "wsnadapt\.(\w+):(\w+)"$', pyproject, re.M))
     assert len(public) >= 30
     assert public <= used, sorted(public - used)
+    unused = {
+        (module, cls, name)
+        for module, cls, name, is_property in methods
+        if (name, False) not in attributes and (is_property or (name, True) not in attributes)
+    }
+    # perfbench's tracer counts each round's phases and messages from the
+    # rows of the RoundResult that step_round returns.
+    tracer_only = {("stdp", "RoundResult", "rows")}
+    assert len(methods) >= 15
+    assert unused <= tracer_only, sorted(unused - tracer_only)

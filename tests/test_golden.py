@@ -14,12 +14,17 @@ points use different node sets, and a 16-node ``beta`` sweep with a 30 dB
 channel, two corrupted nodes, an explicit step size and node ids listed
 out of order.  Two runs pin the ``ingest_csv`` path: a stdp run and a
 detect run with a 30 dB channel, both over a seeded AR(1) readings file
-for the ten default nodes that the test writes.
+for the ten default nodes that the test writes.  Three runs at alpha =
+0.05 pin the sink-adaptive path, which alpha = 0.5 almost never enters: a
+stdp run, a detect run with a 30 dB channel and a beta sweep, each over
+the ten default nodes and 200 rounds.  The stdp and detect runs' traces
+together hold every phase and every message kind.
 
 A digest here may change only in a change that says why in CHANGES.md and
 reports the largest absolute difference against the previous output.
 """
 
+import csv
 import hashlib
 import json
 import random
@@ -28,6 +33,7 @@ from pathlib import Path
 import pytest
 
 from wsnadapt.cli import main
+from wsnadapt.stdp import MessageKind, Phase
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -96,6 +102,43 @@ GOLDEN = {
         "message_trace.csv": "afc33050a0dab7d60b60a76c415b53153c05caaef232341b85c60e8c6bba6277",
         "stdp_transmission.csv": "178ac371b2e51fd2e72bfc32e2b52f38c448cc542eb272a34040e7471f93243a",
         "weights.csv": "299a51d69a114d1de5688cd7cf3f18654163c0ff159a613e7d856ea932459f00",
+    },
+    "stdp_alpha": {
+        "effective_config.json": "515a94d48c1ed12f1cbffcf27c71b0ac62e91412bdbbb08679847c4971966e59",
+        "message_trace.csv": "00326ef39d6025a20c27ccc8738737c413fe6276ef00618c4582b8bf6dd5367d",
+        "stdp_transmission.csv": "dfa525f5e93dea8d8543221b2e58034e7e09158c90b652ec34dae984571f8899",
+        "weights.csv": "3bf41a4fa02ba59ea3e5be280f93c716a9d4f2ff494d7cff945a7ef4f8d6c4f0",
+    },
+    "detect_alpha": {
+        "detection.csv": "bb15916af1a099b88ff166cdc7b270e7c82fbe87a2247f54ecfcb86d931494f7",
+        "effective_config.json": "59f544e478c7aaec1d779d1affde39fc7690179ec1c274487fdb44e3b3b32b19",
+        "message_trace.csv": "1929000262aa48cdc54a85b3aba9525ad46802cb749ffcca93184423937957be",
+        "stdp_transmission.csv": "edac2e2bd472a99a1093a26606d2f7373133971fd49a72c072086dbbcbd08ec3",
+        "weights.csv": "11ba5cb9c51b63593814416dcb25c0811348cdc33d9f903ccd8de939b07a72e6",
+    },
+    "sweep_beta_alpha": {
+        "effective_config.json": "42bcf9607e8422b5d17277faa2c242b1af438ae71abcb0932a16d07ddf2659c7",
+        "stdp_transmission.csv": "654338e6101c62aedc43916f90bf04a628e07290afebbda26b55f4956a3068b3",
+        "sweep_totals.csv": "fec8cab618f97255274f9f0434d67154385d73f0aa66f4dfc97c464b9527e81d",
+    },
+}
+
+# A raw node's sink error is its measurement noise (median |v| 0.067 at
+# the default noise_var), so alpha = 0.5 hands every node off in its first
+# round; at alpha = 0.05 most are not handed off, and the sink adapts.
+SINK_ADAPTIVE_THRESHOLDS = {"alpha": 0.05, "beta": 0.05}
+SINK_ADAPTIVE_CONFIGS = {
+    "stdp_alpha": {"experiment": "stdp", "seed": 12},
+    "detect_alpha": {
+        "experiment": "detect",
+        "seed": 12,
+        "channel": 30.0,
+        "malicious": {"node_ids": [5, 9], "scale": 6.0},
+    },
+    "sweep_beta_alpha": {
+        "experiment": "sweep",
+        "seed": 12,
+        "sweep": {"axis": "beta", "values": [0.05, 0.1, 0.2, 0.4]},
     },
 }
 
@@ -273,3 +316,34 @@ def test_ingest_matches_golden(name, config, tmp_path, monkeypatch):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps({**config, "ingest_csv": "readings.csv"}))
     assert run_config(path, tmp_path / "out") == GOLDEN[name]
+
+
+@pytest.fixture(scope="module")
+def sink_adaptive_outputs(tmp_path_factory) -> dict[str, Path]:
+    """The output directory of each alpha = 0.05 config, run once."""
+    base = tmp_path_factory.mktemp("sink_adaptive")
+    outputs = {}
+    for name, config in SINK_ADAPTIVE_CONFIGS.items():
+        path = base / f"{name}.json"
+        path.write_text(json.dumps({**config, "thresholds": SINK_ADAPTIVE_THRESHOLDS}))
+        run_config(path, base / name)
+        outputs[name] = base / name
+    return outputs
+
+
+@pytest.mark.parametrize("name", sorted(SINK_ADAPTIVE_CONFIGS))
+def test_sink_adaptive_run_matches_golden(name, sink_adaptive_outputs):
+    assert digests(sink_adaptive_outputs[name]) == GOLDEN[name]
+
+
+def test_sink_adaptive_goldens_hold_every_phase_and_message_kind(sink_adaptive_outputs):
+    phases, kinds = set(), set()
+    for out in sink_adaptive_outputs.values():
+        trace = out / "message_trace.csv"
+        if trace.exists():
+            with open(trace, newline="") as handle:
+                for row in csv.DictReader(handle):
+                    phases.add(row["phase"])
+                    kinds.update(filter(None, row["kind"].split(";")))
+    assert phases == {phase.value for phase in Phase}
+    assert kinds == {kind.value for kind in MessageKind}

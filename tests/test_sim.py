@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +43,8 @@ from wsnadapt.sim import (
     sweep,
 )
 from wsnadapt.stdp import Thresholds
+
+DATA_BLOCK = stdp.KIND_BITS[stdp.MessageKind.DATA_BLOCK]
 
 
 def csv_files(report):
@@ -119,7 +122,7 @@ def test_channel_run_derives_keys_without_a_seed_sequence_per_block(monkeypatch)
             malicious=MaliciousSpec(node_ids=(5,), scale=6.0),
         )
         state = simulate_protocol(plan(scenario))
-        sent.append(int(state.trace.transmitted.sum()))
+        sent.append(int(np.count_nonzero(state.trace.kinds & DATA_BLOCK)))
         counts.append(len(built))
     m = scenario.layout.size
     assert min(sent) > 100 and sent[0] != sent[1], sent
@@ -289,35 +292,60 @@ def test_point_report_read_off_an_engine_run_equals_its_own_run(axis, values):
         assert "weights.csv" in csv_files(own)
 
 
+def rounds_given(monkeypatch):
+    """Each ``step_round`` call's arguments, as they are passed, from here on."""
+    given, step_round = [], stdp.step_round
+
+    def keep(state, *inputs):
+        given.append((state, *inputs))
+        return step_round(state, *inputs)
+
+    monkeypatch.setattr(stdp, "step_round", keep)
+    return given
+
+
 def test_channel_sweep_points_receive_the_same_bytes_for_a_node_and_block(monkeypatch):
-    # What the sinks receive is read off the engine's inputs, which a
-    # finished run no longer holds.
-    given, new_state = [], stdp.new_protocol_state
+    # What the sinks receive is what each round is given, which a finished
+    # run no longer holds.
+    given = rounds_given(monkeypatch)
 
-    def keep(node_ids, blocks, *args, received, **kwargs):
-        state = new_state(node_ids, blocks, *args, received=received, **kwargs)
-        given.append((state.node_ids, blocks, *received))
-        return state
+    def received():
+        """The engine's node ids and the received blocks and desired values
+        of its 40 rounds, stacked as ``(rows, rounds, ...)``; forgets them."""
+        state = given[0][0]
+        assert len(given) == 40 and all(inputs[0] is state for inputs in given)
+        blocks = np.stack([inputs[3] for inputs in given], axis=1)
+        desired = np.stack([inputs[4] for inputs in given], axis=1)
+        given.clear()
+        return state.node_ids, blocks, desired
 
-    monkeypatch.setattr(stdp, "new_protocol_state", keep)
     scenario = small_scenario(channel=30.0)
     simulate_protocol(plan(scenario))
-    ((ids, sensed, sink_blocks, sink_desired),) = given
+    sensed = np.stack([inputs[1] for inputs in given], axis=1)
+    ids, sink_blocks, sink_desired = received()
     assert not np.array_equal(sink_blocks, sensed)
     for axis, values in (("beta", [0.3, 0.0, 0.1]), ("node_count", [6, 2, 4])):
-        given.clear()
         simulate_protocol(plan(scenario, "sweep", axis=axis, values=values))
-        ((rows_ids, _, blocks, desired),) = given
+        rows_ids, blocks, desired = received()
         rows = np.searchsorted(ids, rows_ids)
         assert blocks.tobytes() == sink_blocks[rows].tobytes()
         assert desired.tobytes() == sink_desired[rows].tobytes()
 
 
 @pytest.mark.parametrize("channel", [None, 30.0])
-def test_a_finished_run_holds_none_of_its_inputs(channel):
+def test_a_finished_run_holds_none_of_its_inputs(channel, monkeypatch):
+    # Every array a round is given, and every array it is a view of (the
+    # run's sensed blocks, noise draws and received copies), dies when
+    # simulate_protocol returns.
+    given = rounds_given(monkeypatch)
     scenario = small_scenario(channel=channel)
     state = simulate_protocol(plan(scenario, "sweep", axis="beta", values=[0.05, 0.2]))
-    assert state.blocks is state.noise is state.sink_blocks is state.sink_desired is None
+    inputs = [a for _, *round_inputs in given for a in round_inputs]
+    bases = {id(a.base): a.base for a in inputs if a.base is not None}
+    refs = [weakref.ref(a) for a in (*inputs, *bases.values())]
+    assert len(given) == scenario.num_blocks and len(bases) >= 3
+    del given[:], inputs, bases
+    assert [ref for ref in refs if ref() is not None] == []
     arrays = [
         a for a in (*vars(state).values(), *vars(state.trace).values()) if isinstance(a, np.ndarray)
     ]
@@ -639,16 +667,17 @@ def test_library_input_checks_raise_typed_errors(monkeypatch):
     catches each one; ``select_nodes`` refuses before it factors."""
     layout = sim.default_layout()
     stream = generate_stream(layout, FieldParams(), 4, 2, seed=0)
-    blocks, desired = np.zeros((2, 1, 3)), np.zeros((2, 1))
     cov = build_spatial_covariance(layout, FieldParams())
     stdp_plan = plan(default_scenario(num_blocks=3))
     cases = [
         (DimensionMismatch, "point sizes [3] do not split 2 node ids",
-         lambda: stdp.new_protocol_state([1, 2], blocks, desired, Thresholds(), [3])),
+         lambda: stdp.new_protocol_state([1, 2], 1, 3, Thresholds(), [3])),
         (DimensionMismatch, "point 0: node ids [2, 1] do not strictly ascend",
-         lambda: stdp.new_protocol_state([2, 1], blocks, desired, Thresholds())),
+         lambda: stdp.new_protocol_state([2, 1], 1, 3, Thresholds())),
         (UnknownNode, "node ids must be non-zero (0 is the sink)",
-         lambda: stdp.new_protocol_state([0, 1], blocks, desired, Thresholds())),
+         lambda: stdp.new_protocol_state([0, 1], 1, 3, Thresholds())),
+        (DimensionMismatch, "a run needs rounds >= 0, got -1",
+         lambda: stdp.new_protocol_state([1, 2], -1, 3, Thresholds())),
         (InvalidParameter, "malicious/scale: must exceed 1, got 1.0",
          lambda: fieldgen.inject_malicious(stream, layout, FieldParams(), {5}, 1.0, 0)),
         (InvalidParameter, "n_block: must be >= 1",

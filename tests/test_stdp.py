@@ -64,18 +64,44 @@ def make_stream(num_blocks, n=5, seed=0, layout=None, noise_var=NOISE_VAR, phi=0
     return layout, generate_stream(layout, params, n, num_blocks, seed)
 
 
+def bit_set(kinds, kind):
+    return (kinds & KIND_BITS[kind]) != 0
+
+
+def fed_state(node_ids, blocks, desired, thresholds, sizes=None, mu=None, noise=None, received=None):
+    """A fresh engine over a whole run's inputs, and a function that runs
+    its next round on that round's slice of them, as
+    ``sim.simulate_protocol`` does.  Row k of ``blocks`` ``(rows, rounds,
+    n)``, ``desired`` and ``noise`` ``(rows, rounds)`` (default zeros) is
+    what row k senses and draws; ``received``, a ``(blocks, desired)`` pair
+    shaped as those (default: the sensed arrays), is what the sinks receive
+    of them."""
+    blocks, desired = np.asarray(blocks, dtype=float), np.asarray(desired, dtype=float)
+    noise = np.zeros(desired.shape) if noise is None else np.asarray(noise, dtype=float)
+    sink_blocks, sink_desired = (blocks, desired) if received is None else received
+    _, rounds, n = blocks.shape
+    state = new_protocol_state(node_ids, rounds, n, thresholds, sizes, mu)
+
+    def step():
+        r = state.round_index
+        return step_round(state, blocks[:, r], noise[:, r], sink_blocks[:, r], sink_desired[:, r])
+
+    return state, step
+
+
 def trace_rows(state, r):
     """Round r node by node, read off the state's trace columns."""
     trace = state.trace
+    sent = bit_set(trace.kinds[r], MessageKind.DATA_BLOCK)
     return [
         TraceRow(
             r,
             node_id,
             PHASES[trace.phase[r, k]],
             kinds_of(int(trace.kinds[r, k])),
-            float(trace.error_glob[r, k]) if trace.transmitted[r, k] else None,
+            float(trace.error_glob[r, k]) if sent[k] else None,
             float(trace.error_new[r, k]) if trace.phase[r, k] >= CLIENT_ADAPTIVE else None,
-            bool(trace.transmitted[r, k]),
+            bool(sent[k]),
         )
         for k, node_id in enumerate(state.node_ids)
     ]
@@ -92,19 +118,19 @@ def drive(layout, stream, thresholds, mu=None, noise_seed=None, received=None):
         noise = np.array(
             [substream(noise_seed, ROLE_PROTOCOL, i).normal(0, std, stream.num_blocks) for i in ids]
         )
-    state = new_protocol_state(
-        ids, stream.blocks, stream.desired, thresholds, mu=mu, client_noise=noise, received=received
+    state, step = fed_state(
+        ids, stream.blocks, stream.desired, thresholds, mu=mu, noise=noise, received=received
     )
     for _ in range(stream.num_blocks):
-        step_round(state)
+        step()
     rows = [row for r in range(state.round_index) for row in trace_rows(state, r)]
     return state, rows, list(state.trace.kinds[: state.round_index])
 
 
 def first_round(ids, samples, desired, thresholds, sizes=None):
-    """A one-round state over the given ``(rows, n)`` samples and desired
-    values."""
-    return new_protocol_state(ids, samples[:, None], desired[:, None], thresholds, sizes)
+    """A one-round ``fed_state`` over the given ``(rows, n)`` samples and
+    desired values."""
+    return fed_state(ids, samples[:, None], desired[:, None], thresholds, sizes)
 
 
 def queued(state, kinds, kind):
@@ -117,11 +143,11 @@ def one_round_sweep(w_prev, samples, desired, mu):
     starts from ``w_prev``, with ``samples[i]`` and ``desired[i]`` node
     i's block and desired value and an explicit step size ``mu``."""
     ids = range(1, len(samples) + 1)
-    state = new_protocol_state(
+    state, step = fed_state(
         ids, np.asarray(samples)[:, None], np.asarray(desired)[:, None], Thresholds(), mu=mu
     )
     state.global_weight[0] = w_prev
-    step_round(state)
+    step()
     return state.global_weight[0]
 
 
@@ -137,7 +163,7 @@ def test_an_empty_weight_is_a_dimension_mismatch():
         initial_weight(0)
     # zero-sample blocks reach it through the engine
     with pytest.raises(DimensionMismatch, match="got 0"):
-        new_protocol_state([1, 2], np.zeros((2, 3, 0)), np.zeros((2, 3)), Thresholds())
+        new_protocol_state([1, 2], 3, 0, Thresholds())
 
 
 def test_global_lms_single_term():
@@ -314,37 +340,75 @@ def test_node_ids_must_ascend_within_a_point(sizes):
     assert str(err.value) == f"point {point}: node ids {ids[-2:]} do not strictly ascend"
     with pytest.raises(DimensionMismatch, match=r"point 0: node ids \[3, 3\] do not strictly ascend"):
         first_round([3, 3], samples[:2], np.zeros(2), Thresholds())
-    # Points may share ids.
+    # Points may share ids, and row k's round reads row k's block.
     ids = [1, 2, 1, 2] if sizes else [1, 2]
-    state = first_round(ids, samples, np.zeros(len(ids)), Thresholds(), sizes)
+    state, step = first_round(ids, samples, np.zeros(len(ids)), Thresholds(), sizes)
     assert state.node_ids == tuple(ids)
-    assert state.blocks[:, 0, 0].tolist() == samples[:, 0].tolist()
+    step()
+    for p in range(len(state.bounds) - 1):
+        rows = state.rows(p)
+        fit = samples[rows] @ state.global_weight[p]
+        assert state.trace.error_glob[0, rows].tolist() == (0.0 - fit).tolist()
 
 
 def test_step_round_requires_block_per_node():
     layout, stream = make_stream(2, seed=10)
     ids, thresholds = list(layout.node_ids), Thresholds(0.5, 0.05)
+    state = new_protocol_state(ids, 2, stream.n, thresholds)
+    blocks, desired, noise = stream.blocks[:, 0], stream.desired[:, 0], np.zeros(len(ids))
+    for inputs in [
+        (blocks[:-1], noise, blocks, desired),  # a block short
+        (blocks[:, 0], noise, blocks, desired),  # a sample, not a block
+        (stream.blocks, noise, blocks, desired),  # one round of the blocks, and no other
+        (blocks, np.zeros(1), blocks, desired),  # a noise draw per row
+        (blocks, noise, stream.blocks[:, :1], desired),  # what the sinks receive
+    ]:
+        with pytest.raises(DimensionMismatch, match=r"^round 0 needs inputs shaped \(\(10, 5\), "):
+            step_round(state, *inputs)
+    assert state.round_index == 0
     with pytest.raises(DimensionMismatch):
-        new_protocol_state(ids, stream.blocks[:-1], stream.desired[:-1], thresholds)
-    with pytest.raises(DimensionMismatch):
-        new_protocol_state(ids, stream.blocks[:, 0], stream.desired, thresholds)
-    # every round of the blocks, and no other
-    with pytest.raises(DimensionMismatch):
-        new_protocol_state(ids, stream.blocks[:, :1], stream.desired, thresholds)
-    with pytest.raises(DimensionMismatch):
-        new_protocol_state(ids, stream.blocks, stream.desired, thresholds, client_noise=[0.0])
-    with pytest.raises(DimensionMismatch):
-        new_protocol_state(ids, stream.blocks, stream.desired, [thresholds] * 2)
-    with pytest.raises(DimensionMismatch):
-        received = (stream.blocks[:, :1], stream.desired[:, :1])
-        new_protocol_state(ids, stream.blocks, stream.desired, thresholds, received=received)
+        new_protocol_state(ids, 2, stream.n, [thresholds] * 2)
+
+
+@pytest.mark.parametrize("short", ["rows", "samples"])
+@pytest.mark.parametrize("argument", range(4))
+def test_a_round_of_the_wrong_shape_is_refused_before_it_writes(argument, short):
+    # Each argument of round 1 with a row too few, or a sample too few per
+    # block (a value where a row's value is expected, made a 1-sample
+    # block): the round raises naming itself and the shapes, and the state
+    # and its trace are as round 0 left them.
+    _, stream = make_stream(3, seed=10)
+    noise = np.random.default_rng(10).normal(0.0, 0.1, size=stream.desired.shape)
+    state, step = fed_state(stream.node_ids, stream.blocks, stream.desired, Thresholds(), noise=noise)
+    step()
+    inputs = [stream.blocks[:, 1], noise[:, 1], stream.blocks[:, 1], stream.desired[:, 1]]
+    good = inputs[argument]
+    if short == "rows":
+        inputs[argument] = good[:-1]
+    else:
+        inputs[argument] = good[:, :-1] if good.ndim == 2 else good[:, None]
+    before = {name: a.copy() for name, a in vars(state).items() if isinstance(a, np.ndarray)}
+    trace = state.trace
+    row = [getattr(trace, column)[1].copy() for column in ("phase", "kinds", "error_glob", "error_new")]
+    updates = len(trace.updates)
+    with pytest.raises(DimensionMismatch) as err:
+        step_round(state, *inputs)
+    shapes = tuple(a.shape for a in inputs)
+    assert str(err.value) == f"round 1 needs inputs shaped ((10, 5), (10,), (10, 5), (10,)), got {shapes}"
+    assert state.round_index == 1 and len(trace.updates) == updates
+    for column, old in zip(("phase", "kinds", "error_glob", "error_new"), row):
+        assert getattr(trace, column)[1].tobytes() == old.tobytes(), column
+    for name, old in before.items():
+        assert getattr(state, name).tobytes() == old.tobytes(), name
+    step()  # the round runs once given its own inputs
+    assert state.round_index == 2
 
 
 def test_sinks_receive_only_the_blocks_that_were_sent():
     layout, stream = make_stream(30, seed=11)
     thresholds = Thresholds(0.5, 0.05)
     state, rows, kinds = drive(layout, stream, thresholds, noise_seed=11)
-    unsent = ~state.trace.transmitted.T
+    unsent = ~bit_set(state.trace.kinds, MessageKind.DATA_BLOCK).T
     assert unsent.any()
     # What the sinks would receive of a block never sent is never read.
     blocks, desired = stream.blocks.copy(), stream.desired.copy()
@@ -363,17 +427,17 @@ def test_sinks_receive_only_the_blocks_that_were_sent():
 
 
 def idle_state(ids, rounds):
-    """A state over ``rounds`` rounds of zero 3-sample blocks."""
-    m = len(ids)
-    return new_protocol_state(ids, np.zeros((m, rounds, 3)), np.zeros((m, rounds)), Thresholds())
+    """A state over ``rounds`` rounds of 3-sample blocks."""
+    return new_protocol_state(ids, rounds, 3, Thresholds())
 
 
 def test_a_step_past_the_last_round_is_a_dimension_mismatch():
     state = idle_state([1, 2], rounds=2)
-    step_round(state)
-    step_round(state)
+    zeros = np.zeros((2, 3)), np.zeros(2), np.zeros((2, 3)), np.zeros(2)
+    step_round(state, *zeros)
+    step_round(state, *zeros)
     with pytest.raises(DimensionMismatch, match=r"^no round 2: the run has 2 rounds$"):
-        step_round(state)
+        step_round(state, *zeros)
     assert state.round_index == 2
 
 
@@ -390,8 +454,7 @@ def test_transmission_percentage_trivials():
     with pytest.raises(DimensionMismatch, match="10 rounds over 0 nodes"):
         transmission_percentages(nobody, 0)
     # A point of no nodes beside one of two, after 4 rounds.
-    blocks, desired = np.zeros((2, 4, 3)), np.zeros((2, 4))
-    empty_point = new_protocol_state([1, 2], blocks, desired, Thresholds(), sizes=[2, 0])
+    empty_point = new_protocol_state([1, 2], 4, 3, Thresholds(), sizes=[2, 0])
     empty_point.round_index = 4
     assert transmission_percentages(empty_point, 0)[1] == 0.0
     with pytest.raises(DimensionMismatch, match="^no transmission percentage: 4 rounds over 0 nodes$"):
@@ -404,20 +467,20 @@ def test_total_percentages_read_each_points_rows():
     layout, stream = make_stream(40, seed=16)
     ids, m = list(stream.node_ids), len(stream.node_ids)
     noise = np.random.default_rng(16).normal(0.0, 0.1, size=(m, 40))
-    state = new_protocol_state(
+    state, step = fed_state(
         ids * 2,
         np.concatenate([stream.blocks] * 2),
         np.concatenate([stream.desired] * 2),
         [Thresholds(alpha=0.5, beta=0.0), Thresholds(alpha=1e9, beta=1e9)],
         [m, m],
-        client_noise=np.concatenate([noise] * 2),
+        noise=np.concatenate([noise] * 2),
     )
     for _ in range(40):
-        step_round(state)
+        step()
     (pct_0, total_0), (pct_1, total_1) = (transmission_percentages(state, p) for p in (0, 1))
     assert total_0 == 100.0 and pct_0.tolist() == [100.0] * m
     assert total_1 == pytest.approx(100.0 / 40)
-    sent = state.trace.transmitted.sum(axis=0)
+    sent = bit_set(state.trace.kinds, MessageKind.DATA_BLOCK).sum(axis=0)
     for p, (pct, total) in enumerate([(pct_0, total_0), (pct_1, total_1)]):
         assert total == pytest.approx(100.0 * sent[state.rows(p)].mean() / 40, rel=1e-15)
         assert np.array_equal(pct, 100.0 * sent[state.rows(p)] / 40)
@@ -437,16 +500,17 @@ def test_explicit_mu_bypasses_auto_rule():
     assert (state.mu == 0.01).all()  # auto estimate never engaged
 
 
-def two_point_state(stream, mu=None, client_noise=None):
-    """Rows of ``stream`` split into points of 4 and 6 nodes, beta 0.05 and 0.2."""
-    return new_protocol_state(
+def two_point_state(stream, mu=None, noise=None):
+    """A ``fed_state`` over the rows of ``stream`` split into points of 4
+    and 6 nodes, beta 0.05 and 0.2."""
+    return fed_state(
         stream.node_ids,
         stream.blocks,
         stream.desired,
         [Thresholds(0.5, 0.05), Thresholds(0.5, 0.2)],
         sizes=[4, 6],
         mu=mu,
-        client_noise=client_noise,
+        noise=noise,
     )
 
 
@@ -478,9 +542,9 @@ def eigen_solves(monkeypatch):
 @pytest.mark.parametrize("mu", [0.01, None])
 def test_a_fixed_mu_runs_no_eigen_solve(eigen_solves, mu):
     _, stream = make_stream(60, seed=5)
-    state = two_point_state(stream, mu)
+    state, step = two_point_state(stream, mu)
     for _ in range(stream.num_blocks):
-        step_round(state)
+        step()
     assert state.trace.updates  # client filters stepped with the point's mu
     if mu is None:
         assert eigen_solves and np.isfinite(state.mu).all()
@@ -494,9 +558,9 @@ def test_every_point_estimates_its_step_size_in_round_0(eigen_solves):
     # step size before any client filter steps with it, in one solve over
     # the stack of the points' covariances.
     _, stream = make_stream(2, seed=5)
-    state = two_point_state(stream)
+    state, step = two_point_state(stream)
     assert state.auto_mu and np.isnan(state.mu).all()
-    step_round(state)
+    step()
     assert np.isfinite(state.mu).all()
     assert eigen_solves == [(2, 5, 5)]
     beta_sweep = plan(default_scenario(num_blocks=2), "sweep", axis="beta", values=[0.05, 0.2])
@@ -512,16 +576,16 @@ def test_auto_mu_is_half_over_nodes_times_the_largest_eigenvalue():
     # Client noise sends predicting rows back to raw now and then.
     _, stream = make_stream(40, seed=7)
     noise = np.random.default_rng(7).normal(0, 0.1, size=stream.desired.shape)
-    state = two_point_state(stream, client_noise=noise)
+    state, step = two_point_state(stream, noise=noise)
     trace = state.trace
     checked = [0, 0]
     for r in range(stream.num_blocks):
-        step_round(state)
+        step()
         for p in range(2):
             rows = state.rows(p)
             if not (trace.phase[r, rows] == RAW_TRANSMIT).any():
                 continue
-            u = state.sink_blocks[rows, r][trace.transmitted[r, rows]]
+            u = stream.blocks[rows, r][bit_set(trace.kinds[r, rows], MessageKind.DATA_BLOCK)]
             lam = jacobi_eigenvalues(u.T @ u / len(u))[-1]
             nodes = rows.stop - rows.start
             assert state.mu[p] == pytest.approx(0.5 / (nodes * lam), rel=1e-12, abs=0)
@@ -545,9 +609,9 @@ def test_the_covariance_check_fires_wherever_the_power_iteration_refuses(seed):
                 max_eigenvalue(samples.T @ samples / len(samples))
             except NonFinite:
                 refused += 1
-                state = first_round([1, 2, 3, 4], samples, np.zeros(4), Thresholds())
+                _, step = first_round([1, 2, 3, 4], samples, np.zeros(4), Thresholds())
                 with pytest.raises(Diverged, match="round 0: non-finite block covariance"):
-                    step_round(state)
+                    step()
     assert refused
 
 
@@ -571,22 +635,23 @@ def test_a_direct_run_that_diverges_is_silent():
     # The caller holds no error state: the overflow on the way to the
     # non-finite error stays inside step_round, with warnings as errors.
     _, stream = make_stream(200, seed=12)
-    state = new_protocol_state(
+    state, step = fed_state(
         stream.node_ids, stream.blocks, stream.desired, Thresholds(0.5, 0.05), mu=50.0
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(Diverged, match="non-finite"):
             for _ in range(stream.num_blocks):
-                step_round(state)
+                step()
     assert 0 < state.round_index < stream.num_blocks
 
 
-def run_to_end(state):
-    """Step ``state`` through its rounds: the ``Diverged`` that stopped it, or None."""
+def run_to_end(state, step):
+    """Step a ``fed_state`` through its rounds: the ``Diverged`` that
+    stopped it, or None."""
     try:
         while state.round_index < len(state.trace.phase):
-            step_round(state)
+            step()
     except Diverged as exc:
         return exc
     return None
@@ -605,13 +670,11 @@ def test_a_lower_points_sink_error_comes_before_a_higher_points_covariance():
     noise = np.zeros((2, 4))
     noise[1, 2] = 1.0
     thresholds = [Thresholds(1e-300, 0.5), Thresholds(1e300, 0.5)]
-    batch = new_protocol_state(
-        [1, 1], [blocks] * 2, [desired] * 2, thresholds, [1, 1], client_noise=noise
-    )
-    err = run_to_end(batch)
+    batch, step = fed_state([1, 1], [blocks] * 2, [desired] * 2, thresholds, [1, 1], noise=noise)
+    err = run_to_end(batch, step)
     assert batch.trace.phase[3].tolist() == [SINK_ADAPTIVE, RAW_TRANSMIT]
     alone = [
-        run_to_end(new_protocol_state([1], [blocks], [desired], t, client_noise=noise[p : p + 1]))
+        run_to_end(*fed_state([1], [blocks], [desired], t, noise=noise[p : p + 1]))
         for p, t in enumerate(thresholds)
     ]
     assert [str(exc) for exc in alone] == [
@@ -640,7 +703,8 @@ def test_stream_rows_follow_node_ids_for_an_unsorted_layout():
     # stepping rounds straight off the stream matches the scenario run
     state, rows, _ = drive(layout, stream, Thresholds(0.5, 0.05), noise_seed=13)
     run = simulate_protocol(plan(default_scenario(layout=layout, seed=13), stream=stream))
-    assert np.array_equal(state.trace.transmitted, run.trace.transmitted)
+    data = MessageKind.DATA_BLOCK
+    assert np.array_equal(bit_set(state.trace.kinds, data), bit_set(run.trace.kinds, data))
     (pct, total), (run_pct, run_total) = (transmission_percentages(s, 0) for s in (state, run))
     assert np.array_equal(pct, run_pct) and total == run_total
     assert np.array_equal(state.global_weight, run.global_weight)
@@ -666,10 +730,6 @@ def engine_runs(draw):
     )
 
 
-def bit_set(kinds, kind):
-    return (kinds & KIND_BITS[kind]) != 0
-
-
 @settings(max_examples=60)
 @given(engine_runs())
 def test_step_round_properties(case):
@@ -682,19 +742,19 @@ def test_step_round_properties(case):
     samples = rng.normal(size=(rounds, m, n))
     desired = samples @ rng.normal(size=n) + noise_level * rng.normal(size=(rounds, m))
     client_noise = noise_level * rng.normal(size=(rounds, m))
-    state = new_protocol_state(
+    state, step = fed_state(
         [i for size in sizes for i in range(1, size + 1)],
         samples.transpose(1, 0, 2),
         desired.T,
         thresholds,
         sizes,
-        client_noise=client_noise.T,
+        noise=client_noise.T,
     )
     alpha, beta = np.array([(t.alpha, t.beta) for t in thresholds]).T[:, state.point]
     trace = state.trace
     suppressed = np.zeros(m, dtype=np.int64)
     for r in range(rounds):
-        result = step_round(state)
+        result = step()
         start, kinds = trace.phase[r], trace.kinds[r]
         # The returned view is the trace row.
         assert list(result.rows) == trace_rows(state, r)
@@ -735,7 +795,7 @@ def test_step_round_properties(case):
         suppressed += (start == CLIENT_PREDICTING) | ((start == CLIENT_ADAPTIVE) & quiet)
 
     # Sent plus suppressed blocks make up every row's rounds.
-    sent = trace.transmitted.sum(axis=0)
+    sent = bit_set(trace.kinds, MessageKind.DATA_BLOCK).sum(axis=0)
     assert np.array_equal(sent + suppressed, np.full(m, rounds))
     pct = [transmission_percentages(state, p)[0] for p in range(len(sizes))]
     assert np.array_equal(np.concatenate(pct), 100.0 * sent / rounds)
@@ -777,16 +837,17 @@ def sweep_batches(draw):
 
 
 def protocol_over(subsets, thresholds, mu, blocks, desired, noise, received):
-    """One state whose points sense the given node subsets (node k's id is k + 1)."""
+    """One ``fed_state`` whose points sense the given node subsets (node k's
+    id is k + 1)."""
     rows = [k for subset in subsets for k in subset]
-    return new_protocol_state(
+    return fed_state(
         [k + 1 for k in rows],
         blocks[rows],
         desired[rows],
         thresholds,
         [len(subset) for subset in subsets],
         mu=mu,
-        client_noise=None if noise is None else noise[rows],
+        noise=None if noise is None else noise[rows],
         received=None if received is None else (received[0][rows], received[1][rows]),
     )
 
@@ -795,12 +856,12 @@ def protocol_over(subsets, thresholds, mu, blocks, desired, noise, received):
 @given(sweep_batches())
 def test_each_point_of_a_batch_equals_its_run_alone(case):
     subsets, thresholds, *inputs = case
-    batch = protocol_over(subsets, thresholds, *inputs)
-    err = run_to_end(batch)
+    batch, step = protocol_over(subsets, thresholds, *inputs)
+    err = run_to_end(batch, step)
     alone = []
     for subset, t in zip(subsets, thresholds):
-        state = protocol_over([subset], [t], *inputs)
-        alone.append((state, run_to_end(state)))
+        state, step = protocol_over([subset], [t], *inputs)
+        alone.append((state, run_to_end(state, step)))
 
     # Over the rounds the batch completed, every point has its alone bits.
     done = batch.round_index
@@ -873,8 +934,8 @@ def test_the_engine_matches_the_reference_protocol(case):
     runs it alone: every trace cell, client update, step size and sink
     weight bit for bit, and the same stop."""
     subsets, thresholds, mu, blocks, desired, noise, received = case
-    batch = protocol_over(subsets, thresholds, mu, blocks, desired, noise, received)
-    err = run_to_end(batch)
+    batch, step = protocol_over(subsets, thresholds, mu, blocks, desired, noise, received)
+    err = run_to_end(batch, step)
     stops = []
     for p, (subset, t) in enumerate(zip(subsets, thresholds)):
         ref = reference_protocol(
@@ -939,18 +1000,16 @@ def test_client_update_log_matches_a_replay(points):
     noise = np.array(
         [substream(15, ROLE_PROTOCOL, i).normal(0, std, stream.num_blocks) for i in ids]
     )
-    state = new_protocol_state(
+    state, step = fed_state(
         ids * points,
         np.concatenate([stream.blocks] * points),
         np.concatenate([stream.desired] * points),
         [Thresholds(0.5, 0.05), Thresholds(0.8, 0.1)][:points],
         [m] * points,
-        client_noise=np.concatenate([noise] * points),
+        noise=np.concatenate([noise] * points),
     )
 
-    expected = replay_client_updates(
-        lambda: step_round(state), state, stream.num_blocks, CLIENT_ADAPTIVE
-    )
+    expected = replay_client_updates(step, state, stream.num_blocks, CLIENT_ADAPTIVE)
     rounds, rows, weights = state.trace.client_updates()
     assert rounds.tolist() == [r for r, _, _ in expected]
     assert rows.tolist() == [k for _, k, _ in expected]
